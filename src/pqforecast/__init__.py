@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .ensembles import CombinationMethod, EnsembleId, combine, compute_weights, enumerate_ensembles
 from .errors import ConfigError, DataError, PQForecastError
 from .evaluation import Leaderboard, benchmark_ratio, evaluate_corpus, mae, smape
-from .models import FitConfig, Forecast, ModelId, PUBLIC_MODELS, fit_predict, forecast_series
+from .models import FitConfig, Forecast, ModelId, PUBLIC_MODELS, fit_predict
 from .weekly import (
     PlanningLevel,
     RawSeries,
@@ -43,7 +43,6 @@ __all__ = [
     "ModelId",
     "PUBLIC_MODELS",
     "fit_predict",
-    "forecast_series",
     "PlanningLevel",
     "RawSeries",
     "Rejection",

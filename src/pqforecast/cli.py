@@ -51,7 +51,6 @@ class RunConfig:
     train_len: int = DEFAULT_TRAIN_LEN
     horizon: int = DEFAULT_HORIZON
     fit: FitConfig = field(default_factory=FitConfig)
-    jobs: int = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,15 +83,14 @@ def _load_config_file(path: Path) -> dict:
 
 
 def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(jobs=getattr(args, "jobs", 1))
+    cfg = RunConfig()
     file_overrides: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         file_overrides = _load_config_file(args.config)
         if file_overrides.get("fit_kwargs"):
             cfg.fit = replace(cfg.fit, **file_overrides["fit_kwargs"])
 
-    train_len = getattr(args, "train_len", None)
-    horizon = getattr(args, "horizon", None)
+    train_len, horizon = args.train_len, args.horizon
     if (train_len is None) != (horizon is None):
         raise ConfigError("--train-len and --horizon must be overridden together")
     if train_len is not None:
@@ -218,8 +216,8 @@ def cmd_forecast(args: argparse.Namespace) -> int:
          cfg.horizon, cfg.fit)
         for s in series
     ]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             raw_results = list(pool.map(_fit_series, payloads))
     else:
         raw_results = [_fit_series(p) for p in payloads]
@@ -419,16 +417,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         with open(cmp_path, newline="", encoding="utf-8") as fh:
             rows = list(_csv.DictReader(fh))
         from .evaluation import ComparisonReport
-        ind = np.array([float(r["individual_smape"]) for r in rows])
-        ens = np.array([float(r["ensemble_smape"]) for r in rows])
-        gains = np.array([float(r["relative_improvement"]) for r in rows])
-        wins = ens < ind
         report = ComparisonReport(
             individual_producer="best individual", ensemble_producer="best ensemble",
             series_ids=[r["series_id"] for r in rows],
-            individual_smape=ind, ensemble_smape=ens, relative_improvement=gains,
-            win_fraction=float(np.mean(wins)) if len(wins) else 0.0,
-            median_improvement_when_winning=float(np.median(gains[wins])) if wins.any() else 0.0,
+            individual_smape=np.array([float(r["individual_smape"]) for r in rows]),
+            ensemble_smape=np.array([float(r["ensemble_smape"]) for r in rows]),
+            relative_improvement=np.array([float(r["relative_improvement"]) for r in rows]),
         )
         pqreport.render_comparison_svg(out / "fig_comparison.svg", report)
 
@@ -443,55 +437,48 @@ def build_parser() -> _Parser:
                      description="Weekly PQ utilization forecasting and ensembling pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser) -> None:
+    def stage(name: str, help_text: str, func) -> _Parser:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--config", type=Path, default=None, help="INI file with model knobs")
-        p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-        p.add_argument("--seed", type=int, default=0, help="seed for synthetic generation")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
-    common(p)
+    def protocol(p: _Parser) -> None:
+        p.add_argument("--config", type=Path, default=None, help="INI file with model knobs")
+        p.add_argument("--train-len", type=int, default=None)
+        p.add_argument("--horizon", type=int, default=None)
+
+    p = stage("synth", "generate a synthetic corpus", cmd_synth)
+    p.add_argument("--seed", type=int, default=0, help="seed for synthetic generation")
     p.add_argument("--n-series", type=int, required=True)
     p.add_argument("--length-weeks", type=int, default=157)
     p.add_argument("--mode", choices=("weekly", "raw"), default="weekly")
     p.add_argument("--missing-rate", type=float, default=0.0)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("preprocess", help="raw 10-minute CSV to weekly utilization CSV")
-    common(p)
+    p = stage("preprocess", "raw 10-minute CSV to weekly utilization CSV", cmd_preprocess)
     p.add_argument("--raw", nargs="+", required=True, help="raw measurement CSV file(s)")
     p.add_argument("--planning-levels", required=True, help="planning level INI file")
-    p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("forecast", help="fit models and emit 52-step forecasts")
-    common(p)
+    p = stage("forecast", "fit models and emit 52-step forecasts", cmd_forecast)
+    protocol(p)
+    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--weekly", required=True, help="weekly series CSV")
     p.add_argument("--models", default="all", help="comma list of models or 'all'")
-    p.add_argument("--train-len", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.set_defaults(func=cmd_forecast)
 
-    p = sub.add_parser("ensemble", help="combine model forecasts into ensembles")
-    common(p)
+    p = stage("ensemble", "combine model forecasts into ensembles", cmd_ensemble)
     p.add_argument("--forecasts", required=True, help="individual model forecast CSV")
     p.add_argument("--leaderboard", default=None,
                    help="individual leaderboard CSV supplying weights for weighted methods")
     p.add_argument("--methods", default="all", help="comma list of methods or 'all'")
-    p.set_defaults(func=cmd_ensemble)
 
-    p = sub.add_parser("evaluate", help="score forecasts and emit leaderboards")
-    common(p)
+    p = stage("evaluate", "score forecasts and emit leaderboards", cmd_evaluate)
+    protocol(p)
     p.add_argument("--forecasts", nargs="+", required=True, help="forecast CSV file(s)")
     p.add_argument("--weekly", required=True, help="weekly series CSV with the actuals")
     p.add_argument("--top-n", type=int, default=100)
-    p.add_argument("--train-len", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("report", help="render SVG figures from evaluation output")
-    common(p)
+    p = stage("report", "render SVG figures from evaluation output", cmd_report)
     p.add_argument("--eval-dir", required=True, help="directory produced by evaluate")
-    p.set_defaults(func=cmd_report)
 
     return parser
 

@@ -42,16 +42,6 @@ def smape(actual: np.ndarray, forecast: np.ndarray) -> float:
     return float(200.0 / len(actual) * terms.sum())
 
 
-def classify_smape(value: float) -> str:
-    """Qualitative accuracy class: good below 10 %, acceptable up to 25 %,
-    poor beyond."""
-    if value < 10.0:
-        return "good"
-    if value <= 25.0:
-        return "acceptable"
-    return "poor"
-
-
 def rank_within_series(smapes: Mapping[str, float]) -> dict[str, float]:
     """Rank producers by sMAPE within one series; ties get averaged ranks."""
     if len(smapes) < 2:
@@ -262,8 +252,16 @@ class ComparisonReport:
     individual_smape: np.ndarray
     ensemble_smape: np.ndarray
     relative_improvement: np.ndarray  # positive when the ensemble is better
-    win_fraction: float
-    median_improvement_when_winning: float
+
+    @property
+    def win_fraction(self) -> float:
+        wins = self.ensemble_smape < self.individual_smape
+        return float(np.mean(wins)) if len(wins) else 0.0
+
+    @property
+    def median_improvement_when_winning(self) -> float:
+        wins = self.ensemble_smape < self.individual_smape
+        return float(np.median(self.relative_improvement[wins])) if np.any(wins) else 0.0
 
     def ecdf(self) -> tuple[np.ndarray, np.ndarray]:
         x = np.sort(self.relative_improvement)
@@ -292,10 +290,6 @@ def compare_best(
     ens_values = np.array([ens[s] for s in series_ids])
     with np.errstate(divide="ignore", invalid="ignore"):
         improvement = np.where(ind_values > 0, (ind_values - ens_values) / ind_values, 0.0)
-    wins = ens_values < ind_values
-    win_fraction = float(np.mean(wins))
-    median_gain = float(np.median(improvement[wins])) if np.any(wins) else 0.0
-
     return ComparisonReport(
         individual_producer=next(iter(ind_producers)),
         ensemble_producer=next(iter(ens_producers)),
@@ -303,6 +297,4 @@ def compare_best(
         individual_smape=ind_values,
         ensemble_smape=ens_values,
         relative_improvement=improvement,
-        win_fraction=win_fraction,
-        median_improvement_when_winning=median_gain,
     )

@@ -146,12 +146,10 @@ def write_rejections_csv(path: Path, rejections: Iterable[Rejection]) -> None:
 
 # -- forecasts --------------------------------------------------------------
 
-def write_forecast_csv(path: Path, forecasts: Iterable[Forecast], append: bool = False) -> None:
-    mode = "a" if append and path.exists() else "w"
-    with open(path, mode, newline="", encoding="utf-8") as fh:
+def write_forecast_csv(path: Path, forecasts: Iterable[Forecast]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if mode == "w":
-            writer.writerow(FORECAST_HEADER)
+        writer.writerow(FORECAST_HEADER)
         for fc in forecasts:
             for h, value in enumerate(fc.values, start=1):
                 writer.writerow([fc.series_id, fc.producer, h, _fmt(value)])
@@ -169,9 +167,13 @@ def read_forecast_csv(path: Path) -> list[Forecast]:
                 continue
             try:
                 sid, producer, h, value = row
-                by_key.setdefault((sid, producer), {})[int(h)] = float(value)
+                step, number = int(h), float(value)
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
+            steps = by_key.setdefault((sid, producer), {})
+            if step in steps:
+                raise DataError(f"{path}:{lineno}: duplicate row for ({sid}, {producer}, h={step})")
+            steps[step] = number
     if not by_key:
         raise DataError(f"{path}: no data")
 
@@ -264,8 +266,8 @@ class ManifestEntry:
     message: str
 
 
-def write_manifest(path: Path, entries: Iterable[ManifestEntry], append: bool = False) -> None:
-    with open(path, "a" if append else "w", encoding="utf-8") as fh:
+def write_manifest(path: Path, entries: Iterable[ManifestEntry]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
         for e in entries:
             fh.write(json.dumps({
                 "stage": e.stage, "series_id": e.series_id,

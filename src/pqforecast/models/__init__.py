@@ -1,22 +1,20 @@
 """The forecasting models behind one fit/predict entry point.
 
 ``fit_predict`` produces raw (unclamped) point forecasts so equivariance
-properties hold exactly; ``forecast_series`` wraps the result into a
-nonnegative :class:`Forecast` for downstream use.
+properties hold exactly; wrap its values into a :class:`Forecast` to get
+the nonnegative forecast used downstream.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError
-from ..weekly import WeeklySeries
 from .base import HORIZON_WEEKS, FitConfig, Forecast, ModelFit, ModelId, PUBLIC_MODELS, SarimaGrid, model_from_name
-from .baselines import predict_drift, predict_naive, predict_snaive
+from .baselines import predict_drift, predict_snaive
 from .fourier_trend import predict_fourier_trend
-from .sarima import predict_arima, predict_sarima
+from .sarima import predict_sarima
 from .smoothing import predict_es, predict_holt, predict_hw
-from .stl_models import predict_stl_composite
+from .stl_models import arima_or_naive, predict_stl_composite
 
 __all__ = [
     "HORIZON_WEEKS",
@@ -28,14 +26,14 @@ __all__ = [
     "SarimaGrid",
     "model_from_name",
     "fit_predict",
-    "forecast_series",
 ]
 
+# forecasters of the seasonally adjusted series: (y, h, config) -> (values, notes)
 _STL_SUBMODELS = {
-    ModelId.STL_DRIFT: ModelId.DRIFT,
-    ModelId.STL_ES: ModelId.ES,
-    ModelId.STL_HOLT: ModelId.HOLT,
-    ModelId.STL_ARIMA: ModelId.ARIMA,
+    ModelId.STL_DRIFT: lambda y, h, config: (predict_drift(y, h), []),
+    ModelId.STL_ES: lambda y, h, config: (predict_es(y, h, config.seasonal_period), []),
+    ModelId.STL_HOLT: lambda y, h, config: (predict_holt(y, h, config.seasonal_period), []),
+    ModelId.STL_ARIMA: arima_or_naive,
 }
 
 
@@ -46,16 +44,8 @@ def fit_predict(model: ModelId, y: np.ndarray, h: int = HORIZON_WEEKS,
     period = config.seasonal_period
     notes: list[str] = []
 
-    if model is ModelId.NAIVE:
-        values = predict_naive(y, h)
-    elif model is ModelId.DRIFT:
-        values = predict_drift(y, h)
-    elif model is ModelId.SNAIVE:
+    if model is ModelId.SNAIVE:
         values = predict_snaive(y, h, period)
-    elif model is ModelId.ES:
-        values = predict_es(y, h, period)
-    elif model is ModelId.HOLT:
-        values = predict_holt(y, h, period)
     elif model is ModelId.HW:
         values = predict_hw(y, h, period)
     elif model is ModelId.PROPHET:
@@ -66,23 +56,7 @@ def fit_predict(model: ModelId, y: np.ndarray, h: int = HORIZON_WEEKS,
             # a corpus run must not abort on one hard series
             values = predict_snaive(y, h, period)
             notes.append("sarima: no admissible order; snaive fallback")
-    elif model in _STL_SUBMODELS:
-        values, notes = predict_stl_composite(y, h, _STL_SUBMODELS[model], config)
-    elif model is ModelId.ARIMA:
-        values, fit = predict_arima(y, h, config.sarima)
-        if fit is None:
-            values = predict_naive(y, h)
-            notes.append("arima: no admissible order; naive fallback")
     else:
-        raise ConfigError(f"no forecaster registered for {model!r}")
+        values, notes = predict_stl_composite(y, h, _STL_SUBMODELS[model], config)
 
     return ModelFit(model=model, values=np.asarray(values, dtype=float), notes=notes)
-
-
-def forecast_series(train: WeeklySeries, model: ModelId, h: int = HORIZON_WEEKS,
-                    config: FitConfig = FitConfig()) -> tuple[Forecast, list[str]]:
-    """Clamped forecast for a weekly series plus any fit notes."""
-    fit = fit_predict(model, train.values, h, config)
-    forecast = Forecast(series_id=train.series_id, producer=model.value,
-                        values=fit.values, horizon=h)
-    return forecast, fit.notes

@@ -1,8 +1,9 @@
-"""Model identifiers, fit configuration and the forecast container."""
+"""Model identifiers, fit configuration, the forecast container and input
+standardization."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -14,8 +15,7 @@ HORIZON_WEEKS = 52
 
 
 class ModelId(str, Enum):
-    """Forecasting models. The first eight are the public set; the rest are
-    building blocks used inside composites."""
+    """The eight public forecasting models, in canonical order."""
 
     SNAIVE = "SNaive"
     HW = "HW"
@@ -25,29 +25,14 @@ class ModelId(str, Enum):
     STL_ES = "STL-ES"
     STL_HOLT = "STL-Holt"
     STL_ARIMA = "STL-ARIMA"
-    # internal building blocks
-    NAIVE = "Naive"
-    DRIFT = "Drift"
-    ES = "ES"
-    HOLT = "Holt"
-    ARIMA = "ARIMA"
 
 
 #: Canonical order of the public models; ensemble membership indices refer to it.
-PUBLIC_MODELS: tuple[ModelId, ...] = (
-    ModelId.SNAIVE,
-    ModelId.HW,
-    ModelId.SARIMA,
-    ModelId.PROPHET,
-    ModelId.STL_DRIFT,
-    ModelId.STL_ES,
-    ModelId.STL_HOLT,
-    ModelId.STL_ARIMA,
-)
+PUBLIC_MODELS: tuple[ModelId, ...] = tuple(ModelId)
 
 
 def model_from_name(name: str) -> ModelId:
-    for m in ModelId:
+    for m in PUBLIC_MODELS:
         if m.value.lower() == name.lower():
             return m
     valid = ", ".join(m.value for m in PUBLIC_MODELS)
@@ -81,10 +66,17 @@ class FitConfig:
     stl_inner_iterations: int = 2
     stl_robustness_iterations: int = 1
     stl_seasonal_window: Optional[int] = None  # None -> periodic subseries mean
-    rng_seed: int = 0  # reserved; every fit is deterministic
 
-    def with_period(self, period: int) -> "FitConfig":
-        return replace(self, seasonal_period=period)
+
+def standardize(y: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Center and scale so the optimizer path (and therefore the forecast) is
+    independent of the data's affine frame; map forecasts back with
+    mu + sd * value."""
+    mu = float(np.mean(y))
+    sd = float(np.std(y))
+    if sd <= 0.0:
+        sd = 1.0
+    return (y - mu) / sd, mu, sd
 
 
 @dataclass

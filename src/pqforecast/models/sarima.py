@@ -15,11 +15,10 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from ..errors import DataError
 from ..numerics import aicc, difference, gaussian_loglik, integrate_forecast, nelder_mead
-from .base import SarimaGrid
+from .base import SarimaGrid, standardize
 
 ROOT_MARGIN = 1.001
 _PENALTY = 1e12
@@ -123,6 +122,24 @@ def _expand(nonseasonal: np.ndarray, seasonal: np.ndarray, m: int, sign: float) 
     return poly
 
 
+def _ma_invert(ma_poly: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Solve ``ma_poly(B) e = x`` for ``e`` with zero pre-sample values.
+
+    Each step subtracts the lagged terms from the highest lag down, the
+    order of a direct-form-II-transposed IIR filter, so the result matches
+    ``scipy.signal.lfilter([1.0], ma_poly, x)`` bit for bit.
+    """
+    taps = [(j, float(ma_poly[j])) for j in range(len(ma_poly) - 1, 0, -1) if ma_poly[j] != 0.0]
+    e: list[float] = []
+    for t, value in enumerate(x.tolist()):
+        acc = 0.0
+        for j, coeff in taps:
+            if j <= t:
+                acc -= coeff * e[t - j]
+        e.append(acc + value)
+    return np.array(e)
+
+
 def css_residuals(w: np.ndarray, order: SarimaOrder, params: np.ndarray) -> np.ndarray:
     """CSS residuals for the differenced series; entries before the
     conditioning point are zero."""
@@ -136,7 +153,7 @@ def css_residuals(w: np.ndarray, order: SarimaOrder, params: np.ndarray) -> np.n
         if len(ma_poly) == 1:  # pure AR: no filtering needed
             resid[ncond:] = rhs[ncond:]
         else:
-            resid[ncond:] = lfilter([1.0], ma_poly, rhs[ncond:])
+            resid[ncond:] = _ma_invert(ma_poly, rhs[ncond:])
     return resid
 
 
@@ -324,20 +341,10 @@ def forecast_fit(y: np.ndarray, fit: SarimaFit, h: int) -> np.ndarray:
     return fc
 
 
-def _standardize(y: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Fit on centered/scaled data so the optimizer path (and therefore the
-    forecast) is independent of the series' affine frame."""
-    mu = float(np.mean(y))
-    sd = float(np.std(y))
-    if sd <= 0.0:
-        sd = 1.0
-    return (y - mu) / sd, mu, sd
-
-
 def predict_sarima(y: np.ndarray, h: int, grid: SarimaGrid, m: int) -> tuple[np.ndarray, SarimaFit | None]:
     """Full seasonal selection + forecast; (values, None) means the caller
     must fall back."""
-    z, mu, sd = _standardize(np.asarray(y, dtype=float))
+    z, mu, sd = standardize(np.asarray(y, dtype=float))
     fit = select_order(z, grid, m, seasonal=True)
     if fit is None:
         return np.array([]), None
@@ -346,7 +353,7 @@ def predict_sarima(y: np.ndarray, h: int, grid: SarimaGrid, m: int) -> tuple[np.
 
 def predict_arima(y: np.ndarray, h: int, grid: SarimaGrid) -> tuple[np.ndarray, SarimaFit | None]:
     """Non-seasonal selection + forecast for seasonally adjusted series."""
-    z, mu, sd = _standardize(np.asarray(y, dtype=float))
+    z, mu, sd = standardize(np.asarray(y, dtype=float))
     fit = select_order(z, grid, m=1, seasonal=False)
     if fit is None:
         return np.array([]), None

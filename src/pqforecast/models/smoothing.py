@@ -13,21 +13,12 @@ import numpy as np
 
 from ..errors import DataError
 from ..numerics import nelder_mead
+from .base import standardize
 
 PARAM_LO = 1e-4
 PARAM_HI = 0.9999
 
 _MIN_OBS = 10
-
-
-def _standardize(y: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Center and scale so optimizer behavior is independent of the data's
-    affine frame; forecasts must be mapped back with mu + sd * value."""
-    mu = float(np.mean(y))
-    sd = float(np.std(y))
-    if sd <= 0.0:
-        sd = 1.0
-    return (y - mu) / sd, mu, sd
 
 
 def _initial_level_trend(y: np.ndarray, period: int) -> tuple[float, float]:
@@ -94,7 +85,7 @@ def predict_es(y: np.ndarray, h: int, period: int = 52) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if len(y) < _MIN_OBS:
         raise DataError(f"es: need at least {_MIN_OBS} observations, got {len(y)}")
-    z, mu, sd = _standardize(y)
+    z, mu, sd = standardize(y)
     level0, _ = _initial_level_trend(z, period)
     result = nelder_mead(
         lambda p: _ses_run(z, p[0], level0)[0],
@@ -109,7 +100,7 @@ def predict_holt(y: np.ndarray, h: int, period: int = 52) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if len(y) < _MIN_OBS:
         raise DataError(f"holt: need at least {_MIN_OBS} observations, got {len(y)}")
-    z, mu, sd = _standardize(y)
+    z, mu, sd = standardize(y)
     level0, trend0 = _initial_level_trend(z, period)
     result = nelder_mead(
         lambda p: _holt_run(z, p[0], p[1], level0, trend0)[0],
@@ -126,7 +117,7 @@ def predict_hw(y: np.ndarray, h: int, period: int = 52) -> np.ndarray:
     n = len(y)
     if n < 2 * period:
         raise DataError(f"hw: needs two seasons ({2 * period} observations), got {n}")
-    z, mu, sd = _standardize(y)
+    z, mu, sd = standardize(y)
     level0, trend0 = _initial_level_trend(z, period)
     seasonal0 = z[:period] - np.mean(z[:period])
     result = nelder_mead(

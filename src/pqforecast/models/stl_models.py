@@ -1,16 +1,19 @@
 """Decomposition-based forecasters: seasonal component by seasonal-naive
-repetition, seasonally adjusted series by a configurable sub-model."""
+repetition, seasonally adjusted series by a given sub-forecaster."""
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from ..errors import ConfigError, DataError
+from ..errors import DataError
 from ..numerics import STLConfig, stl_decompose
-from .base import FitConfig, ModelId
-from .baselines import predict_drift, predict_naive, predict_snaive
+from .base import FitConfig
+from .baselines import predict_naive, predict_snaive
 from .sarima import predict_arima
-from .smoothing import predict_es, predict_holt
+
+SubForecaster = Callable[[np.ndarray, int, FitConfig], tuple[np.ndarray, list[str]]]
 
 
 def _stl_config(config: FitConfig) -> STLConfig:
@@ -21,10 +24,18 @@ def _stl_config(config: FitConfig) -> STLConfig:
     )
 
 
+def arima_or_naive(y: np.ndarray, h: int, config: FitConfig) -> tuple[np.ndarray, list[str]]:
+    """Non-seasonal ARIMA of the adjusted series, naive when no order is admissible."""
+    values, fit = predict_arima(y, h, config.sarima)
+    if fit is None:
+        return predict_naive(y, h), ["arima inadmissible on adjusted series; naive fallback"]
+    return values, []
+
+
 def predict_stl_composite(
-    y: np.ndarray, h: int, remainder_model: ModelId, config: FitConfig
+    y: np.ndarray, h: int, forecast_adjusted: SubForecaster, config: FitConfig
 ) -> tuple[np.ndarray, list[str]]:
-    """Forecast = repeated seasonal cycle + sub-model forecast of the
+    """Forecast = repeated seasonal cycle + sub-forecaster output for the
     seasonally adjusted series. Returns (values, notes)."""
     y = np.asarray(y, dtype=float)
     period = config.seasonal_period
@@ -33,21 +44,5 @@ def predict_stl_composite(
 
     decomp = stl_decompose(y, period, _stl_config(config))
     seasonal_fc = predict_snaive(decomp.seasonal, h, period)
-    adjusted = decomp.seasonally_adjusted()
-
-    notes: list[str] = []
-    if remainder_model is ModelId.DRIFT:
-        adjusted_fc = predict_drift(adjusted, h)
-    elif remainder_model is ModelId.ES:
-        adjusted_fc = predict_es(adjusted, h, period)
-    elif remainder_model is ModelId.HOLT:
-        adjusted_fc = predict_holt(adjusted, h, period)
-    elif remainder_model is ModelId.ARIMA:
-        adjusted_fc, fit = predict_arima(adjusted, h, config.sarima)
-        if fit is None:
-            adjusted_fc = predict_naive(adjusted, h)
-            notes.append("arima inadmissible on adjusted series; naive fallback")
-    else:
-        raise ConfigError(f"stl composite: unsupported sub-model {remainder_model.value}")
-
+    adjusted_fc, notes = forecast_adjusted(decomp.seasonally_adjusted(), h, config)
     return seasonal_fc + adjusted_fc, notes

@@ -1,9 +1,9 @@
 """Numerical kernels shared by the forecasting models."""
 
 from .criteria import aicc, gaussian_loglik
-from .diffops import difference, difference_heads, integrate_forecast, invert_difference
+from .diffops import difference, integrate_forecast
 from .linreg import least_squares
-from .loess import loess, loess_window, tricube
+from .loess import loess_window, tricube
 from .optimize import OptimizerResult, nelder_mead
 from .stl import Decomposition, STLConfig, stl_decompose
 
@@ -11,11 +11,8 @@ __all__ = [
     "aicc",
     "gaussian_loglik",
     "difference",
-    "difference_heads",
     "integrate_forecast",
-    "invert_difference",
     "least_squares",
-    "loess",
     "loess_window",
     "tricube",
     "OptimizerResult",

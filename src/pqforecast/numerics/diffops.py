@@ -1,8 +1,6 @@
-"""Lag differencing and its inverses, including forecast integration."""
+"""Lag differencing and its inverse for forecast values."""
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -20,36 +18,6 @@ def difference(y: np.ndarray, lag: int = 1, times: int = 1) -> np.ndarray:
         raise DataError(f"difference: series of {len(y)} too short for lag {lag} x {times}")
     for _ in range(times):
         y = y[lag:] - y[:-lag]
-    return y
-
-
-def difference_heads(y: np.ndarray, lag: int = 1, times: int = 1) -> list[np.ndarray]:
-    """The first ``lag`` values of each differencing stage, outermost first.
-
-    These are exactly the values :func:`invert_difference` needs to undo
-    :func:`difference`.
-    """
-    y = np.asarray(y, dtype=float)
-    if len(y) <= lag * times:
-        raise DataError(f"difference: series of {len(y)} too short for lag {lag} x {times}")
-    heads = []
-    for _ in range(times):
-        heads.append(y[:lag].copy())
-        y = y[lag:] - y[:-lag]
-    return heads
-
-
-def invert_difference(heads: Sequence[np.ndarray], diffed: np.ndarray, lag: int = 1) -> np.ndarray:
-    """Reconstruct the original series from its differences and stage heads."""
-    y = np.asarray(diffed, dtype=float)
-    for head in reversed(list(heads)):
-        if len(head) != lag:
-            raise DataError(f"invert_difference: head of length {len(head)} but lag {lag}")
-        out = np.empty(len(y) + lag, dtype=float)
-        out[:lag] = head
-        for i in range(len(y)):
-            out[lag + i] = y[i] + out[i]
-        y = out
     return y
 
 

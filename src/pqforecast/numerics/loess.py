@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
@@ -72,23 +71,3 @@ def loess_window(
         out[k] = beta[0]
     return out
 
-
-def loess(
-    x: np.ndarray,
-    y: np.ndarray,
-    span: float,
-    degree: int,
-    eval_points: np.ndarray,
-) -> np.ndarray:
-    """Loess fit at ``eval_points`` using a window covering ``span`` of the data.
-
-    ``span`` is a fraction in (0, 1]; ``x`` must be strictly increasing.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(np.diff(x) <= 0):
-        raise DataError("loess: x must be strictly increasing")
-    if not 0 < span <= 1:
-        raise DataError(f"loess: span {span} outside (0, 1]")
-    q = max(degree + 1, math.ceil(span * len(x)))
-    q = min(q, len(x))
-    return loess_window(x, y, q, degree, np.asarray(eval_points, dtype=float))

@@ -26,8 +26,6 @@ from .loess import loess_window
 @dataclass(frozen=True)
 class STLConfig:
     seasonal_window: Optional[int] = None  # None -> periodic (subseries mean)
-    trend_window: Optional[int] = None  # None -> derived from period
-    lowpass_window: Optional[int] = None  # None -> next odd >= period
     inner_iterations: int = 2
     robustness_iterations: int = 1
 
@@ -120,8 +118,8 @@ def stl_decompose(y: np.ndarray, period: int, config: STLConfig = STLConfig()) -
     if n < 2 * period:
         raise DataError(f"stl: need at least {2 * period} points, got {n}")
 
-    trend_window = config.trend_window or _default_trend_window(period, config.seasonal_window)
-    lowpass_window = config.lowpass_window or next_odd(period)
+    trend_window = _default_trend_window(period, config.seasonal_window)
+    lowpass_window = next_odd(period)
     t = np.arange(n, dtype=float)
 
     trend = np.zeros(n)

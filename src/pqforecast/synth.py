@@ -171,8 +171,3 @@ def write_truth(path: Path, spec: SyntheticSpec, truths: list[SeriesTruth]) -> N
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
 
-
-def load_truth(path: Path) -> Optional[dict]:
-    if not path.exists():
-        return None
-    return json.loads(path.read_text(encoding="utf-8"))

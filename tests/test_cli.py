@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import pqforecast
 
 from pqforecast import io as pqio
 from pqforecast.cli import main
@@ -246,3 +252,27 @@ class TestFullPipeline:
         listed = individual.producers() + ensembles.producers()
         assert sorted(listed) == sorted(produced)
         assert len(listed) == len(set(listed))
+
+
+class TestStageFlags:
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--forecasts", "f.csv", "--weekly", "w.csv", "--jobs", "2"],
+        ["ensemble", "--forecasts", "f.csv", "--seed", "1"],
+        ["ensemble", "--forecasts", "f.csv", "--config", "c.ini"],
+        ["preprocess", "--raw", "r.csv", "--planning-levels", "p.ini", "--jobs", "2"],
+        ["synth", "--n-series", "1", "--config", "c.ini"],
+        ["report", "--eval-dir", "ev", "--seed", "1"],
+    ])
+    def test_flag_of_another_stage_is_usage_error(self, tmp_path, capsys, argv):
+        assert run(*argv, "--out", tmp_path / "o") == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(pqforecast.__file__).resolve().parents[1]
+    code = ("import sys, pqforecast.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "[]"

@@ -11,7 +11,6 @@ from pqforecast.evaluation import (
     Leaderboard,
     LeaderboardRow,
     benchmark_ratio,
-    classify_smape,
     compare_best,
     composition_analysis,
     evaluate_corpus,
@@ -77,16 +76,6 @@ class TestSmape:
             a = rng.uniform(0, 100, 52)
             f = rng.uniform(0, 100, 52)
             assert 0.0 <= smape(a, f) <= 200.0
-
-
-class TestClassify:
-    @pytest.mark.parametrize("value,expected", [
-        (0.0, "good"), (9.99, "good"),
-        (10.0, "acceptable"), (25.0, "acceptable"),
-        (25.01, "poor"), (200.0, "poor"),
-    ])
-    def test_boundaries(self, value, expected):
-        assert classify_smape(value) == expected
 
 
 class TestRanks:

@@ -122,6 +122,14 @@ class TestForecastCsv:
         with pytest.raises(DataError, match="steps"):
             pqio.read_forecast_csv(path)
 
+    def test_duplicate_row_names_line(self, tmp_path):
+        path = tmp_path / "fc.csv"
+        lines = ["series_id,producer,h,value", "s,SNaive,1,1.0", "s,SNaive,2,2.0",
+                 "s,SNaive,1,3.0"]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"fc\.csv:4: duplicate"):
+            pqio.read_forecast_csv(path)
+
 
 class TestLeaderboardCsv:
     def test_roundtrip(self, tmp_path):

@@ -10,13 +10,11 @@ from pqforecast.models import (
     ModelId,
     PUBLIC_MODELS,
     fit_predict,
-    forecast_series,
     model_from_name,
 )
 from pqforecast.models.baselines import predict_drift, predict_naive, predict_snaive
 from pqforecast.models.fourier_trend import predict_fourier_trend
 from pqforecast.models.smoothing import predict_es, predict_holt, predict_hw
-from pqforecast.weekly import WeeklySeries
 
 from conftest import periodic_train
 
@@ -37,6 +35,12 @@ class TestModelIds:
         with pytest.raises(ConfigError, match="SNaive"):
             model_from_name("nope")
 
+    def test_only_public_models_are_selectable(self):
+        assert list(ModelId) == list(PUBLIC_MODELS)
+        for name in ("Naive", "Drift", "ES", "Holt", "ARIMA"):
+            with pytest.raises(ConfigError, match="STL-ARIMA"):
+                model_from_name(name)
+
 
 class TestBaselines:
     def test_naive_repeats_last(self):
@@ -50,8 +54,11 @@ class TestBaselines:
         assert predict_drift(np.array([3.0, 1.0]), 1).tolist() == [-1.0]
 
     def test_drift_clamped_in_forecast(self):
-        series = WeeklySeries("s:UNB:220", (2022, 1), np.array([3.0, 1.0] * 30))
-        fc, _ = forecast_series(series, ModelId.DRIFT, h=52)
+        t = np.arange(105, dtype=float)
+        y = 60.0 - 0.55 * t + 2.0 * np.sin(2 * np.pi * t / 52)
+        raw = fit_predict(ModelId.STL_DRIFT, y, 52, CFG).values
+        assert raw.min() < 0.0
+        fc = Forecast("s:UNB:220", ModelId.STL_DRIFT.value, raw)
         assert np.all(fc.values >= 0.0)
 
     def test_snaive_two_identical_years(self):
@@ -177,9 +184,9 @@ class TestModelProperties:
         return 40 + 0.1 * t + 7 * np.sin(2 * np.pi * t / 52) + rng.normal(0, 1.5, 105)
 
     def test_every_forecast_has_52_nonnegative_values(self):
-        series = WeeklySeries("s:UNB:220", (2022, 1), np.abs(self._noisy_train()))
+        y = np.abs(self._noisy_train())
         for model in PUBLIC_MODELS:
-            fc, _ = forecast_series(series, model)
+            fc = Forecast("s:UNB:220", model.value, fit_predict(model, y).values)
             assert fc.horizon == 52
             assert len(fc.values) == 52
             assert np.all(fc.values >= 0.0)

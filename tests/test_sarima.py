@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from pqforecast.models import FitConfig, ModelId, SarimaGrid, fit_predict
 from pqforecast.models.baselines import predict_snaive
 from pqforecast.models.sarima import (
     SarimaOrder,
+    _expand,
+    _ma_invert,
     _min_root_modulus,
     choose_differencing,
     css_residuals,
@@ -73,6 +76,25 @@ class TestCssResiduals:
         assert np.all(resid[:52] == 0.0)
         manual = w[52:] - 0.4 * w[:-52]
         assert resid[52:] == pytest.approx(manual, abs=1e-12)
+
+
+class TestMaInversion:
+    @staticmethod
+    def _invertible(rng, q):
+        while True:
+            theta = rng.uniform(-1.5, 1.5, size=q)
+            if _min_root_modulus(theta, +1.0) > 1.001:
+                return theta
+
+    @pytest.mark.parametrize("q,Q", [(1, 0), (2, 0), (0, 1), (1, 1), (2, 1)])
+    def test_matches_lfilter_bit_for_bit(self, q, Q):
+        rng = np.random.default_rng(100 + 10 * q + Q)
+        for _ in range(40):
+            theta = self._invertible(rng, q)
+            Theta = rng.uniform(-0.99, 0.99, size=Q)
+            ma_poly = _expand(theta, Theta, 52, +1.0)
+            x = rng.normal(size=int(rng.integers(50, 104))) * 10.0 ** rng.uniform(-3, 3)
+            assert np.array_equal(_ma_invert(ma_poly, x), lfilter([1.0], ma_poly, x))
 
 
 class TestDifferencingHeuristic:
