@@ -358,16 +358,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             print(f"  warning: top-n {args.top_n} clipped to {composition.top_n} ensembles")
             manifest.append(pqio.ManifestEntry(
                 "evaluate", "", "", f"top-n clipped to {composition.top_n}"))
-        pqreport.write_composition_csv(out / "composition_top.csv", composition)
-        pqreport.write_size_aggregates_csv(out / "size_aggregates.csv", composition.size_aggregates)
+        pqio.write_composition_csv(out / "composition_top.csv", composition)
+        pqio.write_size_aggregates_csv(out / "size_aggregates.csv", composition.size_aggregates)
 
         best_ensemble = ensemble_rows[0]
         comparison = compare_best(
             [r for r in records_all if r.producer == best.producer],
             [r for r in records_all if r.producer == best_ensemble.producer],
         )
-        pqreport.write_comparison_csv(out / "comparison.csv", comparison)
-        pqreport.write_ecdf_csv(out / "ecdf.csv", comparison)
+        pqio.write_comparison_csv(out / "comparison.csv", comparison)
+        pqio.write_ecdf_csv(out / "ecdf.csv", comparison)
         print(f"  best ensemble: {best_ensemble.producer} "
               f"(mean sMAPE {best_ensemble.mean_smape:.2f} %, BR {best_ensemble.benchmark_ratio:.3f})")
         print(f"  ensemble wins on {100 * comparison.win_fraction:.1f} % of series; "
@@ -383,49 +383,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     eval_dir = Path(args.eval_dir)
     out = _ensure_out(args)
-
-    import csv as _csv
-
-    agg_path = eval_dir / "size_aggregates.csv"
-    if agg_path.exists():
-        with open(agg_path, newline="", encoding="utf-8") as fh:
-            rows = list(_csv.DictReader(fh))
-        from .evaluation import SizeAggregate
-        aggregates = [SizeAggregate(
-            size=int(r["size"]), count=int(r["count"]), mean=float(r["mean_smape"]),
-            q25=float(r["q25"]), median=float(r["median"]), q75=float(r["q75"]),
-            min=float(r["min"]), max=float(r["max"]),
-        ) for r in rows]
-        pqreport.render_size_aggregates_svg(out / "fig_size_aggregates.svg", aggregates)
-
-    comp_path = eval_dir / "composition_top.csv"
-    if comp_path.exists():
-        with open(comp_path, newline="", encoding="utf-8") as fh:
-            rows = list(_csv.DictReader(fh))
-        from .evaluation import CompositionReport
-        report = CompositionReport(
-            top_n=next((int(r["value"]) for r in rows if r["kind"] == "meta"), 0),
-            model_share={r["key"]: float(r["value"]) for r in rows if r["kind"] == "model_share"},
-            size_histogram={int(r["key"]): int(r["value"]) for r in rows if r["kind"] == "size_count"},
-            method_histogram={r["key"]: int(r["value"]) for r in rows if r["kind"] == "method_count"},
-            size_aggregates=[],
-        )
-        pqreport.render_composition_svg(out / "fig_composition.svg", report)
-
-    cmp_path = eval_dir / "comparison.csv"
-    if cmp_path.exists():
-        with open(cmp_path, newline="", encoding="utf-8") as fh:
-            rows = list(_csv.DictReader(fh))
-        from .evaluation import ComparisonReport
-        report = ComparisonReport(
-            individual_producer="best individual", ensemble_producer="best ensemble",
-            series_ids=[r["series_id"] for r in rows],
-            individual_smape=np.array([float(r["individual_smape"]) for r in rows]),
-            ensemble_smape=np.array([float(r["ensemble_smape"]) for r in rows]),
-            relative_improvement=np.array([float(r["relative_improvement"]) for r in rows]),
-        )
-        pqreport.render_comparison_svg(out / "fig_comparison.svg", report)
-
+    figures = (
+        ("size_aggregates.csv", pqio.read_size_aggregates_csv,
+         pqreport.render_size_aggregates_svg, "fig_size_aggregates.svg"),
+        ("composition_top.csv", pqio.read_composition_csv,
+         pqreport.render_composition_svg, "fig_composition.svg"),
+        ("comparison.csv", pqio.read_comparison_csv,
+         pqreport.render_comparison_svg, "fig_comparison.svg"),
+    )
+    for table, read, render, figure in figures:
+        if (eval_dir / table).exists():
+            render(out / figure, read(eval_dir / table))
     print(f"report: figures written to {out}")
     return EXIT_OK
 

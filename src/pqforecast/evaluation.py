@@ -117,14 +117,14 @@ def evaluate_corpus(
     a combined individual + ensemble evaluation.
     """
     by_series: dict[str, dict[str, Forecast]] = {}
-    producers: list[str] = []
+    first_seen: dict[str, None] = {}  # producers in order of first appearance
     for fc in forecasts:
         series_fcs = by_series.setdefault(fc.series_id, {})
         if fc.producer in series_fcs:
             raise DataError(f"duplicate forecast for ({fc.series_id}, {fc.producer})")
         series_fcs[fc.producer] = fc
-        if fc.producer not in producers:
-            producers.append(fc.producer)
+        first_seen[fc.producer] = None
+    producers = list(first_seen)
 
     if not by_series:
         raise DataError("evaluate_corpus: no forecasts")

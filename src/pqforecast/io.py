@@ -1,8 +1,12 @@
-"""File formats: raw and weekly CSV, forecast CSV, leaderboards, planning
-levels and the run manifest.
+"""File formats: the nine CSV tables, planning levels and the run manifest.
 
-All floats are written with ``repr`` (shortest round-trip form) so outputs
-are byte-stable across runs, which the determinism guarantees rely on.
+Every CSV table goes through one reader, ``_read_csv``, and one writer,
+``_write_csv``; each table has one header constant. The csv module writes
+floats (numpy's float64 included) with ``repr``, the shortest round-trip
+form, so outputs are byte-stable across runs, which the determinism
+guarantees rely on. Writes are atomic: every file this module writes goes
+to a temp file in the target's directory that replaces the target only
+once complete, so an interrupted stage leaves no half-written file behind.
 """
 
 from __future__ import annotations
@@ -10,15 +14,23 @@ from __future__ import annotations
 import configparser
 import csv
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .evaluation import Leaderboard, LeaderboardRow
+from .evaluation import (
+    ComparisonReport,
+    CompositionReport,
+    Leaderboard,
+    LeaderboardRow,
+    SizeAggregate,
+)
 from .models import Forecast
 from .weekly import (
     PlanningLevel,
@@ -31,12 +43,56 @@ from .weekly import (
 
 RAW_HEADER = ["series_id", "timestamp_iso8601", "value"]
 WEEKLY_HEADER = ["series_id", "iso_year", "iso_week", "utilization_percent", "filled"]
+REJECTIONS_HEADER = ["series_id", "reason"]
 FORECAST_HEADER = ["series_id", "producer", "h", "value"]
 LEADERBOARD_HEADER = ["rank", "producer", "mean_mae", "mean_smape", "mean_rank", "benchmark_ratio"]
+SIZE_AGGREGATES_HEADER = ["size", "count", "mean_smape", "q25", "median", "q75", "min", "max"]
+COMPOSITION_HEADER = ["kind", "key", "value"]
+COMPARISON_HEADER = ["series_id", "individual_smape", "ensemble_smape", "relative_improvement"]
+ECDF_HEADER = ["relative_improvement", "cumulative_probability"]
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+@contextmanager
+def _replacing(path: Path) -> Iterator[TextIO]:
+    """Open a temp file next to ``path`` that replaces ``path`` when the block
+    completes and is removed, leaving ``path`` untouched, when it raises."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with _replacing(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_csv(path: Path, header: Sequence[str], take: Callable[[list[str]], None]) -> None:
+    """Check the header, then pass each non-blank row to ``take``. A row of
+    the wrong width or a ``ValueError`` from ``take`` names file and line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise DataError(f"{path}: expected header {','.join(header)}")
+        width, taken = len(header), False
+        for row in reader:
+            if row:
+                try:
+                    if len(row) != width:
+                        raise ValueError(f"expected {width} columns, got {len(row)}")
+                    take(row)
+                except ValueError as exc:
+                    raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+                taken = True
+    if not taken:
+        raise DataError(f"{path}: no data")
 
 
 # -- raw measurements -------------------------------------------------------
@@ -44,35 +100,19 @@ def _fmt(value: float) -> str:
 def read_raw_csv(path: Path) -> list[RawSeries]:
     """Parse 10-minute measurements grouped by series, in file order."""
     samples: dict[str, list[tuple[datetime, float]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RAW_HEADER:
-            raise DataError(f"{path}: expected header {','.join(RAW_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            series_id, ts_text, value_text = row
-            try:
-                ts = datetime.fromisoformat(ts_text)
-                value = float(value_text)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            samples.setdefault(series_id, []).append((ts, value))
-    if not samples:
-        raise DataError(f"{path}: no data")
+
+    def take(row: list[str]) -> None:
+        series_id, ts_text, value_text = row
+        samples.setdefault(series_id, []).append((datetime.fromisoformat(ts_text), float(value_text)))
+
+    _read_csv(path, RAW_HEADER, take)
     return [RawSeries(series_id=sid, samples=rows) for sid, rows in samples.items()]
 
 
 def write_raw_csv(path: Path, series: Iterable[RawSeries]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RAW_HEADER)
-        for s in series:
-            for ts, value in s.samples:
-                writer.writerow([s.series_id, ts.isoformat(), _fmt(value)])
+    _write_csv(path, RAW_HEADER, (
+        (s.series_id, ts.isoformat(), value) for s in series for ts, value in s.samples
+    ))
 
 
 def weekly_to_raw(series: WeeklySeries, missing_weeks: Sequence[int] = ()) -> RawSeries:
@@ -93,34 +133,21 @@ def weekly_to_raw(series: WeeklySeries, missing_weeks: Sequence[int] = ()) -> Ra
 # -- weekly series ----------------------------------------------------------
 
 def write_weekly_csv(path: Path, series: Iterable[WeeklySeries]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(WEEKLY_HEADER)
-        for s in series:
-            for i, (value, filled) in enumerate(zip(s.values, s.filled_flags)):
-                year, week = add_weeks(s.start_week, i)
-                writer.writerow([s.series_id, year, week, _fmt(value), int(filled)])
+    _write_csv(path, WEEKLY_HEADER, (
+        (s.series_id, *add_weeks(s.start_week, i), value, int(filled))
+        for s in series
+        for i, (value, filled) in enumerate(zip(s.values, s.filled_flags))
+    ))
 
 
 def read_weekly_csv(path: Path) -> list[WeeklySeries]:
     rows_by_series: dict[str, list[tuple[tuple[int, int], float, bool]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != WEEKLY_HEADER:
-            raise DataError(f"{path}: expected header {','.join(WEEKLY_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                sid, year, week, value, filled = row
-                entry = ((int(year), int(week)), float(value), filled == "1")
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            rows_by_series.setdefault(sid, []).append(entry)
-    if not rows_by_series:
-        raise DataError(f"{path}: no data")
 
+    def take(row: list[str]) -> None:
+        sid, year, week, value, filled = row
+        rows_by_series.setdefault(sid, []).append(((int(year), int(week)), float(value), filled == "1"))
+
+    _read_csv(path, WEEKLY_HEADER, take)
     out = []
     for sid, rows in rows_by_series.items():
         weeks = [r[0] for r in rows]
@@ -137,46 +164,30 @@ def read_weekly_csv(path: Path) -> list[WeeklySeries]:
 
 
 def write_rejections_csv(path: Path, rejections: Iterable[Rejection]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["series_id", "reason"])
-        for r in rejections:
-            writer.writerow([r.series_id, r.reason.value])
+    _write_csv(path, REJECTIONS_HEADER, ((r.series_id, r.reason.value) for r in rejections))
 
 
 # -- forecasts --------------------------------------------------------------
 
 def write_forecast_csv(path: Path, forecasts: Iterable[Forecast]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FORECAST_HEADER)
-        for fc in forecasts:
-            for h, value in enumerate(fc.values, start=1):
-                writer.writerow([fc.series_id, fc.producer, h, _fmt(value)])
+    _write_csv(path, FORECAST_HEADER, (
+        (fc.series_id, fc.producer, h, value)
+        for fc in forecasts for h, value in enumerate(fc.values.tolist(), start=1)
+    ))
 
 
 def read_forecast_csv(path: Path) -> list[Forecast]:
     by_key: dict[tuple[str, str], dict[int, float]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != FORECAST_HEADER:
-            raise DataError(f"{path}: expected header {','.join(FORECAST_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                sid, producer, h, value = row
-                step, number = int(h), float(value)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            steps = by_key.setdefault((sid, producer), {})
-            if step in steps:
-                raise DataError(f"{path}:{lineno}: duplicate row for ({sid}, {producer}, h={step})")
-            steps[step] = number
-    if not by_key:
-        raise DataError(f"{path}: no data")
 
+    def take(row: list[str]) -> None:
+        sid, producer, h, value = row
+        step, number = int(h), float(value)
+        steps = by_key.setdefault((sid, producer), {})
+        if step in steps:
+            raise ValueError(f"duplicate row for ({sid}, {producer}, h={step})")
+        steps[step] = number
+
+    _read_csv(path, FORECAST_HEADER, take)
     out = []
     for (sid, producer), steps in by_key.items():
         horizon = len(steps)
@@ -187,40 +198,99 @@ def read_forecast_csv(path: Path) -> list[Forecast]:
     return out
 
 
-# -- leaderboards -----------------------------------------------------------
+# -- leaderboards and analyses ------------------------------------------------
 
 def write_leaderboard_csv(path: Path, leaderboard: Leaderboard) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LEADERBOARD_HEADER)
-        for position, row in enumerate(leaderboard.rows, start=1):
-            writer.writerow([
-                position, row.producer, _fmt(row.mean_mae), _fmt(row.mean_smape),
-                _fmt(row.mean_rank), _fmt(row.benchmark_ratio),
-            ])
+    _write_csv(path, LEADERBOARD_HEADER, (
+        (position, r.producer, r.mean_mae, r.mean_smape, r.mean_rank, r.benchmark_ratio)
+        for position, r in enumerate(leaderboard.rows, start=1)
+    ))
 
 
 def read_leaderboard_csv(path: Path) -> Leaderboard:
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != LEADERBOARD_HEADER:
-            raise DataError(f"{path}: expected header {','.join(LEADERBOARD_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                _, producer, mean_mae, mean_smape, mean_rank, br = row
-                rows.append(LeaderboardRow(
-                    producer=producer, mean_mae=float(mean_mae), mean_smape=float(mean_smape),
-                    mean_rank=float(mean_rank), benchmark_ratio=float(br),
-                ))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path}: empty leaderboard")
+    rows: list[LeaderboardRow] = []
+    _read_csv(path, LEADERBOARD_HEADER,
+              lambda row: rows.append(LeaderboardRow(row[1], *map(float, row[2:]))))
     return Leaderboard(rows=rows, n_series=0)
+
+
+def write_size_aggregates_csv(path: Path, aggregates: Sequence[SizeAggregate]) -> None:
+    _write_csv(path, SIZE_AGGREGATES_HEADER, (
+        (a.size, a.count, a.mean, a.q25, a.median, a.q75, a.min, a.max) for a in aggregates
+    ))
+
+
+def read_size_aggregates_csv(path: Path) -> list[SizeAggregate]:
+    aggregates: list[SizeAggregate] = []
+    _read_csv(path, SIZE_AGGREGATES_HEADER, lambda row: aggregates.append(
+        SizeAggregate(int(row[0]), int(row[1]), *map(float, row[2:]))))
+    return aggregates
+
+
+# composition_top.csv rows: kind -> (key type, value type)
+_COMPOSITION_KINDS = {
+    "meta": (str, int),
+    "model_share": (str, float),
+    "size_count": (int, int),
+    "method_count": (str, int),
+}
+
+
+def write_composition_csv(path: Path, report: CompositionReport) -> None:
+    _write_csv(path, COMPOSITION_HEADER, [
+        ("meta", "top_n", report.top_n),
+        *(("model_share", model, share) for model, share in report.model_share.items()),
+        *(("size_count", size, count) for size, count in report.size_histogram.items()),
+        *(("method_count", method, count) for method, count in report.method_histogram.items()),
+    ])
+
+
+def read_composition_csv(path: Path) -> CompositionReport:
+    parts: dict[str, dict] = {kind: {} for kind in _COMPOSITION_KINDS}
+
+    def take(row: list[str]) -> None:
+        kind, key, value = row
+        if kind not in parts:
+            raise ValueError(f"unknown kind {kind!r}")
+        key_type, value_type = _COMPOSITION_KINDS[kind]
+        parts[kind][key_type(key)] = value_type(value)
+
+    _read_csv(path, COMPOSITION_HEADER, take)
+    return CompositionReport(
+        top_n=parts["meta"].get("top_n", 0),
+        model_share=parts["model_share"],
+        size_histogram=parts["size_count"],
+        method_histogram=parts["method_count"],
+        size_aggregates=[],
+    )
+
+
+def write_comparison_csv(path: Path, report: ComparisonReport) -> None:
+    _write_csv(path, COMPARISON_HEADER, zip(
+        report.series_ids, report.individual_smape, report.ensemble_smape,
+        report.relative_improvement,
+    ))
+
+
+def read_comparison_csv(path: Path) -> ComparisonReport:
+    series_ids: list[str] = []
+    values: list[list[float]] = []
+
+    def take(row: list[str]) -> None:
+        values.append([float(v) for v in row[1:]])
+        series_ids.append(row[0])
+
+    _read_csv(path, COMPARISON_HEADER, take)
+    individual, ensemble, improvement = np.array(values).T
+    return ComparisonReport(
+        individual_producer="best individual", ensemble_producer="best ensemble",
+        series_ids=series_ids, individual_smape=individual, ensemble_smape=ensemble,
+        relative_improvement=improvement,
+    )
+
+
+def write_ecdf_csv(path: Path, report: ComparisonReport) -> None:
+    _write_csv(path, ECDF_HEADER, zip(*report.ecdf()))
 
 
 # -- planning levels --------------------------------------------------------
@@ -251,8 +321,8 @@ def write_planning_levels(path: Path, levels: Iterable[PlanningLevel]) -> None:
     parser = configparser.ConfigParser()
     for pl in levels:
         section = f"{pl.parameter}@{pl.voltage_level}"
-        parser[section] = {"level": _fmt(pl.level)}
-    with open(path, "w", encoding="utf-8") as fh:
+        parser[section] = {"level": repr(float(pl.level))}
+    with _replacing(path) as fh:
         parser.write(fh)
 
 
@@ -267,7 +337,7 @@ class ManifestEntry:
 
 
 def write_manifest(path: Path, entries: Iterable[ManifestEntry]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         for e in entries:
             fh.write(json.dumps({
                 "stage": e.stage, "series_id": e.series_id,

@@ -1,8 +1,7 @@
-"""Plot-ready analysis CSVs and optional dependency-free SVG figures."""
+"""Dependency-free SVG figures of the evaluation analyses."""
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 from typing import Sequence
 
@@ -10,48 +9,6 @@ import numpy as np
 
 from .evaluation import ComparisonReport, CompositionReport, SizeAggregate
 
-
-def write_size_aggregates_csv(path: Path, aggregates: Sequence[SizeAggregate]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["size", "count", "mean_smape", "q25", "median", "q75", "min", "max"])
-        for a in aggregates:
-            writer.writerow([a.size, a.count, repr(a.mean), repr(a.q25), repr(a.median),
-                             repr(a.q75), repr(a.min), repr(a.max)])
-
-
-def write_composition_csv(path: Path, report: CompositionReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "key", "value"])
-        writer.writerow(["meta", "top_n", report.top_n])
-        for model, share in report.model_share.items():
-            writer.writerow(["model_share", model, repr(share)])
-        for size, count in report.size_histogram.items():
-            writer.writerow(["size_count", size, count])
-        for method, count in report.method_histogram.items():
-            writer.writerow(["method_count", method, count])
-
-
-def write_comparison_csv(path: Path, report: ComparisonReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["series_id", "individual_smape", "ensemble_smape", "relative_improvement"])
-        for sid, ind, ens, gain in zip(report.series_ids, report.individual_smape,
-                                       report.ensemble_smape, report.relative_improvement):
-            writer.writerow([sid, repr(float(ind)), repr(float(ens)), repr(float(gain))])
-
-
-def write_ecdf_csv(path: Path, report: ComparisonReport) -> None:
-    xs, ps = report.ecdf()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["relative_improvement", "cumulative_probability"])
-        for x, p in zip(xs, ps):
-            writer.writerow([repr(float(x)), repr(float(p))])
-
-
-# -- minimal SVG rendering ---------------------------------------------------
 
 _W, _H, _PAD = 640, 400, 56
 

@@ -254,6 +254,20 @@ class TestFullPipeline:
         assert len(listed) == len(set(listed))
 
 
+class TestReportCommand:
+    @pytest.mark.parametrize("text, expected", [
+        pytest.param("size,count,mean_smape,q25,median,q75,min,max\n2,abc,1,1,1,1,1,1\n",
+                     "size_aggregates.csv:2", id="bad-count"),
+        pytest.param("size,count\n2,abc\n", "expected header", id="bad-header"),
+    ])
+    def test_malformed_table_is_data_error(self, tmp_path, capsys, text, expected):
+        ev = tmp_path / "ev"
+        ev.mkdir()
+        (ev / "size_aggregates.csv").write_text(text)
+        assert run("report", "--eval-dir", ev, "--out", tmp_path / "figs") == 2
+        assert expected in capsys.readouterr().err
+
+
 class TestStageFlags:
     @pytest.mark.parametrize("argv", [
         ["evaluate", "--forecasts", "f.csv", "--weekly", "w.csv", "--jobs", "2"],

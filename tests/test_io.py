@@ -7,7 +7,13 @@ import pytest
 
 from pqforecast import io as pqio
 from pqforecast.errors import ConfigError, DataError
-from pqforecast.evaluation import Leaderboard, LeaderboardRow
+from pqforecast.evaluation import (
+    ComparisonReport,
+    CompositionReport,
+    Leaderboard,
+    LeaderboardRow,
+    SizeAggregate,
+)
 from pqforecast.models import Forecast
 from pqforecast.weekly import (
     PlanningLevel,
@@ -144,6 +150,58 @@ class TestLeaderboardCsv:
         first = path.read_text().splitlines()
         assert first[0] == "rank,producer,mean_mae,mean_smape,mean_rank,benchmark_ratio"
         assert first[1].startswith("1,STL-ARIMA,")
+
+
+class TestAnalysisCsv:
+    def test_roundtrip(self, tmp_path):
+        aggregates = [SizeAggregate(2, 28, 20.5, 19.0, 20.1, 21.7, 18.2, 23.9),
+                      SizeAggregate(8, 1, 17.25, 17.25, 17.25, 17.25, 17.25, 17.25)]
+        pqio.write_size_aggregates_csv(tmp_path / "agg.csv", aggregates)
+        assert pqio.read_size_aggregates_csv(tmp_path / "agg.csv") == aggregates
+
+        composition = CompositionReport(top_n=3, model_share={"HW": 0.5, "SNaive": 0.5},
+                                        size_histogram={2: 3},
+                                        method_histogram={"mean": 2, "median": 1},
+                                        size_aggregates=[])
+        pqio.write_composition_csv(tmp_path / "comp.csv", composition)
+        assert pqio.read_composition_csv(tmp_path / "comp.csv") == composition
+
+        comparison = ComparisonReport("best individual", "best ensemble", ["s1", "s2"],
+                                      np.array([20.0, 10.0]), np.array([15.0, 12.5]),
+                                      np.array([0.25, -0.25]))
+        pqio.write_comparison_csv(tmp_path / "cmp.csv", comparison)
+        back = pqio.read_comparison_csv(tmp_path / "cmp.csv")
+        assert back.series_ids == comparison.series_ids
+        for field in ("individual_smape", "ensemble_smape", "relative_improvement"):
+            assert np.array_equal(getattr(back, field), getattr(comparison, field))
+
+    def test_wrong_width_names_line(self, tmp_path):
+        path = tmp_path / "comp.csv"
+        path.write_text("kind,key,value\nmeta,top_n,3\nmodel_share,HW\n")
+        with pytest.raises(DataError, match=r"comp\.csv:3: expected 3 columns"):
+            pqio.read_composition_csv(path)
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("write, item", [
+        (pqio.write_forecast_csv, Forecast("s1", "SNaive", np.ones(52))),
+        (pqio.write_manifest, pqio.ManifestEntry("forecast", "s1", "SARIMA", "fallback")),
+    ], ids=["forecast", "manifest"])
+    @pytest.mark.parametrize("earlier", [None, "earlier output\n"], ids=["new", "existing"])
+    def test_interrupted_write_leaves_no_partial_file(self, tmp_path, write, item, earlier):
+        path = tmp_path / "out"
+        if earlier is not None:
+            path.write_text(earlier)
+
+        def items():
+            yield item
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write(path, items())
+        assert [p.name for p in tmp_path.iterdir()] == ([] if earlier is None else ["out"])
+        if earlier is not None:
+            assert path.read_text() == earlier
 
 
 class TestPlanningLevels:
