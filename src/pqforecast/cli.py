@@ -8,12 +8,11 @@ configuration error, 2 data error, 3 internal failure.
 from __future__ import annotations
 
 import argparse
-import configparser
 import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -30,7 +29,7 @@ from .evaluation import (
     composition_analysis,
     evaluate_corpus,
 )
-from .models import FitConfig, Forecast, ModelId, PUBLIC_MODELS, fit_predict, model_from_name
+from .models import Forecast, ModelId, PUBLIC_MODELS, TrainingWindow, fit_predict, model_from_name
 from .synth import SyntheticSpec, generate_corpus, write_truth
 from .weekly import SeriesKey, WeeklySeries, aggregate_weekly, fill_gaps, normalize
 
@@ -50,7 +49,6 @@ class RunConfig:
 
     train_len: int = DEFAULT_TRAIN_LEN
     horizon: int = DEFAULT_HORIZON
-    fit: FitConfig = field(default_factory=FitConfig)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,48 +56,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _load_config_file(path: Path) -> dict:
-    parser = configparser.ConfigParser()
-    if not parser.read(path, encoding="utf-8"):
-        raise ConfigError(f"{path}: cannot read config file")
-    out: dict = {}
-    if parser.has_section("protocol"):
-        for key in ("train_len", "horizon"):
-            if parser.has_option("protocol", key):
-                out[key] = parser.getint("protocol", key)
-    fit_kwargs: dict = {}
-    if parser.has_section("prophet"):
-        for key, cast in (("n_changepoints", int), ("fourier_order", int),
-                          ("changepoint_ridge", float), ("changepoint_span", float)):
-            if parser.has_option("prophet", key):
-                fit_kwargs[key] = cast(parser.get("prophet", key))
-    if parser.has_section("stl"):
-        for key in ("stl_inner_iterations", "stl_robustness_iterations", "stl_seasonal_window"):
-            short = key.removeprefix("stl_")
-            if parser.has_option("stl", short):
-                fit_kwargs[key] = parser.getint("stl", short)
-    out["fit_kwargs"] = fit_kwargs
-    return out
-
-
 def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    file_overrides: dict = {}
-    if args.config:
-        file_overrides = _load_config_file(args.config)
-        if file_overrides.get("fit_kwargs"):
-            cfg.fit = replace(cfg.fit, **file_overrides["fit_kwargs"])
-
     train_len, horizon = args.train_len, args.horizon
     if (train_len is None) != (horizon is None):
         raise ConfigError("--train-len and --horizon must be overridden together")
-    if train_len is not None:
-        cfg.train_len, cfg.horizon = train_len, horizon
-    elif "train_len" in file_overrides or "horizon" in file_overrides:
-        if ("train_len" in file_overrides) != ("horizon" in file_overrides):
-            raise ConfigError("config file must override train_len and horizon together")
-        cfg.train_len = file_overrides["train_len"]
-        cfg.horizon = file_overrides["horizon"]
+    cfg = RunConfig() if train_len is None else RunConfig(train_len, horizon)
     if cfg.train_len < 1 or cfg.horizon < 1:
         raise ConfigError("train_len and horizon must be positive")
     return cfg
@@ -179,18 +140,18 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 # -- forecast ------------------------------------------------------------------
 
-def _fit_series(payload) -> tuple[str, list[tuple[str, list[float], list[str]]], dict[str, float]]:
+def _fit_series(payload) -> tuple[str, list[tuple[str, np.ndarray, list[str]]], dict[str, float]]:
     """Fit all requested models on one series (runs in worker processes)."""
-    series_id, train_values, model_names, horizon, fit_config = payload
-    y = np.asarray(train_values, dtype=float)
+    series_id, train_values, model_names, horizon = payload
+    window = TrainingWindow(train_values)
     results = []
     timings: dict[str, float] = {}
     for name in model_names:
         model = ModelId(name)
         started = time.perf_counter()
-        fit = fit_predict(model, y, horizon, fit_config)
+        fit = fit_predict(model, window, horizon)
         timings[name] = time.perf_counter() - started
-        results.append((model.value, [float(v) for v in fit.values], fit.notes))
+        results.append((model.value, fit.values, fit.notes))
     return series_id, results, timings
 
 
@@ -212,8 +173,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
             raise DataError(f"{s.series_id}: {len(s)} weeks < required {needed}")
 
     payloads = [
-        (s.series_id, s.values[: cfg.train_len].tolist(), [m.value for m in models],
-         cfg.horizon, cfg.fit)
+        (s.series_id, s.values[: cfg.train_len], [m.value for m in models], cfg.horizon)
         for s in series
     ]
     if args.jobs > 1:
@@ -230,7 +190,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
         fits, timings = by_series[s.series_id]
         for producer, values, notes in fits:
             forecasts.append(Forecast(series_id=s.series_id, producer=producer,
-                                      values=np.array(values), horizon=cfg.horizon))
+                                      values=values, horizon=cfg.horizon))
             for note in notes:
                 manifest.append(pqio.ManifestEntry("forecast", s.series_id, producer, note))
         for name, seconds in timings.items():
@@ -312,8 +272,10 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
 # -- evaluate -----------------------------------------------------------------
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    out = _ensure_out(args)
     cfg = _resolve_run_config(args)
+    if args.top_n < 1:
+        raise ConfigError(f"--top-n must be at least 1, got {args.top_n}")
+    out = _ensure_out(args)
 
     forecasts: list[Forecast] = []
     for path in args.forecasts:
@@ -412,7 +374,6 @@ def build_parser() -> _Parser:
         return p
 
     def protocol(p: _Parser) -> None:
-        p.add_argument("--config", type=Path, default=None, help="INI file with model knobs")
         p.add_argument("--train-len", type=int, default=None)
         p.add_argument("--horizon", type=int, default=None)
 

@@ -4,9 +4,10 @@ Every CSV table goes through one reader, ``_read_csv``, and one writer,
 ``_write_csv``; each table has one header constant. The csv module writes
 floats (numpy's float64 included) with ``repr``, the shortest round-trip
 form, so outputs are byte-stable across runs, which the determinism
-guarantees rely on. Writes are atomic: every file this module writes goes
-to a temp file in the target's directory that replaces the target only
-once complete, so an interrupted stage leaves no half-written file behind.
+guarantees rely on. Writes are atomic: every file this module writes, and
+the ground truth and figures written through ``write_text``, goes to a temp
+file in the target's directory that replaces the target only once
+complete, so an interrupted stage leaves no half-written file behind.
 """
 
 from __future__ import annotations
@@ -65,6 +66,12 @@ def _replacing(path: Path) -> Iterator[TextIO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path`` atomically."""
+    with _replacing(path) as fh:
+        fh.write(text)
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -2,61 +2,61 @@
 
 ``fit_predict`` produces raw (unclamped) point forecasts so equivariance
 properties hold exactly; wrap its values into a :class:`Forecast` to get
-the nonnegative forecast used downstream.
+the nonnegative forecast used downstream. Build one :class:`TrainingWindow`
+per series and pass it to every model, so the models share its STL
+decomposition.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .base import HORIZON_WEEKS, FitConfig, Forecast, ModelFit, ModelId, PUBLIC_MODELS, SarimaGrid, model_from_name
-from .baselines import predict_drift, predict_snaive
+from .base import (
+    HORIZON_WEEKS,
+    PUBLIC_MODELS,
+    SARIMA_GRID,
+    SEASONAL_PERIOD,
+    Forecast,
+    ModelFit,
+    ModelId,
+    SarimaGrid,
+    model_from_name,
+)
+from .baselines import predict_snaive
 from .fourier_trend import predict_fourier_trend
 from .sarima import predict_sarima
-from .smoothing import predict_es, predict_holt, predict_hw
-from .stl_models import arima_or_naive, predict_stl_composite
+from .smoothing import predict_hw
+from .stl_models import TrainingWindow, predict_stl_composite
 
 __all__ = [
     "HORIZON_WEEKS",
-    "FitConfig",
     "Forecast",
     "ModelFit",
     "ModelId",
     "PUBLIC_MODELS",
     "SarimaGrid",
+    "TrainingWindow",
     "model_from_name",
     "fit_predict",
 ]
 
-# forecasters of the seasonally adjusted series: (y, h, config) -> (values, notes)
-_STL_SUBMODELS = {
-    ModelId.STL_DRIFT: lambda y, h, config: (predict_drift(y, h), []),
-    ModelId.STL_ES: lambda y, h, config: (predict_es(y, h, config.seasonal_period), []),
-    ModelId.STL_HOLT: lambda y, h, config: (predict_holt(y, h, config.seasonal_period), []),
-    ModelId.STL_ARIMA: arima_or_naive,
-}
 
-
-def fit_predict(model: ModelId, y: np.ndarray, h: int = HORIZON_WEEKS,
-                config: FitConfig = FitConfig()) -> ModelFit:
-    """Fit ``model`` on ``y`` and return its raw ``h``-step point forecast."""
-    y = np.asarray(y, dtype=float)
-    period = config.seasonal_period
+def fit_predict(model: ModelId, window: TrainingWindow, h: int = HORIZON_WEEKS) -> ModelFit:
+    """Fit ``model`` on the training window and return its raw ``h``-step point forecast."""
+    y = window.values
     notes: list[str] = []
 
     if model is ModelId.SNAIVE:
-        values = predict_snaive(y, h, period)
+        values = predict_snaive(y, h, SEASONAL_PERIOD)
     elif model is ModelId.HW:
-        values = predict_hw(y, h, period)
+        values = predict_hw(y, h, SEASONAL_PERIOD)
     elif model is ModelId.PROPHET:
-        values = predict_fourier_trend(y, h, config)
+        values = predict_fourier_trend(y, h, SEASONAL_PERIOD)
     elif model is ModelId.SARIMA:
-        values, fit = predict_sarima(y, h, config.sarima, period)
+        values, fit = predict_sarima(y, h, SARIMA_GRID, SEASONAL_PERIOD, window.decomposition)
         if fit is None:
             # a corpus run must not abort on one hard series
-            values = predict_snaive(y, h, period)
+            values = predict_snaive(y, h, SEASONAL_PERIOD)
             notes.append("sarima: no admissible order; snaive fallback")
     else:
-        values, notes = predict_stl_composite(y, h, _STL_SUBMODELS[model], config)
+        values, notes = predict_stl_composite(model, window.decomposition(), h)
 
-    return ModelFit(model=model, values=np.asarray(values, dtype=float), notes=notes)
+    return ModelFit(model=model, values=values, notes=notes)

@@ -1,17 +1,17 @@
-"""Model identifiers, fit configuration, the forecast container and input
-standardization."""
+"""Model identifiers, the protocol's fit constants, the forecast container
+and input standardization."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
 from ..errors import ConfigError, DataError
 
 HORIZON_WEEKS = 52
+SEASONAL_PERIOD = 52  # weeks per yearly cycle
 
 
 class ModelId(str, Enum):
@@ -53,19 +53,8 @@ class SarimaGrid:
     min_len_after_diff: int = 30
 
 
-@dataclass(frozen=True)
-class FitConfig:
-    """Knobs shared by all model fits. Defaults reproduce the weekly protocol."""
-
-    seasonal_period: int = 52
-    sarima: SarimaGrid = field(default_factory=SarimaGrid)
-    n_changepoints: int = 10
-    changepoint_span: float = 0.8
-    fourier_order: int = 6
-    changepoint_ridge: float = 1.0
-    stl_inner_iterations: int = 2
-    stl_robustness_iterations: int = 1
-    stl_seasonal_window: Optional[int] = None  # None -> periodic subseries mean
+#: The order search of SARIMA and of STL-ARIMA's adjusted-series ARIMA.
+SARIMA_GRID = SarimaGrid()
 
 
 def standardize(y: np.ndarray) -> tuple[np.ndarray, float, float]:

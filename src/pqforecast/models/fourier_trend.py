@@ -14,47 +14,44 @@ import numpy as np
 
 from ..errors import DataError
 from ..numerics import least_squares
-from .base import FitConfig
+
+N_CHANGEPOINTS = 10
+CHANGEPOINT_SPAN = 0.8
+FOURIER_ORDER = 6
+CHANGEPOINT_RIDGE = 1.0
+
+# changepoint locations in normalized time (0, CHANGEPOINT_SPAN]
+_CHANGEPOINTS = CHANGEPOINT_SPAN * np.arange(1, N_CHANGEPOINTS + 1) / N_CHANGEPOINTS
 
 
-def _changepoint_times(n: int, n_changepoints: int, span: float) -> np.ndarray:
-    """Changepoint locations in normalized time (0, span]."""
-    if n_changepoints < 1:
-        return np.array([])
-    return span * np.arange(1, n_changepoints + 1) / n_changepoints
-
-
-def _design(
-    t: np.ndarray, week_idx: np.ndarray, changepoints: np.ndarray, fourier_order: int, period: int
-) -> np.ndarray:
+def _design(t: np.ndarray, week_idx: np.ndarray, period: int) -> np.ndarray:
     columns = [np.ones_like(t), t]
-    for cp in changepoints:
+    for cp in _CHANGEPOINTS:
         columns.append(np.maximum(t - cp, 0.0))
-    angles = 2.0 * np.pi * np.outer(week_idx, np.arange(1, fourier_order + 1)) / period
+    angles = 2.0 * np.pi * np.outer(week_idx, np.arange(1, FOURIER_ORDER + 1)) / period
     columns.append(np.cos(angles))
     columns.append(np.sin(angles))
     return np.column_stack(columns)
 
 
-def predict_fourier_trend(y: np.ndarray, h: int, config: FitConfig) -> np.ndarray:
+def predict_fourier_trend(y: np.ndarray, h: int, period: int) -> np.ndarray:
     """Fit the additive trend + seasonality regression and extrapolate ``h`` steps."""
     y = np.asarray(y, dtype=float)
     n = len(y)
-    if n < 2 * config.fourier_order + config.n_changepoints + 3:
+    if n < 2 * FOURIER_ORDER + N_CHANGEPOINTS + 3:
         raise DataError(f"fourier_trend: {n} observations cannot support the design")
 
     # normalized time over the training window; the future extends beyond 1
     denom = n - 1 if n > 1 else 1
     t_train = np.arange(n, dtype=float) / denom
     week_train = np.arange(n, dtype=float)
-    changepoints = _changepoint_times(n, config.n_changepoints, config.changepoint_span)
 
-    X = _design(t_train, week_train, changepoints, config.fourier_order, config.seasonal_period)
+    X = _design(t_train, week_train, period)
     ridge = np.zeros(X.shape[1])
-    ridge[2 : 2 + len(changepoints)] = config.changepoint_ridge
+    ridge[2 : 2 + N_CHANGEPOINTS] = CHANGEPOINT_RIDGE
     beta = least_squares(X, y, ridge)
 
     t_future = (n - 1 + np.arange(1, h + 1, dtype=float)) / denom
     week_future = n - 1 + np.arange(1, h + 1, dtype=float)
-    Xf = _design(t_future, week_future, changepoints, config.fourier_order, config.seasonal_period)
+    Xf = _design(t_future, week_future, period)
     return Xf @ beta

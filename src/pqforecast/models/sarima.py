@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ..errors import DataError
-from ..numerics import aicc, difference, gaussian_loglik, integrate_forecast, nelder_mead
+from ..numerics import Decomposition, aicc, difference, gaussian_loglik, integrate_forecast, nelder_mead
 from .base import SarimaGrid, standardize
 
 ROOT_MARGIN = 1.001
@@ -223,11 +224,8 @@ def _candidate_orders(grid: SarimaGrid, m: int, seasonal: bool, d: int, D: int) 
     return orders
 
 
-def seasonal_strength(y: np.ndarray, m: int) -> float:
+def seasonal_strength(decomp: Decomposition) -> float:
     """Share of non-remainder variance in the detrended series, in [0, 1]."""
-    from ..numerics import stl_decompose  # local import to avoid a cycle at module load
-
-    decomp = stl_decompose(y, m)
     detrended = decomp.seasonal + decomp.remainder
     var_detrended = float(np.var(detrended))
     if var_detrended <= 0:
@@ -237,11 +235,20 @@ def seasonal_strength(y: np.ndarray, m: int) -> float:
 
 _SEASONAL_STRENGTH_THRESHOLD = 0.64
 
+#: Returns the STL split of the training window, computing it on first use.
+Decompose = Callable[[], Decomposition]
 
-def choose_differencing(y: np.ndarray, grid: SarimaGrid, m: int, seasonal: bool) -> tuple[int, int]:
+
+def choose_differencing(y: np.ndarray, grid: SarimaGrid, m: int,
+                        decompose: Decompose | None) -> tuple[int, int]:
     """Differencing orders from data heuristics: seasonal differencing when
     the seasonal component dominates the detrended variance, ordinary
     differencing when it reduces the standard deviation.
+
+    ``decompose`` is None for a non-seasonal model. Otherwise it gives the
+    STL split of the training window, which may be ``y`` in another affine
+    frame, since the seasonal strength does not depend on it; it is called
+    only when seasonal differencing is possible.
 
     One-step AICc cannot arbitrate differencing for long-horizon use (a
     near-unit-root ARMA shadows a seasonal cycle one step ahead but decays
@@ -249,8 +256,8 @@ def choose_differencing(y: np.ndarray, grid: SarimaGrid, m: int, seasonal: bool)
     ARMA grid search.
     """
     D = 0
-    if seasonal and grid.max_D >= 1 and len(y) >= 2 * m:
-        if seasonal_strength(y, m) > _SEASONAL_STRENGTH_THRESHOLD:
+    if decompose is not None and grid.max_D >= 1 and len(y) >= 2 * m:
+        if seasonal_strength(decompose()) > _SEASONAL_STRENGTH_THRESHOLD:
             D = 1
     z = difference(y, m, 1) if D else y
     d = 0
@@ -273,12 +280,16 @@ def _differenced(y: np.ndarray, order: SarimaOrder) -> tuple[np.ndarray, list[tu
     return w, stages
 
 
-def select_order(y: np.ndarray, grid: SarimaGrid, m: int, seasonal: bool) -> SarimaFit | None:
-    """AICc grid search on a common evaluation window; None when nothing is admissible."""
+def select_order(y: np.ndarray, grid: SarimaGrid, m: int,
+                 decompose: Decompose | None) -> SarimaFit | None:
+    """AICc grid search on a common evaluation window; None when nothing is
+    admissible. Seasonal orders are searched when ``decompose`` is given
+    (see :func:`choose_differencing`)."""
     y = np.asarray(y, dtype=float)
     n = len(y)
+    seasonal = decompose is not None
 
-    d, D = choose_differencing(y, grid, m, seasonal)
+    d, D = choose_differencing(y, grid, m, decompose)
     admissible = []
     # degrade differencing when the series is too short for the chosen orders
     for d_try, D_try in dict.fromkeys([(d, D), (d, 0), (0, D), (0, 0)]):
@@ -341,11 +352,12 @@ def forecast_fit(y: np.ndarray, fit: SarimaFit, h: int) -> np.ndarray:
     return fc
 
 
-def predict_sarima(y: np.ndarray, h: int, grid: SarimaGrid, m: int) -> tuple[np.ndarray, SarimaFit | None]:
+def predict_sarima(y: np.ndarray, h: int, grid: SarimaGrid, m: int,
+                   decompose: Decompose) -> tuple[np.ndarray, SarimaFit | None]:
     """Full seasonal selection + forecast; (values, None) means the caller
-    must fall back."""
+    must fall back. ``decompose`` gives the STL split of ``y``."""
     z, mu, sd = standardize(np.asarray(y, dtype=float))
-    fit = select_order(z, grid, m, seasonal=True)
+    fit = select_order(z, grid, m, decompose)
     if fit is None:
         return np.array([]), None
     return mu + sd * forecast_fit(z, fit, h), fit
@@ -354,7 +366,7 @@ def predict_sarima(y: np.ndarray, h: int, grid: SarimaGrid, m: int) -> tuple[np.
 def predict_arima(y: np.ndarray, h: int, grid: SarimaGrid) -> tuple[np.ndarray, SarimaFit | None]:
     """Non-seasonal selection + forecast for seasonally adjusted series."""
     z, mu, sd = standardize(np.asarray(y, dtype=float))
-    fit = select_order(z, grid, m=1, seasonal=False)
+    fit = select_order(z, grid, 1, None)
     if fit is None:
         return np.array([]), None
     return mu + sd * forecast_fit(z, fit, h), fit

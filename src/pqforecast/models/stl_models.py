@@ -1,48 +1,49 @@
-"""Decomposition-based forecasters: seasonal component by seasonal-naive
-repetition, seasonally adjusted series by a given sub-forecaster."""
+"""The training window every model of a series fits on, and the
+decomposition-based forecasters: seasonal component by seasonal-naive
+repetition, seasonally adjusted series by a sub-forecaster."""
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from ..errors import DataError
-from ..numerics import STLConfig, stl_decompose
-from .base import FitConfig
-from .baselines import predict_naive, predict_snaive
+from ..numerics import Decomposition, stl_decompose
+from .base import SARIMA_GRID, SEASONAL_PERIOD, ModelId
+from .baselines import predict_drift, predict_naive, predict_snaive
 from .sarima import predict_arima
-
-SubForecaster = Callable[[np.ndarray, int, FitConfig], tuple[np.ndarray, list[str]]]
-
-
-def _stl_config(config: FitConfig) -> STLConfig:
-    return STLConfig(
-        seasonal_window=config.stl_seasonal_window,
-        inner_iterations=config.stl_inner_iterations,
-        robustness_iterations=config.stl_robustness_iterations,
-    )
+from .smoothing import predict_es, predict_holt
 
 
-def arima_or_naive(y: np.ndarray, h: int, config: FitConfig) -> tuple[np.ndarray, list[str]]:
-    """Non-seasonal ARIMA of the adjusted series, naive when no order is admissible."""
-    values, fit = predict_arima(y, h, config.sarima)
-    if fit is None:
-        return predict_naive(y, h), ["arima inadmissible on adjusted series; naive fallback"]
-    return values, []
+class TrainingWindow:
+    """The training values of one series. The four STL composites and
+    SARIMA's seasonal-differencing choice read one STL decomposition of
+    these values, computed on first use, so a series is decomposed at most
+    once and a model selection without them decomposes nothing."""
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.values = np.asarray(values, dtype=float)
+        self._decomposition: Decomposition | None = None
+
+    def decomposition(self) -> Decomposition:
+        """The STL split at the weekly period; ``DataError`` below two cycles."""
+        if self._decomposition is None:
+            self._decomposition = stl_decompose(self.values, SEASONAL_PERIOD)
+        return self._decomposition
 
 
-def predict_stl_composite(
-    y: np.ndarray, h: int, forecast_adjusted: SubForecaster, config: FitConfig
-) -> tuple[np.ndarray, list[str]]:
-    """Forecast = repeated seasonal cycle + sub-forecaster output for the
-    seasonally adjusted series. Returns (values, notes)."""
-    y = np.asarray(y, dtype=float)
-    period = config.seasonal_period
-    if len(y) < 2 * period:
-        raise DataError(f"stl composite: need at least {2 * period} observations, got {len(y)}")
-
-    decomp = stl_decompose(y, period, _stl_config(config))
-    seasonal_fc = predict_snaive(decomp.seasonal, h, period)
-    adjusted_fc, notes = forecast_adjusted(decomp.seasonally_adjusted(), h, config)
-    return seasonal_fc + adjusted_fc, notes
+def predict_stl_composite(model: ModelId, decomp: Decomposition, h: int) -> tuple[np.ndarray, list[str]]:
+    """Forecast = repeated seasonal cycle + ``model``'s sub-forecaster output
+    for the seasonally adjusted series. Returns (values, notes)."""
+    adjusted = decomp.seasonally_adjusted()
+    notes: list[str] = []
+    if model is ModelId.STL_DRIFT:
+        adjusted_fc = predict_drift(adjusted, h)
+    elif model is ModelId.STL_ES:
+        adjusted_fc = predict_es(adjusted, h, SEASONAL_PERIOD)
+    elif model is ModelId.STL_HOLT:
+        adjusted_fc = predict_holt(adjusted, h, SEASONAL_PERIOD)
+    else:
+        adjusted_fc, fit = predict_arima(adjusted, h, SARIMA_GRID)
+        if fit is None:
+            adjusted_fc = predict_naive(adjusted, h)
+            notes.append("arima inadmissible on adjusted series; naive fallback")
+    return predict_snaive(decomp.seasonal, h, SEASONAL_PERIOD) + adjusted_fc, notes

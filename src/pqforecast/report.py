@@ -8,6 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .evaluation import ComparisonReport, CompositionReport, SizeAggregate
+from .io import write_text
 
 
 _W, _H, _PAD = 640, 400, 56
@@ -47,7 +48,7 @@ def render_size_aggregates_svg(path: Path, aggregates: Sequence[SizeAggregate]) 
     parts.append(f'<text x="{_PAD - 8}" y="{y(lo):.1f}" text-anchor="end">{lo:.1f}</text>')
     parts.append(f'<text x="{_PAD - 8}" y="{y(hi):.1f}" text-anchor="end">{hi:.1f}</text>')
     parts.append("</svg>")
-    path.write_text("\n".join(parts), encoding="utf-8")
+    write_text(path, "\n".join(parts))
 
 
 def render_composition_svg(path: Path, report: CompositionReport) -> None:
@@ -84,7 +85,7 @@ def render_composition_svg(path: Path, report: CompositionReport) -> None:
     histogram(report.size_histogram, _PAD, "ensemble size")
     histogram({k: v for k, v in report.method_histogram.items()}, _W / 2 + 20, "combination method")
     parts.append("</svg>")
-    path.write_text("\n".join(parts), encoding="utf-8")
+    write_text(path, "\n".join(parts))
 
 
 def render_comparison_svg(path: Path, report: ComparisonReport) -> None:
@@ -126,4 +127,4 @@ def render_comparison_svg(path: Path, report: ComparisonReport) -> None:
     parts.append(f'<text x="{(half + 20 + _W - _PAD) / 2:.1f}" y="{_H - _PAD + 24}" '
                  'text-anchor="middle">individual vs ensemble sMAPE</text>')
     parts.append("</svg>")
-    path.write_text("\n".join(parts), encoding="utf-8")
+    write_text(path, "\n".join(parts))

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
+from .io import write_text
 from .weekly import WeekId, WeeklySeries
 
 PARAMETERS = ("UNB", "Uthd", "U03", "U05", "U07", "U09", "U11", "U13", "U15", "Uplt")
@@ -169,5 +170,5 @@ def write_truth(path: Path, spec: SyntheticSpec, truths: list[SeriesTruth]) -> N
         "spec": asdict(spec),
         "series": [asdict(t) for t in truths],
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True))
 

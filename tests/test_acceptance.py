@@ -26,7 +26,7 @@ from pqforecast.ensembles import (
     parse_producer,
 )
 from pqforecast.evaluation import benchmark_ratio, compare_best, evaluate_corpus, mae, smape
-from pqforecast.models import FitConfig, Forecast, ModelId, PUBLIC_MODELS, fit_predict
+from pqforecast.models import Forecast, ModelId, PUBLIC_MODELS, TrainingWindow, fit_predict
 from pqforecast.models.sarima import SarimaOrder, fit_css
 from pqforecast.models.smoothing import predict_holt
 from pqforecast.synth import SyntheticSpec, generate_corpus
@@ -129,23 +129,22 @@ def test_criterion_3_metric_and_combination_oracles():
 
 def test_criterion_4_model_sanity():
     started = time.perf_counter()
-    cfg = FitConfig()
 
-    const = np.full(105, 37.5)
+    const = TrainingWindow(np.full(105, 37.5))
     for model in PUBLIC_MODELS:
-        values = fit_predict(model, const, 52, cfg).values
+        values = fit_predict(model, const, 52).values
         assert np.max(np.abs(values - 37.5)) < 1e-6, model
 
     # two identical cycles: SNaive reproduces exactly, HW and the STL
     # composites within 1 % relative
     t = np.arange(52)
     cycle = 30 + 8 * np.sin(2 * np.pi * t / 52) + 2 * np.cos(4 * np.pi * t / 52)
-    train = np.tile(cycle, 2)
-    snaive = fit_predict(ModelId.SNAIVE, train, 52, cfg).values
+    train = TrainingWindow(np.tile(cycle, 2))
+    snaive = fit_predict(ModelId.SNAIVE, train, 52).values
     assert np.array_equal(snaive, cycle)
     for model in (ModelId.HW, ModelId.STL_DRIFT, ModelId.STL_ES,
                   ModelId.STL_HOLT, ModelId.STL_ARIMA):
-        values = fit_predict(model, train, 52, cfg).values
+        values = fit_predict(model, train, 52).values
         rel = np.max(np.abs(values - cycle) / np.abs(cycle))
         assert rel < 0.01, (model, rel)
 
@@ -181,14 +180,14 @@ def test_criterion_4_model_sanity():
 def corpus_run():
     started = time.perf_counter()
     corpus, _ = generate_corpus(SyntheticSpec(n_series=CORPUS_SIZE, rng_seed=CORPUS_SEED))
-    cfg = FitConfig()
     forecasts: list[Forecast] = []
     actuals: dict[str, np.ndarray] = {}
     for series in corpus:
         train, test = split_train_test(series)
         actuals[series.series_id] = test.values
+        window = TrainingWindow(train.values)
         for model in PUBLIC_MODELS:
-            fit = fit_predict(model, train.values, 52, cfg)
+            fit = fit_predict(model, window, 52)
             forecasts.append(Forecast(series_id=series.series_id, producer=model.value,
                                       values=fit.values))
 
@@ -223,6 +222,7 @@ def corpus_run():
     }
 
 
+@pytest.mark.slow
 def test_criterion_5_qualitative_reproduction(corpus_run):
     board_ind = corpus_run["board_ind"]
     board_union = corpus_run["board_union"]

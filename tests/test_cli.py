@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import pqforecast
+import pqforecast.models.stl_models
 
 from pqforecast import io as pqio
 from pqforecast.cli import main
@@ -132,6 +133,27 @@ class TestForecastCommand:
         assert run("forecast", "--weekly", tmp_path / "weekly.csv", "--models", "SNaive",
                    "--train-len", 60, "--out", tmp_path / "o") == 1
 
+    def test_one_year_window_fails_two_season_models(self, tmp_path, capsys):
+        write_weekly(tmp_path / "weekly.csv", n_series=1, seed=3)
+        assert run("forecast", "--weekly", tmp_path / "weekly.csv",
+                   "--train-len", 53, "--horizon", 52, "--out", tmp_path / "o") == 2
+        assert "two seasons (104 observations), got 53" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("models, decompositions", [("all", 3), ("SNaive,Prophet", 0)])
+    def test_one_decomposition_per_series(self, tmp_path, monkeypatch, models, decompositions):
+        write_weekly(tmp_path / "weekly.csv", n_series=3, seed=4)
+        calls = []
+        stl_decompose = pqforecast.models.stl_models.stl_decompose
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return stl_decompose(*args, **kwargs)
+
+        monkeypatch.setattr(pqforecast.models.stl_models, "stl_decompose", counting)
+        assert run("forecast", "--weekly", tmp_path / "weekly.csv", "--models", models,
+                   "--out", tmp_path / "o") == 0
+        assert len(calls) == decompositions
+
 
 class TestEnsembleCommand:
     @pytest.fixture
@@ -194,6 +216,21 @@ class TestEvaluateCommand:
                    "--weekly", tmp_path / "weekly.csv", "--out", ev_out) == 0
         board = pqio.read_leaderboard_csv(ev_out / "leaderboard_individual.csv")
         assert board.row("SNaive").benchmark_ratio == 1.0
+
+    @pytest.mark.parametrize("top_n", [0, -5])
+    def test_top_n_below_one_is_usage_error(self, tmp_path, rng, capsys, top_n):
+        from pqforecast.models import Forecast
+        corpus = write_weekly(tmp_path / "weekly.csv", n_series=2, seed=9)
+        path = tmp_path / "forecasts.csv"
+        pqio.write_forecast_csv(path, [Forecast(s.series_id, m.value, rng.uniform(5, 50, 52))
+                                       for s in corpus for m in PUBLIC_MODELS])
+        assert run("ensemble", "--forecasts", path, "--methods", "mean",
+                   "--out", tmp_path / "ens") == 0
+        assert run("evaluate", "--forecasts", path, tmp_path / "ens" / "ensemble_forecasts.csv",
+                   "--weekly", tmp_path / "weekly.csv", "--top-n", top_n,
+                   "--out", tmp_path / "ev") == 1
+        assert "--top-n" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
 
     def test_alignment_error_names_series(self, tmp_path, rng, capsys):
         from pqforecast.models import Forecast
@@ -276,6 +313,7 @@ class TestStageFlags:
         ["preprocess", "--raw", "r.csv", "--planning-levels", "p.ini", "--jobs", "2"],
         ["synth", "--n-series", "1", "--config", "c.ini"],
         ["report", "--eval-dir", "ev", "--seed", "1"],
+        ["forecast", "--weekly", "w.csv", "--config", "c.ini"],
     ])
     def test_flag_of_another_stage_is_usage_error(self, tmp_path, capsys, argv):
         assert run(*argv, "--out", tmp_path / "o") == 1

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pqforecast import io as pqio
+from pqforecast import report as pqreport
 from pqforecast.errors import ConfigError, DataError
 from pqforecast.evaluation import (
     ComparisonReport,
@@ -202,6 +203,23 @@ class TestAtomicWrites:
         assert [p.name for p in tmp_path.iterdir()] == ([] if earlier is None else ["out"])
         if earlier is not None:
             assert path.read_text() == earlier
+
+    # a lone surrogate in a label cannot be encoded, so the write itself fails
+    @pytest.mark.parametrize("render, report", [
+        (pqreport.render_composition_svg,
+         CompositionReport(top_n=1, model_share={"HW\udc80": 1.0}, size_histogram={2: 1},
+                           method_histogram={"mean": 1}, size_aggregates=[])),
+        (pqreport.render_comparison_svg,
+         ComparisonReport("SNaive", "B01\udc80:mean", ["s1"], np.array([20.0]),
+                          np.array([15.0]), np.array([0.25]))),
+    ], ids=["composition", "comparison"])
+    def test_failed_render_keeps_earlier_figure(self, tmp_path, render, report):
+        path = tmp_path / "fig.svg"
+        path.write_text("<svg>earlier</svg>")
+        with pytest.raises(UnicodeEncodeError):
+            render(path, report)
+        assert [p.name for p in tmp_path.iterdir()] == ["fig.svg"]
+        assert path.read_text() == "<svg>earlier</svg>"
 
 
 class TestPlanningLevels:

@@ -5,10 +5,10 @@ import pytest
 
 from pqforecast.errors import ConfigError, DataError
 from pqforecast.models import (
-    FitConfig,
     Forecast,
     ModelId,
     PUBLIC_MODELS,
+    TrainingWindow,
     fit_predict,
     model_from_name,
 )
@@ -17,8 +17,6 @@ from pqforecast.models.fourier_trend import predict_fourier_trend
 from pqforecast.models.smoothing import predict_es, predict_holt, predict_hw
 
 from conftest import periodic_train
-
-CFG = FitConfig()
 
 
 class TestModelIds:
@@ -56,7 +54,7 @@ class TestBaselines:
     def test_drift_clamped_in_forecast(self):
         t = np.arange(105, dtype=float)
         y = 60.0 - 0.55 * t + 2.0 * np.sin(2 * np.pi * t / 52)
-        raw = fit_predict(ModelId.STL_DRIFT, y, 52, CFG).values
+        raw = fit_predict(ModelId.STL_DRIFT, TrainingWindow(y), 52).values
         assert raw.min() < 0.0
         fc = Forecast("s:UNB:220", ModelId.STL_DRIFT.value, raw)
         assert np.all(fc.values >= 0.0)
@@ -112,20 +110,20 @@ class TestSmoothing:
 
 class TestFourierTrend:
     def test_constant(self):
-        out = predict_fourier_trend(np.full(105, 9.25), 52, CFG)
+        out = predict_fourier_trend(np.full(105, 9.25), 52, 52)
         assert out == pytest.approx(np.full(52, 9.25), abs=1e-6)
 
     def test_line_plus_sinusoid(self):
         t = np.arange(105, dtype=float)
         gen = lambda tt: 40 + 0.2 * tt + 6 * np.sin(2 * np.pi * tt / 52)  # noqa: E731
-        out = predict_fourier_trend(gen(t), 52, CFG)
+        out = predict_fourier_trend(gen(t), 52, 52)
         expected = gen(105 + np.arange(52, dtype=float))
         assert np.max(np.abs(out - expected) / expected) < 0.02
 
     def test_slope_change_tracked(self):
         t = np.arange(105, dtype=float)
         y = np.where(t < 60, 30 + 0.1 * t, 30 + 0.1 * 60 + 0.45 * (t - 60))
-        out = predict_fourier_trend(y, 52, CFG)
+        out = predict_fourier_trend(y, 52, 52)
         slope = (out[-1] - out[0]) / 51
         assert abs(slope - 0.45) / 0.45 < 0.25
 
@@ -136,7 +134,7 @@ class TestStlComposites:
     def test_constant(self):
         const = np.full(105, 21.0)
         for model in self.STL_MODELS:
-            out = fit_predict(model, const, 52, CFG).values
+            out = fit_predict(model, TrainingWindow(const), 52).values
             assert out == pytest.approx(np.full(52, 21.0), abs=1e-6), model
 
     def test_sinusoid_continuation(self):
@@ -145,19 +143,19 @@ class TestStlComposites:
         y = 30 + amp * np.sin(2 * np.pi * t / 52)
         expected = 30 + amp * np.sin(2 * np.pi * (105 + np.arange(52)) / 52)
         for model in self.STL_MODELS:
-            out = fit_predict(model, y, 52, CFG).values
+            out = fit_predict(model, TrainingWindow(y), 52).values
             assert np.max(np.abs(out - expected)) <= 0.05 * amp, model
 
     def test_stl_drift_line_plus_sinusoid(self):
         t = np.arange(105, dtype=float)
         gen = lambda tt: 40 + 0.2 * tt + 6 * np.sin(2 * np.pi * tt / 52)  # noqa: E731
-        out = fit_predict(ModelId.STL_DRIFT, gen(t), 52, CFG).values
+        out = fit_predict(ModelId.STL_DRIFT, TrainingWindow(gen(t)), 52).values
         expected = gen(105 + np.arange(52, dtype=float))
         assert np.max(np.abs(out - expected) / expected) < 0.05
 
     def test_short_series_rejected(self):
         with pytest.raises(DataError):
-            fit_predict(ModelId.STL_ES, np.ones(103), 52, CFG)
+            fit_predict(ModelId.STL_ES, TrainingWindow(np.ones(103)), 52)
 
 
 class TestForecastContainer:
@@ -186,7 +184,7 @@ class TestModelProperties:
     def test_every_forecast_has_52_nonnegative_values(self):
         y = np.abs(self._noisy_train())
         for model in PUBLIC_MODELS:
-            fc = Forecast("s:UNB:220", model.value, fit_predict(model, y).values)
+            fc = Forecast("s:UNB:220", model.value, fit_predict(model, TrainingWindow(y)).values)
             assert fc.horizon == 52
             assert len(fc.values) == 52
             assert np.all(fc.values >= 0.0)
@@ -194,16 +192,16 @@ class TestModelProperties:
     def test_determinism_bit_identical(self):
         y = self._noisy_train()
         for model in PUBLIC_MODELS:
-            a = fit_predict(model, y, 52, CFG).values
-            b = fit_predict(model, y, 52, CFG).values
+            a = fit_predict(model, TrainingWindow(y), 52).values
+            b = fit_predict(model, TrainingWindow(y), 52).values
             assert np.array_equal(a, b), model
 
     def test_shift_equivariance(self):
         y = self._noisy_train()
         shift = 13.7
         for model in PUBLIC_MODELS:
-            base = fit_predict(model, y, 52, CFG).values
-            shifted = fit_predict(model, y + shift, 52, CFG).values
+            base = fit_predict(model, TrainingWindow(y), 52).values
+            shifted = fit_predict(model, TrainingWindow(y + shift), 52).values
             rel = np.max(np.abs(shifted - (base + shift)) / np.maximum(np.abs(base + shift), 1e-9))
             assert rel < 1e-6, (model, rel)
 
@@ -211,15 +209,15 @@ class TestModelProperties:
         y = self._noisy_train()
         scale = 2.9
         for model in PUBLIC_MODELS:
-            base = fit_predict(model, y, 52, CFG).values
-            scaled = fit_predict(model, y * scale, 52, CFG).values
+            base = fit_predict(model, TrainingWindow(y), 52).values
+            scaled = fit_predict(model, TrainingWindow(y * scale), 52).values
             rel = np.max(np.abs(scaled - base * scale) / np.maximum(np.abs(base * scale), 1e-9))
             assert rel < 1e-6, (model, rel)
 
     def test_snaive_exact_shift(self):
         y = self._noisy_train()
-        base = fit_predict(ModelId.SNAIVE, y, 52, CFG).values
-        shifted = fit_predict(ModelId.SNAIVE, y + 5.0, 52, CFG).values
+        base = fit_predict(ModelId.SNAIVE, TrainingWindow(y), 52).values
+        shifted = fit_predict(ModelId.SNAIVE, TrainingWindow(y + 5.0), 52).values
         assert np.array_equal(shifted, base + 5.0)
 
     def test_snaive_idempotent_with_prefix(self):
@@ -228,5 +226,5 @@ class TestModelProperties:
         for prefix_len in (0, 1, 17):
             cycle = rng.uniform(5, 50, 52)
             train = np.concatenate([rng.uniform(5, 50, prefix_len), np.tile(cycle, 2)])
-            out = fit_predict(ModelId.SNAIVE, train, 52, CFG).values
+            out = fit_predict(ModelId.SNAIVE, TrainingWindow(train), 52).values
             assert np.array_equal(out, cycle)

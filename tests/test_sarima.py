@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import lfilter
 
-from pqforecast.models import FitConfig, ModelId, SarimaGrid, fit_predict
+import pqforecast.models
+from pqforecast.models import ModelId, SarimaGrid, TrainingWindow, fit_predict
+from pqforecast.models.base import standardize
 from pqforecast.models.baselines import predict_snaive
 from pqforecast.models.sarima import (
     SarimaOrder,
@@ -19,6 +23,8 @@ from pqforecast.models.sarima import (
     predict_sarima,
     select_order,
 )
+from pqforecast.numerics import stl_decompose
+from pqforecast.synth import SyntheticSpec, generate_corpus
 
 GRID = SarimaGrid()
 
@@ -100,27 +106,61 @@ class TestMaInversion:
 class TestDifferencingHeuristic:
     def test_white_noise_needs_none(self, rng):
         y = rng.normal(10, 1, 105)
-        assert choose_differencing(y, GRID, 52, seasonal=True) == (0, 0)
+        assert choose_differencing(y, GRID, 52, TrainingWindow(y).decomposition) == (0, 0)
 
     def test_random_walk_needs_ordinary(self, rng):
         y = rng.normal(0, 1, 105).cumsum() + 50
-        d, D = choose_differencing(y, GRID, 52, seasonal=True)
+        d, D = choose_differencing(y, GRID, 52, TrainingWindow(y).decomposition)
         assert d == 1 and D == 0
 
     def test_strong_seasonality_needs_seasonal(self):
         t = np.arange(105)
         y = 30 + 9 * np.sin(2 * np.pi * t / 52)
-        d, D = choose_differencing(y, GRID, 52, seasonal=True)
+        d, D = choose_differencing(y, GRID, 52, TrainingWindow(y).decomposition)
         assert D == 1
 
     def test_constant_series(self):
-        assert choose_differencing(np.full(105, 3.0), GRID, 52, seasonal=True) == (0, 0)
+        y = np.full(105, 3.0)
+        assert choose_differencing(y, GRID, 52, TrainingWindow(y).decomposition) == (0, 0)
+
+
+class TestSharedDecomposition:
+    """SARIMA reads the STL split of the raw window; the oracle decomposes the
+    standardized copy SARIMA fits on, as it did before the split was shared.
+    The seasonal strength is affine-invariant, so (d, D) must agree."""
+
+    @staticmethod
+    def assert_same_differencing(y):
+        z, _, _ = standardize(y)
+        oracle = choose_differencing(z, GRID, 52, lambda: stl_decompose(z, 52))
+        assert choose_differencing(z, GRID, 52, TrainingWindow(y).decomposition) == oracle
+
+    def test_synthetic_corpus(self):
+        corpus, _ = generate_corpus(SyntheticSpec(n_series=12, rng_seed=4401))
+        for series in corpus:
+            self.assert_same_differencing(series.values[:105])
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(60, 160), level=st.floats(1.0, 200.0),
+           amplitude=st.floats(0.0, 50.0), slope=st.floats(-0.5, 0.5),
+           noise=st.floats(0.05, 20.0), seed=st.integers(0, 2**32 - 1))
+    def test_generated_windows(self, n, level, amplitude, slope, noise, seed):
+        t = np.arange(n)
+        y = (level + slope * t + amplitude * np.sin(2 * np.pi * t / 52)
+             + np.random.default_rng(seed).normal(0.0, noise, n))
+        self.assert_same_differencing(y)
+
+    def test_short_window_is_not_decomposed(self):
+        def refuse():
+            raise AssertionError("decomposed a window shorter than two cycles")
+
+        assert choose_differencing(np.arange(103.0), GRID, 52, refuse) == (1, 0)
 
 
 class TestOrderSelection:
     def test_white_noise_selects_constant_model(self):
         y = np.random.default_rng(42).normal(10.0, 1.0, size=105)
-        fit = select_order(y, GRID, 52, seasonal=True)
+        fit = select_order(y, GRID, 52, TrainingWindow(y).decomposition)
         assert (fit.order.p, fit.order.d, fit.order.q) == (0, 0, 0)
         assert (fit.order.P, fit.order.D, fit.order.Q) == (0, 0, 0)
         assert fit.order.with_constant
@@ -133,7 +173,7 @@ class TestOrderSelection:
     def test_exact_cycle_selects_seasonal_difference(self):
         cycle = 30 + 8 * np.sin(2 * np.pi * np.arange(52) / 52)
         y = np.concatenate([np.tile(cycle, 2), [cycle[0]]])
-        fit = select_order(y, GRID, 52, seasonal=True)
+        fit = select_order(y, GRID, 52, TrainingWindow(y).decomposition)
         assert fit.order.D == 1
         fc = forecast_fit(y, fit, 52)
         assert fc == pytest.approx(predict_snaive(y, 52, 52), abs=1e-6)
@@ -149,14 +189,14 @@ class TestOrderSelection:
     def test_nothing_admissible_returns_none(self):
         y = np.random.default_rng(0).normal(size=105)
         tight = SarimaGrid(min_len_after_diff=200)
-        assert select_order(y, tight, 52, seasonal=True) is None
+        assert select_order(y, tight, 52, TrainingWindow(y).decomposition) is None
 
 
 class TestPredictWrappers:
-    def test_sarima_fallback_to_snaive(self):
+    def test_sarima_fallback_to_snaive(self, monkeypatch):
         y = np.abs(np.random.default_rng(3).normal(30, 3, 105))
-        cfg = FitConfig(sarima=SarimaGrid(min_len_after_diff=200))
-        fit = fit_predict(ModelId.SARIMA, y, 52, cfg)
+        monkeypatch.setattr(pqforecast.models, "SARIMA_GRID", SarimaGrid(min_len_after_diff=200))
+        fit = fit_predict(ModelId.SARIMA, TrainingWindow(y), 52)
         assert fit.notes and "fallback" in fit.notes[0]
         assert np.array_equal(fit.values, predict_snaive(y, 52, 52))
 
@@ -171,13 +211,13 @@ class TestPredictWrappers:
     def test_seasonal_wrapper_horizon(self):
         t = np.arange(105)
         y = 30 + 6 * np.sin(2 * np.pi * t / 52) + np.random.default_rng(1).normal(0, 1, 105)
-        fc, fit = predict_sarima(y, 52, GRID, 52)
+        fc, fit = predict_sarima(y, 52, GRID, 52, TrainingWindow(y).decomposition)
         assert fit is not None and fit.order.D == 1
         assert len(fc) == 52
 
     def test_drifting_series_forecast_tracks_level(self):
         # forecast from a differenced model must continue near the last level
         y = np.linspace(20, 60, 105) + np.random.default_rng(2).normal(0, 0.5, 105)
-        fc, fit = predict_sarima(y, 52, GRID, 52)
+        fc, fit = predict_sarima(y, 52, GRID, 52, TrainingWindow(y).decomposition)
         assert fit.order.d == 1
         assert 50.0 < fc[0] < 70.0

@@ -67,7 +67,7 @@ def test_invalid_spec_rejected():
 
 def test_noise_free_seasonal_series_is_snaive_fixed_point():
     from pqforecast.evaluation import smape
-    from pqforecast.models import ModelId, fit_predict
+    from pqforecast.models import ModelId, TrainingWindow, fit_predict
     from pqforecast.weekly import split_train_test
 
     spec = SyntheticSpec(
@@ -79,5 +79,5 @@ def test_noise_free_seasonal_series_is_snaive_fixed_point():
     corpus, _ = generate_corpus(spec)
     for series in corpus:
         train, test = split_train_test(series)
-        fc = fit_predict(ModelId.SNAIVE, train.values, 52)
+        fc = fit_predict(ModelId.SNAIVE, TrainingWindow(train.values), 52)
         assert smape(test.values, np.maximum(fc.values, 0)) < 1e-9
