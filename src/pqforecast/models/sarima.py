@@ -12,8 +12,9 @@ on or inside the 1.001 circle are rejected during optimization.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .base import SarimaGrid, standardize
 ROOT_MARGIN = 1.001
 _PENALTY = 1e12
 _MIN_COMMON_OBS = 16
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -75,13 +77,13 @@ class SarimaFit:
     aicc: float
 
 
-def _min_root_modulus(coeffs: np.ndarray, sign: float) -> float:
+def _min_root_modulus(coeffs: Sequence[float], sign: float) -> float:
     """Smallest root modulus of 1 + sign * (c1 z + c2 z^2 + ...)."""
     k = len(coeffs)
     while k > 0 and coeffs[k - 1] == 0.0:
         k -= 1
     if k == 0:
-        return np.inf
+        return math.inf
     if k == 1:
         return 1.0 / abs(sign * coeffs[0])
     if k == 2:
@@ -90,63 +92,132 @@ def _min_root_modulus(coeffs: np.ndarray, sign: float) -> float:
         b = sign * coeffs[0]
         disc = b * b - 4.0 * a
         if disc < 0:
-            return float(np.sqrt(1.0 / abs(a)))  # conjugate pair: |z|^2 = 1/|a|
-        sq = np.sqrt(disc)
+            return math.sqrt(1.0 / abs(a))  # conjugate pair: |z|^2 = 1/|a|
+        sq = math.sqrt(disc)
         r1 = (-b + sq) / (2.0 * a)
         r2 = (-b - sq) / (2.0 * a)
-        return float(min(abs(r1), abs(r2)))
-    poly = np.concatenate([sign * coeffs[::-1], [1.0]])
+        return min(abs(r1), abs(r2))
+    poly = np.concatenate([sign * np.asarray(coeffs, dtype=float)[::-1], [1.0]])
     roots = np.roots(poly)
-    return float(np.min(np.abs(roots))) if len(roots) else np.inf
+    return float(np.min(np.abs(roots))) if len(roots) else math.inf
 
 
-def _unpack(params: np.ndarray, order: SarimaOrder):
-    p, q, P, Q = order.p, order.q, order.P, order.Q
-    phi = params[:p]
-    theta = params[p : p + q]
-    Phi = params[p + q : p + q + P]
-    Theta = params[p + q + P : p + q + P + Q]
-    const = params[p + q + P + Q] if order.with_constant else 0.0
-    return phi, theta, Phi, Theta, const
-
-
-def _expand(nonseasonal: np.ndarray, seasonal: np.ndarray, m: int, sign: float) -> np.ndarray:
+def _expand(nonseasonal: Sequence[float], seasonal: Sequence[float], m: int, sign: float) -> list[float]:
     """(1 + sign*sum c_i B^i)(1 + sign*sum C_j B^{jm}) as a lag polynomial."""
     k = len(nonseasonal)
-    poly = np.zeros(k + m * len(seasonal) + 1)
+    poly = [0.0] * (k + m * len(seasonal) + 1)
     poly[0] = 1.0
-    poly[1 : k + 1] = sign * nonseasonal
+    poly[1 : k + 1] = [sign * c for c in nonseasonal]
     for j, coeff in enumerate(seasonal, start=1):
         poly[j * m] += sign * coeff
-        if k:
-            poly[j * m + 1 : j * m + 1 + k] += coeff * nonseasonal  # sign^2 = 1
+        for i, c in enumerate(nonseasonal, start=j * m + 1):
+            poly[i] += coeff * c  # sign^2 = 1
     return poly
 
 
-def _ma_invert(ma_poly: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _lag_polynomials(order: SarimaOrder, coeffs: list[float]) -> tuple[list[float], list[float], float]:
+    """AR and MA lag polynomials and the constant of ``coeffs``, laid out
+    as [phi..., theta..., Phi..., Theta..., const?]."""
+    p, q, P, Q = order.p, order.q, order.P, order.Q
+    ar_poly = _expand(coeffs[:p], coeffs[p + q : p + q + P], order.m, -1.0)  # 1 - phi B ... acting on w
+    ma_poly = _expand(coeffs[p : p + q], coeffs[p + q + P : p + q + P + Q], order.m, +1.0)
+    const = coeffs[p + q + P + Q] if order.with_constant else 0.0
+    return ar_poly, ma_poly, const
+
+
+#: ``_ma_invert`` applies taps at this lag or beyond a block of steps at a time.
+_BLOCK_LAG = 8
+
+
+def _ma_invert(ma_poly: Sequence[float], x: np.ndarray) -> np.ndarray:
     """Solve ``ma_poly(B) e = x`` for ``e`` with zero pre-sample values.
 
     Each step subtracts the lagged terms from the highest lag down, the
     order of a direct-form-II-transposed IIR filter, so the result matches
-    ``scipy.signal.lfilter([1.0], ma_poly, x)`` bit for bit.
+    ``scipy.signal.lfilter([1.0], ma_poly, x)`` bit for bit. The tap at
+    lag j joins at step j; before it there is no term to subtract.
+
+    The taps at lag ``_BLOCK_LAG`` or more (the seasonal ones) come first
+    in that order and read only values at least L steps back, L being the
+    smallest of their lags. They are applied to L steps at a time as numpy
+    expressions of the same scalar operations. The shorter taps then run
+    step by step on Python floats in :func:`_recurse`. With seasonal taps
+    only, each block of L steps is one numpy expression; with none, the
+    solve is the scalar recursion alone.
     """
     taps = [(j, float(ma_poly[j])) for j in range(len(ma_poly) - 1, 0, -1) if ma_poly[j] != 0.0]
-    e: list[float] = []
-    for t, value in enumerate(x.tolist()):
-        acc = 0.0
-        for j, coeff in taps:
+    if not taps:
+        return 0.0 + x
+    long_taps = [(j, c) for j, c in taps if j >= _BLOCK_LAG]
+    short_taps = taps[len(long_taps):]
+    n = len(x)
+    if not long_taps:
+        return np.array(_recurse(short_taps, [0.0] * n, x.tolist(), []))
+
+    block = long_taps[-1][0]
+    e = np.empty(n)
+    out: list[float] = []
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        acc = np.zeros(stop - start)
+        for j, c in long_taps:
+            if j < stop:
+                first = max(start, j)
+                acc[first - start :] -= c * e[first - j : stop - j]
+        if short_taps:
+            _recurse(short_taps, acc.tolist(), x[start:stop].tolist(), out)
+            e[start:stop] = out[start:stop]
+        else:
+            e[start:stop] = acc + x[start:stop]
+    return e
+
+
+def _recurse(taps: list[tuple[int, float]], acc: list[float], x: list[float], out: list[float]) -> list[float]:
+    """Append ``e_t = (acc_t - sum_j c_j e_{t-j}) + x_t`` to ``out`` for
+    each step, ``t`` counting on from ``len(out)``, and return ``out``.
+
+    ``taps`` run from the highest lag down. A warm-up runs the steps
+    before the highest lag, where a tap joins at step ``t = j``; after it
+    no lag is tested. The taps at lag 1, and at lags 2 and 1, the only
+    short ones the order grid produces, have unrolled loops.
+    """
+    warm = min(max(taps[0][0] - len(out), 0), len(x))
+    for i in range(warm):
+        t = len(out)
+        a = acc[i]
+        for j, c in taps:
             if j <= t:
-                acc -= coeff * e[t - j]
-        e.append(acc + value)
-    return np.array(e)
+                a -= c * out[t - j]
+        out.append(a + x[i])
+    if warm == len(x):
+        return out
+    steps = zip(acc[warm:], x[warm:])
+    push = out.append
+    lags = [j for j, _ in taps]
+    if lags == [1]:
+        (_, c1), = taps
+        e1 = out[-1]
+        for a, v in steps:
+            e1 = (a - c1 * e1) + v
+            push(e1)
+    elif lags == [2, 1]:
+        (_, c2), (_, c1) = taps
+        e2, e1 = out[-2], out[-1]
+        for a, v in steps:
+            e2, e1 = e1, ((a - c2 * e2) - c1 * e1) + v
+            push(e1)
+    else:
+        for a, v in steps:
+            for j, c in taps:
+                a -= c * out[-j]
+            push(a + v)
+    return out
 
 
 def css_residuals(w: np.ndarray, order: SarimaOrder, params: np.ndarray) -> np.ndarray:
     """CSS residuals for the differenced series; entries before the
     conditioning point are zero."""
-    phi, theta, Phi, Theta, const = _unpack(params, order)
-    ar_poly = _expand(phi, Phi, order.m, -1.0)  # 1 - phi B ... acting on w
-    ma_poly = _expand(theta, Theta, order.m, +1.0)
+    ar_poly, ma_poly, const = _lag_polynomials(order, params.tolist())
     ncond = order.conditioning
     rhs = np.convolve(w, ar_poly)[: len(w)] - const
     resid = np.zeros(len(w))
@@ -160,18 +231,24 @@ def css_residuals(w: np.ndarray, order: SarimaOrder, params: np.ndarray) -> np.n
 
 def _objective(w: np.ndarray, order: SarimaOrder, eval_from: int):
     """SSE of CSS residuals at differenced-scale indices >= eval_from."""
+    p, q, P, Q = order.p, order.q, order.P, order.Q
+    # (coefficient slice, sign) per non-empty polynomial: AR ones first
+    root_checks = [
+        (part, sign)
+        for part, sign in ((slice(0, p), -1.0), (slice(p + q, p + q + P), -1.0),
+                           (slice(p, p + q), +1.0), (slice(p + q + P, p + q + P + Q), +1.0))
+        if part.stop > part.start
+    ]
 
     def fn(params: np.ndarray) -> float:
-        phi, theta, Phi, Theta, _ = _unpack(params, order)
-        for coeffs in (phi, Phi):
-            if _min_root_modulus(coeffs, -1.0) <= ROOT_MARGIN:
-                return _PENALTY
-        for coeffs in (theta, Theta):
-            if _min_root_modulus(coeffs, +1.0) <= ROOT_MARGIN:
+        coeffs = params.tolist()
+        for part, sign in root_checks:
+            if _min_root_modulus(coeffs[part], sign) <= ROOT_MARGIN:
                 return _PENALTY
         resid = css_residuals(w, order, params)
-        sse = float(np.dot(resid[eval_from:], resid[eval_from:]))
-        return sse if np.isfinite(sse) else _PENALTY
+        tail = resid[eval_from:]
+        sse = float(np.dot(tail, tail))
+        return sse if math.isfinite(sse) else _PENALTY
 
     return fn
 
@@ -225,10 +302,16 @@ def _candidate_orders(grid: SarimaGrid, m: int, seasonal: bool, d: int, D: int) 
 
 
 def seasonal_strength(decomp: Decomposition) -> float:
-    """Share of non-remainder variance in the detrended series, in [0, 1]."""
+    """Share of non-remainder variance in the detrended series, in [0, 1].
+
+    0 when the detrended variance is within rounding of the window's
+    values, as for a constant window: the ratio would then measure the
+    decomposition's rounding residue, not the data.
+    """
     detrended = decomp.seasonal + decomp.remainder
     var_detrended = float(np.var(detrended))
-    if var_detrended <= 0:
+    scale = float(np.max(np.abs(decomp.trend + detrended)))
+    if var_detrended <= (_EPS * len(detrended) * scale) ** 2:
         return 0.0
     return max(0.0, 1.0 - float(np.var(decomp.remainder)) / var_detrended)
 
@@ -327,9 +410,7 @@ def forecast_fit(y: np.ndarray, fit: SarimaFit, h: int) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     order = fit.order
     w, stages = _differenced(y, order)
-    phi, theta, Phi, Theta, const = _unpack(fit.params, order)
-    ar_poly = _expand(phi, Phi, order.m, -1.0)
-    ma_poly = _expand(theta, Theta, order.m, +1.0)
+    ar_poly, ma_poly, const = _lag_polynomials(order, fit.params.tolist())
     resid = css_residuals(w, order, fit.params)
 
     w_ext = np.concatenate([w, np.zeros(h)])

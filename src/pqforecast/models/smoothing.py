@@ -34,8 +34,9 @@ def _initial_level_trend(y: np.ndarray, period: int) -> tuple[float, float]:
     return level, trend
 
 
-def _ses_run(y: np.ndarray, alpha: float, level0: float) -> tuple[float, float]:
+def _ses_run(y: list[float], alpha: float, level0: float) -> tuple[float, float]:
     """One-step SSE and final level."""
+    alpha = float(alpha)
     level = level0
     sse = 0.0
     for value in y:
@@ -45,7 +46,9 @@ def _ses_run(y: np.ndarray, alpha: float, level0: float) -> tuple[float, float]:
     return sse, level
 
 
-def _holt_run(y: np.ndarray, alpha: float, beta: float, level0: float, trend0: float) -> tuple[float, float, float]:
+def _holt_run(y: list[float], alpha: float, beta: float, level0: float, trend0: float) -> tuple[float, float, float]:
+    alpha, beta = float(alpha), float(beta)
+    keep_trend = 1.0 - beta
     level, trend = level0, trend0
     sse = 0.0
     for value in y:
@@ -53,31 +56,32 @@ def _holt_run(y: np.ndarray, alpha: float, beta: float, level0: float, trend0: f
         err = value - prior
         sse += err * err
         new_level = prior + alpha * err
-        trend = beta * (new_level - level) + (1.0 - beta) * trend
+        trend = beta * (new_level - level) + keep_trend * trend
         level = new_level
     return sse, level, trend
 
 
 def _hw_run(
-    y: np.ndarray, alpha: float, beta: float, gamma: float,
-    level0: float, trend0: float, seasonal0: np.ndarray,
+    y: list[float], alpha: float, beta: float, gamma: float,
+    level0: float, trend0: float, seasonal0: list[float],
 ) -> tuple[float, float, float, np.ndarray]:
-    period = len(seasonal0)
-    n = len(y)
-    seasonal = np.empty(n + period, dtype=float)
-    seasonal[:period] = seasonal0
+    """The recursions run on Python floats (``y`` and ``seasonal0`` as
+    lists); the final seasonal states come back as an array."""
+    alpha, beta, gamma = float(alpha), float(beta), float(gamma)
+    keep_level, keep_trend, keep_season = 1.0 - alpha, 1.0 - beta, 1.0 - gamma
+    seasonal = list(seasonal0)
     level, trend = level0, trend0
     sse = 0.0
-    for t in range(n):
+    for t, value in enumerate(y):
         s = seasonal[t]
         prior = level + trend
-        err = y[t] - (prior + s)
+        err = value - (prior + s)
         sse += err * err
-        new_level = alpha * (y[t] - s) + (1.0 - alpha) * prior
-        seasonal[t + period] = gamma * (y[t] - prior) + (1.0 - gamma) * s
-        trend = beta * (new_level - level) + (1.0 - beta) * trend
+        new_level = alpha * (value - s) + keep_level * prior
+        seasonal.append(gamma * (value - prior) + keep_season * s)
+        trend = beta * (new_level - level) + keep_trend * trend
         level = new_level
-    return sse, level, trend, seasonal
+    return sse, level, trend, np.array(seasonal)
 
 
 def predict_es(y: np.ndarray, h: int, period: int = 52) -> np.ndarray:
@@ -87,11 +91,12 @@ def predict_es(y: np.ndarray, h: int, period: int = 52) -> np.ndarray:
         raise DataError(f"es: need at least {_MIN_OBS} observations, got {len(y)}")
     z, mu, sd = standardize(y)
     level0, _ = _initial_level_trend(z, period)
+    values = z.tolist()
     result = nelder_mead(
-        lambda p: _ses_run(z, p[0], level0)[0],
+        lambda p: _ses_run(values, p[0], level0)[0],
         x0=[0.5], bounds=[(PARAM_LO, PARAM_HI)],
     )
-    _, level = _ses_run(z, result.argmin[0], level0)
+    _, level = _ses_run(values, result.argmin[0], level0)
     return np.full(h, mu + sd * level)
 
 
@@ -102,12 +107,13 @@ def predict_holt(y: np.ndarray, h: int, period: int = 52) -> np.ndarray:
         raise DataError(f"holt: need at least {_MIN_OBS} observations, got {len(y)}")
     z, mu, sd = standardize(y)
     level0, trend0 = _initial_level_trend(z, period)
+    values = z.tolist()
     result = nelder_mead(
-        lambda p: _holt_run(z, p[0], p[1], level0, trend0)[0],
+        lambda p: _holt_run(values, p[0], p[1], level0, trend0)[0],
         x0=[0.5, 0.1], bounds=[(PARAM_LO, PARAM_HI)] * 2,
     )
     alpha, beta = result.argmin
-    _, level, trend = _holt_run(z, alpha, beta, level0, trend0)
+    _, level, trend = _holt_run(values, alpha, beta, level0, trend0)
     return mu + sd * (level + trend * np.arange(1, h + 1))
 
 
@@ -119,13 +125,14 @@ def predict_hw(y: np.ndarray, h: int, period: int = 52) -> np.ndarray:
         raise DataError(f"hw: needs two seasons ({2 * period} observations), got {n}")
     z, mu, sd = standardize(y)
     level0, trend0 = _initial_level_trend(z, period)
-    seasonal0 = z[:period] - np.mean(z[:period])
+    seasonal0 = (z[:period] - np.mean(z[:period])).tolist()
+    values = z.tolist()
     result = nelder_mead(
-        lambda p: _hw_run(z, p[0], p[1], p[2], level0, trend0, seasonal0)[0],
+        lambda p: _hw_run(values, p[0], p[1], p[2], level0, trend0, seasonal0)[0],
         x0=[0.5, 0.1, 0.1], bounds=[(PARAM_LO, PARAM_HI)] * 3,
     )
     alpha, beta, gamma = result.argmin
-    _, level, trend, seasonal = _hw_run(z, alpha, beta, gamma, level0, trend0, seasonal0)
+    _, level, trend, seasonal = _hw_run(values, alpha, beta, gamma, level0, trend0, seasonal0)
     steps = np.arange(1, h + 1)
     seasonal_idx = n + (steps - 1) % period
     return mu + sd * (level + trend * steps + seasonal[seasonal_idx])

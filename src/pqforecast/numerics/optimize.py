@@ -4,10 +4,16 @@ Deterministic by construction: the initial simplex is the start point plus
 a 5 % perturbation per coordinate, and proposals leaving the box are
 reflected back inside. Good enough for the low-dimensional, cheap but
 non-smooth objectives used by the model fits (smoothing SSE, ARMA CSS).
+
+The simplex is kept as lists of Python floats: with one to five
+coordinates, numpy's per-call overhead would cost more than the
+arithmetic. Every operation is the scalar one numpy would perform, in the
+same order, so results do not depend on this choice.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -20,6 +26,8 @@ _EXPAND = 2.0
 _CONTRACT = 0.5
 _SHRINK = 0.5
 
+Point = list[float]
+
 
 @dataclass
 class OptimizerResult:
@@ -29,19 +37,43 @@ class OptimizerResult:
     converged: bool
 
 
-def _fold_into_box(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _fold_into_box(x: Point, lo: Point, hi: Point) -> Point:
     """Reflect coordinates back into [lo, hi] (triangular fold)."""
-    x = x.copy()
-    span = hi - lo
-    for i in range(len(x)):
-        if span[i] <= 0:
-            x[i] = lo[i]
-            continue
-        if x[i] < lo[i] or x[i] > hi[i]:
-            period = 2.0 * span[i]
-            offset = (x[i] - lo[i]) % period
-            x[i] = lo[i] + (offset if offset <= span[i] else period - offset)
-    return x
+    out = []
+    for v, a, b in zip(x, lo, hi):
+        span = b - a
+        if span <= 0:
+            v = a
+        elif v < a or v > b:
+            period = 2.0 * span
+            offset = (v - a) % period
+            v = a + (offset if offset <= span else period - offset)
+        out.append(v)
+    return out
+
+
+def _mean(points: list[Point]) -> Point:
+    """Coordinate-wise mean, summed from 0.0 over the points in order and
+    then divided, as ``np.mean(points, axis=0)`` does."""
+    sums = [0.0] * len(points[0])
+    for point in points:
+        sums = [s + v for s, v in zip(sums, point)]
+    return [s / len(points) for s in sums]
+
+
+def _sup_distance(x: Point, y: Point) -> float:
+    """``np.max(np.abs(x - y))``: the largest coordinate gap, NaN if any gap is NaN."""
+    out = -math.inf
+    for a, b in zip(x, y):
+        gap = abs(a - b)
+        if gap > out or gap != gap:
+            out = gap
+    return out
+
+
+def _ordered(values: list[float]) -> list[int]:
+    """Stable ascending order with NaN last, as ``np.argsort(kind="stable")``."""
+    return sorted(range(len(values)), key=lambda i: (values[i] != values[i], values[i]))
 
 
 def nelder_mead(
@@ -57,30 +89,33 @@ def nelder_mead(
     ``tol``; otherwise stops at ``max_iter`` with ``converged=False``. The
     returned point is never worse than the start point.
     """
-    x0 = np.asarray(x0, dtype=float)
-    lo = np.array([b[0] for b in bounds], dtype=float)
-    hi = np.array([b[1] for b in bounds], dtype=float)
-    if len(lo) != len(x0):
+    start = np.asarray(x0, dtype=float).tolist()
+    lo = np.array([b[0] for b in bounds], dtype=float).tolist()
+    hi = np.array([b[1] for b in bounds], dtype=float).tolist()
+    if len(lo) != len(start):
         raise ConfigError("nelder_mead: bounds length must match x0")
-    if np.any(lo > hi):
+    if any(a > b for a, b in zip(lo, hi)):
         raise ConfigError("nelder_mead: empty box")
 
-    n = len(x0)
-    x0 = _fold_into_box(x0, lo, hi)
-    f0 = float(objective(x0))
-    if not np.isfinite(f0):
+    def evaluate(x: Point) -> float:
+        return float(objective(np.array(x)))
+
+    n = len(start)
+    start = _fold_into_box(start, lo, hi)
+    f0 = evaluate(start)
+    if not math.isfinite(f0):
         raise ConfigError("nelder_mead: objective not finite at start point")
 
-    simplex = [x0]
+    simplex = [start]
     for i in range(n):
-        step = 0.05 * abs(x0[i]) if x0[i] != 0 else 0.05
-        vertex = x0.copy()
+        step = 0.05 * abs(start[i]) if start[i] != 0 else 0.05
+        vertex = start.copy()
         vertex[i] += step
         simplex.append(_fold_into_box(vertex, lo, hi))
-    values = [f0] + [float(objective(v)) for v in simplex[1:]]
+    values = [f0] + [evaluate(v) for v in simplex[1:]]
 
     def sort_simplex() -> None:
-        order = np.argsort(values, kind="stable")
+        order = _ordered(values)
         simplex[:] = [simplex[i] for i in order]
         values[:] = [values[i] for i in order]
 
@@ -88,7 +123,8 @@ def nelder_mead(
     iterations = 0
     converged = False
     while iterations < max_iter:
-        diameter = max(np.max(np.abs(v - simplex[0])) for v in simplex[1:]) if n else 0.0
+        best = simplex[0]
+        diameter = max(_sup_distance(v, best) for v in simplex[1:]) if n else 0.0
         spread = values[-1] - values[0]
         if diameter < tol:
             converged = True
@@ -96,42 +132,41 @@ def nelder_mead(
         if spread < tol:
             # tied vertex values on a wide simplex: either a flat objective
             # (converged) or a symmetric straddle of the minimum (keep going)
-            probe = float(objective(_fold_into_box(np.mean(simplex, axis=0), lo, hi)))
+            probe = evaluate(_fold_into_box(_mean(simplex), lo, hi))
             if abs(probe - values[0]) < tol:
                 converged = True
                 break
         iterations += 1
 
-        centroid = np.mean(simplex[:-1], axis=0)
+        centroid = _mean(simplex[:-1])
         worst = simplex[-1]
 
-        reflected = _fold_into_box(centroid + _REFLECT * (centroid - worst), lo, hi)
-        f_reflected = float(objective(reflected))
+        reflected = _fold_into_box([c + _REFLECT * (c - w) for c, w in zip(centroid, worst)], lo, hi)
+        f_reflected = evaluate(reflected)
         if values[0] <= f_reflected < values[-2]:
             simplex[-1], values[-1] = reflected, f_reflected
         elif f_reflected < values[0]:
-            expanded = _fold_into_box(centroid + _EXPAND * (centroid - worst), lo, hi)
-            f_expanded = float(objective(expanded))
+            expanded = _fold_into_box([c + _EXPAND * (c - w) for c, w in zip(centroid, worst)], lo, hi)
+            f_expanded = evaluate(expanded)
             if f_expanded < f_reflected:
                 simplex[-1], values[-1] = expanded, f_expanded
             else:
                 simplex[-1], values[-1] = reflected, f_reflected
         else:
-            contracted = _fold_into_box(centroid + _CONTRACT * (worst - centroid), lo, hi)
-            f_contracted = float(objective(contracted))
+            contracted = _fold_into_box([c + _CONTRACT * (w - c) for c, w in zip(centroid, worst)], lo, hi)
+            f_contracted = evaluate(contracted)
             if f_contracted < values[-1]:
                 simplex[-1], values[-1] = contracted, f_contracted
             else:
-                best = simplex[0]
                 for i in range(1, n + 1):
-                    simplex[i] = _fold_into_box(best + _SHRINK * (simplex[i] - best), lo, hi)
-                    values[i] = float(objective(simplex[i]))
+                    simplex[i] = _fold_into_box([b + _SHRINK * (v - b) for b, v in zip(best, simplex[i])], lo, hi)
+                    values[i] = evaluate(simplex[i])
         sort_simplex()
 
-    sort_simplex()
     return OptimizerResult(
-        argmin=simplex[0].copy(),
+        argmin=np.array(simplex[0]),
         objective_value=values[0],
         iterations=iterations,
         converged=converged,
     )
+

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqforecast.errors import ConfigError, DataError
 from pqforecast.models import (
@@ -14,7 +16,16 @@ from pqforecast.models import (
 )
 from pqforecast.models.baselines import predict_drift, predict_naive, predict_snaive
 from pqforecast.models.fourier_trend import predict_fourier_trend
-from pqforecast.models.smoothing import predict_es, predict_holt, predict_hw
+from pqforecast.models.smoothing import (
+    PARAM_HI,
+    PARAM_LO,
+    _holt_run,
+    _hw_run,
+    _ses_run,
+    predict_es,
+    predict_holt,
+    predict_hw,
+)
 
 from conftest import periodic_train
 
@@ -106,6 +117,96 @@ class TestSmoothing:
     def test_es_flat_forecast(self):
         out = predict_es(periodic_train(105), 52)
         assert np.ptp(out) == 0.0
+
+
+# -- oracle: the smoothing recursions on numpy scalars, before they ran on floats
+
+def _reference_ses_run(y, alpha, level0):
+    level = level0
+    sse = 0.0
+    for value in y:
+        err = value - level
+        sse += err * err
+        level += alpha * err
+    return sse, level
+
+
+def _reference_holt_run(y, alpha, beta, level0, trend0):
+    level, trend = level0, trend0
+    sse = 0.0
+    for value in y:
+        prior = level + trend
+        err = value - prior
+        sse += err * err
+        new_level = prior + alpha * err
+        trend = beta * (new_level - level) + (1.0 - beta) * trend
+        level = new_level
+    return sse, level, trend
+
+
+def _reference_hw_run(y, alpha, beta, gamma, level0, trend0, seasonal0):
+    period = len(seasonal0)
+    n = len(y)
+    seasonal = np.empty(n + period, dtype=float)
+    seasonal[:period] = seasonal0
+    level, trend = level0, trend0
+    sse = 0.0
+    for t in range(n):
+        s = seasonal[t]
+        prior = level + trend
+        err = y[t] - (prior + s)
+        sse += err * err
+        new_level = alpha * (y[t] - s) + (1.0 - alpha) * prior
+        seasonal[t + period] = gamma * (y[t] - prior) + (1.0 - gamma) * s
+        trend = beta * (new_level - level) + (1.0 - beta) * trend
+        level = new_level
+    return sse, level, trend, seasonal
+
+
+def _bits(values) -> bytes:
+    return b"".join(np.asarray(v, dtype=float).tobytes() for v in values)
+
+
+class TestSmoothingRecursionsReference:
+    """The float recursions equal the numpy-scalar ones bit for bit, with the
+    parameters as the optimizer hands them over (numpy scalars)."""
+
+    params = st.floats(PARAM_LO, PARAM_HI).map(np.float64)
+
+    @staticmethod
+    def window(seed: int, n: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        t = np.arange(n)
+        z = np.sin(2 * np.pi * t / 52) + 0.01 * t + rng.normal(0.0, 0.5, n)
+        return (z - z.mean()) / z.std()
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=params, seed=st.integers(0, 2**32 - 1), n=st.integers(10, 160))
+    def test_ses(self, alpha, seed, n):
+        z = self.window(seed, n)
+        level0 = float(np.mean(z[:52]))
+        assert _bits(_ses_run(z.tolist(), alpha, level0)) == _bits(_reference_ses_run(z, alpha, level0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=params, beta=params, seed=st.integers(0, 2**32 - 1), n=st.integers(10, 160))
+    def test_holt(self, alpha, beta, seed, n):
+        z = self.window(seed, n)
+        level0, trend0 = float(np.mean(z[:10])), float((z[-1] - z[0]) / (n - 1))
+        assert (_bits(_holt_run(z.tolist(), alpha, beta, level0, trend0))
+                == _bits(_reference_holt_run(z, alpha, beta, level0, trend0)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=params, beta=params, gamma=params, seed=st.integers(0, 2**32 - 1),
+           n=st.integers(104, 160))
+    def test_hw(self, alpha, beta, gamma, seed, n):
+        z = self.window(seed, n)
+        level0 = float(np.mean(z[:52]))
+        trend0 = float((np.mean(z[52:104]) - np.mean(z[:52])) / 52)
+        seasonal0 = z[:52] - np.mean(z[:52])
+        mine = _hw_run(z.tolist(), alpha, beta, gamma, level0, trend0, seasonal0.tolist())
+        reference = _reference_hw_run(z, alpha, beta, gamma, level0, trend0, seasonal0)
+        assert _bits(mine[:3]) == _bits(reference[:3])
+        assert mine[3].tobytes() == reference[3].tobytes()
 
 
 class TestFourierTrend:

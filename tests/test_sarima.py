@@ -12,6 +12,7 @@ from pqforecast.models.base import standardize
 from pqforecast.models.baselines import predict_snaive
 from pqforecast.models.sarima import (
     SarimaOrder,
+    _candidate_orders,
     _expand,
     _ma_invert,
     _min_root_modulus,
@@ -21,6 +22,7 @@ from pqforecast.models.sarima import (
     forecast_fit,
     predict_arima,
     predict_sarima,
+    seasonal_strength,
     select_order,
 )
 from pqforecast.numerics import stl_decompose
@@ -94,13 +96,91 @@ class TestMaInversion:
 
     @pytest.mark.parametrize("q,Q", [(1, 0), (2, 0), (0, 1), (1, 1), (2, 1)])
     def test_matches_lfilter_bit_for_bit(self, q, Q):
-        rng = np.random.default_rng(100 + 10 * q + Q)
-        for _ in range(40):
-            theta = self._invertible(rng, q)
-            Theta = rng.uniform(-0.99, 0.99, size=Q)
-            ma_poly = _expand(theta, Theta, 52, +1.0)
-            x = rng.normal(size=int(rng.integers(50, 104))) * 10.0 ** rng.uniform(-3, 3)
+        # m = 1 is STL-ARIMA's; lengths up to 200 run the warm-up and
+        # several blocks of 52 steps
+        for m in (1, 52):
+            rng = np.random.default_rng(100 + 10 * q + Q + m)
+            for _ in range(40):
+                theta = self._invertible(rng, q)
+                Theta = rng.uniform(-0.99, 0.99, size=Q)
+                ma_poly = _expand(theta, Theta, m, +1.0)
+                x = rng.normal(size=int(rng.integers(1, 201))) * 10.0 ** rng.uniform(-3, 3)
+                assert np.array_equal(_ma_invert(ma_poly, x), lfilter([1.0], ma_poly, x))
+
+    @pytest.mark.parametrize("lags", [(), (1,), (2,), (3,), (1, 2, 3), (8,), (9, 3), (52, 2), (53, 52, 1)])
+    def test_other_tap_sets_match_lfilter(self, lags):
+        rng = np.random.default_rng(sum(lags) + len(lags))
+        for n in (0, 1, 2, 7, 8, 9, 60, 200):
+            ma_poly = np.zeros(max(lags, default=1) + 1)
+            ma_poly[0] = 1.0
+            ma_poly[list(lags)] = rng.uniform(-0.4, 0.4, size=len(lags))
+            x = rng.normal(size=n)
             assert np.array_equal(_ma_invert(ma_poly, x), lfilter([1.0], ma_poly, x))
+
+
+def _reference_expand(nonseasonal, seasonal, m, sign):
+    k = len(nonseasonal)
+    poly = np.zeros(k + m * len(seasonal) + 1)
+    poly[0] = 1.0
+    poly[1 : k + 1] = sign * nonseasonal
+    for j, coeff in enumerate(seasonal, start=1):
+        poly[j * m] += sign * coeff
+        if k:
+            poly[j * m + 1 : j * m + 1 + k] += coeff * nonseasonal
+    return poly
+
+
+def _reference_ma_invert(ma_poly, x):
+    taps = [(j, float(ma_poly[j])) for j in range(len(ma_poly) - 1, 0, -1) if ma_poly[j] != 0.0]
+    e = []
+    for t, value in enumerate(x.tolist()):
+        acc = 0.0
+        for j, coeff in taps:
+            if j <= t:
+                acc -= coeff * e[t - j]
+        e.append(acc + value)
+    return np.array(e)
+
+
+def _reference_css_residuals(w, order, params):
+    """css_residuals before the float-list fast path: numpy slices and
+    polynomials, and the plain per-tap MA loop."""
+    p, q, P, Q = order.p, order.q, order.P, order.Q
+    phi, theta = params[:p], params[p : p + q]
+    Phi, Theta = params[p + q : p + q + P], params[p + q + P : p + q + P + Q]
+    const = params[p + q + P + Q] if order.with_constant else 0.0
+    ar_poly = _reference_expand(phi, Phi, order.m, -1.0)
+    ma_poly = _reference_expand(theta, Theta, order.m, +1.0)
+    ncond = order.conditioning
+    rhs = np.convolve(w, ar_poly)[: len(w)] - const
+    resid = np.zeros(len(w))
+    if len(w) > ncond:
+        if len(ma_poly) == 1:
+            resid[ncond:] = rhs[ncond:]
+        else:
+            resid[ncond:] = _reference_ma_invert(ma_poly, rhs[ncond:])
+    return resid
+
+
+class TestCssResidualsReference:
+    """Every grid order at m = 52 and m = 1, with a constant (d = D = 0) and
+    without, against the pre-change arithmetic, bit for bit."""
+
+    @pytest.mark.parametrize("m,seasonal,d,D", [
+        (52, True, 0, 0), (52, True, 1, 0), (52, True, 0, 1), (52, True, 1, 1),
+        (1, False, 0, 0), (1, False, 1, 0),
+    ])
+    def test_every_grid_order(self, m, seasonal, d, D):
+        rng = np.random.default_rng(7 + 13 * m + 3 * d + D)
+        orders = _candidate_orders(GRID, m, seasonal, d, D)
+        assert len(orders) == (31 if seasonal else 9)
+        for order in orders:
+            assert order.with_constant == (d + D == 0)
+            for n in (max(order.conditioning, 1), order.conditioning + 1, 60, 105, 157):
+                w = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
+                params = rng.uniform(-2.0, 2.0, size=order.n_params)
+                mine = css_residuals(w, order, params)
+                assert mine.tobytes() == _reference_css_residuals(w, order, params).tobytes(), order.label()
 
 
 class TestDifferencingHeuristic:
@@ -122,6 +202,24 @@ class TestDifferencingHeuristic:
     def test_constant_series(self):
         y = np.full(105, 3.0)
         assert choose_differencing(y, GRID, 52, TrainingWindow(y).decomposition) == (0, 0)
+
+    @pytest.mark.parametrize("jitter", [0, 4])
+    def test_flat_windows_have_no_seasonal_strength(self, jitter):
+        # STL of a constant window leaves rounding residue whose variance
+        # ratio used to read as a seasonal strength of 0.2-0.6
+        rng = np.random.default_rng(jitter)
+        eps = np.finfo(float).eps
+        for level in (1e-3, 0.1, 0.5, 1.0, 3.0, 47.3, 1e3, 1e6):
+            for n in (104, 117, 130, 157):
+                y = np.full(n, level) + level * eps * rng.integers(-jitter, jitter + 1, n)
+                window = TrainingWindow(y)
+                assert seasonal_strength(window.decomposition()) == 0.0, (level, n)
+                assert choose_differencing(y, GRID, 52, window.decomposition)[1] == 0, (level, n)
+
+    def test_faint_seasonality_keeps_its_strength(self):
+        t = np.arange(130)
+        y = 100.0 + 1e-6 * np.sin(2 * np.pi * t / 52)
+        assert seasonal_strength(TrainingWindow(y).decomposition()) > 0.9
 
 
 class TestSharedDecomposition:
