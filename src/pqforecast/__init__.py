@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .ensembles import CombinationMethod, EnsembleId, combine, compute_weights, enumerate_ensembles
 from .errors import ConfigError, DataError, PQForecastError
 from .evaluation import Leaderboard, benchmark_ratio, evaluate_corpus, mae, smape
-from .models import Forecast, ModelId, PUBLIC_MODELS, TrainingWindow, fit_predict
+from .models import ForecastBlock, ModelId, PUBLIC_MODELS, TrainingWindow, fit_predict
 from .weekly import (
     PlanningLevel,
     RawSeries,
@@ -38,7 +38,7 @@ __all__ = [
     "evaluate_corpus",
     "mae",
     "smape",
-    "Forecast",
+    "ForecastBlock",
     "ModelId",
     "PUBLIC_MODELS",
     "TrainingWindow",

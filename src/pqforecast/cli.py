@@ -20,7 +20,7 @@ import numpy as np
 
 from . import io as pqio
 from . import report as pqreport
-from .ensembles import ALL_METHODS, CombinationMethod, combine, enumerate_ensembles, parse_producer
+from .ensembles import ALL_METHODS, CombinationMethod, combine, ensemble_producers, parse_producer
 from .errors import ConfigError, DataError
 from .evaluation import (
     BENCHMARK_PRODUCER,
@@ -29,7 +29,7 @@ from .evaluation import (
     composition_analysis,
     evaluate_corpus,
 )
-from .models import Forecast, ModelId, PUBLIC_MODELS, TrainingWindow, fit_predict, model_from_name
+from .models import ForecastBlock, ModelId, PUBLIC_MODELS, TrainingWindow, fit_predict, model_from_name
 from .synth import SyntheticSpec, generate_corpus, write_truth
 from .weekly import SeriesKey, WeeklySeries, aggregate_weekly, fill_gaps, normalize
 
@@ -183,23 +183,23 @@ def cmd_forecast(args: argparse.Namespace) -> int:
         raw_results = [_fit_series(p) for p in payloads]
     by_series = {sid: (fits, timings) for sid, fits, timings in raw_results}
 
-    forecasts = []
+    blocks = []
     manifest = []
     total_time: dict[str, float] = {m.value: 0.0 for m in models}
     for s in series:
         fits, timings = by_series[s.series_id]
-        for producer, values, notes in fits:
-            forecasts.append(Forecast(series_id=s.series_id, producer=producer,
-                                      values=values, horizon=cfg.horizon))
-            for note in notes:
+        producers, values, notes = zip(*fits)
+        blocks.append(ForecastBlock(s.series_id, list(producers), np.vstack(values)))
+        for producer, model_notes in zip(producers, notes):
+            for note in model_notes:
                 manifest.append(pqio.ManifestEntry("forecast", s.series_id, producer, note))
         for name, seconds in timings.items():
             total_time[name] += seconds
 
-    pqio.write_forecast_csv(out / "forecasts.csv", forecasts)
+    pqio.write_forecast_csv(out / "forecasts.csv", blocks)
     pqio.write_manifest(out / "manifest.jsonl", manifest)
     print(f"forecast: {len(series)} series x {len(models)} models "
-          f"({len(forecasts) * cfg.horizon} rows)")
+          f"({len(series) * len(models) * cfg.horizon} rows)")
     for name in total_time:
         print(f"  {name:<10} {total_time[name]:8.2f} s")
     if manifest:
@@ -218,10 +218,13 @@ def _parse_methods(text: str) -> list[CombinationMethod]:
         if not name:
             continue
         try:
-            methods.append(CombinationMethod(name))
+            method = CombinationMethod(name)
         except ValueError as exc:
             valid = ", ".join(m.value for m in ALL_METHODS)
             raise ConfigError(f"unknown combination method {name!r}; valid: {valid}") from exc
+        if method in methods:
+            raise ConfigError(f"combination method {name!r} given twice")
+        methods.append(method)
     if not methods:
         raise ConfigError("no combination methods selected")
     return methods
@@ -230,42 +233,25 @@ def _parse_methods(text: str) -> list[CombinationMethod]:
 def cmd_ensemble(args: argparse.Namespace) -> int:
     out = _ensure_out(args)
     methods = _parse_methods(args.methods)
-    forecasts = pqio.read_forecast_csv(Path(args.forecasts))
+    blocks = pqio.read_forecast_csv(Path(args.forecasts))
 
-    phi_by_model: dict[str, tuple[float, float]] = {}
+    member_names = [m.value for m in PUBLIC_MODELS]
+    phi = None
     if any(m.needs_phi for m in methods):
         if not args.leaderboard:
             raise ConfigError("weighted methods need --leaderboard with individual model scores")
         board = pqio.read_leaderboard_csv(Path(args.leaderboard))
-        for row in board.rows:
-            phi_by_model[row.producer] = (row.mean_smape, row.mean_rank)
+        phi = {CombinationMethod.SMAPE_WEIGHTED: [board.row(name).mean_smape for name in member_names],
+               CombinationMethod.RANK_WEIGHTED: [board.row(name).mean_rank for name in member_names]}
 
-    by_series: dict[str, dict[str, Forecast]] = {}
-    for fc in forecasts:
-        by_series.setdefault(fc.series_id, {})[fc.producer] = fc
-
-    member_names = [m.value for m in PUBLIC_MODELS]
-    combined: list[Forecast] = []
-    for series_id, members in by_series.items():
-        missing = [name for name in member_names if name not in members]
-        if missing:
-            raise DataError(f"{series_id}: missing member forecasts: {', '.join(missing)}")
-        for ens in enumerate_ensembles():
-            member_fcs = [members[m.value] for m in ens.members]
-            for method in methods:
-                phi = None
-                if method.needs_phi:
-                    try:
-                        idx = 0 if method is CombinationMethod.SMAPE_WEIGHTED else 1
-                        phi = [phi_by_model[m.value][idx] for m in ens.members]
-                    except KeyError as exc:
-                        raise ConfigError(f"leaderboard lacks scores for model {exc}") from exc
-                combined.append(combine(member_fcs, method, phi=phi,
-                                        producer=ens.producer(method)))
-
+    producers = ensemble_producers(methods)
+    combined = [
+        ForecastBlock(series_id=block.series_id, producers=producers,
+                      values=combine(block.rows(member_names), methods, phi))
+        for block in blocks
+    ]
     pqio.write_forecast_csv(out / "ensemble_forecasts.csv", combined)
-    n_series = len(by_series)
-    print(f"ensemble: {n_series} series x {len(combined) // max(n_series, 1)} producers")
+    print(f"ensemble: {len(combined)} series x {len(producers)} producers")
     return EXIT_OK
 
 
@@ -277,15 +263,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ConfigError(f"--top-n must be at least 1, got {args.top_n}")
     out = _ensure_out(args)
 
-    forecasts: list[Forecast] = []
+    blocks = []
     for path in args.forecasts:
-        forecasts.extend(pqio.read_forecast_csv(Path(path)))
+        for block in pqio.read_forecast_csv(Path(path)):
+            if block.values.shape[1] != cfg.horizon:
+                raise DataError(f"{path}: {block.series_id}: {block.values.shape[1]} steps, "
+                                f"horizon is {cfg.horizon}")
+            blocks.append(block)
 
     weekly = pqio.read_weekly_csv(Path(args.weekly))
     weekly_by_id = {s.series_id: s for s in weekly}
     needed = cfg.train_len + cfg.horizon
-    actuals = {}
-    for sid in sorted({fc.series_id for fc in forecasts}):
+    actuals = {}  # in sorted order, as evaluate_corpus orders its series
+    for sid in sorted({block.series_id for block in blocks}):
         s = weekly_by_id.get(sid)
         if s is None:
             raise DataError(f"forecasts reference series {sid} absent from {args.weekly}")
@@ -293,11 +283,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise DataError(f"{sid}: {len(s)} weeks < required {needed}")
         actuals[sid] = s.values[cfg.train_len : needed]
 
-    individual = [fc for fc in forecasts if parse_producer(fc.producer) is None]
-    ensembles = [fc for fc in forecasts if parse_producer(fc.producer) is not None]
+    individual, has_ensembles = [], False
+    for block in blocks:
+        names = [p for p in block.producers if parse_producer(p) is None]
+        has_ensembles |= len(names) < len(block.producers)
+        if names:
+            individual.append(ForecastBlock(block.series_id, names, block.rows(names)))
     if not individual:
         raise DataError("no individual model forecasts to evaluate")
-    if not any(fc.producer == BENCHMARK_PRODUCER for fc in individual):
+    if not any(BENCHMARK_PRODUCER in block.producers for block in individual):
         raise ConfigError(f"benchmark producer {BENCHMARK_PRODUCER} missing from forecasts")
 
     manifest = []
@@ -309,8 +303,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(f"  best individual: {best.producer} "
           f"(mean sMAPE {best.mean_smape:.2f} %, BR {best.benchmark_ratio:.3f})")
 
-    if ensembles:
-        records_all, board_union = evaluate_corpus(individual + ensembles, actuals)
+    if has_ensembles:
+        smapes, board_union = evaluate_corpus(blocks, actuals)
         ensemble_rows = [r for r in board_union.rows if parse_producer(r.producer) is not None]
         board_ensembles = Leaderboard(rows=ensemble_rows, n_series=board_union.n_series)
         pqio.write_leaderboard_csv(out / "leaderboard_ensembles.csv", board_ensembles)
@@ -324,10 +318,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         pqio.write_size_aggregates_csv(out / "size_aggregates.csv", composition.size_aggregates)
 
         best_ensemble = ensemble_rows[0]
-        comparison = compare_best(
-            [r for r in records_all if r.producer == best.producer],
-            [r for r in records_all if r.producer == best_ensemble.producer],
-        )
+        comparison = compare_best(list(actuals), best.producer, smapes[best.producer],
+                                  best_ensemble.producer, smapes[best_ensemble.producer])
         pqio.write_comparison_csv(out / "comparison.csv", comparison)
         pqio.write_ecdf_csv(out / "ecdf.csv", comparison)
         print(f"  best ensemble: {best_ensemble.producer} "

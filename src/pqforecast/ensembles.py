@@ -7,6 +7,9 @@ assigned in lexicographic order of member indices. Four combination rules
 turn member forecasts into an ensemble forecast: pointwise mean, pointwise
 median, and two convex weightings where a member's weight is the
 normalized reciprocal of its corpus-level mean sMAPE or mean rank.
+``combine`` turns one series' eight member rows into every ensemble's row
+with one reduction per ensemble size and method, the same arithmetic per
+row as combining that ensemble's members alone.
 """
 
 from __future__ import annotations
@@ -16,12 +19,12 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .models import Forecast, ModelId, PUBLIC_MODELS
+from .models import ModelId, PUBLIC_MODELS
 
 SIZE_LETTERS = "BCDEFGH"  # sizes 2..8
 
@@ -101,46 +104,60 @@ def parse_producer(producer: str) -> Optional[tuple[EnsembleId, CombinationMetho
     return ensemble_by_name(name), method
 
 
-def compute_weights(phi: Sequence[float]) -> np.ndarray:
-    """Normalized reciprocal weights: lower metric values earn larger weights."""
+def compute_weights(phi) -> np.ndarray:
+    """Normalized reciprocal weights: lower metric values earn larger weights.
+    Each row of a 2-D ``phi`` is one ensemble's members."""
     phi = np.asarray(phi, dtype=float)
-    if len(phi) == 0:
+    if phi.shape[-1] == 0:
         raise DataError("compute_weights: empty metric vector")
     if np.any(phi <= 0) or not np.all(np.isfinite(phi)):
         raise DataError("compute_weights: metric values must be positive and finite")
     inv = 1.0 / phi
-    return inv / inv.sum()
+    return inv / inv.sum(axis=-1, keepdims=True)
+
+
+#: Member indices (ensembles x k) of each ensemble size k, in canonical order.
+_MEMBER_INDICES = tuple(np.array(list(itertools.combinations(range(len(PUBLIC_MODELS)), size)))
+                        for size in range(2, len(PUBLIC_MODELS) + 1))
+
+
+def ensemble_producers(methods: Sequence[CombinationMethod]) -> list[str]:
+    """Producer labels of ``combine``'s rows, in the same order."""
+    return [ens.producer(method) for ens in enumerate_ensembles() for method in methods]
 
 
 def combine(
-    forecasts: Sequence[Forecast],
-    method: CombinationMethod,
-    phi: Optional[Sequence[float]] = None,
-    producer: Optional[str] = None,
-) -> Forecast:
-    """Combine member forecasts pointwise into one ensemble forecast."""
-    if len(forecasts) < 2:
-        raise DataError("combine: need at least 2 member forecasts")
-    series_ids = {f.series_id for f in forecasts}
-    horizons = {f.horizon for f in forecasts}
-    if len(series_ids) != 1 or len(horizons) != 1:
-        raise DataError(f"combine: mismatched series/horizon across members: {sorted(series_ids)}")
-    if method.needs_phi and phi is None:
-        raise DataError(f"combine: method {method.value} requires phi values")
+    members: np.ndarray,
+    methods: Sequence[CombinationMethod],
+    phi: Optional[Mapping[CombinationMethod, Sequence[float]]] = None,
+) -> np.ndarray:
+    """Every ensemble forecast of one series.
 
-    stacked = np.vstack([f.values for f in forecasts])
-    if method is CombinationMethod.MEAN:
-        values = stacked.mean(axis=0)
-    elif method is CombinationMethod.MEDIAN:
-        values = np.median(stacked, axis=0)
-    else:
-        if len(phi) != len(forecasts):
-            raise DataError(f"combine: {len(phi)} phi values for {len(forecasts)} members")
-        values = compute_weights(phi) @ stacked
+    ``members`` holds the eight public models' forecasts as rows in canonical
+    order; ``phi`` gives each weighted method one metric value per model.
+    Returns one row per (ensemble, method), ensembles in canonical order and
+    the methods in the given order within each, as ``ensemble_producers``
+    labels them. The rows are raw: a :class:`ForecastBlock` clamps them.
+    """
+    members = np.asarray(members, dtype=float)
+    n_models = len(PUBLIC_MODELS)
+    if members.ndim != 2 or len(members) != n_models:
+        raise DataError(f"combine: need {n_models} member rows, got shape {members.shape}")
+    for method in methods:
+        if method.needs_phi and len((phi or {}).get(method, ())) != n_models:
+            raise DataError(f"combine: method {method.value} requires {n_models} phi values")
 
-    return Forecast(
-        series_id=forecasts[0].series_id,
-        producer=producer or f"ensemble:{method.value}",
-        values=values,
-        horizon=forecasts[0].horizon,
-    )
+    out = []
+    for index in _MEMBER_INDICES:
+        stacked = members[index]  # (ensembles x k x horizon)
+        rows = np.empty((len(index), len(methods), members.shape[1]))
+        for j, method in enumerate(methods):
+            if method is CombinationMethod.MEAN:
+                rows[:, j] = stacked.mean(axis=1)
+            elif method is CombinationMethod.MEDIAN:
+                rows[:, j] = np.median(stacked, axis=1)
+            else:
+                weights = compute_weights(np.asarray(phi[method], dtype=float)[index])
+                rows[:, j] = (weights[:, None, :] @ stacked)[:, 0]
+        out.append(rows.reshape(-1, members.shape[1]))
+    return np.vstack(out)

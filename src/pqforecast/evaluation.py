@@ -1,9 +1,10 @@
 """Accuracy metrics, corpus-level evaluation and ensemble analyses.
 
-Evaluation of a corpus runs in three steps: per-(series, producer) MAE and
-sMAPE over the full horizon, sMAPE ranks of the producers within each
-series, then corpus means of accuracy and rank per producer. Benchmark
-ratios relate a producer's mean sMAPE to the seasonal-naive baseline.
+Evaluation runs one series' (producers x horizon) matrix at a time: MAE
+and sMAPE of every row over the full horizon, sMAPE ranks of the producers
+within the series, then running sums that become corpus means of accuracy
+and rank per producer. Benchmark ratios relate a producer's mean sMAPE to
+the seasonal-naive baseline.
 """
 
 from __future__ import annotations
@@ -15,50 +16,43 @@ import numpy as np
 
 from .ensembles import CombinationMethod, EnsembleId, parse_producer
 from .errors import ConfigError, DataError
-from .models import Forecast, ModelId
+from .models import ForecastBlock, ModelId
 
 BENCHMARK_PRODUCER = ModelId.SNAIVE.value
 
 
-def mae(actual: np.ndarray, forecast: np.ndarray) -> float:
-    """Mean absolute error."""
+def mae(actual: np.ndarray, forecast: np.ndarray):
+    """Mean absolute error; a 2-D ``forecast`` gives one per row."""
     actual = np.asarray(actual, dtype=float)
     forecast = np.asarray(forecast, dtype=float)
-    if actual.shape != forecast.shape:
+    if actual.shape[-1:] != forecast.shape[-1:]:
         raise DataError(f"mae: length mismatch {actual.shape} vs {forecast.shape}")
-    return float(np.mean(np.abs(actual - forecast)))
+    return np.mean(np.abs(actual - forecast), axis=-1)
 
 
-def smape(actual: np.ndarray, forecast: np.ndarray) -> float:
-    """Symmetric MAPE in [0, 200]; a term with actual = forecast = 0 counts as 0."""
+def smape(actual: np.ndarray, forecast: np.ndarray):
+    """Symmetric MAPE in [0, 200]; a term with actual = forecast = 0 counts as 0.
+    A 2-D ``forecast`` gives one per row."""
     actual = np.asarray(actual, dtype=float)
     forecast = np.asarray(forecast, dtype=float)
-    if actual.shape != forecast.shape:
+    if actual.shape[-1:] != forecast.shape[-1:]:
         raise DataError(f"smape: length mismatch {actual.shape} vs {forecast.shape}")
     denom = np.abs(actual) + np.abs(forecast)
-    terms = np.zeros(len(actual))
-    nonzero = denom > 0
-    terms[nonzero] = np.abs(actual[nonzero] - forecast[nonzero]) / denom[nonzero]
-    return float(200.0 / len(actual) * terms.sum())
+    terms = np.divide(np.abs(actual - forecast), denom, out=np.zeros_like(denom), where=denom > 0)
+    return 200.0 / actual.shape[-1] * terms.sum(axis=-1)
 
 
-def rank_within_series(smapes: Mapping[str, float]) -> dict[str, float]:
-    """Rank producers by sMAPE within one series; ties get averaged ranks."""
-    if len(smapes) < 2:
-        raise DataError("rank_within_series: need at least 2 producers")
-    producers = list(smapes)
-    values = np.array([smapes[p] for p in producers], dtype=float)
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``, lowest first; ties share their average rank."""
+    values = np.asarray(values, dtype=float)
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=float)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        # positions i..j (0-based) share the average of ranks i+1..j+1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return {p: float(r) for p, r in zip(producers, ranks)}
+    ordered = values[order]
+    # tie groups: positions i..j (0-based) of the sorted values share 0.5 * (i + j) + 1
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)] - 1
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
+    return ranks
 
 
 def benchmark_ratio(mean_smape: float, benchmark_mean_smape: float) -> float:
@@ -66,17 +60,6 @@ def benchmark_ratio(mean_smape: float, benchmark_mean_smape: float) -> float:
     if benchmark_mean_smape <= 0:
         raise DataError("benchmark_ratio: benchmark mean sMAPE must be positive")
     return mean_smape / benchmark_mean_smape
-
-
-@dataclass(frozen=True)
-class EvalRecord:
-    """Accuracy of one producer on one series."""
-
-    series_id: str
-    producer: str
-    mae: float
-    smape: float
-    rank: float
 
 
 @dataclass(frozen=True)
@@ -106,66 +89,47 @@ class Leaderboard:
 
 
 def evaluate_corpus(
-    forecasts: Iterable[Forecast],
+    blocks: Iterable[ForecastBlock],
     actuals: Mapping[str, np.ndarray],
     benchmark: str = BENCHMARK_PRODUCER,
-) -> tuple[list[EvalRecord], Leaderboard]:
-    """Per-series records and the corpus leaderboard for one producer cohort.
+) -> tuple[dict[str, np.ndarray], Leaderboard]:
+    """Per-series sMAPE of every producer (series in sorted order) and the
+    corpus leaderboard for one producer cohort.
 
-    Every producer must cover every series; ranks are computed within the
-    cohort passed in, so rank scales differ between an individual-only and
-    a combined individual + ensemble evaluation.
+    A series may come in several blocks (one per forecast file); every
+    producer must cover every series. Ranks are computed within the cohort
+    passed in, so rank scales differ between an individual-only and a
+    combined individual + ensemble evaluation.
     """
-    by_series: dict[str, dict[str, Forecast]] = {}
-    first_seen: dict[str, None] = {}  # producers in order of first appearance
-    for fc in forecasts:
-        series_fcs = by_series.setdefault(fc.series_id, {})
-        if fc.producer in series_fcs:
-            raise DataError(f"duplicate forecast for ({fc.series_id}, {fc.producer})")
-        series_fcs[fc.producer] = fc
-        first_seen[fc.producer] = None
-    producers = list(first_seen)
-
+    by_series: dict[str, list[ForecastBlock]] = {}
+    for block in blocks:
+        by_series.setdefault(block.series_id, []).append(block)
     if not by_series:
         raise DataError("evaluate_corpus: no forecasts")
     missing_series = sorted(set(by_series) - set(actuals))
     if missing_series:
         raise DataError(f"evaluate_corpus: no actuals for series {missing_series[:5]}")
 
+    cohort = list(dict.fromkeys(p for parts in by_series.values() for b in parts for p in b.producers))
     series_ids = sorted(by_series)
-    records: list[EvalRecord] = []
-    sums: dict[str, np.ndarray] = {p: np.zeros(3) for p in producers}
-    for series_id in series_ids:
-        series_fcs = by_series[series_id]
-        absent = [p for p in producers if p not in series_fcs]
-        if absent:
-            raise DataError(f"evaluate_corpus: series {series_id} missing producers {absent[:5]}")
+    sums = np.zeros((len(cohort), 3))  # mae, smape, rank per producer
+    smapes = np.empty((len(cohort), len(series_ids)))
+    for i, series_id in enumerate(series_ids):
+        parts = by_series[series_id]
+        values = ForecastBlock(series_id, [p for b in parts for p in b.producers],
+                               np.vstack([b.values for b in parts])).rows(cohort)
         actual = np.asarray(actuals[series_id], dtype=float)
-        maes = {p: mae(actual, series_fcs[p].values) for p in producers}
-        smapes = {p: smape(actual, series_fcs[p].values) for p in producers}
-        ranks = rank_within_series(smapes) if len(producers) > 1 else {producers[0]: 1.0}
-        for p in producers:
-            records.append(EvalRecord(series_id=series_id, producer=p,
-                                      mae=maes[p], smape=smapes[p], rank=ranks[p]))
-            sums[p] += (maes[p], smapes[p], ranks[p])
+        smapes[:, i] = smape(actual, values)
+        sums += np.column_stack((mae(actual, values), smapes[:, i], average_ranks(smapes[:, i])))
 
-    n = len(series_ids)
-    means = {p: sums[p] / n for p in producers}
-    if benchmark not in means:
+    means = sums / len(series_ids)
+    if benchmark not in cohort:
         raise ConfigError(f"benchmark producer {benchmark!r} not in cohort")
-    benchmark_smape = means[benchmark][1]
-    rows = [
-        LeaderboardRow(
-            producer=p,
-            mean_mae=float(means[p][0]),
-            mean_smape=float(means[p][1]),
-            mean_rank=float(means[p][2]),
-            benchmark_ratio=benchmark_ratio(float(means[p][1]), float(benchmark_smape)),
-        )
-        for p in producers
-    ]
+    benchmark_smape = float(means[cohort.index(benchmark), 1])
+    rows = [LeaderboardRow(p, float(m), float(s), float(r), benchmark_ratio(float(s), benchmark_smape))
+            for p, (m, s, r) in zip(cohort, means)]
     rows.sort(key=lambda r: (r.mean_smape, r.producer))
-    return records, Leaderboard(rows=rows, n_series=n)
+    return dict(zip(cohort, smapes)), Leaderboard(rows=rows, n_series=len(series_ids))
 
 
 @dataclass
@@ -269,31 +233,25 @@ class ComparisonReport:
 
 
 def compare_best(
-    individual_records: Sequence[EvalRecord],
-    ensemble_records: Sequence[EvalRecord],
+    series_ids: Sequence[str],
+    individual_producer: str,
+    individual_smape: np.ndarray,
+    ensemble_producer: str,
+    ensemble_smape: np.ndarray,
 ) -> ComparisonReport:
-    """Pair per-series sMAPE of one individual producer and one ensemble
+    """Pair the per-series sMAPE of one individual producer and one ensemble
     producer and summarize the ensemble's added value."""
-    ind_producers = {r.producer for r in individual_records}
-    ens_producers = {r.producer for r in ensemble_records}
-    if len(ind_producers) != 1 or len(ens_producers) != 1:
-        raise DataError("compare_best: records must each cover exactly one producer")
-
-    ind = {r.series_id: r.smape for r in individual_records}
-    ens = {r.series_id: r.smape for r in ensemble_records}
-    if set(ind) != set(ens):
-        raise DataError(f"compare_best: series sets differ "
-                        f"({sorted(set(ind) ^ set(ens))[:5]} ...)")
-
-    series_ids = sorted(ind)
-    ind_values = np.array([ind[s] for s in series_ids])
-    ens_values = np.array([ens[s] for s in series_ids])
+    ind_values = np.asarray(individual_smape, dtype=float)
+    ens_values = np.asarray(ensemble_smape, dtype=float)
+    if not len(ind_values) == len(ens_values) == len(series_ids):
+        raise DataError(f"compare_best: {len(ind_values)} and {len(ens_values)} sMAPE values "
+                        f"for {len(series_ids)} series")
     with np.errstate(divide="ignore", invalid="ignore"):
         improvement = np.where(ind_values > 0, (ind_values - ens_values) / ind_values, 0.0)
     return ComparisonReport(
-        individual_producer=next(iter(ind_producers)),
-        ensemble_producer=next(iter(ens_producers)),
-        series_ids=series_ids,
+        individual_producer=individual_producer,
+        ensemble_producer=ensemble_producer,
+        series_ids=list(series_ids),
         individual_smape=ind_values,
         ensemble_smape=ens_values,
         relative_improvement=improvement,

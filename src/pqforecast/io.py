@@ -4,10 +4,12 @@ Every CSV table goes through one reader, ``_read_csv``, and one writer,
 ``_write_csv``; each table has one header constant. The csv module writes
 floats (numpy's float64 included) with ``repr``, the shortest round-trip
 form, so outputs are byte-stable across runs, which the determinism
-guarantees rely on. Writes are atomic: every file this module writes, and
-the ground truth and figures written through ``write_text``, goes to a temp
-file in the target's directory that replaces the target only once
-complete, so an interrupted stage leaves no half-written file behind.
+guarantees rely on. The forecast table travels as one ``ForecastBlock``
+per series, a (producers x horizon) matrix, in both directions. Writes are
+atomic: every file this module writes, and the ground truth and figures
+written through ``write_text``, goes to a temp file in the target's
+directory that replaces the target only once complete, so an interrupted
+stage leaves no half-written file behind.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from .evaluation import (
     LeaderboardRow,
     SizeAggregate,
 )
-from .models import Forecast
+from .ensembles import parse_producer
+from .models import ForecastBlock
 from .weekly import (
     PlanningLevel,
     RawSeries,
@@ -176,33 +179,50 @@ def write_rejections_csv(path: Path, rejections: Iterable[Rejection]) -> None:
 
 # -- forecasts --------------------------------------------------------------
 
-def write_forecast_csv(path: Path, forecasts: Iterable[Forecast]) -> None:
+def write_forecast_csv(path: Path, blocks: Iterable[ForecastBlock]) -> None:
     _write_csv(path, FORECAST_HEADER, (
-        (fc.series_id, fc.producer, h, value)
-        for fc in forecasts for h, value in enumerate(fc.values.tolist(), start=1)
+        (block.series_id, producer, h, value) for block in blocks
+        for producer, row in zip(block.producers, block.values)
+        for h, value in enumerate(row.tolist(), start=1)
     ))
 
 
-def read_forecast_csv(path: Path) -> list[Forecast]:
-    by_key: dict[tuple[str, str], dict[int, float]] = {}
+def read_forecast_csv(path: Path) -> list[ForecastBlock]:
+    """One block per series, series and producers in file order. Every
+    producer of a series needs the same steps 1..H, each once, and a label
+    that looks like an ensemble's must name one."""
+    steps_by_series: dict[str, dict[str, dict[int, float]]] = {}
 
     def take(row: list[str]) -> None:
         sid, producer, h, value = row
         step, number = int(h), float(value)
-        steps = by_key.setdefault((sid, producer), {})
+        by_producer = steps_by_series.setdefault(sid, {})
+        steps = by_producer.get(producer)
+        if steps is None:
+            try:
+                parse_producer(producer)
+            except ConfigError as exc:
+                raise ValueError(str(exc)) from exc
+            steps = by_producer[producer] = {}
         if step in steps:
             raise ValueError(f"duplicate row for ({sid}, {producer}, h={step})")
         steps[step] = number
 
     _read_csv(path, FORECAST_HEADER, take)
-    out = []
-    for (sid, producer), steps in by_key.items():
-        horizon = len(steps)
-        if sorted(steps) != list(range(1, horizon + 1)):
-            raise DataError(f"{path}: ({sid}, {producer}): steps are not 1..{horizon}")
-        values = np.array([steps[h] for h in range(1, horizon + 1)])
-        out.append(Forecast(series_id=sid, producer=producer, values=values, horizon=horizon))
-    return out
+    blocks = []
+    for sid, by_producer in steps_by_series.items():
+        first = next(iter(by_producer))
+        horizon = len(by_producer[first])
+        rows = []
+        for producer, steps in by_producer.items():
+            if len(steps) != horizon:
+                raise DataError(f"{path}: {sid}: {producer} has {len(steps)} steps, "
+                                f"{first} has {horizon}")
+            if sorted(steps) != list(range(1, horizon + 1)):
+                raise DataError(f"{path}: ({sid}, {producer}): steps are not 1..{horizon}")
+            rows.append([steps[h] for h in range(1, horizon + 1)])
+        blocks.append(ForecastBlock(series_id=sid, producers=list(by_producer), values=np.array(rows)))
+    return blocks
 
 
 # -- leaderboards and analyses ------------------------------------------------

@@ -1,8 +1,8 @@
 """The forecasting models behind one fit/predict entry point.
 
 ``fit_predict`` produces raw (unclamped) point forecasts so equivariance
-properties hold exactly; wrap its values into a :class:`Forecast` to get
-the nonnegative forecast used downstream. Build one :class:`TrainingWindow`
+properties hold exactly; a series' rows enter a :class:`ForecastBlock`,
+which makes them the nonnegative forecasts used downstream. Build one :class:`TrainingWindow`
 per series and pass it to every model, so the models share its STL
 decomposition.
 """
@@ -14,7 +14,7 @@ from .base import (
     PUBLIC_MODELS,
     SARIMA_GRID,
     SEASONAL_PERIOD,
-    Forecast,
+    ForecastBlock,
     ModelFit,
     ModelId,
     SarimaGrid,
@@ -28,7 +28,7 @@ from .stl_models import TrainingWindow, predict_stl_composite
 
 __all__ = [
     "HORIZON_WEEKS",
-    "Forecast",
+    "ForecastBlock",
     "ModelFit",
     "ModelId",
     "PUBLIC_MODELS",

@@ -1,10 +1,12 @@
-"""Model identifiers, the protocol's fit constants, the forecast container
-and input standardization."""
+"""Model identifiers, the protocol's fit constants, the per-series forecast
+block and input standardization."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -78,26 +80,36 @@ class ModelFit:
 
 
 @dataclass
-class Forecast:
-    """A 52-step point forecast tied to a series and a producer label.
+class ForecastBlock:
+    """One series' point forecasts: row i of ``values`` is ``producers[i]``'s.
 
-    ``producer`` is a model name (``"SNaive"``) or an ensemble label with
-    combination method (``"D28:median"``). Values are clamped to be
-    nonnegative: utilization cannot drop below zero.
+    A producer is a model name (``"SNaive"``) or an ensemble label with
+    combination method (``"D28:median"``). Values must be finite and are
+    clamped to be nonnegative: utilization cannot drop below zero.
     """
 
     series_id: str
-    producer: str
-    values: np.ndarray
-    horizon: int = HORIZON_WEEKS
+    producers: list[str]
+    values: np.ndarray  # (producers x horizon)
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
-        if len(self.values) != self.horizon:
-            raise DataError(
-                f"{self.series_id}/{self.producer}: forecast has {len(self.values)} values, "
-                f"expected {self.horizon}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise DataError(f"{self.series_id}/{self.producer}: non-finite forecast value")
+        if len(set(self.producers)) < len(self.producers):
+            duplicates = [p for p, n in Counter(self.producers).items() if n > 1]
+            raise DataError(f"{self.series_id}: duplicate forecasts of {', '.join(duplicates[:5])}")
+        if self.values.ndim != 2 or len(self.values) != len(self.producers):
+            raise DataError(f"{self.series_id}: forecast values of shape {self.values.shape} "
+                            f"for {len(self.producers)} producers")
+        finite = np.isfinite(self.values).all(axis=1)
+        if not finite.all():
+            producer = self.producers[int(np.argmin(finite))]
+            raise DataError(f"{self.series_id}/{producer}: non-finite forecast value")
         self.values = np.maximum(self.values, 0.0)
+
+    def rows(self, producers: Sequence[str]) -> np.ndarray:
+        """The forecasts of ``producers``, one row each, in that order."""
+        position = {p: i for i, p in enumerate(self.producers)}
+        missing = [p for p in producers if p not in position]
+        if missing:
+            raise DataError(f"{self.series_id}: missing forecasts of {', '.join(missing[:5])}")
+        return self.values[[position[p] for p in producers]]

@@ -5,6 +5,8 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from pqforecast.ensembles import CombinationMethod, enumerate_ensembles
+from pqforecast.models import PUBLIC_MODELS
 from pqforecast.weekly import RawSeries, WeeklyAggregate, WeekId, add_weeks
 
 MONDAY = datetime(2022, 1, 3, tzinfo=timezone.utc)  # ISO (2022, 1)
@@ -49,6 +51,34 @@ def periodic_train(n: int = 105, period: int = 52, base: float = 30.0,
                    amplitude: float = 8.0) -> np.ndarray:
     t = np.arange(n)
     return base + amplitude * np.sin(2 * np.pi * t / period)
+
+
+def reference_combine(member_rows, method: CombinationMethod, phi=None) -> np.ndarray:
+    """One ensemble's forecast the way the per-ensemble ``combine`` made it
+    before the kernel, clamped like a ``ForecastBlock``: the oracle for the
+    kernel's rows."""
+    stacked = np.vstack(member_rows)
+    if method is CombinationMethod.MEAN:
+        values = stacked.mean(axis=0)
+    elif method is CombinationMethod.MEDIAN:
+        values = np.median(stacked, axis=0)
+    else:
+        inv = 1.0 / np.asarray(phi, dtype=float)
+        values = (inv / inv.sum()) @ stacked
+    return np.maximum(values, 0.0)
+
+
+def reference_ensembles(members: np.ndarray, methods, phi=None) -> np.ndarray:
+    """Every (ensemble, method) row of one series' (8 x H) member matrix, one
+    ``reference_combine`` call each, in ``combine``'s order."""
+    position = {m: i for i, m in enumerate(PUBLIC_MODELS)}
+    rows = []
+    for ens in enumerate_ensembles():
+        index = [position[m] for m in ens.members]
+        for method in methods:
+            weights = [phi[method][i] for i in index] if method.needs_phi else None
+            rows.append(reference_combine(members[index], method, weights))
+    return np.array(rows)
 
 
 @pytest.fixture

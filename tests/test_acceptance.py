@@ -22,11 +22,12 @@ from pqforecast.ensembles import (
     CombinationMethod,
     combine,
     compute_weights,
+    ensemble_producers,
     enumerate_ensembles,
     parse_producer,
 )
 from pqforecast.evaluation import benchmark_ratio, compare_best, evaluate_corpus, mae, smape
-from pqforecast.models import Forecast, ModelId, PUBLIC_MODELS, TrainingWindow, fit_predict
+from pqforecast.models import ForecastBlock, ModelId, PUBLIC_MODELS, TrainingWindow, fit_predict
 from pqforecast.models.sarima import SarimaOrder, fit_css
 from pqforecast.models.smoothing import predict_holt
 from pqforecast.synth import SyntheticSpec, generate_corpus
@@ -40,7 +41,7 @@ from pqforecast.weekly import (
     split_train_test,
 )
 
-from conftest import make_aggs, make_raw
+from conftest import make_aggs, make_raw, reference_ensembles
 
 CORPUS_SEED = 20260808
 CORPUS_SIZE = 200
@@ -107,22 +108,22 @@ def test_criterion_3_metric_and_combination_oracles():
         assert smape(actual, forecast) == pytest.approx(smape_oracle, rel=1e-12)
 
     hull_violations = 0
-    for _ in range(1000):
-        n_members = int(rng.integers(2, 9))
-        members = [Forecast("s", f"m{i}", rng.uniform(0.0, 100.0, 52))
-                   for i in range(n_members)]
-        phi = rng.uniform(0.05, 50.0, n_members)
-        weights = compute_weights(phi)
-        assert abs(weights.sum() - 1.0) <= 1e-12
-        stacked = np.vstack([m.values for m in members])
-        lo, hi = stacked.min(axis=0), stacked.max(axis=0)
-        for method in ALL_METHODS:
-            kw = {"phi": phi} if method.needs_phi else {}
-            values = combine(members, method, **kw).values
-            hull_violations += int(np.any(values < lo - 1e-12) or np.any(values > hi + 1e-12))
+    position = {m: i for i, m in enumerate(PUBLIC_MODELS)}
+    for _ in range(20):
+        members = rng.uniform(0.0, 100.0, (len(PUBLIC_MODELS), 52))
+        phi = {m: rng.uniform(0.05, 50.0, len(PUBLIC_MODELS)) for m in ALL_METHODS if m.needs_phi}
+        table = combine(members, ALL_METHODS, phi).reshape(247, len(ALL_METHODS), 52)
+        for ens, rows in zip(enumerate_ensembles(), table):
+            index = [position[m] for m in ens.members]
+            weights = compute_weights(phi[CombinationMethod.SMAPE_WEIGHTED][index])
+            assert abs(weights.sum() - 1.0) <= 1e-12
+            stacked = members[index]
+            lo, hi = stacked.min(axis=0), stacked.max(axis=0)
+            hull_violations += int(np.any(rows < lo - 1e-12) or np.any(rows > hi + 1e-12))
     assert hull_violations == 0
     report("criterion 3 oracles",
-           "1000 sMAPE/MAE instances within 1e-12, weights sum to 1, 0 hull violations")
+           "1000 sMAPE/MAE instances within 1e-12, weights sum to 1, "
+           "0 hull violations in 20 x 988 ensemble forecasts")
 
 
 # -- criterion 4: model sanity suite -------------------------------------------
@@ -180,43 +181,37 @@ def test_criterion_4_model_sanity():
 def corpus_run():
     started = time.perf_counter()
     corpus, _ = generate_corpus(SyntheticSpec(n_series=CORPUS_SIZE, rng_seed=CORPUS_SEED))
-    forecasts: list[Forecast] = []
+    model_names = [m.value for m in PUBLIC_MODELS]
+    members: dict[str, np.ndarray] = {}
     actuals: dict[str, np.ndarray] = {}
     for series in corpus:
         train, test = split_train_test(series)
         actuals[series.series_id] = test.values
         window = TrainingWindow(train.values)
-        for model in PUBLIC_MODELS:
-            fit = fit_predict(model, window, 52)
-            forecasts.append(Forecast(series_id=series.series_id, producer=model.value,
-                                      values=fit.values))
+        members[series.series_id] = np.vstack(
+            [fit_predict(model, window, 52).values for model in PUBLIC_MODELS])
+    individual = [ForecastBlock(sid, model_names, values) for sid, values in members.items()]
 
-    records_ind, board_ind = evaluate_corpus(forecasts, actuals)
-    phi_smape = {r.producer: r.mean_smape for r in board_ind.rows}
-    phi_rank = {r.producer: r.mean_rank for r in board_ind.rows}
+    _, board_ind = evaluate_corpus(individual, actuals)
+    phi = {
+        CombinationMethod.SMAPE_WEIGHTED: [board_ind.row(name).mean_smape for name in model_names],
+        CombinationMethod.RANK_WEIGHTED: [board_ind.row(name).mean_rank for name in model_names],
+    }
 
-    by_series: dict[str, dict[str, Forecast]] = {}
-    for fc in forecasts:
-        by_series.setdefault(fc.series_id, {})[fc.producer] = fc
-    ensemble_fcs: list[Forecast] = []
-    for sid in sorted(by_series):
-        members_by_name = by_series[sid]
-        for ens in enumerate_ensembles():
-            members = [members_by_name[m.value] for m in ens.members]
-            for method in ALL_METHODS:
-                phi = None
-                if method is CombinationMethod.SMAPE_WEIGHTED:
-                    phi = [phi_smape[m.value] for m in ens.members]
-                elif method is CombinationMethod.RANK_WEIGHTED:
-                    phi = [phi_rank[m.value] for m in ens.members]
-                ensemble_fcs.append(combine(members, method, phi=phi,
-                                            producer=ens.producer(method)))
+    # the per-ensemble loop stays here as an oracle independent of the kernel
+    ensembles = [ForecastBlock(block.series_id, ensemble_producers(ALL_METHODS),
+                               reference_ensembles(block.values, ALL_METHODS, phi))
+                 for block in individual]
 
-    records_all, board_union = evaluate_corpus(forecasts + ensemble_fcs, actuals)
+    smapes, board_union = evaluate_corpus(individual + ensembles, actuals)
     elapsed = time.perf_counter() - started
     return {
+        "individual": individual,
+        "ensembles": ensembles,
+        "phi": phi,
         "board_ind": board_ind,
-        "records_all": records_all,
+        "smapes": smapes,
+        "series_ids": sorted(actuals),
         "board_union": board_union,
         "elapsed": elapsed,
     }
@@ -226,7 +221,7 @@ def corpus_run():
 def test_criterion_5_qualitative_reproduction(corpus_run):
     board_ind = corpus_run["board_ind"]
     board_union = corpus_run["board_union"]
-    records_all = corpus_run["records_all"]
+    smapes = corpus_run["smapes"]
     elapsed = corpus_run["elapsed"]
 
     # (a) decomposition variants beat the seasonal-naive benchmark
@@ -253,10 +248,8 @@ def test_criterion_5_qualitative_reproduction(corpus_run):
     ensemble_rows = [r for r in board_union.rows if parse_producer(r.producer) is not None]
     best_individual = board_ind.rows[0].producer
     best_ensemble = ensemble_rows[0].producer
-    comparison = compare_best(
-        [r for r in records_all if r.producer == best_individual],
-        [r for r in records_all if r.producer == best_ensemble],
-    )
+    comparison = compare_best(corpus_run["series_ids"], best_individual, smapes[best_individual],
+                              best_ensemble, smapes[best_ensemble])
     assert comparison.win_fraction > 0.5
 
     assert elapsed < 1800.0
@@ -265,6 +258,16 @@ def test_criterion_5_qualitative_reproduction(corpus_run):
            f"size means {[round(size_means[k], 2) for k in range(2, 9)]}, "
            f"{best_ensemble} beats {best_individual} on "
            f"{100 * comparison.win_fraction:.0f} % of series, {elapsed:.0f}s")
+
+
+@pytest.mark.slow
+def test_kernel_matches_per_ensemble_loop_on_corpus(corpus_run):
+    # the kernel that the ensemble stage runs reproduces criterion 5's oracle
+    # ensembles byte for byte on every series of the corpus
+    for block, oracle in zip(corpus_run["individual"], corpus_run["ensembles"]):
+        kernel = ForecastBlock(block.series_id, ensemble_producers(ALL_METHODS),
+                               combine(block.values, ALL_METHODS, corpus_run["phi"]))
+        assert kernel.values.tobytes() == oracle.values.tobytes(), block.series_id
 
 
 # -- criterion 6: preprocessing conformance ------------------------------------

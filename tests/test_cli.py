@@ -12,11 +12,20 @@ import pqforecast.models.stl_models
 
 from pqforecast import io as pqio
 from pqforecast.cli import main
-from pqforecast.models import PUBLIC_MODELS
+from pqforecast.models import PUBLIC_MODELS, ForecastBlock
+
+MODEL_NAMES = [m.value for m in PUBLIC_MODELS]
 
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def write_forecasts(path, rng, series_ids, producers=MODEL_NAMES, low=5.0, high=50.0):
+    """A forecast table of random 52-step forecasts, one block per series."""
+    pqio.write_forecast_csv(path, [
+        ForecastBlock(sid, list(producers), rng.uniform(low, high, (len(producers), 52)))
+        for sid in series_ids])
 
 
 def write_weekly(path, n_series=2, length=157, seed=0):
@@ -102,10 +111,10 @@ class TestForecastCommand:
         out = tmp_path / "out"
         assert run("forecast", "--weekly", tmp_path / "weekly.csv", "--models", "SNaive",
                    "--out", out) == 0
-        fcs = pqio.read_forecast_csv(out / "forecasts.csv")
-        assert len(fcs) == 1
+        blocks = pqio.read_forecast_csv(out / "forecasts.csv")
+        assert len(blocks) == 1 and blocks[0].producers == ["SNaive"]
         train = corpus[0].values[:105]
-        assert np.array_equal(fcs[0].values, train[53:105])
+        assert np.array_equal(blocks[0].values[0], train[53:105])
 
     def test_row_count_two_series_two_models(self, tmp_path):
         write_weekly(tmp_path / "weekly.csv", n_series=2, seed=3)
@@ -158,13 +167,8 @@ class TestForecastCommand:
 class TestEnsembleCommand:
     @pytest.fixture
     def forecasts_csv(self, tmp_path, rng):
-        from pqforecast.models import Forecast
-        fcs = []
-        for sid in ("s1", "s2"):
-            for m in PUBLIC_MODELS:
-                fcs.append(Forecast(sid, m.value, rng.uniform(5, 50, 52)))
         path = tmp_path / "forecasts.csv"
-        pqio.write_forecast_csv(path, fcs)
+        write_forecasts(path, rng, ("s1", "s2"))
         return path
 
     @pytest.fixture
@@ -180,29 +184,43 @@ class TestEnsembleCommand:
         out = tmp_path / "out"
         assert run("ensemble", "--forecasts", forecasts_csv, "--methods", "mean",
                    "--out", out) == 0
-        fcs = pqio.read_forecast_csv(out / "ensemble_forecasts.csv")
-        producers = {f.producer for f in fcs}
-        assert len(producers) == 247
-        assert len(fcs) == 2 * 247
+        blocks = pqio.read_forecast_csv(out / "ensemble_forecasts.csv")
+        assert [b.series_id for b in blocks] == ["s1", "s2"]
+        assert all(len(set(b.producers)) == len(b.values) == 247 for b in blocks)
 
     def test_all_methods_give_988_producers(self, tmp_path, forecasts_csv, leaderboard_csv):
         out = tmp_path / "out"
         assert run("ensemble", "--forecasts", forecasts_csv, "--leaderboard", leaderboard_csv,
                    "--methods", "all", "--out", out) == 0
-        fcs = pqio.read_forecast_csv(out / "ensemble_forecasts.csv")
-        assert len({f.producer for f in fcs}) == 988
+        blocks = pqio.read_forecast_csv(out / "ensemble_forecasts.csv")
+        assert len({p for b in blocks for p in b.producers}) == 988
 
     def test_weighted_without_leaderboard_is_usage_error(self, tmp_path, forecasts_csv):
         assert run("ensemble", "--forecasts", forecasts_csv, "--methods", "smape",
                    "--out", tmp_path / "o") == 1
 
-    def test_missing_member_is_data_error(self, tmp_path, rng):
-        from pqforecast.models import Forecast
-        fcs = [Forecast("s1", m.value, rng.uniform(5, 50, 52)) for m in PUBLIC_MODELS[:-1]]
+    def test_missing_member_is_data_error(self, tmp_path, rng, capsys):
         path = tmp_path / "forecasts.csv"
-        pqio.write_forecast_csv(path, fcs)
+        write_forecasts(path, rng, ["s1"], MODEL_NAMES[:-1])
         assert run("ensemble", "--forecasts", path, "--methods", "mean",
                    "--out", tmp_path / "o") == 2
+        assert "s1: missing forecasts of STL-ARIMA" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("methods", ["mean,mean", "median,mean,MEDIAN"])
+    def test_repeated_method_is_usage_error(self, tmp_path, forecasts_csv, capsys, methods):
+        assert run("ensemble", "--forecasts", forecasts_csv, "--methods", methods,
+                   "--out", tmp_path / "o") == 1
+        assert "given twice" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "ensemble_forecasts.csv").exists()
+
+    def test_leaderboard_without_a_model_is_usage_error(self, tmp_path, forecasts_csv, capsys):
+        from pqforecast.evaluation import Leaderboard, LeaderboardRow
+        board = tmp_path / "board.csv"
+        rows = [LeaderboardRow(name, 4.0, 20.0, 4.0, 1.0) for name in MODEL_NAMES[1:]]
+        pqio.write_leaderboard_csv(board, Leaderboard(rows=rows, n_series=2))
+        assert run("ensemble", "--forecasts", forecasts_csv, "--leaderboard", board,
+                   "--methods", "rank", "--out", tmp_path / "o") == 1
+        assert "producer 'SNaive' not on the leaderboard" in capsys.readouterr().err
 
 
 class TestEvaluateCommand:
@@ -219,11 +237,9 @@ class TestEvaluateCommand:
 
     @pytest.mark.parametrize("top_n", [0, -5])
     def test_top_n_below_one_is_usage_error(self, tmp_path, rng, capsys, top_n):
-        from pqforecast.models import Forecast
         corpus = write_weekly(tmp_path / "weekly.csv", n_series=2, seed=9)
         path = tmp_path / "forecasts.csv"
-        pqio.write_forecast_csv(path, [Forecast(s.series_id, m.value, rng.uniform(5, 50, 52))
-                                       for s in corpus for m in PUBLIC_MODELS])
+        write_forecasts(path, rng, [s.series_id for s in corpus])
         assert run("ensemble", "--forecasts", path, "--methods", "mean",
                    "--out", tmp_path / "ens") == 0
         assert run("evaluate", "--forecasts", path, tmp_path / "ens" / "ensemble_forecasts.csv",
@@ -233,10 +249,9 @@ class TestEvaluateCommand:
         assert not (tmp_path / "ev").exists()
 
     def test_alignment_error_names_series(self, tmp_path, rng, capsys):
-        from pqforecast.models import Forecast
         write_weekly(tmp_path / "weekly.csv", n_series=1, seed=9)
         path = tmp_path / "forecasts.csv"
-        pqio.write_forecast_csv(path, [Forecast("ghost", "SNaive", rng.uniform(1, 9, 52))])
+        write_forecasts(path, rng, ["ghost"], ["SNaive"], 1.0, 9.0)
         assert run("evaluate", "--forecasts", path, "--weekly", tmp_path / "weekly.csv",
                    "--out", tmp_path / "o") == 2
         assert "ghost" in capsys.readouterr().err
@@ -281,14 +296,57 @@ class TestFullPipeline:
         run("evaluate", "--forecasts", base / "fc" / "forecasts.csv",
             base / "ens" / "ensemble_forecasts.csv",
             "--weekly", base / "corpus" / "weekly.csv", "--out", base / "ev")
-        produced = {f.producer for f in pqio.read_forecast_csv(base / "fc" / "forecasts.csv")}
-        produced |= {f.producer for f in
-                     pqio.read_forecast_csv(base / "ens" / "ensemble_forecasts.csv")}
+        produced = {p for b in pqio.read_forecast_csv(base / "fc" / "forecasts.csv")
+                    for p in b.producers}
+        produced |= {p for b in pqio.read_forecast_csv(base / "ens" / "ensemble_forecasts.csv")
+                     for p in b.producers}
         individual = pqio.read_leaderboard_csv(base / "ev" / "leaderboard_individual.csv")
         ensembles = pqio.read_leaderboard_csv(base / "ev" / "leaderboard_ensembles.csv")
         listed = individual.producers() + ensembles.producers()
         assert sorted(listed) == sorted(produced)
         assert len(listed) == len(set(listed))
+
+
+class TestMalformedForecastTable:
+    """A malformed forecast table is a data error (exit 2) that names the file."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path, rng):
+        corpus = write_weekly(tmp_path / "weekly.csv", n_series=2, seed=9)
+        path = tmp_path / "forecasts.csv"
+        write_forecasts(path, rng, [s.series_id for s in corpus])
+        return corpus, path
+
+    def _stages(self, tmp_path, path):
+        yield ["ensemble", "--forecasts", path, "--methods", "mean", "--out", tmp_path / "ens"]
+        yield ["evaluate", "--forecasts", path, "--weekly", tmp_path / "weekly.csv",
+               "--out", tmp_path / "ev"]
+
+    def test_producer_a_step_short(self, tmp_path, corpus, capsys):
+        series, path = corpus
+        lines = path.read_text().splitlines()
+        short = f"{series[1].series_id},HW,52,"
+        path.write_text("\n".join(line for line in lines if not line.startswith(short)) + "\n")
+        for argv in self._stages(tmp_path, path):
+            assert run(*argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert f"{path}: {series[1].series_id}: HW has 51 steps, SNaive has 52" in err
+
+    def test_table_horizon_differs_from_option(self, tmp_path, corpus, capsys):
+        series, path = corpus
+        assert run("evaluate", "--forecasts", path, "--weekly", tmp_path / "weekly.csv",
+                   "--train-len", 104, "--horizon", 53, "--out", tmp_path / "ev") == 2
+        assert f"{path}: {series[0].series_id}: 52 steps, horizon is 53" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", ["B99:mean", "B01:avg"])
+    def test_bad_ensemble_label_names_line(self, tmp_path, corpus, capsys, label):
+        series, path = corpus
+        lines = path.read_text().splitlines()
+        lines[5] = lines[5].replace(",SNaive,", f",{label},")
+        path.write_text("\n".join(lines) + "\n")
+        for argv in self._stages(tmp_path, path):
+            assert run(*argv) == 2, argv[0]
+            assert f"{path}:6: unknown" in capsys.readouterr().err
 
 
 class TestReportCommand:

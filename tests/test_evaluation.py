@@ -4,25 +4,82 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
-from pqforecast.ensembles import CombinationMethod, enumerate_ensembles
+from pqforecast.ensembles import CombinationMethod, ensemble_producers, enumerate_ensembles
 from pqforecast.errors import ConfigError, DataError
 from pqforecast.evaluation import (
-    EvalRecord,
     Leaderboard,
     LeaderboardRow,
+    average_ranks,
     benchmark_ratio,
     compare_best,
     composition_analysis,
     evaluate_corpus,
     mae,
-    rank_within_series,
     smape,
 )
-from pqforecast.models import Forecast
+from pqforecast.models import PUBLIC_MODELS, ForecastBlock
 
 
-def fc(series_id, producer, values) -> Forecast:
-    return Forecast(series_id=series_id, producer=producer, values=np.asarray(values, dtype=float))
+def fc(series_id, producer, values):
+    return series_id, producer, np.asarray(values, dtype=float)
+
+
+def blocks(forecasts) -> list[ForecastBlock]:
+    """One block per series from (series, producer, values) triples, in order."""
+    by_series: dict[str, tuple[list, list]] = {}
+    for series_id, producer, values in forecasts:
+        producers, rows = by_series.setdefault(series_id, ([], []))
+        producers.append(producer)
+        rows.append(values)
+    return [ForecastBlock(sid, producers, np.vstack(rows))
+            for sid, (producers, rows) in by_series.items()]
+
+
+def reference_rank_within_series(smapes):
+    """The dict-based ranking that ``average_ranks`` replaced (the oracle)."""
+    producers = list(smapes)
+    values = np.array([smapes[p] for p in producers], dtype=float)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=float)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return {p: float(r) for p, r in zip(producers, ranks)}
+
+
+def reference_mae(actual, forecast) -> float:
+    return float(np.mean(np.abs(actual - forecast)))
+
+
+def reference_smape(actual, forecast) -> float:
+    denom = np.abs(actual) + np.abs(forecast)
+    terms = np.zeros(len(actual))
+    nonzero = denom > 0
+    terms[nonzero] = np.abs(actual[nonzero] - forecast[nonzero]) / denom[nonzero]
+    return float(200.0 / len(actual) * terms.sum())
+
+
+def reference_leaderboard(forecasts, actuals) -> list[tuple]:
+    """(producer, mean MAE, mean sMAPE, mean rank) per producer, from the
+    per-(series, producer) scalar loop that ``evaluate_corpus`` replaced."""
+    by_series: dict[str, dict[str, np.ndarray]] = {}
+    for series_id, producer, values in forecasts:
+        by_series.setdefault(series_id, {})[producer] = np.maximum(values, 0.0)
+    producers = list(dict.fromkeys(p for _, p, _ in forecasts))
+    sums = {p: np.zeros(3) for p in producers}
+    for series_id in sorted(by_series):
+        actual = actuals[series_id]
+        maes = {p: reference_mae(actual, by_series[series_id][p]) for p in producers}
+        smapes = {p: reference_smape(actual, by_series[series_id][p]) for p in producers}
+        ranks = reference_rank_within_series(smapes)
+        for p in producers:
+            sums[p] += (maes[p], smapes[p], ranks[p])
+    n = len(by_series)
+    return sorted((p, *(float(v) for v in sums[p] / n)) for p in producers)
 
 
 class TestMae:
@@ -78,37 +135,65 @@ class TestSmape:
             assert 0.0 <= smape(a, f) <= 200.0
 
 
+class TestRowWiseMetrics:
+    """Row-wise ``mae``/``smape`` against the scalar per-row code they replaced."""
+
+    def test_rows_match_scalar_reference(self):
+        rng = np.random.default_rng(8080)
+        for _ in range(300):
+            actual = rng.uniform(0, 100, 52)
+            forecasts = rng.uniform(0, 100, (int(rng.integers(1, 30)), 52))
+            actual[rng.random(52) < 0.2] = 0.0
+            forecasts[rng.random(forecasts.shape) < 0.2] = 0.0  # zero-zero terms
+            forecasts[0] = actual  # a perfect row
+            maes, smapes = mae(actual, forecasts), smape(actual, forecasts)
+            for row, m, s in zip(forecasts, maes, smapes):
+                assert m == reference_mae(actual, row)
+                assert s == reference_smape(actual, row)
+
+    def test_all_zero_rows_give_zero_without_warnings(self):
+        # pytest turns RuntimeWarnings into errors, so an unguarded 0/0 fails here
+        assert smape(np.zeros(52), np.zeros((3, 52))).tolist() == [0.0, 0.0, 0.0]
+
+    def test_row_length_mismatch(self):
+        with pytest.raises(DataError, match="length mismatch"):
+            smape(np.ones(52), np.ones((2, 51)))
+
+
 class TestRanks:
     def test_simple_order(self):
-        ranks = rank_within_series({"a": 5.0, "b": 10.0, "c": 20.0})
-        assert ranks == {"a": 1.0, "b": 2.0, "c": 3.0}
+        assert average_ranks([5.0, 10.0, 20.0]).tolist() == [1.0, 2.0, 3.0]
 
     def test_tie_averaging(self):
-        ranks = rank_within_series({"a": 5.0, "b": 5.0, "c": 20.0})
-        assert ranks == {"a": 1.5, "b": 1.5, "c": 3.0}
+        assert average_ranks([5.0, 5.0, 20.0]).tolist() == [1.5, 1.5, 3.0]
 
     def test_full_tie(self):
-        ranks = rank_within_series({"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0})
-        assert set(ranks.values()) == {2.5}
+        assert set(average_ranks([1.0, 1.0, 1.0, 1.0]).tolist()) == {2.5}
 
     def test_matches_scipy_average_ranks(self, rng):
         for _ in range(100):
             n = int(rng.integers(2, 30))
             values = rng.choice([1.0, 2.0, 5.0, 9.0], size=n)  # force ties
-            smapes = {f"p{i}": float(v) for i, v in enumerate(values)}
-            got = rank_within_series(smapes)
-            want = rankdata(values, method="average")
-            assert [got[f"p{i}"] for i in range(n)] == pytest.approx(list(want))
+            assert average_ranks(values).tolist() == pytest.approx(
+                list(rankdata(values, method="average")))
 
     def test_rank_sum_invariant(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 40))
-            smapes = {f"p{i}": float(v) for i, v in enumerate(rng.uniform(0, 30, n))}
-            assert sum(rank_within_series(smapes).values()) == pytest.approx(n * (n + 1) / 2)
+            assert average_ranks(rng.uniform(0, 30, n)).sum() == pytest.approx(n * (n + 1) / 2)
 
-    def test_needs_two_producers(self):
-        with pytest.raises(DataError):
-            rank_within_series({"only": 3.0})
+    def test_single_value_ranks_first(self):
+        assert average_ranks([3.0]).tolist() == [1.0]
+
+    def test_matches_dict_reference(self):
+        rng = np.random.default_rng(77)
+        for _ in range(300):
+            n = int(rng.integers(2, 60))
+            values = np.where(rng.random(n) < 0.5, rng.choice([0.0, 1.5, 2.0, 7.25], size=n),
+                              rng.uniform(0, 30, n))  # ties among random values
+            want = reference_rank_within_series({f"p{i}": v for i, v in enumerate(values)})
+            got = average_ranks(values)
+            assert got.tolist() == [want[f"p{i}"] for i in range(n)]
 
 
 class TestBenchmarkRatio:
@@ -131,10 +216,10 @@ class TestEvaluateCorpus:
             fc("s1", "SNaive", np.full(52, 12.0)),
             fc("s1", "HW", np.full(52, 11.0)),
         ]
-        records, board = evaluate_corpus(forecasts, {"s1": actual})
-        by_producer = {r.producer: r for r in records}
-        assert by_producer["HW"].rank == 1.0
-        assert by_producer["SNaive"].rank == 2.0
+        smapes, board = evaluate_corpus(blocks(forecasts), {"s1": actual})
+        assert smapes["HW"] == pytest.approx([200.0 / 21.0], rel=1e-12)
+        assert board.row("HW").mean_rank == 1.0
+        assert board.row("SNaive").mean_rank == 2.0
         assert board.rows[0].producer == "HW"
         assert board.row("SNaive").benchmark_ratio == 1.0
 
@@ -146,7 +231,7 @@ class TestEvaluateCorpus:
             actuals[sid] = rng.uniform(10, 50, 52)
             for producer in ("SNaive", "HW", "Prophet"):
                 forecasts.append(fc(sid, producer, rng.uniform(10, 50, 52)))
-        _, board = evaluate_corpus(forecasts, actuals)
+        _, board = evaluate_corpus(blocks(forecasts), actuals)
         assert board.row("SNaive").benchmark_ratio == 1.0
 
     def test_hand_computed_two_series_corpus(self):
@@ -170,8 +255,9 @@ class TestEvaluateCorpus:
         s2 = {p: sm(20, level[(p, "s2")]) for p in ("SNaive", "HW", "Prophet", "SARIMA")}
         expected_rank = {"Prophet": 1.5, "HW": 3.0, "SNaive": 3.0, "SARIMA": 2.5}
 
-        records, board = evaluate_corpus(forecasts, actuals)
+        smapes, board = evaluate_corpus(blocks(forecasts), actuals)
         for producer in s1:
+            assert smapes[producer] == pytest.approx([s1[producer], s2[producer]], rel=1e-12)
             row = board.row(producer)
             assert row.mean_smape == pytest.approx((s1[producer] + s2[producer]) / 2, rel=1e-12)
             assert row.mean_rank == pytest.approx(expected_rank[producer])
@@ -190,7 +276,7 @@ class TestEvaluateCorpus:
         ]
         actuals = {"s1": np.ones(52), "s2": np.ones(52)}
         with pytest.raises(DataError, match="s2.*HW"):
-            evaluate_corpus(forecasts, actuals)
+            evaluate_corpus(blocks(forecasts), actuals)
 
     def test_permutation_invariance(self, rng):
         forecasts = []
@@ -200,17 +286,17 @@ class TestEvaluateCorpus:
             actuals[sid] = rng.uniform(5, 50, 52)
             for producer in ("SNaive", "HW", "Prophet"):
                 forecasts.append(fc(sid, producer, rng.uniform(5, 50, 52)))
-        _, base = evaluate_corpus(forecasts, actuals)
+        _, base = evaluate_corpus(blocks(forecasts), actuals)
         shuffled = list(forecasts)
-        rng.shuffle(shuffled)
-        _, again = evaluate_corpus(shuffled, actuals)
+        rng.shuffle(shuffled)  # series and producers in another order in every block
+        _, again = evaluate_corpus(blocks(shuffled), actuals)
         assert [(r.producer, r.mean_smape, r.mean_rank) for r in base.rows] == \
                [(r.producer, r.mean_smape, r.mean_rank) for r in again.rows]
 
     def test_benchmark_must_be_present(self):
         forecasts = [fc("s1", "HW", np.ones(52)), fc("s1", "Prophet", np.ones(52))]
         with pytest.raises(ConfigError):
-            evaluate_corpus(forecasts, {"s1": np.ones(52)})
+            evaluate_corpus(blocks(forecasts), {"s1": np.ones(52)})
 
     def test_eight_model_cohort_ranks_bounded(self, rng):
         producers = ["SNaive", "HW", "SARIMA", "Prophet",
@@ -222,7 +308,7 @@ class TestEvaluateCorpus:
             actuals[sid] = rng.uniform(5, 50, 52)
             for p in producers:
                 forecasts.append(fc(sid, p, rng.uniform(5, 50, 52)))
-        _, board = evaluate_corpus(forecasts, actuals)
+        _, board = evaluate_corpus(blocks(forecasts), actuals)
         for row in board.rows:
             assert 1.0 <= row.mean_rank <= 8.0
 
@@ -231,18 +317,44 @@ class TestEvaluateCorpus:
         # of its members' corpus mean MAEs
         from pqforecast.ensembles import CombinationMethod, combine
 
-        members = ["SNaive", "HW", "Prophet"]
-        forecasts = []
+        members = [m.value for m in PUBLIC_MODELS]
+        corpus = []
         actuals = {}
         for i in range(10):
             sid = f"s{i}"
             actuals[sid] = rng.uniform(5, 50, 52)
-            per_series = [fc(sid, p, rng.uniform(5, 50, 52)) for p in members]
-            forecasts.extend(per_series)
-            forecasts.append(combine(per_series, CombinationMethod.MEAN, producer="B01:mean"))
-        _, board = evaluate_corpus(forecasts, actuals)
+            values = rng.uniform(5, 50, (8, 52))
+            corpus.append(ForecastBlock(sid, members, values))
+            corpus.append(ForecastBlock(sid, ensemble_producers([CombinationMethod.MEAN]),
+                                        combine(values, [CombinationMethod.MEAN])))
+        _, board = evaluate_corpus(corpus, actuals)
         member_mean = np.mean([board.row(p).mean_mae for p in members])
-        assert board.row("B01:mean").mean_mae <= member_mean + 1e-9
+        assert board.row("H01:mean").mean_mae <= member_mean + 1e-9
+
+    def test_duplicate_producer_across_blocks(self):
+        corpus = [ForecastBlock("s1", ["SNaive", "HW"], np.ones((2, 52))),
+                  ForecastBlock("s1", ["HW"], np.ones((1, 52)))]
+        with pytest.raises(DataError, match="s1: duplicate forecasts of HW"):
+            evaluate_corpus(corpus, {"s1": np.ones(52)})
+
+    def test_matches_scalar_reference(self):
+        # leaderboard means equal the per-(series, producer) scalar loop's
+        # bit for bit, with zero terms, ties and producers in varying order
+        rng = np.random.default_rng(4242)
+        for _ in range(20):
+            producers = ["SNaive"] + [f"p{i}" for i in range(int(rng.integers(1, 12)))]
+            forecasts, actuals = [], {}
+            for i in range(int(rng.integers(1, 8))):
+                sid = f"s{i}"
+                actuals[sid] = np.where(rng.random(52) < 0.2, 0.0, rng.uniform(0, 50, 52))
+                for p in rng.permutation(producers):
+                    values = np.where(rng.random(52) < 0.2, 0.0, rng.uniform(-5, 50, 52))
+                    if p != "SNaive" and rng.random() < 0.2:
+                        values = actuals[sid].copy()  # sMAPE 0, tied with others
+                    forecasts.append(fc(sid, str(p), values))
+            _, board = evaluate_corpus(blocks(forecasts), actuals)
+            got = sorted((r.producer, r.mean_mae, r.mean_smape, r.mean_rank) for r in board.rows)
+            assert got == reference_leaderboard(forecasts, actuals)
 
 
 def _ensemble_leaderboard(rng, n_best_size=4):
@@ -302,45 +414,35 @@ class TestCompositionAnalysis:
 
 
 class TestCompareBest:
-    def _records(self, producer, smapes):
-        return [EvalRecord(f"s{i}", producer, mae=1.0, smape=s, rank=1.0)
-                for i, s in enumerate(smapes)]
+    def _compare(self, ind_smapes, ens_smapes, n_series=None):
+        series_ids = [f"s{i}" for i in range(len(ind_smapes) if n_series is None else n_series)]
+        return compare_best(series_ids, "STL-ARIMA", np.array(ind_smapes, dtype=float),
+                            "D28:median", np.array(ens_smapes, dtype=float))
 
     def test_ensemble_always_better(self):
-        ind = self._records("STL-ARIMA", [10.0, 12.0, 14.0])
-        ens = self._records("D28:median", [9.0, 11.0, 13.0])
-        report = compare_best(ind, ens)
+        report = self._compare([10.0, 12.0, 14.0], [9.0, 11.0, 13.0])
         assert report.win_fraction == 1.0
         assert np.all(report.relative_improvement > 0)
+        assert report.series_ids == ["s0", "s1", "s2"]
+        assert (report.individual_producer, report.ensemble_producer) == ("STL-ARIMA", "D28:median")
 
     def test_identical_records(self):
-        ind = self._records("STL-ARIMA", [10.0, 12.0])
-        ens = self._records("D28:median", [10.0, 12.0])
-        report = compare_best(ind, ens)
+        report = self._compare([10.0, 12.0], [10.0, 12.0])
         assert report.win_fraction == 0.0
         assert report.relative_improvement == pytest.approx([0.0, 0.0])
 
     def test_six_of_ten_wins(self):
-        ind_smapes = [10.0] * 10
-        ens_smapes = [9.0] * 6 + [11.0] * 4
-        report = compare_best(self._records("A", ind_smapes), self._records("B:mean", ens_smapes))
+        report = self._compare([10.0] * 10, [9.0] * 6 + [11.0] * 4)
         assert report.win_fraction == pytest.approx(0.6)
         assert report.median_improvement_when_winning == pytest.approx(0.1)
 
     def test_ecdf_is_monotone(self, rng):
-        ind = self._records("A", rng.uniform(5, 30, 20))
-        ens = self._records("B:mean", rng.uniform(5, 30, 20))
-        x, p = compare_best(ind, ens).ecdf()
+        x, p = self._compare(rng.uniform(5, 30, 20), rng.uniform(5, 30, 20)).ecdf()
         assert np.all(np.diff(x) >= 0)
         assert p[-1] == 1.0
 
     def test_mismatched_series_sets(self):
-        ind = self._records("A", [10.0, 12.0])
-        ens = self._records("B:mean", [10.0])
         with pytest.raises(DataError):
-            compare_best(ind, ens)
-
-    def test_multiple_producers_rejected(self):
-        mixed = self._records("A", [10.0]) + self._records("B", [10.0])
+            self._compare([10.0, 12.0], [10.0])
         with pytest.raises(DataError):
-            compare_best(mixed, self._records("C:mean", [1.0, 2.0]))
+            self._compare([10.0, 12.0], [10.0, 12.0], n_series=3)

@@ -15,7 +15,7 @@ from pqforecast.evaluation import (
     LeaderboardRow,
     SizeAggregate,
 )
-from pqforecast.models import Forecast
+from pqforecast.models import ForecastBlock
 from pqforecast.weekly import (
     PlanningLevel,
     Rejection,
@@ -109,18 +109,46 @@ class TestRawCsv:
 class TestForecastCsv:
     def test_roundtrip(self, tmp_path, rng):
         path = tmp_path / "fc.csv"
+        values = rng.uniform(0, 50, (2, 52))
+        values[1, :3] = [0.0, -0.0, 1e-300]
         original = [
-            Forecast("s1", "SNaive", rng.uniform(0, 50, 52)),
-            Forecast("s1", "D28:median", rng.uniform(0, 50, 52)),
-            Forecast("s2", "SNaive", rng.uniform(0, 50, 52)),
+            ForecastBlock("s2", ["SNaive", "D28:median"], values),
+            ForecastBlock("s1", ["SNaive"], rng.uniform(0, 50, (1, 52))),
         ]
         pqio.write_forecast_csv(path, original)
         back = pqio.read_forecast_csv(path)
-        assert {(f.series_id, f.producer) for f in back} == \
-               {(f.series_id, f.producer) for f in original}
-        by_key = {(f.series_id, f.producer): f for f in back}
-        for f in original:
-            assert np.array_equal(by_key[(f.series_id, f.producer)].values, f.values)
+        assert [(b.series_id, b.producers) for b in back] == \
+               [(b.series_id, b.producers) for b in original]
+        for b, o in zip(back, original):
+            assert b.values.tobytes() == o.values.tobytes()
+
+    def test_series_and_producers_in_file_order(self, tmp_path):
+        path = tmp_path / "fc.csv"
+        lines = ["series_id,producer,h,value", "s2,HW,1,1.0", "s1,SNaive,1,2.0",
+                 "s2,SNaive,1,3.0", "s1,HW,1,4.0"]
+        path.write_text("\n".join(lines) + "\n")
+        back = pqio.read_forecast_csv(path)
+        assert [(b.series_id, b.producers, b.values.tolist()) for b in back] == [
+            ("s2", ["HW", "SNaive"], [[1.0], [3.0]]), ("s1", ["SNaive", "HW"], [[2.0], [4.0]])]
+
+    def test_producer_a_step_short_names_series_and_producer(self, tmp_path):
+        path = tmp_path / "fc.csv"
+        lines = ["series_id,producer,h,value", "s,SNaive,1,1.0", "s,SNaive,2,1.0",
+                 "s,HW,1,2.0"]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"fc\.csv: s: HW has 1 steps, SNaive has 2"):
+            pqio.read_forecast_csv(path)
+
+    @pytest.mark.parametrize("label, message", [
+        ("B99:mean", "unknown ensemble name 'B99'"),
+        ("B01:avg", "unknown combination method in 'B01:avg'"),
+    ], ids=["B99:mean", "B01:avg"])
+    def test_bad_ensemble_label_names_line(self, tmp_path, label, message):
+        path = tmp_path / "fc.csv"
+        lines = ["series_id,producer,h,value", "s,SNaive,1,1.0", f"s,{label},1,1.0"]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"fc\.csv:3: {message}"):
+            pqio.read_forecast_csv(path)
 
     def test_incomplete_horizon_rejected(self, tmp_path):
         path = tmp_path / "fc.csv"
@@ -185,7 +213,7 @@ class TestAnalysisCsv:
 
 class TestAtomicWrites:
     @pytest.mark.parametrize("write, item", [
-        (pqio.write_forecast_csv, Forecast("s1", "SNaive", np.ones(52))),
+        (pqio.write_forecast_csv, ForecastBlock("s1", ["SNaive"], np.ones((1, 52)))),
         (pqio.write_manifest, pqio.ManifestEntry("forecast", "s1", "SARIMA", "fallback")),
     ], ids=["forecast", "manifest"])
     @pytest.mark.parametrize("earlier", [None, "earlier output\n"], ids=["new", "existing"])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pqforecast.errors import ConfigError, DataError
 from pqforecast.models import (
-    Forecast,
+    ForecastBlock,
     ModelId,
     PUBLIC_MODELS,
     TrainingWindow,
@@ -67,8 +67,8 @@ class TestBaselines:
         y = 60.0 - 0.55 * t + 2.0 * np.sin(2 * np.pi * t / 52)
         raw = fit_predict(ModelId.STL_DRIFT, TrainingWindow(y), 52).values
         assert raw.min() < 0.0
-        fc = Forecast("s:UNB:220", ModelId.STL_DRIFT.value, raw)
-        assert np.all(fc.values >= 0.0)
+        block = ForecastBlock("s:UNB:220", [ModelId.STL_DRIFT.value], raw[None])
+        assert np.all(block.values >= 0.0)
 
     def test_snaive_two_identical_years(self):
         cycle = periodic_train(52)
@@ -261,19 +261,28 @@ class TestStlComposites:
 
 class TestForecastContainer:
     def test_clamps_negative_values(self):
-        fc = Forecast("s", "Drift", np.linspace(-5, 5, 52))
-        assert fc.values.min() == 0.0
-        assert fc.values.max() == 5.0
+        block = ForecastBlock("s", ["Drift", "Naive"], [np.linspace(-5, 5, 52), np.ones(52)])
+        assert block.values.min() == 0.0
+        assert block.values.max() == 5.0
 
     def test_wrong_length_rejected(self):
+        # values must be a (producers x horizon) matrix
         with pytest.raises(DataError, match="51"):
-            Forecast("s", "Naive", np.ones(51))
+            ForecastBlock("s", ["Naive"], np.ones(51))
+        with pytest.raises(DataError, match="2 producers"):
+            ForecastBlock("s", ["Naive", "SNaive"], np.ones((1, 51)))
 
     def test_nonfinite_rejected(self):
-        values = np.ones(52)
-        values[3] = np.nan
-        with pytest.raises(DataError):
-            Forecast("s", "Naive", values)
+        values = np.ones((2, 52))
+        values[1, 3] = np.nan
+        with pytest.raises(DataError, match="s/SNaive: non-finite"):
+            ForecastBlock("s", ["Naive", "SNaive"], values)
+
+    def test_rows_in_requested_order(self):
+        block = ForecastBlock("s", ["Naive", "SNaive", "HW"], np.arange(6.0).reshape(3, 2))
+        assert block.rows(["HW", "Naive"]).tolist() == [[4.0, 5.0], [0.0, 1.0]]
+        with pytest.raises(DataError, match="s: missing forecasts of SARIMA"):
+            block.rows(["HW", "SARIMA"])
 
 
 class TestModelProperties:
@@ -285,10 +294,10 @@ class TestModelProperties:
     def test_every_forecast_has_52_nonnegative_values(self):
         y = np.abs(self._noisy_train())
         for model in PUBLIC_MODELS:
-            fc = Forecast("s:UNB:220", model.value, fit_predict(model, TrainingWindow(y)).values)
-            assert fc.horizon == 52
-            assert len(fc.values) == 52
-            assert np.all(fc.values >= 0.0)
+            values = fit_predict(model, TrainingWindow(y)).values
+            block = ForecastBlock("s:UNB:220", [model.value], values[None])
+            assert block.values.shape == (1, 52)
+            assert np.all(block.values >= 0.0)
 
     def test_determinism_bit_identical(self):
         y = self._noisy_train()
