@@ -104,7 +104,7 @@ def parse_producer(producer: str) -> Optional[tuple[EnsembleId, CombinationMetho
     return ensemble_by_name(name), method
 
 
-def compute_weights(phi) -> np.ndarray:
+def compute_weights(phi: Sequence[float] | np.ndarray) -> np.ndarray:
     """Normalized reciprocal weights: lower metric values earn larger weights.
     Each row of a 2-D ``phi`` is one ensemble's members."""
     phi = np.asarray(phi, dtype=float)
