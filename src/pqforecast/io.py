@@ -1,11 +1,14 @@
 """File formats: the nine CSV tables, planning levels and the run manifest.
 
-Every CSV table goes through one reader, ``_read_csv``, and one writer,
-``_write_csv``; each table has one header constant. The csv module writes
-floats (numpy's float64 included) with ``repr``, the shortest round-trip
-form, so outputs are byte-stable across runs, which the determinism
-guarantees rely on. The forecast table travels as one ``ForecastBlock``
-per series, a (producers x horizon) matrix, in both directions. Writes are
+Every CSV table goes through one reader, ``_read_csv``; each table has one
+header constant. Every table but the forecast table is written by one
+writer, ``_write_csv``. The csv module writes floats (numpy's float64
+included) with ``repr``, the shortest round-trip form, so outputs are
+byte-stable across runs, which the determinism guarantees rely on. The
+forecast table travels as one ``ForecastBlock`` per series, a (producers x
+horizon) matrix, in both directions; it is the largest table, so its writer
+formats each producer's lines itself, in the same dialect: labels quoted by
+the csv module, values with ``repr``, ``\r\n`` line ends. Writes are
 atomic: every file this module writes, and the ground truth and figures
 written through ``write_text``, goes to a temp file in the target's
 directory that replaces the target only once complete, so an interrupted
@@ -21,6 +24,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from io import StringIO
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -155,6 +159,8 @@ def read_weekly_csv(path: Path) -> list[WeeklySeries]:
 
     def take(row: list[str]) -> None:
         sid, year, week, value, filled = row
+        if filled not in ("0", "1"):
+            raise ValueError(f"filled must be 0 or 1, got {filled!r}")
         rows_by_series.setdefault(sid, []).append(((int(year), int(week)), float(value), filled == "1"))
 
     _read_csv(path, WEEKLY_HEADER, take)
@@ -179,12 +185,26 @@ def write_rejections_csv(path: Path, rejections: Iterable[Rejection]) -> None:
 
 # -- forecasts --------------------------------------------------------------
 
+def _csv_fields(*fields) -> str:
+    """``fields`` quoted and joined as the csv writer writes them, without
+    the line end."""
+    buf = StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()[:-2]
+
+
 def write_forecast_csv(path: Path, blocks: Iterable[ForecastBlock]) -> None:
-    _write_csv(path, FORECAST_HEADER, (
-        (block.series_id, producer, h, value) for block in blocks
-        for producer, row in zip(block.producers, block.values)
-        for h, value in enumerate(row.tolist(), start=1)
-    ))
+    """The bytes ``_write_csv`` would write, one ``write`` per producer: the
+    quoted ``series_id,producer`` prefix is formatted once per producer and
+    each value with ``repr``, as the csv writer formats a float."""
+    with _replacing(path) as fh:
+        csv.writer(fh).writerow(FORECAST_HEADER)
+        for block in blocks:
+            steps = [f",{h}," for h in range(1, block.values.shape[1] + 1)]
+            for producer, row in zip(block.producers, block.values):
+                prefix = _csv_fields(block.series_id, producer)
+                lines = [f"{prefix}{step}{value!r}\r\n" for step, value in zip(steps, row.tolist())]
+                fh.write("".join(lines))
 
 
 def read_forecast_csv(path: Path) -> list[ForecastBlock]:
@@ -221,7 +241,10 @@ def read_forecast_csv(path: Path) -> list[ForecastBlock]:
             if sorted(steps) != list(range(1, horizon + 1)):
                 raise DataError(f"{path}: ({sid}, {producer}): steps are not 1..{horizon}")
             rows.append([steps[h] for h in range(1, horizon + 1)])
-        blocks.append(ForecastBlock(series_id=sid, producers=list(by_producer), values=np.array(rows)))
+        try:
+            blocks.append(ForecastBlock(series_id=sid, producers=list(by_producer), values=np.array(rows)))
+        except DataError as exc:  # a non-finite value, found once per block
+            raise DataError(f"{path}: {exc}") from exc
     return blocks
 
 

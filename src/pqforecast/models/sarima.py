@@ -277,7 +277,8 @@ def fit_css(w: np.ndarray, order: SarimaOrder, eval_from: int | None = None,
         sse = objective(params)
     else:
         f0 = objective(np.asarray(x0))
-        result = nelder_mead(objective, x0, bounds, tol=1e-9 * max(f0, 1.0), max_iter=max_iter)
+        result = nelder_mead(objective, x0, bounds, tol=1e-9 * max(f0, 1.0), max_iter=max_iter,
+                             f_start=f0)
         params = result.argmin
         sse = result.objective_value
 

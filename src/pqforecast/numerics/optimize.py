@@ -82,12 +82,16 @@ def nelder_mead(
     bounds: Sequence[tuple[float, float]],
     tol: float = 1e-8,
     max_iter: int = 500,
+    *,
+    f_start: float | None = None,
 ) -> OptimizerResult:
     """Minimize ``objective`` inside the box ``bounds`` starting from ``x0``.
 
     Converged when the simplex diameter or the objective spread drops below
     ``tol``; otherwise stops at ``max_iter`` with ``converged=False``. The
-    returned point is never worse than the start point.
+    returned point is never worse than the start point. A caller that has
+    already evaluated ``objective`` at ``x0`` passes the value as
+    ``f_start``, which is used when ``x0`` lies inside the box.
     """
     start = np.asarray(x0, dtype=float).tolist()
     lo = np.array([b[0] for b in bounds], dtype=float).tolist()
@@ -101,8 +105,9 @@ def nelder_mead(
         return float(objective(np.array(x)))
 
     n = len(start)
-    start = _fold_into_box(start, lo, hi)
-    f0 = evaluate(start)
+    folded = _fold_into_box(start, lo, hi)
+    f0 = f_start if f_start is not None and folded == start else evaluate(folded)
+    start = folded
     if not math.isfinite(f0):
         raise ConfigError("nelder_mead: objective not finite at start point")
 

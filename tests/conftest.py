@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -79,6 +80,19 @@ def reference_ensembles(members: np.ndarray, methods, phi=None) -> np.ndarray:
             weights = [phi[method][i] for i in index] if method.needs_phi else None
             rows.append(reference_combine(members[index], method, weights))
     return np.array(rows)
+
+
+def reference_write_forecast_csv(path, blocks) -> None:
+    """The forecast table as the csv writer writes it, one generator tuple
+    per row: the oracle for ``io.write_forecast_csv``'s bytes."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["series_id", "producer", "h", "value"])
+        writer.writerows(
+            (block.series_id, producer, h, value) for block in blocks
+            for producer, row in zip(block.producers, block.values)
+            for h, value in enumerate(row.tolist(), start=1)
+        )
 
 
 @pytest.fixture

@@ -4,6 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from conftest import reference_write_forecast_csv
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqforecast import io as pqio
 from pqforecast import report as pqreport
@@ -65,6 +68,14 @@ class TestWeeklyCsv:
         path.write_text("series_id,iso_year,iso_week,utilization_percent,filled\n"
                         "s,2022,1,1.0,0\ns,2022,3,2.0,0\n")
         with pytest.raises(DataError, match="consecutive"):
+            pqio.read_weekly_csv(path)
+
+    @pytest.mark.parametrize("filled", ["yes", "true", "2", "", " 1", "1.0"])
+    def test_filled_is_zero_or_one(self, tmp_path, filled):
+        path = tmp_path / "weekly.csv"
+        path.write_text("series_id,iso_year,iso_week,utilization_percent,filled\n"
+                        f"s,2022,1,1.0,0\ns,2022,2,2.0,{filled}\n")
+        with pytest.raises(DataError, match=rf"weekly\.csv:3: filled must be 0 or 1, got '{filled}'"):
             pqio.read_weekly_csv(path)
 
     def test_float_roundtrip_is_exact(self, tmp_path, rng):
@@ -157,6 +168,14 @@ class TestForecastCsv:
         with pytest.raises(DataError, match="steps"):
             pqio.read_forecast_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_file(self, tmp_path, value):
+        path = tmp_path / "fc.csv"
+        lines = ["series_id,producer,h,value", "s,HW,1,1.0", f"s,SNaive,1,{value}"]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"fc\.csv: s/SNaive: non-finite forecast value"):
+            pqio.read_forecast_csv(path)
+
     def test_duplicate_row_names_line(self, tmp_path):
         path = tmp_path / "fc.csv"
         lines = ["series_id,producer,h,value", "s,SNaive,1,1.0", "s,SNaive,2,2.0",
@@ -164,6 +183,74 @@ class TestForecastCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match=r"fc\.csv:4: duplicate"):
             pqio.read_forecast_csv(path)
+
+
+# labels the csv writer must quote, or must pass through as they are
+AWKWARD_LABELS = ["a,b", 'say "hi"', "cr\rlf", "line\nbreak", " lead", "trail ", "Zürich:Ünb",
+                  "東京", "", '"', "plain"]
+EDGE_VALUES = [0.0, -0.0, 1e-300, 5e-324, 2.2250738585072014e-308, 1e-310, 1e16, 123456789.0,
+               0.1, 1e-5, 1e15, 9.999999999999999e15, 1.7976931348623157e308]
+labels = st.text(st.characters(blacklist_categories=["Cs"]), max_size=6)  # Cs: not encodable
+
+
+@st.composite
+def forecast_blocks(draw):
+    """Up to four blocks of 1..60 steps with any labels and finite values."""
+    values = st.one_of(st.floats(-1e300, 1e300, allow_nan=False), st.sampled_from(EDGE_VALUES))
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        producers = draw(st.lists(labels, min_size=1, max_size=4, unique=True))
+        horizon = draw(st.integers(1, 60))
+        rows = [[draw(values) for _ in range(horizon)] for _ in producers]
+        blocks.append(ForecastBlock(draw(labels), producers, rows))
+    return blocks
+
+
+class TestForecastWriterReference:
+    """``write_forecast_csv`` writes the bytes of the csv writer's row loop
+    (``conftest.reference_write_forecast_csv``)."""
+
+    @staticmethod
+    def assert_same_bytes(directory, blocks):
+        mine, reference = directory / "mine.csv", directory / "reference.csv"
+        pqio.write_forecast_csv(mine, blocks)
+        reference_write_forecast_csv(reference, blocks)
+        assert mine.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_seeded_blocks(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        horizon = int(rng.integers(1, 61))
+        blocks = []
+        for b in range(int(rng.integers(1, 5))):
+            producers = ["SNaive", "HW", "D28:median", *AWKWARD_LABELS[b:b + 3]]
+            values = rng.uniform(-5.0, 100.0, (len(producers), horizon))
+            values *= 10.0 ** rng.integers(-8, 9, (len(producers), 1))
+            values.flat[rng.integers(0, values.size, 3)] = rng.choice(EDGE_VALUES, 3)
+            blocks.append(ForecastBlock(AWKWARD_LABELS[-b], producers, values))
+        self.assert_same_bytes(tmp_path, blocks)
+
+    def test_edge_values_and_labels(self, tmp_path):
+        values = np.array([EDGE_VALUES, [-v for v in EDGE_VALUES]])  # negatives clamp to 0.0
+        self.assert_same_bytes(tmp_path, [ForecastBlock(label, ["SNaive", label + "x"], values)
+                                          for label in AWKWARD_LABELS])
+
+    @pytest.mark.parametrize("horizon", [1, 2, 9, 10, 52, 60])
+    def test_horizons(self, tmp_path, rng, horizon):
+        blocks = [ForecastBlock(f"s{i}", ["SNaive", "B01:mean"], rng.uniform(0, 50, (2, horizon)))
+                  for i in range(3)]
+        self.assert_same_bytes(tmp_path, blocks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(forecast_blocks())
+    def test_hypothesis_blocks(self, tmp_path_factory, blocks):
+        self.assert_same_bytes(tmp_path_factory.mktemp("fc"), blocks)
+
+    def test_no_blocks_writes_the_header_alone(self, tmp_path):
+        path = tmp_path / "fc.csv"
+        pqio.write_forecast_csv(path, [])
+        assert path.read_bytes() == b"series_id,producer,h,value\r\n"
+        self.assert_same_bytes(tmp_path, [])
 
 
 class TestLeaderboardCsv:

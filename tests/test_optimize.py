@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -245,6 +247,19 @@ def test_matches_reference_optimizer_beyond_five_dimensions(problem):
     objective, x0, bounds, tol, max_iter = problem
     mine = _run_recorded(nelder_mead, objective, x0, bounds, tol, max_iter)
     assert mine == _run_recorded(_reference_nelder_mead, objective, x0, bounds, tol, max_iter)
+
+
+@settings(max_examples=200, deadline=None)
+@given(problems())
+def test_start_value_from_caller_saves_one_evaluation(problem):
+    objective, x0, bounds, tol, max_iter = problem
+    *reference, seen = _run_recorded(_reference_nelder_mead, objective, x0, bounds, tol, max_iter)
+    f_start = objective(np.asarray(x0, dtype=float))
+    *mine, mine_seen = _run_recorded(partial(nelder_mead, f_start=f_start), objective, x0, bounds,
+                                     tol, max_iter)
+    inside = all(lo <= v <= hi for v, (lo, hi) in zip(x0, bounds))
+    assert mine == reference
+    assert mine_seen == (seen[1:] if inside else seen)
 
 
 @settings(max_examples=200, deadline=None)

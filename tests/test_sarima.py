@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 import pqforecast.models
-from pqforecast.models import ModelId, SarimaGrid, TrainingWindow, fit_predict
+from pqforecast.models import ModelId, SarimaGrid, TrainingWindow, fit_predict, sarima
 from pqforecast.models.base import standardize
 from pqforecast.models.baselines import predict_snaive
 from pqforecast.models.sarima import (
@@ -25,7 +25,7 @@ from pqforecast.models.sarima import (
     seasonal_strength,
     select_order,
 )
-from pqforecast.numerics import stl_decompose
+from pqforecast.numerics import nelder_mead, stl_decompose
 from pqforecast.synth import SyntheticSpec, generate_corpus
 
 GRID = SarimaGrid()
@@ -288,6 +288,39 @@ class TestOrderSelection:
         y = np.random.default_rng(0).normal(size=105)
         tight = SarimaGrid(min_len_after_diff=200)
         assert select_order(y, tight, 52, TrainingWindow(y).decomposition) is None
+
+
+class TestFitCssStartPoint:
+    @pytest.mark.parametrize("order", [SarimaOrder(1, 0, 0, m=52), SarimaOrder(1, 0, 1, 0, 0, 1, m=4),
+                                       SarimaOrder(2, 1, 1)], ids=SarimaOrder.label)
+    def test_start_point_is_evaluated_once(self, monkeypatch, order):
+        """The optimizer takes the start value that scaled ``tol``: one
+        objective call fewer than evaluating the start point twice, and the
+        same fit to the byte."""
+        y = ar1_series(0.6, 105, seed=21)
+        make_objective = sarima._objective
+
+        def fit_counted():
+            calls = []
+
+            def counted(*args):
+                objective = make_objective(*args)
+                return lambda params: calls.append(params.tobytes()) or objective(params)
+
+            monkeypatch.setattr(sarima, "_objective", counted)
+            fit = fit_css(np.diff(y) if order.d else y, order)
+            return fit, calls
+
+        fit, calls = fit_counted()
+        # the start point evaluated twice: once for tol, once by the optimizer
+        monkeypatch.setattr(sarima, "nelder_mead",
+                            lambda *args, f_start=None, **kwargs: nelder_mead(*args, **kwargs))
+        twice, twice_calls = fit_counted()
+        assert twice_calls[0] == twice_calls[1] and calls[0] == twice_calls[0]
+        assert calls == twice_calls[1:]
+        assert len(calls) == len(twice_calls) - 1
+        assert fit.params.tobytes() == twice.params.tobytes()
+        assert (fit.sse, fit.aicc) == (twice.sse, twice.aicc)
 
 
 class TestPredictWrappers:
