@@ -156,6 +156,8 @@ def _fit_series(payload) -> tuple[str, list[tuple[str, np.ndarray, list[str]]], 
 
 
 def cmd_forecast(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     out = _ensure_out(args)
     cfg = _resolve_run_config(args)
     series = pqio.read_weekly_csv(Path(args.weekly))
@@ -176,8 +178,9 @@ def cmd_forecast(args: argparse.Namespace) -> int:
         (s.series_id, s.values[: cfg.train_len], [m.value for m in models], cfg.horizon)
         for s in series
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(payloads))  # the pool starts every worker at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             raw_results = list(pool.map(_fit_series, payloads))
     else:
         raw_results = [_fit_series(p) for p in payloads]

@@ -89,6 +89,7 @@ def ensemble_by_name(name: str) -> EnsembleId:
     return ens
 
 
+@lru_cache(maxsize=4096)  # a table names ~1k labels; a bad one raises and is not cached
 def parse_producer(producer: str) -> Optional[tuple[EnsembleId, CombinationMethod]]:
     """Split an ensemble producer label like ``D28:median``; None for
     individual-model producers."""

@@ -8,7 +8,8 @@ byte-stable across runs, which the determinism guarantees rely on. The
 forecast table travels as one ``ForecastBlock`` per series, a (producers x
 horizon) matrix, in both directions; it is the largest table, so its writer
 formats each producer's lines itself, in the same dialect: labels quoted by
-the csv module, values with ``repr``, ``\r\n`` line ends. Writes are
+the csv module, values with ``repr``, ``\r\n`` line ends, and its reader
+packs each series into arrays as soon as the series' rows end. Writes are
 atomic: every file this module writes, and the ground truth and figures
 written through ``write_text``, goes to a temp file in the target's
 directory that replaces the target only once complete, so an interrupted
@@ -25,8 +26,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from io import StringIO
+from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -207,45 +209,101 @@ def write_forecast_csv(path: Path, blocks: Iterable[ForecastBlock]) -> None:
                 fh.write("".join(lines))
 
 
-def read_forecast_csv(path: Path) -> list[ForecastBlock]:
-    """One block per series, series and producers in file order. Every
-    producer of a series needs the same steps 1..H, each once, and a label
-    that looks like an ensemble's must name one."""
-    steps_by_series: dict[str, dict[str, dict[int, float]]] = {}
+@dataclass
+class _PackedSeries:
+    """The rows of one series read so far, as arrays. ``values`` is the
+    (producers x H) matrix when each producer's steps ran 1..H in file order;
+    otherwise it holds the values flat in file order, with their ``steps``
+    and each producer's row ``counts``."""
 
-    def take(row: list[str]) -> None:
-        sid, producer, h, value = row
-        step, number = int(h), float(value)
-        by_producer = steps_by_series.setdefault(sid, {})
-        steps = by_producer.get(producer)
-        if steps is None:
-            try:
-                parse_producer(producer)
-            except ConfigError as exc:
-                raise ValueError(str(exc)) from exc
-            steps = by_producer[producer] = {}
-        if step in steps:
-            raise ValueError(f"duplicate row for ({sid}, {producer}, h={step})")
-        steps[step] = number
+    producers: list[str]
+    values: np.ndarray
+    counts: Optional[list[int]] = None
+    steps: Optional[np.ndarray] = None
 
-    _read_csv(path, FORECAST_HEADER, take)
-    blocks = []
-    for sid, by_producer in steps_by_series.items():
-        first = next(iter(by_producer))
-        horizon = len(by_producer[first])
+    @classmethod
+    def pack(cls, steps_by_producer: dict[str, dict[int, float]]) -> _PackedSeries:
+        producers, rows = list(steps_by_producer), list(steps_by_producer.values())
+        counts = [len(steps) for steps in rows]
+        values = np.fromiter(chain.from_iterable(steps.values() for steps in rows), float, sum(counts))
+        in_order = list(range(1, counts[0] + 1))
+        if all(list(steps) == in_order for steps in rows):
+            return cls(producers, values.reshape(len(rows), counts[0]))
+        step_list = list(chain.from_iterable(rows))
+        try:
+            steps = np.array(step_list, dtype=np.int64)
+        except OverflowError:  # a step beyond int64 stays a Python int
+            steps = np.array(step_list, dtype=object)
+        return cls(producers, values, counts, steps)
+
+    def unpack(self) -> dict[str, dict[int, float]]:
+        """The rows again as ``{producer: {step: value}}``, in file order."""
+        if self.steps is None:
+            in_order = range(1, self.values.shape[1] + 1)
+            return {producer: dict(zip(in_order, row))
+                    for producer, row in zip(self.producers, self.values.tolist())}
+        steps, values = iter(self.steps.tolist()), iter(self.values.tolist())
+        return {producer: dict(zip(islice(steps, count), islice(values, count)))
+                for producer, count in zip(self.producers, self.counts)}
+
+
+def _forecast_block(path: Path, sid: str, series: _PackedSeries) -> ForecastBlock:
+    """Check that every producer has the first one's steps 1..H, each once,
+    and build the block with its rows sorted by step."""
+    values = series.values
+    if series.steps is not None:
+        first, horizon = series.producers[0], series.counts[0]
         rows = []
-        for producer, steps in by_producer.items():
+        for producer, steps in series.unpack().items():
             if len(steps) != horizon:
                 raise DataError(f"{path}: {sid}: {producer} has {len(steps)} steps, "
                                 f"{first} has {horizon}")
             if sorted(steps) != list(range(1, horizon + 1)):
                 raise DataError(f"{path}: ({sid}, {producer}): steps are not 1..{horizon}")
             rows.append([steps[h] for h in range(1, horizon + 1)])
-        try:
-            blocks.append(ForecastBlock(series_id=sid, producers=list(by_producer), values=np.array(rows)))
-        except DataError as exc:  # a non-finite value, found once per block
-            raise DataError(f"{path}: {exc}") from exc
-    return blocks
+        values = np.array(rows)
+    try:
+        return ForecastBlock(series_id=sid, producers=series.producers, values=values)
+    except DataError as exc:  # a non-finite value, found once per block
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def read_forecast_csv(path: Path) -> list[ForecastBlock]:
+    """One block per series, series and producers in file order. Every
+    producer of a series needs the same steps 1..H, each once, and a label
+    that looks like an ensemble's must name one.
+
+    Only the series being read is held as Python objects: when the series
+    id changes, its rows are packed into arrays, and a series that resumes
+    later in the file is unpacked to continue. The step checks run once the
+    whole file is read, in series order."""
+    packed: dict[str, _PackedSeries] = {}  # in order of each series' first row
+    reading_sid: Optional[str] = None
+    reading: dict[str, dict[int, float]] = {}  # the rows of reading_sid
+
+    def take(row: list[str]) -> None:
+        nonlocal reading_sid, reading
+        sid, producer, h, value = row
+        step, number = int(h), float(value)
+        if sid != reading_sid:
+            if reading:
+                packed[reading_sid] = _PackedSeries.pack(reading)
+            reading_sid = sid
+            reading = packed[sid].unpack() if sid in packed else {}
+        steps = reading.get(producer)
+        if steps is None:
+            try:
+                parse_producer(producer)
+            except ConfigError as exc:
+                raise ValueError(str(exc)) from exc
+            steps = reading[producer] = {}
+        if step in steps:
+            raise ValueError(f"duplicate row for ({sid}, {producer}, h={step})")
+        steps[step] = number
+
+    _read_csv(path, FORECAST_HEADER, take)
+    packed[reading_sid] = _PackedSeries.pack(reading)
+    return [_forecast_block(path, sid, packed.pop(sid)) for sid in list(packed)]
 
 
 # -- leaderboards and analyses ------------------------------------------------

@@ -6,8 +6,10 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from pqforecast.ensembles import CombinationMethod, enumerate_ensembles
-from pqforecast.models import PUBLIC_MODELS
+from pqforecast.ensembles import CombinationMethod, enumerate_ensembles, parse_producer
+from pqforecast.errors import ConfigError, DataError
+from pqforecast.io import FORECAST_HEADER, _read_csv
+from pqforecast.models import PUBLIC_MODELS, ForecastBlock
 from pqforecast.weekly import RawSeries, WeeklyAggregate, WeekId, add_weeks
 
 MONDAY = datetime(2022, 1, 3, tzinfo=timezone.utc)  # ISO (2022, 1)
@@ -93,6 +95,46 @@ def reference_write_forecast_csv(path, blocks) -> None:
             for producer, row in zip(block.producers, block.values)
             for h, value in enumerate(row.tolist(), start=1)
         )
+
+
+def reference_read_forecast_csv(path) -> list[ForecastBlock]:
+    """The forecast table read into one dict of every row before any block
+    is built: the oracle for ``io.read_forecast_csv``'s blocks and errors."""
+    steps_by_series: dict[str, dict[str, dict[int, float]]] = {}
+
+    def take(row: list[str]) -> None:
+        sid, producer, h, value = row
+        step, number = int(h), float(value)
+        by_producer = steps_by_series.setdefault(sid, {})
+        steps = by_producer.get(producer)
+        if steps is None:
+            try:
+                parse_producer(producer)
+            except ConfigError as exc:
+                raise ValueError(str(exc)) from exc
+            steps = by_producer[producer] = {}
+        if step in steps:
+            raise ValueError(f"duplicate row for ({sid}, {producer}, h={step})")
+        steps[step] = number
+
+    _read_csv(path, FORECAST_HEADER, take)
+    blocks = []
+    for sid, by_producer in steps_by_series.items():
+        first = next(iter(by_producer))
+        horizon = len(by_producer[first])
+        rows = []
+        for producer, steps in by_producer.items():
+            if len(steps) != horizon:
+                raise DataError(f"{path}: {sid}: {producer} has {len(steps)} steps, "
+                                f"{first} has {horizon}")
+            if sorted(steps) != list(range(1, horizon + 1)):
+                raise DataError(f"{path}: ({sid}, {producer}): steps are not 1..{horizon}")
+            rows.append([steps[h] for h in range(1, horizon + 1)])
+        try:
+            blocks.append(ForecastBlock(series_id=sid, producers=list(by_producer), values=np.array(rows)))
+        except DataError as exc:  # a non-finite value, found once per block
+            raise DataError(f"{path}: {exc}") from exc
+    return blocks
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import pqforecast
+import pqforecast.cli
 import pqforecast.models.stl_models
 
 from pqforecast import io as pqio
@@ -162,6 +163,38 @@ class TestForecastCommand:
         assert run("forecast", "--weekly", tmp_path / "weekly.csv", "--models", models,
                    "--out", tmp_path / "o") == 0
         assert len(calls) == decompositions
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        write_weekly(tmp_path / "weekly.csv", n_series=1, seed=3)
+        assert run("forecast", "--weekly", tmp_path / "weekly.csv", "--models", "SNaive",
+                   "--jobs", jobs, "--out", tmp_path / "o") == 1
+        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("jobs, pools", [(64, [3]), (2, [2]), (1, [])])
+    def test_pool_has_at_most_one_worker_per_series(self, tmp_path, monkeypatch, jobs, pools):
+        write_weekly(tmp_path / "weekly.csv", n_series=3, seed=3)
+        started = []
+
+        class RecordingPool:  # runs the fits in this process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(pqforecast.cli, "ProcessPoolExecutor", RecordingPool)
+        assert run("forecast", "--weekly", tmp_path / "weekly.csv", "--models", "SNaive",
+                   "--jobs", jobs, "--out", tmp_path / "o") == 0
+        assert started == pools
+        assert len(pqio.read_forecast_csv(tmp_path / "o" / "forecasts.csv")) == 3
 
 
 class TestEnsembleCommand:

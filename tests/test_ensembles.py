@@ -81,6 +81,14 @@ class TestEnumeration:
         with pytest.raises(ConfigError):
             parse_producer("D28:sideways")
 
+    def test_parse_producer_is_cached_but_bad_labels_raise_every_time(self):
+        assert parse_producer("D28:median") is parse_producer("D28:median")
+        for label, message in [("B01:avg", "unknown combination method"),
+                               ("B99:mean", "unknown ensemble name")]:
+            for _ in range(2):
+                with pytest.raises(ConfigError, match=message):
+                    parse_producer(label)
+
 
 class TestWeights:
     def test_equal_metrics_give_equal_weights(self):

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import reference_write_forecast_csv
+from conftest import reference_read_forecast_csv, reference_write_forecast_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqforecast import io as pqio
 from pqforecast import report as pqreport
+from pqforecast.ensembles import CombinationMethod, ensemble_producers
 from pqforecast.errors import ConfigError, DataError
 from pqforecast.evaluation import (
     ComparisonReport,
@@ -251,6 +254,163 @@ class TestForecastWriterReference:
         pqio.write_forecast_csv(path, [])
         assert path.read_bytes() == b"series_id,producer,h,value\r\n"
         self.assert_same_bytes(tmp_path, [])
+
+
+# producer labels for reader tables: models, ensembles, labels to quote, and
+# the two kinds of bad ensemble label
+READER_LABELS = ["SNaive", "HW", "B01:mean", "D28:median", "H01:rank", "a,b", 'say "hi"',
+                 "line\nbreak", "B99:mean", "B01:avg"]
+READER_SERIES = ["s1", "s2", "s3", "Zürich:UNB:220", 'q"uote,d', ""]
+BAD_STEPS = [0, -1, 2 ** 70, -(2 ** 64)]
+
+
+def write_rows(path, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(pqio.FORECAST_HEADER)
+        writer.writerows(rows)
+
+
+def grouped_rows(sids, producers, values) -> list[list]:
+    """Rows as the writer orders them: series, then producer, then step."""
+    return [[sid, producer, h, value] for sid, block in zip(sids, values)
+            for producer, row in zip(producers, block) for h, value in enumerate(row, start=1)]
+
+
+def read_outcome(read, path):
+    """The blocks a reader returns, byte for byte, or the text of its error."""
+    try:
+        blocks = read(path)
+    except DataError as exc:
+        return "error", str(exc)
+    return "blocks", [(b.series_id, b.producers, b.values.shape, b.values.tobytes()) for b in blocks]
+
+
+def reshape_table(rng, kind, rows, sids, producers, horizon) -> list[list]:
+    """The grouped ``rows`` of a valid table reordered or broken as ``kind`` names."""
+    if kind == "grouped":
+        return rows
+    if kind == "interleaved":  # one row of each series in turn
+        by_series = [[r for r in rows if r[0] == sid] for sid in sids]
+        return [r for group in zip(*by_series) for r in group]
+    if kind == "h_major":  # within a series: every producer's step 1, then step 2, ...
+        return sorted(rows, key=lambda r: (sids.index(r[0]), r[2]))
+    if kind == "shuffled":
+        return [rows[i] for i in rng.permutation(len(rows))]
+    if kind in ("resumed", "resumed_duplicate"):  # the first series resumes after the others
+        first = [r for r in rows if r[0] == sids[0]]
+        rest = [r for r in rows if r[0] != sids[0]]
+        cut = int(rng.integers(1, len(first)))
+        tail = first[cut:]
+        if kind == "resumed_duplicate":  # and repeats a step of its first segment
+            repeat = list(first[int(rng.integers(0, cut))])
+            repeat[3] += 1.0
+            tail.append(repeat)
+        return first[:cut] + rest + tail
+    if kind == "short_producer":
+        sid, producer = sids[int(rng.integers(len(sids)))], producers[int(rng.integers(len(producers)))]
+        return [r for r in rows if not (r[0] == sid and r[1] == producer and r[2] == horizon)]
+    if kind == "steps_reversed":  # valid, but not in step order
+        return sorted(rows, key=lambda r: (sids.index(r[0]), producers.index(r[1]), -r[2]))
+    if kind == "steps_shifted":  # one producer's steps run 2..H+1
+        sid, producer = sids[-1], producers[int(rng.integers(len(producers)))]
+        return [[s, p, h + 1 if (s, p) == (sid, producer) else h, v] for s, p, h, v in rows]
+    if kind == "bad_step":
+        rows = [list(r) for r in rows]
+        rows[int(rng.integers(len(rows)))][2] = BAD_STEPS[int(rng.integers(len(BAD_STEPS)))]
+        return rows
+    if kind in ("B99:mean", "B01:avg"):
+        target = producers[int(rng.integers(len(producers)))]
+        return [[s, kind if p == target and s == sids[-1] else p, h, v] for s, p, h, v in rows]
+    if kind == "nan":
+        rows = [list(r) for r in rows]
+        for i in rng.integers(len(rows), size=2):
+            rows[i][3] = float("nan")
+        return rows
+    raise ValueError(kind)
+
+
+TABLE_KINDS = ["grouped", "interleaved", "h_major", "shuffled", "resumed", "resumed_duplicate",
+               "short_producer", "steps_reversed", "steps_shifted", "bad_step", "B99:mean",
+               "B01:avg", "nan"]
+
+
+class TestForecastReaderReference:
+    """``read_forecast_csv`` returns the blocks, or raises the error, of the
+    reader that holds every row until the file ends
+    (``conftest.reference_read_forecast_csv``)."""
+
+    @staticmethod
+    def assert_same_outcome(path):
+        mine = read_outcome(pqio.read_forecast_csv, path)
+        assert mine == read_outcome(reference_read_forecast_csv, path)
+        return mine
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_seeded_tables(self, tmp_path, kind, seed):
+        rng = np.random.default_rng(seed)
+        sids = READER_SERIES[seed:seed + 3]
+        producers = ["SNaive", "HW", "D28:median", "a,b", 'say "hi"', "line\nbreak"][seed:]
+        horizon = int(rng.integers(2, 9))
+        values = rng.uniform(-5.0, 50.0, (len(sids), len(producers), horizon)).tolist()
+        rows = grouped_rows(sids, producers, values)
+        path = tmp_path / "fc.csv"
+        write_rows(path, reshape_table(rng, kind, rows, sids, producers, horizon))
+        result, detail = self.assert_same_outcome(path)
+        valid = kind in ("grouped", "interleaved", "h_major", "shuffled", "resumed", "steps_reversed")
+        assert result == ("blocks" if valid else "error"), detail
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_hypothesis_tables(self, tmp_path_factory, data):
+        draw = data.draw
+        sids = draw(st.lists(st.sampled_from(READER_SERIES), min_size=1, max_size=3, unique=True))
+        producers = draw(st.lists(st.sampled_from(READER_LABELS[:8]), min_size=1, max_size=4,
+                                  unique=True))
+        horizon = draw(st.integers(1, 5))
+        values = st.floats(-1e6, 1e6, allow_nan=False)
+        rows = [[sid, p, h, draw(values)] for sid in sids for p in producers
+                for h in range(1, horizon + 1)]
+        if draw(st.booleans()):
+            rows = draw(st.permutations(rows))
+        for _ in range(draw(st.integers(0, 2))):  # break the table in up to two places
+            i = draw(st.integers(0, len(rows) - 1))
+            change = draw(st.sampled_from(["drop", "repeat", "step", "label", "value", "text"]))
+            if change == "drop" and len(rows) > 1:
+                del rows[i]
+            elif change == "repeat":
+                rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))
+            elif change == "step":
+                rows[i] = [*rows[i][:2], draw(st.sampled_from([horizon + 1, *BAD_STEPS])), rows[i][3]]
+            elif change == "label":
+                rows[i] = [rows[i][0], draw(st.sampled_from(READER_LABELS)), *rows[i][2:]]
+            elif change == "value":
+                rows[i] = [*rows[i][:3], draw(st.sampled_from([float("nan"), float("inf"), -0.0]))]
+            elif change == "text":
+                rows[i] = [*rows[i][:2], *draw(st.sampled_from([("1.5", 1.0), (1, "x")]))]
+        path = tmp_path_factory.mktemp("fc") / "fc.csv"
+        write_rows(path, rows)
+        self.assert_same_outcome(path)
+
+
+def test_forecast_reader_peak_memory_is_bounded_by_its_output(tmp_path, rng):
+    """On 40 series, the reader's traced peak stays within 4x the bytes
+    of the values it returns (holding every row as Python floats until
+    the file ended took ~10x)."""
+    producers = ensemble_producers([CombinationMethod.MEAN])[:60]
+    path = tmp_path / "fc.csv"
+    pqio.write_forecast_csv(path, [ForecastBlock(f"s{i}", producers, rng.uniform(0, 50, (60, 52)))
+                                   for i in range(40)])
+    tracemalloc.start()
+    try:
+        blocks = pqio.read_forecast_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(block.values.nbytes for block in blocks)
+    assert len(blocks) == 40 and nbytes == 40 * 60 * 52 * 8
+    assert peak <= 4 * nbytes, f"peak {peak} B for {nbytes} B of values"
 
 
 class TestLeaderboardCsv:
