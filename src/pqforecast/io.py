@@ -9,7 +9,7 @@ forecast table travels as one ``ForecastBlock`` per series, a (producers x
 horizon) matrix, in both directions; it is the largest table, so its writer
 formats each producer's lines itself, in the same dialect: labels quoted by
 the csv module, values with ``repr``, ``\r\n`` line ends, and its reader
-packs each series into arrays as soon as the series' rows end. Writes are
+packs each series into its matrix as soon as the series' rows end. Writes are
 atomic: every file this module writes, and the ground truth and figures
 written through ``write_text``, goes to a temp file in the target's
 directory that replaces the target only once complete, so an interrupted
@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from io import StringIO
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
@@ -209,61 +209,43 @@ def write_forecast_csv(path: Path, blocks: Iterable[ForecastBlock]) -> None:
                 fh.write("".join(lines))
 
 
-@dataclass
-class _PackedSeries:
-    """The rows of one series read so far, as arrays. ``values`` is the
-    (producers x H) matrix when each producer's steps ran 1..H in file order;
-    otherwise it holds the values flat in file order, with their ``steps``
-    and each producer's row ``counts``."""
-
-    producers: list[str]
-    values: np.ndarray
-    counts: Optional[list[int]] = None
-    steps: Optional[np.ndarray] = None
-
-    @classmethod
-    def pack(cls, steps_by_producer: dict[str, dict[int, float]]) -> _PackedSeries:
-        producers, rows = list(steps_by_producer), list(steps_by_producer.values())
-        counts = [len(steps) for steps in rows]
-        values = np.fromiter(chain.from_iterable(steps.values() for steps in rows), float, sum(counts))
-        in_order = list(range(1, counts[0] + 1))
-        if all(list(steps) == in_order for steps in rows):
-            return cls(producers, values.reshape(len(rows), counts[0]))
-        step_list = list(chain.from_iterable(rows))
-        try:
-            steps = np.array(step_list, dtype=np.int64)
-        except OverflowError:  # a step beyond int64 stays a Python int
-            steps = np.array(step_list, dtype=object)
-        return cls(producers, values, counts, steps)
-
-    def unpack(self) -> dict[str, dict[int, float]]:
-        """The rows again as ``{producer: {step: value}}``, in file order."""
-        if self.steps is None:
-            in_order = range(1, self.values.shape[1] + 1)
-            return {producer: dict(zip(in_order, row))
-                    for producer, row in zip(self.producers, self.values.tolist())}
-        steps, values = iter(self.steps.tolist()), iter(self.values.tolist())
-        return {producer: dict(zip(islice(steps, count), islice(values, count)))
-                for producer, count in zip(self.producers, self.counts)}
+def _pack(steps_by_producer: dict[str, dict[int, float]]):
+    """One series' rows as (producers, the producers x H matrix) when every
+    producer's steps ran 1..H in file order; otherwise the rows unchanged."""
+    rows = list(steps_by_producer.values())
+    horizon = len(rows[0])
+    in_order = list(range(1, horizon + 1))
+    if any(list(steps) != in_order for steps in rows):
+        return steps_by_producer
+    values = np.fromiter(chain.from_iterable(steps.values() for steps in rows), float, len(rows) * horizon)
+    return list(steps_by_producer), values.reshape(len(rows), horizon)
 
 
-def _forecast_block(path: Path, sid: str, series: _PackedSeries) -> ForecastBlock:
-    """Check that every producer has the first one's steps 1..H, each once,
-    and build the block with its rows sorted by step."""
-    values = series.values
-    if series.steps is not None:
-        first, horizon = series.producers[0], series.counts[0]
-        rows = []
-        for producer, steps in series.unpack().items():
+def _unpack(producers: list[str], values: np.ndarray) -> dict[str, dict[int, float]]:
+    """A packed series' rows again as ``{producer: {step: value}}``."""
+    steps = range(1, values.shape[1] + 1)
+    return {producer: dict(zip(steps, row)) for producer, row in zip(producers, values.tolist())}
+
+
+def _forecast_block(path: Path, sid: str, rows) -> ForecastBlock:
+    """The block of a packed series, or of one kept as dicts once every
+    producer is checked to have the first one's steps 1..H, each once."""
+    if isinstance(rows, tuple):
+        producers, values = rows
+    else:
+        producers, first = list(rows), next(iter(rows))
+        horizon = len(rows[first])
+        matrix = []
+        for producer, steps in rows.items():
             if len(steps) != horizon:
                 raise DataError(f"{path}: {sid}: {producer} has {len(steps)} steps, "
                                 f"{first} has {horizon}")
             if sorted(steps) != list(range(1, horizon + 1)):
                 raise DataError(f"{path}: ({sid}, {producer}): steps are not 1..{horizon}")
-            rows.append([steps[h] for h in range(1, horizon + 1)])
-        values = np.array(rows)
+            matrix.append([steps[h] for h in range(1, horizon + 1)])
+        values = np.array(matrix)
     try:
-        return ForecastBlock(series_id=sid, producers=series.producers, values=values)
+        return ForecastBlock(series_id=sid, producers=producers, values=values)
     except DataError as exc:  # a non-finite value, found once per block
         raise DataError(f"{path}: {exc}") from exc
 
@@ -273,23 +255,30 @@ def read_forecast_csv(path: Path) -> list[ForecastBlock]:
     producer of a series needs the same steps 1..H, each once, and a label
     that looks like an ensemble's must name one.
 
-    Only the series being read is held as Python objects: when the series
-    id changes, its rows are packed into arrays, and a series that resumes
-    later in the file is unpacked to continue. The step checks run once the
-    whole file is read, in series order."""
-    packed: dict[str, _PackedSeries] = {}  # in order of each series' first row
+    A series is packed into a matrix when its first run of rows ends and
+    its steps ran 1..H in file order, as every stage writes them. A series
+    that cannot be packed, or that resumes later in the file, stays
+    ``{producer: {step: value}}`` dicts to the end, so each series is packed
+    and unpacked at most once. The step checks run once the whole file is
+    read, in series order."""
+    held: dict = {}  # series id -> packed (producers, matrix) or dicts, in order of first row
     reading_sid: Optional[str] = None
     reading: dict[str, dict[int, float]] = {}  # the rows of reading_sid
+    first_run = False  # reading holds the first run of reading_sid's rows
 
     def take(row: list[str]) -> None:
-        nonlocal reading_sid, reading
+        nonlocal reading_sid, reading, first_run
         sid, producer, h, value = row
         step, number = int(h), float(value)
         if sid != reading_sid:
-            if reading:
-                packed[reading_sid] = _PackedSeries.pack(reading)
-            reading_sid = sid
-            reading = packed[sid].unpack() if sid in packed else {}
+            if first_run:
+                held[reading_sid] = _pack(reading)
+            reading_sid, first_run = sid, sid not in held
+            if first_run:
+                held[sid] = {}
+            elif isinstance(held[sid], tuple):  # it resumes
+                held[sid] = _unpack(*held[sid])
+            reading = held[sid]
         steps = reading.get(producer)
         if steps is None:
             try:
@@ -302,8 +291,10 @@ def read_forecast_csv(path: Path) -> list[ForecastBlock]:
         steps[step] = number
 
     _read_csv(path, FORECAST_HEADER, take)
-    packed[reading_sid] = _PackedSeries.pack(reading)
-    return [_forecast_block(path, sid, packed.pop(sid)) for sid in list(packed)]
+    if first_run:
+        held[reading_sid] = _pack(reading)
+    reading = {}  # let a packed last series' dicts go before the blocks are built
+    return [_forecast_block(path, sid, held.pop(sid)) for sid in list(held)]
 
 
 # -- leaderboards and analyses ------------------------------------------------

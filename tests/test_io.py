@@ -394,6 +394,26 @@ class TestForecastReaderReference:
         self.assert_same_outcome(path)
 
 
+def test_forecast_reader_packs_and_unpacks_each_series_at_most_once(tmp_path, monkeypatch):
+    """A round-robin table changes series on every row; each series is still
+    packed once and unpacked once, so the read stays linear in its rows."""
+    calls = {"_pack": 0, "_unpack": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(pqio, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(pqio, name, counted)
+    sids, producers, horizon = [f"s{i}" for i in range(60)], ["SNaive", "HW", "B01:mean", "D28:median"], 12
+    values = np.random.default_rng(7).uniform(0, 50, (len(sids), len(producers), horizon)).tolist()
+    rows = grouped_rows(sids, producers, values)
+    path = tmp_path / "fc.csv"
+    per_series = len(producers) * horizon
+    write_rows(path, [r for i in range(per_series) for r in rows[i::per_series]])  # one row of each series in turn
+    assert len(rows) == 2880
+    assert read_outcome(pqio.read_forecast_csv, path) == read_outcome(reference_read_forecast_csv, path)
+    assert calls == {"_pack": 60, "_unpack": 60}
+
+
 def test_forecast_reader_peak_memory_is_bounded_by_its_output(tmp_path, rng):
     """On 40 series, the reader's traced peak stays within 4x the bytes
     of the values it returns (holding every row as Python floats until
