@@ -31,15 +31,12 @@ from .evaluation import (
 )
 from .models import ForecastBlock, ModelId, PUBLIC_MODELS, TrainingWindow, fit_predict, model_from_name
 from .synth import SyntheticSpec, generate_corpus, write_truth
-from .weekly import SeriesKey, WeeklySeries, aggregate_weekly, fill_gaps, normalize
+from .weekly import TEST_WEEKS, TRAIN_WEEKS, SeriesKey, WeeklySeries, aggregate_weekly, fill_gaps, normalize
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
-
-DEFAULT_TRAIN_LEN = 105
-DEFAULT_HORIZON = 52
 
 
 @dataclass
@@ -47,8 +44,8 @@ class RunConfig:
     """Resolved per-run settings; the 105 + 52 geometry is the default
     protocol and may only be overridden as a pair."""
 
-    train_len: int = DEFAULT_TRAIN_LEN
-    horizon: int = DEFAULT_HORIZON
+    train_len: int = TRAIN_WEEKS
+    horizon: int = TEST_WEEKS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,12 +101,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # -- preprocess ---------------------------------------------------------------
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
-    out = _ensure_out(args)
     levels = pqio.load_planning_levels(Path(args.planning_levels))
 
     raw_series = []
+    source: dict[str, str] = {}
     for path in args.raw:
-        raw_series.extend(pqio.read_raw_csv(Path(path)))
+        for raw in pqio.read_raw_csv(Path(path)):
+            if raw.series_id in source:
+                raise DataError(f"{raw.series_id}: in both {source[raw.series_id]} and {path}")
+            source[raw.series_id] = path
+            raw_series.append(raw)
 
     accepted: list[WeeklySeries] = []
     rejections = []
@@ -130,6 +131,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         else:
             rejections.append(result)
 
+    out = _ensure_out(args)
     pqio.write_weekly_csv(out / "weekly.csv", accepted)
     pqio.write_rejections_csv(out / "rejections.csv", rejections)
     print(f"preprocess: accepted {len(accepted)}, rejected {len(rejections)}")

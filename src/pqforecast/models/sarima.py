@@ -312,7 +312,7 @@ def seasonal_strength(decomp: Decomposition) -> float:
     detrended = decomp.seasonal + decomp.remainder
     var_detrended = float(np.var(detrended))
     scale = float(np.max(np.abs(decomp.trend + detrended)))
-    if var_detrended <= (_EPS * len(detrended) * scale) ** 2:
+    if math.sqrt(var_detrended) <= _EPS * len(detrended) * scale:  # unsquared: no overflow
         return 0.0
     return max(0.0, 1.0 - float(np.var(decomp.remainder)) / var_detrended)
 

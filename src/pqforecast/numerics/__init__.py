@@ -3,9 +3,9 @@
 from .criteria import aicc, gaussian_loglik
 from .diffops import difference, integrate_forecast
 from .linreg import least_squares
-from .loess import loess_window, tricube
+from .loess import loess_window
 from .optimize import OptimizerResult, nelder_mead
-from .stl import Decomposition, STLConfig, stl_decompose
+from .stl import Decomposition, stl_decompose
 
 __all__ = [
     "aicc",
@@ -14,10 +14,8 @@ __all__ = [
     "integrate_forecast",
     "least_squares",
     "loess_window",
-    "tricube",
     "OptimizerResult",
     "nelder_mead",
     "Decomposition",
-    "STLConfig",
     "stl_decompose",
 ]

@@ -1,4 +1,10 @@
-"""Locally weighted polynomial regression with tricube weights."""
+"""Local-linear loess with tricube weights, in closed form.
+
+Each evaluation point gets the intercept of a weighted straight-line fit
+from five weighted sums (Σw, Σwt, Σwt², Σwy, Σwty), as in the ``est`` step
+of Cleveland et al., "STL: A Seasonal-Trend Decomposition Procedure Based
+on Loess", J. Official Statistics 6(1), 1990.
+"""
 
 from __future__ import annotations
 
@@ -8,66 +14,52 @@ import numpy as np
 
 from ..errors import DataError
 
-
-def tricube(u: np.ndarray) -> np.ndarray:
-    """Tricube kernel (1 - |u|^3)^3 on [0, 1), zero outside."""
-    u = np.abs(u)
-    w = np.where(u < 1.0, (1.0 - u**3) ** 3, 0.0)
-    return w
+_EPS = float(np.finfo(float).eps)
 
 
 def loess_window(
     x: np.ndarray,
     y: np.ndarray,
     q: int,
-    degree: int,
     eval_points: np.ndarray,
     weights: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Loess with a window of ``q`` nearest points.
+    """Local-linear loess with a window of ``q`` nearest points.
 
     ``weights`` are extra multiplicative (robustness) weights on the data
     points. When ``q`` exceeds the number of points, the tricube bandwidth
-    is stretched by ``q / n`` so far points keep positive weight.
+    is stretched by ``q / n`` so far points keep positive weight. Where the
+    weights make the line fit singular (Σw·Σwt² − (Σwt)² within rounding of
+    zero, as when they sit on one abscissa), the point gets the weighted mean.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(x)
     if len(y) != n:
         raise DataError("loess: x and y lengths differ")
-    if degree not in (0, 1, 2):
-        raise DataError(f"loess: unsupported degree {degree}")
-    if q < degree + 1:
-        raise DataError(f"loess: window of {q} points cannot fit degree {degree}")
+    if q < 2:
+        raise DataError(f"loess: window of {q} points cannot fit a line")
 
-    out = np.empty(len(eval_points), dtype=float)
-    for k, x0 in enumerate(np.asarray(eval_points, dtype=float)):
-        d = np.abs(x - x0)
-        if q < n:
-            # distance to the q-th nearest point
-            dq = np.partition(d, q - 1)[q - 1]
-            in_win = d <= dq
-        else:
-            dq = d.max() * (q / n)
-            in_win = np.ones(n, dtype=bool)
-        if dq <= 0:
-            dq = 1.0  # all points at x0: uniform weights
-        w = tricube(d[in_win] / dq)
-        if weights is not None:
-            w = w * weights[in_win]
-        if not np.any(w > 0):
-            # robustness weights can wipe out a window; retry on tricube alone
-            if weights is not None:
-                w = tricube(d[in_win] / dq)
-            if not np.any(w > 0):
-                raise DataError(f"loess: degenerate window at x = {x0}")
-        if degree == 0:
-            out[k] = np.sum(w * y[in_win]) / np.sum(w)
-            continue
-        t = x[in_win] - x0
-        design = np.vander(t, degree + 1, increasing=True)
-        sw = np.sqrt(w)
-        beta, *_ = np.linalg.lstsq(design * sw[:, None], y[in_win] * sw, rcond=None)
-        out[k] = beta[0]
-    return out
-
+    x0 = np.asarray(eval_points, dtype=float)
+    t = x[None, :] - x0[:, None]
+    d = np.abs(t)
+    if q < n:
+        dq = np.partition(d, q - 1, axis=1)[:, q - 1]  # distance to the q-th nearest point
+    else:
+        dq = d.max(axis=1) * (q / n)
+    dq = np.where(dq > 0, dq, 1.0)[:, None]  # all points at x0: uniform weights
+    u = np.minimum(d / dq, 1.0)
+    tri = (1.0 - u**3) ** 3
+    w = tri if weights is None else tri * weights
+    # robustness weights can wipe out a window; fall back to tricube alone
+    w = np.where(w.sum(axis=1, keepdims=True) > 0, w, tri)
+    s0 = w.sum(axis=1)
+    if not np.all(s0 > 0):
+        raise DataError(f"loess: degenerate window at x = {x0[np.argmin(s0)]}")
+    wt = w * t
+    s1, s2 = wt.sum(axis=1), (wt * t).sum(axis=1)
+    sy, sty = w @ y, wt @ y
+    det = s0 * s2 - s1 * s1
+    line = det > n * _EPS * s0 * s2
+    safe = np.where(line, det, 1.0)
+    return np.where(line, (s2 * sy - s1 * sty) / safe, sy / s0)

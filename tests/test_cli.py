@@ -100,6 +100,26 @@ class TestPreprocessCommand:
         assert run("preprocess", "--raw", raw_path, "--planning-levels",
                    tmp_path / "levels.ini", "--out", tmp_path / "o") == 1
 
+    def test_series_in_two_raw_files_exit_data(self, tmp_path, capsys):
+        from pqforecast.synth import SyntheticSpec, generate_corpus
+
+        corpus, _ = generate_corpus(SyntheticSpec(n_series=2, length_weeks=3, rng_seed=5))
+        raw = [pqio.weekly_to_raw(s) for s in corpus]
+        pqio.write_raw_csv(tmp_path / "a.csv", raw)
+        pqio.write_raw_csv(tmp_path / "b.csv", raw[1:])
+        pairs = sorted({tuple(s.series_id.split(":")[1:]) for s in corpus})
+        pqio.write_planning_levels(tmp_path / "levels.ini", [
+            pqio.PlanningLevel(parameter=p, voltage_level=v, level=100.0) for p, v in pairs
+        ])
+        for second in ("a.csv", "b.csv"):
+            out = tmp_path / "out"
+            assert run("preprocess", "--raw", tmp_path / "a.csv", tmp_path / second,
+                       "--planning-levels", tmp_path / "levels.ini", "--out", out) == 2
+            err = capsys.readouterr().err
+            dup = corpus[0].series_id if second == "a.csv" else corpus[1].series_id
+            assert dup in err and str(tmp_path / "a.csv") in err and str(tmp_path / second) in err
+            assert not out.exists()
+
     def test_missing_file_exit_data(self, tmp_path):
         pqio.write_planning_levels(tmp_path / "levels.ini", [pqio.PlanningLevel("A", "1", 1.0)])
         assert run("preprocess", "--raw", tmp_path / "absent.csv",
@@ -137,6 +157,22 @@ class TestForecastCommand:
         write_weekly(tmp_path / "weekly.csv", n_series=1, length=100, seed=3)
         assert run("forecast", "--weekly", tmp_path / "weekly.csv",
                    "--models", "SNaive", "--out", tmp_path / "o") == 2
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_huge_series_exit_data(self, tmp_path, scale):
+        # a subprocess: in process, pytest's error::RuntimeWarning would turn
+        # numpy's overflow warning into exit 3
+        from pqforecast.synth import SyntheticSpec, generate_corpus
+        corpus, _ = generate_corpus(SyntheticSpec(n_series=3, length_weeks=157, rng_seed=0))
+        corpus[0].values = corpus[0].values * scale
+        pqio.write_weekly_csv(tmp_path / "weekly.csv", corpus)
+        src = Path(pqforecast.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "pqforecast.cli", "forecast", "--weekly",
+             str(tmp_path / "weekly.csv"), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env={"PYTHONPATH": str(src)})
+        assert done.returncode == 2, done.stderr
+        assert f"{corpus[0].series_id}/HW: non-finite forecast value" in done.stderr
 
     def test_train_len_override_requires_pair(self, tmp_path):
         write_weekly(tmp_path / "weekly.csv", n_series=1, seed=3)

@@ -21,17 +21,17 @@ from pqforecast.cli import main
 GOLDEN = {
     "corpus/truth.json": "02e2f6ff5b9878ad6347f3e5328125a6dcda99566d1413d1d4f4e03e79e1f50f",
     "corpus/weekly.csv": "3caba6997ff89b4875d71efabd7595fb3ba921bb92293836425f9de0793dc4ad",
-    "ens/ensemble_forecasts.csv": "3185915ceb87a5692690ca0a9430fce21cf32da3f9618d3b1cc8c12a11a0189d",
-    "ev/comparison.csv": "0ff986bed3764c698e70f158659f550e0397959eabaa36a1b5528785a68ec5d7",
+    "ens/ensemble_forecasts.csv": "0450e014737fce08304479ec8a23d3ec94b6bfaeeb8cc2ad8cb9b1717983dbcf",
+    "ev/comparison.csv": "036e0d2a2bca89a22d8238e7629459bdbe9d4def785d819894ea16216a178e04",
     "ev/composition_top.csv": "47e5024876e199669d0c77d050836b229c2a171c1aa04679b0ec5c26dbb12519",
-    "ev/ecdf.csv": "57d0a2c2ecc939c28d0bdebeca6528efac0fbc35b06e79f61c649085afb10033",
-    "ev/leaderboard_ensembles.csv": "946231e272eb4b88ecd3f0be6f81d3cd424f9ab60d302a82907878efd4739fc9",
-    "ev/leaderboard_individual.csv": "deb24e1c75097c5c779915ac77d405ee677b07376a53f0cc02bc44770c6014cb",
+    "ev/ecdf.csv": "41d603e56c69195c7d1784dbf11e141665f4af39f6bd4c16988db7d405f55e02",
+    "ev/leaderboard_ensembles.csv": "7b119fe218dec67fe41f480db09d6c3748da6039dfa15fb8c12e400186c5bd48",
+    "ev/leaderboard_individual.csv": "aafabbeb00c8dc0f83348b81fa901bbe4ee4146786c6217c942e3781507f5ccc",
     "ev/manifest.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "ev/size_aggregates.csv": "af993b0685282e8d724c25f7224d61ad9c7c27b918b9d18b6a5ec306cbb41ad0",
-    "ev0/leaderboard_individual.csv": "deb24e1c75097c5c779915ac77d405ee677b07376a53f0cc02bc44770c6014cb",
+    "ev/size_aggregates.csv": "f358f28f295337efe7921a21769382d78c2ea1fd53ab39c4eaf25d913aaebb92",
+    "ev0/leaderboard_individual.csv": "aafabbeb00c8dc0f83348b81fa901bbe4ee4146786c6217c942e3781507f5ccc",
     "ev0/manifest.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "fc/forecasts.csv": "7c387088ac76169109152ea9f000ae5e3f26af3587aad1ad82280711e757a736",
+    "fc/forecasts.csv": "5d6ead185b2f70e80a3c415c49217f876f1234e497b4144446fa95969399272c",
     "fc/manifest.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "figs/fig_comparison.svg": "c30634d52e3407b269a083d07a9632bf8a4872d17170e9d8d35794230bdfbb04",
     "figs/fig_composition.svg": "a5ae249b368a9daa831c900a72175d71c6bf385ff4e5347ed2a87b131f5cb35a",

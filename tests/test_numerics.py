@@ -17,42 +17,73 @@ from pqforecast.numerics import (
     loess_window,
 )
 
+from conftest import reference_loess_window
+
 
 class TestLoess:
     def test_reproduces_line_any_span(self):
         x = np.arange(1.0, 31.0)
         y = 2.5 * x - 4.0
-        for q in (9, 18, 30):  # spans 0.3, 0.6 and 1.0 of the 30 points
-            out = loess_window(x, y, q, 1, x)
+        for q in (9, 18, 30, 45):  # spans 0.3, 0.6, 1.0 and 1.5 of the 30 points
+            out = loess_window(x, y, q, x)
             assert out == pytest.approx(y, abs=1e-9)
 
     def test_constant_input(self):
         x = np.arange(10.0)
-        out = loess_window(x, np.full(10, 3.3), 5, 1, x)
+        out = loess_window(x, np.full(10, 3.3), 5, x)
         assert out == pytest.approx(np.full(10, 3.3), abs=1e-12)
-
-    def test_quadratic_matches_global_fit(self):
-        x = np.arange(1.0, 21.0)
-        y = x**2
-        out = loess_window(x, y, 20, 2, x)
-        oracle = np.polyval(np.polyfit(x, y, 2), x)
-        assert out == pytest.approx(oracle, abs=1e-6)
-        assert out == pytest.approx(y, abs=1e-6)
 
     def test_eval_off_grid(self):
         x = np.arange(0.0, 20.0)
         y = 1.5 * x + 2.0
-        out = loess_window(x, y, 20, 1, np.array([4.5, 17.25]))
+        out = loess_window(x, y, 20, np.array([4.5, 17.25]))
         assert out == pytest.approx([1.5 * 4.5 + 2, 1.5 * 17.25 + 2], abs=1e-9)
 
     def test_rejects_bad_inputs(self):
         x = np.arange(5.0)
         with pytest.raises(DataError):
-            loess_window(x, np.ones(4), 3, 1, x)  # length mismatch
+            loess_window(x, np.ones(4), 3, x)  # length mismatch
         with pytest.raises(DataError):
-            loess_window(x, np.ones(5), 3, 3, x)  # unsupported degree
+            loess_window(x, np.ones(5), 1, x)  # window too small for a line
         with pytest.raises(DataError):
-            loess_window(x, np.ones(5), 1, 1, x)  # window too small for the degree
+            loess_window(x, np.ones(5), 2, np.array([0.5]))  # both window points at the bandwidth
+
+    def test_singular_window_gives_weighted_mean(self):
+        # q = 3 on the integer grid: tricube weights only the centre point
+        x = np.arange(12.0)
+        y = np.random.default_rng(3).normal(size=12)
+        out = loess_window(x, y, 3, x)
+        assert out[1:-1] == pytest.approx(y[1:-1], abs=1e-12)
+        assert out == pytest.approx(reference_loess_window(x, y, 3, 1, x), abs=1e-12)
+        # robustness weights that leave one point off the centre: the
+        # determinant is then rounding noise, not a line fit
+        for j in (6, 7, 8):
+            for rho in (0.3, 0.7, 0.9):
+                weights = np.zeros(12)
+                weights[j] = rho
+                out = loess_window(x, y, 9, np.array([5.0]), weights=weights)
+                assert out == pytest.approx([y[j]], abs=1e-12)
+
+    @staticmethod
+    def _assert_matches_lstsq_oracle(seed, n, robust, q):
+        rng = np.random.default_rng(seed)
+        x = np.arange(float(n))
+        y = rng.uniform(1, 1e3) * (1 + 0.3 * np.sin(2 * np.pi * x / 52) + rng.normal(0, 0.2, n))
+        weights = rng.uniform(0, 1, n) ** 2 if robust else None
+        expected = reference_loess_window(x, y, q, 1, x, weights)
+        out = loess_window(x, y, q, x, weights=weights)
+        assert np.max(np.abs(out - expected)) <= 1e-10 * max(1.0, np.max(np.abs(y)))
+
+    @pytest.mark.parametrize("robust", [False, True])
+    @pytest.mark.parametrize("n", [104, 157, 260])
+    def test_matches_lstsq_oracle(self, n, robust):
+        for q in (2, 3, 53, 79, n - 1, n, n + 1, 2 * n):
+            self._assert_matches_lstsq_oracle(n + q, n, robust, q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(104, 260), st.booleans(), st.floats(0.0, 1.5))
+    def test_hypothesis_matches_lstsq_oracle(self, seed, n, robust, span):
+        self._assert_matches_lstsq_oracle(seed, n, robust, max(2, int(span * n)))  # q < n and q >= n
 
 
 class TestLeastSquares:

@@ -2,9 +2,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqforecast.errors import DataError
-from pqforecast.numerics import STLConfig, stl_decompose
+from pqforecast.numerics import stl, stl_decompose
+
+from conftest import reference_loess_window
+
+
+def _lstsq_loess(x, y, q, eval_points, weights=None):
+    return reference_loess_window(x, y, q, 1, eval_points, weights)
 
 
 def test_reconstruction_is_exact():
@@ -55,25 +63,17 @@ def test_short_series_rejected():
         stl_decompose(np.ones(103), 52)
 
 
-def test_robustness_downweights_outliers():
+def test_robustness_downweights_outliers(monkeypatch):
     t = np.arange(156)
     clean = 30 + 6 * np.sin(2 * np.pi * t / 52)
     dirty = clean.copy()
     dirty[40] += 60.0  # one massive spike
-    robust = stl_decompose(dirty, 52, STLConfig(robustness_iterations=2))
-    fragile = stl_decompose(dirty, 52, STLConfig(robustness_iterations=0))
     clean_seasonal = stl_decompose(clean, 52).seasonal
-    err_robust = np.max(np.abs(robust.seasonal - clean_seasonal))
-    err_fragile = np.max(np.abs(fragile.seasonal - clean_seasonal))
-    assert err_robust < err_fragile
-
-
-def test_explicit_seasonal_window_mode():
-    t = np.arange(208)
-    y = 15 + 4 * np.sin(2 * np.pi * t / 52)
-    d = stl_decompose(y, 52, STLConfig(seasonal_window=7))
-    assert d.trend + d.seasonal + d.remainder == pytest.approx(y, abs=1e-9)
-    assert np.max(np.abs(d.remainder)) < 0.5
+    errors = {}
+    for passes in (2, 0):
+        monkeypatch.setattr(stl, "ROBUSTNESS_ITERATIONS", passes)
+        errors[passes] = np.max(np.abs(stl_decompose(dirty, 52).seasonal - clean_seasonal))
+    assert errors[2] < errors[0]
 
 
 def test_seasonally_adjusted_accessor():
@@ -81,3 +81,51 @@ def test_seasonally_adjusted_accessor():
     y = 20 + 7 * np.sin(2 * np.pi * t / 52)
     d = stl_decompose(y, 52)
     assert d.seasonally_adjusted() == pytest.approx(y - d.seasonal, abs=1e-12)
+
+
+def _assert_matches_lstsq_oracle(y):
+    new = stl_decompose(y, 52)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(stl, "loess_window", _lstsq_loess)
+        old = stl_decompose(y, 52)
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(y))))
+    for part in ("trend", "seasonal", "remainder"):
+        assert np.max(np.abs(getattr(new, part) - getattr(old, part))) <= tol, part
+
+
+def _weekly_window(rng, n):
+    t = np.arange(n)
+    y = rng.uniform(0.1, 1e3) * (1 + rng.uniform(0, 0.4) * np.sin(2 * np.pi * t / 52 + rng.uniform(0, 6))
+                                 + rng.uniform(-0.005, 0.005) * t + rng.normal(0, rng.uniform(0.01, 0.5), n))
+    y[rng.integers(0, n)] += rng.uniform(0, 50) * y.std()  # an outlier for the robustness pass
+    return y
+
+
+@pytest.mark.parametrize("robustness", [1, 0])
+def test_decomposition_matches_lstsq_oracle(monkeypatch, robustness):
+    # every STL loess has q < n: q >= n is covered by the kernel's own oracle test
+    monkeypatch.setattr(stl, "ROBUSTNESS_ITERATIONS", robustness)
+    rng = np.random.default_rng(17)
+    for n in (104, 105, 131, 157, 208, 260):
+        _assert_matches_lstsq_oracle(_weekly_window(rng, n))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(104, 260))
+def test_hypothesis_decomposition_matches_lstsq_oracle(seed, n):
+    _assert_matches_lstsq_oracle(_weekly_window(np.random.default_rng(seed), n))
+
+
+def test_loess_calls_keep_the_benchmark_wrap_contract(monkeypatch):
+    """The benchmark wraps ``numerics.stl.loess_window`` and reads the
+    evaluation points as ``args[4]`` or ``kwargs["eval_points"]``."""
+    kernel = stl.loess_window
+    points = []
+
+    def counting(*args, **kwargs):
+        points.append(len(args[4] if len(args) > 4 else kwargs["eval_points"]))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(stl, "loess_window", counting)
+    stl_decompose(np.random.default_rng(1).normal(10.0, 1.0, 105), 52)
+    assert points == [105] * 8
