@@ -8,8 +8,9 @@ byte-stable across runs, which the determinism guarantees rely on. The
 forecast table travels as one ``ForecastBlock`` per series, a (producers x
 horizon) matrix, in both directions; it is the largest table, so its writer
 formats each producer's lines itself, in the same dialect: labels quoted by
-the csv module, values with ``repr``, ``\r\n`` line ends, and its reader
-packs each series into its matrix as soon as the series' rows end. Writes are
+the csv module, values with ``repr``, ``\r\n`` line ends. Its reader takes
+rows only in the writer's order, series by series and each producer's steps
+1..H in turn, and builds each series' block as its rows end. Writes are
 atomic: every file this module writes, and the ground truth and figures
 written through ``write_text``, goes to a temp file in the target's
 directory that replaces the target only once complete, so an interrupted
@@ -26,7 +27,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from io import StringIO
-from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
@@ -172,12 +172,15 @@ def read_weekly_csv(path: Path) -> list[WeeklySeries]:
         for prev, cur in zip(weeks, weeks[1:]):
             if cur != add_weeks(prev, 1):
                 raise DataError(f"{path}: {sid}: weeks not consecutive at {cur}")
-        out.append(WeeklySeries(
-            series_id=sid,
-            start_week=weeks[0],
-            values=np.array([r[1] for r in rows]),
-            filled_flags=np.array([r[2] for r in rows], dtype=bool),
-        ))
+        try:
+            out.append(WeeklySeries(
+                series_id=sid,
+                start_week=weeks[0],
+                values=np.array([r[1] for r in rows]),
+                filled_flags=np.array([r[2] for r in rows], dtype=bool),
+            ))
+        except DataError as exc:  # a non-finite or negative value
+            raise DataError(f"{path}: {exc}") from exc
     return out
 
 
@@ -209,92 +212,71 @@ def write_forecast_csv(path: Path, blocks: Iterable[ForecastBlock]) -> None:
                 fh.write("".join(lines))
 
 
-def _pack(steps_by_producer: dict[str, dict[int, float]]):
-    """One series' rows as (producers, the producers x H matrix) when every
-    producer's steps ran 1..H in file order; otherwise the rows unchanged."""
-    rows = list(steps_by_producer.values())
-    horizon = len(rows[0])
-    in_order = list(range(1, horizon + 1))
-    if any(list(steps) != in_order for steps in rows):
-        return steps_by_producer
-    values = np.fromiter(chain.from_iterable(steps.values() for steps in rows), float, len(rows) * horizon)
-    return list(steps_by_producer), values.reshape(len(rows), horizon)
-
-
-def _unpack(producers: list[str], values: np.ndarray) -> dict[str, dict[int, float]]:
-    """A packed series' rows again as ``{producer: {step: value}}``."""
-    steps = range(1, values.shape[1] + 1)
-    return {producer: dict(zip(steps, row)) for producer, row in zip(producers, values.tolist())}
-
-
-def _forecast_block(path: Path, sid: str, rows) -> ForecastBlock:
-    """The block of a packed series, or of one kept as dicts once every
-    producer is checked to have the first one's steps 1..H, each once."""
-    if isinstance(rows, tuple):
-        producers, values = rows
-    else:
-        producers, first = list(rows), next(iter(rows))
-        horizon = len(rows[first])
-        matrix = []
-        for producer, steps in rows.items():
-            if len(steps) != horizon:
-                raise DataError(f"{path}: {sid}: {producer} has {len(steps)} steps, "
-                                f"{first} has {horizon}")
-            if sorted(steps) != list(range(1, horizon + 1)):
-                raise DataError(f"{path}: ({sid}, {producer}): steps are not 1..{horizon}")
-            matrix.append([steps[h] for h in range(1, horizon + 1)])
-        values = np.array(matrix)
-    try:
-        return ForecastBlock(series_id=sid, producers=producers, values=values)
-    except DataError as exc:  # a non-finite value, found once per block
-        raise DataError(f"{path}: {exc}") from exc
-
-
 def read_forecast_csv(path: Path) -> list[ForecastBlock]:
-    """One block per series, series and producers in file order. Every
-    producer of a series needs the same steps 1..H, each once, and a label
-    that looks like an ensemble's must name one.
+    """One block per series, series and producers in file order, from a
+    table in the order every stage writes it: each series' rows together,
+    each producer's steps 1..H in turn, and every producer of a series with
+    the first one's H. A series or a producer that resumes after others, or
+    a step out of order, is an error at its line; a label that looks like an
+    ensemble's must name one. Each series becomes its block as its rows end."""
+    blocks: list[ForecastBlock] = []
+    done: set[str] = set()  # the series already read
+    sid: Optional[str] = None
+    producers: list[str] = []  # sid's, in file order
+    seen: set[str] = set()  # the same producers
+    values: list[float] = []  # sid's values, producer by producer
+    step = 0  # the last step of producers[-1]
+    horizon = 0  # the first producer's H once its rows end
 
-    A series is packed into a matrix when its first run of rows ends and
-    its steps ran 1..H in file order, as every stage writes them. A series
-    that cannot be packed, or that resumes later in the file, stays
-    ``{producer: {step: value}}`` dicts to the end, so each series is packed
-    and unpacked at most once. The step checks run once the whole file is
-    read, in series order."""
-    held: dict = {}  # series id -> packed (producers, matrix) or dicts, in order of first row
-    reading_sid: Optional[str] = None
-    reading: dict[str, dict[int, float]] = {}  # the rows of reading_sid
-    first_run = False  # reading holds the first run of reading_sid's rows
+    def end_producer() -> None:
+        nonlocal horizon
+        if not horizon:
+            horizon = step
+        elif step != horizon:
+            raise DataError(f"{path}: {sid}: {producers[-1]} has {step} steps, "
+                            f"{producers[0]} has {horizon}")
+
+    def end_series() -> None:
+        end_producer()
+        done.add(sid)
+        try:
+            blocks.append(ForecastBlock(sid, producers, np.array(values).reshape(-1, horizon)))
+        except DataError as exc:  # a non-finite value, found once per block
+            raise DataError(f"{path}: {exc}") from exc
 
     def take(row: list[str]) -> None:
-        nonlocal reading_sid, reading, first_run
-        sid, producer, h, value = row
-        step, number = int(h), float(value)
-        if sid != reading_sid:
-            if first_run:
-                held[reading_sid] = _pack(reading)
-            reading_sid, first_run = sid, sid not in held
-            if first_run:
-                held[sid] = {}
-            elif isinstance(held[sid], tuple):  # it resumes
-                held[sid] = _unpack(*held[sid])
-            reading = held[sid]
-        steps = reading.get(producer)
-        if steps is None:
+        nonlocal sid, producers, seen, values, step, horizon
+        row_sid, producer, h, value = row
+        row_step, number = int(h), float(value)
+        if row_sid != sid:
+            if sid is not None:
+                end_series()
+            if row_sid in done:
+                raise ValueError(f"series {row_sid} resumes after other series")
+            sid, producers, seen, values, horizon = row_sid, [], set(), [], 0
+        if not producers or producer != producers[-1]:
+            if producers:
+                end_producer()
+            if producer in seen:
+                raise ValueError(f"({sid}, {producer}) resumes after other producers")
             try:
                 parse_producer(producer)
             except ConfigError as exc:
                 raise ValueError(str(exc)) from exc
-            steps = reading[producer] = {}
-        if step in steps:
-            raise ValueError(f"duplicate row for ({sid}, {producer}, h={step})")
-        steps[step] = number
+            producers.append(producer)
+            seen.add(producer)
+            step = 0
+        if row_step != step + 1:
+            if 1 <= row_step <= step:
+                raise ValueError(f"duplicate row for ({sid}, {producer}, h={row_step})")
+            raise ValueError(f"({sid}, {producer}): steps must run 1..H in order, "
+                             f"got {row_step} after {step}")
+        values.append(number)
+        step = row_step
 
     _read_csv(path, FORECAST_HEADER, take)
-    if first_run:
-        held[reading_sid] = _pack(reading)
-    reading = {}  # let a packed last series' dicts go before the blocks are built
-    return [_forecast_block(path, sid, held.pop(sid)) for sid in list(held)]
+    end_series()
+    return blocks
 
 
 # -- leaderboards and analyses ------------------------------------------------

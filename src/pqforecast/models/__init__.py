@@ -12,12 +12,10 @@ from __future__ import annotations
 from .base import (
     HORIZON_WEEKS,
     PUBLIC_MODELS,
-    SARIMA_GRID,
     SEASONAL_PERIOD,
     ForecastBlock,
     ModelFit,
     ModelId,
-    SarimaGrid,
     model_from_name,
 )
 from .baselines import predict_snaive
@@ -32,7 +30,6 @@ __all__ = [
     "ModelFit",
     "ModelId",
     "PUBLIC_MODELS",
-    "SarimaGrid",
     "TrainingWindow",
     "model_from_name",
     "fit_predict",
@@ -51,7 +48,7 @@ def fit_predict(model: ModelId, window: TrainingWindow, h: int = HORIZON_WEEKS) 
     elif model is ModelId.PROPHET:
         values = predict_fourier_trend(y, h, SEASONAL_PERIOD)
     elif model is ModelId.SARIMA:
-        values, fit = predict_sarima(y, h, SARIMA_GRID, SEASONAL_PERIOD, window.decomposition)
+        values, fit = predict_sarima(y, h, SEASONAL_PERIOD, window.decomposition)
         if fit is None:
             # a corpus run must not abort on one hard series
             values = predict_snaive(y, h, SEASONAL_PERIOD)

@@ -41,24 +41,6 @@ def model_from_name(name: str) -> ModelId:
     raise ConfigError(f"unknown model {name!r}; valid models: {valid}")
 
 
-@dataclass(frozen=True)
-class SarimaGrid:
-    """Search space for the seasonal ARIMA order selection."""
-
-    max_p: int = 2
-    max_q: int = 2
-    max_d: int = 1
-    max_P: int = 1
-    max_Q: int = 1
-    max_D: int = 1
-    max_order: int = 4  # cap on p + q + P + Q
-    min_len_after_diff: int = 30
-
-
-#: The order search of SARIMA and of STL-ARIMA's adjusted-series ARIMA.
-SARIMA_GRID = SarimaGrid()
-
-
 def standardize(y: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Center and scale so the optimizer path (and therefore the forecast) is
     independent of the data's affine frame; map forecasts back with

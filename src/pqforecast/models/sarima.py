@@ -20,12 +20,19 @@ import numpy as np
 
 from ..errors import DataError
 from ..numerics import Decomposition, aicc, difference, gaussian_loglik, integrate_forecast, nelder_mead
-from .base import SarimaGrid, standardize
+from .base import standardize
 
 ROOT_MARGIN = 1.001
 _PENALTY = 1e12
 _MIN_COMMON_OBS = 16
 _EPS = float(np.finfo(float).eps)
+
+#: The order search of SARIMA and of STL-ARIMA's adjusted-series ARIMA; the
+#: differencing orders d and D are each 0 or 1 (see choose_differencing).
+MAX_P = MAX_Q = 2
+MAX_SEASONAL_P = MAX_SEASONAL_Q = 1
+MAX_ORDER = 4  # cap on p + q + P + Q
+MIN_LEN_AFTER_DIFF = 30
 
 
 @dataclass(frozen=True)
@@ -287,15 +294,15 @@ def fit_css(w: np.ndarray, order: SarimaOrder, eval_from: int | None = None,
                      aicc=aicc(ll, order.n_params, n_obs))
 
 
-def _candidate_orders(grid: SarimaGrid, m: int, seasonal: bool, d: int, D: int) -> list[SarimaOrder]:
-    ps = range(grid.max_p + 1)
-    qs = range(grid.max_q + 1)
-    Ps = range(grid.max_P + 1) if seasonal else (0,)
-    Qs = range(grid.max_Q + 1) if seasonal else (0,)
+def _candidate_orders(m: int, seasonal: bool, d: int, D: int) -> list[SarimaOrder]:
+    ps = range(MAX_P + 1)
+    qs = range(MAX_Q + 1)
+    Ps = range(MAX_SEASONAL_P + 1) if seasonal else (0,)
+    Qs = range(MAX_SEASONAL_Q + 1) if seasonal else (0,)
     orders = [
         SarimaOrder(p, d, q, P, D, Q, m if seasonal else 1)
         for p, q, P, Q in itertools.product(ps, qs, Ps, Qs)
-        if p + q + P + Q <= grid.max_order
+        if p + q + P + Q <= MAX_ORDER
     ]
     # simple models first so AICc ties resolve toward parsimony
     orders.sort(key=lambda o: (o.n_coeffs, o.p, o.q, o.P, o.Q))
@@ -323,8 +330,7 @@ _SEASONAL_STRENGTH_THRESHOLD = 0.64
 Decompose = Callable[[], Decomposition]
 
 
-def choose_differencing(y: np.ndarray, grid: SarimaGrid, m: int,
-                        decompose: Decompose | None) -> tuple[int, int]:
+def choose_differencing(y: np.ndarray, m: int, decompose: Decompose | None) -> tuple[int, int]:
     """Differencing orders from data heuristics: seasonal differencing when
     the seasonal component dominates the detrended variance, ordinary
     differencing when it reduces the standard deviation.
@@ -340,12 +346,12 @@ def choose_differencing(y: np.ndarray, grid: SarimaGrid, m: int,
     ARMA grid search.
     """
     D = 0
-    if decompose is not None and grid.max_D >= 1 and len(y) >= 2 * m:
+    if decompose is not None and len(y) >= 2 * m:
         if seasonal_strength(decompose()) > _SEASONAL_STRENGTH_THRESHOLD:
             D = 1
     z = difference(y, m, 1) if D else y
     d = 0
-    if grid.max_d >= 1 and len(z) > 2:
+    if len(z) > 2:
         if np.std(z[1:] - z[:-1]) < np.std(z):
             d = 1
     return d, D
@@ -364,8 +370,7 @@ def _differenced(y: np.ndarray, order: SarimaOrder) -> tuple[np.ndarray, list[tu
     return w, stages
 
 
-def select_order(y: np.ndarray, grid: SarimaGrid, m: int,
-                 decompose: Decompose | None) -> SarimaFit | None:
+def select_order(y: np.ndarray, m: int, decompose: Decompose | None) -> SarimaFit | None:
     """AICc grid search on a common evaluation window; None when nothing is
     admissible. Seasonal orders are searched when ``decompose`` is given
     (see :func:`choose_differencing`)."""
@@ -373,13 +378,13 @@ def select_order(y: np.ndarray, grid: SarimaGrid, m: int,
     n = len(y)
     seasonal = decompose is not None
 
-    d, D = choose_differencing(y, grid, m, decompose)
+    d, D = choose_differencing(y, m, decompose)
     admissible = []
     # degrade differencing when the series is too short for the chosen orders
     for d_try, D_try in dict.fromkeys([(d, D), (d, 0), (0, D), (0, 0)]):
         admissible = [
-            order for order in _candidate_orders(grid, m, seasonal, d_try, D_try)
-            if n - order.diff_loss >= grid.min_len_after_diff
+            order for order in _candidate_orders(m, seasonal, d_try, D_try)
+            if n - order.diff_loss >= MIN_LEN_AFTER_DIFF
             and n - order.natural_start >= _MIN_COMMON_OBS
         ]
         if admissible:
@@ -434,21 +439,21 @@ def forecast_fit(y: np.ndarray, fit: SarimaFit, h: int) -> np.ndarray:
     return fc
 
 
-def predict_sarima(y: np.ndarray, h: int, grid: SarimaGrid, m: int,
+def predict_sarima(y: np.ndarray, h: int, m: int,
                    decompose: Decompose) -> tuple[np.ndarray, SarimaFit | None]:
     """Full seasonal selection + forecast; (values, None) means the caller
     must fall back. ``decompose`` gives the STL split of ``y``."""
     z, mu, sd = standardize(np.asarray(y, dtype=float))
-    fit = select_order(z, grid, m, decompose)
+    fit = select_order(z, m, decompose)
     if fit is None:
         return np.array([]), None
     return mu + sd * forecast_fit(z, fit, h), fit
 
 
-def predict_arima(y: np.ndarray, h: int, grid: SarimaGrid) -> tuple[np.ndarray, SarimaFit | None]:
+def predict_arima(y: np.ndarray, h: int) -> tuple[np.ndarray, SarimaFit | None]:
     """Non-seasonal selection + forecast for seasonally adjusted series."""
     z, mu, sd = standardize(np.asarray(y, dtype=float))
-    fit = select_order(z, grid, 1, None)
+    fit = select_order(z, 1, None)
     if fit is None:
         return np.array([]), None
     return mu + sd * forecast_fit(z, fit, h), fit

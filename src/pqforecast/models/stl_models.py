@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..numerics import Decomposition, stl_decompose
-from .base import SARIMA_GRID, SEASONAL_PERIOD, ModelId
+from .base import SEASONAL_PERIOD, ModelId
 from .baselines import predict_drift, predict_naive, predict_snaive
 from .sarima import predict_arima
 from .smoothing import predict_es, predict_holt
@@ -42,7 +42,7 @@ def predict_stl_composite(model: ModelId, decomp: Decomposition, h: int) -> tupl
     elif model is ModelId.STL_HOLT:
         adjusted_fc = predict_holt(adjusted, h, SEASONAL_PERIOD)
     else:
-        adjusted_fc, fit = predict_arima(adjusted, h, SARIMA_GRID)
+        adjusted_fc, fit = predict_arima(adjusted, h)
         if fit is None:
             adjusted_fc = predict_naive(adjusted, h)
             notes.append("arima inadmissible on adjusted series; naive fallback")

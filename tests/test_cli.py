@@ -401,6 +401,18 @@ class TestMalformedForecastTable:
             err = capsys.readouterr().err
             assert f"{path}: {series[1].series_id}: HW has 51 steps, SNaive has 52" in err
 
+    def test_series_that_resumes_names_line(self, tmp_path, corpus, capsys):
+        series, path = corpus
+        lines = path.read_text().splitlines()
+        moved = [line for line in lines if line.startswith(f"{series[0].series_id},STL-ARIMA,")]
+        lines = [line for line in lines if line not in moved] + moved  # after the second series
+        path.write_text("\n".join(lines) + "\n")
+        for argv in self._stages(tmp_path, path):
+            assert run(*argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            line = len(lines) - len(moved) + 1
+            assert f"{path}:{line}: series {series[0].series_id} resumes after other series" in err
+
     def test_table_horizon_differs_from_option(self, tmp_path, corpus, capsys):
         series, path = corpus
         assert run("evaluate", "--forecasts", path, "--weekly", tmp_path / "weekly.csv",

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from pqforecast import io as pqio
 from pqforecast import report as pqreport
-from pqforecast.ensembles import CombinationMethod, ensemble_producers
+from pqforecast.ensembles import CombinationMethod, ensemble_producers, parse_producer
 from pqforecast.errors import ConfigError, DataError
 from pqforecast.evaluation import (
     ComparisonReport,
@@ -65,6 +65,11 @@ class TestWeeklyCsv:
                         "s,2022,1,notanumber,0\n")
         with pytest.raises(DataError, match="weekly.csv:2"):
             pqio.read_weekly_csv(path)
+        for value, message in [("nan", "non-finite"), ("inf", "non-finite"), ("-1.0", "negative")]:
+            path.write_text("series_id,iso_year,iso_week,utilization_percent,filled\n"
+                            f"s,2022,1,1.0,0\ns,2022,2,{value},0\n")
+            with pytest.raises(DataError, match=rf"weekly\.csv: s: {message} weekly value"):
+                pqio.read_weekly_csv(path)
 
     def test_non_consecutive_weeks_rejected(self, tmp_path):
         path = tmp_path / "weekly.csv"
@@ -138,8 +143,8 @@ class TestForecastCsv:
 
     def test_series_and_producers_in_file_order(self, tmp_path):
         path = tmp_path / "fc.csv"
-        lines = ["series_id,producer,h,value", "s2,HW,1,1.0", "s1,SNaive,1,2.0",
-                 "s2,SNaive,1,3.0", "s1,HW,1,4.0"]
+        lines = ["series_id,producer,h,value", "s2,HW,1,1.0", "s2,SNaive,1,3.0",
+                 "s1,SNaive,1,2.0", "s1,HW,1,4.0"]
         path.write_text("\n".join(lines) + "\n")
         back = pqio.read_forecast_csv(path)
         assert [(b.series_id, b.producers, b.values.tolist()) for b in back] == [
@@ -196,16 +201,27 @@ EDGE_VALUES = [0.0, -0.0, 1e-300, 5e-324, 2.2250738585072014e-308, 1e-310, 1e16,
 labels = st.text(st.characters(blacklist_categories=["Cs"]), max_size=6)  # Cs: not encodable
 
 
+def names_a_producer(label: str) -> bool:
+    """Whether ``parse_producer`` accepts ``label``: a model name, or an
+    ensemble label that names an ensemble and a method."""
+    try:
+        parse_producer(label)
+    except ConfigError:
+        return False
+    return True
+
+
 @st.composite
 def forecast_blocks(draw):
-    """Up to four blocks of 1..60 steps with any labels and finite values."""
+    """Up to four blocks of distinct series, 1..60 steps, any labels that
+    name a producer and finite values."""
     values = st.one_of(st.floats(-1e300, 1e300, allow_nan=False), st.sampled_from(EDGE_VALUES))
     blocks = []
-    for _ in range(draw(st.integers(0, 4))):
-        producers = draw(st.lists(labels, min_size=1, max_size=4, unique=True))
+    for sid in draw(st.lists(labels, max_size=4, unique=True)):
+        producers = draw(st.lists(labels.filter(names_a_producer), min_size=1, max_size=4, unique=True))
         horizon = draw(st.integers(1, 60))
         rows = [[draw(values) for _ in range(horizon)] for _ in producers]
-        blocks.append(ForecastBlock(draw(labels), producers, rows))
+        blocks.append(ForecastBlock(sid, producers, rows))
     return blocks
 
 
@@ -247,7 +263,12 @@ class TestForecastWriterReference:
     @settings(max_examples=60, deadline=None)
     @given(forecast_blocks())
     def test_hypothesis_blocks(self, tmp_path_factory, blocks):
-        self.assert_same_bytes(tmp_path_factory.mktemp("fc"), blocks)
+        directory = tmp_path_factory.mktemp("fc")
+        self.assert_same_bytes(directory, blocks)
+        if blocks:  # what the writer writes, the reader reads back
+            back = pqio.read_forecast_csv(directory / "mine.csv")
+            assert [(b.series_id, b.producers, b.values.tobytes()) for b in back] == \
+                   [(b.series_id, b.producers, b.values.tobytes()) for b in blocks]
 
     def test_no_blocks_writes_the_header_alone(self, tmp_path):
         path = tmp_path / "fc.csv"
@@ -275,6 +296,13 @@ def grouped_rows(sids, producers, values) -> list[list]:
     """Rows as the writer orders them: series, then producer, then step."""
     return [[sid, producer, h, value] for sid, block in zip(sids, values)
             for producer, row in zip(producers, block) for h, value in enumerate(row, start=1)]
+
+
+def writer_order(blocks) -> list[tuple]:
+    """The (series, producer, step) of every row of ``read_outcome`` blocks,
+    in the order the writer writes them."""
+    return [(sid, producer, h) for sid, producers, shape, _ in blocks
+            for producer in producers for h in range(1, shape[1] + 1)]
 
 
 def read_outcome(read, path):
@@ -336,15 +364,20 @@ TABLE_KINDS = ["grouped", "interleaved", "h_major", "shuffled", "resumed", "resu
 
 
 class TestForecastReaderReference:
-    """``read_forecast_csv`` returns the blocks, or raises the error, of the
-    reader that holds every row until the file ends
-    (``conftest.reference_read_forecast_csv``)."""
+    """``read_forecast_csv`` returns the blocks of the reader that holds
+    every row until the file ends (``conftest.reference_read_forecast_csv``)
+    where the table's rows are those blocks' in writer order, and raises a
+    ``DataError`` that names the file on every other table."""
 
     @staticmethod
-    def assert_same_outcome(path):
+    def assert_outcome(path, rows):
         mine = read_outcome(pqio.read_forecast_csv, path)
-        assert mine == read_outcome(reference_read_forecast_csv, path)
-        return mine
+        oracle = read_outcome(reference_read_forecast_csv, path)
+        if oracle[0] == "blocks" and writer_order(oracle[1]) == [tuple(r[:3]) for r in rows]:
+            assert mine == oracle
+        else:
+            assert mine[0] == "error" and str(path) in mine[1], mine
+        return mine[0]
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("kind", TABLE_KINDS)
@@ -356,10 +389,9 @@ class TestForecastReaderReference:
         values = rng.uniform(-5.0, 50.0, (len(sids), len(producers), horizon)).tolist()
         rows = grouped_rows(sids, producers, values)
         path = tmp_path / "fc.csv"
-        write_rows(path, reshape_table(rng, kind, rows, sids, producers, horizon))
-        result, detail = self.assert_same_outcome(path)
-        valid = kind in ("grouped", "interleaved", "h_major", "shuffled", "resumed", "steps_reversed")
-        assert result == ("blocks" if valid else "error"), detail
+        table = reshape_table(rng, kind, rows, sids, producers, horizon)
+        write_rows(path, table)
+        assert self.assert_outcome(path, table) == ("blocks" if kind == "grouped" else "error")
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -391,18 +423,12 @@ class TestForecastReaderReference:
                 rows[i] = [*rows[i][:2], *draw(st.sampled_from([("1.5", 1.0), (1, "x")]))]
         path = tmp_path_factory.mktemp("fc") / "fc.csv"
         write_rows(path, rows)
-        self.assert_same_outcome(path)
+        self.assert_outcome(path, rows)
 
 
-def test_forecast_reader_packs_and_unpacks_each_series_at_most_once(tmp_path, monkeypatch):
-    """A round-robin table changes series on every row; each series is still
-    packed once and unpacked once, so the read stays linear in its rows."""
-    calls = {"_pack": 0, "_unpack": 0}
-    for name in calls:
-        def counted(*args, _name=name, _original=getattr(pqio, name)):
-            calls[_name] += 1
-            return _original(*args)
-        monkeypatch.setattr(pqio, name, counted)
+def test_forecast_reader_stops_where_a_round_robin_table_resumes_a_series(tmp_path):
+    """A round-robin table changes series on every row; the read fails at
+    the line where the first series comes back."""
     sids, producers, horizon = [f"s{i}" for i in range(60)], ["SNaive", "HW", "B01:mean", "D28:median"], 12
     values = np.random.default_rng(7).uniform(0, 50, (len(sids), len(producers), horizon)).tolist()
     rows = grouped_rows(sids, producers, values)
@@ -410,8 +436,8 @@ def test_forecast_reader_packs_and_unpacks_each_series_at_most_once(tmp_path, mo
     per_series = len(producers) * horizon
     write_rows(path, [r for i in range(per_series) for r in rows[i::per_series]])  # one row of each series in turn
     assert len(rows) == 2880
-    assert read_outcome(pqio.read_forecast_csv, path) == read_outcome(reference_read_forecast_csv, path)
-    assert calls == {"_pack": 60, "_unpack": 60}
+    with pytest.raises(DataError, match=rf"fc\.csv:{len(sids) + 2}: series s0 resumes after other series"):
+        pqio.read_forecast_csv(path)
 
 
 def test_forecast_reader_peak_memory_is_bounded_by_its_output(tmp_path, rng):

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
-import pqforecast.models
-from pqforecast.models import ModelId, SarimaGrid, TrainingWindow, fit_predict, sarima
+from pqforecast.models import ModelId, TrainingWindow, fit_predict, sarima
 from pqforecast.models.base import standardize
 from pqforecast.models.baselines import predict_snaive
 from pqforecast.models.sarima import (
@@ -27,8 +26,6 @@ from pqforecast.models.sarima import (
 )
 from pqforecast.numerics import nelder_mead, stl_decompose
 from pqforecast.synth import SyntheticSpec, generate_corpus
-
-GRID = SarimaGrid()
 
 
 def ar1_series(phi: float, n: int, seed: int, mean: float = 20.0) -> np.ndarray:
@@ -172,7 +169,7 @@ class TestCssResidualsReference:
     ])
     def test_every_grid_order(self, m, seasonal, d, D):
         rng = np.random.default_rng(7 + 13 * m + 3 * d + D)
-        orders = _candidate_orders(GRID, m, seasonal, d, D)
+        orders = _candidate_orders(m, seasonal, d, D)
         assert len(orders) == (31 if seasonal else 9)
         for order in orders:
             assert order.with_constant == (d + D == 0)
@@ -186,22 +183,22 @@ class TestCssResidualsReference:
 class TestDifferencingHeuristic:
     def test_white_noise_needs_none(self, rng):
         y = rng.normal(10, 1, 105)
-        assert choose_differencing(y, GRID, 52, TrainingWindow(y).decomposition) == (0, 0)
+        assert choose_differencing(y, 52, TrainingWindow(y).decomposition) == (0, 0)
 
     def test_random_walk_needs_ordinary(self, rng):
         y = rng.normal(0, 1, 105).cumsum() + 50
-        d, D = choose_differencing(y, GRID, 52, TrainingWindow(y).decomposition)
+        d, D = choose_differencing(y, 52, TrainingWindow(y).decomposition)
         assert d == 1 and D == 0
 
     def test_strong_seasonality_needs_seasonal(self):
         t = np.arange(105)
         y = 30 + 9 * np.sin(2 * np.pi * t / 52)
-        d, D = choose_differencing(y, GRID, 52, TrainingWindow(y).decomposition)
+        d, D = choose_differencing(y, 52, TrainingWindow(y).decomposition)
         assert D == 1
 
     def test_constant_series(self):
         y = np.full(105, 3.0)
-        assert choose_differencing(y, GRID, 52, TrainingWindow(y).decomposition) == (0, 0)
+        assert choose_differencing(y, 52, TrainingWindow(y).decomposition) == (0, 0)
 
     @pytest.mark.parametrize("jitter", [0, 4])
     def test_flat_windows_have_no_seasonal_strength(self, jitter):
@@ -214,7 +211,7 @@ class TestDifferencingHeuristic:
                 y = np.full(n, level) + level * eps * rng.integers(-jitter, jitter + 1, n)
                 window = TrainingWindow(y)
                 assert seasonal_strength(window.decomposition()) == 0.0, (level, n)
-                assert choose_differencing(y, GRID, 52, window.decomposition)[1] == 0, (level, n)
+                assert choose_differencing(y, 52, window.decomposition)[1] == 0, (level, n)
 
     def test_faint_seasonality_keeps_its_strength(self):
         t = np.arange(130)
@@ -230,8 +227,8 @@ class TestSharedDecomposition:
     @staticmethod
     def assert_same_differencing(y):
         z, _, _ = standardize(y)
-        oracle = choose_differencing(z, GRID, 52, lambda: stl_decompose(z, 52))
-        assert choose_differencing(z, GRID, 52, TrainingWindow(y).decomposition) == oracle
+        oracle = choose_differencing(z, 52, lambda: stl_decompose(z, 52))
+        assert choose_differencing(z, 52, TrainingWindow(y).decomposition) == oracle
 
     def test_synthetic_corpus(self):
         corpus, _ = generate_corpus(SyntheticSpec(n_series=12, rng_seed=4401))
@@ -252,13 +249,13 @@ class TestSharedDecomposition:
         def refuse():
             raise AssertionError("decomposed a window shorter than two cycles")
 
-        assert choose_differencing(np.arange(103.0), GRID, 52, refuse) == (1, 0)
+        assert choose_differencing(np.arange(103.0), 52, refuse) == (1, 0)
 
 
 class TestOrderSelection:
     def test_white_noise_selects_constant_model(self):
         y = np.random.default_rng(42).normal(10.0, 1.0, size=105)
-        fit = select_order(y, GRID, 52, TrainingWindow(y).decomposition)
+        fit = select_order(y, 52, TrainingWindow(y).decomposition)
         assert (fit.order.p, fit.order.d, fit.order.q) == (0, 0, 0)
         assert (fit.order.P, fit.order.D, fit.order.Q) == (0, 0, 0)
         assert fit.order.with_constant
@@ -271,7 +268,7 @@ class TestOrderSelection:
     def test_exact_cycle_selects_seasonal_difference(self):
         cycle = 30 + 8 * np.sin(2 * np.pi * np.arange(52) / 52)
         y = np.concatenate([np.tile(cycle, 2), [cycle[0]]])
-        fit = select_order(y, GRID, 52, TrainingWindow(y).decomposition)
+        fit = select_order(y, 52, TrainingWindow(y).decomposition)
         assert fit.order.D == 1
         fc = forecast_fit(y, fit, 52)
         assert fc == pytest.approx(predict_snaive(y, 52, 52), abs=1e-6)
@@ -284,10 +281,10 @@ class TestOrderSelection:
             estimates.append(fit.params[0])
         assert abs(np.mean(estimates) - 0.8) <= 0.15
 
-    def test_nothing_admissible_returns_none(self):
+    def test_nothing_admissible_returns_none(self, monkeypatch):
         y = np.random.default_rng(0).normal(size=105)
-        tight = SarimaGrid(min_len_after_diff=200)
-        assert select_order(y, tight, 52, TrainingWindow(y).decomposition) is None
+        monkeypatch.setattr(sarima, "MIN_LEN_AFTER_DIFF", 200)
+        assert select_order(y, 52, TrainingWindow(y).decomposition) is None
 
 
 class TestFitCssStartPoint:
@@ -326,14 +323,14 @@ class TestFitCssStartPoint:
 class TestPredictWrappers:
     def test_sarima_fallback_to_snaive(self, monkeypatch):
         y = np.abs(np.random.default_rng(3).normal(30, 3, 105))
-        monkeypatch.setattr(pqforecast.models, "SARIMA_GRID", SarimaGrid(min_len_after_diff=200))
+        monkeypatch.setattr(sarima, "MIN_LEN_AFTER_DIFF", 200)
         fit = fit_predict(ModelId.SARIMA, TrainingWindow(y), 52)
         assert fit.notes and "fallback" in fit.notes[0]
         assert np.array_equal(fit.values, predict_snaive(y, 52, 52))
 
     def test_nonseasonal_wrapper(self):
         y = ar1_series(0.5, 105, seed=7)
-        fc, fit = predict_arima(y, 52, GRID)
+        fc, fit = predict_arima(y, 52)
         assert fit is not None
         assert fit.order.P == 0 and fit.order.D == 0 and fit.order.Q == 0
         assert len(fc) == 52
@@ -342,13 +339,13 @@ class TestPredictWrappers:
     def test_seasonal_wrapper_horizon(self):
         t = np.arange(105)
         y = 30 + 6 * np.sin(2 * np.pi * t / 52) + np.random.default_rng(1).normal(0, 1, 105)
-        fc, fit = predict_sarima(y, 52, GRID, 52, TrainingWindow(y).decomposition)
+        fc, fit = predict_sarima(y, 52, 52, TrainingWindow(y).decomposition)
         assert fit is not None and fit.order.D == 1
         assert len(fc) == 52
 
     def test_drifting_series_forecast_tracks_level(self):
         # forecast from a differenced model must continue near the last level
         y = np.linspace(20, 60, 105) + np.random.default_rng(2).normal(0, 0.5, 105)
-        fc, fit = predict_sarima(y, 52, GRID, 52, TrainingWindow(y).decomposition)
+        fc, fit = predict_sarima(y, 52, 52, TrainingWindow(y).decomposition)
         assert fit.order.d == 1
         assert 50.0 < fc[0] < 70.0
