@@ -103,33 +103,26 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_preprocess(args: argparse.Namespace) -> int:
     levels = pqio.load_planning_levels(Path(args.planning_levels))
 
-    raw_series = []
+    accepted: list[WeeklySeries] = []
+    rejections = []
     source: dict[str, str] = {}
     for path in args.raw:
         for raw in pqio.read_raw_csv(Path(path)):
             if raw.series_id in source:
                 raise DataError(f"{raw.series_id}: in both {source[raw.series_id]} and {path}")
             source[raw.series_id] = path
-            raw_series.append(raw)
-
-    accepted: list[WeeklySeries] = []
-    rejections = []
-    for raw in raw_series:
-        key = SeriesKey.try_parse(raw.series_id)
-        if key is None:
-            raise DataError(f"{raw.series_id}: series id is not site:parameter:voltage")
-        pl = levels.get((key.parameter, key.voltage_level))
-        if pl is None:
-            raise ConfigError(
-                f"no planning level for ({key.parameter}, {key.voltage_level}) "
-                f"needed by {raw.series_id}"
-            )
-        aggs = aggregate_weekly(raw)
-        result = fill_gaps(raw.series_id, aggs)
-        if isinstance(result, WeeklySeries):
-            accepted.append(normalize(result, pl))
-        else:
-            rejections.append(result)
+            key = SeriesKey.try_parse(raw.series_id)
+            if key is None:
+                raise DataError(f"{raw.series_id}: series id is not site:parameter:voltage")
+            pl = levels.get((key.parameter, key.voltage_level))
+            if pl is None:
+                raise ConfigError(f"no planning level for ({key.parameter}, {key.voltage_level}) "
+                                  f"needed by {raw.series_id}")
+            result = fill_gaps(raw.series_id, aggregate_weekly(raw))
+            if isinstance(result, WeeklySeries):
+                accepted.append(normalize(result, pl))
+            else:
+                rejections.append(result)
 
     out = _ensure_out(args)
     pqio.write_weekly_csv(out / "weekly.csv", accepted)
@@ -170,6 +163,8 @@ def cmd_forecast(args: argparse.Namespace) -> int:
         models = [model_from_name(name.strip()) for name in args.models.split(",") if name.strip()]
     if not models:
         raise ConfigError("no models selected")
+    if len(set(models)) < len(models):
+        raise ConfigError(f"a model is named twice in --models {args.models!r}")
 
     needed = cfg.train_len + cfg.horizon
     for s in series:

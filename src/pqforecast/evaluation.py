@@ -84,9 +84,6 @@ class Leaderboard:
                 return row
         raise ConfigError(f"producer {producer!r} not on the leaderboard")
 
-    def producers(self) -> list[str]:
-        return [r.producer for r in self.rows]
-
 
 def evaluate_corpus(
     blocks: Iterable[ForecastBlock],

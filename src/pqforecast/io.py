@@ -23,9 +23,10 @@ import configparser
 import csv
 import json
 import os
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime
 from io import StringIO
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
@@ -43,11 +44,14 @@ from .evaluation import (
 from .ensembles import parse_producer
 from .models import ForecastBlock
 from .weekly import (
+    SAMPLES_PER_WEEK,
     PlanningLevel,
     RawSeries,
     Rejection,
     WeeklySeries,
     add_weeks,
+    minute_isoformat,
+    utc_minute,
     week_start,
 )
 
@@ -114,36 +118,39 @@ def _read_csv(path: Path, header: Sequence[str], take: Callable[[list[str]], Non
 # -- raw measurements -------------------------------------------------------
 
 def read_raw_csv(path: Path) -> list[RawSeries]:
-    """Parse 10-minute measurements grouped by series, in file order."""
-    samples: dict[str, list[tuple[datetime, float]]] = {}
+    """Parse 10-minute measurements grouped by series, in file order, into
+    flat typed buffers of UTC minutes and values. A naive timestamp is UTC,
+    one with an offset is converted."""
+    columns: dict[str, tuple[array, array]] = {}
 
     def take(row: list[str]) -> None:
         series_id, ts_text, value_text = row
-        samples.setdefault(series_id, []).append((datetime.fromisoformat(ts_text), float(value_text)))
+        minutes, values = columns.get(series_id) or columns.setdefault(series_id, (array("q"), array("d")))
+        minutes.append(utc_minute(datetime.fromisoformat(ts_text)))
+        values.append(float(value_text))
 
     _read_csv(path, RAW_HEADER, take)
-    return [RawSeries(series_id=sid, samples=rows) for sid, rows in samples.items()]
+    try:  # each series' buffers are dropped once its array is built
+        return [RawSeries.from_columns(sid, *columns.pop(sid)) for sid in list(columns)]
+    except DataError as exc:  # a sample off the grid, out of order or invalid
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def write_raw_csv(path: Path, series: Iterable[RawSeries]) -> None:
     _write_csv(path, RAW_HEADER, (
-        (s.series_id, ts.isoformat(), value) for s in series for ts, value in s.samples
+        (s.series_id, minute_isoformat(minute), value) for s in series
+        for minute, value in zip(s.samples["minute"].tolist(), s.samples["value"].tolist())
     ))
 
 
 def weekly_to_raw(series: WeeklySeries, missing_weeks: Sequence[int] = ()) -> RawSeries:
     """Expand a weekly series to a constant-valued 10-minute grid (the weekly
     95th percentile of constant data is the value itself)."""
-    skip = set(missing_weeks)
-    samples = []
-    for i, value in enumerate(series.values):
-        if i in skip:
-            continue
-        monday = week_start(add_weeks(series.start_week, i))
-        start = datetime.combine(monday, datetime.min.time(), tzinfo=timezone.utc)
-        for slot in range(1008):
-            samples.append((start + timedelta(minutes=10 * slot), float(value)))
-    return RawSeries(series_id=series.series_id, samples=samples)
+    weeks = np.setdiff1d(np.arange(len(series)), missing_weeks)
+    monday = utc_minute(datetime.combine(week_start(series.start_week), datetime.min.time()))
+    minutes = monday + 10 * (SAMPLES_PER_WEEK * weeks[:, None] + np.arange(SAMPLES_PER_WEEK))
+    return RawSeries.from_columns(series.series_id, minutes.ravel(),
+                                  np.repeat(series.values[weeks], SAMPLES_PER_WEEK))
 
 
 # -- weekly series ----------------------------------------------------------

@@ -35,6 +35,12 @@ TEST_WEEKS = 52
 
 WeekId = tuple[int, int]  # (ISO year, ISO week)
 
+NAIVE_EPOCH = datetime(1970, 1, 1)
+EPOCH = NAIVE_EPOCH.replace(tzinfo=timezone.utc)
+MINUTES_PER_WEEK = 7 * 24 * 60
+MONDAY_MINUTE = 4 * 24 * 60  # 1970-01-05, the first Monday after the epoch
+RAW_DTYPE = np.dtype([("minute", np.int64), ("value", np.float64)])  # UTC minute since the epoch
+
 
 def week_start(week: WeekId) -> date:
     """Monday of the given ISO week."""
@@ -47,9 +53,16 @@ def add_weeks(week: WeekId, n: int) -> WeekId:
     return (iso[0], iso[1])
 
 
-def week_of(ts: datetime) -> WeekId:
-    iso = ts.date().isocalendar()
-    return (iso[0], iso[1])
+def utc_minute(ts: datetime) -> int:
+    """Minutes since the epoch of a whole-minute instant; naive means UTC."""
+    delta = ts - (NAIVE_EPOCH if ts.tzinfo is None else EPOCH)
+    if delta.seconds % 60 or delta.microseconds:
+        raise ValueError(f"timestamp {ts.isoformat()} is not a whole minute")
+    return delta.days * 1440 + delta.seconds // 60
+
+
+def minute_isoformat(minute: int) -> str:
+    return (EPOCH + timedelta(minutes=int(minute))).isoformat()
 
 
 @dataclass(frozen=True)
@@ -73,37 +86,40 @@ class SeriesKey:
 
 @dataclass
 class RawSeries:
-    """Timestamped 10-minute measurements for one (site, parameter) pair.
+    """10-minute measurements for one (site, parameter) pair: one
+    ``RAW_DTYPE`` array of UTC minutes since the epoch and values.
 
-    Timestamps must be strictly increasing, unique and aligned to the
-    10-minute grid; values are nonnegative and in the parameter's native
-    unit. Naive timestamps are taken as UTC.
+    Minutes must be strictly increasing, unique and on the 10-minute grid;
+    values are nonnegative and in the parameter's native unit.
     """
 
     series_id: str
-    samples: list[tuple[datetime, float]]
+    samples: np.ndarray
 
     def __post_init__(self) -> None:
-        normalized = []
-        prev: Optional[datetime] = None
-        for ts, value in self.samples:
-            if ts.tzinfo is None:
-                ts = ts.replace(tzinfo=timezone.utc)
-            else:
-                ts = ts.astimezone(timezone.utc)
-            if ts.minute % 10 != 0 or ts.second != 0 or ts.microsecond != 0:
-                raise DataError(
-                    f"{self.series_id}: timestamp {ts.isoformat()} is not on the 10-minute grid"
-                )
-            if prev is not None and ts <= prev:
-                if ts == prev:
-                    raise DataError(f"{self.series_id}: duplicate timestamp {ts.isoformat()}")
-                raise DataError(f"{self.series_id}: timestamps not strictly increasing at {ts.isoformat()}")
-            if not np.isfinite(value) or value < 0:
-                raise DataError(f"{self.series_id}: invalid value {value!r} at {ts.isoformat()}")
-            normalized.append((ts, float(value)))
-            prev = ts
-        self.samples = normalized
+        self.samples = np.asarray(self.samples, dtype=RAW_DTYPE)
+        minutes, values = self.samples["minute"], self.samples["value"]
+        off_grid = minutes % 10 != 0
+        unordered = np.diff(minutes, prepend=minutes[:1] - 1) <= 0
+        invalid = ~np.isfinite(values) | (values < 0)
+        bad = off_grid | unordered | invalid
+        if not bad.any():
+            return
+        i = int(bad.argmax())  # the first offending sample, checked as it was
+        at = minute_isoformat(minutes[i])
+        if off_grid[i]:
+            raise DataError(f"{self.series_id}: timestamp {at} is not on the 10-minute grid")
+        if unordered[i]:
+            if minutes[i] == minutes[i - 1]:
+                raise DataError(f"{self.series_id}: duplicate timestamp {at}")
+            raise DataError(f"{self.series_id}: timestamps not strictly increasing at {at}")
+        raise DataError(f"{self.series_id}: invalid value {float(values[i])!r} at {at}")
+
+    @classmethod
+    def from_columns(cls, series_id: str, minutes, values) -> "RawSeries":
+        samples = np.empty(len(minutes), dtype=RAW_DTYPE)
+        samples["minute"], samples["value"] = minutes, values
+        return cls(series_id, samples)
 
 
 @dataclass(frozen=True)
@@ -165,9 +181,6 @@ class WeeklySeries:
     def filled_fraction(self) -> float:
         return float(np.mean(self.filled_flags)) if len(self) else 0.0
 
-    def weeks(self) -> list[WeekId]:
-        return [add_weeks(self.start_week, i) for i in range(len(self))]
-
 
 class RejectionReason(str, Enum):
     TOO_MANY_GAPS = "too-many-gaps"
@@ -195,41 +208,25 @@ def aggregate_weekly(raw: RawSeries) -> list[WeeklyAggregate]:
     least ``MIN_SAMPLES_PER_WEEK`` samples are available; the percentile
     estimator is linear interpolation between order statistics.
     """
-    if not raw.samples:
+    minutes, values = raw.samples["minute"], raw.samples["value"]
+    if not len(minutes):
         raise DataError(f"{raw.series_id}: no data")
 
-    first_ts = raw.samples[0][0]
-    last_ts = raw.samples[-1][0]
-
     # First Monday 00:00 at or after the first sample.
-    first_day = first_ts.date()
-    monday = first_day - timedelta(days=first_day.weekday())
-    span_start = datetime.combine(monday, datetime.min.time(), tzinfo=timezone.utc)
-    if span_start < first_ts:
-        span_start += timedelta(weeks=1)
-
+    start = int(minutes[0]) + (MONDAY_MINUTE - int(minutes[0])) % MINUTES_PER_WEEK
     # Last sample covers [t, t + 10 min); the final full week must end by then.
-    span_end_limit = last_ts + timedelta(minutes=10)
-    n_weeks = int((span_end_limit - span_start).days // 7)
+    n_weeks = (int(minutes[-1]) + 10 - start) // MINUTES_PER_WEEK
     if n_weeks < 1:
         raise DataError(f"{raw.series_id}: span too short (no full calendar week)")
 
-    buckets: list[list[float]] = [[] for _ in range(n_weeks)]
-    for ts, value in raw.samples:
-        offset = ts - span_start
-        if offset < timedelta(0):
-            continue
-        idx = int(offset.days // 7)
-        if idx >= n_weeks:
-            continue
-        buckets[idx].append(value)
-
+    bounds = np.searchsorted(minutes, start + MINUTES_PER_WEEK * np.arange(n_weeks + 1)).tolist()
+    monday = EPOCH + timedelta(minutes=start)
     aggs = []
-    for i, bucket in enumerate(buckets):
-        week = week_of(span_start + timedelta(weeks=i))
-        count = len(bucket)
-        p95 = weekly_p95(bucket) if count >= MIN_SAMPLES_PER_WEEK else None
-        aggs.append(WeeklyAggregate(week=week, p95=p95, present_count=count))
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        iso = (monday + timedelta(weeks=i)).isocalendar()
+        count = hi - lo
+        p95 = weekly_p95(values[lo:hi]) if count >= MIN_SAMPLES_PER_WEEK else None
+        aggs.append(WeeklyAggregate(week=(iso[0], iso[1]), p95=p95, present_count=count))
     return aggs
 
 

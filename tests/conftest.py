@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import Optional
 
@@ -11,7 +12,16 @@ from pqforecast.ensembles import CombinationMethod, enumerate_ensembles, parse_p
 from pqforecast.errors import ConfigError, DataError
 from pqforecast.io import FORECAST_HEADER, _read_csv
 from pqforecast.models import PUBLIC_MODELS, ForecastBlock
-from pqforecast.weekly import RawSeries, WeeklyAggregate, WeekId, add_weeks
+from pqforecast.weekly import (
+    MIN_SAMPLES_PER_WEEK,
+    MINUTES_PER_WEEK,
+    RawSeries,
+    WeeklyAggregate,
+    WeekId,
+    add_weeks,
+    utc_minute,
+    weekly_p95,
+)
 
 MONDAY = datetime(2022, 1, 3, tzinfo=timezone.utc)  # ISO (2022, 1)
 WEEK_2022_1: WeekId = (2022, 1)
@@ -31,12 +41,11 @@ def make_raw(week_values: list[list[float]], series_id: str = "site1:UNB:220",
              start: datetime = MONDAY) -> RawSeries:
     """Raw series from per-week sample lists; each week's samples fill the
     grid from Monday 00:00 onward."""
-    samples = []
-    for w, values in enumerate(week_values):
-        week_start = start + timedelta(weeks=w)
-        for i, v in enumerate(values):
-            samples.append((week_start + timedelta(minutes=10 * i), float(v)))
-    return RawSeries(series_id=series_id, samples=samples)
+    first = utc_minute(start)
+    minutes = [first + MINUTES_PER_WEEK * w + 10 * i
+               for w, values in enumerate(week_values) for i in range(len(values))]
+    values = [float(v) for week in week_values for v in week]
+    return RawSeries.from_columns(series_id, minutes, values)
 
 
 def make_aggs(p95s: list[float | None], start_week: WeekId = WEEK_2022_1) -> list[WeeklyAggregate]:
@@ -49,6 +58,84 @@ def make_aggs(p95s: list[float | None], start_week: WeekId = WEEK_2022_1) -> lis
             present_count=1008 if p is not None else 0,
         ))
     return out
+
+
+@dataclass
+class ReferenceRawSeries:
+    """``RawSeries`` as it held every sample as a ``(datetime, float)``
+    tuple, validation verbatim: the oracle for the array checks' verdicts
+    and messages."""
+
+    series_id: str
+    samples: list[tuple[datetime, float]]
+
+    def __post_init__(self) -> None:
+        normalized = []
+        prev: Optional[datetime] = None
+        for ts, value in self.samples:
+            if ts.tzinfo is None:
+                ts = ts.replace(tzinfo=timezone.utc)
+            else:
+                ts = ts.astimezone(timezone.utc)
+            if ts.minute % 10 != 0 or ts.second != 0 or ts.microsecond != 0:
+                raise DataError(
+                    f"{self.series_id}: timestamp {ts.isoformat()} is not on the 10-minute grid"
+                )
+            if prev is not None and ts <= prev:
+                if ts == prev:
+                    raise DataError(f"{self.series_id}: duplicate timestamp {ts.isoformat()}")
+                raise DataError(f"{self.series_id}: timestamps not strictly increasing at {ts.isoformat()}")
+            if not np.isfinite(value) or value < 0:
+                raise DataError(f"{self.series_id}: invalid value {value!r} at {ts.isoformat()}")
+            normalized.append((ts, float(value)))
+            prev = ts
+        self.samples = normalized
+
+
+def _reference_week_of(ts: datetime) -> WeekId:
+    iso = ts.date().isocalendar()
+    return (iso[0], iso[1])
+
+
+def reference_aggregate_weekly(raw: ReferenceRawSeries) -> list[WeeklyAggregate]:
+    """``aggregate_weekly`` as it bucketed the tuples one by one, verbatim:
+    the oracle for the searchsorted weeks."""
+    if not raw.samples:
+        raise DataError(f"{raw.series_id}: no data")
+
+    first_ts = raw.samples[0][0]
+    last_ts = raw.samples[-1][0]
+
+    # First Monday 00:00 at or after the first sample.
+    first_day = first_ts.date()
+    monday = first_day - timedelta(days=first_day.weekday())
+    span_start = datetime.combine(monday, datetime.min.time(), tzinfo=timezone.utc)
+    if span_start < first_ts:
+        span_start += timedelta(weeks=1)
+
+    # Last sample covers [t, t + 10 min); the final full week must end by then.
+    span_end_limit = last_ts + timedelta(minutes=10)
+    n_weeks = int((span_end_limit - span_start).days // 7)
+    if n_weeks < 1:
+        raise DataError(f"{raw.series_id}: span too short (no full calendar week)")
+
+    buckets: list[list[float]] = [[] for _ in range(n_weeks)]
+    for ts, value in raw.samples:
+        offset = ts - span_start
+        if offset < timedelta(0):
+            continue
+        idx = int(offset.days // 7)
+        if idx >= n_weeks:
+            continue
+        buckets[idx].append(value)
+
+    aggs = []
+    for i, bucket in enumerate(buckets):
+        week = _reference_week_of(span_start + timedelta(weeks=i))
+        count = len(bucket)
+        p95 = weekly_p95(bucket) if count >= MIN_SAMPLES_PER_WEEK else None
+        aggs.append(WeeklyAggregate(week=week, p95=p95, present_count=count))
+    return aggs
 
 
 def periodic_train(n: int = 105, period: int = 52, base: float = 30.0,

@@ -153,6 +153,15 @@ class TestForecastCommand:
         err = capsys.readouterr().err
         assert "SNaive" in err and "STL-ARIMA" in err
 
+    def test_model_named_twice_exit_usage_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        write_weekly(tmp_path / "weekly.csv", n_series=1, seed=3)
+        monkeypatch.setattr(pqforecast.cli, "fit_predict", lambda *a: pytest.fail("fitted before the usage check"))
+        code = run("forecast", "--weekly", tmp_path / "weekly.csv",
+                   "--models", "SNaive,HW,snaive", "--out", tmp_path / "o")
+        assert code == 1
+        assert "a model is named twice in --models 'SNaive,HW,snaive'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "forecasts.csv").exists()
+
     def test_short_series_exit_data(self, tmp_path):
         write_weekly(tmp_path / "weekly.csv", n_series=1, length=100, seed=3)
         assert run("forecast", "--weekly", tmp_path / "weekly.csv",
@@ -371,7 +380,7 @@ class TestFullPipeline:
                      for p in b.producers}
         individual = pqio.read_leaderboard_csv(base / "ev" / "leaderboard_individual.csv")
         ensembles = pqio.read_leaderboard_csv(base / "ev" / "leaderboard_ensembles.csv")
-        listed = individual.producers() + ensembles.producers()
+        listed = [r.producer for r in individual.rows + ensembles.rows]
         assert sorted(listed) == sorted(produced)
         assert len(listed) == len(set(listed))
 

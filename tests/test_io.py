@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -123,6 +124,40 @@ class TestRawCsv:
         path.write_text("series_id,timestamp_iso8601,value\n")
         with pytest.raises(DataError, match="no data"):
             pqio.read_raw_csv(path)
+
+    def test_series_error_names_file(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text("series_id,timestamp_iso8601,value\ns,2022-01-03T00:00:00,1.0\n"
+                        "s,2022-01-03T05:40:00+05:30,nan\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: s: invalid value nan "
+                                            rf"at 2022-01-03T00:10:00\+00:00$"):
+            pqio.read_raw_csv(path)
+
+    @pytest.mark.parametrize("stamp", ["2022-01-03T00:10:30", "2022-01-03T00:10:00.250000",
+                                       "2022-01-03T00:10:00+00:00:30"])
+    def test_timestamp_off_the_minute_names_line(self, tmp_path, stamp):
+        path = tmp_path / "raw.csv"
+        path.write_text("series_id,timestamp_iso8601,value\ns,2022-01-03T00:00:00,1.0\n"
+                        f"s,{stamp},2.0\n")
+        with pytest.raises(DataError, match=r"raw\.csv:3: timestamp .* is not a whole minute"):
+            pqio.read_raw_csv(path)
+
+
+def test_raw_reader_and_aggregation_peak_below_64_bytes_per_sample(tmp_path, rng):
+    """3 series x 60 weeks read and aggregated with a traced peak below
+    64 B per sample (a (datetime, float) tuple per sample took ~200)."""
+    path = tmp_path / "raw.csv"
+    pqio.write_raw_csv(path, [pqio.weekly_to_raw(weekly(rng.uniform(1, 50, 60), series_id=f"s{i}:UNB:220"))
+                              for i in range(3)])
+    tracemalloc.start()
+    try:
+        aggs = [aggregate_weekly(raw) for raw in pqio.read_raw_csv(path)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    samples = 3 * 60 * 1008
+    assert [sum(a.present_count for a in series) for series in aggs] == [60 * 1008] * 3
+    assert peak < 64 * samples, f"peak {peak / samples:.1f} B per sample"
 
 
 class TestForecastCsv:

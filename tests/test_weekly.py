@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import csv
 import math
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from pqforecast import io as pqio
 from pqforecast.errors import ConfigError, DataError
 from pqforecast.weekly import (
     MIN_SAMPLES_PER_WEEK,
@@ -21,10 +23,18 @@ from pqforecast.weekly import (
     fill_gaps,
     normalize,
     split_train_test,
+    utc_minute,
     weekly_p95,
 )
 
-from conftest import MONDAY, WEEK_2022_1, make_aggs, make_raw
+from conftest import (
+    MONDAY,
+    WEEK_2022_1,
+    ReferenceRawSeries,
+    make_aggs,
+    make_raw,
+    reference_aggregate_weekly,
+)
 
 
 def p95_oracle(values) -> float:
@@ -83,7 +93,7 @@ class TestPercentile:
 class TestAggregateWeekly:
     def test_empty_input(self):
         with pytest.raises(DataError, match="no data"):
-            aggregate_weekly(RawSeries("s:UNB:220", []))
+            aggregate_weekly(RawSeries.from_columns("s:UNB:220", [], []))
 
     def test_span_too_short(self):
         with pytest.raises(DataError, match="span too short"):
@@ -99,18 +109,99 @@ class TestAggregateWeekly:
         assert aggs[0].present_count == 1008
 
     def test_rejects_duplicate_timestamps(self):
-        ts = MONDAY
+        minute = utc_minute(MONDAY)
         with pytest.raises(DataError, match="duplicate"):
-            RawSeries("s:UNB:220", [(ts, 1.0), (ts, 2.0)])
+            RawSeries.from_columns("s:UNB:220", [minute, minute], [1.0, 2.0])
 
     def test_rejects_off_grid_timestamp(self):
         with pytest.raises(DataError, match="10-minute grid"):
-            RawSeries("s:UNB:220", [(MONDAY + timedelta(minutes=5), 1.0)])
+            RawSeries.from_columns("s:UNB:220", [utc_minute(MONDAY) + 5], [1.0])
 
     def test_week_ids_are_iso(self):
         aggs = aggregate_weekly(make_raw([[1.0] * 1008, [1.0] * 1008]))
         assert aggs[0].week == WEEK_2022_1
         assert aggs[1].week == (2022, 2)
+
+
+# Offsets a raw timestamp may carry; None writes it naive (UTC).
+OFFSETS = (None, timezone.utc, timezone(timedelta(hours=5, minutes=30)), timezone(timedelta(hours=-3)))
+FAULTS = ("off-grid", "duplicate", "decreasing", "nan", "inf", "negative")
+
+
+def _aggregates_or_error(aggregate, raw):
+    try:
+        return [(a.week, None if a.p95 is None else np.float64(a.p95).tobytes(), a.present_count)
+                for a in aggregate(raw)]
+    except DataError as exc:
+        return str(exc)
+
+
+class TestRawOracle:
+    """``read_raw_csv``'s array checks and the searchsorted weeks against the
+    per-tuple ``RawSeries`` and ``aggregate_weekly`` they replaced."""
+
+    # No shrink phase: every example is a file of up to ~3,600 rows, and
+    # shrinking one failure took over four minutes; the drawn parameters
+    # already read as a small case.
+    @settings(max_examples=100, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(
+        first=st.sampled_from([MONDAY, datetime(2020, 12, 28, tzinfo=timezone.utc)]),  # ISO 2022-W01, 2020-W53
+        shift=st.integers(-4 * 144, 4 * 144),  # mid-week starts, in 10-minute slots
+        weeks=st.integers(1, 3),
+        end=st.one_of(st.integers(-2, 1), st.integers(-300, 300)),  # the last sample, by a week's end
+        drop=st.sampled_from([0.0, 0.02, 0.06, 0.5]),
+        ties=st.booleans(),
+        offsets=st.lists(st.sampled_from(OFFSETS), min_size=1, max_size=3),
+        # at the first, middle or last sample, so two faults often hit one sample
+        faults=st.lists(st.tuples(st.sampled_from(FAULTS), st.sampled_from([0.0, 0.5, 1.0])), max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(first=MONDAY, shift=0, weeks=1, end=0, drop=0.0, ties=False, offsets=[None],
+             faults=[("off-grid", 0.5), ("nan", 0.5)], seed=0)
+    @example(first=MONDAY, shift=0, weeks=1, end=0, drop=0.0, ties=False, offsets=[None],
+             faults=[("decreasing", 0.5), ("negative", 0.5)], seed=0)
+    @example(first=datetime(2020, 12, 28, tzinfo=timezone.utc), shift=0, weeks=2, end=-1, drop=0.0,
+             ties=False, offsets=[None], faults=[], seed=0)  # W53, then a week one sample short
+    def test_matches_tuple_oracle(self, tmp_path_factory, first, shift, weeks, end, drop, ties,
+                                  offsets, faults, seed):
+        rng = np.random.default_rng(seed)
+        n = max(1, 1008 * weeks - shift + end)
+        instants = [first + timedelta(minutes=10 * (shift + k)) for k in range(n)]
+        values = rng.uniform(0.0, 100.0, n).round(0 if ties else 12).tolist()
+        keep = np.flatnonzero(rng.random(n) >= drop).tolist() or [0]
+        instants, values = [instants[k] for k in keep], [values[k] for k in keep]
+        for fault, where in faults:
+            k = min(int(where * len(instants)), len(instants) - 1)
+            if fault == "off-grid":
+                instants[k] += timedelta(minutes=int(rng.integers(1, 10)))
+            elif fault == "duplicate":
+                instants.insert(k, instants[k])
+                values.insert(k, values[k])
+            elif fault == "decreasing" and k > 0:
+                instants[k - 1], instants[k] = instants[k], instants[k - 1]
+            else:
+                values[k] = {"nan": math.nan, "inf": math.inf, "negative": -values[k] - 1.0}.get(fault, values[k])
+        rows = []
+        for i, (ts, value) in enumerate(zip(instants, values)):
+            tz = offsets[i % len(offsets)]
+            text = ts.replace(tzinfo=None).isoformat() if tz is None else ts.astimezone(tz).isoformat()
+            rows.append(("s:UNB:220", text, repr(value)))
+        path = tmp_path_factory.mktemp("raw") / "raw.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([pqio.RAW_HEADER, *rows])
+
+        try:
+            want = ReferenceRawSeries("s:UNB:220", [(datetime.fromisoformat(t), float(v)) for _, t, v in rows])
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                pqio.read_raw_csv(path)
+            assert str(got.value) == f"{path}: {exc}"
+            return
+        (raw,) = pqio.read_raw_csv(path)
+        assert raw.samples["minute"].tolist() == [utc_minute(ts) for ts, _ in want.samples]
+        assert raw.samples["value"].tobytes() == np.array([v for _, v in want.samples]).tobytes()
+        assert (_aggregates_or_error(aggregate_weekly, raw)
+                == _aggregates_or_error(reference_aggregate_weekly, want))
 
 
 class TestFillGaps:
