@@ -12,9 +12,11 @@ import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Generator, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -22,13 +24,7 @@ from . import io as pqio
 from . import report as pqreport
 from .ensembles import ALL_METHODS, CombinationMethod, combine, ensemble_producers, parse_producer
 from .errors import ConfigError, DataError
-from .evaluation import (
-    BENCHMARK_PRODUCER,
-    Leaderboard,
-    compare_best,
-    composition_analysis,
-    evaluate_corpus,
-)
+from .evaluation import Leaderboard, compare_best, composition_analysis, evaluate_corpus
 from .models import ForecastBlock, ModelId, PUBLIC_MODELS, TrainingWindow, fit_predict, model_from_name
 from .synth import SyntheticSpec, generate_corpus, write_truth
 from .weekly import TEST_WEEKS, TRAIN_WEEKS, SeriesKey, WeeklySeries, aggregate_weekly, fill_gaps, normalize
@@ -87,13 +83,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.mode == "weekly":
         pqio.write_weekly_csv(out / "weekly.csv", corpus)
         print(f"synth: wrote {len(corpus)} weekly series to {out / 'weekly.csv'}")
-    else:
-        raw = [pqio.weekly_to_raw(s, t.missing_weeks) for s, t in zip(corpus, truths)]
-        pqio.write_raw_csv(out / "raw.csv", raw)
+    else:  # one series' 10-minute samples at a time
+        pqio.write_raw_csv(out / "raw.csv", (pqio.weekly_to_raw(s, t.missing_weeks)
+                                             for s, t in zip(corpus, truths)))
         pairs = sorted({tuple(s.series_id.split(":")[1:]) for s in corpus})
         levels = [pqio.PlanningLevel(parameter=p, voltage_level=v, level=100.0) for p, v in pairs]
         pqio.write_planning_levels(out / "planning_levels.ini", levels)
-        print(f"synth: wrote {len(raw)} raw series to {out / 'raw.csv'} "
+        print(f"synth: wrote {len(corpus)} raw series to {out / 'raw.csv'} "
               f"(+ planning_levels.ini)")
     return EXIT_OK
 
@@ -233,7 +229,6 @@ def _parse_methods(text: str) -> list[CombinationMethod]:
 def cmd_ensemble(args: argparse.Namespace) -> int:
     out = _ensure_out(args)
     methods = _parse_methods(args.methods)
-    blocks = pqio.read_forecast_csv(Path(args.forecasts))
 
     member_names = [m.value for m in PUBLIC_MODELS]
     phi = None
@@ -245,17 +240,52 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
                CombinationMethod.RANK_WEIGHTED: [board.row(name).mean_rank for name in member_names]}
 
     producers = ensemble_producers(methods)
-    combined = [
+    members = pqio.iter_forecast_csv(Path(args.forecasts))
+    combined = (  # one series at a time, from reading its members to writing its ensembles
         ForecastBlock(series_id=block.series_id, producers=producers,
                       values=combine(block.rows(member_names), methods, phi))
-        for block in blocks
-    ]
-    pqio.write_forecast_csv(out / "ensemble_forecasts.csv", combined)
-    print(f"ensemble: {len(combined)} series x {len(producers)} producers")
+        for block in members
+    )
+    with _malformed_first([members]):
+        n_series = pqio.write_forecast_csv(out / "ensemble_forecasts.csv", combined)
+    print(f"ensemble: {n_series} series x {len(producers)} producers")
     return EXIT_OK
 
 
 # -- evaluate -----------------------------------------------------------------
+
+@contextmanager
+def _malformed_first(readers: Sequence[Generator[ForecastBlock, None, None]]):
+    """Close the forecast readers when the block ends. On a data error, first
+    read the rest of each file, holding nothing, so that a malformed line
+    anywhere in a file is reported ahead of an error in the content of a
+    series read before it."""
+    try:
+        yield
+    except DataError:
+        for reader in readers:
+            for _ in reader:
+                pass
+        raise
+    finally:
+        for reader in readers:
+            reader.close()
+
+
+def _lockstep(paths: Sequence[str],
+              readers: Sequence[Iterator[ForecastBlock]]) -> Iterator[tuple[str, ForecastBlock]]:
+    """Each series' block from every forecast file in turn, reading the files
+    side by side; they must list the same series in the same order."""
+    for parts in zip_longest(*readers):
+        ids = [None if block is None else block.series_id for block in parts]
+        if len(set(ids)) > 1:
+            i = next(k for k, sid in enumerate(ids) if sid is not None)
+            j = next(k for k, sid in enumerate(ids) if sid != ids[i])
+            other = "ends" if ids[j] is None else f"lists series {ids[j]}"
+            raise DataError(f"{paths[i]} lists series {ids[i]} where {paths[j]} {other}: "
+                            f"forecast files must list the same series in the same order")
+        yield from zip(paths, parts)
+
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _resolve_run_config(args)
@@ -263,39 +293,29 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ConfigError(f"--top-n must be at least 1, got {args.top_n}")
     out = _ensure_out(args)
 
-    blocks = []
-    for path in args.forecasts:
-        for block in pqio.read_forecast_csv(Path(path)):
-            if block.values.shape[1] != cfg.horizon:
-                raise DataError(f"{path}: {block.series_id}: {block.values.shape[1]} steps, "
-                                f"horizon is {cfg.horizon}")
-            blocks.append(block)
-
-    weekly = pqio.read_weekly_csv(Path(args.weekly))
-    weekly_by_id = {s.series_id: s for s in weekly}
+    weekly = {s.series_id: s for s in pqio.read_weekly_csv(Path(args.weekly))}
     needed = cfg.train_len + cfg.horizon
-    actuals = {}  # in sorted order, as evaluate_corpus orders its series
-    for sid in sorted({block.series_id for block in blocks}):
-        s = weekly_by_id.get(sid)
-        if s is None:
-            raise DataError(f"forecasts reference series {sid} absent from {args.weekly}")
-        if len(s) < needed:
-            raise DataError(f"{sid}: {len(s)} weeks < required {needed}")
-        actuals[sid] = s.values[cfg.train_len : needed]
+    actuals = {sid: s.values[cfg.train_len : needed] for sid, s in weekly.items()}
+    series_ids: list[str] = []  # in file order
+    readers = [pqio.iter_forecast_csv(Path(path)) for path in args.forecasts]
 
-    individual, has_ensembles = [], False
-    for block in blocks:
-        names = [p for p in block.producers if parse_producer(p) is None]
-        has_ensembles |= len(names) < len(block.producers)
-        if names:
-            individual.append(ForecastBlock(block.series_id, names, block.rows(names)))
-    if not individual:
-        raise DataError("no individual model forecasts to evaluate")
-    if not any(BENCHMARK_PRODUCER in block.producers for block in individual):
-        raise ConfigError(f"benchmark producer {BENCHMARK_PRODUCER} missing from forecasts")
+    def checked() -> Iterator[ForecastBlock]:
+        for path, block in _lockstep(args.forecasts, readers):
+            sid = block.series_id
+            if block.values.shape[1] != cfg.horizon:
+                raise DataError(f"{path}: {sid}: {block.values.shape[1]} steps, "
+                                f"horizon is {cfg.horizon}")
+            if not series_ids or series_ids[-1] != sid:
+                if sid not in weekly:
+                    raise DataError(f"forecasts reference series {sid} absent from {args.weekly}")
+                if len(weekly[sid]) < needed:
+                    raise DataError(f"{sid}: {len(weekly[sid])} weeks < required {needed}")
+                series_ids.append(sid)
+            yield block
 
     manifest = []
-    _, board_individual = evaluate_corpus(individual, actuals)
+    with _malformed_first(readers):
+        smapes, board_union, board_individual = evaluate_corpus(checked(), actuals, individual=True)
     pqio.write_leaderboard_csv(out / "leaderboard_individual.csv", board_individual)
     print(f"evaluate: {board_individual.n_series} series, "
           f"{len(board_individual.rows)} individual producers")
@@ -303,8 +323,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(f"  best individual: {best.producer} "
           f"(mean sMAPE {best.mean_smape:.2f} %, BR {best.benchmark_ratio:.3f})")
 
-    if has_ensembles:
-        smapes, board_union = evaluate_corpus(blocks, actuals)
+    if len(board_union.rows) > len(board_individual.rows):
         ensemble_rows = [r for r in board_union.rows if parse_producer(r.producer) is not None]
         board_ensembles = Leaderboard(rows=ensemble_rows, n_series=board_union.n_series)
         pqio.write_leaderboard_csv(out / "leaderboard_ensembles.csv", board_ensembles)
@@ -318,7 +337,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         pqio.write_size_aggregates_csv(out / "size_aggregates.csv", composition.size_aggregates)
 
         best_ensemble = ensemble_rows[0]
-        comparison = compare_best(list(actuals), best.producer, smapes[best.producer],
+        comparison = compare_best(sorted(series_ids), best.producer, smapes[best.producer],
                                   best_ensemble.producer, smapes[best_ensemble.producer])
         pqio.write_comparison_csv(out / "comparison.csv", comparison)
         pqio.write_ecdf_csv(out / "ecdf.csv", comparison)

@@ -10,6 +10,7 @@ the seasonal-naive baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -89,44 +90,68 @@ def evaluate_corpus(
     blocks: Iterable[ForecastBlock],
     actuals: Mapping[str, np.ndarray],
     benchmark: str = BENCHMARK_PRODUCER,
-) -> tuple[dict[str, np.ndarray], Leaderboard]:
+    individual: bool = False,
+) -> tuple:
     """Per-series sMAPE of every producer (series in sorted order) and the
-    corpus leaderboard for one producer cohort.
+    corpus leaderboard for one producer cohort; with ``individual``, a third
+    item: the leaderboard of the individual models alone, ranked among
+    themselves as a call on their blocks alone would rank them.
 
-    A series may come in several blocks (one per forecast file); every
-    producer must cover every series. Ranks are computed within the cohort
-    passed in, so rank scales differ between an individual-only and a
-    combined individual + ensemble evaluation.
+    ``blocks`` is consumed one series at a time. A series may come in
+    several blocks (one per forecast file), which must follow one another;
+    a series that comes back after another is an error. Every producer must
+    cover every series. Only each series' MAE and sMAPE per producer are
+    kept; they are summed in sorted-series order once the blocks end. Ranks
+    are computed within the cohort, so rank scales differ between an
+    individual-only and a combined individual + ensemble evaluation.
     """
-    by_series: dict[str, list[ForecastBlock]] = {}
-    for block in blocks:
-        by_series.setdefault(block.series_id, []).append(block)
-    if not by_series:
-        raise DataError("evaluate_corpus: no forecasts")
-    missing_series = sorted(set(by_series) - set(actuals))
-    if missing_series:
-        raise DataError(f"evaluate_corpus: no actuals for series {missing_series[:5]}")
-
-    cohort = list(dict.fromkeys(p for parts in by_series.values() for b in parts for p in b.producers))
-    series_ids = sorted(by_series)
-    sums = np.zeros((len(cohort), 3))  # mae, smape, rank per producer
-    smapes = np.empty((len(cohort), len(series_ids)))
-    for i, series_id in enumerate(series_ids):
-        parts = by_series[series_id]
-        values = ForecastBlock(series_id, [p for b in parts for p in b.producers],
-                               np.vstack([b.values for b in parts])).rows(cohort)
+    cohort: list[str] = []  # the first series' producers, in block order
+    scores: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # series -> (MAE, sMAPE) per producer
+    for series_id, parts in groupby(blocks, key=lambda block: block.series_id):
+        if series_id in scores:
+            raise DataError(f"evaluate_corpus: series {series_id} comes back after other series")
+        parts = list(parts)
+        block = ForecastBlock(series_id, [p for b in parts for p in b.producers],
+                              np.vstack([b.values for b in parts]))
+        if not cohort:
+            cohort, first = block.producers, series_id
+        values = block.rows(cohort)
+        if len(values) < len(block.producers):
+            extra = [p for p in block.producers if p not in cohort]
+            raise DataError(f"{first}: missing forecasts of {', '.join(extra[:5])}")
+        if series_id not in actuals:
+            raise DataError(f"evaluate_corpus: no actuals for series {series_id}")
         actual = np.asarray(actuals[series_id], dtype=float)
-        smapes[:, i] = smape(actual, values)
-        sums += np.column_stack((mae(actual, values), smapes[:, i], average_ranks(smapes[:, i])))
+        scores[series_id] = mae(actual, values), smape(actual, values)
+    if not scores:
+        raise DataError("evaluate_corpus: no forecasts")
 
-    means = sums / len(series_ids)
-    if benchmark not in cohort:
-        raise ConfigError(f"benchmark producer {benchmark!r} not in cohort")
-    benchmark_smape = float(means[cohort.index(benchmark), 1])
-    rows = [LeaderboardRow(p, float(m), float(s), float(r), benchmark_ratio(float(s), benchmark_smape))
-            for p, (m, s, r) in zip(cohort, means)]
-    rows.sort(key=lambda r: (r.mean_smape, r.producer))
-    return dict(zip(cohort, smapes)), Leaderboard(rows=rows, n_series=len(series_ids))
+    series_ids = sorted(scores)
+
+    def leaderboard(rows: np.ndarray) -> Leaderboard:
+        producers = [cohort[i] for i in rows]
+        if benchmark not in producers:
+            raise ConfigError(f"benchmark producer {benchmark!r} not in cohort")
+        sums = np.zeros((len(rows), 3))  # mae, smape, rank per producer
+        for series_id in series_ids:
+            maes, smapes = (column[rows] for column in scores[series_id])
+            sums += np.column_stack((maes, smapes, average_ranks(smapes)))
+        means = sums / len(series_ids)
+        benchmark_smape = float(means[producers.index(benchmark), 1])
+        board = [LeaderboardRow(p, float(m), float(s), float(r), benchmark_ratio(float(s), benchmark_smape))
+                 for p, (m, s, r) in zip(producers, means)]
+        board.sort(key=lambda r: (r.mean_smape, r.producer))
+        return Leaderboard(rows=board, n_series=len(series_ids))
+
+    boards = []
+    if individual:
+        rows = np.flatnonzero([parse_producer(p) is None for p in cohort])
+        if not len(rows):
+            raise DataError("evaluate_corpus: no individual model forecasts")
+        boards.append(leaderboard(rows))
+    board = leaderboard(np.arange(len(cohort)))
+    smapes = np.column_stack([scores[series_id][1] for series_id in series_ids])
+    return (dict(zip(cohort, smapes)), board, *boards)
 
 
 @dataclass

@@ -1,20 +1,24 @@
 """File formats: the nine CSV tables, planning levels and the run manifest.
 
-Every CSV table goes through one reader, ``_read_csv``; each table has one
+Every CSV table goes through one reader, ``_scan_csv``; each table has one
 header constant. Every table but the forecast table is written by one
 writer, ``_write_csv``. The csv module writes floats (numpy's float64
 included) with ``repr``, the shortest round-trip form, so outputs are
 byte-stable across runs, which the determinism guarantees rely on. The
 forecast table travels as one ``ForecastBlock`` per series, a (producers x
-horizon) matrix, in both directions; it is the largest table, so its writer
-formats each producer's lines itself, in the same dialect: labels quoted by
-the csv module, values with ``repr``, ``\r\n`` line ends. Its reader takes
-rows only in the writer's order, series by series and each producer's steps
-1..H in turn, and builds each series' block as its rows end. Writes are
-atomic: every file this module writes, and the ground truth and figures
-written through ``write_text``, goes to a temp file in the target's
-directory that replaces the target only once complete, so an interrupted
-stage leaves no half-written file behind.
+horizon) matrix, in both directions, one series at a time: it is the
+largest table, and both ``write_forecast_csv`` and ``iter_forecast_csv``
+take or give the blocks lazily, so a stage that streams them holds one
+series at a time. Its writer formats each producer's lines itself, in the
+same dialect: labels quoted by the csv module, values with ``repr``,
+``\r\n`` line ends. Its reader takes rows only in the writer's order,
+series by series and each producer's steps 1..H in turn, and yields each
+series' block as its rows end; ``read_forecast_csv`` is the same reader
+collected into a list. Writes are atomic: every file this module writes,
+and the ground truth and figures written through ``write_text``, goes to a
+temp file in the target's directory that replaces the target only once
+complete, so an interrupted stage, or one whose streamed input turns out
+bad after some series were written, leaves no half-written file behind.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from io import StringIO
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar
 
 import numpy as np
 
@@ -65,6 +69,8 @@ COMPOSITION_HEADER = ["kind", "key", "value"]
 COMPARISON_HEADER = ["series_id", "individual_smape", "ensemble_smape", "relative_improvement"]
 ECDF_HEADER = ["relative_improvement", "cumulative_probability"]
 
+T = TypeVar("T")
+
 
 @contextmanager
 def _replacing(path: Path) -> Iterator[TextIO]:
@@ -94,9 +100,10 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
         writer.writerows(rows)
 
 
-def _read_csv(path: Path, header: Sequence[str], take: Callable[[list[str]], None]) -> None:
-    """Check the header, then pass each non-blank row to ``take``. A row of
-    the wrong width or a ``ValueError`` from ``take`` names file and line."""
+def _scan_csv(path: Path, header: Sequence[str], take: Callable[[list[str]], Optional[T]]) -> Iterator[T]:
+    """Check the header, then pass each non-blank row to ``take`` and yield
+    what it returns other than None. A row of the wrong width or a
+    ``ValueError`` from ``take`` names file and line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != header:
@@ -107,12 +114,20 @@ def _read_csv(path: Path, header: Sequence[str], take: Callable[[list[str]], Non
                 try:
                     if len(row) != width:
                         raise ValueError(f"expected {width} columns, got {len(row)}")
-                    take(row)
+                    item = take(row)
                 except ValueError as exc:
                     raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
                 taken = True
+                if item is not None:
+                    yield item
     if not taken:
         raise DataError(f"{path}: no data")
+
+
+def _read_csv(path: Path, header: Sequence[str], take: Callable[[list[str]], None]) -> None:
+    """``_scan_csv`` run to the end, for a ``take`` that keeps what it reads."""
+    for _ in _scan_csv(path, header, take):
+        pass
 
 
 # -- raw measurements -------------------------------------------------------
@@ -205,33 +220,37 @@ def _csv_fields(*fields) -> str:
     return buf.getvalue()[:-2]
 
 
-def write_forecast_csv(path: Path, blocks: Iterable[ForecastBlock]) -> None:
+def write_forecast_csv(path: Path, blocks: Iterable[ForecastBlock]) -> int:
     """The bytes ``_write_csv`` would write, one ``write`` per producer: the
     quoted ``series_id,producer`` prefix is formatted once per producer and
-    each value with ``repr``, as the csv writer formats a float."""
+    each value with ``repr``, as the csv writer formats a float. ``blocks``
+    is consumed one at a time; returns how many there were."""
+    count = 0
     with _replacing(path) as fh:
         csv.writer(fh).writerow(FORECAST_HEADER)
-        for block in blocks:
+        for count, block in enumerate(blocks, start=1):
             steps = [f",{h}," for h in range(1, block.values.shape[1] + 1)]
             for producer, row in zip(block.producers, block.values):
                 prefix = _csv_fields(block.series_id, producer)
                 lines = [f"{prefix}{step}{value!r}\r\n" for step, value in zip(steps, row.tolist())]
                 fh.write("".join(lines))
+    return count
 
 
-def read_forecast_csv(path: Path) -> list[ForecastBlock]:
+def iter_forecast_csv(path: Path) -> Generator[ForecastBlock, None, None]:
     """One block per series, series and producers in file order, from a
     table in the order every stage writes it: each series' rows together,
     each producer's steps 1..H in turn, and every producer of a series with
     the first one's H. A series or a producer that resumes after others, or
     a step out of order, is an error at its line; a label that looks like an
-    ensemble's must name one. Each series becomes its block as its rows end."""
-    blocks: list[ForecastBlock] = []
+    ensemble's must name one. Each block is yielded as its series' rows end,
+    so only one series' values are held, in a flat ``array('d')``; an error
+    in a later series surfaces after the earlier blocks were yielded."""
     done: set[str] = set()  # the series already read
     sid: Optional[str] = None
     producers: list[str] = []  # sid's, in file order
     seen: set[str] = set()  # the same producers
-    values: list[float] = []  # sid's values, producer by producer
+    values = array("d")  # sid's values, producer by producer
     step = 0  # the last step of producers[-1]
     horizon = 0  # the first producer's H once its rows end
 
@@ -243,24 +262,25 @@ def read_forecast_csv(path: Path) -> list[ForecastBlock]:
             raise DataError(f"{path}: {sid}: {producers[-1]} has {step} steps, "
                             f"{producers[0]} has {horizon}")
 
-    def end_series() -> None:
+    def end_series() -> ForecastBlock:
         end_producer()
         done.add(sid)
         try:
-            blocks.append(ForecastBlock(sid, producers, np.array(values).reshape(-1, horizon)))
+            return ForecastBlock(sid, producers, np.frombuffer(values).reshape(-1, horizon))
         except DataError as exc:  # a non-finite value, found once per block
             raise DataError(f"{path}: {exc}") from exc
 
-    def take(row: list[str]) -> None:
+    def take(row: list[str]) -> Optional[ForecastBlock]:
         nonlocal sid, producers, seen, values, step, horizon
         row_sid, producer, h, value = row
         row_step, number = int(h), float(value)
+        ended = None
         if row_sid != sid:
             if sid is not None:
-                end_series()
+                ended = end_series()
             if row_sid in done:
                 raise ValueError(f"series {row_sid} resumes after other series")
-            sid, producers, seen, values, horizon = row_sid, [], set(), [], 0
+            sid, producers, seen, values, horizon = row_sid, [], set(), array("d"), 0
         if not producers or producer != producers[-1]:
             if producers:
                 end_producer()
@@ -280,10 +300,15 @@ def read_forecast_csv(path: Path) -> list[ForecastBlock]:
                              f"got {row_step} after {step}")
         values.append(number)
         step = row_step
+        return ended
 
-    _read_csv(path, FORECAST_HEADER, take)
-    end_series()
-    return blocks
+    yield from _scan_csv(path, FORECAST_HEADER, take)
+    yield end_series()
+
+
+def read_forecast_csv(path: Path) -> list[ForecastBlock]:
+    """Every block of ``iter_forecast_csv``, read to the end of the file."""
+    return list(iter_forecast_csv(path))
 
 
 # -- leaderboards and analyses ------------------------------------------------

@@ -46,7 +46,11 @@ def standardize(y: np.ndarray) -> tuple[np.ndarray, float, float]:
     independent of the data's affine frame; map forecasts back with
     mu + sd * value."""
     mu = float(np.mean(y))
-    sd = float(np.std(y))
+    with np.errstate(over="ignore"):
+        sd = float(np.std(y))
+    if not np.isfinite(sd):  # the squares overflow past ~1e154: scale before squaring
+        scale = float(np.max(np.abs(y - mu)))
+        sd = scale * float(np.std((y - mu) / scale))
     if sd <= 0.0:
         sd = 1.0
     return (y - mu) / sd, mu, sd

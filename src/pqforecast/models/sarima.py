@@ -317,11 +317,16 @@ def seasonal_strength(decomp: Decomposition) -> float:
     decomposition's rounding residue, not the data.
     """
     detrended = decomp.seasonal + decomp.remainder
-    var_detrended = float(np.var(detrended))
     scale = float(np.max(np.abs(decomp.trend + detrended)))
+    with np.errstate(over="ignore"):
+        var_detrended, var_remainder = float(np.var(detrended)), float(np.var(decomp.remainder))
+    if not math.isfinite(var_detrended + var_remainder):  # squares overflow past ~1e154
+        var_detrended = float(np.var(detrended / scale))  # the ratio does not depend on scale
+        var_remainder = float(np.var(decomp.remainder / scale))
+        scale = 1.0
     if math.sqrt(var_detrended) <= _EPS * len(detrended) * scale:  # unsquared: no overflow
         return 0.0
-    return max(0.0, 1.0 - float(np.var(decomp.remainder)) / var_detrended)
+    return max(0.0, 1.0 - var_remainder / var_detrended)
 
 
 _SEASONAL_STRENGTH_THRESHOLD = 0.64

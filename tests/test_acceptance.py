@@ -203,7 +203,9 @@ def corpus_run():
                                reference_ensembles(block.values, ALL_METHODS, phi))
                  for block in individual]
 
-    smapes, board_union = evaluate_corpus(individual + ensembles, actuals)
+    # each series' member block and its ensemble block follow one another
+    union = [block for pair in zip(individual, ensembles) for block in pair]
+    smapes, board_union = evaluate_corpus(union, actuals)
     elapsed = time.perf_counter() - started
     return {
         "individual": individual,

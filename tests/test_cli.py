@@ -13,6 +13,7 @@ import pqforecast.models.stl_models
 
 from pqforecast import io as pqio
 from pqforecast.cli import main
+from pqforecast.ensembles import CombinationMethod, ensemble_producers
 from pqforecast.models import PUBLIC_MODELS, ForecastBlock
 
 MODEL_NAMES = [m.value for m in PUBLIC_MODELS]
@@ -168,20 +169,29 @@ class TestForecastCommand:
                    "--models", "SNaive", "--out", tmp_path / "o") == 2
 
     @pytest.mark.parametrize("scale", [1e200, 1e300])
-    def test_huge_series_exit_data(self, tmp_path, scale):
-        # a subprocess: in process, pytest's error::RuntimeWarning would turn
-        # numpy's overflow warning into exit 3
+    def test_huge_series_leaves_other_series_unchanged(self, tmp_path, scale):
+        # subprocesses, so that a numpy overflow warning shows on stderr
         from pqforecast.synth import SyntheticSpec, generate_corpus
         corpus, _ = generate_corpus(SyntheticSpec(n_series=3, length_weeks=157, rng_seed=0))
         corpus[0].values = corpus[0].values * scale
-        pqio.write_weekly_csv(tmp_path / "weekly.csv", corpus)
         src = Path(pqforecast.__file__).resolve().parents[1]
-        done = subprocess.run(
-            [sys.executable, "-m", "pqforecast.cli", "forecast", "--weekly",
-             str(tmp_path / "weekly.csv"), "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, env={"PYTHONPATH": str(src)})
-        assert done.returncode == 2, done.stderr
-        assert f"{corpus[0].series_id}/HW: non-finite forecast value" in done.stderr
+
+        def forecast(name, series):
+            pqio.write_weekly_csv(tmp_path / f"{name}.csv", series)
+            done = subprocess.run(
+                [sys.executable, "-m", "pqforecast.cli", "forecast", "--weekly",
+                 str(tmp_path / f"{name}.csv"), "--out", str(tmp_path / name)],
+                capture_output=True, text=True, env={"PYTHONPATH": str(src)})
+            assert done.returncode == 0, done.stderr
+            assert "Warning" not in done.stderr
+            return (tmp_path / name / "forecasts.csv").read_bytes().splitlines(keepends=True)
+
+        with_huge, without = forecast("all", corpus), forecast("rest", corpus[1:])
+        huge_id = corpus[0].series_id.encode()
+        assert [line for line in with_huge if not line.startswith(huge_id)] == without
+        huge = pqio.read_forecast_csv(tmp_path / "all" / "forecasts.csv")[0]
+        assert huge.series_id == corpus[0].series_id
+        assert len(huge.producers) == 8 and np.isfinite(huge.values).all()
 
     def test_train_len_override_requires_pair(self, tmp_path):
         write_weekly(tmp_path / "weekly.csv", n_series=1, seed=3)
@@ -333,6 +343,115 @@ class TestEvaluateCommand:
         assert run("evaluate", "--forecasts", path, "--weekly", tmp_path / "weekly.csv",
                    "--out", tmp_path / "o") == 2
         assert "ghost" in capsys.readouterr().err
+
+
+class TestStreamedForecastFiles:
+    """``ensemble`` and ``evaluate`` read forecast files one series at a time."""
+
+    @pytest.fixture
+    def members(self, tmp_path, rng):
+        corpus = write_weekly(tmp_path / "weekly.csv", n_series=3, seed=9)
+        path = tmp_path / "forecasts.csv"
+        write_forecasts(path, rng, [s.series_id for s in corpus])
+        return [s.series_id for s in corpus], path
+
+    @staticmethod
+    def poison_last_value(path):
+        lines = path.read_text().splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",nan"
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("order, mine, theirs", [([1, 0, 2], 0, 1), ([0, 2], 1, 2),
+                                                     ([0, 1], 2, None)],
+                             ids=["swapped", "missing", "ends-early"])
+    def test_files_that_disagree_on_series_name_both(self, tmp_path, rng, members, capsys,
+                                                     order, mine, theirs):
+        ids, path = members
+        other = tmp_path / "ensembles.csv"
+        write_forecasts(other, rng, [ids[i] for i in order],
+                        ensemble_producers([CombinationMethod.MEAN]))
+        assert run("evaluate", "--forecasts", path, other, "--weekly", tmp_path / "weekly.csv",
+                   "--out", tmp_path / "ev") == 2
+        tail = "ends" if theirs is None else f"lists series {ids[theirs]}"
+        assert (f"{path} lists series {ids[mine]} where {other} {tail}: forecast files must "
+                f"list the same series in the same order") in capsys.readouterr().err
+        assert list((tmp_path / "ev").iterdir()) == []
+
+    def test_nonfinite_last_series_leaves_no_ensemble_table(self, tmp_path, members, capsys):
+        ids, path = members
+        self.poison_last_value(path)
+        assert run("ensemble", "--forecasts", path, "--methods", "mean",
+                   "--out", tmp_path / "ens") == 2
+        assert f"{path}: {ids[-1]}/STL-ARIMA: non-finite forecast value" in capsys.readouterr().err
+        assert list((tmp_path / "ens").iterdir()) == []
+
+    def test_nonfinite_last_series_leaves_no_leaderboard(self, tmp_path, members, capsys):
+        ids, path = members
+        assert run("ensemble", "--forecasts", path, "--methods", "mean",
+                   "--out", tmp_path / "ens") == 0
+        ensembles = tmp_path / "ens" / "ensemble_forecasts.csv"
+        self.poison_last_value(ensembles)
+        assert run("evaluate", "--forecasts", path, ensembles, "--weekly", tmp_path / "weekly.csv",
+                   "--out", tmp_path / "ev") == 2
+        assert f"{ensembles}: {ids[-1]}/H01:mean: non-finite forecast value" in capsys.readouterr().err
+        assert list((tmp_path / "ev").iterdir()) == []
+
+    def test_series_error_yields_to_a_malformed_line_later_in_the_file(self, tmp_path, members,
+                                                                       capsys):
+        # the first series lacks a member, and a later line of the file is malformed
+        ids, path = members
+        lines = path.read_text().splitlines()
+        lines = [line for line in lines if not line.startswith(f"{ids[0]},HW,")] + ["x,HW,1,y"]
+        path.write_text("\n".join(lines) + "\n")
+        for argv in (["ensemble", "--forecasts", path, "--methods", "mean"],
+                     ["evaluate", "--forecasts", path, "--weekly", tmp_path / "weekly.csv"]):
+            assert run(*argv, "--out", tmp_path / argv[0]) == 2
+            assert f"{path}:{len(lines)}: could not convert" in capsys.readouterr().err
+
+
+# runs one CLI stage, then prints the process's own peak resident set (VmHWM) in kB
+_STAGE_WITH_PEAK = (
+    "import sys; from pqforecast.cli import main; code = main(sys.argv[1:]); "
+    "print(next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')).split()[1]); "
+    "sys.exit(code)"
+)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_ensemble_path_peak_rss_grows_under_0_1_mb_per_series(tmp_path, rng):
+    """``ensemble`` and the final ``evaluate``, each its own process, on 40
+    and 160 series with random members: a stage that held every series'
+    block grew by ~0.4 MB per series."""
+    src = Path(pqforecast.__file__).resolve().parents[1]
+
+    def peak_mb(*argv) -> float:
+        done = subprocess.run([sys.executable, "-c", _STAGE_WITH_PEAK, *map(str, argv)],
+                              capture_output=True, text=True, env={"PYTHONPATH": str(src)})
+        assert done.returncode == 0, done.stderr
+        return int(done.stdout.split()[-1]) / 1024
+
+    peaks = {}
+    for n in (40, 160):
+        base = tmp_path / str(n)
+        base.mkdir()
+        corpus = write_weekly(base / "weekly.csv", n_series=n, seed=5)
+        members = base / "forecasts.csv"
+        write_forecasts(members, rng, [s.series_id for s in corpus])
+        assert run("evaluate", "--forecasts", members, "--weekly", base / "weekly.csv",
+                   "--out", base / "ev0") == 0
+        ensembles = base / "ens" / "ensemble_forecasts.csv"
+        peaks[n] = (
+            peak_mb("ensemble", "--forecasts", members,
+                    "--leaderboard", base / "ev0" / "leaderboard_individual.csv", "--out", base / "ens"),
+            peak_mb("evaluate", "--forecasts", members, ensembles, "--weekly", base / "weekly.csv",
+                    "--out", base / "ev"),
+        )
+        assert len(pqio.read_leaderboard_csv(base / "ev" / "leaderboard_ensembles.csv").rows) == 988
+        ensembles.unlink()  # ~2.4 MB per series
+    for stage, small, large in zip(("ensemble", "evaluate"), peaks[40], peaks[160]):
+        growth = (large - small) / 120
+        assert growth < 0.1, f"{stage}: {small:.1f} -> {large:.1f} MB, {growth:.3f} MB per series"
 
 
 class TestFullPipeline:

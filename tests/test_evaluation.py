@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
-from pqforecast.ensembles import CombinationMethod, ensemble_producers, enumerate_ensembles
+from pqforecast.ensembles import CombinationMethod, combine, ensemble_producers, enumerate_ensembles
 from pqforecast.errors import ConfigError, DataError
 from pqforecast.evaluation import (
     Leaderboard,
@@ -336,6 +336,61 @@ class TestEvaluateCorpus:
                   ForecastBlock("s1", ["HW"], np.ones((1, 52)))]
         with pytest.raises(DataError, match="s1: duplicate forecasts of HW"):
             evaluate_corpus(corpus, {"s1": np.ones(52)})
+
+    def test_series_that_comes_back_is_an_error(self):
+        corpus = [ForecastBlock("s1", ["SNaive"], np.ones((1, 52))),
+                  ForecastBlock("s2", ["SNaive"], np.ones((1, 52))),
+                  ForecastBlock("s1", ["HW"], np.ones((1, 52)))]
+        with pytest.raises(DataError, match="series s1 comes back after other series"):
+            evaluate_corpus(corpus, {"s1": np.ones(52), "s2": np.ones(52)})
+
+    def test_producer_missing_from_the_first_series_is_an_error(self):
+        corpus = [ForecastBlock("s1", ["SNaive"], np.ones((1, 52))),
+                  ForecastBlock("s2", ["SNaive", "HW"], np.ones((2, 52)))]
+        with pytest.raises(DataError, match="s1: missing forecasts of HW"):
+            evaluate_corpus(corpus, {"s1": np.ones(52), "s2": np.ones(52)})
+
+    def test_series_is_scored_once_its_blocks_end(self):
+        # a series is scored when the next series' first block comes, not at the end
+        drawn = []
+
+        def corpus():
+            for sid in ("s3", "s1", "s2"):
+                drawn.append(sid)
+                yield ForecastBlock(sid, ["SNaive", "HW"], np.full((2, 52), 2.0))
+
+        class Actuals(dict):
+            def __getitem__(self, sid):
+                assert drawn.index(sid) >= len(drawn) - 2, (sid, drawn)
+                return super().__getitem__(sid)
+
+        actuals = Actuals(s1=np.ones(52), s2=np.ones(52), s3=np.ones(52))
+        smapes, board = evaluate_corpus(corpus(), actuals)
+        assert board.n_series == 3 and smapes["HW"] == pytest.approx([200 / 3] * 3, rel=1e-12)
+
+    def test_individual_board_equals_a_call_on_individual_blocks(self, rng):
+        members = [m.value for m in PUBLIC_MODELS]
+        methods = [CombinationMethod.MEAN, CombinationMethod.MEDIAN]
+        individual, union, actuals = [], [], {}
+        for i in range(6):
+            sid = f"s{i}"
+            actuals[sid] = rng.uniform(5, 50, 52)
+            values = rng.uniform(5, 50, (8, 52))
+            individual.append(ForecastBlock(sid, members, values))
+            union += [individual[-1], ForecastBlock(sid, ensemble_producers(methods),
+                                                    combine(values, methods))]
+
+        def rows(board):
+            return [(r.producer, r.mean_mae, r.mean_smape, r.mean_rank, r.benchmark_ratio)
+                    for r in board.rows]
+
+        smapes, board, board_individual = evaluate_corpus(union, actuals, individual=True)
+        _, alone = evaluate_corpus(individual, actuals)
+        assert rows(board_individual) == rows(alone)
+        assert len(board.rows) == 8 + 2 * 247 and len(smapes) == len(board.rows)
+        assert rows(evaluate_corpus(union, actuals)[1]) == rows(board)
+        with pytest.raises(DataError, match="no individual model forecasts"):
+            evaluate_corpus(union[1::2], actuals, individual=True)
 
     def test_matches_scalar_reference(self):
         # leaderboard means equal the per-(series, producer) scalar loop's

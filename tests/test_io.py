@@ -494,6 +494,43 @@ def test_forecast_reader_peak_memory_is_bounded_by_its_output(tmp_path, rng):
     assert peak <= 4 * nbytes, f"peak {peak} B for {nbytes} B of values"
 
 
+def test_forecast_stream_yields_each_series_before_reading_the_next(tmp_path):
+    path = tmp_path / "fc.csv"
+    lines = ["series_id,producer,h,value", "s1,SNaive,1,1.0", "s1,SNaive,2,2.0",
+             "s2,SNaive,1,3.0", "s2,SNaive,3,4.0"]
+    path.write_text("\n".join(lines) + "\n")
+    blocks = pqio.iter_forecast_csv(path)
+    first = next(blocks)
+    assert (first.series_id, first.producers, first.values.tolist()) == ("s1", ["SNaive"], [[1.0, 2.0]])
+    with pytest.raises(DataError, match=r"fc\.csv:5: \(s2, SNaive\): steps must run 1..H in order"):
+        next(blocks)
+
+
+def test_forecast_stream_peak_memory_is_one_series(tmp_path, rng):
+    """Streamed and dropped one at a time, 40 series' blocks peak within 8x
+    the bytes of one series' values, where the whole list takes 40x."""
+    producers = ensemble_producers([CombinationMethod.MEAN])[:60]
+    path = tmp_path / "fc.csv"
+    pqio.write_forecast_csv(path, [ForecastBlock(f"s{i}", producers, rng.uniform(0, 50, (60, 52)))
+                                   for i in range(40)])
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in pqio.iter_forecast_csv(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = 60 * 52 * 8
+    assert count == 40
+    assert peak <= 8 * nbytes, f"peak {peak} B for {nbytes} B of one series' values"
+
+
+def test_forecast_writer_counts_the_blocks_it_consumes(tmp_path, rng):
+    blocks = (ForecastBlock(f"s{i}", ["SNaive"], rng.uniform(0, 50, (1, 3))) for i in range(5))
+    assert pqio.write_forecast_csv(tmp_path / "fc.csv", blocks) == 5
+    assert [b.series_id for b in pqio.read_forecast_csv(tmp_path / "fc.csv")] == \
+           [f"s{i}" for i in range(5)]
+
+
 class TestLeaderboardCsv:
     def test_roundtrip(self, tmp_path):
         board = Leaderboard(rows=[

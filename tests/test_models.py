@@ -14,6 +14,7 @@ from pqforecast.models import (
     fit_predict,
     model_from_name,
 )
+from pqforecast.models.base import standardize
 from pqforecast.models.baselines import predict_drift, predict_naive, predict_snaive
 from pqforecast.models.fourier_trend import predict_fourier_trend
 from pqforecast.models.smoothing import (
@@ -259,6 +260,25 @@ class TestStlComposites:
             fit_predict(ModelId.STL_ES, TrainingWindow(np.ones(103)), 52)
 
 
+class TestStandardize:
+    def test_sd_is_numpy_std_when_its_squares_are_finite(self, rng):
+        for scale in (1e-100, 1.0, 1e150):
+            y = rng.uniform(5, 50, 105) * scale
+            z, mu, sd = standardize(y)
+            assert (mu, sd) == (float(np.mean(y)), float(np.std(y)))
+            assert np.array_equal(z, (y - mu) / sd)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+    def test_sd_of_huge_window_scales_before_squaring(self, rng, scale):
+        y = rng.uniform(5, 50, 105)
+        z, mu, sd = standardize(y * scale)
+        assert sd == pytest.approx(float(np.std(y)) * scale, rel=1e-14)
+        assert np.std(z) == pytest.approx(1.0, rel=1e-14)
+
+    def test_constant_window_keeps_unit_sd(self):
+        assert standardize(np.full(105, 7.0))[1:] == (7.0, 1.0)
+
+
 class TestForecastContainer:
     def test_clamps_negative_values(self):
         block = ForecastBlock("s", ["Drift", "Naive"], [np.linspace(-5, 5, 52), np.ones(52)])
@@ -322,6 +342,18 @@ class TestModelProperties:
             base = fit_predict(model, TrainingWindow(y), 52).values
             scaled = fit_predict(model, TrainingWindow(y * scale), 52).values
             rel = np.max(np.abs(scaled - base * scale) / np.maximum(np.abs(base * scale), 1e-9))
+            assert rel < 1e-6, (model, rel)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_huge_window_gives_finite_scaled_forecasts(self, scale):
+        # squares of values past ~1e154 overflow; pytest turns numpy's
+        # RuntimeWarning into an error, so none may be raised on the way
+        y = self._noisy_train()
+        for model in PUBLIC_MODELS:
+            base = fit_predict(model, TrainingWindow(y), 52).values
+            huge = fit_predict(model, TrainingWindow(y * scale), 52).values
+            assert np.isfinite(huge).all(), model
+            rel = np.max(np.abs(huge - base * scale) / np.abs(base * scale))
             assert rel < 1e-6, (model, rel)
 
     def test_snaive_exact_shift(self):
