@@ -1,24 +1,27 @@
 """File formats: the nine CSV tables, planning levels and the run manifest.
 
-Every CSV table goes through one reader, ``_scan_csv``; each table has one
-header constant. Every table but the forecast table is written by one
-writer, ``_write_csv``. The csv module writes floats (numpy's float64
-included) with ``repr``, the shortest round-trip form, so outputs are
-byte-stable across runs, which the determinism guarantees rely on. The
-forecast table travels as one ``ForecastBlock`` per series, a (producers x
-horizon) matrix, in both directions, one series at a time: it is the
-largest table, and both ``write_forecast_csv`` and ``iter_forecast_csv``
-take or give the blocks lazily, so a stage that streams them holds one
-series at a time. Its writer formats each producer's lines itself, in the
-same dialect: labels quoted by the csv module, values with ``repr``,
-``\r\n`` line ends. Its reader takes rows only in the writer's order,
-series by series and each producer's steps 1..H in turn, and yields each
-series' block as its rows end; ``read_forecast_csv`` is the same reader
-collected into a list. Writes are atomic: every file this module writes,
-and the ground truth and figures written through ``write_text``, goes to a
-temp file in the target's directory that replaces the target only once
-complete, so an interrupted stage, or one whose streamed input turns out
-bad after some series were written, leaves no half-written file behind.
+Every CSV table but the forecast table is read by one reader, ``_read_csv``,
+and written by one writer, ``_write_csv``; each table has one header
+constant. The csv module writes floats (numpy's float64 included) with
+``repr``, the shortest round-trip form, so outputs are byte-stable across
+runs, which the determinism guarantees rely on. The forecast table travels
+as one ``ForecastBlock`` per series, a (producers x horizon) matrix, in
+both directions, one series at a time: it is the largest table, and both
+``write_forecast_csv`` and ``iter_forecast_csv`` take or give the blocks
+lazily, so a stage that streams them holds one series at a time. Its
+writer formats each producer's lines itself, in the same dialect: labels
+quoted by the csv module, values with ``repr``, ``\r\n`` line ends. Its
+reader takes rows only in the writer's order, series by series and each
+producer's steps 1..H in turn, and yields each series' block as its rows
+end; ``read_forecast_csv`` is the same reader collected into a list. A row
+in the writer's unquoted form that continues the producer of the row before
+it is read from its line directly; every other row goes through the csv
+module, with the same acceptance, errors and ``file:line`` either way.
+Writes are atomic: every file this module writes, and the ground truth and
+figures written through ``write_text``, goes to a temp file in the
+target's directory that replaces the target only once complete, so an
+interrupted stage, or one whose streamed input turns out bad after some
+series were written, leaves no half-written file behind.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from io import StringIO
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar
 
@@ -100,34 +104,29 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
         writer.writerows(rows)
 
 
-def _scan_csv(path: Path, header: Sequence[str], take: Callable[[list[str]], Optional[T]]) -> Iterator[T]:
-    """Check the header, then pass each non-blank row to ``take`` and yield
-    what it returns other than None. A row of the wrong width or a
-    ``ValueError`` from ``take`` names file and line."""
+def _read_csv(path: Path, header: Sequence[str], take: Callable[[list[str]], None]) -> None:
+    """Check the header, then pass each non-blank row to ``take``. A row of
+    the wrong width or a ``ValueError`` from ``take`` names file and line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != header:
             raise DataError(f"{path}: expected header {','.join(header)}")
-        width, taken = len(header), False
+        taken = False
         for row in reader:
             if row:
-                try:
-                    if len(row) != width:
-                        raise ValueError(f"expected {width} columns, got {len(row)}")
-                    item = take(row)
-                except ValueError as exc:
-                    raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+                _take_row(path, reader.line_num, take, row, len(header))
                 taken = True
-                if item is not None:
-                    yield item
     if not taken:
         raise DataError(f"{path}: no data")
 
 
-def _read_csv(path: Path, header: Sequence[str], take: Callable[[list[str]], None]) -> None:
-    """``_scan_csv`` run to the end, for a ``take`` that keeps what it reads."""
-    for _ in _scan_csv(path, header, take):
-        pass
+def _take_row(path: Path, line_num: int, take: Callable[[list[str]], T], row: list[str], width: int) -> T:
+    try:
+        if len(row) != width:
+            raise ValueError(f"expected {width} columns, got {len(row)}")
+        return take(row)
+    except ValueError as exc:
+        raise DataError(f"{path}:{line_num}: {exc}") from exc
 
 
 # -- raw measurements -------------------------------------------------------
@@ -179,28 +178,31 @@ def write_weekly_csv(path: Path, series: Iterable[WeeklySeries]) -> None:
 
 
 def read_weekly_csv(path: Path) -> list[WeeklySeries]:
-    rows_by_series: dict[str, list[tuple[tuple[int, int], float, bool]]] = {}
+    """Weekly rows grouped by series, in file order, read into flat typed
+    buffers; each series' weeks must be consecutive, checked once all rows parse."""
+    columns: dict[str, tuple[array, array, array, bytearray]] = {}
 
     def take(row: list[str]) -> None:
         sid, year, week, value, filled = row
         if filled not in ("0", "1"):
             raise ValueError(f"filled must be 0 or 1, got {filled!r}")
-        rows_by_series.setdefault(sid, []).append(((int(year), int(week)), float(value), filled == "1"))
+        years, weeks, values, flags = columns.get(sid) or columns.setdefault(
+            sid, (array("q"), array("q"), array("d"), bytearray()))
+        years.append(int(year))
+        weeks.append(int(week))
+        values.append(float(value))
+        flags.append(filled == "1")
 
     _read_csv(path, WEEKLY_HEADER, take)
     out = []
-    for sid, rows in rows_by_series.items():
-        weeks = [r[0] for r in rows]
-        for prev, cur in zip(weeks, weeks[1:]):
+    for sid in list(columns):  # each series' week buffers are dropped once it is built
+        years, weeks, values, flags = columns.pop(sid)
+        ids = list(zip(years, weeks))
+        for prev, cur in zip(ids, ids[1:]):
             if cur != add_weeks(prev, 1):
                 raise DataError(f"{path}: {sid}: weeks not consecutive at {cur}")
         try:
-            out.append(WeeklySeries(
-                series_id=sid,
-                start_week=weeks[0],
-                values=np.array([r[1] for r in rows]),
-                filled_flags=np.array([r[2] for r in rows], dtype=bool),
-            ))
+            out.append(WeeklySeries(sid, ids[0], np.frombuffer(values), np.frombuffer(flags, dtype=bool)))
         except DataError as exc:  # a non-finite or negative value
             raise DataError(f"{path}: {exc}") from exc
     return out
@@ -302,7 +304,43 @@ def iter_forecast_csv(path: Path) -> Generator[ForecastBlock, None, None]:
         step = row_step
         return ended
 
-    yield from _scan_csv(path, FORECAST_HEADER, take)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != FORECAST_HEADER:
+            raise DataError(f"{path}: expected header {','.join(FORECAST_HEADER)}")
+        line_num = reader.line_num  # lines read, counted as csv.reader counts them
+        head: Optional[str] = None  # 'sid,producer,' of the last row taken, if both are plain
+        next_h = ""  # the h that row's producer takes next
+        limit = csv.field_size_limit()  # a longer field is the csv module's error
+        for line in fh:
+            # A line of head, next_h, ',' and a text float() accepts holds no
+            # other ',' or '"', so the csv module would give the same four
+            # fields and take() the same value: take it without them.
+            if head and len(line) <= limit and line.startswith(head):
+                h, _, text = line[len(head):].partition(",")
+                if h == next_h:
+                    try:
+                        values.append(float(text))
+                    except ValueError:
+                        pass
+                    else:
+                        step += 1
+                        next_h = str(step + 1)
+                        line_num += 1
+                        continue
+            reader = csv.reader(chain((line,), fh))  # the record that starts at line
+            row = next(reader)
+            line_num += reader.line_num
+            if row:
+                ended = _take_row(path, line_num, take, row, len(FORECAST_HEADER))
+                if ended is not None:
+                    yield ended
+                head = f"{sid},{producers[-1]},"
+                if head.count(",") != 2 or any(c in head for c in '"\r\n'):
+                    head = None
+                next_h = str(step + 1)
+    if sid is None:
+        raise DataError(f"{path}: no data")
     yield end_series()
 
 

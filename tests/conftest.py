@@ -225,6 +225,67 @@ def reference_read_forecast_csv(path) -> list[ForecastBlock]:
     return blocks
 
 
+def reference_iter_forecast_csv(path) -> list[ForecastBlock]:
+    """The writer-order forecast reader with every row parsed by the csv
+    module (``io._read_csv``) and checked by one ``take``: the oracle for
+    ``io.iter_forecast_csv``'s blocks and for its error texts, ``file:line``
+    included."""
+    blocks: list[ForecastBlock] = []
+    done: set[str] = set()
+    sid: Optional[str] = None
+    producers: list[str] = []
+    rows: list[list[float]] = []  # one per producer of sid
+    horizon = 0
+
+    def end_producer() -> None:
+        nonlocal horizon
+        if not horizon:
+            horizon = len(rows[-1])
+        elif len(rows[-1]) != horizon:
+            raise DataError(f"{path}: {sid}: {producers[-1]} has {len(rows[-1])} steps, "
+                            f"{producers[0]} has {horizon}")
+
+    def end_series() -> None:
+        end_producer()
+        done.add(sid)
+        try:
+            blocks.append(ForecastBlock(sid, producers, np.array(rows)))
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
+
+    def take(row: list[str]) -> None:
+        nonlocal sid, producers, rows, horizon
+        row_sid, producer, h, value = row
+        step, number = int(h), float(value)
+        if row_sid != sid:
+            if sid is not None:
+                end_series()
+            if row_sid in done:
+                raise ValueError(f"series {row_sid} resumes after other series")
+            sid, producers, rows, horizon = row_sid, [], [], 0
+        if not producers or producer != producers[-1]:
+            if producers:
+                end_producer()
+            if producer in producers:
+                raise ValueError(f"({sid}, {producer}) resumes after other producers")
+            try:
+                parse_producer(producer)
+            except ConfigError as exc:
+                raise ValueError(str(exc)) from exc
+            producers.append(producer)
+            rows.append([])
+        last = len(rows[-1])
+        if step != last + 1:
+            if 1 <= step <= last:
+                raise ValueError(f"duplicate row for ({sid}, {producer}, h={step})")
+            raise ValueError(f"({sid}, {producer}): steps must run 1..H in order, got {step} after {last}")
+        rows[-1].append(number)
+
+    _read_csv(path, FORECAST_HEADER, take)
+    end_series()
+    return blocks
+
+
 def _reference_tricube(u: np.ndarray) -> np.ndarray:
     """Tricube kernel (1 - |u|^3)^3 on [0, 1), zero outside."""
     u = np.abs(u)

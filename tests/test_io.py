@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import reference_read_forecast_csv, reference_write_forecast_csv
+from conftest import (reference_iter_forecast_csv, reference_read_forecast_csv,
+                      reference_write_forecast_csv)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -93,6 +95,23 @@ class TestWeeklyCsv:
         pqio.write_weekly_csv(path, [weekly(values.tolist() + [0.0] * 0)])
         back = pqio.read_weekly_csv(path)[0]
         assert np.array_equal(back.values, values)
+
+
+def test_weekly_reader_peak_memory_is_bounded_by_its_output(tmp_path, rng):
+    """40 series x 157 weeks read with a traced peak within 5x the bytes of
+    the values and flags returned (a tuple per row took ~21x)."""
+    path = tmp_path / "weekly.csv"
+    pqio.write_weekly_csv(path, [weekly(rng.uniform(0, 100, 157), series_id=f"s{i}:UNB:220",
+                                        filled=rng.uniform(size=157) < 0.1) for i in range(40)])
+    tracemalloc.start()
+    try:
+        series = pqio.read_weekly_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(s.values.nbytes + s.filled_flags.nbytes for s in series)
+    assert len(series) == 40 and nbytes == 40 * 157 * 9
+    assert peak <= 5 * nbytes, f"peak {peak} B for {nbytes} B of values and flags"
 
 
 class TestRawCsv:
@@ -529,6 +548,143 @@ def test_forecast_writer_counts_the_blocks_it_consumes(tmp_path, rng):
     assert pqio.write_forecast_csv(tmp_path / "fc.csv", blocks) == 5
     assert [b.series_id for b in pqio.read_forecast_csv(tmp_path / "fc.csv")] == \
            [f"s{i}" for i in range(5)]
+
+
+# the rows a mutation puts in place of, or next to, a data line
+ODD_VALUES = [" 1.5 ", "1_0", "+2", "nan", '"1.5"', "x", "", "1.5,", "1.5 " + " " * 131072]
+ODD_STEPS = ["0{h}", " {h}", "+{h}", "{h}.0", "{skip}", "{prev}", "x"]
+LINE_ENDS = ["\r\n", "\n", "\r"]
+DIFF_SERIES = ["s1", "s2", "a,b", 'q"d', "line\nbreak", "cr\rlf", " sp ", ""]
+DIFF_PRODUCERS = ["SNaive", " HW", "STL-ES ", "b01:MEAN", "D28:median", "x,y", 'H01:"rank"']
+
+
+def mutate_line(draw, lines: list[str], i: int) -> None:
+    """Change data line ``i`` of ``lines`` (each with its line end) in one
+    way a hand-edited or foreign table might."""
+    body = lines[i].rstrip("\r\n")
+    end = lines[i][len(body):]
+    fields = body.split(",")
+    change = draw(st.sampled_from(["value", "step", "extra", "end", "blank", "repeat", "drop"]))
+    if change == "value":
+        fields[-1] = draw(st.sampled_from(ODD_VALUES))
+    elif change == "step" and len(fields) >= 4 and fields[-2].isdigit():
+        h = int(fields[-2])
+        fields[-2] = draw(st.sampled_from(ODD_STEPS)).format(h=h, skip=h + 1, prev=h - 1)
+    elif change == "extra":
+        fields.append(draw(st.sampled_from(["", "x", "1.5"])))
+    elif change == "end":
+        end = draw(st.sampled_from(LINE_ENDS))
+    elif change == "blank":
+        lines.insert(i, draw(st.sampled_from(LINE_ENDS)))
+        return
+    elif change == "repeat":
+        lines.insert(i, lines[i])
+        return
+    elif change == "drop":
+        del lines[i]
+        return
+    lines[i] = ",".join(fields) + end
+
+
+def read_or_error(read, path):
+    """The blocks a reader returns, byte for byte, or its error's type and text."""
+    try:
+        blocks = read(path)
+    except (DataError, csv.Error) as exc:
+        return type(exc).__name__, str(exc)
+    return "blocks", [(b.series_id, b.producers, b.values.shape, b.values.tobytes()) for b in blocks]
+
+
+class TestForecastReaderCsvOracle:
+    """``iter_forecast_csv`` gives what ``conftest.reference_iter_forecast_csv``,
+    the same reader on the csv module alone, gives: the same blocks, float
+    for float, or the same error text, ``file:line`` included."""
+
+    @staticmethod
+    def assert_same(path):
+        mine = read_or_error(pqio.read_forecast_csv, path)
+        assert mine == read_or_error(reference_iter_forecast_csv, path)
+        return mine[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mutated_writer_tables(self, tmp_path_factory, data):
+        draw = data.draw
+        blocks = []
+        for sid in draw(st.lists(st.sampled_from(DIFF_SERIES), min_size=1, max_size=3, unique=True)):
+            producers = draw(st.lists(st.sampled_from(DIFF_PRODUCERS), min_size=1, max_size=3, unique=True))
+            horizon = draw(st.integers(1, 4))
+            values = st.one_of(st.floats(0, 1e6), st.sampled_from(EDGE_VALUES))
+            blocks.append(ForecastBlock(sid, producers, [[draw(values) for _ in range(horizon)]
+                                                         for _ in producers]))
+        path = tmp_path_factory.mktemp("fc") / "fc.csv"
+        pqio.write_forecast_csv(path, blocks)
+        lines = list(io.StringIO(path.read_text(encoding="utf-8"), newline=""))
+        if draw(st.booleans()):  # one line end for the whole table
+            end = draw(st.sampled_from(LINE_ENDS))
+            lines = [line[:-2] + end if line.endswith("\r\n") else line for line in lines]
+        for _ in range(draw(st.integers(0, 2))):
+            mutate_line(draw, lines, draw(st.integers(1, len(lines) - 1)))
+        path.write_text("".join(lines), encoding="utf-8", newline="")
+        self.assert_same(path)
+
+    @pytest.mark.parametrize("text", ["", "series_id,producer,h,value\r\n", "series_id,producer,h,value",
+                                      "series_id,producer,h,value\n\n\r\n"])
+    def test_empty_and_header_only(self, tmp_path, text):
+        path = tmp_path / "fc.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert self.assert_same(path) == "DataError"
+
+    @pytest.mark.parametrize("line, kind", [
+        ("s,SNaive,3,2.5", "blocks"), ("s,SNaive,3,1_0", "blocks"), ("s,SNaive,03,2.5", "blocks"),
+        ('s,SNaive,3,"2.5"', "blocks"), ("s,SNaive,3, 2.5 ", "blocks"), ("s,SNaive,3,nan", "DataError"),
+        ("s,SNaive,4,2.5", "DataError"), ("s,SNaive,2,2.5", "DataError"), ("s,SNaive,3,2.5,", "DataError"),
+        ("s,SNaive,3,x", "DataError"), ("s,SNaive,x,2.5", "DataError"), ("s,SNaive,3", "DataError"),
+        ("s,SNaive,3,2.5" + " " * 131072, "Error"),
+    ])
+    def test_a_line_just_after_taken_rows(self, tmp_path, line, kind):
+        path = tmp_path / "fc.csv"
+        path.write_text("series_id,producer,h,value\r\ns,SNaive,1,1.5\r\ns,SNaive,2,2.5\r\n"
+                        f"{line}\r\ns,HW,1,1.0\r\ns,HW,2,1.0\r\ns,HW,3,1.0\r\n",
+                        encoding="utf-8", newline="")
+        assert self.assert_same(path) == kind
+
+    @pytest.mark.parametrize("quoted, line, kind", [
+        ('"a,b"', '"a,b",SNaive,2,2.5', "blocks"), ('"a,b"', "a,b,SNaive,2,2.5", "DataError"),
+        ('"""x"', '"""x",SNaive,2,2.5', "blocks"), ('"""x"', '"x,SNaive,2,2.5', "DataError"),
+        ('"l\nb"', '"l\nb",SNaive,2,2.5', "blocks"), ('"l\nb"', "l\nb,SNaive,2,2.5", "DataError"),
+    ])
+    def test_a_label_the_writer_quotes(self, tmp_path, quoted, line, kind):
+        """Rows of a quoted label are parsed by the csv module, however they
+        are written."""
+        path = tmp_path / "fc.csv"
+        path.write_text(f"series_id,producer,h,value\r\n{quoted},SNaive,1,1.5\r\n{line}\r\n",
+                        encoding="utf-8", newline="")
+        assert self.assert_same(path) == kind
+
+
+def test_forecast_reader_parses_one_line_per_producer_with_the_csv_module(tmp_path, rng, monkeypatch):
+    """On a table ``write_forecast_csv`` wrote, only the header and each
+    producer's first line go through the csv module; every other line is
+    taken in its plain form."""
+    producers = ["SNaive", "HW", "B01:mean", "D28:median"]
+    path = tmp_path / "fc.csv"
+    pqio.write_forecast_csv(path, [ForecastBlock(f"s{i}", producers, rng.uniform(0, 50, (4, 52)))
+                                   for i in range(3)])
+    parsed = 0
+    reader = csv.reader
+
+    def counting_reader(lines, *args, **kwargs):
+        def counted():
+            nonlocal parsed
+            for line in lines:
+                parsed += 1
+                yield line
+        return reader(counted(), *args, **kwargs)
+
+    monkeypatch.setattr(pqio.csv, "reader", counting_reader)
+    assert len(pqio.read_forecast_csv(path)) == 3
+    assert parsed == 1 + 3 * len(producers)
 
 
 class TestLeaderboardCsv:
