@@ -1,22 +1,24 @@
 """File formats: the nine CSV tables, planning levels and the run manifest.
 
-Every CSV table but the forecast table is read by one reader, ``_read_csv``,
-and written by one writer, ``_write_csv``; each table has one header
-constant. The csv module writes floats (numpy's float64 included) with
-``repr``, the shortest round-trip form, so outputs are byte-stable across
-runs, which the determinism guarantees rely on. The forecast table travels
+Every CSV table but the forecast table is written by one writer,
+``_write_csv``, and every one but the raw and forecast tables is read by
+one reader, ``_read_csv``; each table has one header constant. The csv
+module writes floats (numpy's float64 included) with ``repr``, the shortest
+round-trip form, so outputs are byte-stable across runs, which the
+determinism guarantees rely on. The raw and forecast tables, the largest,
+are read line by line: a line in the plain form of the row before it that
+continues that row's series is taken from its text directly, and every
+other line goes through the csv module (``_Records``), with the same
+acceptance, errors and ``file:line`` either way. The forecast table travels
 as one ``ForecastBlock`` per series, a (producers x horizon) matrix, in
-both directions, one series at a time: it is the largest table, and both
-``write_forecast_csv`` and ``iter_forecast_csv`` take or give the blocks
-lazily, so a stage that streams them holds one series at a time. Its
-writer formats each producer's lines itself, in the same dialect: labels
-quoted by the csv module, values with ``repr``, ``\r\n`` line ends. Its
-reader takes rows only in the writer's order, series by series and each
-producer's steps 1..H in turn, and yields each series' block as its rows
-end; ``read_forecast_csv`` is the same reader collected into a list. A row
-in the writer's unquoted form that continues the producer of the row before
-it is read from its line directly; every other row goes through the csv
-module, with the same acceptance, errors and ``file:line`` either way.
+both directions, one series at a time: both ``write_forecast_csv`` and
+``iter_forecast_csv`` take or give the blocks lazily, so a stage that
+streams them holds one series at a time. Its writer formats each producer's
+lines itself, in the same dialect: labels quoted by the csv module, values
+with ``repr``, ``\r\n`` line ends. Its reader takes rows only in the
+writer's order, series by series and each producer's steps 1..H in turn,
+and yields each series' block as its rows end; ``read_forecast_csv`` is the
+same reader collected into a list.
 Writes are atomic: every file this module writes, and the ground truth and
 figures written through ``write_text``, goes to a temp file in the
 target's directory that replaces the target only once complete, so an
@@ -30,12 +32,12 @@ import configparser
 import csv
 import json
 import os
+import re
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from io import StringIO
-from itertools import chain
 from pathlib import Path
 from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar
 
@@ -75,6 +77,15 @@ ECDF_HEADER = ["relative_improvement", "cumulative_probability"]
 
 T = TypeVar("T")
 
+# The start of a raw line in a plain form: the id (bare, or quoted on one
+# line), a comma, then the timestamp (bare or quoted) as 'YYYY-MM-DD', 'T'
+# or a space, 'HH:MM', then ':00' (or ':00.000'), an offset, both or
+# neither, its closing quote if it is quoted, and the comma before a bare
+# value.
+_PLAIN_RAW = re.compile(r'(?P<head>(?P<id>"(?:[^"\r\n]|"")*"|[^,"\r\n]*),(?P<q>"?)\d{4}-\d\d-\d\d[T ])'
+                        r'(?P<clock>\d\d:\d\d)(?P<ending>(?::00(?:\.0+)?)?(?:Z|[+-]\d\d:?\d\d)?(?P=q),)(?!")',
+                        re.ASCII)
+
 
 @contextmanager
 def _replacing(path: Path) -> Iterator[TextIO]:
@@ -106,18 +117,59 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
 
 def _read_csv(path: Path, header: Sequence[str], take: Callable[[list[str]], None]) -> None:
     """Check the header, then pass each non-blank row to ``take``. A row of
-    the wrong width or a ``ValueError`` from ``take`` names file and line."""
+    the wrong width, a ``ValueError`` from ``take`` or a ``csv.Error`` names
+    file and line."""
     with open(path, newline="", encoding="utf-8") as fh:
+        _, start = _header(path, fh, header)
         reader = csv.reader(fh)
-        if next(reader, None) != header:
-            raise DataError(f"{path}: expected header {','.join(header)}")
         taken = False
-        for row in reader:
-            if row:
-                _take_row(path, reader.line_num, take, row, len(header))
-                taken = True
+        try:
+            for row in reader:
+                if row:
+                    _take_row(path, start + reader.line_num, take, row, len(header))
+                    taken = True
+        except csv.Error as exc:
+            raise DataError(f"{path}:{start + reader.line_num}: {exc}") from exc
     if not taken:
         raise DataError(f"{path}: no data")
+
+
+class _Records:
+    """The csv module's records of a file whose other lines its reader takes
+    itself: ``records(line, line_num)`` gives the record that starts at
+    ``line``, read on from the file while a quoted field spans lines, and
+    ``line_num`` advanced past it as ``csv.reader.line_num`` counts. One
+    ``csv.reader`` serves every call; a ``csv.Error`` names file and line."""
+
+    def __init__(self, path: Path, fh: TextIO) -> None:
+        self.path, self.fh = path, fh
+        self.line: Optional[str] = None  # the line the next record starts at
+        self.reader = csv.reader(self)
+
+    def __iter__(self) -> "_Records":
+        return self
+
+    def __next__(self) -> str:  # the csv.reader's lines: the one given, then the file's
+        line, self.line = self.line, None
+        return next(self.fh) if line is None else line
+
+    def __call__(self, line: str, line_num: int) -> tuple[list[str], int]:
+        self.line = line
+        before = self.reader.line_num - line_num
+        try:
+            return next(self.reader), self.reader.line_num - before
+        except csv.Error as exc:
+            raise DataError(f"{self.path}:{self.reader.line_num - before}: {exc}") from exc
+
+
+def _header(path: Path, fh: TextIO, header: Sequence[str]) -> tuple[_Records, int]:
+    """Check that ``fh`` starts with ``header``; return the file's records
+    and the lines the header took."""
+    records = _Records(path, fh)
+    row, line_num = records(next(fh, ""), 0)
+    if row != header:
+        raise DataError(f"{path}: expected header {','.join(header)}")
+    return records, line_num
 
 
 def _take_row(path: Path, line_num: int, take: Callable[[list[str]], T], row: list[str], width: int) -> T:
@@ -125,7 +177,7 @@ def _take_row(path: Path, line_num: int, take: Callable[[list[str]], T], row: li
         if len(row) != width:
             raise ValueError(f"expected {width} columns, got {len(row)}")
         return take(row)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int too big for its buffer
         raise DataError(f"{path}:{line_num}: {exc}") from exc
 
 
@@ -134,8 +186,22 @@ def _take_row(path: Path, line_num: int, take: Callable[[list[str]], T], row: li
 def read_raw_csv(path: Path) -> list[RawSeries]:
     """Parse 10-minute measurements grouped by series, in file order, into
     flat typed buffers of UTC minutes and values. A naive timestamp is UTC,
-    one with an offset is converted."""
+    one with an offset is converted.
+
+    A line on the date of its series' last row that went through the csv
+    module, in that row's plain form (``sid,YYYY-MM-DDTHH:MM``, id and
+    timestamp bare or quoted, ``T`` or a space, then the row's own seconds
+    and offset, such as ``:00+00:00`` as ``write_raw_csv`` writes, ``:00``,
+    ``.000Z``, ``+05:30`` or none, then a bare value), is read from its
+    text, whether or not other series' rows came between: for a fixed date
+    and offset, its minute is that row's day minute plus its time of day.
+    A line's series is found by the text before its first comma, so an id
+    with a comma is read so only right after its own rows. Every other line
+    goes through the csv module, and a row in no plain form hands the rest
+    of its date to it, with the same acceptance, errors and ``file:line``
+    either way."""
     columns: dict[str, tuple[array, array]] = {}
+    clock = {f"{h:02}:{m:02}": 60 * h + m for h in range(24) for m in range(60)}  # 'HH:MM' -> minute
 
     def take(row: list[str]) -> None:
         series_id, ts_text, value_text = row
@@ -143,7 +209,68 @@ def read_raw_csv(path: Path) -> list[RawSeries]:
         minutes.append(utc_minute(datetime.fromisoformat(ts_text)))
         values.append(float(value_text))
 
-    _read_csv(path, RAW_HEADER, take)
+    with open(path, newline="", encoding="utf-8") as fh:
+        records, line_num = _header(path, fh, RAW_HEADER)
+        bulk = csv.reader(fh)
+        limit = csv.field_size_limit()  # a longer field is the csv module's error
+        # Each series' plain form, by its id as written: the id and
+        # 'YYYY-MM-DDT' of its last row in a plain form (head), where the
+        # clock key starts and ends, that day's UTC minute at 00:00, the
+        # row's seconds and offset with the comma, where the value starts,
+        # and the appends to its buffers.
+        forms: dict[str, tuple] = {}
+        no_form = (None,) * 8
+        head = None
+        for line in fh:
+            if head is None or not line.startswith(head):  # another series or date
+                head, start, mid, day, ending, stop, add_minute, add_value = forms.get(line[:line.find(",")], no_form)
+                if head is not None and not line.startswith(head):
+                    head = None
+            # A line of head, a clock key, that row's ending and a text
+            # float() accepts holds no other ',' or '"', so the csv module
+            # would give the same three fields and take() the same minute
+            # and value: take it without them.
+            if head is not None and len(line) <= limit:
+                minute = clock.get(line[start:mid])
+                if minute is not None and line.startswith(ending, mid):
+                    try:
+                        add_value(float(line[stop:]))
+                    except ValueError:
+                        pass
+                    else:
+                        add_minute(day + minute)
+                        line_num += 1
+                        continue
+            row, line_num = records(line, line_num)
+            if not row:
+                continue
+            _take_row(path, line_num, take, row, len(RAW_HEADER))
+            plain = _PLAIN_RAW.match(line)  # then the row's id and timestamp are its groups
+            minute = clock.get(plain["clock"]) if plain else None
+            if minute is not None:  # the lines that follow in its form are taken as above
+                minutes, values = columns[row[0]]
+                head, start, mid, day, ending, stop, add_minute, add_value = forms[plain["id"]] = (
+                    plain["head"], plain.start("clock"), plain.end("clock"), minutes[-1] - minute, plain["ending"],
+                    plain.end(), minutes.append, values.append)
+                continue
+            # Lines in no plain form come in runs: the csv module alone
+            # parses the rows that follow on this row's date.
+            date, before = row[1][:10], bulk.line_num - line_num
+            try:
+                for row in bulk:
+                    line_num = bulk.line_num - before
+                    if row:
+                        _take_row(path, line_num, take, row, len(RAW_HEADER))
+                        if not row[1].startswith(date):
+                            break
+            except csv.Error as exc:
+                raise DataError(f"{path}:{bulk.line_num - before}: {exc}") from exc
+    # The loop below drops each series' buffers once its array is built, so
+    # nothing else may hold them: not the forms' appends, nor the last one's.
+    forms.clear()
+    minutes = values = add_minute = add_value = None
+    if not columns:
+        raise DataError(f"{path}: no data")
     try:  # each series' buffers are dropped once its array is built
         return [RawSeries.from_columns(sid, *columns.pop(sid)) for sid in list(columns)]
     except DataError as exc:  # a sample off the grid, out of order or invalid
@@ -198,8 +325,16 @@ def read_weekly_csv(path: Path) -> list[WeeklySeries]:
     for sid in list(columns):  # each series' week buffers are dropped once it is built
         years, weeks, values, flags = columns.pop(sid)
         ids = list(zip(years, weeks))
+        try:  # a valid first week makes every consecutive one valid
+            week_start(ids[0])
+        except (ValueError, OverflowError) as exc:
+            raise DataError(f"{path}: {sid}: invalid ISO week {ids[0]}: {exc}") from exc
         for prev, cur in zip(ids, ids[1:]):
-            if cur != add_weeks(prev, 1):
+            try:
+                following = add_weeks(prev, 1)
+            except OverflowError:  # no week follows 9999-W52
+                following = None
+            if cur != following:
                 raise DataError(f"{path}: {sid}: weeks not consecutive at {cur}")
         try:
             out.append(WeeklySeries(sid, ids[0], np.frombuffer(values), np.frombuffer(flags, dtype=bool)))
@@ -305,10 +440,7 @@ def iter_forecast_csv(path: Path) -> Generator[ForecastBlock, None, None]:
         return ended
 
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != FORECAST_HEADER:
-            raise DataError(f"{path}: expected header {','.join(FORECAST_HEADER)}")
-        line_num = reader.line_num  # lines read, counted as csv.reader counts them
+        records, line_num = _header(path, fh, FORECAST_HEADER)
         head: Optional[str] = None  # 'sid,producer,' of the last row taken, if both are plain
         next_h = ""  # the h that row's producer takes next
         limit = csv.field_size_limit()  # a longer field is the csv module's error
@@ -328,9 +460,7 @@ def iter_forecast_csv(path: Path) -> Generator[ForecastBlock, None, None]:
                         next_h = str(step + 1)
                         line_num += 1
                         continue
-            reader = csv.reader(chain((line,), fh))  # the record that starts at line
-            row = next(reader)
-            line_num += reader.line_num
+            row, line_num = records(line, line_num)
             if row:
                 ended = _take_row(path, line_num, take, row, len(FORECAST_HEADER))
                 if ended is not None:

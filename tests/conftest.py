@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import Optional
@@ -10,7 +11,7 @@ import pytest
 
 from pqforecast.ensembles import CombinationMethod, enumerate_ensembles, parse_producer
 from pqforecast.errors import ConfigError, DataError
-from pqforecast.io import FORECAST_HEADER, _read_csv
+from pqforecast.io import FORECAST_HEADER, RAW_HEADER, _read_csv
 from pqforecast.models import PUBLIC_MODELS, ForecastBlock
 from pqforecast.weekly import (
     MIN_SAMPLES_PER_WEEK,
@@ -172,6 +173,26 @@ def reference_ensembles(members: np.ndarray, methods, phi=None) -> np.ndarray:
     return np.array(rows)
 
 
+def reference_read_raw_csv(path) -> list[RawSeries]:
+    """``io.read_raw_csv`` as it parsed every row with the csv module
+    (``io._read_csv``) and every timestamp with ``datetime.fromisoformat``,
+    verbatim: the oracle for the line-by-line reader's samples and for its
+    error texts, ``file:line`` included."""
+    columns: dict[str, tuple[array, array]] = {}
+
+    def take(row: list[str]) -> None:
+        series_id, ts_text, value_text = row
+        minutes, values = columns.get(series_id) or columns.setdefault(series_id, (array("q"), array("d")))
+        minutes.append(utc_minute(datetime.fromisoformat(ts_text)))
+        values.append(float(value_text))
+
+    _read_csv(path, RAW_HEADER, take)
+    try:  # each series' buffers are dropped once its array is built
+        return [RawSeries.from_columns(sid, *columns.pop(sid)) for sid in list(columns)]
+    except DataError as exc:  # a sample off the grid, out of order or invalid
+        raise DataError(f"{path}: {exc}") from exc
+
+
 def reference_write_forecast_csv(path, blocks) -> None:
     """The forecast table as the csv writer writes it, one generator tuple
     per row: the oracle for ``io.write_forecast_csv``'s bytes."""
@@ -227,7 +248,8 @@ def reference_read_forecast_csv(path) -> list[ForecastBlock]:
 
 def reference_iter_forecast_csv(path) -> list[ForecastBlock]:
     """The writer-order forecast reader with every row parsed by the csv
-    module (``io._read_csv``) and checked by one ``take``: the oracle for
+    module (``io._read_csv``, which turns a ``csv.Error`` into a data error at
+    its line) and checked by one ``take``: the oracle for
     ``io.iter_forecast_csv``'s blocks and for its error texts, ``file:line``
     included."""
     blocks: list[ForecastBlock] = []

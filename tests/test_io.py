@@ -5,11 +5,12 @@ import io
 import json
 import re
 import tracemalloc
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 from conftest import (reference_iter_forecast_csv, reference_read_forecast_csv,
-                      reference_write_forecast_csv)
+                      reference_read_raw_csv, reference_write_forecast_csv)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,10 +28,12 @@ from pqforecast.evaluation import (
 from pqforecast.models import ForecastBlock
 from pqforecast.weekly import (
     PlanningLevel,
+    RawSeries,
     Rejection,
     RejectionReason,
     WeeklySeries,
     aggregate_weekly,
+    utc_minute,
 )
 
 
@@ -79,6 +82,23 @@ class TestWeeklyCsv:
         path.write_text("series_id,iso_year,iso_week,utilization_percent,filled\n"
                         "s,2022,1,1.0,0\ns,2022,3,2.0,0\n")
         with pytest.raises(DataError, match="consecutive"):
+            pqio.read_weekly_csv(path)
+
+    @pytest.mark.parametrize("rows", ["s,2022,60,1.0,0\ns,2022,61,2.0,0\n", "s,2022,60,1.0,0\n"])
+    def test_invalid_iso_week_names_file_and_week(self, tmp_path, rows):
+        path = tmp_path / "weekly.csv"
+        path.write_text(f"series_id,iso_year,iso_week,utilization_percent,filled\nt,2022,1,1.0,0\n{rows}")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: s: invalid ISO week \(2022, 60\)"):
+            pqio.read_weekly_csv(path)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("s,9999,52,1.0,0\ns,9999,53,1.0,0\n", r"weekly\.csv: s: weeks not consecutive at \(9999, 53\)"),
+        ("s,99999999999999999999,1,1.0,0\n", r"weekly\.csv:2: int too big to convert"),
+    ])
+    def test_weeks_beyond_the_calendar_are_data_errors(self, tmp_path, rows, message):
+        path = tmp_path / "weekly.csv"
+        path.write_text(f"series_id,iso_year,iso_week,utilization_percent,filled\n{rows}")
+        with pytest.raises(DataError, match=message):
             pqio.read_weekly_csv(path)
 
     @pytest.mark.parametrize("filled", ["yes", "true", "2", "", " 1", "1.0"])
@@ -624,6 +644,8 @@ class TestForecastReaderCsvOracle:
             end = draw(st.sampled_from(LINE_ENDS))
             lines = [line[:-2] + end if line.endswith("\r\n") else line for line in lines]
         for _ in range(draw(st.integers(0, 2))):
+            if len(lines) < 2:  # a drop took the only data line
+                break
             mutate_line(draw, lines, draw(st.integers(1, len(lines) - 1)))
         path.write_text("".join(lines), encoding="utf-8", newline="")
         self.assert_same(path)
@@ -640,7 +662,7 @@ class TestForecastReaderCsvOracle:
         ('s,SNaive,3,"2.5"', "blocks"), ("s,SNaive,3, 2.5 ", "blocks"), ("s,SNaive,3,nan", "DataError"),
         ("s,SNaive,4,2.5", "DataError"), ("s,SNaive,2,2.5", "DataError"), ("s,SNaive,3,2.5,", "DataError"),
         ("s,SNaive,3,x", "DataError"), ("s,SNaive,x,2.5", "DataError"), ("s,SNaive,3", "DataError"),
-        ("s,SNaive,3,2.5" + " " * 131072, "Error"),
+        ("s,SNaive,3,2.5" + " " * 131072, "DataError"),
     ])
     def test_a_line_just_after_taken_rows(self, tmp_path, line, kind):
         path = tmp_path / "fc.csv"
@@ -685,6 +707,273 @@ def test_forecast_reader_parses_one_line_per_producer_with_the_csv_module(tmp_pa
     monkeypatch.setattr(pqio.csv, "reader", counting_reader)
     assert len(pqio.read_forecast_csv(path)) == 3
     assert parsed == 1 + 3 * len(producers)
+
+
+RAW_IDS = ["s1", "s2", "a,b", 'q"d', "line\nbreak", " sp ", ""]
+RAW_VALUES = [" 1.5 ", "1_0", "nan", "-1", '"1.5"', "x", "", "1.5,", "1e400", "1.5" + " " * 131072]
+RAW_OFFSETS = ["", "+00:00", "Z", "+01:00", "-00:00", "+05:30", "+0530"]
+# a timestamp of whole minutes, with or without ':00' seconds and an offset, before its comma or closing quote
+RAW_STAMP = re.compile(r"\d{4}-\d\d-\d\d[Tt ]\d\d:\d\d(?::00(?:\.0+)?)?(?:Z|[+-]\d\d:?\d\d)?(?=\"?,)")
+FULL_WIDTH = str.maketrans("0123456789", "".join(chr(0xFF10 + d) for d in range(10)))
+
+
+def restamp(text: str, sep: str, seconds: str, offset: str) -> str:
+    """A table ``write_raw_csv`` wrote, each timestamp the same instant in
+    local time at ``offset`` (naive UTC for ``""``), with ``sep`` between
+    date and time and ``seconds`` (``":00"``, ``""``, ...) after its minute."""
+    zone = datetime.fromisoformat("2000-01-01T00:00" + (offset.strip("Z") or "+00:00")).tzinfo
+
+    def local(m: re.Match) -> str:
+        return datetime.fromisoformat(m.group()).astimezone(zone).isoformat(sep)[:16] + seconds + offset
+
+    return RAW_STAMP.sub(local, text)
+
+
+def mutate_stamp(draw, stamp: str) -> str:
+    """``stamp``, a timestamp of whole minutes, changed in one way a
+    hand-edited or foreign table might."""
+    minute, rest = stamp[:16], stamp[16:]  # 'YYYY-MM-DDTHH:MM', then seconds and offset
+    offset = re.sub(r"^:00(\.0+)?", "", rest)
+    change = draw(st.sampled_from(["offset", "separator", "seconds", "fraction", "24:00", "unpadded",
+                                   "full-width", "day"]))
+    if change == "offset":
+        return minute + draw(st.sampled_from([":00", "", ":00.000"])) + draw(st.sampled_from(RAW_OFFSETS))
+    if change == "separator":
+        return stamp[:10] + draw(st.sampled_from("T t_")) + stamp[11:]
+    if change == "seconds":
+        return minute + ":30" + offset
+    if change == "fraction":
+        return minute + ":00.5" + offset
+    if change == "24:00":
+        return stamp[:11] + "24:00" + rest
+    if change == "unpadded":
+        return stamp[:11] + f"{int(stamp[11:13]):2}" + stamp[13:]
+    if change == "full-width":
+        return stamp[:11] + minute[11:].translate(FULL_WIDTH) + rest
+    return stamp[:8] + f"{int(stamp[8:10]) % 28 + 1:02}" + stamp[10:]  # another day
+
+
+def mutate_raw_line(draw, lines: list[str], i: int) -> None:
+    """Change line ``i`` of a raw table's ``lines`` (each with its line end)."""
+    body = lines[i].rstrip("\r\n")
+    end = lines[i][len(body):]
+    change = draw(st.sampled_from(["value", "stamp", "id", "extra", "end", "blank", "repeat", "drop", "swap"]))
+    if change == "value":
+        body = body.rpartition(",")[0] + "," + draw(st.sampled_from(RAW_VALUES))
+    elif change == "stamp":
+        body = RAW_STAMP.sub(lambda m: mutate_stamp(draw, m.group()), body, count=1)
+    elif change == "id":
+        sid, sep, rest = body.partition(",")
+        body = draw(st.sampled_from([f'"{sid}"', f"{sid},x", f"{sid}2", f" {sid}"])) + sep + rest
+    elif change == "extra":
+        body += "," + draw(st.sampled_from(["", "x", "1.5"]))
+    elif change == "end":
+        end = draw(st.sampled_from(LINE_ENDS))
+    elif change == "blank":
+        lines.insert(i, draw(st.sampled_from(LINE_ENDS)))
+        return
+    elif change == "repeat":
+        lines.insert(i, lines[i])
+        return
+    elif change == "drop":
+        del lines[i]
+        return
+    elif change == "swap" and i + 1 < len(lines):
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        return
+    lines[i] = body + end
+
+
+def raw_or_error(read, path):
+    """The series a reader returns, byte for byte, or its error's type and text."""
+    try:
+        series = read(path)
+    except (DataError, csv.Error) as exc:
+        return type(exc).__name__, str(exc)
+    return "series", [(s.series_id, s.samples.tobytes()) for s in series]
+
+
+# 2022-01-03 22:00 UTC: a series of a few dozen samples from here crosses midnight
+RAW_FIRST_MINUTE = utc_minute(datetime(2022, 1, 3, 22, tzinfo=timezone.utc))
+
+
+class TestRawReaderCsvOracle:
+    """``read_raw_csv`` gives what ``conftest.reference_read_raw_csv``, the
+    same reader on the csv module and ``datetime.fromisoformat`` alone,
+    gives: the same samples, byte for byte, or the same error text,
+    ``file:line`` included."""
+
+    @staticmethod
+    def assert_same(path):
+        mine = raw_or_error(pqio.read_raw_csv, path)
+        assert mine == raw_or_error(reference_read_raw_csv, path)
+        return mine[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mutated_writer_tables(self, tmp_path_factory, data):
+        draw = data.draw
+        series = []
+        for sid in draw(st.lists(st.sampled_from(RAW_IDS), min_size=1, max_size=3, unique=True)):
+            first = RAW_FIRST_MINUTE + 10 * draw(st.integers(0, 20))
+            n = draw(st.integers(1, 24))
+            values = st.one_of(st.floats(0, 1e6), st.sampled_from([0.0, 1e-300, 1e300, 0.1, 2.0 / 3.0]))
+            series.append(RawSeries.from_columns(sid, first + 10 * np.arange(n), [draw(values) for _ in range(n)]))
+        if len(series) > 1 and len(series[0].samples) > 1 and draw(st.booleans()):  # the first resumes last
+            cut = len(series[0].samples) // 2
+            head, tail = series[0].samples[:cut], series[0].samples[cut:]
+            series = [RawSeries(series[0].series_id, head), *series[1:], RawSeries(series[0].series_id, tail)]
+        if draw(st.booleans()):  # one row at a time, sorted by time as a logger's export may be
+            rows = sorted((m, i, k) for i, s in enumerate(series) for k, m in enumerate(s.samples["minute"]))
+            series = [RawSeries(series[i].series_id, series[i].samples[k:k + 1]) for _, i, k in rows]
+        path = tmp_path_factory.mktemp("raw") / "raw.csv"
+        pqio.write_raw_csv(path, series)
+        offsets = st.sampled_from(["+00:00", "", "Z", "+05:30", "-03:00", "+0530"])
+        text = restamp(path.read_text(encoding="utf-8"), draw(st.sampled_from("T t")),  # 't': in no plain form
+                       draw(st.sampled_from([":00", "", ":00.000"])), draw(offsets))
+        if draw(st.booleans()):  # every id quoted, as some writers do
+            text = re.sub(r'^([^,"\r\n]*),', r'"\1",', text, flags=re.M)
+        if draw(st.booleans()):  # every timestamp quoted, as writers that quote text do
+            text = RAW_STAMP.sub(r'"\g<0>"', text)
+        if draw(st.booleans()):  # every value quoted too: in no plain form
+            text = re.sub(r',([^,"\r\n]*)(?=\r\n)', r',"\1"', text)
+        lines = list(io.StringIO(text, newline=""))
+        if draw(st.booleans()):  # one line end for the whole table
+            end = draw(st.sampled_from(LINE_ENDS))
+            lines = [line[:-2] + end if line.endswith("\r\n") else line for line in lines]
+        for _ in range(draw(st.integers(0, 2))):
+            if len(lines) < 2:  # a drop took the only data line
+                break
+            mutate_raw_line(draw, lines, draw(st.integers(1, len(lines) - 1)))
+        path.write_text("".join(lines), encoding="utf-8", newline="")
+        self.assert_same(path)
+
+    @pytest.mark.parametrize("text", ["", "series_id,timestamp_iso8601,value\r\n",
+                                      "series_id,timestamp_iso8601,value\n\n\r\n",
+                                      "series_id,timestamp_iso8601," + "v" * 131073 + "\n"])
+    def test_empty_and_header_only(self, tmp_path, text):
+        path = tmp_path / "raw.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert self.assert_same(path) == "DataError"
+
+    @pytest.mark.parametrize("line, kind", [
+        ("s,2022-01-03T00:20:00,2.5", "series"), ("s,2022-01-03T00:20:00+00:00,2.5", "series"),
+        ("s,2022-01-03T00:20:00Z,2.5", "series"), ("s,2022-01-03T00:20:00-00:00,2.5", "series"),
+        ("s,2022-01-03T01:20:00+01:00,2.5", "series"), ("s,2022-01-03 00:20:00,2.5", "series"),
+        ("s,2022-01-03T00:20,2.5", "series"), ('"s",2022-01-03T00:20:00,2.5', "series"),
+        ("s,2022-01-03T00:20:00, 2.5 ", "series"), ("s,2022-01-03T00:20:00,1_0", "series"),
+        ('s,2022-01-03T00:20:00,"2.5"', "series"), ("s,2022-01-03T00:20:00,2.5\r\n", "series"),
+        ("s,2022-01-03T00:20:30,2.5", "DataError"), ("s,2022-01-03T00:20:00.5,2.5", "DataError"),
+        ("s,2022-01-03T24:00:00,2.5", "DataError"), ("s,2022-01-03T 0:20:00,2.5", "DataError"),
+        ("s,2022-01-03T００:20:00,2.5", "DataError"), ("s,2022-01-03T00:20:00,nan", "DataError"),
+        ("s,2022-01-03T00:20:00,-1", "DataError"), ("s,2022-01-03T00:20:00,x", "DataError"),
+        ("s,2022-01-03T00:20:00,2.5,", "DataError"), ("s,2022-01-03T00:20:00", "DataError"),
+        ("s,2022-01-03T00:10:00,2.5", "DataError"), ("s,2022-01-03T00:20:00,2.5" + " " * 131072, "DataError"),
+    ])
+    def test_a_line_just_after_taken_rows(self, tmp_path, line, kind):
+        path = tmp_path / "raw.csv"
+        path.write_text("series_id,timestamp_iso8601,value\r\ns,2022-01-03T00:00:00,1.5\r\n"
+                        f"s,2022-01-03T00:10:00,2.5\r\n{line}\r\ns,2022-01-03T00:30:00,1.0\r\n"
+                        "t,2022-01-03T00:00:00,1.0\r\n", encoding="utf-8", newline="")
+        assert self.assert_same(path) == kind
+
+    @pytest.mark.parametrize("line, kind", [
+        ("s,2022-01-03T05:50:00+05:30,2.5", "series"), ("s,2022-01-03T00:20:00Z,2.5", "series"),
+        ("s,2022-01-03T05:50+05:30,2.5", "series"), ("s,2022-01-03 05:50:00+05:30,2.5", "series"),
+        ("s,2022-01-03T05:50:00+05:30:00,2.5", "series"), ("s,2022-01-03T05:50:00+0530,2.5", "series"),
+        ("s,2022-01-03T05:50:00+05:31,2.5", "DataError"), ("s,2022-01-03T05:50:00+05:3,2.5", "DataError"),
+        ("s,2022-01-03T05:50:00-05:30,2.5", "DataError"), ("s,2022-01-04T05:50:00+05:30,2.5", "DataError"),
+        ("s,2022-01-03T05:50:00+05:30,2.5,x", "DataError"),
+    ])
+    def test_a_line_just_after_rows_at_an_offset(self, tmp_path, line, kind):
+        path = tmp_path / "raw.csv"
+        path.write_text("series_id,timestamp_iso8601,value\r\ns,2022-01-03T05:30:00+05:30,1.5\r\n"
+                        f"s,2022-01-03T05:40:00+05:30,2.5\r\n{line}\r\ns,2022-01-03T06:00:00+05:30,1.0\r\n"
+                        "t,2022-01-03T05:30:00+05:30,1.0\r\n", encoding="utf-8", newline="")
+        assert self.assert_same(path) == kind
+
+    @pytest.mark.parametrize("tail", ["", "s,2022-01-04T00:30:00,x\r\n", "s,2022-01-04t00:30:00,x\r\n",
+                                      "s,2022-01-04t00:30:00,1.0,\r\n", "s,2022-01-04T00:20:00,1.0\r\n"])
+    @pytest.mark.parametrize("line", [
+        "s,2022-01-03t00:20:00,2.5", "s,2022-01-03T00:20:00,2.5", "s,2022-01-03t00:20:00,x",
+        "s,2022-01-03t00:20:00,2.5,", "s,2022-01-03t00:20:00,2.5" + " " * 131072, "s,2022-01-04t00:20:00,2.5",
+        's,"2022-01-03t00:20:00\r\n",2.5', "\r\ns,2022-01-03t00:20:00,2.5\r\n",
+    ])
+    def test_rows_in_no_plain_form(self, tmp_path, line, tail):
+        """Rows in no plain form (a 't' for the T) after plain ones: the
+        csv module alone parses the rest of their date, then the reader
+        goes back to reading plain lines itself, with the same samples or
+        errors, ``file:line`` included, either way."""
+        path = tmp_path / "raw.csv"
+        path.write_text("series_id,timestamp_iso8601,value\r\ns,2022-01-03T00:00:00,1.5\r\n"
+                        f"s,2022-01-03t00:10:00,2.5\r\n{line}\r\nt,2022-01-03t00:00:00,1.0\r\n"
+                        "s,2022-01-03t00:30:00,1.0\r\ns,2022-01-04T00:00:00,1.0\r\ns,2022-01-04T00:10:00,1.0\r\n"
+                        + tail, encoding="utf-8", newline="")
+        self.assert_same(path)
+
+    @pytest.mark.parametrize("quoted, line, kind", [
+        ('"a,b"', '"a,b",2022-01-03T00:10:00,2.5', "series"), ('"a,b"', "a,b,2022-01-03T00:10:00,2.5", "DataError"),
+        ('"""x"', '"""x",2022-01-03T00:10:00,2.5', "series"), ('"""x"', '"x,2022-01-03T00:10:00,2.5', "DataError"),
+        ('"l\nb"', '"l\nb",2022-01-03T00:10:00,2.5', "series"),
+        ('"l\nb"', "l\nb,2022-01-03T00:10:00,2.5", "DataError"),
+        # a quoted id whose first line alone looks like a plain row
+        ('"ab,2022-01-03T00:00:00,1.5\r\n"', '"ab,2022-01-03T00:10:00,2.5\r\n",2022-01-03T00:10:00,2.5', "series"),
+    ])
+    def test_an_id_the_writer_quotes(self, tmp_path, quoted, line, kind):
+        """Rows of an id the writer quotes give what the csv module gives,
+        however they are written."""
+        path = tmp_path / "raw.csv"
+        path.write_text(f"series_id,timestamp_iso8601,value\r\n{quoted},2022-01-03T00:00:00,1.5\r\n{line}\r\n",
+                        encoding="utf-8", newline="")
+        assert self.assert_same(path) == kind
+
+
+@pytest.mark.parametrize("sep, seconds, offset, days", [
+    ("T", ":00", "+00:00", [1, 1, 2, 4]), ("T", ":00", "", [1, 1, 2, 4]), ("T", "", "Z", [1, 1, 2, 4]),
+    ("T", ":00", "+05:30", [1, 1, 1, 3]), ("T", "", "-03:00", [1, 1, 1, 4]), (" ", ":00", "", [1, 1, 2, 4]),
+    ("T", ":00.000", "Z", [1, 1, 2, 4]), ("T", ":00", "+0530", [1, 1, 1, 3]),
+])
+@pytest.mark.parametrize("by_time", [False, True])
+@pytest.mark.parametrize("quoted_stamps", [False, True])
+def test_raw_reader_parses_one_line_per_series_day_with_the_csv_module(tmp_path, rng, monkeypatch, sep, seconds,
+                                                                       offset, days, by_time, quoted_stamps):
+    """On a table ``write_raw_csv`` wrote, in its own form or restamped
+    at another offset, its timestamps bare or quoted, grouped by series or
+    sorted by time, only the header and each series' first line of each
+    local date go through the csv module; every other line is taken in its
+    plain form, ids the writer quotes included. The one exception: a line
+    whose id holds a comma can't be matched to its series by the text
+    before its first comma, so it is taken only right after a line of the
+    same series."""
+    first = utc_minute(datetime(2022, 1, 3, 20, tzinfo=timezone.utc))
+    ids = ["s0:UNB:220", "s1,UNB:220", 's2 "x":UNB:220', "s3:UNB:220"]
+    series = [RawSeries.from_columns(sid, first + 10 * np.arange(n), rng.uniform(0, 50, n))
+              for sid, n in zip(ids, [1, 24, 25, 400])]  # from 20:00 UTC, 17:00 at -03:00, 01:30 at +05:30
+    path = tmp_path / "raw.csv"
+    if by_time:  # one row at a time, every series' row of a minute before the next minute's
+        rows = sorted((minute, i, k) for i, s in enumerate(series) for k, minute in enumerate(s.samples["minute"]))
+        pqio.write_raw_csv(path, [RawSeries(series[i].series_id, series[i].samples[k:k + 1]) for _, i, k in rows])
+        days = [days[0], 24, *days[2:]]  # each of s1's lines follows another series' line
+    else:
+        pqio.write_raw_csv(path, series)
+    text = restamp(path.read_text(encoding="utf-8"), sep, seconds, offset)
+    path.write_text(RAW_STAMP.sub(r'"\g<0>"', text) if quoted_stamps else text, encoding="utf-8", newline="")
+    parsed = 0
+    reader = csv.reader
+
+    def counting_reader(lines, *args, **kwargs):
+        def counted():
+            nonlocal parsed
+            for line in lines:
+                parsed += 1
+                yield line
+        return reader(counted(), *args, **kwargs)
+
+    monkeypatch.setattr(pqio.csv, "reader", counting_reader)
+    back = pqio.read_raw_csv(path)
+    assert [(s.series_id, s.samples.tobytes()) for s in back] == \
+        [(s.series_id, s.samples.tobytes()) for s in series]
+    assert parsed == 1 + sum(days)
 
 
 class TestLeaderboardCsv:
