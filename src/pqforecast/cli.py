@@ -14,6 +14,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import zip_longest
 from pathlib import Path
 from typing import Generator, Iterator, Optional, Sequence
@@ -25,7 +26,7 @@ from . import report as pqreport
 from .ensembles import ALL_METHODS, CombinationMethod, combine, ensemble_producers, parse_producer
 from .errors import ConfigError, DataError
 from .evaluation import Leaderboard, compare_best, composition_analysis, evaluate_corpus
-from .models import ForecastBlock, ModelId, PUBLIC_MODELS, TrainingWindow, fit_predict, model_from_name
+from .models import ForecastBlock, ModelFit, ModelId, PUBLIC_MODELS, TrainingWindow, fit_predict, model_from_name
 from .synth import SyntheticSpec, generate_corpus, write_truth
 from .weekly import TEST_WEEKS, TRAIN_WEEKS, SeriesKey, WeeklySeries, aggregate_weekly, fill_gaps, normalize
 
@@ -131,19 +132,16 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 # -- forecast ------------------------------------------------------------------
 
-def _fit_series(payload) -> tuple[str, list[tuple[str, np.ndarray, list[str]]], dict[str, float]]:
-    """Fit all requested models on one series (runs in worker processes)."""
-    series_id, train_values, model_names, horizon = payload
+def _fit_series(train_values: np.ndarray, models: Sequence[ModelId],
+                horizon: int) -> list[tuple[ModelFit, float]]:
+    """Each model's fit on one series and its seconds (runs in worker processes)."""
     window = TrainingWindow(train_values)
-    results = []
-    timings: dict[str, float] = {}
-    for name in model_names:
-        model = ModelId(name)
+    fits = []
+    for model in models:
         started = time.perf_counter()
         fit = fit_predict(model, window, horizon)
-        timings[name] = time.perf_counter() - started
-        results.append((model.value, fit.values, fit.notes))
-    return series_id, results, timings
+        fits.append((fit, time.perf_counter() - started))
+    return fits
 
 
 def cmd_forecast(args: argparse.Namespace) -> int:
@@ -167,30 +165,22 @@ def cmd_forecast(args: argparse.Namespace) -> int:
         if len(s) < needed:
             raise DataError(f"{s.series_id}: {len(s)} weeks < required {needed}")
 
-    payloads = [
-        (s.series_id, s.values[: cfg.train_len], [m.value for m in models], cfg.horizon)
-        for s in series
-    ]
-    workers = min(args.jobs, len(payloads))  # the pool starts every worker at once
+    fit_all = partial(_fit_series, models=models, horizon=cfg.horizon)
+    windows = [s.values[: cfg.train_len] for s in series]
+    workers = min(args.jobs, len(series))  # the pool starts every worker at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw_results = list(pool.map(_fit_series, payloads))
+            results = list(pool.map(fit_all, windows))
     else:
-        raw_results = [_fit_series(p) for p in payloads]
-    by_series = {sid: (fits, timings) for sid, fits, timings in raw_results}
+        results = [fit_all(w) for w in windows]
 
-    blocks = []
-    manifest = []
-    total_time: dict[str, float] = {m.value: 0.0 for m in models}
-    for s in series:
-        fits, timings = by_series[s.series_id]
-        producers, values, notes = zip(*fits)
-        blocks.append(ForecastBlock(s.series_id, list(producers), np.vstack(values)))
-        for producer, model_notes in zip(producers, notes):
-            for note in model_notes:
-                manifest.append(pqio.ManifestEntry("forecast", s.series_id, producer, note))
-        for name, seconds in timings.items():
-            total_time[name] += seconds
+    producers = [m.value for m in models]
+    blocks, manifest, total_time = [], [], dict.fromkeys(producers, 0.0)
+    for s, fits in zip(series, results):  # map keeps the series order
+        blocks.append(ForecastBlock(s.series_id, producers, np.vstack([fit.values for fit, _ in fits])))
+        for fit, seconds in fits:
+            manifest += [pqio.ManifestEntry("forecast", s.series_id, fit.model.value, note) for note in fit.notes]
+            total_time[fit.model.value] += seconds
 
     pqio.write_forecast_csv(out / "forecasts.csv", blocks)
     pqio.write_manifest(out / "manifest.jsonl", manifest)

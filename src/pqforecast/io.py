@@ -1,24 +1,24 @@
 """File formats: the nine CSV tables, planning levels and the run manifest.
 
-Every CSV table but the forecast table is written by one writer,
-``_write_csv``, and every one but the raw and forecast tables is read by
-one reader, ``_read_csv``; each table has one header constant. The csv
-module writes floats (numpy's float64 included) with ``repr``, the shortest
-round-trip form, so outputs are byte-stable across runs, which the
-determinism guarantees rely on. The raw and forecast tables, the largest,
-are read line by line: a line in the plain form of the row before it that
-continues that row's series is taken from its text directly, and every
-other line goes through the csv module (``_Records``), with the same
-acceptance, errors and ``file:line`` either way. The forecast table travels
-as one ``ForecastBlock`` per series, a (producers x horizon) matrix, in
-both directions, one series at a time: both ``write_forecast_csv`` and
-``iter_forecast_csv`` take or give the blocks lazily, so a stage that
-streams them holds one series at a time. Its writer formats each producer's
-lines itself, in the same dialect: labels quoted by the csv module, values
-with ``repr``, ``\r\n`` line ends. Its reader takes rows only in the
-writer's order, series by series and each producer's steps 1..H in turn,
-and yields each series' block as its rows end; ``read_forecast_csv`` is the
-same reader collected into a list.
+Every CSV table but the raw and forecast tables is written by one writer,
+``_write_csv``, and read by one reader, ``_read_csv``; each table has one
+header constant. The csv module writes floats (numpy's float64 included)
+with ``repr``, the shortest round-trip form, so outputs are byte-stable
+across runs, which the determinism guarantees rely on. The raw and
+forecast writers format their lines themselves, one ``write`` per 1,008
+rows or per producer, in the same dialect: ids and labels quoted by the
+csv module, values with ``repr``, ``\r\n`` line ends. The raw and
+forecast tables, the largest, are read line by line: a line in the plain
+form of the row before it that continues that row's series is taken from
+its text directly, and every other line goes through the csv module
+(``_Records``), with the same acceptance, errors and ``file:line`` either
+way. The forecast table travels as one ``ForecastBlock`` per series, a
+(producers x horizon) matrix, in both directions, one series at a time:
+both ``write_forecast_csv`` and ``iter_forecast_csv`` take or give the
+blocks lazily, so a stage that streams them holds one series at a time.
+Its reader takes rows only in the writer's order, series by series and
+each producer's steps 1..H in turn, and yields each series' block as its
+rows end; ``read_forecast_csv`` is the same reader collected into a list.
 Writes are atomic: every file this module writes, and the ground truth and
 figures written through ``write_text``, goes to a temp file in the
 target's directory that replaces the target only once complete, so an
@@ -76,6 +76,9 @@ COMPARISON_HEADER = ["series_id", "individual_smape", "ensemble_smape", "relativ
 ECDF_HEADER = ["relative_improvement", "cumulative_probability"]
 
 T = TypeVar("T")
+
+_FIRST_MINUTE = utc_minute(datetime.min)  # the minutes a ``datetime`` holds
+_LAST_MINUTE = utc_minute(datetime.max.replace(second=0, microsecond=0))
 
 # The start of a raw line in a plain form: the id (bare, or quoted on one
 # line), a comma, then the timestamp (bare or quoted) as 'YYYY-MM-DD', 'T'
@@ -278,10 +281,19 @@ def read_raw_csv(path: Path) -> list[RawSeries]:
 
 
 def write_raw_csv(path: Path, series: Iterable[RawSeries]) -> None:
-    _write_csv(path, RAW_HEADER, (
-        (s.series_id, minute_isoformat(minute), value) for s in series
-        for minute, value in zip(s.samples["minute"].tolist(), s.samples["value"].tolist())
-    ))
+    """The bytes ``_write_csv`` would write, one ``write`` per 1,008 rows,
+    each value with ``repr``; a minute ``datetime`` cannot hold raises as there."""
+    with _replacing(path) as fh:
+        csv.writer(fh).writerow(RAW_HEADER)
+        for s in series:
+            minutes, values = s.samples["minute"], s.samples["value"]
+            for minute in minutes[(minutes < _FIRST_MINUTE) | (minutes > _LAST_MINUTE)][:1].tolist():
+                minute_isoformat(minute)  # raises, as for the row when _write_csv wrote it
+            prefix = _csv_fields(s.series_id, "")  # 'id,': a lone empty field would be quoted
+            for i in range(0, len(minutes), SAMPLES_PER_WEEK):  # memory does not grow with the series
+                stamps = np.datetime_as_string(minutes[i:i + SAMPLES_PER_WEEK].astype("datetime64[m]"), unit="s")
+                fh.write("".join([f"{prefix}{stamp}+00:00,{value!r}\r\n" for stamp, value
+                                  in zip(stamps.tolist(), values[i:i + SAMPLES_PER_WEEK].tolist())]))
 
 
 def weekly_to_raw(series: WeeklySeries, missing_weeks: Sequence[int] = ()) -> RawSeries:

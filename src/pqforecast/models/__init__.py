@@ -9,8 +9,8 @@ decomposition.
 
 from __future__ import annotations
 
+from ..weekly import TEST_WEEKS
 from .base import (
-    HORIZON_WEEKS,
     PUBLIC_MODELS,
     SEASONAL_PERIOD,
     ForecastBlock,
@@ -20,12 +20,11 @@ from .base import (
 )
 from .baselines import predict_snaive
 from .fourier_trend import predict_fourier_trend
-from .sarima import predict_sarima
+from .sarima import predict_arima
 from .smoothing import predict_hw
 from .stl_models import TrainingWindow, predict_stl_composite
 
 __all__ = [
-    "HORIZON_WEEKS",
     "ForecastBlock",
     "ModelFit",
     "ModelId",
@@ -36,7 +35,7 @@ __all__ = [
 ]
 
 
-def fit_predict(model: ModelId, window: TrainingWindow, h: int = HORIZON_WEEKS) -> ModelFit:
+def fit_predict(model: ModelId, window: TrainingWindow, h: int = TEST_WEEKS) -> ModelFit:
     """Fit ``model`` on the training window and return its raw ``h``-step point forecast."""
     y = window.values
     notes: list[str] = []
@@ -48,7 +47,7 @@ def fit_predict(model: ModelId, window: TrainingWindow, h: int = HORIZON_WEEKS) 
     elif model is ModelId.PROPHET:
         values = predict_fourier_trend(y, h, SEASONAL_PERIOD)
     elif model is ModelId.SARIMA:
-        values, fit = predict_sarima(y, h, SEASONAL_PERIOD, window.decomposition)
+        values, fit = predict_arima(y, h, SEASONAL_PERIOD, window.decomposition)
         if fit is None:
             # a corpus run must not abort on one hard series
             values = predict_snaive(y, h, SEASONAL_PERIOD)

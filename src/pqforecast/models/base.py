@@ -1,5 +1,5 @@
-"""Model identifiers, the protocol's fit constants, the per-series forecast
-block and input standardization."""
+"""Model identifiers, the seasonal period, the per-series forecast block
+and input standardization."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ import numpy as np
 
 from ..errors import ConfigError, DataError
 
-HORIZON_WEEKS = 52
 SEASONAL_PERIOD = 52  # weeks per yearly cycle
 
 

@@ -132,93 +132,52 @@ def _lag_polynomials(order: SarimaOrder, coeffs: list[float]) -> tuple[list[floa
     return ar_poly, ma_poly, const
 
 
-#: ``_ma_invert`` applies taps at this lag or beyond a block of steps at a time.
-_BLOCK_LAG = 8
-
-
 def _ma_invert(ma_poly: Sequence[float], x: np.ndarray) -> np.ndarray:
     """Solve ``ma_poly(B) e = x`` for ``e`` with zero pre-sample values.
 
-    Each step subtracts the lagged terms from the highest lag down, the
-    order of a direct-form-II-transposed IIR filter, so the result matches
-    ``scipy.signal.lfilter([1.0], ma_poly, x)`` bit for bit. The tap at
-    lag j joins at step j; before it there is no term to subtract.
-
-    The taps at lag ``_BLOCK_LAG`` or more (the seasonal ones) come first
-    in that order and read only values at least L steps back, L being the
-    smallest of their lags. They are applied to L steps at a time as numpy
-    expressions of the same scalar operations. The shorter taps then run
-    step by step on Python floats in :func:`_recurse`. With seasonal taps
-    only, each block of L steps is one numpy expression; with none, the
-    solve is the scalar recursion alone.
+    Each step starts from ``0.0`` and subtracts the lagged terms from the
+    highest lag down, the order of a direct-form-II-transposed IIR filter,
+    so the result matches ``scipy.signal.lfilter([1.0], ma_poly, x)`` bit
+    for bit. The tap at lag j joins at step j, so a tap at lag ``len(x)`` or
+    more never joins and is dropped. A warm-up runs the steps before the
+    highest lag, and after it no lag is tested. The taps at lag 1, and at
+    lags 2 and 1, have unrolled loops.
     """
-    taps = [(j, float(ma_poly[j])) for j in range(len(ma_poly) - 1, 0, -1) if ma_poly[j] != 0.0]
+    taps = [(j, float(ma_poly[j])) for j in range(min(len(ma_poly), len(x)) - 1, 0, -1) if ma_poly[j] != 0.0]
     if not taps:
         return 0.0 + x
-    long_taps = [(j, c) for j, c in taps if j >= _BLOCK_LAG]
-    short_taps = taps[len(long_taps):]
-    n = len(x)
-    if not long_taps:
-        return np.array(_recurse(short_taps, [0.0] * n, x.tolist(), []))
-
-    block = long_taps[-1][0]
-    e = np.empty(n)
-    out: list[float] = []
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        acc = np.zeros(stop - start)
-        for j, c in long_taps:
-            if j < stop:
-                first = max(start, j)
-                acc[first - start :] -= c * e[first - j : stop - j]
-        if short_taps:
-            _recurse(short_taps, acc.tolist(), x[start:stop].tolist(), out)
-            e[start:stop] = out[start:stop]
-        else:
-            e[start:stop] = acc + x[start:stop]
-    return e
-
-
-def _recurse(taps: list[tuple[int, float]], acc: list[float], x: list[float], out: list[float]) -> list[float]:
-    """Append ``e_t = (acc_t - sum_j c_j e_{t-j}) + x_t`` to ``out`` for
-    each step, ``t`` counting on from ``len(out)``, and return ``out``.
-
-    ``taps`` run from the highest lag down. A warm-up runs the steps
-    before the highest lag, where a tap joins at step ``t = j``; after it
-    no lag is tested. The taps at lag 1, and at lags 2 and 1, the only
-    short ones the order grid produces, have unrolled loops.
-    """
-    warm = min(max(taps[0][0] - len(out), 0), len(x))
-    for i in range(warm):
-        t = len(out)
-        a = acc[i]
+    values = x.tolist()
+    warm = min(taps[0][0], len(values))
+    e: list[float] = []
+    for t in range(warm):
+        a = 0.0
         for j, c in taps:
             if j <= t:
-                a -= c * out[t - j]
-        out.append(a + x[i])
-    if warm == len(x):
-        return out
-    steps = zip(acc[warm:], x[warm:])
-    push = out.append
+                a -= c * e[t - j]
+        e.append(a + values[t])
+    if warm == len(values):
+        return np.array(e)
+    push = e.append
     lags = [j for j, _ in taps]
     if lags == [1]:
         (_, c1), = taps
-        e1 = out[-1]
-        for a, v in steps:
-            e1 = (a - c1 * e1) + v
+        e1 = e[-1]
+        for v in values[warm:]:
+            e1 = (0.0 - c1 * e1) + v
             push(e1)
     elif lags == [2, 1]:
         (_, c2), (_, c1) = taps
-        e2, e1 = out[-2], out[-1]
-        for a, v in steps:
-            e2, e1 = e1, ((a - c2 * e2) - c1 * e1) + v
+        e2, e1 = e[-2], e[-1]
+        for v in values[warm:]:
+            e2, e1 = e1, ((0.0 - c2 * e2) - c1 * e1) + v
             push(e1)
     else:
-        for a, v in steps:
+        for v in values[warm:]:
+            a = 0.0
             for j, c in taps:
-                a -= c * out[-j]
+                a -= c * e[-j]
             push(a + v)
-    return out
+    return np.array(e)
 
 
 def css_residuals(w: np.ndarray, order: SarimaOrder, params: np.ndarray) -> np.ndarray:
@@ -228,11 +187,7 @@ def css_residuals(w: np.ndarray, order: SarimaOrder, params: np.ndarray) -> np.n
     ncond = order.conditioning
     rhs = np.convolve(w, ar_poly)[: len(w)] - const
     resid = np.zeros(len(w))
-    if len(w) > ncond:
-        if len(ma_poly) == 1:  # pure AR: no filtering needed
-            resid[ncond:] = rhs[ncond:]
-        else:
-            resid[ncond:] = _ma_invert(ma_poly, rhs[ncond:])
+    resid[ncond:] = _ma_invert(ma_poly, rhs[ncond:])
     return resid
 
 
@@ -384,7 +339,6 @@ def select_order(y: np.ndarray, m: int, decompose: Decompose | None) -> SarimaFi
     seasonal = decompose is not None
 
     d, D = choose_differencing(y, m, decompose)
-    admissible = []
     # degrade differencing when the series is too short for the chosen orders
     for d_try, D_try in dict.fromkeys([(d, D), (d, 0), (0, D), (0, 0)]):
         admissible = [
@@ -398,22 +352,16 @@ def select_order(y: np.ndarray, m: int, decompose: Decompose | None) -> SarimaFi
         return None
 
     t0_common = max(o.natural_start for o in admissible)
+    w, _ = _differenced(y, admissible[0])  # every admissible order shares d, D and m
 
     best: SarimaFit | None = None
     for order in admissible:
-        w, _ = _differenced(y, order)
         fit = fit_css(w, order, eval_from=t0_common - order.diff_loss,
                       max_iter=60 + 40 * max(order.n_params, 1))
-        if not fit.aicc < np.inf:  # +inf or nan: inadmissible
-            continue
-        if best is None or fit.aicc < best.aicc:
+        if fit.aicc < np.inf and (best is None or fit.aicc < best.aicc):  # +inf or nan: inadmissible
             best = fit
-    if best is None:
-        return None
-
     # re-fit the winner on its full natural window
-    w, _ = _differenced(y, best.order)
-    return fit_css(w, best.order)
+    return None if best is None else fit_css(w, best.order)
 
 
 def forecast_fit(y: np.ndarray, fit: SarimaFit, h: int) -> np.ndarray:
@@ -444,21 +392,13 @@ def forecast_fit(y: np.ndarray, fit: SarimaFit, h: int) -> np.ndarray:
     return fc
 
 
-def predict_sarima(y: np.ndarray, h: int, m: int,
-                   decompose: Decompose) -> tuple[np.ndarray, SarimaFit | None]:
-    """Full seasonal selection + forecast; (values, None) means the caller
-    must fall back. ``decompose`` gives the STL split of ``y``."""
+def predict_arima(y: np.ndarray, h: int, m: int = 1,
+                  decompose: Decompose | None = None) -> tuple[np.ndarray, SarimaFit | None]:
+    """Order selection (seasonal at period ``m`` when ``decompose`` gives the
+    STL split of ``y``) and forecast; (values, None) means the caller must
+    fall back."""
     z, mu, sd = standardize(np.asarray(y, dtype=float))
     fit = select_order(z, m, decompose)
-    if fit is None:
-        return np.array([]), None
-    return mu + sd * forecast_fit(z, fit, h), fit
-
-
-def predict_arima(y: np.ndarray, h: int) -> tuple[np.ndarray, SarimaFit | None]:
-    """Non-seasonal selection + forecast for seasonally adjusted series."""
-    z, mu, sd = standardize(np.asarray(y, dtype=float))
-    fit = select_order(z, 1, None)
     if fit is None:
         return np.array([]), None
     return mu + sd * forecast_fit(z, fit, h), fit

@@ -206,6 +206,20 @@ def reference_write_forecast_csv(path, blocks) -> None:
         )
 
 
+def reference_write_raw_csv(path, series) -> None:
+    """The raw table as the csv writer writes it, each minute through
+    ``datetime`` one row at a time: the oracle for ``io.write_raw_csv``'s
+    bytes and errors."""
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RAW_HEADER)
+        writer.writerows(
+            (s.series_id, (epoch + timedelta(minutes=minute)).isoformat(), value) for s in series
+            for minute, value in zip(s.samples["minute"].tolist(), s.samples["value"].tolist())
+        )
+
+
 def reference_read_forecast_csv(path) -> list[ForecastBlock]:
     """The forecast table read into one dict of every row before any block
     is built: the oracle for ``io.read_forecast_csv``'s blocks and errors."""

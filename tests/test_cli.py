@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 import pqforecast
 import pqforecast.cli
+import pqforecast.models.sarima
 import pqforecast.models.stl_models
 
 from pqforecast import io as pqio
@@ -218,6 +220,25 @@ class TestForecastCommand:
         assert run("forecast", "--weekly", tmp_path / "weekly.csv", "--models", models,
                    "--out", tmp_path / "o") == 0
         assert len(calls) == decompositions
+
+    def test_fallbacks_name_every_series_in_the_manifest_at_any_jobs(self, tmp_path, monkeypatch):
+        corpus = write_weekly(tmp_path / "weekly.csv", n_series=3, seed=6)
+        # no order is admissible; the forked workers inherit the patch
+        monkeypatch.setattr(pqforecast.models.sarima, "select_order", lambda *args: None)
+        outputs = []
+        for jobs in (1, 3):
+            out = tmp_path / f"jobs{jobs}"
+            assert run("forecast", "--weekly", tmp_path / "weekly.csv", "--jobs", jobs, "--out", out) == 0
+            outputs.append([(out / name).read_bytes() for name in ("forecasts.csv", "manifest.jsonl")])
+        assert outputs[0] == outputs[1]
+        entries = [json.loads(line) for line in outputs[0][1].decode().splitlines()]
+        assert entries == [
+            {"stage": "forecast", "series_id": s.series_id, "producer": producer, "message": message}
+            for s in corpus
+            for producer, message in (
+                ("SARIMA", "sarima: no admissible order; snaive fallback"),
+                ("STL-ARIMA", "arima inadmissible on adjusted series; naive fallback"))
+        ]
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):

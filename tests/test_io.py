@@ -10,7 +10,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 from conftest import (reference_iter_forecast_csv, reference_read_forecast_csv,
-                      reference_read_raw_csv, reference_write_forecast_csv)
+                      reference_read_raw_csv, reference_write_forecast_csv, reference_write_raw_csv)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -349,6 +349,44 @@ class TestForecastWriterReference:
         pqio.write_forecast_csv(path, [])
         assert path.read_bytes() == b"series_id,producer,h,value\r\n"
         self.assert_same_bytes(tmp_path, [])
+
+
+# the minutes a datetime holds: 0001-01-01T00:00 and 9999-12-31T23:50 on the grid
+FIRST_MINUTE, LAST_MINUTE = utc_minute(datetime(1, 1, 1)), utc_minute(datetime(9999, 12, 31, 23, 50))
+
+
+class TestRawWriterReference:
+    """``write_raw_csv`` writes the bytes of the csv writer's row loop
+    (``conftest.reference_write_raw_csv``), and raises as it does."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_series(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        series = []
+        for label in AWKWARD_LABELS[seed % 4::4]:
+            n = int(rng.choice([0, 1, 1007, 1008, 1009, 2500]))
+            start = int(rng.choice([FIRST_MINUTE - 10, LAST_MINUTE - 30 * n, 10 * int(rng.integers(-10 ** 7, 10 ** 7))]))
+            minutes = start + 10 * np.cumsum(rng.integers(1, 4, n))
+            values = rng.uniform(0.0, 100.0, n) * 10.0 ** rng.integers(-8, 9, n)
+            values[rng.integers(0, n, min(n, 3))] = rng.choice([v for v in EDGE_VALUES if v >= 0], min(n, 3))
+            series.append(RawSeries.from_columns(label, minutes, values))
+        pqio.write_raw_csv(tmp_path / "mine.csv", series)
+        reference_write_raw_csv(tmp_path / "reference.csv", series)
+        assert (tmp_path / "mine.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("minutes", [[FIRST_MINUTE - 10, FIRST_MINUTE], [LAST_MINUTE, LAST_MINUTE + 10],
+                                         [0, 10 ** 15], [10 ** 15]])
+    def test_minute_beyond_datetime_raises_and_writes_nothing(self, tmp_path, minutes):
+        series = [RawSeries.from_columns("ok", [0, 10], [1.0, 2.0]),
+                  RawSeries.from_columns("far", minutes, [1.0] * len(minutes))]
+        path = tmp_path / "raw.csv"
+        path.write_text("before")
+        with pytest.raises(OverflowError) as expected:
+            reference_write_raw_csv(tmp_path / "reference.csv", series)
+        with pytest.raises(OverflowError, match=f"^{re.escape(str(expected.value))}$"):
+            pqio.write_raw_csv(path, series)
+        assert path.read_text() == "before" and sorted(p.name for p in tmp_path.iterdir()) == ["raw.csv",
+                                                                                              "reference.csv"]
 
 
 # producer labels for reader tables: models, ensembles, labels to quote, and

@@ -20,7 +20,6 @@ from pqforecast.models.sarima import (
     fit_css,
     forecast_fit,
     predict_arima,
-    predict_sarima,
     seasonal_strength,
     select_order,
 )
@@ -93,8 +92,8 @@ class TestMaInversion:
 
     @pytest.mark.parametrize("q,Q", [(1, 0), (2, 0), (0, 1), (1, 1), (2, 1)])
     def test_matches_lfilter_bit_for_bit(self, q, Q):
-        # m = 1 is STL-ARIMA's; lengths up to 200 run the warm-up and
-        # several blocks of 52 steps
+        # m = 1 is STL-ARIMA's; lengths up to 200 run the warm-up over the
+        # steps before the highest lag (up to 54) and the loop after it
         for m in (1, 52):
             rng = np.random.default_rng(100 + 10 * q + Q + m)
             for _ in range(40):
@@ -339,13 +338,13 @@ class TestPredictWrappers:
     def test_seasonal_wrapper_horizon(self):
         t = np.arange(105)
         y = 30 + 6 * np.sin(2 * np.pi * t / 52) + np.random.default_rng(1).normal(0, 1, 105)
-        fc, fit = predict_sarima(y, 52, 52, TrainingWindow(y).decomposition)
+        fc, fit = predict_arima(y, 52, 52, TrainingWindow(y).decomposition)
         assert fit is not None and fit.order.D == 1
         assert len(fc) == 52
 
     def test_drifting_series_forecast_tracks_level(self):
         # forecast from a differenced model must continue near the last level
         y = np.linspace(20, 60, 105) + np.random.default_rng(2).normal(0, 0.5, 105)
-        fc, fit = predict_sarima(y, 52, 52, TrainingWindow(y).decomposition)
+        fc, fit = predict_arima(y, 52, 52, TrainingWindow(y).decomposition)
         assert fit.order.d == 1
         assert 50.0 < fc[0] < 70.0
