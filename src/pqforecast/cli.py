@@ -13,11 +13,10 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import partial
 from itertools import zip_longest
 from pathlib import Path
-from typing import Generator, Iterator, Optional, Sequence
+from typing import Callable, Generator, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +27,8 @@ from .errors import ConfigError, DataError
 from .evaluation import Leaderboard, compare_best, composition_analysis, evaluate_corpus
 from .models import ForecastBlock, ModelFit, ModelId, PUBLIC_MODELS, TrainingWindow, fit_predict, model_from_name
 from .synth import SyntheticSpec, generate_corpus, write_truth
-from .weekly import TEST_WEEKS, TRAIN_WEEKS, SeriesKey, WeeklySeries, aggregate_weekly, fill_gaps, normalize
+from .weekly import (TEST_WEEKS, TRAIN_WEEKS, SeriesKey, WeeklySeries, aggregate_weekly, fill_gaps, normalize,
+                     split_train_test)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,28 +36,35 @@ EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
 
-@dataclass
-class RunConfig:
-    """Resolved per-run settings; the 105 + 52 geometry is the default
-    protocol and may only be overridden as a pair."""
-
-    train_len: int = TRAIN_WEEKS
-    horizon: int = TEST_WEEKS
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise ConfigError(message)
 
 
-def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
+def _protocol(args: argparse.Namespace) -> tuple[int, int]:
+    """The run's training length and horizon: the 105 + 52 week protocol,
+    which may only be overridden as a pair."""
     train_len, horizon = args.train_len, args.horizon
     if (train_len is None) != (horizon is None):
         raise ConfigError("--train-len and --horizon must be overridden together")
-    cfg = RunConfig() if train_len is None else RunConfig(train_len, horizon)
-    if cfg.train_len < 1 or cfg.horizon < 1:
+    if train_len is None:
+        return TRAIN_WEEKS, TEST_WEEKS
+    if train_len < 1 or horizon < 1:
         raise ConfigError("train_len and horizon must be positive")
-    return cfg
+    return train_len, horizon
+
+
+def _selection(text: str, flag: str, noun: str, every: Sequence, parse: Callable) -> list:
+    """The names of a comma list through ``parse``, or ``every`` for 'all';
+    each at most once, and at least one."""
+    if text.strip().lower() == "all":
+        return list(every)
+    chosen = [parse(name.strip()) for name in text.split(",") if name.strip()]
+    if not chosen:
+        raise ConfigError(f"no {noun}s selected")
+    if len(set(chosen)) < len(chosen):
+        raise ConfigError(f"a {noun} is named twice in {flag} {text!r}")
+    return chosen
 
 
 def _ensure_out(args: argparse.Namespace) -> Path:
@@ -115,7 +122,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
             if pl is None:
                 raise ConfigError(f"no planning level for ({key.parameter}, {key.voltage_level}) "
                                   f"needed by {raw.series_id}")
-            result = fill_gaps(raw.series_id, aggregate_weekly(raw))
+            result = fill_gaps(raw.series_id, *aggregate_weekly(raw))
             if isinstance(result, WeeklySeries):
                 accepted.append(normalize(result, pl))
             else:
@@ -148,25 +155,12 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     out = _ensure_out(args)
-    cfg = _resolve_run_config(args)
+    train_len, horizon = _protocol(args)
     series = pqio.read_weekly_csv(Path(args.weekly))
+    models = _selection(args.models, "--models", "model", PUBLIC_MODELS, model_from_name)
 
-    if args.models.strip().lower() == "all":
-        models = list(PUBLIC_MODELS)
-    else:
-        models = [model_from_name(name.strip()) for name in args.models.split(",") if name.strip()]
-    if not models:
-        raise ConfigError("no models selected")
-    if len(set(models)) < len(models):
-        raise ConfigError(f"a model is named twice in --models {args.models!r}")
-
-    needed = cfg.train_len + cfg.horizon
-    for s in series:
-        if len(s) < needed:
-            raise DataError(f"{s.series_id}: {len(s)} weeks < required {needed}")
-
-    fit_all = partial(_fit_series, models=models, horizon=cfg.horizon)
-    windows = [s.values[: cfg.train_len] for s in series]
+    windows = [split_train_test(s, train_len, horizon)[0].values for s in series]
+    fit_all = partial(_fit_series, models=models, horizon=horizon)
     workers = min(args.jobs, len(series))  # the pool starts every worker at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -185,7 +179,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     pqio.write_forecast_csv(out / "forecasts.csv", blocks)
     pqio.write_manifest(out / "manifest.jsonl", manifest)
     print(f"forecast: {len(series)} series x {len(models)} models "
-          f"({len(series) * len(models) * cfg.horizon} rows)")
+          f"({len(series) * len(models) * horizon} rows)")
     for name in total_time:
         print(f"  {name:<10} {total_time[name]:8.2f} s")
     if manifest:
@@ -195,30 +189,18 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
 # -- ensemble -----------------------------------------------------------------
 
-def _parse_methods(text: str) -> list[CombinationMethod]:
-    if text.strip().lower() == "all":
-        return list(ALL_METHODS)
-    methods = []
-    for name in text.split(","):
-        name = name.strip().lower()
-        if not name:
-            continue
-        try:
-            method = CombinationMethod(name)
-        except ValueError as exc:
-            valid = ", ".join(m.value for m in ALL_METHODS)
-            raise ConfigError(f"unknown combination method {name!r}; valid: {valid}") from exc
-        if method in methods:
-            raise ConfigError(f"combination method {name!r} given twice")
-        methods.append(method)
-    if not methods:
-        raise ConfigError("no combination methods selected")
-    return methods
+def _method(name: str) -> CombinationMethod:
+    name = name.lower()
+    try:
+        return CombinationMethod(name)
+    except ValueError as exc:
+        valid = ", ".join(m.value for m in ALL_METHODS)
+        raise ConfigError(f"unknown combination method {name!r}; valid: {valid}") from exc
 
 
 def cmd_ensemble(args: argparse.Namespace) -> int:
     out = _ensure_out(args)
-    methods = _parse_methods(args.methods)
+    methods = _selection(args.methods, "--methods", "combination method", ALL_METHODS, _method)
 
     member_names = [m.value for m in PUBLIC_MODELS]
     phi = None
@@ -245,15 +227,18 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
 # -- evaluate -----------------------------------------------------------------
 
 @contextmanager
-def _malformed_first(readers: Sequence[Generator[ForecastBlock, None, None]]):
-    """Close the forecast readers when the block ends. On a data error, first
-    read the rest of each file, holding nothing, so that a malformed line
-    anywhere in a file is reported ahead of an error in the content of a
-    series read before it."""
+def _malformed_first(readers: Sequence[Generator[ForecastBlock, None, None]], raised: Sequence = ()):
+    """Close the forecast readers when the block ends. On a data error, read
+    the rest of each file in turn, holding nothing, and raise the first error
+    that reading the files whole, one after another, meets: a malformed line
+    anywhere in a file before an error in the content of a series read
+    earlier. A reader in ``raised`` already met its first error, this one."""
     try:
         yield
     except DataError:
         for reader in readers:
+            if reader in raised:
+                raise
             for _ in reader:
                 pass
         raise
@@ -262,11 +247,20 @@ def _malformed_first(readers: Sequence[Generator[ForecastBlock, None, None]]):
             reader.close()
 
 
-def _lockstep(paths: Sequence[str],
-              readers: Sequence[Iterator[ForecastBlock]]) -> Iterator[tuple[str, ForecastBlock]]:
+def _lockstep(paths: Sequence[str], readers: Sequence[Iterator[ForecastBlock]],
+              raised: list) -> Iterator[tuple[str, ForecastBlock]]:
     """Each series' block from every forecast file in turn, reading the files
-    side by side; they must list the same series in the same order."""
-    for parts in zip_longest(*readers):
+    side by side; they must list the same series in the same order. A
+    reader that raises a data error is added to ``raised``."""
+    def watched(reader: Iterator[ForecastBlock]) -> Iterator[ForecastBlock]:
+        try:  # not ``yield from``: that would close the reader with this wrapper, before any drain
+            for block in reader:
+                yield block
+        except DataError:
+            raised.append(reader)
+            raise
+
+    for parts in zip_longest(*map(watched, readers)):
         ids = [None if block is None else block.series_id for block in parts]
         if len(set(ids)) > 1:
             i = next(k for k, sid in enumerate(ids) if sid is not None)
@@ -278,33 +272,30 @@ def _lockstep(paths: Sequence[str],
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _resolve_run_config(args)
+    train_len, horizon = _protocol(args)
     if args.top_n < 1:
         raise ConfigError(f"--top-n must be at least 1, got {args.top_n}")
     out = _ensure_out(args)
 
     weekly = {s.series_id: s for s in pqio.read_weekly_csv(Path(args.weekly))}
-    needed = cfg.train_len + cfg.horizon
-    actuals = {sid: s.values[cfg.train_len : needed] for sid, s in weekly.items()}
-    series_ids: list[str] = []  # in file order
+    actuals: dict[str, np.ndarray] = {}  # the test weeks of each forecast series, in file order
     readers = [pqio.iter_forecast_csv(Path(path)) for path in args.forecasts]
+    raised: list = []
 
     def checked() -> Iterator[ForecastBlock]:
-        for path, block in _lockstep(args.forecasts, readers):
+        for path, block in _lockstep(args.forecasts, readers, raised):
             sid = block.series_id
-            if block.values.shape[1] != cfg.horizon:
+            if block.values.shape[1] != horizon:
                 raise DataError(f"{path}: {sid}: {block.values.shape[1]} steps, "
-                                f"horizon is {cfg.horizon}")
-            if not series_ids or series_ids[-1] != sid:
+                                f"horizon is {horizon}")
+            if sid not in actuals:
                 if sid not in weekly:
                     raise DataError(f"forecasts reference series {sid} absent from {args.weekly}")
-                if len(weekly[sid]) < needed:
-                    raise DataError(f"{sid}: {len(weekly[sid])} weeks < required {needed}")
-                series_ids.append(sid)
+                actuals[sid] = split_train_test(weekly[sid], train_len, horizon)[1].values
             yield block
 
     manifest = []
-    with _malformed_first(readers):
+    with _malformed_first(readers, raised):
         smapes, board_union, board_individual = evaluate_corpus(checked(), actuals, individual=True)
     pqio.write_leaderboard_csv(out / "leaderboard_individual.csv", board_individual)
     print(f"evaluate: {board_individual.n_series} series, "
@@ -327,7 +318,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         pqio.write_size_aggregates_csv(out / "size_aggregates.csv", composition.size_aggregates)
 
         best_ensemble = ensemble_rows[0]
-        comparison = compare_best(sorted(series_ids), best.producer, smapes[best.producer],
+        comparison = compare_best(sorted(actuals), best.producer, smapes[best.producer],
                                   best_ensemble.producer, smapes[best_ensemble.producer])
         pqio.write_comparison_csv(out / "comparison.csv", comparison)
         pqio.write_ecdf_csv(out / "ecdf.csv", comparison)

@@ -8,11 +8,12 @@ across runs, which the determinism guarantees rely on. The raw and
 forecast writers format their lines themselves, one ``write`` per 1,008
 rows or per producer, in the same dialect: ids and labels quoted by the
 csv module, values with ``repr``, ``\r\n`` line ends. The raw and
-forecast tables, the largest, are read line by line: a line in the plain
-form of the row before it that continues that row's series is taken from
-its text directly, and every other line goes through the csv module
-(``_Records``), with the same acceptance, errors and ``file:line`` either
-way. The forecast table travels as one ``ForecastBlock`` per series, a
+forecast tables, the largest, are read line by line. A forecast line in
+the plain form of the row before it that continues that row's series, and
+a raw line in its series' plain form on the date of that series' last row
+that the csv module parsed, are taken from their text directly; every
+other line goes through the csv module (``_Records``), with the same
+acceptance, errors and ``file:line`` either way. The forecast table travels as one ``ForecastBlock`` per series, a
 (producers x horizon) matrix, in both directions, one series at a time:
 both ``write_forecast_csv`` and ``iter_forecast_csv`` take or give the
 blocks lazily, so a stage that streams them holds one series at a time.

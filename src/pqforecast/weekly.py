@@ -1,18 +1,20 @@
 """Weekly utilization series: domain types and the preprocessing pipeline.
 
 Raw 10-minute power-quality measurements are turned into gap-free weekly
-series in four steps:
+series in four steps; steps 1 and 2 work on one array of weekly values per
+series:
 
 1. ``aggregate_weekly`` - 95th percentile per full calendar week (Monday to
    Sunday, UTC), a week being valid only if at least 95 % of its 1008
-   10-minute samples are present.
+   10-minute samples are present; an invalid week's value is ``NaN``.
 2. ``fill_gaps`` - carry the most recent valid weekly value forward over
    gaps of at most 10 weeks; series with more than 20 % missing weeks or an
    unfillable gap are rejected (not an error: rejection is a normal outcome
    of a corpus run).
 3. ``normalize`` - divide by the planning level, yielding utilization in
    percent of the limit.
-4. ``split_train_test`` - fixed 105-week training / 52-week test geometry.
+4. ``split_train_test`` - fixed 105-week training / 52-week test geometry,
+   the one split that both ``forecast`` and ``evaluate`` run.
 """
 
 from __future__ import annotations
@@ -137,19 +139,6 @@ class PlanningLevel:
             )
 
 
-@dataclass(frozen=True)
-class WeeklyAggregate:
-    """One calendar week: 95th percentile (if the week is valid) and sample count."""
-
-    week: WeekId
-    p95: Optional[float]
-    present_count: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.present_count <= SAMPLES_PER_WEEK:
-            raise DataError(f"present_count {self.present_count} outside [0, {SAMPLES_PER_WEEK}]")
-
-
 @dataclass
 class WeeklySeries:
     """Gap-free, ISO-week-indexed series; values in percent of planning level
@@ -200,13 +189,13 @@ def weekly_p95(values: Sequence[float]) -> float:
     return float(np.percentile(np.asarray(values, dtype=float), 95))
 
 
-def aggregate_weekly(raw: RawSeries) -> list[WeeklyAggregate]:
+def aggregate_weekly(raw: RawSeries) -> tuple[WeekId, np.ndarray]:
     """Aggregate 10-minute samples to weekly 95th percentiles.
 
     Only full calendar weeks (Monday 00:00 to Sunday 24:00 UTC) inside the
-    data span are emitted. A week's percentile is present only when at
-    least ``MIN_SAMPLES_PER_WEEK`` samples are available; the percentile
-    estimator is linear interpolation between order statistics.
+    data span count. Returns the first week and one percentile per week,
+    ``NaN`` for a week with fewer than ``MIN_SAMPLES_PER_WEEK`` samples; the
+    percentile estimator is linear interpolation between order statistics.
     """
     minutes, values = raw.samples["minute"], raw.samples["value"]
     if not len(minutes):
@@ -220,50 +209,35 @@ def aggregate_weekly(raw: RawSeries) -> list[WeeklyAggregate]:
         raise DataError(f"{raw.series_id}: span too short (no full calendar week)")
 
     bounds = np.searchsorted(minutes, start + MINUTES_PER_WEEK * np.arange(n_weeks + 1)).tolist()
-    monday = EPOCH + timedelta(minutes=start)
-    aggs = []
+    p95 = np.full(n_weeks, np.nan)
     for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        iso = (monday + timedelta(weeks=i)).isocalendar()
-        count = hi - lo
-        p95 = weekly_p95(values[lo:hi]) if count >= MIN_SAMPLES_PER_WEEK else None
-        aggs.append(WeeklyAggregate(week=(iso[0], iso[1]), p95=p95, present_count=count))
-    return aggs
+        if hi - lo >= MIN_SAMPLES_PER_WEEK:
+            p95[i] = weekly_p95(values[lo:hi])
+    iso = (EPOCH + timedelta(minutes=start)).isocalendar()
+    return (iso[0], iso[1]), p95
 
 
-def fill_gaps(series_id: str, aggs: Sequence[WeeklyAggregate]) -> WeeklySeries | Rejection:
-    """Fill missing weeks by carrying the nearest preceding valid value forward.
+def fill_gaps(series_id: str, start_week: WeekId, p95: np.ndarray) -> WeeklySeries | Rejection:
+    """Fill missing (``NaN``) weeks by carrying the nearest preceding valid
+    value forward.
 
     A gap week takes the most recent *originally present* percentile at most
     ``MAX_FILL_DISTANCE_WEEKS`` back. Returns a :class:`Rejection` when any
     gap cannot be filled (including leading gaps) or when more than 20 % of
     weeks are missing.
     """
-    if not aggs:
+    p95 = np.asarray(p95, dtype=float)
+    if not len(p95):
         raise DataError(f"{series_id}: no data")
-    for prev, cur in zip(aggs, aggs[1:]):
-        if cur.week != add_weeks(prev.week, 1):
-            raise DataError(f"{series_id}: weekly aggregates not contiguous at {cur.week}")
-
-    n = len(aggs)
-    absent = [i for i, a in enumerate(aggs) if a.p95 is None]
-
-    last_present = -1
-    values = np.empty(n, dtype=float)
-    flags = np.zeros(n, dtype=bool)
-    for i, agg in enumerate(aggs):
-        if agg.p95 is not None:
-            values[i] = agg.p95
-            last_present = i
-            continue
-        if last_present < 0 or i - last_present > MAX_FILL_DISTANCE_WEEKS:
-            return Rejection(series_id, RejectionReason.UNFILLABLE_GAP)
-        values[i] = aggs[last_present].p95  # type: ignore[assignment]
-        flags[i] = True
-
-    if len(absent) / n > MAX_GAP_FRACTION:
+    absent = np.isnan(p95)
+    weeks = np.arange(len(p95))
+    last_present = np.maximum.accumulate(np.where(absent, -1, weeks))  # -1 before the first
+    if np.any(absent & ((last_present < 0) | (weeks - last_present > MAX_FILL_DISTANCE_WEEKS))):
+        return Rejection(series_id, RejectionReason.UNFILLABLE_GAP)
+    if int(absent.sum()) / len(p95) > MAX_GAP_FRACTION:
         return Rejection(series_id, RejectionReason.TOO_MANY_GAPS)
-
-    return WeeklySeries(series_id=series_id, start_week=aggs[0].week, values=values, filled_flags=flags)
+    return WeeklySeries(series_id=series_id, start_week=start_week, values=p95[last_present],
+                        filled_flags=absent)
 
 
 def normalize(series: WeeklySeries, pl: PlanningLevel) -> WeeklySeries:
@@ -285,24 +259,18 @@ def normalize(series: WeeklySeries, pl: PlanningLevel) -> WeeklySeries:
     )
 
 
-def split_train_test(series: WeeklySeries) -> tuple[WeeklySeries, WeeklySeries]:
-    """First 105 weeks for training, next 52 for testing; the rest is ignored
-    so every series is evaluated on an identical geometry."""
-    needed = TRAIN_WEEKS + TEST_WEEKS
+def split_train_test(series: WeeklySeries, train_len: int = TRAIN_WEEKS,
+                     horizon: int = TEST_WEEKS) -> tuple[WeeklySeries, WeeklySeries]:
+    """First ``train_len`` weeks for training, the next ``horizon`` for
+    testing; the rest is ignored so every series is evaluated on an
+    identical geometry (105 + 52 weeks by default)."""
+    needed = train_len + horizon
     if len(series) < needed:
-        raise DataError(
-            f"{series.series_id}: insufficient history ({len(series)} weeks, need {needed})"
-        )
-    train = WeeklySeries(
-        series_id=series.series_id,
-        start_week=series.start_week,
-        values=series.values[:TRAIN_WEEKS].copy(),
-        filled_flags=series.filled_flags[:TRAIN_WEEKS].copy(),
-    )
-    test = WeeklySeries(
-        series_id=series.series_id,
-        start_week=add_weeks(series.start_week, TRAIN_WEEKS),
-        values=series.values[TRAIN_WEEKS:needed].copy(),
-        filled_flags=series.filled_flags[TRAIN_WEEKS:needed].copy(),
-    )
-    return train, test
+        raise DataError(f"{series.series_id}: insufficient history ({len(series)} weeks, need {needed})")
+
+    def part(lo: int, hi: int, start_week: WeekId) -> WeeklySeries:
+        return WeeklySeries(series.series_id, start_week, series.values[lo:hi].copy(),
+                            series.filled_flags[lo:hi].copy())
+
+    return (part(0, train_len, series.start_week),
+            part(train_len, needed, add_weeks(series.start_week, train_len)))

@@ -14,12 +14,15 @@ from pqforecast.errors import ConfigError, DataError
 from pqforecast.io import FORECAST_HEADER, RAW_HEADER, _read_csv
 from pqforecast.models import PUBLIC_MODELS, ForecastBlock
 from pqforecast.weekly import (
+    MAX_FILL_DISTANCE_WEEKS,
+    MAX_GAP_FRACTION,
     MIN_SAMPLES_PER_WEEK,
     MINUTES_PER_WEEK,
     RawSeries,
-    WeeklyAggregate,
+    Rejection,
+    RejectionReason,
+    WeeklySeries,
     WeekId,
-    add_weeks,
     utc_minute,
     weekly_p95,
 )
@@ -49,16 +52,39 @@ def make_raw(week_values: list[list[float]], series_id: str = "site1:UNB:220",
     return RawSeries.from_columns(series_id, minutes, values)
 
 
-def make_aggs(p95s: list[float | None], start_week: WeekId = WEEK_2022_1) -> list[WeeklyAggregate]:
-    """Weekly aggregates straight from a p95 list; None marks an invalid week."""
-    out = []
-    for i, p in enumerate(p95s):
-        out.append(WeeklyAggregate(
-            week=add_weeks(start_week, i),
-            p95=None if p is None else float(p),
-            present_count=1008 if p is not None else 0,
-        ))
-    return out
+def make_aggs(p95s: list[float | None], start_week: WeekId = WEEK_2022_1) -> tuple[WeekId, np.ndarray]:
+    """Weekly aggregates, as ``aggregate_weekly`` returns them, straight from
+    a p95 list; None marks an invalid week."""
+    return start_week, np.array([np.nan if p is None else float(p) for p in p95s])
+
+
+def reference_fill_gaps(series_id: str, start_week: WeekId, p95s: list[float | None]) -> WeeklySeries | Rejection:
+    """``fill_gaps``' per-week loop, verbatim but for reading each week's
+    percentile from a list (None for an invalid week) instead of a list of
+    per-week objects: the oracle for the array fill."""
+    if not p95s:
+        raise DataError(f"{series_id}: no data")
+
+    n = len(p95s)
+    absent = [i for i, p in enumerate(p95s) if p is None]
+
+    last_present = -1
+    values = np.empty(n, dtype=float)
+    flags = np.zeros(n, dtype=bool)
+    for i, p95 in enumerate(p95s):
+        if p95 is not None:
+            values[i] = p95
+            last_present = i
+            continue
+        if last_present < 0 or i - last_present > MAX_FILL_DISTANCE_WEEKS:
+            return Rejection(series_id, RejectionReason.UNFILLABLE_GAP)
+        values[i] = p95s[last_present]  # type: ignore[assignment]
+        flags[i] = True
+
+    if len(absent) / n > MAX_GAP_FRACTION:
+        return Rejection(series_id, RejectionReason.TOO_MANY_GAPS)
+
+    return WeeklySeries(series_id=series_id, start_week=start_week, values=values, filled_flags=flags)
 
 
 @dataclass
@@ -98,9 +124,11 @@ def _reference_week_of(ts: datetime) -> WeekId:
     return (iso[0], iso[1])
 
 
-def reference_aggregate_weekly(raw: ReferenceRawSeries) -> list[WeeklyAggregate]:
-    """``aggregate_weekly`` as it bucketed the tuples one by one, verbatim:
-    the oracle for the searchsorted weeks."""
+def reference_aggregate_weekly(raw: ReferenceRawSeries) -> tuple[WeekId, np.ndarray]:
+    """``aggregate_weekly`` as it bucketed the tuples one by one, verbatim
+    but for returning its first week and its percentiles (NaN for an invalid
+    week) in ``aggregate_weekly``'s form: the oracle for the searchsorted
+    weeks."""
     if not raw.samples:
         raise DataError(f"{raw.series_id}: no data")
 
@@ -130,13 +158,8 @@ def reference_aggregate_weekly(raw: ReferenceRawSeries) -> list[WeeklyAggregate]
             continue
         buckets[idx].append(value)
 
-    aggs = []
-    for i, bucket in enumerate(buckets):
-        week = _reference_week_of(span_start + timedelta(weeks=i))
-        count = len(bucket)
-        p95 = weekly_p95(bucket) if count >= MIN_SAMPLES_PER_WEEK else None
-        aggs.append(WeeklyAggregate(week=week, p95=p95, present_count=count))
-    return aggs
+    p95s = [weekly_p95(bucket) if len(bucket) >= MIN_SAMPLES_PER_WEEK else np.nan for bucket in buckets]
+    return _reference_week_of(span_start), np.array(p95s)
 
 
 def periodic_train(n: int = 105, period: int = 52, base: float = 30.0,

@@ -277,17 +277,17 @@ def test_kernel_matches_per_ensemble_loop_on_corpus(corpus_run):
 def test_criterion_6_preprocessing_conformance():
     # validity rule at the 958-sample boundary
     assert MIN_SAMPLES_PER_WEEK == 958
-    at_threshold = aggregate_weekly(make_raw([[5.0] * 958, [6.0] * 1008]))
-    below_threshold = aggregate_weekly(make_raw([[5.0] * 957, [6.0] * 1008]))
-    assert at_threshold[0].p95 == 5.0
-    assert below_threshold[0].p95 is None
+    _, at_threshold = aggregate_weekly(make_raw([[5.0] * 958, [6.0] * 1008]))
+    _, below_threshold = aggregate_weekly(make_raw([[5.0] * 957, [6.0] * 1008]))
+    assert at_threshold[0] == 5.0
+    assert np.isnan(below_threshold[0])
 
     # carry-forward over exactly 10 weeks succeeds, 11 does not
-    filled = fill_gaps("s", make_aggs([9.0] + [None] * 10 + [3.0] * 41))
+    filled = fill_gaps("s", *make_aggs([9.0] + [None] * 10 + [3.0] * 41))
     assert isinstance(filled, WeeklySeries)
     assert filled.values[1:11].tolist() == [9.0] * 10
     assert filled.filled_flags[1:11].all() and not filled.filled_flags[0]
-    rejected = fill_gaps("s", make_aggs([9.0] + [None] * 11 + [3.0] * 42))
+    rejected = fill_gaps("s", *make_aggs([9.0] + [None] * 11 + [3.0] * 42))
     assert rejected == Rejection("s", RejectionReason.UNFILLABLE_GAP)
 
     # the 20 % threshold: 20 gaps in 100 accepted, 21 rejected
@@ -297,10 +297,10 @@ def test_criterion_6_preprocessing_conformance():
             p95s[2 + 4 * i] = None
         return p95s
 
-    accepted = fill_gaps("s", make_aggs(pattern(20)))
+    accepted = fill_gaps("s", *make_aggs(pattern(20)))
     assert isinstance(accepted, WeeklySeries)
     assert accepted.filled_fraction == pytest.approx(0.20)
-    over = fill_gaps("s", make_aggs(pattern(21)))
+    over = fill_gaps("s", *make_aggs(pattern(21)))
     assert over == Rejection("s", RejectionReason.TOO_MANY_GAPS)
     report("criterion 6 preprocessing",
            "958-sample validity, 10-week carry-forward and 20 % threshold fixtures exact")

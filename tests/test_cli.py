@@ -17,6 +17,7 @@ from pqforecast import io as pqio
 from pqforecast.cli import main
 from pqforecast.ensembles import CombinationMethod, ensemble_producers
 from pqforecast.models import PUBLIC_MODELS, ForecastBlock
+from pqforecast.weekly import WeeklySeries
 
 MODEL_NAMES = [m.value for m in PUBLIC_MODELS]
 
@@ -165,10 +166,12 @@ class TestForecastCommand:
         assert "a model is named twice in --models 'SNaive,HW,snaive'" in capsys.readouterr().err
         assert not (tmp_path / "o" / "forecasts.csv").exists()
 
-    def test_short_series_exit_data(self, tmp_path):
-        write_weekly(tmp_path / "weekly.csv", n_series=1, length=100, seed=3)
+    def test_short_series_exit_data(self, tmp_path, capsys):
+        corpus = write_weekly(tmp_path / "weekly.csv", n_series=1, length=100, seed=3)
         assert run("forecast", "--weekly", tmp_path / "weekly.csv",
                    "--models", "SNaive", "--out", tmp_path / "o") == 2
+        assert (f"{corpus[0].series_id}: insufficient history (100 weeks, need 157)"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("scale", [1e200, 1e300])
     def test_huge_series_leaves_other_series_unchanged(self, tmp_path, scale):
@@ -319,7 +322,7 @@ class TestEnsembleCommand:
     def test_repeated_method_is_usage_error(self, tmp_path, forecasts_csv, capsys, methods):
         assert run("ensemble", "--forecasts", forecasts_csv, "--methods", methods,
                    "--out", tmp_path / "o") == 1
-        assert "given twice" in capsys.readouterr().err
+        assert f"a combination method is named twice in --methods {methods!r}" in capsys.readouterr().err
         assert not (tmp_path / "o" / "ensemble_forecasts.csv").exists()
 
     def test_leaderboard_without_a_model_is_usage_error(self, tmp_path, forecasts_csv, capsys):
@@ -356,6 +359,31 @@ class TestEvaluateCommand:
                    "--out", tmp_path / "ev") == 1
         assert "--top-n" in capsys.readouterr().err
         assert not (tmp_path / "ev").exists()
+
+    def _weekly_with(self, path, extra):
+        """A two-series 157-week corpus plus one series of ``extra`` weeks,
+        which comes first in the file."""
+        corpus = write_weekly(path, n_series=2, seed=9)
+        short = WeeklySeries("short:UNB:220", corpus[0].start_week, corpus[0].values[:extra])
+        pqio.write_weekly_csv(path, [short, *corpus])
+        return [s.series_id for s in corpus]
+
+    def test_short_series_no_forecast_names_is_unchecked(self, tmp_path, rng, capsys):
+        ids = self._weekly_with(tmp_path / "weekly.csv", 100)
+        path = tmp_path / "forecasts.csv"
+        write_forecasts(path, rng, ids)
+        assert run("evaluate", "--forecasts", path, "--weekly", tmp_path / "weekly.csv",
+                   "--out", tmp_path / "ev") == 0
+        assert "evaluate: 2 series" in capsys.readouterr().out
+
+    def test_short_series_a_forecast_names_exit_data(self, tmp_path, rng, capsys):
+        ids = self._weekly_with(tmp_path / "weekly.csv", 150)
+        path = tmp_path / "forecasts.csv"
+        write_forecasts(path, rng, [ids[0], "short:UNB:220", ids[1]])
+        assert run("evaluate", "--forecasts", path, "--weekly", tmp_path / "weekly.csv",
+                   "--out", tmp_path / "ev") == 2
+        assert "short:UNB:220: insufficient history (150 weeks, need 157)" in capsys.readouterr().err
+        assert not (tmp_path / "ev" / "leaderboard_individual.csv").exists()
 
     def test_alignment_error_names_series(self, tmp_path, rng, capsys):
         write_weekly(tmp_path / "weekly.csv", n_series=1, seed=9)
@@ -428,6 +456,26 @@ class TestStreamedForecastFiles:
                      ["evaluate", "--forecasts", path, "--weekly", tmp_path / "weekly.csv"]):
             assert run(*argv, "--out", tmp_path / argv[0]) == 2
             assert f"{path}:{len(lines)}: could not convert" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("early", ["a", "b"])
+    def test_first_file_with_a_malformed_line_is_reported(self, tmp_path, rng, capsys, early):
+        # one file malformed in its first series (line 11), the other in its last (line 465):
+        # the first file named reports its own line, whichever it is
+        corpus = write_weekly(tmp_path / "weekly.csv", n_series=3, seed=9)
+        table = tmp_path / "table.csv"
+        write_forecasts(table, rng, [s.series_id for s in corpus], ["SNaive", "HW", "Prophet"])
+        lines = table.read_text().splitlines()
+        late = lines[464].split(",")
+        edits = {"a": {10: "garbage,line"}, "b": {464: ",".join([*late[:2], "zz", late[3]])}}
+        if early == "b":
+            edits = {"a": edits["b"], "b": edits["a"]}
+        for name, edit in edits.items():
+            (tmp_path / f"{name}.csv").write_text(
+                "\n".join(edit.get(k, line) for k, line in enumerate(lines)) + "\n")
+        assert run("evaluate", "--forecasts", tmp_path / "a.csv", tmp_path / "b.csv",
+                   "--weekly", tmp_path / "weekly.csv", "--out", tmp_path / "ev") == 2
+        line = 11 if early == "a" else 465
+        assert f"{tmp_path / 'a.csv'}:{line}: " in capsys.readouterr().err
 
 
 # runs one CLI stage, then prints the process's own peak resident set (VmHWM) in kB
@@ -607,6 +655,37 @@ class TestStageFlags:
         assert run(*argv, "--out", tmp_path / "o") == 1
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+def test_perfbench_tracer_wraps_every_target_of_every_stage(tmp_path):
+    """Each stage the benchmark traces, run through its launcher with the
+    tracer on: every stage exits 0 and every traced function is found."""
+    root = Path(__file__).resolve().parents[1]
+    env = {"PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    assert run("synth", "--mode", "raw", "--n-series", 2, "--length-weeks", 20, "--missing-rate", 0.08,
+               "--seed", 5, "--out", tmp_path / "raw") == 0
+    assert run("synth", "--n-series", 2, "--seed", 5, "--out", tmp_path / "wk") == 0
+    weekly, fc, ev, ens = (tmp_path / "wk" / "weekly.csv", tmp_path / "fc" / "forecasts.csv",
+                           tmp_path / "ev", tmp_path / "ens" / "ensemble_forecasts.csv")
+    stages = [
+        ("preprocess", ["preprocess", "--raw", tmp_path / "raw" / "raw.csv", "--planning-levels",
+                        tmp_path / "raw" / "planning_levels.ini", "--out", tmp_path / "pre"]),
+        ("forecast", ["forecast", "--weekly", weekly, "--out", fc.parent]),
+        ("evaluate", ["evaluate", "--forecasts", fc, "--weekly", weekly, "--out", ev]),
+        ("ensemble", ["ensemble", "--forecasts", fc, "--leaderboard", ev / "leaderboard_individual.csv",
+                      "--methods", "all", "--out", ens.parent]),
+        ("evaluate_ensembles", ["evaluate", "--forecasts", fc, ens, "--weekly", weekly,
+                                "--out", tmp_path / "ev2"]),
+    ]
+    spans = set()
+    for stage, argv in stages:
+        report_path = tmp_path / f"{stage}.json"
+        subprocess.run([sys.executable, str(root / "perfbench" / "stage.py"), str(report_path), "1", "tiny",
+                        stage, "--", *map(str, argv)], env=env, cwd=tmp_path, check=False, timeout=300)
+        report = json.loads(report_path.read_text())
+        assert (stage, report["exit"], report["missing"]) == (stage, 0, [])
+        spans |= {span[2] for span in report["spans"]}
+    assert {"weekly.aggregate_weekly", "weekly.fill_gaps", "models.fit_predict", "io.read"} <= spans
 
 
 def test_cli_import_loads_no_scipy():

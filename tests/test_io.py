@@ -142,14 +142,15 @@ class TestRawCsv:
         pqio.write_raw_csv(path, [raw])
         back = pqio.read_raw_csv(path)
         assert len(back) == 1
-        aggs = aggregate_weekly(back[0])
-        assert [a.p95 for a in aggs] == [10.0, 20.0, 30.0]
-        assert all(a.present_count == 1008 for a in aggs)
+        _, p95 = aggregate_weekly(back[0])
+        assert p95.tolist() == [10.0, 20.0, 30.0]
+        assert len(back[0].samples) == 3 * 1008
 
     def test_missing_weeks_leave_holes(self):
         raw = pqio.weekly_to_raw(weekly([10.0, 20.0, 30.0]), missing_weeks=[1])
-        aggs = aggregate_weekly(raw)
-        assert [a.p95 for a in aggs] == [10.0, None, 30.0]
+        _, p95 = aggregate_weekly(raw)
+        assert np.isnan(p95).tolist() == [False, True, False]
+        assert p95[[0, 2]].tolist() == [10.0, 30.0]
 
     def test_parse_error_has_line_number(self, tmp_path):
         path = tmp_path / "raw.csv"
@@ -190,12 +191,14 @@ def test_raw_reader_and_aggregation_peak_below_64_bytes_per_sample(tmp_path, rng
                               for i in range(3)])
     tracemalloc.start()
     try:
-        aggs = [aggregate_weekly(raw) for raw in pqio.read_raw_csv(path)]
+        raws = pqio.read_raw_csv(path)
+        aggs = [aggregate_weekly(raw) for raw in raws]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     samples = 3 * 60 * 1008
-    assert [sum(a.present_count for a in series) for series in aggs] == [60 * 1008] * 3
+    assert [len(raw.samples) for raw in raws] == [60 * 1008] * 3
+    assert [np.isnan(p95).any() for _, p95 in aggs] == [False] * 3
     assert peak < 64 * samples, f"peak {peak / samples:.1f} B per sample"
 
 

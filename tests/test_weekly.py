@@ -34,6 +34,7 @@ from conftest import (
     make_aggs,
     make_raw,
     reference_aggregate_weekly,
+    reference_fill_gaps,
 )
 
 
@@ -54,32 +55,31 @@ class TestValidityThreshold:
         assert MIN_SAMPLES_PER_WEEK == -((-95 * 1008) // 100) == 958
 
     def test_full_constant_week(self):
-        aggs = aggregate_weekly(make_raw([[5.0] * 1008]))
-        assert len(aggs) == 1
-        assert aggs[0].present_count == 1008
-        assert aggs[0].p95 == 5.0
+        _, p95 = aggregate_weekly(make_raw([[5.0] * 1008]))
+        assert p95.tolist() == [5.0]
 
     def test_950_samples_is_invalid(self):
-        aggs = aggregate_weekly(make_raw([[5.0] * 950, [5.0] * 1008]))
-        assert aggs[0].present_count == 950
-        assert aggs[0].p95 is None
-        assert aggs[1].p95 == 5.0
+        raw = make_raw([[5.0] * 950, [5.0] * 1008])
+        _, p95 = aggregate_weekly(raw)
+        assert len(raw.samples) == 950 + 1008
+        assert np.isnan(p95[0])
+        assert p95[1] == 5.0
 
     def test_exactly_958_samples_is_valid(self):
-        aggs = aggregate_weekly(make_raw([[5.0] * 958, [5.0] * 1008]))
-        assert aggs[0].p95 is not None
+        _, p95 = aggregate_weekly(make_raw([[5.0] * 958, [5.0] * 1008]))
+        assert p95[0] == 5.0
 
     def test_957_samples_is_invalid(self):
-        aggs = aggregate_weekly(make_raw([[5.0] * 957, [5.0] * 1008]))
-        assert aggs[0].p95 is None
+        _, p95 = aggregate_weekly(make_raw([[5.0] * 957, [5.0] * 1008]))
+        assert np.isnan(p95[0])
 
 
 class TestPercentile:
     def test_ramp_week(self):
         values = [float(v) for v in range(1, 1009)]
-        aggs = aggregate_weekly(make_raw([values]))
-        assert aggs[0].p95 == pytest.approx(957.65, abs=1e-9)
-        assert aggs[0].p95 == pytest.approx(p95_oracle(values), rel=1e-12)
+        _, p95 = aggregate_weekly(make_raw([values]))
+        assert p95[0] == pytest.approx(957.65, abs=1e-9)
+        assert p95[0] == pytest.approx(p95_oracle(values), rel=1e-12)
 
     def test_oracle_equivalence_1000_random_sets(self, rng):
         for _ in range(1000):
@@ -104,9 +104,9 @@ class TestAggregateWeekly:
         start = MONDAY + timedelta(days=2)
         raw = make_raw([[2.0] * 1008, [3.0] * 1008], start=start)
         # samples run Wed..Wed; only the span's single full Mon-Sun week counts
-        aggs = aggregate_weekly(raw)
-        assert len(aggs) == 1
-        assert aggs[0].present_count == 1008
+        week, p95 = aggregate_weekly(raw)
+        assert week == (2022, 2)
+        assert p95.tolist() == [3.0]  # Monday and Tuesday at 2.0, the other 720 samples at 3.0
 
     def test_rejects_duplicate_timestamps(self):
         minute = utc_minute(MONDAY)
@@ -118,9 +118,9 @@ class TestAggregateWeekly:
             RawSeries.from_columns("s:UNB:220", [utc_minute(MONDAY) + 5], [1.0])
 
     def test_week_ids_are_iso(self):
-        aggs = aggregate_weekly(make_raw([[1.0] * 1008, [1.0] * 1008]))
-        assert aggs[0].week == WEEK_2022_1
-        assert aggs[1].week == (2022, 2)
+        week, p95 = aggregate_weekly(make_raw([[1.0] * 1008, [1.0] * 1008]))
+        assert week == WEEK_2022_1
+        assert len(p95) == 2
 
 
 # Offsets a raw timestamp may carry; None writes it naive (UTC).
@@ -130,8 +130,8 @@ FAULTS = ("off-grid", "duplicate", "decreasing", "nan", "inf", "negative")
 
 def _aggregates_or_error(aggregate, raw):
     try:
-        return [(a.week, None if a.p95 is None else np.float64(a.p95).tobytes(), a.present_count)
-                for a in aggregate(raw)]
+        week, p95 = aggregate(raw)
+        return week, p95.tobytes()
     except DataError as exc:
         return str(exc)
 
@@ -207,7 +207,7 @@ class TestRawOracle:
 class TestFillGaps:
     def test_single_gap_carries_forward(self):
         # the [5, gap, 7] pattern padded so the gap fraction stays below 20 %
-        result = fill_gaps("s", make_aggs([5.0, None, 7.0] + [7.0] * 5))
+        result = fill_gaps("s", *make_aggs([5.0, None, 7.0] + [7.0] * 5))
         assert isinstance(result, WeeklySeries)
         assert result.values[:3].tolist() == [5.0, 5.0, 7.0]
         assert result.filled_flags[:3].tolist() == [False, True, False]
@@ -219,7 +219,7 @@ class TestFillGaps:
         for i in gap_positions:
             p95s[i] = None
         assert len([p for p in p95s if p is None]) == 21
-        result = fill_gaps("s", make_aggs(p95s))
+        result = fill_gaps("s", *make_aggs(p95s))
         assert result == Rejection("s", RejectionReason.TOO_MANY_GAPS)
 
     def test_exactly_20_percent_is_accepted(self):
@@ -227,41 +227,45 @@ class TestFillGaps:
         for i in range(2, 82, 4):
             p95s[i] = None
         assert len([p for p in p95s if p is None]) == 20
-        result = fill_gaps("s", make_aggs(p95s))
+        result = fill_gaps("s", *make_aggs(p95s))
         assert isinstance(result, WeeklySeries)
         assert result.filled_fraction == pytest.approx(0.20)
 
     def test_leading_gap_unfillable(self):
-        result = fill_gaps("s", make_aggs([None, 5.0, 6.0]))
+        result = fill_gaps("s", *make_aggs([None, 5.0, 6.0]))
         assert result == Rejection("s", RejectionReason.UNFILLABLE_GAP)
 
     def test_gap_at_distance_10_fillable(self):
         p95s = [9.0] + [None] * 10 + [3.0] * 41
-        result = fill_gaps("s", make_aggs(p95s))
+        result = fill_gaps("s", *make_aggs(p95s))
         assert isinstance(result, WeeklySeries)
         assert result.values[10] == 9.0
 
     def test_gap_at_distance_11_unfillable(self):
         p95s = [9.0] + [None] * 11 + [3.0] * 42
-        result = fill_gaps("s", make_aggs(p95s))
+        result = fill_gaps("s", *make_aggs(p95s))
         assert result == Rejection("s", RejectionReason.UNFILLABLE_GAP)
 
     def test_unfillable_reported_before_gap_fraction(self):
         # leading gap in a short series violates both rules
-        result = fill_gaps("s", make_aggs([None, 5.0, 6.0]))
+        result = fill_gaps("s", *make_aggs([None, 5.0, 6.0]))
         assert isinstance(result, Rejection)
         assert result.reason is RejectionReason.UNFILLABLE_GAP
 
-    def test_non_contiguous_weeks_rejected(self):
-        aggs = make_aggs([1.0, 2.0])
-        aggs[1] = type(aggs[1])(week=(2022, 5), p95=2.0, present_count=1008)
-        with pytest.raises(DataError, match="contiguous"):
-            fill_gaps("s", aggs)
-
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.one_of(st.none(), st.floats(0.1, 100.0)), min_size=3, max_size=80))
+    @example([9.0] + [None] * 10 + [3.0] * 41)  # the longest fillable gap
+    @example([9.0] + [None] * 11 + [3.0] * 42)  # one week too long
+    @example([1.0, 2.0] + [None, 3.0, 4.0, 5.0] * 5)  # 25 % missing, every gap fillable
     def test_fuzz_gap_patterns(self, pattern):
-        result = fill_gaps("s", make_aggs(pattern))
+        result = fill_gaps("s", *make_aggs(pattern))
+        want = reference_fill_gaps("s", WEEK_2022_1, pattern)
+        if isinstance(want, Rejection):
+            assert result == want
+        else:
+            assert result.start_week == want.start_week
+            assert result.values.tobytes() == want.values.tobytes()
+            assert result.filled_flags.tolist() == want.filled_flags.tolist()
         if isinstance(result, WeeklySeries):
             # never rewrites a present value, never leaves a hole
             for i, p in enumerate(pattern):
