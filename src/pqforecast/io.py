@@ -106,6 +106,17 @@ def _replacing(path: Path) -> Iterator[TextIO]:
         raise
 
 
+@contextmanager
+def _reading(path: Path) -> Iterator[TextIO]:
+    """``path`` opened as UTF-8 text; a byte that is not UTF-8 is a data
+    error naming the file, raised once for the whole block."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from exc
+
+
 def write_text(path: Path, text: str) -> None:
     """Write ``text`` as UTF-8 to ``path`` atomically."""
     with _replacing(path) as fh:
@@ -123,7 +134,7 @@ def _read_csv(path: Path, header: Sequence[str], take: Callable[[list[str]], Non
     """Check the header, then pass each non-blank row to ``take``. A row of
     the wrong width, a ``ValueError`` from ``take`` or a ``csv.Error`` names
     file and line."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _reading(path) as fh:
         _, start = _header(path, fh, header)
         reader = csv.reader(fh)
         taken = False
@@ -213,7 +224,7 @@ def read_raw_csv(path: Path) -> list[RawSeries]:
         minutes.append(utc_minute(datetime.fromisoformat(ts_text)))
         values.append(float(value_text))
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _reading(path) as fh:
         records, line_num = _header(path, fh, RAW_HEADER)
         bulk = csv.reader(fh)
         limit = csv.field_size_limit()  # a longer field is the csv module's error
@@ -452,7 +463,7 @@ def iter_forecast_csv(path: Path) -> Generator[ForecastBlock, None, None]:
         step = row_step
         return ended
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _reading(path) as fh:
         records, line_num = _header(path, fh, FORECAST_HEADER)
         head: Optional[str] = None  # 'sid,producer,' of the last row taken, if both are plain
         next_h = ""  # the h that row's producer takes next
@@ -593,7 +604,10 @@ def load_planning_levels(path: Path) -> dict[tuple[str, str], PlanningLevel]:
     """INI file with one ``[parameter@voltage]`` section per pair and a
     numeric ``level`` entry."""
     parser = configparser.ConfigParser()
-    read = parser.read(path, encoding="utf-8")
+    try:  # a duplicate section or key, a key before any section, a line that is no key
+        read = parser.read(str(path), encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"{path}: cannot read planning levels")
     levels = {}
@@ -603,7 +617,7 @@ def load_planning_levels(path: Path) -> dict[tuple[str, str], PlanningLevel]:
         parameter, _, voltage = section.partition("@")
         try:
             level = parser.getfloat(section, "level")
-        except (configparser.NoOptionError, ValueError) as exc:
+        except (configparser.Error, ValueError) as exc:  # no 'level', or an interpolation error
             raise ConfigError(f"{path}: [{section}] needs a numeric 'level'") from exc
         levels[(parameter, voltage)] = PlanningLevel(parameter=parameter, voltage_level=voltage, level=level)
     if not levels:

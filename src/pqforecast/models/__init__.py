@@ -3,8 +3,8 @@
 ``fit_predict`` produces raw (unclamped) point forecasts so equivariance
 properties hold exactly; a series' rows enter a :class:`ForecastBlock`,
 which makes them the nonnegative forecasts used downstream. Build one :class:`TrainingWindow`
-per series and pass it to every model, so the models share its STL
-decomposition.
+per series and pass it to every model, so SARIMA and the four STL
+composites share its STL decomposition.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from .base import (
     ModelId,
     model_from_name,
 )
-from .baselines import predict_snaive
+from .baselines import predict_drift, predict_naive, predict_snaive
 from .fourier_trend import predict_fourier_trend
 from .sarima import predict_arima
-from .smoothing import predict_hw
-from .stl_models import TrainingWindow, predict_stl_composite
+from .smoothing import predict_es, predict_holt, predict_hw
+from .stl_models import TrainingWindow
 
 __all__ = [
     "ForecastBlock",
@@ -36,7 +36,9 @@ __all__ = [
 
 
 def fit_predict(model: ModelId, window: TrainingWindow, h: int = TEST_WEEKS) -> ModelFit:
-    """Fit ``model`` on the training window and return its raw ``h``-step point forecast."""
+    """Fit ``model`` on the training window and return its raw ``h``-step point
+    forecast. An STL composite forecasts the seasonally adjusted series with
+    its sub-forecaster and adds the seasonal component, repeated by cycle."""
     y = window.values
     notes: list[str] = []
 
@@ -53,6 +55,19 @@ def fit_predict(model: ModelId, window: TrainingWindow, h: int = TEST_WEEKS) -> 
             values = predict_snaive(y, h, SEASONAL_PERIOD)
             notes.append("sarima: no admissible order; snaive fallback")
     else:
-        values, notes = predict_stl_composite(model, window.decomposition(), h)
+        decomp = window.decomposition()
+        adjusted = decomp.seasonally_adjusted()
+        if model is ModelId.STL_DRIFT:
+            values = predict_drift(adjusted, h)
+        elif model is ModelId.STL_ES:
+            values = predict_es(adjusted, h, SEASONAL_PERIOD)
+        elif model is ModelId.STL_HOLT:
+            values = predict_holt(adjusted, h, SEASONAL_PERIOD)
+        else:
+            values, fit = predict_arima(adjusted, h)
+            if fit is None:
+                values = predict_naive(adjusted, h)
+                notes.append("arima inadmissible on adjusted series; naive fallback")
+        values = predict_snaive(decomp.seasonal, h, SEASONAL_PERIOD) + values
 
     return ModelFit(model=model, values=values, notes=notes)

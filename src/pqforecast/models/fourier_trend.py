@@ -42,7 +42,7 @@ def predict_fourier_trend(y: np.ndarray, h: int, period: int) -> np.ndarray:
         raise DataError(f"fourier_trend: {n} observations cannot support the design")
 
     # normalized time over the training window; the future extends beyond 1
-    denom = n - 1 if n > 1 else 1
+    denom = n - 1
     t_train = np.arange(n, dtype=float) / denom
     week_train = np.arange(n, dtype=float)
 

@@ -85,7 +85,9 @@ class SarimaFit:
 
 
 def _min_root_modulus(coeffs: Sequence[float], sign: float) -> float:
-    """Smallest root modulus of 1 + sign * (c1 z + c2 z^2 + ...)."""
+    """Smallest root modulus of 1 + sign * (c1 z + c2 z^2), in closed form.
+    Each factor of a lag polynomial the order search builds has at most two
+    coefficients (``MAX_P``, ``MAX_Q`` <= 2, seasonal orders <= 1)."""
     k = len(coeffs)
     while k > 0 and coeffs[k - 1] == 0.0:
         k -= 1
@@ -93,20 +95,18 @@ def _min_root_modulus(coeffs: Sequence[float], sign: float) -> float:
         return math.inf
     if k == 1:
         return 1.0 / abs(sign * coeffs[0])
-    if k == 2:
-        # a z^2 + b z + 1 = 0
-        a = sign * coeffs[1]
-        b = sign * coeffs[0]
-        disc = b * b - 4.0 * a
-        if disc < 0:
-            return math.sqrt(1.0 / abs(a))  # conjugate pair: |z|^2 = 1/|a|
-        sq = math.sqrt(disc)
-        r1 = (-b + sq) / (2.0 * a)
-        r2 = (-b - sq) / (2.0 * a)
-        return min(abs(r1), abs(r2))
-    poly = np.concatenate([sign * np.asarray(coeffs, dtype=float)[::-1], [1.0]])
-    roots = np.roots(poly)
-    return float(np.min(np.abs(roots))) if len(roots) else math.inf
+    if k > 2:
+        raise ValueError(f"root check of {k} coefficients; the order search builds at most 2")
+    # a z^2 + b z + 1 = 0
+    a = sign * coeffs[1]
+    b = sign * coeffs[0]
+    disc = b * b - 4.0 * a
+    if disc < 0:
+        return math.sqrt(1.0 / abs(a))  # conjugate pair: |z|^2 = 1/|a|
+    sq = math.sqrt(disc)
+    r1 = (-b + sq) / (2.0 * a)
+    r2 = (-b - sq) / (2.0 * a)
+    return min(abs(r1), abs(r2))
 
 
 def _expand(nonseasonal: Sequence[float], seasonal: Sequence[float], m: int, sign: float) -> list[float]:
@@ -147,7 +147,7 @@ def _ma_invert(ma_poly: Sequence[float], x: np.ndarray) -> np.ndarray:
     if not taps:
         return 0.0 + x
     values = x.tolist()
-    warm = min(taps[0][0], len(values))
+    warm = taps[0][0]  # below len(x)
     e: list[float] = []
     for t in range(warm):
         a = 0.0
@@ -155,8 +155,6 @@ def _ma_invert(ma_poly: Sequence[float], x: np.ndarray) -> np.ndarray:
             if j <= t:
                 a -= c * e[t - j]
         e.append(a + values[t])
-    if warm == len(values):
-        return np.array(e)
     push = e.append
     lags = [j for j, _ in taps]
     if lags == [1]:
@@ -309,7 +307,7 @@ def choose_differencing(y: np.ndarray, m: int, decompose: Decompose | None) -> t
     if decompose is not None and len(y) >= 2 * m:
         if seasonal_strength(decompose()) > _SEASONAL_STRENGTH_THRESHOLD:
             D = 1
-    z = difference(y, m, 1) if D else y
+    z = difference(y, m) if D else y
     d = 0
     if len(z) > 2:
         if np.std(z[1:] - z[:-1]) < np.std(z):
@@ -323,10 +321,10 @@ def _differenced(y: np.ndarray, order: SarimaOrder) -> tuple[np.ndarray, list[tu
     w = y
     for _ in range(order.D):
         stages.append((w, order.m))
-        w = difference(w, order.m, 1)
+        w = difference(w, order.m)
     for _ in range(order.d):
         stages.append((w, 1))
-        w = difference(w, 1, 1)
+        w = difference(w, 1)
     return w, stages
 
 

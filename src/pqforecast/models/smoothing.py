@@ -18,19 +18,13 @@ from .base import standardize
 PARAM_LO = 1e-4
 PARAM_HI = 0.9999
 
-_MIN_OBS = 10
 
-
-def _initial_level_trend(y: np.ndarray, period: int) -> tuple[float, float]:
-    n = len(y)
-    p = min(period, n)
-    level = float(np.mean(y[:p]))
-    if n >= 2 * period:
-        trend = float((np.mean(y[period : 2 * period]) - np.mean(y[:period])) / period)
-    elif n >= 2:
-        trend = float((y[-1] - y[0]) / (n - 1))
-    else:
-        trend = 0.0
+def _initial_level_trend(y: np.ndarray, period: int, model: str) -> tuple[float, float]:
+    """The first cycle's mean, and the change per step from it to the second cycle's mean."""
+    if len(y) < 2 * period:
+        raise DataError(f"{model}: needs two seasons ({2 * period} observations), got {len(y)}")
+    level = float(np.mean(y[:period]))
+    trend = float((np.mean(y[period : 2 * period]) - np.mean(y[:period])) / period)
     return level, trend
 
 
@@ -86,11 +80,8 @@ def _hw_run(
 
 def predict_es(y: np.ndarray, h: int, period: int = 52) -> np.ndarray:
     """Simple exponential smoothing; flat extrapolation of the final level."""
-    y = np.asarray(y, dtype=float)
-    if len(y) < _MIN_OBS:
-        raise DataError(f"es: need at least {_MIN_OBS} observations, got {len(y)}")
-    z, mu, sd = standardize(y)
-    level0, _ = _initial_level_trend(z, period)
+    z, mu, sd = standardize(np.asarray(y, dtype=float))
+    level0, _ = _initial_level_trend(z, period, "es")
     values = z.tolist()
     result = nelder_mead(
         lambda p: _ses_run(values, p[0], level0)[0],
@@ -102,11 +93,8 @@ def predict_es(y: np.ndarray, h: int, period: int = 52) -> np.ndarray:
 
 def predict_holt(y: np.ndarray, h: int, period: int = 52) -> np.ndarray:
     """Holt's linear trend method."""
-    y = np.asarray(y, dtype=float)
-    if len(y) < _MIN_OBS:
-        raise DataError(f"holt: need at least {_MIN_OBS} observations, got {len(y)}")
-    z, mu, sd = standardize(y)
-    level0, trend0 = _initial_level_trend(z, period)
+    z, mu, sd = standardize(np.asarray(y, dtype=float))
+    level0, trend0 = _initial_level_trend(z, period, "holt")
     values = z.tolist()
     result = nelder_mead(
         lambda p: _holt_run(values, p[0], p[1], level0, trend0)[0],
@@ -119,12 +107,8 @@ def predict_holt(y: np.ndarray, h: int, period: int = 52) -> np.ndarray:
 
 def predict_hw(y: np.ndarray, h: int, period: int = 52) -> np.ndarray:
     """Holt-Winters with additive trend and additive seasonality."""
-    y = np.asarray(y, dtype=float)
-    n = len(y)
-    if n < 2 * period:
-        raise DataError(f"hw: needs two seasons ({2 * period} observations), got {n}")
-    z, mu, sd = standardize(y)
-    level0, trend0 = _initial_level_trend(z, period)
+    z, mu, sd = standardize(np.asarray(y, dtype=float))
+    level0, trend0 = _initial_level_trend(z, period, "hw")
     seasonal0 = (z[:period] - np.mean(z[:period])).tolist()
     values = z.tolist()
     result = nelder_mead(
@@ -134,5 +118,5 @@ def predict_hw(y: np.ndarray, h: int, period: int = 52) -> np.ndarray:
     alpha, beta, gamma = result.argmin
     _, level, trend, seasonal = _hw_run(values, alpha, beta, gamma, level0, trend0, seasonal0)
     steps = np.arange(1, h + 1)
-    seasonal_idx = n + (steps - 1) % period
+    seasonal_idx = len(z) + (steps - 1) % period
     return mu + sd * (level + trend * steps + seasonal[seasonal_idx])

@@ -7,18 +7,14 @@ import numpy as np
 from ..errors import DataError
 
 
-def difference(y: np.ndarray, lag: int = 1, times: int = 1) -> np.ndarray:
-    """Apply lag-``lag`` differencing ``times`` times."""
+def difference(y: np.ndarray, lag: int = 1) -> np.ndarray:
+    """Lag-``lag`` differences."""
     y = np.asarray(y, dtype=float)
     if lag < 1:
         raise DataError(f"difference: lag must be >= 1, got {lag}")
-    if times < 0:
-        raise DataError(f"difference: times must be >= 0, got {times}")
-    if len(y) <= lag * times:
-        raise DataError(f"difference: series of {len(y)} too short for lag {lag} x {times}")
-    for _ in range(times):
-        y = y[lag:] - y[:-lag]
-    return y
+    if len(y) <= lag:
+        raise DataError(f"difference: series of {len(y)} too short for lag {lag}")
+    return y[lag:] - y[:-lag]
 
 
 def integrate_forecast(history: np.ndarray, fc: np.ndarray, lag: int = 1) -> np.ndarray:

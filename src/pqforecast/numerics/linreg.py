@@ -1,4 +1,4 @@
-"""Linear least squares with optional ridge penalty."""
+"""Linear least squares with a per-column ridge penalty."""
 
 from __future__ import annotations
 
@@ -7,13 +7,12 @@ import numpy as np
 from ..errors import DataError
 
 
-def least_squares(X: np.ndarray, y: np.ndarray, ridge: float | np.ndarray = 0.0) -> np.ndarray:
+def least_squares(X: np.ndarray, y: np.ndarray, ridge: np.ndarray) -> np.ndarray:
     """Solve min ||y - X b||^2 + ||sqrt(ridge) * b||^2 via QR on an augmented system.
 
-    ``ridge`` may be a scalar applied to every coefficient or a per-column
-    vector (zero entries leave those coefficients unpenalized). A
-    rank-deficient unpenalized system is an error rather than a silent
-    minimum-norm solution.
+    ``ridge`` is a per-column vector; zero entries leave those coefficients
+    unpenalized, and add no row to the system. A rank-deficient system is an
+    error rather than a silent minimum-norm solution.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -22,22 +21,15 @@ def least_squares(X: np.ndarray, y: np.ndarray, ridge: float | np.ndarray = 0.0)
     n, k = X.shape
     if len(y) != n:
         raise DataError(f"least_squares: {n} rows in X but {len(y)} targets")
-
     ridge = np.asarray(ridge, dtype=float)
-    if ridge.ndim == 0:
-        ridge = np.full(k, float(ridge))
-    if len(ridge) != k or np.any(ridge < 0):
-        raise DataError("least_squares: ridge must be a nonnegative scalar or per-column vector")
+    if ridge.shape != (k,) or np.any(ridge < 0):
+        raise DataError("least_squares: ridge must be a nonnegative per-column vector")
 
     penalized = np.nonzero(ridge > 0)[0]
-    if len(penalized):
-        extra = np.zeros((len(penalized), k))
-        extra[np.arange(len(penalized)), penalized] = np.sqrt(ridge[penalized])
-        A = np.vstack([X, extra])
-        b = np.concatenate([y, np.zeros(len(penalized))])
-    else:
-        A, b = X, y
-
+    extra = np.zeros((len(penalized), k))
+    extra[np.arange(len(penalized)), penalized] = np.sqrt(ridge[penalized])
+    A = np.vstack([X, extra])
+    b = np.concatenate([y, np.zeros(len(penalized))])
     if np.linalg.matrix_rank(A) < k:
         raise DataError("least_squares: singular system")
     beta, *_ = np.linalg.lstsq(A, b, rcond=None)

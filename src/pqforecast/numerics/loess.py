@@ -27,8 +27,7 @@ def loess_window(
     """Local-linear loess with a window of ``q`` nearest points.
 
     ``weights`` are extra multiplicative (robustness) weights on the data
-    points. When ``q`` exceeds the number of points, the tricube bandwidth
-    is stretched by ``q / n`` so far points keep positive weight. Where the
+    points; the window fits inside the data (``2 <= q <= n``). Where the
     weights make the line fit singular (Σw·Σwt² − (Σwt)² within rounding of
     zero, as when they sit on one abscissa), the point gets the weighted mean.
     """
@@ -37,16 +36,13 @@ def loess_window(
     n = len(x)
     if len(y) != n:
         raise DataError("loess: x and y lengths differ")
-    if q < 2:
-        raise DataError(f"loess: window of {q} points cannot fit a line")
+    if not 2 <= q <= n:
+        raise DataError(f"loess: window of {q} points for {n} points; need 2 <= q <= n")
 
     x0 = np.asarray(eval_points, dtype=float)
     t = x[None, :] - x0[:, None]
     d = np.abs(t)
-    if q < n:
-        dq = np.partition(d, q - 1, axis=1)[:, q - 1]  # distance to the q-th nearest point
-    else:
-        dq = d.max(axis=1) * (q / n)
+    dq = np.partition(d, q - 1, axis=1)[:, q - 1]  # distance to the q-th nearest point
     dq = np.where(dq > 0, dq, 1.0)[:, None]  # all points at x0: uniform weights
     u = np.minimum(d / dq, 1.0)
     tri = (1.0 - u**3) ** 3

@@ -66,7 +66,7 @@ def _lowpass(extended: np.ndarray, n: int, period: int, window: int) -> np.ndarr
     smoothed = _moving_average(smoothed, 3)
     assert len(smoothed) == n
     t = np.arange(n, dtype=float)
-    return loess_window(t, smoothed, min(window, n), eval_points=t)
+    return loess_window(t, smoothed, window, eval_points=t)
 
 
 def _bisquare(residual: np.ndarray) -> np.ndarray:
@@ -100,7 +100,7 @@ def stl_decompose(y: np.ndarray, period: int) -> Decomposition:
             lowpassed = _lowpass(extended, n, period, lowpass_window)
             seasonal = extended[period : period + n] - lowpassed
             deseasonalized = y - seasonal
-            trend = loess_window(t, deseasonalized, min(trend_window, n), eval_points=t, weights=rho)
+            trend = loess_window(t, deseasonalized, trend_window, eval_points=t, weights=rho)
         if outer < ROBUSTNESS_ITERATIONS:
             rho = _bisquare(y - trend - seasonal)
 

@@ -19,10 +19,11 @@ series:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -74,9 +75,6 @@ class SeriesKey:
     site: str
     parameter: str
     voltage_level: str
-
-    def __str__(self) -> str:
-        return f"{self.site}:{self.parameter}:{self.voltage_level}"
 
     @classmethod
     def try_parse(cls, series_id: str) -> Optional["SeriesKey"]:
@@ -133,10 +131,9 @@ class PlanningLevel:
     level: float
 
     def __post_init__(self) -> None:
-        if not self.level > 0:
-            raise ConfigError(
-                f"planning level for ({self.parameter}, {self.voltage_level}) must be > 0, got {self.level}"
-            )
+        if not 0 < self.level < math.inf:
+            raise ConfigError(f"planning level for ({self.parameter}, {self.voltage_level}) "
+                              f"must be finite and > 0, got {self.level}")
 
 
 @dataclass
@@ -166,10 +163,6 @@ class WeeklySeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def filled_fraction(self) -> float:
-        return float(np.mean(self.filled_flags)) if len(self) else 0.0
-
 
 class RejectionReason(str, Enum):
     TOO_MANY_GAPS = "too-many-gaps"
@@ -182,11 +175,6 @@ class Rejection:
 
     series_id: str
     reason: RejectionReason
-
-
-def weekly_p95(values: Sequence[float]) -> float:
-    """95th percentile by linear interpolation between order statistics."""
-    return float(np.percentile(np.asarray(values, dtype=float), 95))
 
 
 def aggregate_weekly(raw: RawSeries) -> tuple[WeekId, np.ndarray]:
@@ -212,7 +200,7 @@ def aggregate_weekly(raw: RawSeries) -> tuple[WeekId, np.ndarray]:
     p95 = np.full(n_weeks, np.nan)
     for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         if hi - lo >= MIN_SAMPLES_PER_WEEK:
-            p95[i] = weekly_p95(values[lo:hi])
+            p95[i] = np.percentile(values[lo:hi], 95)
     iso = (EPOCH + timedelta(minutes=start)).isocalendar()
     return (iso[0], iso[1]), p95
 

@@ -24,7 +24,6 @@ from pqforecast.weekly import (
     WeeklySeries,
     WeekId,
     utc_minute,
-    weekly_p95,
 )
 
 MONDAY = datetime(2022, 1, 3, tzinfo=timezone.utc)  # ISO (2022, 1)
@@ -158,7 +157,7 @@ def reference_aggregate_weekly(raw: ReferenceRawSeries) -> tuple[WeekId, np.ndar
             continue
         buckets[idx].append(value)
 
-    p95s = [weekly_p95(bucket) if len(bucket) >= MIN_SAMPLES_PER_WEEK else np.nan for bucket in buckets]
+    p95s = [np.percentile(bucket, 95) if len(bucket) >= MIN_SAMPLES_PER_WEEK else np.nan for bucket in buckets]
     return _reference_week_of(span_start), np.array(p95s)
 
 

@@ -299,7 +299,7 @@ def test_criterion_6_preprocessing_conformance():
 
     accepted = fill_gaps("s", *make_aggs(pattern(20)))
     assert isinstance(accepted, WeeklySeries)
-    assert accepted.filled_fraction == pytest.approx(0.20)
+    assert np.mean(accepted.filled_flags) == pytest.approx(0.20)
     over = fill_gaps("s", *make_aggs(pattern(21)))
     assert over == Rejection("s", RejectionReason.TOO_MANY_GAPS)
     report("criterion 6 preprocessing",

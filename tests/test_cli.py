@@ -130,6 +130,78 @@ class TestPreprocessCommand:
                    "--planning-levels", tmp_path / "levels.ini", "--out", tmp_path / "o") == 2
 
 
+def one_raw_series(tmp_path, level="100.0"):
+    """A 3-week raw table of one synth series, and an INI giving its pair ``level``."""
+    from pqforecast.synth import SyntheticSpec, generate_corpus
+
+    corpus, _ = generate_corpus(SyntheticSpec(n_series=1, length_weeks=3, rng_seed=5))
+    pqio.write_raw_csv(tmp_path / "raw.csv", [pqio.weekly_to_raw(corpus[0])])
+    _, parameter, voltage = corpus[0].series_id.split(":")
+    (tmp_path / "levels.ini").write_text(f"[{parameter}@{voltage}]\nlevel = {level}\n")
+    return tmp_path / "raw.csv", tmp_path / "levels.ini"
+
+
+def with_byte_ff(path):
+    """Put a byte that is not UTF-8 at the end of a line in the middle of ``path``."""
+    data = path.read_bytes()
+    i = data.index(b"\r\n", len(data) // 2)
+    path.write_bytes(data[:i] + b"\xff" + data[i:])
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("text", [
+        "[U05@110]\nlevel = 1.0\n[U05@110]\nlevel = 2.0\n",  # a duplicate section
+        "[U05@110]\nlevel = 1.0\nlevel = 2.0\n",  # a duplicate key
+        "level = 1.0\n[U05@110]\nlevel = 1.0\n",  # a key before any section header
+        "[U05@110]\nlevel\n",  # a line that is no key = value
+    ])
+    def test_malformed_planning_levels_exit_usage(self, tmp_path, capsys, text):
+        raw, levels = one_raw_series(tmp_path)
+        levels.write_text(text)
+        out = tmp_path / "out"
+        assert run("preprocess", "--raw", raw, "--planning-levels", levels, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {levels}: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_infinite_planning_level_exit_usage(self, tmp_path, capsys):
+        raw, levels = one_raw_series(tmp_path, "inf")
+        out = tmp_path / "out"
+        assert run("preprocess", "--raw", raw, "--planning-levels", levels, "--out", out) == 1
+        assert "must be finite and > 0" in capsys.readouterr().err
+        assert not (out / "weekly.csv").exists()
+
+    def test_raw_table_not_utf8_exit_data(self, tmp_path, capsys):
+        raw, levels = one_raw_series(tmp_path)
+        with_byte_ff(raw)
+        out = tmp_path / "out"
+        assert run("preprocess", "--raw", raw, "--planning-levels", levels, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {raw}: not UTF-8 text (byte 0xff")
+        assert not out.exists()
+
+    def test_weekly_table_not_utf8_exit_data(self, tmp_path, capsys):
+        weekly = tmp_path / "weekly.csv"
+        write_weekly(weekly, n_series=1)
+        with_byte_ff(weekly)
+        assert run("forecast", "--weekly", weekly, "--models", "SNaive", "--out", tmp_path / "f") == 2
+        assert capsys.readouterr().err.startswith(f"data error: {weekly}: not UTF-8 text (byte 0xff")
+
+    def test_forecast_table_not_utf8_exit_data(self, tmp_path, rng, capsys):
+        forecasts = tmp_path / "forecasts.csv"
+        write_forecasts(forecasts, rng, ("s1", "s2"))
+        with_byte_ff(forecasts)
+        out = tmp_path / "out"
+        assert run("ensemble", "--forecasts", forecasts, "--methods", "mean", "--out", out) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {forecasts}: not UTF-8 text (byte 0xff")
+        assert not (out / "ensemble_forecasts.csv").exists()
+
+    def test_planning_levels_not_utf8_exit_usage(self, tmp_path, capsys):
+        raw, levels = one_raw_series(tmp_path)
+        levels.write_bytes(levels.read_bytes().replace(b"level", b"lev\xffel"))
+        assert run("preprocess", "--raw", raw, "--planning-levels", levels, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err.startswith(f"error: {levels}: ")
+
+
 class TestForecastCommand:
     def test_snaive_rows_match_last_cycle(self, tmp_path):
         corpus = write_weekly(tmp_path / "weekly.csv", n_series=1, seed=2)

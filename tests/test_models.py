@@ -115,6 +115,12 @@ class TestSmoothing:
         with pytest.raises(DataError, match="two seasons"):
             predict_hw(np.ones(103), 52)
 
+    @pytest.mark.parametrize("predict", [predict_es, predict_holt])
+    def test_es_and_holt_need_two_seasons(self, predict):
+        with pytest.raises(DataError, match="two seasons"):
+            predict(np.ones(103), 52)
+        assert np.isfinite(predict(np.ones(104), 52)).all()
+
     def test_es_flat_forecast(self):
         out = predict_es(periodic_train(105), 52)
         assert np.ptp(out) == 0.0

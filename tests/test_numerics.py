@@ -24,7 +24,7 @@ class TestLoess:
     def test_reproduces_line_any_span(self):
         x = np.arange(1.0, 31.0)
         y = 2.5 * x - 4.0
-        for q in (9, 18, 30, 45):  # spans 0.3, 0.6, 1.0 and 1.5 of the 30 points
+        for q in (9, 18, 30):  # spans 0.3, 0.6 and 1.0 of the 30 points
             out = loess_window(x, y, q, x)
             assert out == pytest.approx(y, abs=1e-9)
 
@@ -47,6 +47,13 @@ class TestLoess:
             loess_window(x, np.ones(5), 1, x)  # window too small for a line
         with pytest.raises(DataError):
             loess_window(x, np.ones(5), 2, np.array([0.5]))  # both window points at the bandwidth
+
+    def test_rejects_window_wider_than_data(self):
+        x = np.arange(30.0)
+        assert loess_window(x, 2.0 * x, 30, x) == pytest.approx(2.0 * x, abs=1e-9)
+        for q in (31, 45, 60):
+            with pytest.raises(DataError, match="need 2 <= q <= n"):
+                loess_window(x, 2.0 * x, q, x)
 
     def test_singular_window_gives_weighted_mean(self):
         # q = 3 on the integer grid: tricube weights only the centre point
@@ -77,30 +84,30 @@ class TestLoess:
     @pytest.mark.parametrize("robust", [False, True])
     @pytest.mark.parametrize("n", [104, 157, 260])
     def test_matches_lstsq_oracle(self, n, robust):
-        for q in (2, 3, 53, 79, n - 1, n, n + 1, 2 * n):
+        for q in (2, 3, 53, 79, n - 1, n):
             self._assert_matches_lstsq_oracle(n + q, n, robust, q)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(104, 260), st.booleans(), st.floats(0.0, 1.5))
+    @given(st.integers(0, 10_000), st.integers(104, 260), st.booleans(), st.floats(0.0, 1.0))
     def test_hypothesis_matches_lstsq_oracle(self, seed, n, robust, span):
-        self._assert_matches_lstsq_oracle(seed, n, robust, max(2, int(span * n)))  # q < n and q >= n
+        self._assert_matches_lstsq_oracle(seed, n, robust, max(2, int(span * n)))  # q < n and q == n
 
 
 class TestLeastSquares:
     def test_identity_design(self):
         y = np.array([3.0, -1.0, 2.0])
-        assert least_squares(np.eye(3), y) == pytest.approx(y, abs=1e-12)
+        assert least_squares(np.eye(3), y, np.zeros(3)) == pytest.approx(y, abs=1e-12)
 
     def test_exact_line_recovery(self):
         x = np.arange(10.0)
         X = np.column_stack([np.ones(10), x])
-        beta = least_squares(X, 2.0 * x + 1.0)
+        beta = least_squares(X, 2.0 * x + 1.0, np.zeros(2))
         assert beta == pytest.approx([1.0, 2.0], abs=1e-9)
 
     def test_ridge_matches_normal_equations(self, rng):
         X = rng.normal(size=(50, 3))
         y = rng.normal(size=50)
-        beta = least_squares(X, y, ridge=0.1)
+        beta = least_squares(X, y, ridge=np.full(3, 0.1))
         oracle = np.linalg.solve(X.T @ X + 0.1 * np.eye(3), X.T @ y)
         assert beta == pytest.approx(oracle, abs=1e-8)
 
@@ -115,27 +122,23 @@ class TestLeastSquares:
     def test_singular_system_errors(self):
         X = np.column_stack([np.ones(5), np.ones(5)])
         with pytest.raises(DataError, match="singular"):
-            least_squares(X, np.ones(5), ridge=0.0)
+            least_squares(X, np.ones(5), ridge=np.zeros(2))
 
     def test_ridge_regularizes_singular_system(self):
         X = np.column_stack([np.ones(5), np.ones(5)])
-        beta = least_squares(X, np.ones(5), ridge=1e-6)
+        beta = least_squares(X, np.ones(5), ridge=np.full(2, 1e-6))
         assert np.isfinite(beta).all()
 
 
 class TestDifference:
     def test_first_difference(self):
-        assert difference(np.array([1.0, 2, 3, 4]), 1, 1).tolist() == [1.0, 1.0, 1.0]
-
-    def test_times_zero_is_identity(self):
-        y = np.array([3.0, 1.0, 4.0])
-        assert difference(y, 5, 0).tolist() == y.tolist()
+        assert difference(np.array([1.0, 2, 3, 4]), 1).tolist() == [1.0, 1.0, 1.0]
 
     def test_seasonal_roundtrip(self, rng):
         y = rng.normal(size=200)
         # integrating the seasonal differences onto the first 100 values
         # rebuilds the rest of the series
-        back = integrate_forecast(y[:100], difference(y, 52, 1)[48:], 52)
+        back = integrate_forecast(y[:100], difference(y, 52)[48:], 52)
         assert back == pytest.approx(y[100:], abs=1e-10)
 
     @settings(max_examples=60, deadline=None)
@@ -150,7 +153,7 @@ class TestDifference:
             return
         stages = [y]
         for _ in range(times):
-            stages.append(difference(stages[-1], lag, 1))
+            stages.append(difference(stages[-1], lag))
         k = len(stages[-1])
         # undo the stages innermost first, as the SARIMA forecast does
         back = stages[-1]
@@ -160,11 +163,11 @@ class TestDifference:
 
     def test_insufficient_length(self):
         with pytest.raises(DataError):
-            difference(np.ones(10), 5, 2)
+            difference(np.ones(5), 5)
 
     def test_integrate_forecast_matches_recursion(self, rng):
         y = rng.normal(size=60).cumsum()
-        d = difference(y, 1, 1)
+        d = difference(y, 1)
         # integrating the tail of the diffs reproduces the tail of the series
         rebuilt = integrate_forecast(y[:40], d[39:], 1)
         assert rebuilt == pytest.approx(y[40:], abs=1e-10)

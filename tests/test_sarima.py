@@ -52,6 +52,21 @@ class TestRootCheck:
         assert _min_root_modulus(np.array([]), -1.0) == np.inf
         assert _min_root_modulus(np.array([0.0, 0.0]), -1.0) == np.inf
 
+    def test_rejects_more_than_two_coefficients(self):
+        for coeffs in ([0.1, 0.2, 0.3], [0.0, 0.0, 0.5], [0.1, 0.2, 0.3, 0.4]):
+            for sign in (-1.0, 1.0):
+                with pytest.raises(ValueError, match="at most 2"):
+                    _min_root_modulus(coeffs, sign)
+        assert _min_root_modulus([0.5, 0.0, 0.0], -1.0) == 2.0  # trailing zeros: degree 1
+
+    def test_search_builds_no_factor_over_two_coefficients(self):
+        # each factor of a lag polynomial the order search builds holds p, q,
+        # P or Q coefficients, so the root check stays in closed form
+        assert sarima.MAX_P <= 2 and sarima.MAX_Q <= 2
+        assert sarima.MAX_SEASONAL_P <= 1 and sarima.MAX_SEASONAL_Q <= 1
+        orders = [o for seasonal in (False, True) for o in _candidate_orders(52, seasonal, 0, 0)]
+        assert max(max(o.p, o.q, o.P, o.Q) for o in orders) <= 2
+
 
 class TestCssResiduals:
     def test_ar1_matches_manual_recursion(self, rng):
