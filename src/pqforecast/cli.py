@@ -27,8 +27,7 @@ from .errors import ConfigError, DataError
 from .evaluation import Leaderboard, compare_best, composition_analysis, evaluate_corpus
 from .models import ForecastBlock, ModelFit, ModelId, PUBLIC_MODELS, TrainingWindow, fit_predict, model_from_name
 from .synth import SyntheticSpec, generate_corpus, write_truth
-from .weekly import (TEST_WEEKS, TRAIN_WEEKS, SeriesKey, WeeklySeries, aggregate_weekly, fill_gaps, normalize,
-                     split_train_test)
+from .weekly import TEST_WEEKS, SeriesKey, WeeklySeries, aggregate_weekly, fill_gaps, normalize, split_train_test
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,19 +38,6 @@ EXIT_INTERNAL = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise ConfigError(message)
-
-
-def _protocol(args: argparse.Namespace) -> tuple[int, int]:
-    """The run's training length and horizon: the 105 + 52 week protocol,
-    which may only be overridden as a pair."""
-    train_len, horizon = args.train_len, args.horizon
-    if (train_len is None) != (horizon is None):
-        raise ConfigError("--train-len and --horizon must be overridden together")
-    if train_len is None:
-        return TRAIN_WEEKS, TEST_WEEKS
-    if train_len < 1 or horizon < 1:
-        raise ConfigError("train_len and horizon must be positive")
-    return train_len, horizon
 
 
 def _selection(text: str, flag: str, noun: str, every: Sequence, parse: Callable) -> list:
@@ -139,14 +125,13 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 # -- forecast ------------------------------------------------------------------
 
-def _fit_series(train_values: np.ndarray, models: Sequence[ModelId],
-                horizon: int) -> list[tuple[ModelFit, float]]:
+def _fit_series(train_values: np.ndarray, models: Sequence[ModelId]) -> list[tuple[ModelFit, float]]:
     """Each model's fit on one series and its seconds (runs in worker processes)."""
     window = TrainingWindow(train_values)
     fits = []
     for model in models:
         started = time.perf_counter()
-        fit = fit_predict(model, window, horizon)
+        fit = fit_predict(model, window)
         fits.append((fit, time.perf_counter() - started))
     return fits
 
@@ -155,12 +140,11 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     out = _ensure_out(args)
-    train_len, horizon = _protocol(args)
     series = pqio.read_weekly_csv(Path(args.weekly))
     models = _selection(args.models, "--models", "model", PUBLIC_MODELS, model_from_name)
 
-    windows = [split_train_test(s, train_len, horizon)[0].values for s in series]
-    fit_all = partial(_fit_series, models=models, horizon=horizon)
+    windows = [split_train_test(s)[0].values for s in series]
+    fit_all = partial(_fit_series, models=models)
     workers = min(args.jobs, len(series))  # the pool starts every worker at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -179,7 +163,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     pqio.write_forecast_csv(out / "forecasts.csv", blocks)
     pqio.write_manifest(out / "manifest.jsonl", manifest)
     print(f"forecast: {len(series)} series x {len(models)} models "
-          f"({len(series) * len(models) * horizon} rows)")
+          f"({len(series) * len(models) * TEST_WEEKS} rows)")
     for name in total_time:
         print(f"  {name:<10} {total_time[name]:8.2f} s")
     if manifest:
@@ -272,7 +256,6 @@ def _lockstep(paths: Sequence[str], readers: Sequence[Iterator[ForecastBlock]],
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    train_len, horizon = _protocol(args)
     if args.top_n < 1:
         raise ConfigError(f"--top-n must be at least 1, got {args.top_n}")
     out = _ensure_out(args)
@@ -285,13 +268,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     def checked() -> Iterator[ForecastBlock]:
         for path, block in _lockstep(args.forecasts, readers, raised):
             sid = block.series_id
-            if block.values.shape[1] != horizon:
+            if block.values.shape[1] != TEST_WEEKS:
                 raise DataError(f"{path}: {sid}: {block.values.shape[1]} steps, "
-                                f"horizon is {horizon}")
+                                f"horizon is {TEST_WEEKS}")
             if sid not in actuals:
                 if sid not in weekly:
                     raise DataError(f"forecasts reference series {sid} absent from {args.weekly}")
-                actuals[sid] = split_train_test(weekly[sid], train_len, horizon)[1].values
+                actuals[sid] = split_train_test(weekly[sid])[1].values
             yield block
 
     manifest = []
@@ -365,10 +348,6 @@ def build_parser() -> _Parser:
         p.set_defaults(func=func)
         return p
 
-    def protocol(p: _Parser) -> None:
-        p.add_argument("--train-len", type=int, default=None)
-        p.add_argument("--horizon", type=int, default=None)
-
     p = stage("synth", "generate a synthetic corpus", cmd_synth)
     p.add_argument("--seed", type=int, default=0, help="seed for synthetic generation")
     p.add_argument("--n-series", type=int, required=True)
@@ -381,7 +360,6 @@ def build_parser() -> _Parser:
     p.add_argument("--planning-levels", required=True, help="planning level INI file")
 
     p = stage("forecast", "fit models and emit 52-step forecasts", cmd_forecast)
-    protocol(p)
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--weekly", required=True, help="weekly series CSV")
     p.add_argument("--models", default="all", help="comma list of models or 'all'")
@@ -393,7 +371,6 @@ def build_parser() -> _Parser:
     p.add_argument("--methods", default="all", help="comma list of methods or 'all'")
 
     p = stage("evaluate", "score forecasts and emit leaderboards", cmd_evaluate)
-    protocol(p)
     p.add_argument("--forecasts", nargs="+", required=True, help="forecast CSV file(s)")
     p.add_argument("--weekly", required=True, help="weekly series CSV with the actuals")
     p.add_argument("--top-n", type=int, default=100)

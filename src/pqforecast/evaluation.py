@@ -86,12 +86,8 @@ class Leaderboard:
         raise ConfigError(f"producer {producer!r} not on the leaderboard")
 
 
-def evaluate_corpus(
-    blocks: Iterable[ForecastBlock],
-    actuals: Mapping[str, np.ndarray],
-    benchmark: str = BENCHMARK_PRODUCER,
-    individual: bool = False,
-) -> tuple:
+def evaluate_corpus(blocks: Iterable[ForecastBlock], actuals: Mapping[str, np.ndarray],
+                    individual: bool = False) -> tuple:
     """Per-series sMAPE of every producer (series in sorted order) and the
     corpus leaderboard for one producer cohort; with ``individual``, a third
     item: the leaderboard of the individual models alone, ranked among
@@ -130,14 +126,14 @@ def evaluate_corpus(
 
     def leaderboard(rows: np.ndarray) -> Leaderboard:
         producers = [cohort[i] for i in rows]
-        if benchmark not in producers:
-            raise ConfigError(f"benchmark producer {benchmark!r} not in cohort")
+        if BENCHMARK_PRODUCER not in producers:
+            raise ConfigError(f"benchmark producer {BENCHMARK_PRODUCER!r} not in cohort")
         sums = np.zeros((len(rows), 3))  # mae, smape, rank per producer
         for series_id in series_ids:
             maes, smapes = (column[rows] for column in scores[series_id])
             sums += np.column_stack((maes, smapes, average_ranks(smapes)))
         means = sums / len(series_ids)
-        benchmark_smape = float(means[producers.index(benchmark), 1])
+        benchmark_smape = float(means[producers.index(BENCHMARK_PRODUCER), 1])
         board = [LeaderboardRow(p, float(m), float(s), float(r), benchmark_ratio(float(s), benchmark_smape))
                  for p, (m, s, r) in zip(producers, means)]
         board.sort(key=lambda r: (r.mean_smape, r.producer))

@@ -108,10 +108,11 @@ def _replacing(path: Path) -> Iterator[TextIO]:
 
 @contextmanager
 def _reading(path: Path) -> Iterator[TextIO]:
-    """``path`` opened as UTF-8 text; a byte that is not UTF-8 is a data
-    error naming the file, raised once for the whole block."""
+    """``path`` opened as UTF-8 text, skipping a leading byte-order mark; a
+    byte that is not UTF-8 is a data error naming the file, raised once for
+    the whole block."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from exc
@@ -605,7 +606,7 @@ def load_planning_levels(path: Path) -> dict[tuple[str, str], PlanningLevel]:
     numeric ``level`` entry."""
     parser = configparser.ConfigParser()
     try:  # a duplicate section or key, a key before any section, a line that is no key
-        read = parser.read(str(path), encoding="utf-8")
+        read = parser.read(str(path), encoding="utf-8-sig")  # a leading byte-order mark is skipped
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:

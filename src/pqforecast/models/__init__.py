@@ -10,14 +10,7 @@ composites share its STL decomposition.
 from __future__ import annotations
 
 from ..weekly import TEST_WEEKS
-from .base import (
-    PUBLIC_MODELS,
-    SEASONAL_PERIOD,
-    ForecastBlock,
-    ModelFit,
-    ModelId,
-    model_from_name,
-)
+from .base import PUBLIC_MODELS, ForecastBlock, ModelFit, ModelId, model_from_name
 from .baselines import predict_drift, predict_naive, predict_snaive
 from .fourier_trend import predict_fourier_trend
 from .sarima import predict_arima
@@ -43,16 +36,16 @@ def fit_predict(model: ModelId, window: TrainingWindow, h: int = TEST_WEEKS) -> 
     notes: list[str] = []
 
     if model is ModelId.SNAIVE:
-        values = predict_snaive(y, h, SEASONAL_PERIOD)
+        values = predict_snaive(y, h)
     elif model is ModelId.HW:
-        values = predict_hw(y, h, SEASONAL_PERIOD)
+        values = predict_hw(y, h)
     elif model is ModelId.PROPHET:
-        values = predict_fourier_trend(y, h, SEASONAL_PERIOD)
+        values = predict_fourier_trend(y, h)
     elif model is ModelId.SARIMA:
-        values, fit = predict_arima(y, h, SEASONAL_PERIOD, window.decomposition)
+        values, fit = predict_arima(y, h, window.decomposition)
         if fit is None:
             # a corpus run must not abort on one hard series
-            values = predict_snaive(y, h, SEASONAL_PERIOD)
+            values = predict_snaive(y, h)
             notes.append("sarima: no admissible order; snaive fallback")
     else:
         decomp = window.decomposition()
@@ -60,14 +53,14 @@ def fit_predict(model: ModelId, window: TrainingWindow, h: int = TEST_WEEKS) -> 
         if model is ModelId.STL_DRIFT:
             values = predict_drift(adjusted, h)
         elif model is ModelId.STL_ES:
-            values = predict_es(adjusted, h, SEASONAL_PERIOD)
+            values = predict_es(adjusted, h)
         elif model is ModelId.STL_HOLT:
-            values = predict_holt(adjusted, h, SEASONAL_PERIOD)
+            values = predict_holt(adjusted, h)
         else:
             values, fit = predict_arima(adjusted, h)
             if fit is None:
                 values = predict_naive(adjusted, h)
                 notes.append("arima inadmissible on adjusted series; naive fallback")
-        values = predict_snaive(decomp.seasonal, h, SEASONAL_PERIOD) + values
+        values = predict_snaive(decomp.seasonal, h) + values
 
     return ModelFit(model=model, values=values, notes=notes)

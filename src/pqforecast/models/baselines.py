@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError
+from .base import SEASONAL_PERIOD
 
 
 def predict_naive(y: np.ndarray, h: int) -> np.ndarray:
@@ -24,12 +25,12 @@ def predict_drift(y: np.ndarray, h: int) -> np.ndarray:
     return y[-1] + slope * np.arange(1, h + 1)
 
 
-def predict_snaive(y: np.ndarray, h: int, period: int) -> np.ndarray:
+def predict_snaive(y: np.ndarray, h: int) -> np.ndarray:
     """Repeat the corresponding value from the previous cycle."""
     y = np.asarray(y, dtype=float)
     n = len(y)
-    if n < period:
-        raise DataError(f"snaive: need at least one full period ({period}), got {n}")
+    if n < SEASONAL_PERIOD:
+        raise DataError(f"snaive: need at least one full period ({SEASONAL_PERIOD}), got {n}")
     steps = np.arange(1, h + 1)
-    cycles_back = np.ceil(steps / period).astype(int)
-    return y[n + steps - 1 - cycles_back * period]
+    cycles_back = np.ceil(steps / SEASONAL_PERIOD).astype(int)
+    return y[n + steps - 1 - cycles_back * SEASONAL_PERIOD]

@@ -14,6 +14,7 @@ import numpy as np
 
 from ..errors import DataError
 from ..numerics import least_squares
+from .base import SEASONAL_PERIOD
 
 N_CHANGEPOINTS = 10
 CHANGEPOINT_SPAN = 0.8
@@ -24,17 +25,17 @@ CHANGEPOINT_RIDGE = 1.0
 _CHANGEPOINTS = CHANGEPOINT_SPAN * np.arange(1, N_CHANGEPOINTS + 1) / N_CHANGEPOINTS
 
 
-def _design(t: np.ndarray, week_idx: np.ndarray, period: int) -> np.ndarray:
+def _design(t: np.ndarray, week_idx: np.ndarray) -> np.ndarray:
     columns = [np.ones_like(t), t]
     for cp in _CHANGEPOINTS:
         columns.append(np.maximum(t - cp, 0.0))
-    angles = 2.0 * np.pi * np.outer(week_idx, np.arange(1, FOURIER_ORDER + 1)) / period
+    angles = 2.0 * np.pi * np.outer(week_idx, np.arange(1, FOURIER_ORDER + 1)) / SEASONAL_PERIOD
     columns.append(np.cos(angles))
     columns.append(np.sin(angles))
     return np.column_stack(columns)
 
 
-def predict_fourier_trend(y: np.ndarray, h: int, period: int) -> np.ndarray:
+def predict_fourier_trend(y: np.ndarray, h: int) -> np.ndarray:
     """Fit the additive trend + seasonality regression and extrapolate ``h`` steps."""
     y = np.asarray(y, dtype=float)
     n = len(y)
@@ -46,12 +47,12 @@ def predict_fourier_trend(y: np.ndarray, h: int, period: int) -> np.ndarray:
     t_train = np.arange(n, dtype=float) / denom
     week_train = np.arange(n, dtype=float)
 
-    X = _design(t_train, week_train, period)
+    X = _design(t_train, week_train)
     ridge = np.zeros(X.shape[1])
     ridge[2 : 2 + N_CHANGEPOINTS] = CHANGEPOINT_RIDGE
     beta = least_squares(X, y, ridge)
 
     t_future = (n - 1 + np.arange(1, h + 1, dtype=float)) / denom
     week_future = n - 1 + np.arange(1, h + 1, dtype=float)
-    Xf = _design(t_future, week_future, period)
+    Xf = _design(t_future, week_future)
     return Xf @ beta

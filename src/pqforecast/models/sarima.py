@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import DataError
 from ..numerics import Decomposition, aicc, difference, gaussian_loglik, integrate_forecast, nelder_mead
-from .base import standardize
+from .base import SEASONAL_PERIOD, standardize
 
 ROOT_MARGIN = 1.001
 _PENALTY = 1e12
@@ -109,15 +109,15 @@ def _min_root_modulus(coeffs: Sequence[float], sign: float) -> float:
     return min(abs(r1), abs(r2))
 
 
-def _expand(nonseasonal: Sequence[float], seasonal: Sequence[float], m: int, sign: float) -> list[float]:
-    """(1 + sign*sum c_i B^i)(1 + sign*sum C_j B^{jm}) as a lag polynomial."""
+def _expand(nonseasonal: Sequence[float], seasonal: Sequence[float], lag: int, sign: float) -> list[float]:
+    """(1 + sign*sum c_i B^i)(1 + sign*sum C_j B^{j*lag}) as a lag polynomial."""
     k = len(nonseasonal)
-    poly = [0.0] * (k + m * len(seasonal) + 1)
+    poly = [0.0] * (k + lag * len(seasonal) + 1)
     poly[0] = 1.0
     poly[1 : k + 1] = [sign * c for c in nonseasonal]
     for j, coeff in enumerate(seasonal, start=1):
-        poly[j * m] += sign * coeff
-        for i, c in enumerate(nonseasonal, start=j * m + 1):
+        poly[j * lag] += sign * coeff
+        for i, c in enumerate(nonseasonal, start=j * lag + 1):
             poly[i] += coeff * c  # sign^2 = 1
     return poly
 
@@ -247,13 +247,13 @@ def fit_css(w: np.ndarray, order: SarimaOrder, eval_from: int | None = None,
                      aicc=aicc(ll, order.n_params, n_obs))
 
 
-def _candidate_orders(m: int, seasonal: bool, d: int, D: int) -> list[SarimaOrder]:
+def _candidate_orders(seasonal: bool, d: int, D: int) -> list[SarimaOrder]:
     ps = range(MAX_P + 1)
     qs = range(MAX_Q + 1)
     Ps = range(MAX_SEASONAL_P + 1) if seasonal else (0,)
     Qs = range(MAX_SEASONAL_Q + 1) if seasonal else (0,)
     orders = [
-        SarimaOrder(p, d, q, P, D, Q, m if seasonal else 1)
+        SarimaOrder(p, d, q, P, D, Q, SEASONAL_PERIOD if seasonal else 1)
         for p, q, P, Q in itertools.product(ps, qs, Ps, Qs)
         if p + q + P + Q <= MAX_ORDER
     ]
@@ -288,15 +288,16 @@ _SEASONAL_STRENGTH_THRESHOLD = 0.64
 Decompose = Callable[[], Decomposition]
 
 
-def choose_differencing(y: np.ndarray, m: int, decompose: Decompose | None) -> tuple[int, int]:
+def choose_differencing(y: np.ndarray, decompose: Decompose | None) -> tuple[int, int]:
     """Differencing orders from data heuristics: seasonal differencing when
     the seasonal component dominates the detrended variance, ordinary
     differencing when it reduces the standard deviation.
 
-    ``decompose`` is None for a non-seasonal model. Otherwise it gives the
-    STL split of the training window, which may be ``y`` in another affine
-    frame, since the seasonal strength does not depend on it; it is called
-    only when seasonal differencing is possible.
+    ``decompose`` is None for a non-seasonal model. Otherwise the model is
+    seasonal at ``SEASONAL_PERIOD`` and ``decompose`` gives the STL split of
+    the training window, which may be ``y`` in another affine frame, since
+    the seasonal strength does not depend on it; it is called only when
+    seasonal differencing is possible.
 
     One-step AICc cannot arbitrate differencing for long-horizon use (a
     near-unit-root ARMA shadows a seasonal cycle one step ahead but decays
@@ -304,10 +305,10 @@ def choose_differencing(y: np.ndarray, m: int, decompose: Decompose | None) -> t
     ARMA grid search.
     """
     D = 0
-    if decompose is not None and len(y) >= 2 * m:
+    if decompose is not None and len(y) >= 2 * SEASONAL_PERIOD:
         if seasonal_strength(decompose()) > _SEASONAL_STRENGTH_THRESHOLD:
             D = 1
-    z = difference(y, m) if D else y
+    z = difference(y, SEASONAL_PERIOD) if D else y
     d = 0
     if len(z) > 2:
         if np.std(z[1:] - z[:-1]) < np.std(z):
@@ -328,7 +329,7 @@ def _differenced(y: np.ndarray, order: SarimaOrder) -> tuple[np.ndarray, list[tu
     return w, stages
 
 
-def select_order(y: np.ndarray, m: int, decompose: Decompose | None) -> SarimaFit | None:
+def select_order(y: np.ndarray, decompose: Decompose | None) -> SarimaFit | None:
     """AICc grid search on a common evaluation window; None when nothing is
     admissible. Seasonal orders are searched when ``decompose`` is given
     (see :func:`choose_differencing`)."""
@@ -336,11 +337,11 @@ def select_order(y: np.ndarray, m: int, decompose: Decompose | None) -> SarimaFi
     n = len(y)
     seasonal = decompose is not None
 
-    d, D = choose_differencing(y, m, decompose)
+    d, D = choose_differencing(y, decompose)
     # degrade differencing when the series is too short for the chosen orders
     for d_try, D_try in dict.fromkeys([(d, D), (d, 0), (0, D), (0, 0)]):
         admissible = [
-            order for order in _candidate_orders(m, seasonal, d_try, D_try)
+            order for order in _candidate_orders(seasonal, d_try, D_try)
             if n - order.diff_loss >= MIN_LEN_AFTER_DIFF
             and n - order.natural_start >= _MIN_COMMON_OBS
         ]
@@ -390,13 +391,12 @@ def forecast_fit(y: np.ndarray, fit: SarimaFit, h: int) -> np.ndarray:
     return fc
 
 
-def predict_arima(y: np.ndarray, h: int, m: int = 1,
-                  decompose: Decompose | None = None) -> tuple[np.ndarray, SarimaFit | None]:
-    """Order selection (seasonal at period ``m`` when ``decompose`` gives the
-    STL split of ``y``) and forecast; (values, None) means the caller must
-    fall back."""
+def predict_arima(y: np.ndarray, h: int, decompose: Decompose | None = None) -> tuple[np.ndarray, SarimaFit | None]:
+    """Order selection (seasonal at ``SEASONAL_PERIOD`` when ``decompose``
+    gives the STL split of ``y``) and forecast; (values, None) means the
+    caller must fall back."""
     z, mu, sd = standardize(np.asarray(y, dtype=float))
-    fit = select_order(z, m, decompose)
+    fit = select_order(z, decompose)
     if fit is None:
         return np.array([]), None
     return mu + sd * forecast_fit(z, fit, h), fit

@@ -13,14 +13,15 @@ import numpy as np
 
 from ..errors import DataError
 from ..numerics import nelder_mead
-from .base import standardize
+from .base import SEASONAL_PERIOD, standardize
 
 PARAM_LO = 1e-4
 PARAM_HI = 0.9999
 
 
-def _initial_level_trend(y: np.ndarray, period: int, model: str) -> tuple[float, float]:
+def _initial_level_trend(y: np.ndarray, model: str) -> tuple[float, float]:
     """The first cycle's mean, and the change per step from it to the second cycle's mean."""
+    period = SEASONAL_PERIOD
     if len(y) < 2 * period:
         raise DataError(f"{model}: needs two seasons ({2 * period} observations), got {len(y)}")
     level = float(np.mean(y[:period]))
@@ -28,19 +29,10 @@ def _initial_level_trend(y: np.ndarray, period: int, model: str) -> tuple[float,
     return level, trend
 
 
-def _ses_run(y: list[float], alpha: float, level0: float) -> tuple[float, float]:
-    """One-step SSE and final level."""
-    alpha = float(alpha)
-    level = level0
-    sse = 0.0
-    for value in y:
-        err = value - level
-        sse += err * err
-        level += alpha * err
-    return sse, level
-
-
 def _holt_run(y: list[float], alpha: float, beta: float, level0: float, trend0: float) -> tuple[float, float, float]:
+    """One-step SSE, final level and final trend. With ``beta`` and
+    ``trend0`` at 0.0 each step does the float operations of simple
+    exponential smoothing, which is how ``predict_es`` runs it."""
     alpha, beta = float(alpha), float(beta)
     keep_trend = 1.0 - beta
     level, trend = level0, trend0
@@ -78,23 +70,23 @@ def _hw_run(
     return sse, level, trend, np.array(seasonal)
 
 
-def predict_es(y: np.ndarray, h: int, period: int = 52) -> np.ndarray:
+def predict_es(y: np.ndarray, h: int) -> np.ndarray:
     """Simple exponential smoothing; flat extrapolation of the final level."""
     z, mu, sd = standardize(np.asarray(y, dtype=float))
-    level0, _ = _initial_level_trend(z, period, "es")
+    level0, _ = _initial_level_trend(z, "es")
     values = z.tolist()
     result = nelder_mead(
-        lambda p: _ses_run(values, p[0], level0)[0],
+        lambda p: _holt_run(values, p[0], 0.0, level0, 0.0)[0],
         x0=[0.5], bounds=[(PARAM_LO, PARAM_HI)],
     )
-    _, level = _ses_run(values, result.argmin[0], level0)
+    _, level, _ = _holt_run(values, result.argmin[0], 0.0, level0, 0.0)
     return np.full(h, mu + sd * level)
 
 
-def predict_holt(y: np.ndarray, h: int, period: int = 52) -> np.ndarray:
+def predict_holt(y: np.ndarray, h: int) -> np.ndarray:
     """Holt's linear trend method."""
     z, mu, sd = standardize(np.asarray(y, dtype=float))
-    level0, trend0 = _initial_level_trend(z, period, "holt")
+    level0, trend0 = _initial_level_trend(z, "holt")
     values = z.tolist()
     result = nelder_mead(
         lambda p: _holt_run(values, p[0], p[1], level0, trend0)[0],
@@ -105,11 +97,11 @@ def predict_holt(y: np.ndarray, h: int, period: int = 52) -> np.ndarray:
     return mu + sd * (level + trend * np.arange(1, h + 1))
 
 
-def predict_hw(y: np.ndarray, h: int, period: int = 52) -> np.ndarray:
+def predict_hw(y: np.ndarray, h: int) -> np.ndarray:
     """Holt-Winters with additive trend and additive seasonality."""
     z, mu, sd = standardize(np.asarray(y, dtype=float))
-    level0, trend0 = _initial_level_trend(z, period, "hw")
-    seasonal0 = (z[:period] - np.mean(z[:period])).tolist()
+    level0, trend0 = _initial_level_trend(z, "hw")
+    seasonal0 = (z[:SEASONAL_PERIOD] - np.mean(z[:SEASONAL_PERIOD])).tolist()
     values = z.tolist()
     result = nelder_mead(
         lambda p: _hw_run(values, p[0], p[1], p[2], level0, trend0, seasonal0)[0],
@@ -118,5 +110,5 @@ def predict_hw(y: np.ndarray, h: int, period: int = 52) -> np.ndarray:
     alpha, beta, gamma = result.argmin
     _, level, trend, seasonal = _hw_run(values, alpha, beta, gamma, level0, trend0, seasonal0)
     steps = np.arange(1, h + 1)
-    seasonal_idx = len(z) + (steps - 1) % period
+    seasonal_idx = len(z) + (steps - 1) % SEASONAL_PERIOD
     return mu + sd * (level + trend * steps + seasonal[seasonal_idx])

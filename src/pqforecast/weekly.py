@@ -247,12 +247,11 @@ def normalize(series: WeeklySeries, pl: PlanningLevel) -> WeeklySeries:
     )
 
 
-def split_train_test(series: WeeklySeries, train_len: int = TRAIN_WEEKS,
-                     horizon: int = TEST_WEEKS) -> tuple[WeeklySeries, WeeklySeries]:
-    """First ``train_len`` weeks for training, the next ``horizon`` for
+def split_train_test(series: WeeklySeries) -> tuple[WeeklySeries, WeeklySeries]:
+    """First ``TRAIN_WEEKS`` weeks for training, the next ``TEST_WEEKS`` for
     testing; the rest is ignored so every series is evaluated on an
-    identical geometry (105 + 52 weeks by default)."""
-    needed = train_len + horizon
+    identical geometry (105 + 52 weeks)."""
+    needed = TRAIN_WEEKS + TEST_WEEKS
     if len(series) < needed:
         raise DataError(f"{series.series_id}: insufficient history ({len(series)} weeks, need {needed})")
 
@@ -260,5 +259,5 @@ def split_train_test(series: WeeklySeries, train_len: int = TRAIN_WEEKS,
         return WeeklySeries(series.series_id, start_week, series.values[lo:hi].copy(),
                             series.filled_flags[lo:hi].copy())
 
-    return (part(0, train_len, series.start_week),
-            part(train_len, needed, add_weeks(series.start_week, train_len)))
+    return (part(0, TRAIN_WEEKS, series.start_week),
+            part(TRAIN_WEEKS, needed, add_weeks(series.start_week, TRAIN_WEEKS)))

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import argparse
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,7 @@ import pqforecast.models.sarima
 import pqforecast.models.stl_models
 
 from pqforecast import io as pqio
-from pqforecast.cli import main
+from pqforecast.cli import build_parser, main
 from pqforecast.ensembles import CombinationMethod, ensemble_producers
 from pqforecast.models import PUBLIC_MODELS, ForecastBlock
 from pqforecast.weekly import WeeklySeries
@@ -92,6 +94,27 @@ class TestPreprocessCommand:
         filled = next(s for s in accepted if s.series_id == corpus[2].series_id)
         assert filled.filled_flags[3]
         assert filled.values[3] == filled.values[2]
+
+    def test_byte_order_marks_change_no_output_byte(self, tmp_path):
+        from pqforecast.synth import SyntheticSpec, generate_corpus
+
+        corpus, _ = generate_corpus(SyntheticSpec(n_series=2, length_weeks=10, rng_seed=5))
+        pqio.write_raw_csv(tmp_path / "raw.csv", [pqio.weekly_to_raw(corpus[0]),
+                                                  pqio.weekly_to_raw(corpus[1], [2, 4, 6])])
+        pairs = sorted({tuple(s.series_id.split(":")[1:]) for s in corpus})
+        pqio.write_planning_levels(tmp_path / "levels.ini", [
+            pqio.PlanningLevel(parameter=p, voltage_level=v, level=100.0) for p, v in pairs
+        ])
+        marked = tmp_path / "marked"
+        marked.mkdir()
+        for name in ("raw.csv", "levels.ini"):
+            (marked / name).write_bytes(b"\xef\xbb\xbf" + (tmp_path / name).read_bytes())
+        for base in (tmp_path, marked):
+            assert run("preprocess", "--raw", base / "raw.csv", "--planning-levels", base / "levels.ini",
+                       "--out", base / "out") == 0
+        assert len((tmp_path / "out" / "rejections.csv").read_text().splitlines()) == 2  # one accepted, one not
+        for name in ("weekly.csv", "rejections.csv"):
+            assert (marked / "out" / name).read_bytes() == (tmp_path / "out" / name).read_bytes(), name
 
     def test_missing_planning_level_exit_usage(self, tmp_path):
         corpus, _ = __import__("pqforecast.synth", fromlist=["generate_corpus"]).generate_corpus(
@@ -269,17 +292,6 @@ class TestForecastCommand:
         huge = pqio.read_forecast_csv(tmp_path / "all" / "forecasts.csv")[0]
         assert huge.series_id == corpus[0].series_id
         assert len(huge.producers) == 8 and np.isfinite(huge.values).all()
-
-    def test_train_len_override_requires_pair(self, tmp_path):
-        write_weekly(tmp_path / "weekly.csv", n_series=1, seed=3)
-        assert run("forecast", "--weekly", tmp_path / "weekly.csv", "--models", "SNaive",
-                   "--train-len", 60, "--out", tmp_path / "o") == 1
-
-    def test_one_year_window_fails_two_season_models(self, tmp_path, capsys):
-        write_weekly(tmp_path / "weekly.csv", n_series=1, seed=3)
-        assert run("forecast", "--weekly", tmp_path / "weekly.csv",
-                   "--train-len", 53, "--horizon", 52, "--out", tmp_path / "o") == 2
-        assert "two seasons (104 observations), got 53" in capsys.readouterr().err
 
     @pytest.mark.parametrize("models, decompositions", [("all", 3), ("SNaive,Prophet", 0)])
     def test_one_decomposition_per_series(self, tmp_path, monkeypatch, models, decompositions):
@@ -682,11 +694,13 @@ class TestMalformedForecastTable:
             line = len(lines) - len(moved) + 1
             assert f"{path}:{line}: series {series[0].series_id} resumes after other series" in err
 
-    def test_table_horizon_differs_from_option(self, tmp_path, corpus, capsys):
+    def test_table_horizon_differs_from_option(self, tmp_path, corpus, rng, capsys):
         series, path = corpus
+        pqio.write_forecast_csv(path, [ForecastBlock(s.series_id, MODEL_NAMES, rng.uniform(5.0, 50.0, (8, 53)))
+                                       for s in series])
         assert run("evaluate", "--forecasts", path, "--weekly", tmp_path / "weekly.csv",
-                   "--train-len", 104, "--horizon", 53, "--out", tmp_path / "ev") == 2
-        assert f"{path}: {series[0].series_id}: 52 steps, horizon is 53" in capsys.readouterr().err
+                   "--out", tmp_path / "ev") == 2
+        assert f"{path}: {series[0].series_id}: 53 steps, horizon is 52" in capsys.readouterr().err
 
     @pytest.mark.parametrize("label", ["B99:mean", "B01:avg"])
     def test_bad_ensemble_label_names_line(self, tmp_path, corpus, capsys, label):
@@ -722,11 +736,23 @@ class TestStageFlags:
         ["synth", "--n-series", "1", "--config", "c.ini"],
         ["report", "--eval-dir", "ev", "--seed", "1"],
         ["forecast", "--weekly", "w.csv", "--config", "c.ini"],
+        ["forecast", "--weekly", "w.csv", "--train-len", "105"],
+        ["evaluate", "--forecasts", "f.csv", "--weekly", "w.csv", "--horizon", "52"],
     ])
     def test_flag_of_another_stage_is_usage_error(self, tmp_path, capsys, argv):
         assert run(*argv, "--out", tmp_path / "o") == 1
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_readme_names_only_flags_of_some_stage(self):
+        """Every ``--flag`` in README.md is an option of some stage, so a
+        deleted flag cannot stay documented."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = {flag for stage in subparsers.choices.values() for action in stage._actions
+                   for flag in action.option_strings}
+        documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme))
+        assert documented and documented <= options, sorted(documented - options)
 
 
 def test_perfbench_tracer_wraps_every_target_of_every_stage(tmp_path):

@@ -5,6 +5,7 @@ import io
 import json
 import re
 import tracemalloc
+import types
 from datetime import datetime, timezone
 
 import numpy as np
@@ -1125,6 +1126,43 @@ class TestPlanningLevels:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             pqio.load_planning_levels(tmp_path / "absent.ini")
+
+
+def as_plain(obj):
+    """What a reader returns, as nested tuples with arrays as their bytes,
+    so two reads compare with ``==``."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    if isinstance(obj, dict):
+        return tuple((key, as_plain(value)) for key, value in obj.items())
+    if hasattr(obj, "__dict__"):  # a dataclass
+        return type(obj).__name__, as_plain(vars(obj))
+    if isinstance(obj, (list, tuple, types.GeneratorType)):
+        return tuple(as_plain(item) for item in obj)
+    return obj
+
+
+@pytest.mark.parametrize("write, read", [
+    pytest.param(lambda path: pqio.write_raw_csv(path, [pqio.weekly_to_raw(weekly([10.0]))]),
+                 pqio.read_raw_csv, id="read_raw_csv"),
+    pytest.param(lambda path: pqio.write_weekly_csv(path, [weekly([1.5, 2.5], filled=np.array([False, True]))]),
+                 pqio.read_weekly_csv, id="read_weekly_csv"),
+    pytest.param(lambda path: pqio.write_forecast_csv(path, [ForecastBlock("s1", ["SNaive", "HW"],
+                                                                           np.arange(6.0).reshape(2, 3))]),
+                 pqio.iter_forecast_csv, id="iter_forecast_csv"),
+    pytest.param(lambda path: pqio.write_leaderboard_csv(path, Leaderboard(
+                     rows=[LeaderboardRow("SNaive", 4.62, 20.88, 1.0, 1.0)], n_series=3)),
+                 pqio.read_leaderboard_csv, id="read_leaderboard_csv"),
+    pytest.param(lambda path: pqio.write_planning_levels(path, [PlanningLevel("UNB", "220", 1.4)]),
+                 pqio.load_planning_levels, id="load_planning_levels"),
+])
+def test_reader_skips_a_byte_order_mark(tmp_path, write, read):
+    """A file that a spreadsheet saved with a UTF-8 byte-order mark reads as
+    the same file without it."""
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    write(plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert as_plain(read(marked)) == as_plain(read(plain))
 
 
 class TestRejectionsAndManifest:
