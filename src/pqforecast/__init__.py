@@ -14,7 +14,6 @@ from .evaluation import Leaderboard, benchmark_ratio, evaluate_corpus, mae, smap
 from .models import ForecastBlock, ModelId, PUBLIC_MODELS, TrainingWindow, fit_predict
 from .weekly import (
     PlanningLevel,
-    RawSeries,
     Rejection,
     WeeklySeries,
     aggregate_weekly,
@@ -44,7 +43,6 @@ __all__ = [
     "TrainingWindow",
     "fit_predict",
     "PlanningLevel",
-    "RawSeries",
     "Rejection",
     "WeeklySeries",
     "aggregate_weekly",

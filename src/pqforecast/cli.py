@@ -77,9 +77,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.mode == "weekly":
         pqio.write_weekly_csv(out / "weekly.csv", corpus)
         print(f"synth: wrote {len(corpus)} weekly series to {out / 'weekly.csv'}")
-    else:  # one series' 10-minute samples at a time
-        pqio.write_raw_csv(out / "raw.csv", (pqio.weekly_to_raw(s, t.missing_weeks)
-                                             for s, t in zip(corpus, truths)))
+    else:  # one week of 10-minute samples at a time
+        pqio.write_raw_csv(out / "raw.csv", ((s, t.missing_weeks) for s, t in zip(corpus, truths)))
         pairs = sorted({tuple(s.series_id.split(":")[1:]) for s in corpus})
         levels = [pqio.PlanningLevel(parameter=p, voltage_level=v, level=100.0) for p, v in pairs]
         pqio.write_planning_levels(out / "planning_levels.ini", levels)
@@ -97,18 +96,18 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     rejections = []
     source: dict[str, str] = {}
     for path in args.raw:
-        for raw in pqio.read_raw_csv(Path(path)):
-            if raw.series_id in source:
-                raise DataError(f"{raw.series_id}: in both {source[raw.series_id]} and {path}")
-            source[raw.series_id] = path
-            key = SeriesKey.try_parse(raw.series_id)
+        for series_id, start_week, p95 in pqio.read_raw_csv(Path(path), aggregate_weekly):
+            if series_id in source:
+                raise DataError(f"{series_id}: in both {source[series_id]} and {path}")
+            source[series_id] = path
+            key = SeriesKey.try_parse(series_id)
             if key is None:
-                raise DataError(f"{raw.series_id}: series id is not site:parameter:voltage")
+                raise DataError(f"{path}: {series_id}: series id is not site:parameter:voltage")
             pl = levels.get((key.parameter, key.voltage_level))
             if pl is None:
                 raise ConfigError(f"no planning level for ({key.parameter}, {key.voltage_level}) "
-                                  f"needed by {raw.series_id}")
-            result = fill_gaps(raw.series_id, *aggregate_weekly(raw))
+                                  f"needed by {series_id}")
+            result = fill_gaps(series_id, start_week, p95)
             if isinstance(result, WeeklySeries):
                 accepted.append(normalize(result, pl))
             else:

@@ -13,8 +13,11 @@ the plain form of the row before it that continues that row's series, and
 a raw line in its series' plain form on the date of that series' last row
 that the csv module parsed, are taken from their text directly; every
 other line goes through the csv module (``_Records``), with the same
-acceptance, errors and ``file:line`` either way. The forecast table travels as one ``ForecastBlock`` per series, a
-(producers x horizon) matrix, in both directions, one series at a time:
+acceptance, errors and ``file:line`` either way. The raw table is read
+into one calendar week per series at a time (``weekly.RawWeeks``) and
+written from weekly series, a week at a time. The forecast table travels
+as one ``ForecastBlock`` per series, a (producers x horizon) matrix, in
+both directions, one series at a time:
 both ``write_forecast_csv`` and ``iter_forecast_csv`` take or give the
 blocks lazily, so a stage that streams them holds one series at a time.
 Its reader takes rows only in the writer's order, series by series and
@@ -32,12 +35,13 @@ from __future__ import annotations
 import configparser
 import csv
 import json
+import math
 import os
 import re
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta
 from io import StringIO
 from pathlib import Path
 from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar
@@ -55,13 +59,13 @@ from .evaluation import (
 from .ensembles import parse_producer
 from .models import ForecastBlock
 from .weekly import (
-    SAMPLES_PER_WEEK,
     PlanningLevel,
-    RawSeries,
+    RawWeeks,
     Rejection,
+    WeekId,
     WeeklySeries,
     add_weeks,
-    minute_isoformat,
+    aggregate_weekly,
     utc_minute,
     week_start,
 )
@@ -77,9 +81,6 @@ COMPARISON_HEADER = ["series_id", "individual_smape", "ensemble_smape", "relativ
 ECDF_HEADER = ["relative_improvement", "cumulative_probability"]
 
 T = TypeVar("T")
-
-_FIRST_MINUTE = utc_minute(datetime.min)  # the minutes a ``datetime`` holds
-_LAST_MINUTE = utc_minute(datetime.max.replace(second=0, microsecond=0))
 
 # The start of a raw line in a plain form: the id (bare, or quoted on one
 # line), a comma, then the timestamp (bare or quoted) as 'YYYY-MM-DD', 'T'
@@ -199,10 +200,14 @@ def _take_row(path: Path, line_num: int, take: Callable[[list[str]], T], row: li
 
 # -- raw measurements -------------------------------------------------------
 
-def read_raw_csv(path: Path) -> list[RawSeries]:
-    """Parse 10-minute measurements grouped by series, in file order, into
-    flat typed buffers of UTC minutes and values. A naive timestamp is UTC,
-    one with an offset is converted.
+def read_raw_csv(path: Path, aggregate: Callable[[RawWeeks], float] = aggregate_weekly
+                 ) -> list[tuple[str, Optional[WeekId], np.ndarray]]:
+    """Read 10-minute measurements into one ``RawWeeks`` per series and
+    return what each gives on ``close``, in file order. A naive timestamp is
+    UTC, one with an offset is converted. Each series' rows must come in
+    time order: only its current week is held, handed to ``aggregate`` once
+    its next week begins. A malformed line raises at once; the first series
+    with a sample off the grid, out of order or invalid raises at the end.
 
     A line on the date of its series' last row that went through the csv
     module, in that row's plain form (``sid,YYYY-MM-DDTHH:MM``, id and
@@ -215,15 +220,18 @@ def read_raw_csv(path: Path) -> list[RawSeries]:
     with a comma is read so only right after its own rows. Every other line
     goes through the csv module, and a row in no plain form hands the rest
     of its date to it, with the same acceptance, errors and ``file:line``
-    either way."""
-    columns: dict[str, tuple[array, array]] = {}
+    either way; so does a plain line that starts its series' next week."""
+    series: dict[str, RawWeeks] = {}
     clock = {f"{h:02}:{m:02}": 60 * h + m for h in range(24) for m in range(60)}  # 'HH:MM' -> minute
 
-    def take(row: list[str]) -> None:
+    def take(row: list[str]) -> int:
         series_id, ts_text, value_text = row
-        minutes, values = columns.get(series_id) or columns.setdefault(series_id, (array("q"), array("d")))
-        minutes.append(utc_minute(datetime.fromisoformat(ts_text)))
-        values.append(float(value_text))
+        minute = utc_minute(datetime.fromisoformat(ts_text))
+        weeks = series.get(series_id)
+        if weeks is None:
+            weeks = series[series_id] = RawWeeks(series_id, minute, aggregate)
+        weeks.add(minute, float(value_text))
+        return minute
 
     with _reading(path) as fh:
         records, line_num = _header(path, fh, RAW_HEADER)
@@ -233,22 +241,24 @@ def read_raw_csv(path: Path) -> list[RawSeries]:
         # 'YYYY-MM-DDT' of its last row in a plain form (head), where the
         # clock key starts and ends, that day's UTC minute at 00:00, the
         # row's seconds and offset with the comma, where the value starts,
-        # and the appends to its buffers.
+        # the appends to its week's buffers, and the clock minute at which
+        # that date reaches the series' next week.
         forms: dict[str, tuple] = {}
-        no_form = (None,) * 8
+        no_form, no_clock = (None,) * 9, math.inf  # no_clock: never before the next week
         head = None
         for line in fh:
             if head is None or not line.startswith(head):  # another series or date
-                head, start, mid, day, ending, stop, add_minute, add_value = forms.get(line[:line.find(",")], no_form)
+                head, start, mid, day, ending, stop, add_minute, add_value, cut = forms.get(
+                    line[:line.find(",")], no_form)
                 if head is not None and not line.startswith(head):
                     head = None
-            # A line of head, a clock key, that row's ending and a text
-            # float() accepts holds no other ',' or '"', so the csv module
-            # would give the same three fields and take() the same minute
-            # and value: take it without them.
+            # A line of head, a clock key before the next week, that row's
+            # ending and a text float() accepts holds no other ',' or '"',
+            # so the csv module would give the same three fields and take()
+            # the same minute and value: take it without them.
             if head is not None and len(line) <= limit:
-                minute = clock.get(line[start:mid])
-                if minute is not None and line.startswith(ending, mid):
+                minute = clock.get(line[start:mid], no_clock)
+                if minute < cut and line.startswith(ending, mid):
                     try:
                         add_value(float(line[stop:]))
                     except ValueError:
@@ -260,14 +270,14 @@ def read_raw_csv(path: Path) -> list[RawSeries]:
             row, line_num = records(line, line_num)
             if not row:
                 continue
-            _take_row(path, line_num, take, row, len(RAW_HEADER))
+            taken = _take_row(path, line_num, take, row, len(RAW_HEADER))
             plain = _PLAIN_RAW.match(line)  # then the row's id and timestamp are its groups
             minute = clock.get(plain["clock"]) if plain else None
             if minute is not None:  # the lines that follow in its form are taken as above
-                minutes, values = columns[row[0]]
-                head, start, mid, day, ending, stop, add_minute, add_value = forms[plain["id"]] = (
-                    plain["head"], plain.start("clock"), plain.end("clock"), minutes[-1] - minute, plain["ending"],
-                    plain.end(), minutes.append, values.append)
+                weeks, day = series[row[0]], taken - minute
+                head, start, mid, day, ending, stop, add_minute, add_value, cut = forms[plain["id"]] = (
+                    plain["head"], plain.start("clock"), plain.end("clock"), day, plain["ending"],
+                    plain.end(), weeks.minutes.append, weeks.samples.append, weeks.end - day)
                 continue
             # Lines in no plain form come in runs: the csv module alone
             # parses the rows that follow on this row's date.
@@ -281,42 +291,29 @@ def read_raw_csv(path: Path) -> list[RawSeries]:
                             break
             except csv.Error as exc:
                 raise DataError(f"{path}:{bulk.line_num - before}: {exc}") from exc
-    # The loop below drops each series' buffers once its array is built, so
-    # nothing else may hold them: not the forms' appends, nor the last one's.
-    forms.clear()
-    minutes = values = add_minute = add_value = None
-    if not columns:
+    if not series:
         raise DataError(f"{path}: no data")
-    try:  # each series' buffers are dropped once its array is built
-        return [RawSeries.from_columns(sid, *columns.pop(sid)) for sid in list(columns)]
+    try:
+        return [weeks.close() for weeks in series.values()]
     except DataError as exc:  # a sample off the grid, out of order or invalid
         raise DataError(f"{path}: {exc}") from exc
 
 
-def write_raw_csv(path: Path, series: Iterable[RawSeries]) -> None:
-    """The bytes ``_write_csv`` would write, one ``write`` per 1,008 rows,
-    each value with ``repr``; a minute ``datetime`` cannot hold raises as there."""
+def write_raw_csv(path: Path, series: Iterable[tuple[WeeklySeries, Sequence[int]]]) -> None:
+    """Each weekly series, but for its missing weeks, as 10-minute samples
+    of the week's value from Monday 00:00 UTC (the weekly 95th percentile of
+    constant data is the value itself): the bytes the csv writer writes,
+    each value with ``repr``, one ``write`` per week."""
+    clock = [f"T{h:02}:{m:02}:00+00:00," for h in range(24) for m in range(0, 60, 10)]
     with _replacing(path) as fh:
         csv.writer(fh).writerow(RAW_HEADER)
-        for s in series:
-            minutes, values = s.samples["minute"], s.samples["value"]
-            for minute in minutes[(minutes < _FIRST_MINUTE) | (minutes > _LAST_MINUTE)][:1].tolist():
-                minute_isoformat(minute)  # raises, as for the row when _write_csv wrote it
-            prefix = _csv_fields(s.series_id, "")  # 'id,': a lone empty field would be quoted
-            for i in range(0, len(minutes), SAMPLES_PER_WEEK):  # memory does not grow with the series
-                stamps = np.datetime_as_string(minutes[i:i + SAMPLES_PER_WEEK].astype("datetime64[m]"), unit="s")
-                fh.write("".join([f"{prefix}{stamp}+00:00,{value!r}\r\n" for stamp, value
-                                  in zip(stamps.tolist(), values[i:i + SAMPLES_PER_WEEK].tolist())]))
-
-
-def weekly_to_raw(series: WeeklySeries, missing_weeks: Sequence[int] = ()) -> RawSeries:
-    """Expand a weekly series to a constant-valued 10-minute grid (the weekly
-    95th percentile of constant data is the value itself)."""
-    weeks = np.setdiff1d(np.arange(len(series)), missing_weeks)
-    monday = utc_minute(datetime.combine(week_start(series.start_week), datetime.min.time()))
-    minutes = monday + 10 * (SAMPLES_PER_WEEK * weeks[:, None] + np.arange(SAMPLES_PER_WEEK))
-    return RawSeries.from_columns(series.series_id, minutes.ravel(),
-                                  np.repeat(series.values[weeks], SAMPLES_PER_WEEK))
+        for s, missing in series:
+            prefix, missing = _csv_fields(s.series_id, ""), set(missing)  # 'id,': a lone empty field is quoted
+            monday = week_start(s.start_week)
+            for w, value in enumerate(s.values.tolist()):
+                if w not in missing:
+                    days = [prefix + (monday + timedelta(weeks=w, days=d)).isoformat() for d in range(7)]
+                    fh.write("".join([f"{day}{time}{value!r}\r\n" for day in days for time in clock]))
 
 
 # -- weekly series ----------------------------------------------------------

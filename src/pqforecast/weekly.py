@@ -6,7 +6,11 @@ series:
 
 1. ``aggregate_weekly`` - 95th percentile per full calendar week (Monday to
    Sunday, UTC), a week being valid only if at least 95 % of its 1008
-   10-minute samples are present; an invalid week's value is ``NaN``.
+   10-minute samples are present; an invalid week's value is ``NaN``. A
+   series' samples arrive in time order and ``RawWeeks`` holds only the
+   current week of each: each week's samples are checked and aggregated as
+   soon as the series' next week begins, so memory does not grow with the
+   series' length.
 2. ``fill_gaps`` - carry the most recent valid weekly value forward over
    gaps of at most 10 weeks; series with more than 20 % missing weeks or an
    unfillable gap are rejected (not an error: rejection is a normal outcome
@@ -20,10 +24,11 @@ series:
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,7 +47,6 @@ NAIVE_EPOCH = datetime(1970, 1, 1)
 EPOCH = NAIVE_EPOCH.replace(tzinfo=timezone.utc)
 MINUTES_PER_WEEK = 7 * 24 * 60
 MONDAY_MINUTE = 4 * 24 * 60  # 1970-01-05, the first Monday after the epoch
-RAW_DTYPE = np.dtype([("minute", np.int64), ("value", np.float64)])  # UTC minute since the epoch
 
 
 def week_start(week: WeekId) -> date:
@@ -64,10 +68,6 @@ def utc_minute(ts: datetime) -> int:
     return delta.days * 1440 + delta.seconds // 60
 
 
-def minute_isoformat(minute: int) -> str:
-    return (EPOCH + timedelta(minutes=int(minute))).isoformat()
-
-
 @dataclass(frozen=True)
 class SeriesKey:
     """Decomposed series identifier: ``site:parameter:voltage_kv``."""
@@ -82,44 +82,6 @@ class SeriesKey:
         if len(parts) != 3 or not all(parts):
             return None
         return cls(parts[0], parts[1], parts[2])
-
-
-@dataclass
-class RawSeries:
-    """10-minute measurements for one (site, parameter) pair: one
-    ``RAW_DTYPE`` array of UTC minutes since the epoch and values.
-
-    Minutes must be strictly increasing, unique and on the 10-minute grid;
-    values are nonnegative and in the parameter's native unit.
-    """
-
-    series_id: str
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=RAW_DTYPE)
-        minutes, values = self.samples["minute"], self.samples["value"]
-        off_grid = minutes % 10 != 0
-        unordered = np.diff(minutes, prepend=minutes[:1] - 1) <= 0
-        invalid = ~np.isfinite(values) | (values < 0)
-        bad = off_grid | unordered | invalid
-        if not bad.any():
-            return
-        i = int(bad.argmax())  # the first offending sample, checked as it was
-        at = minute_isoformat(minutes[i])
-        if off_grid[i]:
-            raise DataError(f"{self.series_id}: timestamp {at} is not on the 10-minute grid")
-        if unordered[i]:
-            if minutes[i] == minutes[i - 1]:
-                raise DataError(f"{self.series_id}: duplicate timestamp {at}")
-            raise DataError(f"{self.series_id}: timestamps not strictly increasing at {at}")
-        raise DataError(f"{self.series_id}: invalid value {float(values[i])!r} at {at}")
-
-    @classmethod
-    def from_columns(cls, series_id: str, minutes, values) -> "RawSeries":
-        samples = np.empty(len(minutes), dtype=RAW_DTYPE)
-        samples["minute"], samples["value"] = minutes, values
-        return cls(series_id, samples)
 
 
 @dataclass(frozen=True)
@@ -177,46 +139,115 @@ class Rejection:
     reason: RejectionReason
 
 
-def aggregate_weekly(raw: RawSeries) -> tuple[WeekId, np.ndarray]:
-    """Aggregate 10-minute samples to weekly 95th percentiles.
-
-    Only full calendar weeks (Monday 00:00 to Sunday 24:00 UTC) inside the
-    data span count. Returns the first week and one percentile per week,
-    ``NaN`` for a week with fewer than ``MIN_SAMPLES_PER_WEEK`` samples; the
-    percentile estimator is linear interpolation between order statistics.
+class RawWeeks:
+    """One series' 10-minute samples, one calendar week (Monday 00:00 to
+    Sunday 24:00 UTC) at a time: ``add`` takes them in the order they
+    arrive, and ``minutes`` (UTC minutes since the epoch) and ``samples``
+    (values) hold the current week's. A sample of a later week, or
+    ``close``, first hands the week to ``aggregate`` (``aggregate_weekly``),
+    which checks it and gives its percentile. One percentile is kept per
+    full calendar week of the span, from the first Monday 00:00 at or after
+    the first sample; a week without samples is ``NaN``. The first sample
+    that fails the check ends the series: ``close`` raises its error.
     """
-    minutes, values = raw.samples["minute"], raw.samples["value"]
-    if not len(minutes):
-        raise DataError(f"{raw.series_id}: no data")
 
-    # First Monday 00:00 at or after the first sample.
-    start = int(minutes[0]) + (MONDAY_MINUTE - int(minutes[0])) % MINUTES_PER_WEEK
-    # Last sample covers [t, t + 10 min); the final full week must end by then.
-    n_weeks = (int(minutes[-1]) + 10 - start) // MINUTES_PER_WEEK
-    if n_weeks < 1:
-        raise DataError(f"{raw.series_id}: span too short (no full calendar week)")
+    def __init__(self, series_id: str, first_minute: int, aggregate: Callable[["RawWeeks"], float]) -> None:
+        self.series_id, self.aggregate = series_id, aggregate
+        self.minutes, self.samples = array("q"), array("d")
+        self.span_start = first_minute + (MONDAY_MINUTE - first_minute) % MINUTES_PER_WEEK
+        self.end = _week_end(first_minute)  # of the current week
+        self.p95 = array("d")  # the span's weeks so far
+        self.error: Optional[DataError] = None
 
-    bounds = np.searchsorted(minutes, start + MINUTES_PER_WEEK * np.arange(n_weeks + 1)).tolist()
-    p95 = np.full(n_weeks, np.nan)
-    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        if hi - lo >= MIN_SAMPLES_PER_WEEK:
-            p95[i] = np.percentile(values[lo:hi], 95)
-    iso = (EPOCH + timedelta(minutes=start)).isocalendar()
-    return (iso[0], iso[1]), p95
+    def add(self, minute: int, value: float) -> None:
+        if minute >= self.end:
+            self._hand_out(last=False)
+            self.end = _week_end(minute)
+        self.minutes.append(minute)
+        self.samples.append(value)
+        if len(self.samples) > SAMPLES_PER_WEEK:  # more than a week holds: the check fails
+            self._hand_out(last=False)
+
+    def close(self) -> tuple[str, Optional[WeekId], np.ndarray]:
+        """The series' id, first week and weekly percentiles (none, and no
+        first week, when the span holds no full calendar week)."""
+        self._hand_out(last=True)
+        if self.error is not None:
+            raise self.error
+        week = (EPOCH + timedelta(minutes=self.span_start)).isocalendar()[:2] if self.p95 else None
+        return self.series_id, week, np.array(self.p95)
+
+    def _hand_out(self, last: bool) -> None:
+        if self.error is None:
+            try:
+                p95 = self.aggregate(self)
+            except DataError as exc:
+                self.error = exc
+            else:
+                week = (self.end - self.span_start) // MINUTES_PER_WEEK - 1  # -1: the first, partial week
+                if week >= 0:
+                    self.p95.extend([math.nan] * (week - len(self.p95)))  # weeks without a sample
+                    # The last sample covers [t, t + 10 min); the final
+                    # full week must end by then.
+                    if not last or self.minutes[-1] + 10 >= self.end:
+                        self.p95.append(p95)
+        del self.minutes[:], self.samples[:]
 
 
-def fill_gaps(series_id: str, start_week: WeekId, p95: np.ndarray) -> WeeklySeries | Rejection:
+def _week_end(minute: int) -> int:
+    """The next Monday 00:00 after ``minute``."""
+    return minute - (minute - MONDAY_MINUTE) % MINUTES_PER_WEEK + MINUTES_PER_WEEK
+
+
+def aggregate_weekly(week: RawWeeks) -> float:
+    """Check one calendar week's samples and return their 95th percentile,
+    ``NaN`` for a week with fewer than ``MIN_SAMPLES_PER_WEEK`` samples. The
+    first sample off the 10-minute grid, not after the one before it, or
+    with a negative or non-finite value raises.
+    """
+    minutes, values = np.array(week.minutes), np.array(week.samples)
+    off_grid = minutes % 10 != 0
+    unordered = np.diff(minutes, prepend=minutes[:1] - 1) <= 0
+    invalid = ~np.isfinite(values) | (values < 0)
+    bad = off_grid | unordered | invalid
+    if bad.any():
+        i = int(bad.argmax())  # the first offending sample, checked as it was
+        at = (EPOCH + timedelta(minutes=int(minutes[i]))).isoformat()
+        if off_grid[i]:
+            raise DataError(f"{week.series_id}: timestamp {at} is not on the 10-minute grid")
+        if unordered[i]:
+            if minutes[i] == minutes[i - 1]:
+                raise DataError(f"{week.series_id}: duplicate timestamp {at}")
+            raise DataError(f"{week.series_id}: timestamps not strictly increasing at {at}")
+        raise DataError(f"{week.series_id}: invalid value {float(values[i])!r} at {at}")
+    return _p95(values) if len(values) >= MIN_SAMPLES_PER_WEEK else math.nan
+
+
+def _p95(values: np.ndarray) -> float:
+    """``np.percentile(values, 95)`` to the byte, without its per-call
+    overhead, for two or more values: linear interpolation between the
+    order statistics around ``0.95 (n - 1)``, from the nearer one as numpy
+    does."""
+    h = (len(values) - 1) * 0.95
+    lo = math.floor(h)
+    t = h - lo
+    a, b = np.partition(values, (lo, lo + 1))[lo:lo + 2].tolist()
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
+def fill_gaps(series_id: str, start_week: Optional[WeekId], p95: np.ndarray) -> WeeklySeries | Rejection:
     """Fill missing (``NaN``) weeks by carrying the nearest preceding valid
     value forward.
 
     A gap week takes the most recent *originally present* percentile at most
     ``MAX_FILL_DISTANCE_WEEKS`` back. Returns a :class:`Rejection` when any
     gap cannot be filled (including leading gaps) or when more than 20 % of
-    weeks are missing.
+    weeks are missing; no weeks at all, a span without a full calendar
+    week, is a data error.
     """
     p95 = np.asarray(p95, dtype=float)
     if not len(p95):
-        raise DataError(f"{series_id}: no data")
+        raise DataError(f"{series_id}: span too short (no full calendar week)")
     absent = np.isnan(p95)
     weeks = np.arange(len(p95))
     last_present = np.maximum.accumulate(np.where(absent, -1, weeks))  # -1 before the first

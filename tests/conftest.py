@@ -18,12 +18,14 @@ from pqforecast.weekly import (
     MAX_GAP_FRACTION,
     MIN_SAMPLES_PER_WEEK,
     MINUTES_PER_WEEK,
-    RawSeries,
+    RawWeeks,
     Rejection,
     RejectionReason,
     WeeklySeries,
     WeekId,
+    aggregate_weekly,
     utc_minute,
+    week_start,
 )
 
 MONDAY = datetime(2022, 1, 3, tzinfo=timezone.utc)  # ISO (2022, 1)
@@ -41,14 +43,37 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def make_raw(week_values: list[list[float]], series_id: str = "site1:UNB:220",
-             start: datetime = MONDAY) -> RawSeries:
-    """Raw series from per-week sample lists; each week's samples fill the
-    grid from Monday 00:00 onward."""
+             start: datetime = MONDAY) -> tuple[str, list[int], list[float]]:
+    """A raw series' id, minutes and values from per-week sample lists; each
+    week's samples fill the grid from ``start`` onward."""
     first = utc_minute(start)
     minutes = [first + MINUTES_PER_WEEK * w + 10 * i
                for w, values in enumerate(week_values) for i in range(len(values))]
     values = [float(v) for week in week_values for v in week]
-    return RawSeries.from_columns(series_id, minutes, values)
+    return series_id, minutes, values
+
+
+def weekly_p95(raw: tuple[str, list[int], list[float]], aggregate=aggregate_weekly
+               ) -> tuple[WeekId | None, np.ndarray]:
+    """A raw series' samples through ``RawWeeks`` and ``aggregate``, in
+    order, as ``read_raw_csv`` hands them on: the first week and the weekly
+    percentiles, or the series' first sample error."""
+    series_id, minutes, values = raw
+    weeks = RawWeeks(series_id, int(minutes[0]), aggregate)
+    for minute, value in zip(minutes, values):
+        weeks.add(int(minute), float(value))
+    _, start_week, p95 = weeks.close()
+    return start_week, p95
+
+
+def collecting(weeks: list):
+    """An ``aggregate`` for ``read_raw_csv`` that keeps every week it is
+    handed, partial edge weeks included, as (series id, minutes, value
+    bytes), then aggregates it."""
+    def collect(week):
+        weeks.append((week.series_id, week.minutes.tolist(), week.samples.tobytes()))
+        return aggregate_weekly(week)
+    return collect
 
 
 def make_aggs(p95s: list[float | None], start_week: WeekId = WEEK_2022_1) -> tuple[WeekId, np.ndarray]:
@@ -88,9 +113,9 @@ def reference_fill_gaps(series_id: str, start_week: WeekId, p95s: list[float | N
 
 @dataclass
 class ReferenceRawSeries:
-    """``RawSeries`` as it held every sample as a ``(datetime, float)``
-    tuple, validation verbatim: the oracle for the array checks' verdicts
-    and messages."""
+    """A raw series as it was once held, every sample a ``(datetime,
+    float)`` tuple, validation verbatim: the oracle for the per-week array
+    checks' verdicts and messages."""
 
     series_id: str
     samples: list[tuple[datetime, float]]
@@ -124,10 +149,10 @@ def _reference_week_of(ts: datetime) -> WeekId:
 
 
 def reference_aggregate_weekly(raw: ReferenceRawSeries) -> tuple[WeekId, np.ndarray]:
-    """``aggregate_weekly`` as it bucketed the tuples one by one, verbatim
-    but for returning its first week and its percentiles (NaN for an invalid
-    week) in ``aggregate_weekly``'s form: the oracle for the searchsorted
-    weeks."""
+    """The weekly aggregation as it bucketed the tuples one by one,
+    verbatim but for returning its first week and its percentiles (NaN for
+    an invalid week), as ``RawWeeks.close`` gives them: the oracle for the
+    weeks ``RawWeeks`` buckets as the samples arrive."""
     if not raw.samples:
         raise DataError(f"{raw.series_id}: no data")
 
@@ -195,11 +220,13 @@ def reference_ensembles(members: np.ndarray, methods, phi=None) -> np.ndarray:
     return np.array(rows)
 
 
-def reference_read_raw_csv(path) -> list[RawSeries]:
+def reference_read_raw_csv(path) -> list[tuple[str, array, array]]:
     """``io.read_raw_csv`` as it parsed every row with the csv module
-    (``io._read_csv``) and every timestamp with ``datetime.fromisoformat``,
-    verbatim: the oracle for the line-by-line reader's samples and for its
-    error texts, ``file:line`` included."""
+    (``io._read_csv``) and every timestamp with ``datetime.fromisoformat``
+    into whole-series buffers, then checked each series' samples one by one
+    (``ReferenceRawSeries``): the oracle for the line-by-line reader's
+    samples, each series' id, minutes and values, and for its error texts,
+    ``file:line`` included."""
     columns: dict[str, tuple[array, array]] = {}
 
     def take(row: list[str]) -> None:
@@ -209,10 +236,13 @@ def reference_read_raw_csv(path) -> list[RawSeries]:
         values.append(float(value_text))
 
     _read_csv(path, RAW_HEADER, take)
-    try:  # each series' buffers are dropped once its array is built
-        return [RawSeries.from_columns(sid, *columns.pop(sid)) for sid in list(columns)]
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    try:
+        for sid, (minutes, values) in columns.items():
+            ReferenceRawSeries(sid, [(epoch + timedelta(minutes=m), v) for m, v in zip(minutes, values)])
     except DataError as exc:  # a sample off the grid, out of order or invalid
         raise DataError(f"{path}: {exc}") from exc
+    return [(sid, minutes, values) for sid, (minutes, values) in columns.items()]
 
 
 def reference_write_forecast_csv(path, blocks) -> None:
@@ -229,17 +259,28 @@ def reference_write_forecast_csv(path, blocks) -> None:
 
 
 def reference_write_raw_csv(path, series) -> None:
-    """The raw table as the csv writer writes it, each minute through
-    ``datetime`` one row at a time: the oracle for ``io.write_raw_csv``'s
-    bytes and errors."""
+    """A raw table of ``(series id, minutes, values)`` blocks as the csv
+    writer writes it, each minute through ``datetime`` one row at a time:
+    the tables of the reader's tests, and the oracle for
+    ``io.write_raw_csv``'s bytes and errors."""
     epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RAW_HEADER)
         writer.writerows(
-            (s.series_id, (epoch + timedelta(minutes=minute)).isoformat(), value) for s in series
-            for minute, value in zip(s.samples["minute"].tolist(), s.samples["value"].tolist())
+            (sid, (epoch + timedelta(minutes=minute)).isoformat(), value) for sid, minutes, values in series
+            for minute, value in zip(np.asarray(minutes).tolist(), np.asarray(values, dtype=float).tolist())
         )
+
+
+def reference_weekly_to_raw(series: WeeklySeries, missing_weeks=()) -> tuple[str, np.ndarray, np.ndarray]:
+    """A weekly series expanded to a constant-valued 10-minute grid from each
+    present week's Monday 00:00 UTC, as a ``(series id, minutes, values)``
+    block: the samples ``io.write_raw_csv`` writes."""
+    weeks = np.setdiff1d(np.arange(len(series)), missing_weeks)
+    monday = utc_minute(datetime.combine(week_start(series.start_week), datetime.min.time()))
+    minutes = monday + 10 * (1008 * weeks[:, None] + np.arange(1008))
+    return series.series_id, minutes.ravel(), np.repeat(series.values[weeks], 1008)
 
 
 def reference_read_forecast_csv(path) -> list[ForecastBlock]:

@@ -36,12 +36,11 @@ from pqforecast.weekly import (
     Rejection,
     RejectionReason,
     WeeklySeries,
-    aggregate_weekly,
     fill_gaps,
     split_train_test,
 )
 
-from conftest import make_aggs, make_raw, reference_ensembles
+from conftest import make_aggs, make_raw, reference_ensembles, weekly_p95
 
 CORPUS_SEED = 20260808
 CORPUS_SIZE = 200
@@ -277,8 +276,8 @@ def test_kernel_matches_per_ensemble_loop_on_corpus(corpus_run):
 def test_criterion_6_preprocessing_conformance():
     # validity rule at the 958-sample boundary
     assert MIN_SAMPLES_PER_WEEK == 958
-    _, at_threshold = aggregate_weekly(make_raw([[5.0] * 958, [6.0] * 1008]))
-    _, below_threshold = aggregate_weekly(make_raw([[5.0] * 957, [6.0] * 1008]))
+    _, at_threshold = weekly_p95(make_raw([[5.0] * 958, [6.0] * 1008]))
+    _, below_threshold = weekly_p95(make_raw([[5.0] * 957, [6.0] * 1008]))
     assert at_threshold[0] == 5.0
     assert np.isnan(below_threshold[0])
 

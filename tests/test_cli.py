@@ -75,7 +75,7 @@ class TestPreprocessCommand:
         corpus, _ = generate_corpus(SyntheticSpec(n_series=3, length_weeks=10, rng_seed=5))
         missing = {corpus[0].series_id: [], corpus[1].series_id: [2, 4, 6],
                    corpus[2].series_id: [3]}
-        raw = [pqio.weekly_to_raw(s, missing[s.series_id]) for s in corpus]
+        raw = [(s, missing[s.series_id]) for s in corpus]
         raw_path = tmp_path / "raw.csv"
         pqio.write_raw_csv(raw_path, raw)
         pairs = sorted({tuple(s.series_id.split(":")[1:]) for s in corpus})
@@ -99,8 +99,8 @@ class TestPreprocessCommand:
         from pqforecast.synth import SyntheticSpec, generate_corpus
 
         corpus, _ = generate_corpus(SyntheticSpec(n_series=2, length_weeks=10, rng_seed=5))
-        pqio.write_raw_csv(tmp_path / "raw.csv", [pqio.weekly_to_raw(corpus[0]),
-                                                  pqio.weekly_to_raw(corpus[1], [2, 4, 6])])
+        pqio.write_raw_csv(tmp_path / "raw.csv", [(corpus[0], ()),
+                                                  (corpus[1], [2, 4, 6])])
         pairs = sorted({tuple(s.series_id.split(":")[1:]) for s in corpus})
         pqio.write_planning_levels(tmp_path / "levels.ini", [
             pqio.PlanningLevel(parameter=p, voltage_level=v, level=100.0) for p, v in pairs
@@ -121,7 +121,7 @@ class TestPreprocessCommand:
             __import__("pqforecast.synth", fromlist=["SyntheticSpec"]).SyntheticSpec(
                 n_series=1, length_weeks=3, rng_seed=5))
         raw_path = tmp_path / "raw.csv"
-        pqio.write_raw_csv(raw_path, [pqio.weekly_to_raw(corpus[0])])
+        pqio.write_raw_csv(raw_path, [(corpus[0], ())])
         pqio.write_planning_levels(tmp_path / "levels.ini",
                                    [pqio.PlanningLevel("ZZZ", "999", 1.0)])
         assert run("preprocess", "--raw", raw_path, "--planning-levels",
@@ -131,7 +131,7 @@ class TestPreprocessCommand:
         from pqforecast.synth import SyntheticSpec, generate_corpus
 
         corpus, _ = generate_corpus(SyntheticSpec(n_series=2, length_weeks=3, rng_seed=5))
-        raw = [pqio.weekly_to_raw(s) for s in corpus]
+        raw = [(s, ()) for s in corpus]
         pqio.write_raw_csv(tmp_path / "a.csv", raw)
         pqio.write_raw_csv(tmp_path / "b.csv", raw[1:])
         pairs = sorted({tuple(s.series_id.split(":")[1:]) for s in corpus})
@@ -153,12 +153,73 @@ class TestPreprocessCommand:
                    "--planning-levels", tmp_path / "levels.ini", "--out", tmp_path / "o") == 2
 
 
+class TestPreprocessErrors:
+    """The text, exit code and order of the errors ``preprocess`` finds in
+    the series of its ``--raw`` files."""
+
+    @staticmethod
+    def preprocess(tmp_path, capsys, *tables: list[str], pairs=(("UNB", "220"),)) -> tuple[int, str]:
+        """Each table a list of series ids, written as 2-week raw files."""
+        paths = []
+        for i, ids in enumerate(tables):
+            paths.append(tmp_path / f"raw{i}.csv")
+            pqio.write_raw_csv(paths[-1], [(WeeklySeries(sid, (2022, 1), [5.0, 6.0]), ()) for sid in ids])
+        pqio.write_planning_levels(tmp_path / "levels.ini", [pqio.PlanningLevel(p, v, 100.0) for p, v in pairs])
+        capsys.readouterr()
+        code = run("preprocess", "--raw", *paths, "--planning-levels", tmp_path / "levels.ini",
+                   "--out", tmp_path / "out")
+        assert not (tmp_path / "out").exists() or code == 0
+        return code, capsys.readouterr().err
+
+    def test_series_id_not_site_parameter_voltage_names_the_file(self, tmp_path, capsys):
+        assert self.preprocess(tmp_path, capsys, ["a:UNB:220", "a-UNB-220"]) == (
+            2, f"data error: {tmp_path / 'raw0.csv'}: a-UNB-220: series id is not site:parameter:voltage\n")
+
+    def test_series_in_two_raw_files(self, tmp_path, capsys):
+        assert self.preprocess(tmp_path, capsys, ["a:UNB:220", "b:UNB:220"], ["c:UNB:220", "b:UNB:220"]) == (
+            2, f"data error: b:UNB:220: in both {tmp_path / 'raw0.csv'} and {tmp_path / 'raw1.csv'}\n")
+
+    def test_missing_planning_level(self, tmp_path, capsys):
+        assert self.preprocess(tmp_path, capsys, ["a:UNB:220", "b:UNB:380"]) == (
+            1, "error: no planning level for (UNB, 380) needed by b:UNB:380\n")
+
+    def test_first_series_error_in_file_order(self, tmp_path, capsys):
+        """A series' errors come in the order of its checks, and an earlier
+        series' before a later one's."""
+        code, err = self.preprocess(tmp_path, capsys, ["a-UNB-220", "b:UNB:380"], ["a-UNB-220"])
+        assert (code, err) == (2, f"data error: {tmp_path / 'raw0.csv'}: a-UNB-220: series id is not "
+                                  "site:parameter:voltage\n")
+        assert self.preprocess(tmp_path, capsys, ["b:UNB:380", "a-UNB-220"])[0] == 1
+
+    @pytest.mark.parametrize("bad", ["line", "sample", "sample, then line"])
+    def test_file_errors_come_before_series_errors(self, tmp_path, capsys, bad):
+        """A malformed line, and a sample off the grid, out of order or
+        invalid, in any series of a file are reported before the checks of
+        its first series; the line at once, the sample once the file has
+        parsed, so a line after it, in a later week, still comes first."""
+        path = tmp_path / "raw0.csv"
+        self.preprocess(tmp_path, capsys, ["a-UNB-220", "b:UNB:220"])
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        k = 1 + 2 * 1008 + 1008 + 4  # after the header and a's rows: b's second week, 00:40
+        if bad != "line":
+            lines[k - 1008] = lines[k - 1008].replace(",5.0", ",-5.0")  # b's first week
+        if bad != "sample":
+            lines[k] = lines[k].replace(",6.0", ",x")
+        path.write_text("".join(lines), encoding="utf-8")
+        code = run("preprocess", "--raw", path, "--planning-levels", tmp_path / "levels.ini",
+                   "--out", tmp_path / "out")
+        err = capsys.readouterr().err
+        want = (f"{path}: b:UNB:220: invalid value -5.0 at 2022-01-03T00:40:00+00:00" if bad == "sample" else
+                f"{path}:{k + 1}: could not convert string to float: 'x'")
+        assert (code, err) == (2, f"data error: {want}\n")
+
+
 def one_raw_series(tmp_path, level="100.0"):
     """A 3-week raw table of one synth series, and an INI giving its pair ``level``."""
     from pqforecast.synth import SyntheticSpec, generate_corpus
 
     corpus, _ = generate_corpus(SyntheticSpec(n_series=1, length_weeks=3, rng_seed=5))
-    pqio.write_raw_csv(tmp_path / "raw.csv", [pqio.weekly_to_raw(corpus[0])])
+    pqio.write_raw_csv(tmp_path / "raw.csv", [(corpus[0], ())])
     _, parameter, voltage = corpus[0].series_id.split(":")
     (tmp_path / "levels.ini").write_text(f"[{parameter}@{voltage}]\nlevel = {level}\n")
     return tmp_path / "raw.csv", tmp_path / "levels.ini"
@@ -570,20 +631,39 @@ _STAGE_WITH_PEAK = (
 )
 
 
+def peak_mb(*argv) -> float:
+    """The peak resident set of one CLI stage run in its own process, in MB."""
+    src = Path(pqforecast.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", _STAGE_WITH_PEAK, *map(str, argv)],
+                          capture_output=True, text=True, env={"PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout.split()[-1]) / 1024
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_preprocess_peak_rss_grows_under_0_1_mb_per_series(tmp_path):
+    """``preprocess``, in its own process, on synth raw corpora of 8 and 32
+    series of 60 weeks in one file: a stage that held each series' samples
+    until its file ended grew by ~1 MB per series."""
+    peaks = {}
+    for n in (8, 32):
+        base = tmp_path / str(n)
+        assert run("synth", "--mode", "raw", "--n-series", n, "--length-weeks", 60, "--seed", 3, "--out", base) == 0
+        peaks[n] = peak_mb("preprocess", "--raw", base / "raw.csv", "--planning-levels",
+                           base / "planning_levels.ini", "--out", base / "pre")
+        assert len(pqio.read_weekly_csv(base / "pre" / "weekly.csv")) == n
+        (base / "raw.csv").unlink()  # ~3.6 MB per series
+    growth = (peaks[32] - peaks[8]) / 24
+    assert growth < 0.1, f"{peaks[8]:.1f} -> {peaks[32]:.1f} MB, {growth:.3f} MB per series"
+
+
 @pytest.mark.slow
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
 def test_ensemble_path_peak_rss_grows_under_0_1_mb_per_series(tmp_path, rng):
     """``ensemble`` and the final ``evaluate``, each its own process, on 40
     and 160 series with random members: a stage that held every series'
     block grew by ~0.4 MB per series."""
-    src = Path(pqforecast.__file__).resolve().parents[1]
-
-    def peak_mb(*argv) -> float:
-        done = subprocess.run([sys.executable, "-c", _STAGE_WITH_PEAK, *map(str, argv)],
-                              capture_output=True, text=True, env={"PYTHONPATH": str(src)})
-        assert done.returncode == 0, done.stderr
-        return int(done.stdout.split()[-1]) / 1024
-
     peaks = {}
     for n in (40, 160):
         base = tmp_path / str(n)

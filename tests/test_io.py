@@ -10,8 +10,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
-from conftest import (reference_iter_forecast_csv, reference_read_forecast_csv,
-                      reference_read_raw_csv, reference_write_forecast_csv, reference_write_raw_csv)
+from conftest import (collecting, reference_iter_forecast_csv, reference_read_forecast_csv, reference_read_raw_csv,
+                      reference_weekly_to_raw, reference_write_forecast_csv, reference_write_raw_csv)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,12 +28,12 @@ from pqforecast.evaluation import (
 )
 from pqforecast.models import ForecastBlock
 from pqforecast.weekly import (
+    MINUTES_PER_WEEK,
+    MONDAY_MINUTE,
     PlanningLevel,
-    RawSeries,
     Rejection,
     RejectionReason,
     WeeklySeries,
-    aggregate_weekly,
     utc_minute,
 )
 
@@ -138,18 +138,19 @@ def test_weekly_reader_peak_memory_is_bounded_by_its_output(tmp_path, rng):
 class TestRawCsv:
     def test_roundtrip_through_aggregation(self, tmp_path):
         series = weekly([10.0, 20.0, 30.0])
-        raw = pqio.weekly_to_raw(series)
         path = tmp_path / "raw.csv"
-        pqio.write_raw_csv(path, [raw])
-        back = pqio.read_raw_csv(path)
+        pqio.write_raw_csv(path, [(series, ())])
+        weeks: list = []
+        back = pqio.read_raw_csv(path, collecting(weeks))
         assert len(back) == 1
-        _, p95 = aggregate_weekly(back[0])
-        assert p95.tolist() == [10.0, 20.0, 30.0]
-        assert len(back[0].samples) == 3 * 1008
+        sid, start_week, p95 = back[0]
+        assert (sid, start_week, p95.tolist()) == (series.series_id, (2022, 1), [10.0, 20.0, 30.0])
+        assert [len(minutes) for _, minutes, _ in weeks] == [1008] * 3
 
-    def test_missing_weeks_leave_holes(self):
-        raw = pqio.weekly_to_raw(weekly([10.0, 20.0, 30.0]), missing_weeks=[1])
-        _, p95 = aggregate_weekly(raw)
+    def test_missing_weeks_leave_holes(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        pqio.write_raw_csv(path, [(weekly([10.0, 20.0, 30.0]), [1])])
+        ((_, _, p95),) = pqio.read_raw_csv(path)
         assert np.isnan(p95).tolist() == [False, True, False]
         assert p95[[0, 2]].tolist() == [10.0, 30.0]
 
@@ -184,23 +185,25 @@ class TestRawCsv:
             pqio.read_raw_csv(path)
 
 
-def test_raw_reader_and_aggregation_peak_below_64_bytes_per_sample(tmp_path, rng):
-    """3 series x 60 weeks read and aggregated with a traced peak below
-    64 B per sample (a (datetime, float) tuple per sample took ~200)."""
-    path = tmp_path / "raw.csv"
-    pqio.write_raw_csv(path, [pqio.weekly_to_raw(weekly(rng.uniform(1, 50, 60), series_id=f"s{i}:UNB:220"))
-                              for i in range(3)])
-    tracemalloc.start()
-    try:
-        raws = pqio.read_raw_csv(path)
-        aggs = [aggregate_weekly(raw) for raw in raws]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    samples = 3 * 60 * 1008
-    assert [len(raw.samples) for raw in raws] == [60 * 1008] * 3
-    assert [np.isnan(p95).any() for _, p95 in aggs] == [False] * 3
-    assert peak < 64 * samples, f"peak {peak / samples:.1f} B per sample"
+def test_raw_reader_peak_does_not_grow_with_the_weeks(tmp_path, rng):
+    """2 series of 20 and of 120 weeks, read and aggregated with the same
+    traced peak, give or take 64 B per series and week (8 B per percentile
+    kept); a reader that held each series' samples until its file ended
+    grew by 16 B per sample, 1,008 per week."""
+    peaks = {}
+    for n_weeks in (20, 20, 120):  # the first read also pays one-time costs
+        path = tmp_path / f"raw{n_weeks}.csv"
+        pqio.write_raw_csv(path, [(weekly(rng.uniform(1, 50, n_weeks), series_id=f"s{i}:UNB:220"), ())
+                                  for i in range(2)])
+        tracemalloc.start()
+        try:
+            back = pqio.read_raw_csv(path)
+            peaks[n_weeks] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [(len(p95), np.isnan(p95).any()) for _, _, p95 in back] == [(n_weeks, False)] * 2
+    growth = (peaks[120] - peaks[20]) / (2 * 100)
+    assert growth < 64, f"peak {peaks[20]} -> {peaks[120]} B, {growth:.0f} B per series and week"
 
 
 class TestForecastCsv:
@@ -355,38 +358,34 @@ class TestForecastWriterReference:
         self.assert_same_bytes(tmp_path, [])
 
 
-# the minutes a datetime holds: 0001-01-01T00:00 and 9999-12-31T23:50 on the grid
-FIRST_MINUTE, LAST_MINUTE = utc_minute(datetime(1, 1, 1)), utc_minute(datetime(9999, 12, 31, 23, 50))
-
-
 class TestRawWriterReference:
     """``write_raw_csv`` writes the bytes of the csv writer's row loop
-    (``conftest.reference_write_raw_csv``), and raises as it does."""
+    (``conftest.reference_write_raw_csv``) over each weekly series'
+    10-minute samples (``conftest.reference_weekly_to_raw``), and raises as
+    it does."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_seeded_series(self, tmp_path, seed):
         rng = np.random.default_rng(seed)
         series = []
         for label in AWKWARD_LABELS[seed % 4::4]:
-            n = int(rng.choice([0, 1, 1007, 1008, 1009, 2500]))
-            start = int(rng.choice([FIRST_MINUTE - 10, LAST_MINUTE - 30 * n, 10 * int(rng.integers(-10 ** 7, 10 ** 7))]))
-            minutes = start + 10 * np.cumsum(rng.integers(1, 4, n))
+            n = int(rng.choice([1, 2, 5]))
+            start_week = [(1, 1), (2020, 53), (9999, 47), (int(rng.integers(1000, 9000)), 1)][int(rng.integers(0, 4))]
             values = rng.uniform(0.0, 100.0, n) * 10.0 ** rng.integers(-8, 9, n)
-            values[rng.integers(0, n, min(n, 3))] = rng.choice([v for v in EDGE_VALUES if v >= 0], min(n, 3))
-            series.append(RawSeries.from_columns(label, minutes, values))
+            values[rng.integers(0, n, min(n, 2))] = rng.choice([v for v in EDGE_VALUES if v >= 0], min(n, 2))
+            missing = rng.integers(0, n + 1, int(rng.integers(0, 3))).tolist()  # a week past the end too
+            series.append((WeeklySeries(label, start_week, values), missing))
         pqio.write_raw_csv(tmp_path / "mine.csv", series)
-        reference_write_raw_csv(tmp_path / "reference.csv", series)
+        reference_write_raw_csv(tmp_path / "reference.csv", [reference_weekly_to_raw(s, m) for s, m in series])
         assert (tmp_path / "mine.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
-    @pytest.mark.parametrize("minutes", [[FIRST_MINUTE - 10, FIRST_MINUTE], [LAST_MINUTE, LAST_MINUTE + 10],
-                                         [0, 10 ** 15], [10 ** 15]])
-    def test_minute_beyond_datetime_raises_and_writes_nothing(self, tmp_path, minutes):
-        series = [RawSeries.from_columns("ok", [0, 10], [1.0, 2.0]),
-                  RawSeries.from_columns("far", minutes, [1.0] * len(minutes))]
+    @pytest.mark.parametrize("start_week, n", [((9999, 52), 1), ((9999, 51), 2), ((9999, 50), 9)])
+    def test_day_beyond_datetime_raises_and_writes_nothing(self, tmp_path, start_week, n):
+        series = [(weekly([1.0]), ()), (WeeklySeries("far", start_week, np.ones(n)), ())]
         path = tmp_path / "raw.csv"
         path.write_text("before")
         with pytest.raises(OverflowError) as expected:
-            reference_write_raw_csv(tmp_path / "reference.csv", series)
+            reference_write_raw_csv(tmp_path / "reference.csv", [reference_weekly_to_raw(s, m) for s, m in series])
         with pytest.raises(OverflowError, match=f"^{re.escape(str(expected.value))}$"):
             pqio.write_raw_csv(path, series)
         assert path.read_text() == "before" and sorted(p.name for p in tmp_path.iterdir()) == ["raw.csv",
@@ -826,13 +825,31 @@ def mutate_raw_line(draw, lines: list[str], i: int) -> None:
     lines[i] = body + end
 
 
+def read_samples(path) -> list[tuple[str, bytes, bytes]]:
+    """Every sample ``read_raw_csv`` hands out, each series' weeks in turn
+    joined, as (series id, minute bytes, value bytes) in file order."""
+    weeks: list = []
+    series: dict[str, tuple[list, list]] = {sid: ([], []) for sid, *_ in pqio.read_raw_csv(path, collecting(weeks))}
+    for sid, minutes, values in weeks:
+        series[sid][0].extend(minutes)
+        series[sid][1].append(values)
+    return [(sid, np.array(minutes, dtype=np.int64).tobytes(), b"".join(values))
+            for sid, (minutes, values) in series.items()]
+
+
+def reference_samples(path) -> list[tuple[str, bytes, bytes]]:
+    """``conftest.reference_read_raw_csv``'s series in ``read_samples``' form."""
+    return [(sid, minutes.tobytes(), values.tobytes()) for sid, minutes, values in reference_read_raw_csv(path)]
+
+
 def raw_or_error(read, path):
-    """The series a reader returns, byte for byte, or its error's type and text."""
+    """The samples of each series a reader gives, byte for byte, or its
+    error's type and text."""
     try:
         series = read(path)
     except (DataError, csv.Error) as exc:
         return type(exc).__name__, str(exc)
-    return "series", [(s.series_id, s.samples.tobytes()) for s in series]
+    return "series", series
 
 
 # 2022-01-03 22:00 UTC: a series of a few dozen samples from here crosses midnight
@@ -847,8 +864,8 @@ class TestRawReaderCsvOracle:
 
     @staticmethod
     def assert_same(path):
-        mine = raw_or_error(pqio.read_raw_csv, path)
-        assert mine == raw_or_error(reference_read_raw_csv, path)
+        mine = raw_or_error(read_samples, path)
+        assert mine == raw_or_error(reference_samples, path)
         return mine[0]
 
     @settings(max_examples=200, deadline=None)
@@ -860,16 +877,16 @@ class TestRawReaderCsvOracle:
             first = RAW_FIRST_MINUTE + 10 * draw(st.integers(0, 20))
             n = draw(st.integers(1, 24))
             values = st.one_of(st.floats(0, 1e6), st.sampled_from([0.0, 1e-300, 1e300, 0.1, 2.0 / 3.0]))
-            series.append(RawSeries.from_columns(sid, first + 10 * np.arange(n), [draw(values) for _ in range(n)]))
-        if len(series) > 1 and len(series[0].samples) > 1 and draw(st.booleans()):  # the first resumes last
-            cut = len(series[0].samples) // 2
-            head, tail = series[0].samples[:cut], series[0].samples[cut:]
-            series = [RawSeries(series[0].series_id, head), *series[1:], RawSeries(series[0].series_id, tail)]
+            series.append((sid, first + 10 * np.arange(n), [draw(values) for _ in range(n)]))
+        if len(series) > 1 and len(series[0][1]) > 1 and draw(st.booleans()):  # the first resumes last
+            sid, minutes, values = series[0]
+            cut = len(minutes) // 2
+            series = [(sid, minutes[:cut], values[:cut]), *series[1:], (sid, minutes[cut:], values[cut:])]
         if draw(st.booleans()):  # one row at a time, sorted by time as a logger's export may be
-            rows = sorted((m, i, k) for i, s in enumerate(series) for k, m in enumerate(s.samples["minute"]))
-            series = [RawSeries(series[i].series_id, series[i].samples[k:k + 1]) for _, i, k in rows]
+            rows = sorted((m, i, k) for i, (_, minutes, _) in enumerate(series) for k, m in enumerate(minutes))
+            series = [(series[i][0], series[i][1][k:k + 1], series[i][2][k:k + 1]) for _, i, k in rows]
         path = tmp_path_factory.mktemp("raw") / "raw.csv"
-        pqio.write_raw_csv(path, series)
+        reference_write_raw_csv(path, series)
         offsets = st.sampled_from(["+00:00", "", "Z", "+05:30", "-03:00", "+0530"])
         text = restamp(path.read_text(encoding="utf-8"), draw(st.sampled_from("T t")),  # 't': in no plain form
                        draw(st.sampled_from([":00", "", ":00.000"])), draw(offsets))
@@ -979,7 +996,7 @@ class TestRawReaderCsvOracle:
 @pytest.mark.parametrize("quoted_stamps", [False, True])
 def test_raw_reader_parses_one_line_per_series_day_with_the_csv_module(tmp_path, rng, monkeypatch, sep, seconds,
                                                                        offset, days, by_time, quoted_stamps):
-    """On a table ``write_raw_csv`` wrote, in its own form or restamped
+    """On a table in ``write_raw_csv``'s form or restamped
     at another offset, its timestamps bare or quoted, grouped by series or
     sorted by time, only the header and each series' first line of each
     local date go through the csv module; every other line is taken in its
@@ -989,15 +1006,16 @@ def test_raw_reader_parses_one_line_per_series_day_with_the_csv_module(tmp_path,
     same series."""
     first = utc_minute(datetime(2022, 1, 3, 20, tzinfo=timezone.utc))
     ids = ["s0:UNB:220", "s1,UNB:220", 's2 "x":UNB:220', "s3:UNB:220"]
-    series = [RawSeries.from_columns(sid, first + 10 * np.arange(n), rng.uniform(0, 50, n))
+    series = [(sid, first + 10 * np.arange(n), rng.uniform(0, 50, n))
               for sid, n in zip(ids, [1, 24, 25, 400])]  # from 20:00 UTC, 17:00 at -03:00, 01:30 at +05:30
     path = tmp_path / "raw.csv"
     if by_time:  # one row at a time, every series' row of a minute before the next minute's
-        rows = sorted((minute, i, k) for i, s in enumerate(series) for k, minute in enumerate(s.samples["minute"]))
-        pqio.write_raw_csv(path, [RawSeries(series[i].series_id, series[i].samples[k:k + 1]) for _, i, k in rows])
+        rows = sorted((minute, i, k) for i, (_, minutes, _) in enumerate(series) for k, minute in enumerate(minutes))
+        reference_write_raw_csv(path, [(series[i][0], series[i][1][k:k + 1], series[i][2][k:k + 1])
+                                       for _, i, k in rows])
         days = [days[0], 24, *days[2:]]  # each of s1's lines follows another series' line
     else:
-        pqio.write_raw_csv(path, series)
+        reference_write_raw_csv(path, series)
     text = restamp(path.read_text(encoding="utf-8"), sep, seconds, offset)
     path.write_text(RAW_STAMP.sub(r'"\g<0>"', text) if quoted_stamps else text, encoding="utf-8", newline="")
     parsed = 0
@@ -1012,10 +1030,45 @@ def test_raw_reader_parses_one_line_per_series_day_with_the_csv_module(tmp_path,
         return reader(counted(), *args, **kwargs)
 
     monkeypatch.setattr(pqio.csv, "reader", counting_reader)
-    back = pqio.read_raw_csv(path)
-    assert [(s.series_id, s.samples.tobytes()) for s in back] == \
-        [(s.series_id, s.samples.tobytes()) for s in series]
+    assert read_samples(path) == [(sid, minutes.tobytes(), values.tobytes()) for sid, minutes, values in series]
     assert parsed == 1 + sum(days)
+
+
+@pytest.mark.parametrize("offset", ["+00:00", "", "+05:30", "-03:00", "+0530", "Z"])
+@pytest.mark.parametrize("by_time", [False, True])
+def test_raw_weeks_end_at_utc_monday_whatever_the_local_date(tmp_path, rng, offset, by_time):
+    """A table restamped at an offset, where UTC Monday 00:00 falls inside
+    a local date, hands out the same weeks as the UTC table: each a whole
+    calendar week, with the same samples and percentiles."""
+    series = [(weekly(rng.uniform(1, 50, 3), series_id=sid), missing) for sid, missing in [("s0", ()), ("s1", [1])]]
+    utc, path = tmp_path / "utc.csv", tmp_path / "raw.csv"
+    pqio.write_raw_csv(utc, series)
+    text = restamp(utc.read_text(encoding="utf-8"), "T", ":00", offset)
+    lines = text.splitlines(keepends=True)
+    if by_time:  # the two series' rows of a minute next to each other
+        lines = [lines[0], *sorted(lines[1:], key=lambda line: RAW_STAMP.search(line).group())]
+    path.write_text("".join(lines), encoding="utf-8", newline="")
+    weeks: list = []
+    assert as_plain(pqio.read_raw_csv(path, collecting(weeks))) == as_plain(pqio.read_raw_csv(utc))
+    assert read_samples(path) == read_samples(utc)
+    assert sorted((sid, len(minutes), (minutes[0] - MONDAY_MINUTE) % MINUTES_PER_WEEK)
+                  for sid, minutes, _ in weeks) == [("s0", 1008, 0)] * 3 + [("s1", 1008, 0)] * 2
+
+
+def test_raw_rows_out_of_order_are_held_at_most_a_week(tmp_path):
+    """A series whose rows go back in time fills no week past 1,009
+    samples: the week is checked then, and the error is the one the
+    whole-series checks give."""
+    path = tmp_path / "raw.csv"
+    pqio.write_raw_csv(path, [(weekly([1.0, 2.0, 3.0], series_id="s"), ())])
+    header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(header + "".join(reversed(rows)), encoding="utf-8", newline="")
+    weeks: list = []
+    with pytest.raises(DataError) as got:
+        pqio.read_raw_csv(path, collecting(weeks))
+    assert raw_or_error(reference_samples, path) == ("DataError", str(got.value))
+    assert str(got.value).endswith("s: timestamps not strictly increasing at 2022-01-23T23:40:00+00:00")
+    assert [len(minutes) for _, minutes, _ in weeks] == [1009]
 
 
 class TestLeaderboardCsv:
@@ -1143,7 +1196,7 @@ def as_plain(obj):
 
 
 @pytest.mark.parametrize("write, read", [
-    pytest.param(lambda path: pqio.write_raw_csv(path, [pqio.weekly_to_raw(weekly([10.0]))]),
+    pytest.param(lambda path: pqio.write_raw_csv(path, [(weekly([10.0]), ())]),
                  pqio.read_raw_csv, id="read_raw_csv"),
     pytest.param(lambda path: pqio.write_weekly_csv(path, [weekly([1.5, 2.5], filled=np.array([False, True]))]),
                  pqio.read_weekly_csv, id="read_weekly_csv"),

@@ -13,13 +13,13 @@ from pqforecast import io as pqio
 from pqforecast.errors import ConfigError, DataError
 from pqforecast.weekly import (
     MIN_SAMPLES_PER_WEEK,
+    MINUTES_PER_WEEK,
+    MONDAY_MINUTE,
     PlanningLevel,
-    RawSeries,
     Rejection,
     RejectionReason,
     SeriesKey,
     WeeklySeries,
-    aggregate_weekly,
     fill_gaps,
     normalize,
     split_train_test,
@@ -33,7 +33,9 @@ from conftest import (
     make_aggs,
     make_raw,
     reference_aggregate_weekly,
+    collecting,
     reference_fill_gaps,
+    weekly_p95,
 )
 
 
@@ -54,29 +56,29 @@ class TestValidityThreshold:
         assert MIN_SAMPLES_PER_WEEK == -((-95 * 1008) // 100) == 958
 
     def test_full_constant_week(self):
-        _, p95 = aggregate_weekly(make_raw([[5.0] * 1008]))
+        _, p95 = weekly_p95(make_raw([[5.0] * 1008]))
         assert p95.tolist() == [5.0]
 
     def test_950_samples_is_invalid(self):
         raw = make_raw([[5.0] * 950, [5.0] * 1008])
-        _, p95 = aggregate_weekly(raw)
-        assert len(raw.samples) == 950 + 1008
+        _, p95 = weekly_p95(raw)
+        assert len(raw[1]) == 950 + 1008
         assert np.isnan(p95[0])
         assert p95[1] == 5.0
 
     def test_exactly_958_samples_is_valid(self):
-        _, p95 = aggregate_weekly(make_raw([[5.0] * 958, [5.0] * 1008]))
+        _, p95 = weekly_p95(make_raw([[5.0] * 958, [5.0] * 1008]))
         assert p95[0] == 5.0
 
     def test_957_samples_is_invalid(self):
-        _, p95 = aggregate_weekly(make_raw([[5.0] * 957, [5.0] * 1008]))
+        _, p95 = weekly_p95(make_raw([[5.0] * 957, [5.0] * 1008]))
         assert np.isnan(p95[0])
 
 
 class TestPercentile:
     def test_ramp_week(self):
         values = [float(v) for v in range(1, 1009)]
-        _, p95 = aggregate_weekly(make_raw([values]))
+        _, p95 = weekly_p95(make_raw([values]))
         assert p95[0] == pytest.approx(957.65, abs=1e-9)
         assert p95[0] == pytest.approx(p95_oracle(values), rel=1e-12)
 
@@ -84,40 +86,39 @@ class TestPercentile:
         for _ in range(1000):  # every sample count of a valid week
             n = int(rng.integers(MIN_SAMPLES_PER_WEEK, 1009))
             values = rng.uniform(0.0, 100.0, size=n)
-            got = aggregate_weekly(make_raw([values, [0.0]]))[1][0]  # the next Monday ends the week
+            got = weekly_p95(make_raw([values, [0.0]]))[1][0]  # the next Monday ends the week
             want = p95_oracle(values)
             assert got == pytest.approx(want, rel=1e-12)
+            assert got.tobytes() == np.percentile(values, 95).tobytes()
 
 
 class TestAggregateWeekly:
-    def test_empty_input(self):
-        with pytest.raises(DataError, match="no data"):
-            aggregate_weekly(RawSeries.from_columns("s:UNB:220", [], []))
-
     def test_span_too_short(self):
-        with pytest.raises(DataError, match="span too short"):
-            aggregate_weekly(make_raw([[1.0] * 100]))
+        week, p95 = weekly_p95(make_raw([[1.0] * 100]))
+        assert (week, len(p95)) == (None, 0)
+        with pytest.raises(DataError, match="^s: span too short \\(no full calendar week\\)$"):
+            fill_gaps("s", week, p95)
 
     def test_partial_edge_weeks_excluded(self):
         # start Wednesday: first partial week must be dropped
         start = MONDAY + timedelta(days=2)
         raw = make_raw([[2.0] * 1008, [3.0] * 1008], start=start)
         # samples run Wed..Wed; only the span's single full Mon-Sun week counts
-        week, p95 = aggregate_weekly(raw)
+        week, p95 = weekly_p95(raw)
         assert week == (2022, 2)
         assert p95.tolist() == [3.0]  # Monday and Tuesday at 2.0, the other 720 samples at 3.0
 
     def test_rejects_duplicate_timestamps(self):
         minute = utc_minute(MONDAY)
         with pytest.raises(DataError, match="duplicate"):
-            RawSeries.from_columns("s:UNB:220", [minute, minute], [1.0, 2.0])
+            weekly_p95(("s:UNB:220", [minute, minute], [1.0, 2.0]))
 
     def test_rejects_off_grid_timestamp(self):
         with pytest.raises(DataError, match="10-minute grid"):
-            RawSeries.from_columns("s:UNB:220", [utc_minute(MONDAY) + 5], [1.0])
+            weekly_p95(("s:UNB:220", [utc_minute(MONDAY) + 5], [1.0]))
 
     def test_week_ids_are_iso(self):
-        week, p95 = aggregate_weekly(make_raw([[1.0] * 1008, [1.0] * 1008]))
+        week, p95 = weekly_p95(make_raw([[1.0] * 1008, [1.0] * 1008]))
         assert week == WEEK_2022_1
         assert len(p95) == 2
 
@@ -127,17 +128,18 @@ OFFSETS = (None, timezone.utc, timezone(timedelta(hours=5, minutes=30)), timezon
 FAULTS = ("off-grid", "duplicate", "decreasing", "nan", "inf", "negative")
 
 
-def _aggregates_or_error(aggregate, raw):
+def _aggregates_or_error(aggregate, *args):
     try:
-        week, p95 = aggregate(raw)
+        week, p95 = aggregate(*args)
         return week, p95.tobytes()
     except DataError as exc:
         return str(exc)
 
 
 class TestRawOracle:
-    """``read_raw_csv``'s array checks and the searchsorted weeks against the
-    per-tuple ``RawSeries`` and ``aggregate_weekly`` they replaced."""
+    """``read_raw_csv``'s per-week checks and the weeks ``RawWeeks`` buckets
+    against the whole-series, per-tuple checks and bucketing they replaced:
+    every sample the reader hands out, and the percentiles or the error."""
 
     # No shrink phase: every example is a file of up to ~3,600 rows, and
     # shrinking one failure took over four minutes; the drawn parameters
@@ -161,6 +163,11 @@ class TestRawOracle:
              faults=[("decreasing", 0.5), ("negative", 0.5)], seed=0)
     @example(first=datetime(2020, 12, 28, tzinfo=timezone.utc), shift=0, weeks=2, end=-1, drop=0.0,
              ties=False, offsets=[None], faults=[], seed=0)  # W53, then a week one sample short
+    # UTC Monday 00:00 inside a local date, read in one plain form and in forms that change
+    @example(first=MONDAY, shift=-40, weeks=2, end=0, drop=0.0, ties=False, offsets=[OFFSETS[2]], faults=[], seed=1)
+    @example(first=MONDAY, shift=3, weeks=3, end=-7, drop=0.02, ties=False, offsets=[OFFSETS[3]], faults=[], seed=2)
+    @example(first=MONDAY, shift=-1, weeks=2, end=0, drop=0.0, ties=False, offsets=[OFFSETS[2], OFFSETS[3]],
+             faults=[], seed=3)
     def test_matches_tuple_oracle(self, tmp_path_factory, first, shift, weeks, end, drop, ties,
                                   offsets, faults, seed):
         rng = np.random.default_rng(seed)
@@ -189,17 +196,22 @@ class TestRawOracle:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows([pqio.RAW_HEADER, *rows])
 
+        weeks: list = []
         try:
             want = ReferenceRawSeries("s:UNB:220", [(datetime.fromisoformat(t), float(v)) for _, t, v in rows])
         except DataError as exc:
             with pytest.raises(DataError) as got:
-                pqio.read_raw_csv(path)
+                pqio.read_raw_csv(path, collecting(weeks))
             assert str(got.value) == f"{path}: {exc}"
             return
-        (raw,) = pqio.read_raw_csv(path)
-        assert raw.samples["minute"].tolist() == [utc_minute(ts) for ts, _ in want.samples]
-        assert raw.samples["value"].tobytes() == np.array([v for _, v in want.samples]).tobytes()
-        assert (_aggregates_or_error(aggregate_weekly, raw)
+        ((sid, week, p95),) = pqio.read_raw_csv(path, collecting(weeks))
+        assert {w[0] for w in weeks} == {sid} == {"s:UNB:220"}
+        assert [m for _, minutes, _ in weeks for m in minutes] == [utc_minute(ts) for ts, _ in want.samples]
+        assert b"".join(v for *_, v in weeks) == np.array([v for _, v in want.samples]).tobytes()
+        # one calendar week each, in turn
+        mondays = [{(m - MONDAY_MINUTE) // MINUTES_PER_WEEK for m in minutes} for _, minutes, _ in weeks]
+        assert all(len(w) == 1 for w in mondays) and sorted(set.union(*mondays)) == [min(w) for w in mondays]
+        assert (_aggregates_or_error(lambda: (week, p95) if len(p95) else fill_gaps(sid, week, p95))
                 == _aggregates_or_error(reference_aggregate_weekly, want))
 
 
