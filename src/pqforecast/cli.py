@@ -14,7 +14,6 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import partial
-from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Generator, Iterator, Optional, Sequence
 
@@ -27,7 +26,7 @@ from .errors import ConfigError, DataError
 from .evaluation import Leaderboard, compare_best, composition_analysis, evaluate_corpus
 from .models import ForecastBlock, ModelFit, ModelId, PUBLIC_MODELS, TrainingWindow, fit_predict, model_from_name
 from .synth import SyntheticSpec, generate_corpus, write_truth
-from .weekly import TEST_WEEKS, SeriesKey, WeeklySeries, aggregate_weekly, fill_gaps, normalize, split_train_test
+from .weekly import TEST_WEEKS, TRAIN_WEEKS, SeriesKey, WeeklySeries, aggregate_weekly, fill_gaps, normalize, split_train_test
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -201,7 +200,7 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
                       values=combine(block.rows(member_names), methods, phi))
         for block in members
     )
-    with _malformed_first([members]):
+    with _malformed_first(members):
         n_series = pqio.write_forecast_csv(out / "ensemble_forecasts.csv", combined)
     print(f"ensemble: {n_series} series x {len(producers)} producers")
     return EXIT_OK
@@ -210,48 +209,20 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
 # -- evaluate -----------------------------------------------------------------
 
 @contextmanager
-def _malformed_first(readers: Sequence[Generator[ForecastBlock, None, None]], raised: Sequence = ()):
-    """Close the forecast readers when the block ends. On a data error, read
-    the rest of each file in turn, holding nothing, and raise the first error
-    that reading the files whole, one after another, meets: a malformed line
-    anywhere in a file before an error in the content of a series read
-    earlier. A reader in ``raised`` already met its first error, this one."""
+def _malformed_first(blocks: Generator):
+    """Close the forecast reader when the block ends. On a data error, read
+    the rest of its files, holding nothing, and raise the first error that
+    one pass over the files, one after another, meets: a malformed line
+    anywhere before an error in the content of a series read earlier. A
+    reader that raised the error itself has ended, so nothing more is read."""
     try:
         yield
     except DataError:
-        for reader in readers:
-            if reader in raised:
-                raise
-            for _ in reader:
-                pass
+        for _ in blocks:
+            pass
         raise
     finally:
-        for reader in readers:
-            reader.close()
-
-
-def _lockstep(paths: Sequence[str], readers: Sequence[Iterator[ForecastBlock]],
-              raised: list) -> Iterator[tuple[str, ForecastBlock]]:
-    """Each series' block from every forecast file in turn, reading the files
-    side by side; they must list the same series in the same order. A
-    reader that raises a data error is added to ``raised``."""
-    def watched(reader: Iterator[ForecastBlock]) -> Iterator[ForecastBlock]:
-        try:  # not ``yield from``: that would close the reader with this wrapper, before any drain
-            for block in reader:
-                yield block
-        except DataError:
-            raised.append(reader)
-            raise
-
-    for parts in zip_longest(*map(watched, readers)):
-        ids = [None if block is None else block.series_id for block in parts]
-        if len(set(ids)) > 1:
-            i = next(k for k, sid in enumerate(ids) if sid is not None)
-            j = next(k for k, sid in enumerate(ids) if sid != ids[i])
-            other = "ends" if ids[j] is None else f"lists series {ids[j]}"
-            raise DataError(f"{paths[i]} lists series {ids[i]} where {paths[j]} {other}: "
-                            f"forecast files must list the same series in the same order")
-        yield from zip(paths, parts)
+        blocks.close()
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -261,11 +232,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     weekly = {s.series_id: s for s in pqio.read_weekly_csv(Path(args.weekly))}
     actuals: dict[str, np.ndarray] = {}  # the test weeks of each forecast series, in file order
-    readers = [pqio.iter_forecast_csv(Path(path)) for path in args.forecasts]
-    raised: list = []
+    blocks = ((path, block) for path in args.forecasts  # each file's blocks in turn, in one pass
+              for block in pqio.iter_forecast_csv(Path(path)))
 
     def checked() -> Iterator[ForecastBlock]:
-        for path, block in _lockstep(args.forecasts, readers, raised):
+        for path, block in blocks:
             sid = block.series_id
             if block.values.shape[1] != TEST_WEEKS:
                 raise DataError(f"{path}: {sid}: {block.values.shape[1]} steps, "
@@ -277,8 +248,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             yield block
 
     manifest = []
-    with _malformed_first(readers, raised):
-        smapes, board_union, board_individual = evaluate_corpus(checked(), actuals, individual=True)
+    with _malformed_first(blocks):
+        smapes, board_union, board_individual = evaluate_corpus(checked(), actuals)
     pqio.write_leaderboard_csv(out / "leaderboard_individual.csv", board_individual)
     print(f"evaluate: {board_individual.n_series} series, "
           f"{len(board_individual.rows)} individual producers")
@@ -350,7 +321,7 @@ def build_parser() -> _Parser:
     p = stage("synth", "generate a synthetic corpus", cmd_synth)
     p.add_argument("--seed", type=int, default=0, help="seed for synthetic generation")
     p.add_argument("--n-series", type=int, required=True)
-    p.add_argument("--length-weeks", type=int, default=157)
+    p.add_argument("--length-weeks", type=int, default=TRAIN_WEEKS + TEST_WEEKS)
     p.add_argument("--mode", choices=("weekly", "raw"), default="weekly")
     p.add_argument("--missing-rate", type=float, default=0.0)
 

@@ -10,7 +10,6 @@ the seasonal-naive baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -86,42 +85,53 @@ class Leaderboard:
         raise ConfigError(f"producer {producer!r} not on the leaderboard")
 
 
-def evaluate_corpus(blocks: Iterable[ForecastBlock], actuals: Mapping[str, np.ndarray],
-                    individual: bool = False) -> tuple:
-    """Per-series sMAPE of every producer (series in sorted order) and the
-    corpus leaderboard for one producer cohort; with ``individual``, a third
-    item: the leaderboard of the individual models alone, ranked among
-    themselves as a call on their blocks alone would rank them.
+def evaluate_corpus(blocks: Iterable[ForecastBlock],
+                    actuals: Mapping[str, np.ndarray]) -> tuple[dict[str, np.ndarray], Leaderboard, Leaderboard]:
+    """Per-series sMAPE of every producer (series in sorted order), the
+    corpus leaderboard for one producer cohort, and the leaderboard of the
+    individual models alone, ranked among themselves as a call on their
+    blocks alone would rank them.
 
-    ``blocks`` is consumed one series at a time. A series may come in
-    several blocks (one per forecast file), which must follow one another;
-    a series that comes back after another is an error. Every producer must
-    cover every series. Only each series' MAE and sMAPE per producer are
-    kept; they are summed in sorted-series order once the blocks end. Ranks
-    are computed within the cohort, so rank scales differ between an
-    individual-only and a combined individual + ensemble evaluation.
+    ``blocks`` is consumed one block at a time. A series may come in several
+    blocks (one per forecast file), in any order: its k-th block must have
+    the producers of the first k-th block seen, and a series with fewer
+    blocks than another lacks the others' producers. Only each block's MAE
+    and sMAPE per producer are kept; they are summed in sorted-series order
+    once the blocks end. Ranks are computed within the cohort, so rank
+    scales differ between an individual-only and a combined individual +
+    ensemble evaluation.
     """
-    cohort: list[str] = []  # the first series' producers, in block order
-    scores: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # series -> (MAE, sMAPE) per producer
-    for series_id, parts in groupby(blocks, key=lambda block: block.series_id):
-        if series_id in scores:
-            raise DataError(f"evaluate_corpus: series {series_id} comes back after other series")
-        parts = list(parts)
-        block = ForecastBlock(series_id, [p for b in parts for p in b.producers],
-                              np.vstack([b.values for b in parts]))
-        if not cohort:
-            cohort, first = block.producers, series_id
-        values = block.rows(cohort)
+    parts: list[tuple[str, list[str]]] = []  # the first k-th block's series and producers
+    part_of: dict[str, int] = {}  # producer -> its k
+    scores: dict[str, list] = {}  # series -> (MAE, sMAPE) per producer of each of its blocks
+    for block in blocks:
+        series_id = block.series_id
+        done = scores.setdefault(series_id, [])
+        k = len(done)
+        duplicate = [p for p in block.producers if part_of.get(p, k) < k]  # in its blocks 0..k-1
+        if duplicate:
+            raise DataError(f"{series_id}: duplicate forecasts of {', '.join(duplicate[:5])}")
+        if k == len(parts):
+            parts.append((series_id, block.producers))
+            part_of.update(dict.fromkeys(block.producers, k))
+        first, producers = parts[k]
+        values = block.rows(producers)
         if len(values) < len(block.producers):
-            extra = [p for p in block.producers if p not in cohort]
+            extra = [p for p in block.producers if part_of.get(p) != k]
             raise DataError(f"{first}: missing forecasts of {', '.join(extra[:5])}")
         if series_id not in actuals:
             raise DataError(f"evaluate_corpus: no actuals for series {series_id}")
         actual = np.asarray(actuals[series_id], dtype=float)
-        scores[series_id] = mae(actual, values), smape(actual, values)
+        done.append((mae(actual, values), smape(actual, values)))
     if not scores:
         raise DataError("evaluate_corpus: no forecasts")
+    for series_id, done in scores.items():
+        if len(done) < len(parts):
+            missing = [p for _, producers in parts[len(done):] for p in producers]
+            raise DataError(f"{series_id}: missing forecasts of {', '.join(missing[:5])}")
+        scores[series_id] = [np.concatenate(column) for column in zip(*done)]
 
+    cohort = [p for _, producers in parts for p in producers]
     series_ids = sorted(scores)
 
     def leaderboard(rows: np.ndarray) -> Leaderboard:
@@ -139,15 +149,13 @@ def evaluate_corpus(blocks: Iterable[ForecastBlock], actuals: Mapping[str, np.nd
         board.sort(key=lambda r: (r.mean_smape, r.producer))
         return Leaderboard(rows=board, n_series=len(series_ids))
 
-    boards = []
-    if individual:
-        rows = np.flatnonzero([parse_producer(p) is None for p in cohort])
-        if not len(rows):
-            raise DataError("evaluate_corpus: no individual model forecasts")
-        boards.append(leaderboard(rows))
+    rows = np.flatnonzero([parse_producer(p) is None for p in cohort])
+    if not len(rows):
+        raise DataError("evaluate_corpus: no individual model forecasts")
+    board_individual = leaderboard(rows)
     board = leaderboard(np.arange(len(cohort)))
     smapes = np.column_stack([scores[series_id][1] for series_id in series_ids])
-    return (dict(zip(cohort, smapes)), board, *boards)
+    return dict(zip(cohort, smapes)), board, board_individual
 
 
 @dataclass

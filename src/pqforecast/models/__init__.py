@@ -28,39 +28,39 @@ __all__ = [
 ]
 
 
-def fit_predict(model: ModelId, window: TrainingWindow, h: int = TEST_WEEKS) -> ModelFit:
-    """Fit ``model`` on the training window and return its raw ``h``-step point
-    forecast. An STL composite forecasts the seasonally adjusted series with
-    its sub-forecaster and adds the seasonal component, repeated by cycle."""
+def fit_predict(model: ModelId, window: TrainingWindow) -> ModelFit:
+    """Fit ``model`` on the training window and return its raw point forecast
+    of the test weeks. An STL composite forecasts the seasonally adjusted series
+    with its sub-forecaster and adds the seasonal component, repeated by cycle."""
     y = window.values
     notes: list[str] = []
 
     if model is ModelId.SNAIVE:
-        values = predict_snaive(y, h)
+        values = predict_snaive(y, TEST_WEEKS)
     elif model is ModelId.HW:
-        values = predict_hw(y, h)
+        values = predict_hw(y, TEST_WEEKS)
     elif model is ModelId.PROPHET:
-        values = predict_fourier_trend(y, h)
+        values = predict_fourier_trend(y, TEST_WEEKS)
     elif model is ModelId.SARIMA:
-        values, fit = predict_arima(y, h, window.decomposition)
+        values, fit = predict_arima(y, TEST_WEEKS, window.decomposition)
         if fit is None:
             # a corpus run must not abort on one hard series
-            values = predict_snaive(y, h)
+            values = predict_snaive(y, TEST_WEEKS)
             notes.append("sarima: no admissible order; snaive fallback")
     else:
         decomp = window.decomposition()
         adjusted = decomp.seasonally_adjusted()
         if model is ModelId.STL_DRIFT:
-            values = predict_drift(adjusted, h)
+            values = predict_drift(adjusted, TEST_WEEKS)
         elif model is ModelId.STL_ES:
-            values = predict_es(adjusted, h)
+            values = predict_es(adjusted, TEST_WEEKS)
         elif model is ModelId.STL_HOLT:
-            values = predict_holt(adjusted, h)
+            values = predict_holt(adjusted, TEST_WEEKS)
         else:
-            values, fit = predict_arima(adjusted, h)
+            values, fit = predict_arima(adjusted, TEST_WEEKS)
             if fit is None:
-                values = predict_naive(adjusted, h)
+                values = predict_naive(adjusted, TEST_WEEKS)
                 notes.append("arima inadmissible on adjusted series; naive fallback")
-        values = predict_snaive(decomp.seasonal, h) + values
+        values = predict_snaive(decomp.seasonal, TEST_WEEKS) + values
 
     return ModelFit(model=model, values=values, notes=notes)

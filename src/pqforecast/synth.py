@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .io import write_text
-from .weekly import WeekId, WeeklySeries
+from .models.base import SEASONAL_PERIOD
+from .weekly import TEST_WEEKS, TRAIN_WEEKS, WeekId, WeeklySeries
 
 PARAMETERS = ("UNB", "Uthd", "U03", "U05", "U07", "U09", "U11", "U13", "U15", "Uplt")
 VOLTAGE_LEVELS = ("110", "220", "330", "380")
@@ -36,7 +37,7 @@ class SyntheticSpec:
     """
 
     n_series: int
-    length_weeks: int = 157
+    length_weeks: int = TRAIN_WEEKS + TEST_WEEKS
     base_range: tuple[float, float] = (20.0, 70.0)
     trend_range: tuple[float, float] = (-0.03, 0.08)  # percent points per week
     amplitude_range: tuple[float, float] = (1.0, 12.0)
@@ -80,17 +81,17 @@ class SeriesTruth:
     seasonal_pattern: list[float] = field(default_factory=list)  # one 52-week cycle
 
 
-def _seasonal_pattern(rng: np.random.Generator, shape: str, phase: float, period: int = 52) -> np.ndarray:
+def _seasonal_pattern(rng: np.random.Generator, shape: str, phase: float) -> np.ndarray:
     """Unit-amplitude periodic pattern over one cycle."""
-    t = np.arange(period)
+    t = np.arange(SEASONAL_PERIOD)
     if shape == "sine":
-        pattern = np.sin(2.0 * np.pi * (t / period + phase))
+        pattern = np.sin(2.0 * np.pi * (t / SEASONAL_PERIOD + phase))
     else:
-        pattern = np.zeros(period, dtype=float)
+        pattern = np.zeros(SEASONAL_PERIOD, dtype=float)
         for harmonic in (1, 2, 3):
             a, b = rng.normal(size=2) / harmonic
-            pattern += a * np.cos(2.0 * np.pi * harmonic * (t / period + phase))
-            pattern += b * np.sin(2.0 * np.pi * harmonic * (t / period + phase))
+            pattern += a * np.cos(2.0 * np.pi * harmonic * (t / SEASONAL_PERIOD + phase))
+            pattern += b * np.sin(2.0 * np.pi * harmonic * (t / SEASONAL_PERIOD + phase))
         peak = np.max(np.abs(pattern))
         if peak > 0:
             pattern /= peak

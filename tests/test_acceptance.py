@@ -132,7 +132,7 @@ def test_criterion_4_model_sanity():
 
     const = TrainingWindow(np.full(105, 37.5))
     for model in PUBLIC_MODELS:
-        values = fit_predict(model, const, 52).values
+        values = fit_predict(model, const).values
         assert np.max(np.abs(values - 37.5)) < 1e-6, model
 
     # two identical cycles: SNaive reproduces exactly, HW and the STL
@@ -140,11 +140,11 @@ def test_criterion_4_model_sanity():
     t = np.arange(52)
     cycle = 30 + 8 * np.sin(2 * np.pi * t / 52) + 2 * np.cos(4 * np.pi * t / 52)
     train = TrainingWindow(np.tile(cycle, 2))
-    snaive = fit_predict(ModelId.SNAIVE, train, 52).values
+    snaive = fit_predict(ModelId.SNAIVE, train).values
     assert np.array_equal(snaive, cycle)
     for model in (ModelId.HW, ModelId.STL_DRIFT, ModelId.STL_ES,
                   ModelId.STL_HOLT, ModelId.STL_ARIMA):
-        values = fit_predict(model, train, 52).values
+        values = fit_predict(model, train).values
         rel = np.max(np.abs(values - cycle) / np.abs(cycle))
         assert rel < 0.01, (model, rel)
 
@@ -188,10 +188,10 @@ def corpus_run():
         actuals[series.series_id] = test.values
         window = TrainingWindow(train.values)
         members[series.series_id] = np.vstack(
-            [fit_predict(model, window, 52).values for model in PUBLIC_MODELS])
+            [fit_predict(model, window).values for model in PUBLIC_MODELS])
     individual = [ForecastBlock(sid, model_names, values) for sid, values in members.items()]
 
-    _, board_ind = evaluate_corpus(individual, actuals)
+    _, board_ind, _ = evaluate_corpus(individual, actuals)
     phi = {
         CombinationMethod.SMAPE_WEIGHTED: [board_ind.row(name).mean_smape for name in model_names],
         CombinationMethod.RANK_WEIGHTED: [board_ind.row(name).mean_rank for name in model_names],
@@ -204,7 +204,7 @@ def corpus_run():
 
     # each series' member block and its ensemble block follow one another
     union = [block for pair in zip(individual, ensembles) for block in pair]
-    smapes, board_union = evaluate_corpus(union, actuals)
+    smapes, board_union, _ = evaluate_corpus(union, actuals)
     elapsed = time.perf_counter() - started
     return {
         "individual": individual,

@@ -540,7 +540,8 @@ class TestEvaluateCommand:
 
 
 class TestStreamedForecastFiles:
-    """``ensemble`` and ``evaluate`` read forecast files one series at a time."""
+    """``ensemble`` and ``evaluate`` read forecast files one series at a time,
+    ``evaluate`` its files one after another."""
 
     @pytest.fixture
     def members(self, tmp_path, rng):
@@ -555,21 +556,75 @@ class TestStreamedForecastFiles:
         lines[-1] = lines[-1].rsplit(",", 1)[0] + ",nan"
         path.write_text("\n".join(lines) + "\n")
 
-    @pytest.mark.parametrize("order, mine, theirs", [([1, 0, 2], 0, 1), ([0, 2], 1, 2),
-                                                     ([0, 1], 2, None)],
+    @pytest.mark.parametrize("order, lacking", [([1, 0, 2], None), ([0, 2], 1), ([0, 1], 2)],
                              ids=["swapped", "missing", "ends-early"])
-    def test_files_that_disagree_on_series_name_both(self, tmp_path, rng, members, capsys,
-                                                     order, mine, theirs):
+    def test_second_file_in_another_series_order(self, tmp_path, rng, members, capsys, order, lacking):
         ids, path = members
+        producers = ensemble_producers([CombinationMethod.MEAN])
+        blocks = [ForecastBlock(sid, producers, rng.uniform(5.0, 50.0, (len(producers), 52))) for sid in ids]
+        pqio.write_forecast_csv(tmp_path / "aligned.csv", blocks)
         other = tmp_path / "ensembles.csv"
-        write_forecasts(other, rng, [ids[i] for i in order],
-                        ensemble_producers([CombinationMethod.MEAN]))
-        assert run("evaluate", "--forecasts", path, other, "--weekly", tmp_path / "weekly.csv",
+        pqio.write_forecast_csv(other, [blocks[i] for i in order])
+        assert run("evaluate", "--forecasts", path, tmp_path / "aligned.csv",
+                   "--weekly", tmp_path / "weekly.csv", "--out", tmp_path / "ev0") == 0
+        code = run("evaluate", "--forecasts", path, other, "--weekly", tmp_path / "weekly.csv",
+                   "--out", tmp_path / "ev")
+        if lacking is None:
+            assert code == 0
+            names = sorted(f.name for f in (tmp_path / "ev0").iterdir())
+            assert sorted(f.name for f in (tmp_path / "ev").iterdir()) == names
+            for name in names:
+                assert (tmp_path / "ev" / name).read_bytes() == (tmp_path / "ev0" / name).read_bytes(), name
+        else:
+            assert code == 2
+            assert f"{ids[lacking]}: missing forecasts of B01:mean, " in capsys.readouterr().err
+            assert list((tmp_path / "ev").iterdir()) == []
+
+    def test_series_only_the_second_file_lists(self, tmp_path, rng, members, capsys):
+        ids, _ = members
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write_forecasts(first, rng, ids[:2])
+        write_forecasts(second, rng, ids, ensemble_producers([CombinationMethod.MEAN]))
+        assert run("evaluate", "--forecasts", first, second, "--weekly", tmp_path / "weekly.csv",
                    "--out", tmp_path / "ev") == 2
-        tail = "ends" if theirs is None else f"lists series {ids[theirs]}"
-        assert (f"{path} lists series {ids[mine]} where {other} {tail}: forecast files must "
-                f"list the same series in the same order") in capsys.readouterr().err
+        assert f"{ids[2]}: missing forecasts of SNaive, HW, " in capsys.readouterr().err
         assert list((tmp_path / "ev").iterdir()) == []
+
+    def test_same_file_twice_is_duplicate_forecasts(self, tmp_path, members, capsys):
+        ids, path = members
+        assert run("evaluate", "--forecasts", path, path, "--weekly", tmp_path / "weekly.csv",
+                   "--out", tmp_path / "ev") == 2
+        assert f"{ids[0]}: duplicate forecasts of SNaive, HW, " in capsys.readouterr().err
+        assert list((tmp_path / "ev").iterdir()) == []
+
+    def test_content_error_yields_to_a_malformed_line_in_a_later_file(self, tmp_path, rng, members,
+                                                                    capsys):
+        # the first file's first series is absent from --weekly; the second file's last line is malformed
+        ids, _ = members
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write_forecasts(first, rng, ["ghost:UNB:220", *ids])
+        write_forecasts(second, rng, ids, ensemble_producers([CombinationMethod.MEAN]))
+        lines = second.read_text().splitlines()
+        second.write_text("\n".join(lines[:-1] + ["garbage,line"]) + "\n")
+        assert run("evaluate", "--forecasts", first, second, "--weekly", tmp_path / "weekly.csv",
+                   "--out", tmp_path / "ev") == 2
+        assert f"{second}:{len(lines)}: " in capsys.readouterr().err
+
+    def test_content_errors_in_both_files_report_the_first_files(self, tmp_path, rng, members, capsys):
+        # the first file's last series and the second file's first series have 53 steps
+        ids, _ = members
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+
+        def table(path, producers, long):
+            pqio.write_forecast_csv(path, [
+                ForecastBlock(sid, producers, rng.uniform(5.0, 50.0, (len(producers), 53 if sid == long else 52)))
+                for sid in ids])
+
+        table(first, MODEL_NAMES, ids[-1])
+        table(second, ensemble_producers([CombinationMethod.MEAN]), ids[0])
+        assert run("evaluate", "--forecasts", first, second, "--weekly", tmp_path / "weekly.csv",
+                   "--out", tmp_path / "ev") == 2
+        assert f"{first}: {ids[-1]}: 53 steps, horizon is 52" in capsys.readouterr().err
 
     def test_nonfinite_last_series_leaves_no_ensemble_table(self, tmp_path, members, capsys):
         ids, path = members

@@ -35,6 +35,25 @@ def blocks(forecasts) -> list[ForecastBlock]:
             for sid, (producers, rows) in by_series.items()]
 
 
+def members_and_ensembles(rng, n_series=6):
+    """Member blocks of series s0, s1, ..., their mean and median ensemble
+    blocks, and the actuals, all random."""
+    members = [m.value for m in PUBLIC_MODELS]
+    methods = [CombinationMethod.MEAN, CombinationMethod.MEDIAN]
+    individual, ensembles, actuals = [], [], {}
+    for i in range(n_series):
+        sid = f"s{i}"
+        actuals[sid] = rng.uniform(5, 50, 52)
+        values = rng.uniform(5, 50, (8, 52))
+        individual.append(ForecastBlock(sid, members, values))
+        ensembles.append(ForecastBlock(sid, ensemble_producers(methods), combine(values, methods)))
+    return individual, ensembles, actuals
+
+
+def board_rows(board):
+    return [(r.producer, r.mean_mae, r.mean_smape, r.mean_rank, r.benchmark_ratio) for r in board.rows]
+
+
 def reference_rank_within_series(smapes):
     """The dict-based ranking that ``average_ranks`` replaced (the oracle)."""
     producers = list(smapes)
@@ -216,7 +235,7 @@ class TestEvaluateCorpus:
             fc("s1", "SNaive", np.full(52, 12.0)),
             fc("s1", "HW", np.full(52, 11.0)),
         ]
-        smapes, board = evaluate_corpus(blocks(forecasts), {"s1": actual})
+        smapes, board, _ = evaluate_corpus(blocks(forecasts), {"s1": actual})
         assert smapes["HW"] == pytest.approx([200.0 / 21.0], rel=1e-12)
         assert board.row("HW").mean_rank == 1.0
         assert board.row("SNaive").mean_rank == 2.0
@@ -231,7 +250,7 @@ class TestEvaluateCorpus:
             actuals[sid] = rng.uniform(10, 50, 52)
             for producer in ("SNaive", "HW", "Prophet"):
                 forecasts.append(fc(sid, producer, rng.uniform(10, 50, 52)))
-        _, board = evaluate_corpus(blocks(forecasts), actuals)
+        _, board, _ = evaluate_corpus(blocks(forecasts), actuals)
         assert board.row("SNaive").benchmark_ratio == 1.0
 
     def test_hand_computed_two_series_corpus(self):
@@ -255,7 +274,7 @@ class TestEvaluateCorpus:
         s2 = {p: sm(20, level[(p, "s2")]) for p in ("SNaive", "HW", "Prophet", "SARIMA")}
         expected_rank = {"Prophet": 1.5, "HW": 3.0, "SNaive": 3.0, "SARIMA": 2.5}
 
-        smapes, board = evaluate_corpus(blocks(forecasts), actuals)
+        smapes, board, _ = evaluate_corpus(blocks(forecasts), actuals)
         for producer in s1:
             assert smapes[producer] == pytest.approx([s1[producer], s2[producer]], rel=1e-12)
             row = board.row(producer)
@@ -286,10 +305,10 @@ class TestEvaluateCorpus:
             actuals[sid] = rng.uniform(5, 50, 52)
             for producer in ("SNaive", "HW", "Prophet"):
                 forecasts.append(fc(sid, producer, rng.uniform(5, 50, 52)))
-        _, base = evaluate_corpus(blocks(forecasts), actuals)
+        _, base, _ = evaluate_corpus(blocks(forecasts), actuals)
         shuffled = list(forecasts)
         rng.shuffle(shuffled)  # series and producers in another order in every block
-        _, again = evaluate_corpus(blocks(shuffled), actuals)
+        _, again, _ = evaluate_corpus(blocks(shuffled), actuals)
         assert [(r.producer, r.mean_smape, r.mean_rank) for r in base.rows] == \
                [(r.producer, r.mean_smape, r.mean_rank) for r in again.rows]
 
@@ -308,7 +327,7 @@ class TestEvaluateCorpus:
             actuals[sid] = rng.uniform(5, 50, 52)
             for p in producers:
                 forecasts.append(fc(sid, p, rng.uniform(5, 50, 52)))
-        _, board = evaluate_corpus(blocks(forecasts), actuals)
+        _, board, _ = evaluate_corpus(blocks(forecasts), actuals)
         for row in board.rows:
             assert 1.0 <= row.mean_rank <= 8.0
 
@@ -327,7 +346,7 @@ class TestEvaluateCorpus:
             corpus.append(ForecastBlock(sid, members, values))
             corpus.append(ForecastBlock(sid, ensemble_producers([CombinationMethod.MEAN]),
                                         combine(values, [CombinationMethod.MEAN])))
-        _, board = evaluate_corpus(corpus, actuals)
+        _, board, _ = evaluate_corpus(corpus, actuals)
         member_mean = np.mean([board.row(p).mean_mae for p in members])
         assert board.row("H01:mean").mean_mae <= member_mean + 1e-9
 
@@ -337,12 +356,26 @@ class TestEvaluateCorpus:
         with pytest.raises(DataError, match="s1: duplicate forecasts of HW"):
             evaluate_corpus(corpus, {"s1": np.ones(52)})
 
-    def test_series_that_comes_back_is_an_error(self):
-        corpus = [ForecastBlock("s1", ["SNaive"], np.ones((1, 52))),
-                  ForecastBlock("s2", ["SNaive"], np.ones((1, 52))),
-                  ForecastBlock("s1", ["HW"], np.ones((1, 52)))]
-        with pytest.raises(DataError, match="series s1 comes back after other series"):
-            evaluate_corpus(corpus, {"s1": np.ones(52), "s2": np.ones(52)})
+    def test_blocks_of_two_files_in_other_series_orders_merge_by_series(self, rng):
+        individual, ensembles, actuals = members_and_ensembles(rng)
+        adjacent = [block for pair in zip(individual, ensembles) for block in pair]
+        files = individual + [ensembles[i] for i in (3, 0, 5, 1, 4, 2)]
+        want, got = evaluate_corpus(adjacent, actuals), evaluate_corpus(files, actuals)
+        assert [board_rows(board) for board in got[1:]] == [board_rows(board) for board in want[1:]]
+        assert list(got[0]) == list(want[0])
+        assert all(np.array_equal(got[0][p], want[0][p]) for p in want[0])
+
+    @pytest.mark.parametrize("absent", [0, 5])
+    def test_series_with_fewer_blocks_is_missing_forecasts(self, rng, absent):
+        individual, ensembles, actuals = members_and_ensembles(rng)
+        del ensembles[absent]
+        with pytest.raises(DataError, match=f"s{absent}: missing forecasts of B01:mean, B01:median, "):
+            evaluate_corpus(individual + ensembles, actuals)
+
+    def test_series_only_a_later_file_lists_is_missing_forecasts(self, rng):
+        individual, ensembles, actuals = members_and_ensembles(rng)
+        with pytest.raises(DataError, match="s5: missing forecasts of SNaive, HW, SARIMA"):
+            evaluate_corpus(individual[:5] + ensembles, actuals)
 
     def test_producer_missing_from_the_first_series_is_an_error(self):
         corpus = [ForecastBlock("s1", ["SNaive"], np.ones((1, 52))),
@@ -350,8 +383,8 @@ class TestEvaluateCorpus:
         with pytest.raises(DataError, match="s1: missing forecasts of HW"):
             evaluate_corpus(corpus, {"s1": np.ones(52), "s2": np.ones(52)})
 
-    def test_series_is_scored_once_its_blocks_end(self):
-        # a series is scored when the next series' first block comes, not at the end
+    def test_each_block_is_scored_as_it_comes(self):
+        # a block is scored before the next one is drawn, not at the end
         drawn = []
 
         def corpus():
@@ -361,36 +394,22 @@ class TestEvaluateCorpus:
 
         class Actuals(dict):
             def __getitem__(self, sid):
-                assert drawn.index(sid) >= len(drawn) - 2, (sid, drawn)
+                assert sid == drawn[-1], (sid, drawn)
                 return super().__getitem__(sid)
 
         actuals = Actuals(s1=np.ones(52), s2=np.ones(52), s3=np.ones(52))
-        smapes, board = evaluate_corpus(corpus(), actuals)
+        smapes, board, _ = evaluate_corpus(corpus(), actuals)
         assert board.n_series == 3 and smapes["HW"] == pytest.approx([200 / 3] * 3, rel=1e-12)
 
     def test_individual_board_equals_a_call_on_individual_blocks(self, rng):
-        members = [m.value for m in PUBLIC_MODELS]
-        methods = [CombinationMethod.MEAN, CombinationMethod.MEDIAN]
-        individual, union, actuals = [], [], {}
-        for i in range(6):
-            sid = f"s{i}"
-            actuals[sid] = rng.uniform(5, 50, 52)
-            values = rng.uniform(5, 50, (8, 52))
-            individual.append(ForecastBlock(sid, members, values))
-            union += [individual[-1], ForecastBlock(sid, ensemble_producers(methods),
-                                                    combine(values, methods))]
-
-        def rows(board):
-            return [(r.producer, r.mean_mae, r.mean_smape, r.mean_rank, r.benchmark_ratio)
-                    for r in board.rows]
-
-        smapes, board, board_individual = evaluate_corpus(union, actuals, individual=True)
-        _, alone = evaluate_corpus(individual, actuals)
-        assert rows(board_individual) == rows(alone)
+        individual, ensembles, actuals = members_and_ensembles(rng)
+        union = [block for pair in zip(individual, ensembles) for block in pair]
+        smapes, board, board_individual = evaluate_corpus(union, actuals)
+        _, alone, _ = evaluate_corpus(individual, actuals)
+        assert board_rows(board_individual) == board_rows(alone)
         assert len(board.rows) == 8 + 2 * 247 and len(smapes) == len(board.rows)
-        assert rows(evaluate_corpus(union, actuals)[1]) == rows(board)
         with pytest.raises(DataError, match="no individual model forecasts"):
-            evaluate_corpus(union[1::2], actuals, individual=True)
+            evaluate_corpus(ensembles, actuals)
 
     def test_matches_scalar_reference(self):
         # leaderboard means equal the per-(series, producer) scalar loop's
@@ -407,7 +426,7 @@ class TestEvaluateCorpus:
                     if p != "SNaive" and rng.random() < 0.2:
                         values = actuals[sid].copy()  # sMAPE 0, tied with others
                     forecasts.append(fc(sid, str(p), values))
-            _, board = evaluate_corpus(blocks(forecasts), actuals)
+            _, board, _ = evaluate_corpus(blocks(forecasts), actuals)
             got = sorted((r.producer, r.mean_mae, r.mean_smape, r.mean_rank) for r in board.rows)
             assert got == reference_leaderboard(forecasts, actuals)
 

@@ -65,7 +65,7 @@ class TestBaselines:
     def test_drift_clamped_in_forecast(self):
         t = np.arange(105, dtype=float)
         y = 60.0 - 0.55 * t + 2.0 * np.sin(2 * np.pi * t / 52)
-        raw = fit_predict(ModelId.STL_DRIFT, TrainingWindow(y), 52).values
+        raw = fit_predict(ModelId.STL_DRIFT, TrainingWindow(y)).values
         assert raw.min() < 0.0
         block = ForecastBlock("s:UNB:220", [ModelId.STL_DRIFT.value], raw[None])
         assert np.all(block.values >= 0.0)
@@ -242,7 +242,7 @@ class TestStlComposites:
     def test_constant(self):
         const = np.full(105, 21.0)
         for model in self.STL_MODELS:
-            out = fit_predict(model, TrainingWindow(const), 52).values
+            out = fit_predict(model, TrainingWindow(const)).values
             assert out == pytest.approx(np.full(52, 21.0), abs=1e-6), model
 
     def test_sinusoid_continuation(self):
@@ -251,19 +251,19 @@ class TestStlComposites:
         y = 30 + amp * np.sin(2 * np.pi * t / 52)
         expected = 30 + amp * np.sin(2 * np.pi * (105 + np.arange(52)) / 52)
         for model in self.STL_MODELS:
-            out = fit_predict(model, TrainingWindow(y), 52).values
+            out = fit_predict(model, TrainingWindow(y)).values
             assert np.max(np.abs(out - expected)) <= 0.05 * amp, model
 
     def test_stl_drift_line_plus_sinusoid(self):
         t = np.arange(105, dtype=float)
         gen = lambda tt: 40 + 0.2 * tt + 6 * np.sin(2 * np.pi * tt / 52)  # noqa: E731
-        out = fit_predict(ModelId.STL_DRIFT, TrainingWindow(gen(t)), 52).values
+        out = fit_predict(ModelId.STL_DRIFT, TrainingWindow(gen(t))).values
         expected = gen(105 + np.arange(52, dtype=float))
         assert np.max(np.abs(out - expected) / expected) < 0.05
 
     def test_short_series_rejected(self):
         with pytest.raises(DataError):
-            fit_predict(ModelId.STL_ES, TrainingWindow(np.ones(103)), 52)
+            fit_predict(ModelId.STL_ES, TrainingWindow(np.ones(103)))
 
 
 class TestStandardize:
@@ -328,16 +328,16 @@ class TestModelProperties:
     def test_determinism_bit_identical(self):
         y = self._noisy_train()
         for model in PUBLIC_MODELS:
-            a = fit_predict(model, TrainingWindow(y), 52).values
-            b = fit_predict(model, TrainingWindow(y), 52).values
+            a = fit_predict(model, TrainingWindow(y)).values
+            b = fit_predict(model, TrainingWindow(y)).values
             assert np.array_equal(a, b), model
 
     def test_shift_equivariance(self):
         y = self._noisy_train()
         shift = 13.7
         for model in PUBLIC_MODELS:
-            base = fit_predict(model, TrainingWindow(y), 52).values
-            shifted = fit_predict(model, TrainingWindow(y + shift), 52).values
+            base = fit_predict(model, TrainingWindow(y)).values
+            shifted = fit_predict(model, TrainingWindow(y + shift)).values
             rel = np.max(np.abs(shifted - (base + shift)) / np.maximum(np.abs(base + shift), 1e-9))
             assert rel < 1e-6, (model, rel)
 
@@ -345,8 +345,8 @@ class TestModelProperties:
         y = self._noisy_train()
         scale = 2.9
         for model in PUBLIC_MODELS:
-            base = fit_predict(model, TrainingWindow(y), 52).values
-            scaled = fit_predict(model, TrainingWindow(y * scale), 52).values
+            base = fit_predict(model, TrainingWindow(y)).values
+            scaled = fit_predict(model, TrainingWindow(y * scale)).values
             rel = np.max(np.abs(scaled - base * scale) / np.maximum(np.abs(base * scale), 1e-9))
             assert rel < 1e-6, (model, rel)
 
@@ -356,16 +356,16 @@ class TestModelProperties:
         # RuntimeWarning into an error, so none may be raised on the way
         y = self._noisy_train()
         for model in PUBLIC_MODELS:
-            base = fit_predict(model, TrainingWindow(y), 52).values
-            huge = fit_predict(model, TrainingWindow(y * scale), 52).values
+            base = fit_predict(model, TrainingWindow(y)).values
+            huge = fit_predict(model, TrainingWindow(y * scale)).values
             assert np.isfinite(huge).all(), model
             rel = np.max(np.abs(huge - base * scale) / np.abs(base * scale))
             assert rel < 1e-6, (model, rel)
 
     def test_snaive_exact_shift(self):
         y = self._noisy_train()
-        base = fit_predict(ModelId.SNAIVE, TrainingWindow(y), 52).values
-        shifted = fit_predict(ModelId.SNAIVE, TrainingWindow(y + 5.0), 52).values
+        base = fit_predict(ModelId.SNAIVE, TrainingWindow(y)).values
+        shifted = fit_predict(ModelId.SNAIVE, TrainingWindow(y + 5.0)).values
         assert np.array_equal(shifted, base + 5.0)
 
     def test_snaive_idempotent_with_prefix(self):
@@ -374,5 +374,5 @@ class TestModelProperties:
         for prefix_len in (0, 1, 17):
             cycle = rng.uniform(5, 50, 52)
             train = np.concatenate([rng.uniform(5, 50, prefix_len), np.tile(cycle, 2)])
-            out = fit_predict(ModelId.SNAIVE, TrainingWindow(train), 52).values
+            out = fit_predict(ModelId.SNAIVE, TrainingWindow(train)).values
             assert np.array_equal(out, cycle)

@@ -338,7 +338,7 @@ class TestPredictWrappers:
     def test_sarima_fallback_to_snaive(self, monkeypatch):
         y = np.abs(np.random.default_rng(3).normal(30, 3, 105))
         monkeypatch.setattr(sarima, "MIN_LEN_AFTER_DIFF", 200)
-        fit = fit_predict(ModelId.SARIMA, TrainingWindow(y), 52)
+        fit = fit_predict(ModelId.SARIMA, TrainingWindow(y))
         assert fit.notes and "fallback" in fit.notes[0]
         assert np.array_equal(fit.values, predict_snaive(y, 52))
 

@@ -79,5 +79,5 @@ def test_noise_free_seasonal_series_is_snaive_fixed_point():
     corpus, _ = generate_corpus(spec)
     for series in corpus:
         train, test = split_train_test(series)
-        fc = fit_predict(ModelId.SNAIVE, TrainingWindow(train.values), 52)
+        fc = fit_predict(ModelId.SNAIVE, TrainingWindow(train.values))
         assert smape(test.values, np.maximum(fc.values, 0)) < 1e-9
