@@ -1,8 +1,9 @@
-"""Command-line pipeline: synth, preprocess, forecast, ensemble, evaluate, report.
+"""Command-line pipeline: synth, preprocess, forecast, ensemble, evaluate.
 
 Each stage reads and writes the documented CSV contracts, so stages can be
-rerun and inspected independently. Exit codes: 0 success, 1 usage or
-configuration error, 2 data error, 3 internal failure.
+rerun and inspected independently. The final ``evaluate``, given ensemble
+forecasts, also draws its three analyses as SVG figures. Exit codes: 0
+success, 1 usage or configuration error, 2 data error, 3 internal failure.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import io as pqio
 from . import report as pqreport
-from .ensembles import ALL_METHODS, CombinationMethod, combine, ensemble_producers, parse_producer
+from .ensembles import ALL_METHODS, CombinationMethod, combine, compute_weights, ensemble_producers, parse_producer
 from .errors import ConfigError, DataError
 from .evaluation import Leaderboard, compare_best, composition_analysis, evaluate_corpus
 from .models import ForecastBlock, ModelFit, ModelId, PUBLIC_MODELS, TrainingWindow, fit_predict, model_from_name
@@ -190,8 +191,15 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
         if not args.leaderboard:
             raise ConfigError("weighted methods need --leaderboard with individual model scores")
         board = pqio.read_leaderboard_csv(Path(args.leaderboard))
-        phi = {CombinationMethod.SMAPE_WEIGHTED: [board.row(name).mean_smape for name in member_names],
-               CombinationMethod.RANK_WEIGHTED: [board.row(name).mean_rank for name in member_names]}
+        try:  # every weight's metric, checked before any member row is read
+            rows = [board.row(name) for name in member_names]
+            phi = {CombinationMethod.SMAPE_WEIGHTED: [r.mean_smape for r in rows],
+                   CombinationMethod.RANK_WEIGHTED: [r.mean_rank for r in rows]}
+            for method in methods:
+                if method.needs_phi:
+                    compute_weights(phi[method])
+        except (ConfigError, DataError) as exc:
+            raise type(exc)(f"{args.leaderboard}: {exc}") from exc
 
     producers = ensemble_producers(methods)
     members = pqio.iter_forecast_csv(Path(args.forecasts))
@@ -269,12 +277,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 "evaluate", "", "", f"top-n clipped to {composition.top_n}"))
         pqio.write_composition_csv(out / "composition_top.csv", composition)
         pqio.write_size_aggregates_csv(out / "size_aggregates.csv", composition.size_aggregates)
+        pqreport.render_composition_svg(out / "fig_composition.svg", composition)
+        pqreport.render_size_aggregates_svg(out / "fig_size_aggregates.svg", composition.size_aggregates)
 
         best_ensemble = ensemble_rows[0]
         comparison = compare_best(sorted(actuals), best.producer, smapes[best.producer],
                                   best_ensemble.producer, smapes[best_ensemble.producer])
         pqio.write_comparison_csv(out / "comparison.csv", comparison)
         pqio.write_ecdf_csv(out / "ecdf.csv", comparison)
+        pqreport.render_comparison_svg(out / "fig_comparison.svg", comparison)
         print(f"  best ensemble: {best_ensemble.producer} "
               f"(mean sMAPE {best_ensemble.mean_smape:.2f} %, BR {best_ensemble.benchmark_ratio:.3f})")
         print(f"  ensemble wins on {100 * comparison.win_fraction:.1f} % of series; "
@@ -282,26 +293,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
               f"{100 * comparison.median_improvement_when_winning:.1f} %")
 
     pqio.write_manifest(out / "manifest.jsonl", manifest)
-    return EXIT_OK
-
-
-# -- report -------------------------------------------------------------------
-
-def cmd_report(args: argparse.Namespace) -> int:
-    eval_dir = Path(args.eval_dir)
-    out = _ensure_out(args)
-    figures = (
-        ("size_aggregates.csv", pqio.read_size_aggregates_csv,
-         pqreport.render_size_aggregates_svg, "fig_size_aggregates.svg"),
-        ("composition_top.csv", pqio.read_composition_csv,
-         pqreport.render_composition_svg, "fig_composition.svg"),
-        ("comparison.csv", pqio.read_comparison_csv,
-         pqreport.render_comparison_svg, "fig_comparison.svg"),
-    )
-    for table, read, render, figure in figures:
-        if (eval_dir / table).exists():
-            render(out / figure, read(eval_dir / table))
-    print(f"report: figures written to {out}")
     return EXIT_OK
 
 
@@ -340,13 +331,10 @@ def build_parser() -> _Parser:
                    help="individual leaderboard CSV supplying weights for weighted methods")
     p.add_argument("--methods", default="all", help="comma list of methods or 'all'")
 
-    p = stage("evaluate", "score forecasts and emit leaderboards", cmd_evaluate)
+    p = stage("evaluate", "score forecasts and emit leaderboards, analyses and figures", cmd_evaluate)
     p.add_argument("--forecasts", nargs="+", required=True, help="forecast CSV file(s)")
     p.add_argument("--weekly", required=True, help="weekly series CSV with the actuals")
     p.add_argument("--top-n", type=int, default=100)
-
-    p = stage("report", "render SVG figures from evaluation output", cmd_report)
-    p.add_argument("--eval-dir", required=True, help="directory produced by evaluate")
 
     return parser
 

@@ -1,7 +1,8 @@
 """File formats: the nine CSV tables, planning levels and the run manifest.
 
 Every CSV table but the raw and forecast tables is written by one writer,
-``_write_csv``, and read by one reader, ``_read_csv``; each table has one
+``_write_csv``, and the two of them a stage reads back, the weekly table
+and the leaderboard, by one reader, ``_read_csv``; each table has one
 header constant. The csv module writes floats (numpy's float64 included)
 with ``repr``, the shortest round-trip form, so outputs are byte-stable
 across runs, which the determinism guarantees rely on. The raw and
@@ -523,22 +524,6 @@ def write_size_aggregates_csv(path: Path, aggregates: Sequence[SizeAggregate]) -
     ))
 
 
-def read_size_aggregates_csv(path: Path) -> list[SizeAggregate]:
-    aggregates: list[SizeAggregate] = []
-    _read_csv(path, SIZE_AGGREGATES_HEADER, lambda row: aggregates.append(
-        SizeAggregate(int(row[0]), int(row[1]), *map(float, row[2:]))))
-    return aggregates
-
-
-# composition_top.csv rows: kind -> (key type, value type)
-_COMPOSITION_KINDS = {
-    "meta": (str, int),
-    "model_share": (str, float),
-    "size_count": (int, int),
-    "method_count": (str, int),
-}
-
-
 def write_composition_csv(path: Path, report: CompositionReport) -> None:
     _write_csv(path, COMPOSITION_HEADER, [
         ("meta", "top_n", report.top_n),
@@ -548,48 +533,11 @@ def write_composition_csv(path: Path, report: CompositionReport) -> None:
     ])
 
 
-def read_composition_csv(path: Path) -> CompositionReport:
-    parts: dict[str, dict] = {kind: {} for kind in _COMPOSITION_KINDS}
-
-    def take(row: list[str]) -> None:
-        kind, key, value = row
-        if kind not in parts:
-            raise ValueError(f"unknown kind {kind!r}")
-        key_type, value_type = _COMPOSITION_KINDS[kind]
-        parts[kind][key_type(key)] = value_type(value)
-
-    _read_csv(path, COMPOSITION_HEADER, take)
-    return CompositionReport(
-        top_n=parts["meta"].get("top_n", 0),
-        model_share=parts["model_share"],
-        size_histogram=parts["size_count"],
-        method_histogram=parts["method_count"],
-        size_aggregates=[],
-    )
-
-
 def write_comparison_csv(path: Path, report: ComparisonReport) -> None:
     _write_csv(path, COMPARISON_HEADER, zip(
         report.series_ids, report.individual_smape, report.ensemble_smape,
         report.relative_improvement,
     ))
-
-
-def read_comparison_csv(path: Path) -> ComparisonReport:
-    series_ids: list[str] = []
-    values: list[list[float]] = []
-
-    def take(row: list[str]) -> None:
-        values.append([float(v) for v in row[1:]])
-        series_ids.append(row[0])
-
-    _read_csv(path, COMPARISON_HEADER, take)
-    individual, ensemble, improvement = np.array(values).T
-    return ComparisonReport(
-        individual_producer="best individual", ensemble_producer="best ensemble",
-        series_ids=series_ids, individual_smape=individual, ensemble_smape=ensemble,
-        relative_improvement=improvement,
-    )
 
 
 def write_ecdf_csv(path: Path, report: ComparisonReport) -> None:

@@ -1,4 +1,4 @@
-"""Dependency-free SVG figures of the evaluation analyses."""
+"""Dependency-free SVG figures of the analyses the final ``evaluate`` writes."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from .io import write_text
 
 
 _W, _H, _PAD = 640, 400, 56
+_ESCAPE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # a title may carry any producer label
 
 
 def _svg_header(title: str) -> list[str]:
@@ -19,7 +20,7 @@ def _svg_header(title: str) -> list[str]:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2}" y="20" text-anchor="middle" font-size="15">{title}</text>',
+        f'<text x="{_W / 2}" y="20" text-anchor="middle" font-size="15">{title.translate(_ESCAPE)}</text>',
     ]
 
 
@@ -83,7 +84,7 @@ def render_composition_svg(path: Path, report: CompositionReport) -> None:
                      f'text-anchor="middle">{label}</text>')
 
     histogram(report.size_histogram, _PAD, "ensemble size")
-    histogram({k: v for k, v in report.method_histogram.items()}, _W / 2 + 20, "combination method")
+    histogram(report.method_histogram, _W / 2 + 20, "combination method")
     parts.append("</svg>")
     write_text(path, "\n".join(parts))
 
@@ -116,12 +117,8 @@ def render_comparison_svg(path: Path, report: ComparisonReport) -> None:
         hi2 = lo2 + 1e-9
     sx = _scale(report.individual_smape, lo2, hi2, half + 20, _W - _PAD)
     sy = _scale(report.ensemble_smape, lo2, hi2, _H - _PAD, _PAD)
-    diag0 = float(_scale(np.array([lo2]), lo2, hi2, half + 20, _W - _PAD)[0])
-    diag1 = float(_scale(np.array([hi2]), lo2, hi2, half + 20, _W - _PAD)[0])
-    dy0 = float(_scale(np.array([lo2]), lo2, hi2, _H - _PAD, _PAD)[0])
-    dy1 = float(_scale(np.array([hi2]), lo2, hi2, _H - _PAD, _PAD)[0])
-    parts.append(f'<line x1="{diag0:.1f}" y1="{dy0:.1f}" x2="{diag1:.1f}" y2="{dy1:.1f}" '
-                 'stroke="#999" stroke-dasharray="4"/>')
+    parts.append(f'<line x1="{half + 20:.1f}" y1="{_H - _PAD:.1f}" x2="{_W - _PAD:.1f}" y2="{_PAD:.1f}" '
+                 'stroke="#999" stroke-dasharray="4"/>')  # the diagonal, corner to corner
     for x, y in zip(sx, sy):
         parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="2.5" fill="#48a" fill-opacity="0.6"/>')
     parts.append(f'<text x="{(half + 20 + _W - _PAD) / 2:.1f}" y="{_H - _PAD + 24}" '

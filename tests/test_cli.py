@@ -479,6 +479,21 @@ class TestEnsembleCommand:
                    "--methods", "rank", "--out", tmp_path / "o") == 1
         assert "producer 'SNaive' not on the leaderboard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("names, smape, code, message", [
+        (MODEL_NAMES, 0.0, 2, "compute_weights: metric values must be positive and finite"),
+        (MODEL_NAMES[1:], 20.0, 1, "producer 'SNaive' not on the leaderboard"),
+    ], ids=["zero-smape", "missing-model"])
+    def test_leaderboard_error_names_it_before_members_are_read(self, tmp_path, capsys, names, smape, code, message):
+        from pqforecast.evaluation import Leaderboard, LeaderboardRow
+        board = tmp_path / "board.csv"
+        rows = [LeaderboardRow(name, 4.0, smape, 4.0, 1.0) for name in names]
+        pqio.write_leaderboard_csv(board, Leaderboard(rows=rows, n_series=2))
+        absent = tmp_path / "forecasts.csv"  # never written, so reading members would fail first
+        assert run("ensemble", "--forecasts", absent, "--leaderboard", board,
+                   "--methods", "mean,smape", "--out", tmp_path / "o") == code
+        assert f"{board}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "ensemble_forecasts.csv").exists()
+
 
 class TestEvaluateCommand:
     def test_snaive_br_is_one(self, tmp_path):
@@ -743,7 +758,7 @@ def test_ensemble_path_peak_rss_grows_under_0_1_mb_per_series(tmp_path, rng):
 
 
 class TestFullPipeline:
-    def test_end_to_end_with_report(self, tmp_path):
+    def test_end_to_end_with_figures(self, tmp_path):
         base = tmp_path
         assert run("synth", "--out", base / "corpus", "--n-series", 2, "--seed", 21) == 0
         assert run("forecast", "--weekly", base / "corpus" / "weekly.csv",
@@ -763,10 +778,17 @@ class TestFullPipeline:
             assert (base / "ev" / name).exists(), name
         board = pqio.read_leaderboard_csv(base / "ev" / "leaderboard_ensembles.csv")
         assert len(board.rows) == 988
-        assert run("report", "--eval-dir", base / "ev", "--out", base / "figs") == 0
         for name in ("fig_size_aggregates.svg", "fig_composition.svg", "fig_comparison.svg"):
-            svg = (base / "figs" / name)
+            svg = (base / "ev" / name)
             assert svg.exists() and svg.read_text().startswith("<svg"), name
+
+    def test_members_only_evaluate_draws_no_figure(self, tmp_path, rng):
+        corpus = write_weekly(tmp_path / "weekly.csv", n_series=2, seed=9)
+        write_forecasts(tmp_path / "forecasts.csv", rng, [s.series_id for s in corpus])
+        assert run("evaluate", "--forecasts", tmp_path / "forecasts.csv", "--weekly", tmp_path / "weekly.csv",
+                   "--out", tmp_path / "ev") == 0
+        written = sorted(p.name for p in (tmp_path / "ev").iterdir())
+        assert written == ["leaderboard_individual.csv", "manifest.jsonl"]
 
     def test_producers_cover_leaderboards_exactly_once(self, tmp_path):
         base = tmp_path
@@ -848,18 +870,11 @@ class TestMalformedForecastTable:
             assert f"{path}:6: unknown" in capsys.readouterr().err
 
 
-class TestReportCommand:
-    @pytest.mark.parametrize("text, expected", [
-        pytest.param("size,count,mean_smape,q25,median,q75,min,max\n2,abc,1,1,1,1,1,1\n",
-                     "size_aggregates.csv:2", id="bad-count"),
-        pytest.param("size,count\n2,abc\n", "expected header", id="bad-header"),
-    ])
-    def test_malformed_table_is_data_error(self, tmp_path, capsys, text, expected):
-        ev = tmp_path / "ev"
-        ev.mkdir()
-        (ev / "size_aggregates.csv").write_text(text)
-        assert run("report", "--eval-dir", ev, "--out", tmp_path / "figs") == 2
-        assert expected in capsys.readouterr().err
+def test_report_is_no_stage(tmp_path, capsys):
+    """The final ``evaluate`` draws the figures; no stage reads its tables back."""
+    assert run("report", "--eval-dir", tmp_path / "ev", "--out", tmp_path / "figs") == 1
+    assert "invalid choice: 'report'" in capsys.readouterr().err
+    assert not (tmp_path / "figs").exists()
 
 
 class TestStageFlags:
@@ -869,7 +884,6 @@ class TestStageFlags:
         ["ensemble", "--forecasts", "f.csv", "--config", "c.ini"],
         ["preprocess", "--raw", "r.csv", "--planning-levels", "p.ini", "--jobs", "2"],
         ["synth", "--n-series", "1", "--config", "c.ini"],
-        ["report", "--eval-dir", "ev", "--seed", "1"],
         ["forecast", "--weekly", "w.csv", "--config", "c.ini"],
         ["forecast", "--weekly", "w.csv", "--train-len", "105"],
         ["evaluate", "--forecasts", "f.csv", "--weekly", "w.csv", "--horizon", "52"],

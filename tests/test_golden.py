@@ -2,9 +2,10 @@
 
 The pipeline runs in-process: ``synth`` (weekly, 10 series), ``synth --mode
 raw`` (2 series, 60 weeks, 5 % missing weeks), ``preprocess``, ``forecast``,
-``evaluate``, ``ensemble``, ``evaluate`` and ``report``. The hashes were
-recorded with Python 3.11.7 and numpy 2.4.6; another numpy may round the
-model arithmetic differently and change them.
+``evaluate``, ``ensemble`` and the final ``evaluate``, which also draws
+the three figures. The hashes were recorded with Python 3.11.7 and numpy
+2.4.6; another numpy may round the model arithmetic differently and change
+them.
 
 Any change to any output byte fails this test. A change that is meant to
 change numbers or formats updates ``GOLDEN`` and gives the reason in
@@ -25,6 +26,9 @@ GOLDEN = {
     "ev/comparison.csv": "036e0d2a2bca89a22d8238e7629459bdbe9d4def785d819894ea16216a178e04",
     "ev/composition_top.csv": "47e5024876e199669d0c77d050836b229c2a171c1aa04679b0ec5c26dbb12519",
     "ev/ecdf.csv": "41d603e56c69195c7d1784dbf11e141665f4af39f6bd4c16988db7d405f55e02",
+    "ev/fig_comparison.svg": "8eaa15b32b8f66205fd95414ab934ebd0f3a1f9fb07c10440452c5ea3783d2e2",
+    "ev/fig_composition.svg": "a5ae249b368a9daa831c900a72175d71c6bf385ff4e5347ed2a87b131f5cb35a",
+    "ev/fig_size_aggregates.svg": "f7f4aec57bfe4db7ece27bb05311d992360d805e844432468a5baead76e408fa",
     "ev/leaderboard_ensembles.csv": "7b119fe218dec67fe41f480db09d6c3748da6039dfa15fb8c12e400186c5bd48",
     "ev/leaderboard_individual.csv": "aafabbeb00c8dc0f83348b81fa901bbe4ee4146786c6217c942e3781507f5ccc",
     "ev/manifest.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -33,9 +37,6 @@ GOLDEN = {
     "ev0/manifest.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "fc/forecasts.csv": "5d6ead185b2f70e80a3c415c49217f876f1234e497b4144446fa95969399272c",
     "fc/manifest.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "figs/fig_comparison.svg": "c30634d52e3407b269a083d07a9632bf8a4872d17170e9d8d35794230bdfbb04",
-    "figs/fig_composition.svg": "a5ae249b368a9daa831c900a72175d71c6bf385ff4e5347ed2a87b131f5cb35a",
-    "figs/fig_size_aggregates.svg": "f7f4aec57bfe4db7ece27bb05311d992360d805e844432468a5baead76e408fa",
     "pre/rejections.csv": "12fced24ef42040db0bcad1d41cb0deb3974379367dfbfe8a142f63f4fc91d21",
     "pre/weekly.csv": "183f8943ba56b77875852e581e074eff95ab80d6cfd2939dee3938cfd6f91845",
     "raw/planning_levels.ini": "b88443d3d7332bf4df102cfb1b35b63e5cb2bf2640990f3d972f2f8f9dc4196b",
@@ -62,7 +63,6 @@ def run_pipeline(base: Path) -> dict[str, str]:
         "--leaderboard", base / "ev0" / "leaderboard_individual.csv", "--out", base / "ens")
     run("evaluate", "--forecasts", base / "fc" / "forecasts.csv",
         base / "ens" / "ensemble_forecasts.csv", "--weekly", weekly, "--out", base / "ev")
-    run("report", "--eval-dir", base / "ev", "--out", base / "figs")
     return {
         path.relative_to(base).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(base.rglob("*")) if path.is_file()

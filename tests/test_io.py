@@ -7,6 +7,7 @@ import re
 import tracemalloc
 import types
 from datetime import datetime, timezone
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -1087,33 +1088,33 @@ class TestLeaderboardCsv:
 
 
 class TestAnalysisCsv:
-    def test_roundtrip(self, tmp_path):
-        aggregates = [SizeAggregate(2, 28, 20.5, 19.0, 20.1, 21.7, 18.2, 23.9),
-                      SizeAggregate(8, 1, 17.25, 17.25, 17.25, 17.25, 17.25, 17.25)]
-        pqio.write_size_aggregates_csv(tmp_path / "agg.csv", aggregates)
-        assert pqio.read_size_aggregates_csv(tmp_path / "agg.csv") == aggregates
+    """No stage reads the analysis tables back; each row is its values'
+    ``repr``, in the header's order."""
 
-        composition = CompositionReport(top_n=3, model_share={"HW": 0.5, "SNaive": 0.5},
-                                        size_histogram={2: 3},
-                                        method_histogram={"mean": 2, "median": 1},
-                                        size_aggregates=[])
-        pqio.write_composition_csv(tmp_path / "comp.csv", composition)
-        assert pqio.read_composition_csv(tmp_path / "comp.csv") == composition
-
-        comparison = ComparisonReport("best individual", "best ensemble", ["s1", "s2"],
-                                      np.array([20.0, 10.0]), np.array([15.0, 12.5]),
-                                      np.array([0.25, -0.25]))
-        pqio.write_comparison_csv(tmp_path / "cmp.csv", comparison)
-        back = pqio.read_comparison_csv(tmp_path / "cmp.csv")
-        assert back.series_ids == comparison.series_ids
-        for field in ("individual_smape", "ensemble_smape", "relative_improvement"):
-            assert np.array_equal(getattr(back, field), getattr(comparison, field))
-
-    def test_wrong_width_names_line(self, tmp_path):
-        path = tmp_path / "comp.csv"
-        path.write_text("kind,key,value\nmeta,top_n,3\nmodel_share,HW\n")
-        with pytest.raises(DataError, match=r"comp\.csv:3: expected 3 columns"):
-            pqio.read_composition_csv(path)
+    @pytest.mark.parametrize("write, table, header, rows", [
+        (pqio.write_size_aggregates_csv,
+         [SizeAggregate(2, 28, 20.5, 19.0, 0.1 + 0.2, 21.7, 18.2, 23.9),
+          SizeAggregate(8, 1, 1 / 3, 17.25, 17.25, 17.25, 17.25, 17.25)],
+         ["size", "count", "mean_smape", "q25", "median", "q75", "min", "max"],
+         [(2, 28, 20.5, 19.0, 0.1 + 0.2, 21.7, 18.2, 23.9), (8, 1, 1 / 3, 17.25, 17.25, 17.25, 17.25, 17.25)]),
+        (pqio.write_composition_csv,
+         CompositionReport(top_n=3, model_share={"HW": 1 / 3, "SNaive": 2 / 3}, size_histogram={2: 3},
+                           method_histogram={"mean": 2, "median": 1}, size_aggregates=[]),
+         ["kind", "key", "value"],
+         [("meta", "top_n", 3), ("model_share", "HW", 1 / 3), ("model_share", "SNaive", 2 / 3),
+          ("size_count", 2, 3), ("method_count", "mean", 2), ("method_count", "median", 1)]),
+        (pqio.write_comparison_csv,
+         ComparisonReport("SNaive", "B01:mean", ["s1", "s2"], np.array([20.0, 0.1 + 0.2]),
+                          np.array([15.0, 12.5]), np.array([0.25, -1 / 3])),
+         ["series_id", "individual_smape", "ensemble_smape", "relative_improvement"],
+         [("s1", 20.0, 15.0, 0.25), ("s2", 0.1 + 0.2, 12.5, -1 / 3)]),
+    ], ids=["size_aggregates", "composition", "comparison"])
+    def test_writer_rows_are_header_and_repr(self, tmp_path, write, table, header, rows):
+        path = tmp_path / "table.csv"
+        write(path, table)
+        with path.open(newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == [header, *([repr(v) if not isinstance(v, str) else v for v in row]
+                                                      for row in rows)]
 
 
 class TestAtomicWrites:
@@ -1153,6 +1154,17 @@ class TestAtomicWrites:
             render(path, report)
         assert [p.name for p in tmp_path.iterdir()] == ["fig.svg"]
         assert path.read_text() == "<svg>earlier</svg>"
+
+
+def test_comparison_title_escapes_producer_labels(tmp_path):
+    """A label that is not an ensemble name is an individual producer, and
+    any text is one; the figure stays well-formed XML and shows it as given."""
+    path = tmp_path / "fig.svg"
+    pqreport.render_comparison_svg(path, ComparisonReport(
+        "a<b&c", "B01:mean", ["s1", "s2"], np.array([20.0, 10.0]), np.array([15.0, 12.5]),
+        np.array([0.25, -0.25])))
+    title = ElementTree.parse(path).getroot().find("{http://www.w3.org/2000/svg}text")
+    assert title.text == "B01:mean vs a<b&c (wins 50 %)"
 
 
 class TestPlanningLevels:

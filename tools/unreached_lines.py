@@ -1,11 +1,11 @@
 """Print each line of ``src/pqforecast`` that the whole pipeline never runs.
 
-Runs seven stages in this process under the stdlib ``trace`` module, on a
+Runs six stages in this process under the stdlib ``trace`` module, on a
 seeded corpus in a temporary directory: ``synth --mode raw`` (5 series, 3 %
 missing weeks), ``preprocess``, ``forecast``, ``evaluate``, ``ensemble``
-(all methods), the final ``evaluate`` and ``report``. Then it prints
-``file:line: text`` for every line of a function body that never ran.
-``raise`` statements, module-level lines and class bodies (dataclass
+(all methods) and the final ``evaluate``, which draws the figures. Then
+it prints ``file:line: text`` for every line of a function body that never
+ran. ``raise`` statements, module-level lines and class bodies (dataclass
 fields) are skipped. The stages' own output goes to stderr. Takes about
 15 s on a 2-core machine:
 
@@ -35,8 +35,7 @@ def stages(d: Path) -> list[list]:
             ["ensemble", "--forecasts", d / "fc/forecasts.csv", "--leaderboard", d / "ev/leaderboard_individual.csv",
              "--out", d / "en"],
             ["evaluate", "--forecasts", d / "fc/forecasts.csv", d / "en/ensemble_forecasts.csv",
-             "--weekly", d / "pre/weekly.csv", "--out", d / "ev2"],
-            ["report", "--eval-dir", d / "ev2", "--out", d / "rep"]]
+             "--weekly", d / "pre/weekly.csv", "--out", d / "ev2"]]
 
 
 def body_lines(code: types.CodeType) -> set[int]:
