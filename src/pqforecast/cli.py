@@ -12,22 +12,22 @@ import argparse
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
-from typing import Callable, Generator, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Generator, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import io as pqio
-from . import report as pqreport
 from .ensembles import ALL_METHODS, CombinationMethod, combine, compute_weights, ensemble_producers, parse_producer
 from .errors import ConfigError, DataError
 from .evaluation import Leaderboard, compare_best, composition_analysis, evaluate_corpus
-from .models import ForecastBlock, ModelFit, ModelId, PUBLIC_MODELS, TrainingWindow, fit_predict, model_from_name
-from .synth import SyntheticSpec, generate_corpus, write_truth
+from .models import ForecastBlock, ModelFit, ModelId, PUBLIC_MODELS, fit_predict, load_fitters, model_from_name
 from .weekly import TEST_WEEKS, TRAIN_WEEKS, SeriesKey, WeeklySeries, aggregate_weekly, fill_gaps, normalize, split_train_test
+
+if TYPE_CHECKING:
+    from .models.stl_models import TrainingWindow
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,6 +62,8 @@ def _ensure_out(args: argparse.Namespace) -> Path:
 # -- synth -------------------------------------------------------------------
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import SyntheticSpec, generate_corpus, write_truth
+
     out = _ensure_out(args)
     spec = SyntheticSpec(
         n_series=args.n_series,
@@ -124,9 +126,8 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 # -- forecast ------------------------------------------------------------------
 
-def _fit_series(train_values: np.ndarray, models: Sequence[ModelId]) -> list[tuple[ModelFit, float]]:
+def _fit_series(window: TrainingWindow, models: Sequence[ModelId]) -> list[tuple[ModelFit, float]]:
     """Each model's fit on one series and its seconds (runs in worker processes)."""
-    window = TrainingWindow(train_values)
     fits = []
     for model in models:
         started = time.perf_counter()
@@ -136,16 +137,21 @@ def _fit_series(train_values: np.ndarray, models: Sequence[ModelId]) -> list[tup
 
 
 def cmd_forecast(args: argparse.Namespace) -> int:
+    from .models.stl_models import TrainingWindow
+
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     out = _ensure_out(args)
     series = pqio.read_weekly_csv(Path(args.weekly))
     models = _selection(args.models, "--models", "model", PUBLIC_MODELS, model_from_name)
 
-    windows = [split_train_test(s)[0].values for s in series]
+    windows = [TrainingWindow(split_train_test(s)[0].values) for s in series]
     fit_all = partial(_fit_series, models=models)
     workers = min(args.jobs, len(series))  # the pool starts every worker at once
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        load_fitters()  # the forked workers inherit them instead of each compiling them
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(fit_all, windows))
     else:
@@ -266,6 +272,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
           f"(mean sMAPE {best.mean_smape:.2f} %, BR {best.benchmark_ratio:.3f})")
 
     if len(board_union.rows) > len(board_individual.rows):
+        from . import report as pqreport
+
         ensemble_rows = [r for r in board_union.rows if parse_producer(r.producer) is not None]
         board_ensembles = Leaderboard(rows=ensemble_rows, n_series=board_union.n_series)
         pqio.write_leaderboard_csv(out / "leaderboard_ensembles.csv", board_ensembles)

@@ -5,8 +5,12 @@ different differencing or conditioning lengths are not comparable on
 their natural residual samples, every candidate is scored on a common
 evaluation window (starting at the latest conditioning point across the
 grid) so the AICc race is fair; the winner is then re-fit on its full
-natural window. Parameter vectors whose AR or MA polynomials have roots
-on or inside the 1.001 circle are rejected during optimization.
+natural window. An order is admissible when at least 16 residuals follow
+its first computable one, counting, with a seasonal MA term, only those a
+season or more later: the lag-52 tap of Θ reaches no earlier residual, so
+with fewer, AICc would count Θ and the forecast apply it while the data
+barely estimate it. Parameter vectors whose AR or MA polynomials have
+roots on or inside the 1.001 circle are rejected during optimization.
 """
 
 from __future__ import annotations
@@ -343,7 +347,7 @@ def select_order(y: np.ndarray, decompose: Decompose | None) -> SarimaFit | None
         admissible = [
             order for order in _candidate_orders(seasonal, d_try, D_try)
             if n - order.diff_loss >= MIN_LEN_AFTER_DIFF
-            and n - order.natural_start >= _MIN_COMMON_OBS
+            and n - order.natural_start - order.m * order.Q >= _MIN_COMMON_OBS
         ]
         if admissible:
             break

@@ -27,9 +27,10 @@ from pqforecast.ensembles import (
     parse_producer,
 )
 from pqforecast.evaluation import benchmark_ratio, compare_best, evaluate_corpus, mae, smape
-from pqforecast.models import ForecastBlock, ModelId, PUBLIC_MODELS, TrainingWindow, fit_predict
+from pqforecast.models import ForecastBlock, ModelId, PUBLIC_MODELS, fit_predict
 from pqforecast.models.sarima import SarimaOrder, fit_css
 from pqforecast.models.smoothing import predict_holt
+from pqforecast.models.stl_models import TrainingWindow
 from pqforecast.synth import SyntheticSpec, generate_corpus
 from pqforecast.weekly import (
     MIN_SAMPLES_PER_WEEK,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import json
 import re
 import subprocess
@@ -414,7 +415,8 @@ class TestForecastCommand:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(pqforecast.cli, "ProcessPoolExecutor", RecordingPool)
+        # cmd_forecast imports the pool class only when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         assert run("forecast", "--weekly", tmp_path / "weekly.csv", "--models", "SNaive",
                    "--jobs", jobs, "--out", tmp_path / "o") == 0
         assert started == pools
@@ -904,6 +906,16 @@ class TestStageFlags:
         assert documented and documented <= options, sorted(documented - options)
 
 
+def test_readme_python_api_runs(capsys):
+    """README's Python code block runs as written, so the documented API
+    cannot name an import that no longer exists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert "(494, 52)" in capsys.readouterr().out  # 247 ensembles under two rules
+
+
 def test_perfbench_tracer_wraps_every_target_of_every_stage(tmp_path):
     """Each stage the benchmark traces, run through its launcher with the
     tracer on: every stage exits 0 and every traced function is found."""
@@ -933,6 +945,23 @@ def test_perfbench_tracer_wraps_every_target_of_every_stage(tmp_path):
         assert (stage, report["exit"], report["missing"]) == (stage, 0, [])
         spans |= {span[2] for span in report["spans"]}
     assert {"weekly.aggregate_weekly", "weekly.fill_gaps", "models.fit_predict", "io.read"} <= spans
+
+
+@pytest.mark.parametrize("module, unloaded", [
+    ("pqforecast.cli", ("pqforecast.models.sarima", "pqforecast.models.smoothing",
+                        "pqforecast.models.fourier_trend", "pqforecast.models.baselines",
+                        "pqforecast.models.stl_models", "pqforecast.numerics", "pqforecast.synth",
+                        "pqforecast.report", "concurrent.futures")),
+    ("pqforecast.models", ("pqforecast.numerics",)),
+])
+def test_import_loads_no_module_its_stages_may_not_run(module, unloaded):
+    """A stage imports the fitters, ``numerics``, ``synth``, ``report`` and
+    the process pool only when it runs them."""
+    src = Path(pqforecast.__file__).resolve().parents[1]
+    code = f"import sys, {module}; print(*sys.modules)"
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env={"PYTHONPATH": str(src)}).stdout.split()
+    assert [m for m in loaded if m.startswith(unloaded)] == []
 
 
 def test_cli_import_loads_no_scipy():

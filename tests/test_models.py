@@ -10,7 +10,6 @@ from pqforecast.models import (
     ForecastBlock,
     ModelId,
     PUBLIC_MODELS,
-    TrainingWindow,
     fit_predict,
     model_from_name,
 )
@@ -26,6 +25,7 @@ from pqforecast.models.smoothing import (
     predict_holt,
     predict_hw,
 )
+from pqforecast.models.stl_models import TrainingWindow
 
 from conftest import periodic_train
 

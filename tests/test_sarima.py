@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
-from pqforecast.models import ModelId, TrainingWindow, fit_predict, sarima
+from pqforecast.models import ModelId, fit_predict, sarima
 from pqforecast.models.base import standardize
 from pqforecast.models.baselines import predict_snaive
 from pqforecast.models.sarima import (
@@ -23,6 +23,7 @@ from pqforecast.models.sarima import (
     seasonal_strength,
     select_order,
 )
+from pqforecast.models.stl_models import TrainingWindow
 from pqforecast.numerics import nelder_mead, stl_decompose
 from pqforecast.synth import SyntheticSpec, generate_corpus
 
@@ -294,6 +295,48 @@ class TestOrderSelection:
             fit = fit_css(y, SarimaOrder(1, 0, 0, m=52))
             estimates.append(fit.params[0])
         assert abs(np.mean(estimates) - 0.8) <= 0.15
+
+    @pytest.mark.parametrize("seasonal_window, D, n_orders", [(True, 1, 9), (False, 0, 25)])
+    def test_window_fits_each_admissible_order_once(self, monkeypatch, seasonal_window, D, n_orders):
+        rng = np.random.default_rng(7)
+        t = np.arange(105)
+        y = 30 + (9 * np.sin(2 * np.pi * t / 52) if seasonal_window else 0) + rng.normal(0, 1, 105)
+        common = []
+
+        def counting(w, order, eval_from=None, **kwargs):
+            if eval_from is not None:  # the common-window race, not the winner's refit
+                common.append(order)
+            return fit_css(w, order, eval_from, **kwargs)
+
+        monkeypatch.setattr(sarima, "fit_css", counting)
+        fit = select_order(y, TrainingWindow(y).decomposition)
+        assert fit is not None and {o.D for o in common} == {D}
+        assert len(common) == len(set(common)) == n_orders
+
+    @pytest.mark.parametrize("d, D", [(0, 0), (1, 0), (0, 1), (1, 1)])
+    def test_dropped_seasonal_ma_orders_do_not_see_theta(self, d, D):
+        """An order the seasonal-MA rule drops, and whose lag-52 tap reaches
+        no residual, has a CSS objective that does not depend on Θ."""
+        n = 105
+        y = 30 + 9 * np.sin(2 * np.pi * np.arange(n) / 52) + np.random.default_rng(3).normal(0, 1, n)
+        orders = _candidate_orders(True, d, D)
+        old = [o for o in orders
+               if n - o.diff_loss >= sarima.MIN_LEN_AFTER_DIFF and n - o.natural_start >= sarima._MIN_COMMON_OBS]
+        t0_common = max(o.natural_start for o in old)
+        dropped = [o for o in old if n - o.natural_start - o.m * o.Q < sarima._MIN_COMMON_OBS]
+        blind = [o for o in dropped if n - o.natural_start <= o.m]
+        assert dropped and blind
+        for order in blind:
+            w, _ = sarima._differenced(y, order)
+            for eval_from in (order.conditioning, t0_common - order.diff_loss):
+                objective = sarima._objective(w, order, eval_from)
+                values = []
+                for theta in (-0.9, -0.3, 0.0, 0.4, 0.9):
+                    params = [0.1] * order.n_coeffs + ([float(np.mean(w))] if order.with_constant else [])
+                    params[order.n_coeffs - 1] = theta  # Θ is the last coefficient
+                    values.append(objective(np.array(params)))
+                assert max(values) < sarima._PENALTY, order.label()
+                assert len({np.float64(v).tobytes() for v in values}) == 1, order.label()
 
     def test_nothing_admissible_returns_none(self, monkeypatch):
         y = np.random.default_rng(0).normal(size=105)

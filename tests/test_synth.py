@@ -67,7 +67,8 @@ def test_invalid_spec_rejected():
 
 def test_noise_free_seasonal_series_is_snaive_fixed_point():
     from pqforecast.evaluation import smape
-    from pqforecast.models import ModelId, TrainingWindow, fit_predict
+    from pqforecast.models import ModelId, fit_predict
+    from pqforecast.models.stl_models import TrainingWindow
     from pqforecast.weekly import split_train_test
 
     spec = SyntheticSpec(
