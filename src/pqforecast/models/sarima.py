@@ -1,16 +1,17 @@
 """Seasonal ARIMA estimated by conditional sum of squares.
 
-Order selection runs an AICc grid search. Because candidates with
-different differencing or conditioning lengths are not comparable on
-their natural residual samples, every candidate is scored on a common
-evaluation window (starting at the latest conditioning point across the
-grid) so the AICc race is fair; the winner is then re-fit on its full
-natural window. An order is admissible when at least 16 residuals follow
-its first computable one, counting, with a seasonal MA term, only those a
-season or more later: the lag-52 tap of Θ reaches no earlier residual, so
-with fewer, AICc would count Θ and the forecast apply it while the data
-barely estimate it. Parameter vectors whose AR or MA polynomials have
-roots on or inside the 1.001 circle are rejected during optimization.
+Order selection is the stepwise AICc search of Hyndman & Khandakar (2008)
+(see :func:`select_order`). Because candidates with different differencing
+or conditioning lengths are not comparable on their natural residual
+samples, every candidate is scored on a common evaluation window (starting
+at the latest conditioning point across the admissible orders) so the
+AICc race is fair; the winner is then re-fit on its full natural window.
+An order is admissible when at least 16 residuals follow its first
+computable one, counting, with a seasonal MA term, only those a season or
+more later: the lag-52 tap of Θ reaches no earlier residual, so with
+fewer, AICc would count Θ and the forecast apply it while the data barely
+estimate it. Parameter vectors whose AR or MA polynomials have roots on or
+inside the 1.001 circle are rejected during optimization.
 """
 
 from __future__ import annotations
@@ -218,8 +219,10 @@ def _objective(w: np.ndarray, order: SarimaOrder, eval_from: int):
 
 
 def fit_css(w: np.ndarray, order: SarimaOrder, eval_from: int | None = None,
-            max_iter: int = 400) -> SarimaFit:
-    """Estimate coefficients by minimizing the conditional sum of squares."""
+            max_iter: int = 400, x0: Sequence[float] | None = None) -> SarimaFit:
+    """Estimate coefficients by minimizing the conditional sum of squares,
+    from ``x0`` when it is given and the objective does not reject it, else
+    from 0.1 per coefficient and the window's mean."""
     w = np.asarray(w, dtype=float)
     start = order.conditioning
     eval_from = max(start, eval_from if eval_from is not None else start)
@@ -227,12 +230,12 @@ def fit_css(w: np.ndarray, order: SarimaOrder, eval_from: int | None = None,
     if n_obs < 1:
         raise DataError(f"sarima {order.label()}: no observations to fit")
 
-    x0 = [0.1] * order.n_coeffs
+    cold = [0.1] * order.n_coeffs
     bounds: list[tuple[float, float]] = [(-2.0, 2.0)] * order.n_coeffs
     if order.with_constant:
         center = float(np.mean(w[eval_from:]))
         spread = float(np.std(w[eval_from:])) + 1.0
-        x0.append(center)
+        cold.append(center)
         bounds.append((center - 10.0 * spread, center + 10.0 * spread))
 
     objective = _objective(w, order, eval_from)
@@ -240,7 +243,10 @@ def fit_css(w: np.ndarray, order: SarimaOrder, eval_from: int | None = None,
         params = np.array([])
         sse = objective(params)
     else:
-        f0 = objective(np.asarray(x0))
+        f0 = _PENALTY if x0 is None else objective(np.asarray(x0, dtype=float))
+        if f0 >= _PENALTY:
+            x0 = cold
+            f0 = objective(np.asarray(x0))
         result = nelder_mead(objective, x0, bounds, tol=1e-9 * max(f0, 1.0), max_iter=max_iter,
                              f_start=f0)
         params = result.argmin
@@ -306,7 +312,7 @@ def choose_differencing(y: np.ndarray, decompose: Decompose | None) -> tuple[int
     One-step AICc cannot arbitrate differencing for long-horizon use (a
     near-unit-root ARMA shadows a seasonal cycle one step ahead but decays
     to the mean over the horizon), so these orders are fixed before the
-    ARMA grid search.
+    ARMA order search.
     """
     D = 0
     if decompose is not None and len(y) >= 2 * SEASONAL_PERIOD:
@@ -333,38 +339,96 @@ def _differenced(y: np.ndarray, order: SarimaOrder) -> tuple[np.ndarray, list[tu
     return w, stages
 
 
-def select_order(y: np.ndarray, decompose: Decompose | None) -> SarimaFit | None:
-    """AICc grid search on a common evaluation window; None when nothing is
-    admissible. Seasonal orders are searched when ``decompose`` is given
-    (see :func:`choose_differencing`)."""
-    y = np.asarray(y, dtype=float)
+def _admissible_orders(y: np.ndarray, decompose: Decompose | None) -> list[SarimaOrder]:
+    """The orders the search may fit, simplest first; empty when nothing is
+    admissible. All share one (d, D), degraded from
+    :func:`choose_differencing`'s when the window is too short for it."""
     n = len(y)
-    seasonal = decompose is not None
-
     d, D = choose_differencing(y, decompose)
-    # degrade differencing when the series is too short for the chosen orders
     for d_try, D_try in dict.fromkeys([(d, D), (d, 0), (0, D), (0, 0)]):
         admissible = [
-            order for order in _candidate_orders(seasonal, d_try, D_try)
+            order for order in _candidate_orders(decompose is not None, d_try, D_try)
             if n - order.diff_loss >= MIN_LEN_AFTER_DIFF
             and n - order.natural_start - order.m * order.Q >= _MIN_COMMON_OBS
         ]
         if admissible:
             break
+    return admissible
+
+
+def _coefficient_counts(order: SarimaOrder) -> tuple[int, int, int, int]:
+    return order.p, order.q, order.P, order.Q
+
+
+#: Hyndman & Khandakar's start orders as (p, q, P, Q); P and Q are dropped
+#: in a non-seasonal search.
+_STARTS = ((2, 2, 1, 1), (0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1))
+#: The stepwise moves, tried in this order from the current best.
+_MOVES = ((-1, 0, 0, 0), (1, 0, 0, 0), (0, -1, 0, 0), (0, 1, 0, 0),
+          (0, 0, -1, 0), (0, 0, 1, 0), (0, 0, 0, -1), (0, 0, 0, 1),
+          (-1, -1, 0, 0), (1, 1, 0, 0), (0, 0, -1, -1), (0, 0, 1, 1))
+
+
+def _warm_start(fit: SarimaFit, order: SarimaOrder) -> list[float]:
+    """``fit``'s coefficients laid out for ``order``: each block [phi, theta,
+    Phi, Theta] truncated or padded with 0.0, and the constant carried over."""
+    params = fit.params.tolist()
+    x0: list[float] = []
+    at = 0
+    for have, want in zip(_coefficient_counts(fit.order), _coefficient_counts(order)):
+        x0 += (params[at : at + have] + [0.0] * want)[:want]
+        at += have
+    return x0 + params[at:]
+
+
+def select_order(y: np.ndarray, decompose: Decompose | None) -> SarimaFit | None:
+    """Stepwise AICc search (Hyndman & Khandakar 2008) on a common evaluation
+    window; None when nothing is admissible. Seasonal orders are searched
+    when ``decompose`` is given (see :func:`choose_differencing`).
+
+    The admissible start orders among (2,d,2)(1,D,1), (0,d,0)(0,D,0),
+    (1,d,0)(1,D,0) and (0,d,1)(0,D,1) are fitted from the cold start point,
+    and the best becomes the current one. From it the search tries, in
+    order, p-1, p+1, q-1, q+1, P-1, P+1, Q-1, Q+1, p and q together -1
+    and +1, and P and Q together -1 and +1, and moves to the first
+    admissible, not yet fitted neighbour with a lower AICc; it stops when
+    none has one. Each neighbour starts from the current best's
+    coefficients (see :func:`_warm_start`), and the winner's re-fit on its
+    full natural window from its common-window argmin."""
+    y = np.asarray(y, dtype=float)
+    admissible = _admissible_orders(y, decompose)
     if not admissible:
         return None
-
     t0_common = max(o.natural_start for o in admissible)
     w, _ = _differenced(y, admissible[0])  # every admissible order shares d, D and m
+    by_counts = {_coefficient_counts(order): order for order in admissible}
 
+    def race(order: SarimaOrder, x0: list[float] | None = None) -> SarimaFit:
+        return fit_css(w, order, eval_from=t0_common - order.diff_loss,
+                       max_iter=60 + 40 * max(order.n_params, 1), x0=x0)
+
+    seasonal = decompose is not None
+    starts = {(p, q, P, Q) if seasonal else (p, q, 0, 0) for p, q, P, Q in _STARTS}
+    fitted = [order for order in admissible if _coefficient_counts(order) in starts]
     best: SarimaFit | None = None
-    for order in admissible:
-        fit = fit_css(w, order, eval_from=t0_common - order.diff_loss,
-                      max_iter=60 + 40 * max(order.n_params, 1))
+    for order in fitted:  # simplest first, so AICc ties resolve toward parsimony
+        fit = race(order)
         if fit.aicc < np.inf and (best is None or fit.aicc < best.aicc):  # +inf or nan: inadmissible
             best = fit
+    moved = best is not None
+    while moved:
+        moved = False
+        for move in _MOVES:
+            order = by_counts.get(tuple(c + step for c, step in zip(_coefficient_counts(best.order), move)))
+            if order is None or order in fitted:
+                continue
+            fitted.append(order)
+            fit = race(order, _warm_start(best, order))
+            if fit.aicc < best.aicc:
+                best, moved = fit, True
+                break
     # re-fit the winner on its full natural window
-    return None if best is None else fit_css(w, best.order)
+    return None if best is None else fit_css(w, best.order, x0=best.params.tolist())
 
 
 def forecast_fit(y: np.ndarray, fit: SarimaFit, h: int) -> np.ndarray:

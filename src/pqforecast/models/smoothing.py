@@ -50,9 +50,9 @@ def _holt_run(y: list[float], alpha: float, beta: float, level0: float, trend0: 
 def _hw_run(
     y: list[float], alpha: float, beta: float, gamma: float,
     level0: float, trend0: float, seasonal0: list[float],
-) -> tuple[float, float, float, np.ndarray]:
+) -> tuple[float, float, float, list[float]]:
     """The recursions run on Python floats (``y`` and ``seasonal0`` as
-    lists); the final seasonal states come back as an array."""
+    lists); the seasonal states, the initial ones first, come back as a list."""
     alpha, beta, gamma = float(alpha), float(beta), float(gamma)
     keep_level, keep_trend, keep_season = 1.0 - alpha, 1.0 - beta, 1.0 - gamma
     seasonal = list(seasonal0)
@@ -67,7 +67,7 @@ def _hw_run(
         seasonal.append(gamma * (value - prior) + keep_season * s)
         trend = beta * (new_level - level) + keep_trend * trend
         level = new_level
-    return sse, level, trend, np.array(seasonal)
+    return sse, level, trend, seasonal
 
 
 def predict_es(y: np.ndarray, h: int) -> np.ndarray:
@@ -111,4 +111,4 @@ def predict_hw(y: np.ndarray, h: int) -> np.ndarray:
     _, level, trend, seasonal = _hw_run(values, alpha, beta, gamma, level0, trend0, seasonal0)
     steps = np.arange(1, h + 1)
     seasonal_idx = len(z) + (steps - 1) % SEASONAL_PERIOD
-    return mu + sd * (level + trend * steps + seasonal[seasonal_idx])
+    return mu + sd * (level + trend * steps + np.array(seasonal)[seasonal_idx])

@@ -22,20 +22,20 @@ from pqforecast.cli import main
 GOLDEN = {
     "corpus/truth.json": "02e2f6ff5b9878ad6347f3e5328125a6dcda99566d1413d1d4f4e03e79e1f50f",
     "corpus/weekly.csv": "3caba6997ff89b4875d71efabd7595fb3ba921bb92293836425f9de0793dc4ad",
-    "ens/ensemble_forecasts.csv": "0450e014737fce08304479ec8a23d3ec94b6bfaeeb8cc2ad8cb9b1717983dbcf",
-    "ev/comparison.csv": "036e0d2a2bca89a22d8238e7629459bdbe9d4def785d819894ea16216a178e04",
-    "ev/composition_top.csv": "47e5024876e199669d0c77d050836b229c2a171c1aa04679b0ec5c26dbb12519",
-    "ev/ecdf.csv": "41d603e56c69195c7d1784dbf11e141665f4af39f6bd4c16988db7d405f55e02",
-    "ev/fig_comparison.svg": "8eaa15b32b8f66205fd95414ab934ebd0f3a1f9fb07c10440452c5ea3783d2e2",
-    "ev/fig_composition.svg": "a5ae249b368a9daa831c900a72175d71c6bf385ff4e5347ed2a87b131f5cb35a",
-    "ev/fig_size_aggregates.svg": "f7f4aec57bfe4db7ece27bb05311d992360d805e844432468a5baead76e408fa",
-    "ev/leaderboard_ensembles.csv": "7b119fe218dec67fe41f480db09d6c3748da6039dfa15fb8c12e400186c5bd48",
-    "ev/leaderboard_individual.csv": "aafabbeb00c8dc0f83348b81fa901bbe4ee4146786c6217c942e3781507f5ccc",
+    "ens/ensemble_forecasts.csv": "c720450f043fdbb4ef807c47619232facfd4b79261281d2db3799ffa37dc9660",
+    "ev/comparison.csv": "09cd023a60f2852433bbaa89384411d48e1742900b75522c89b5ed2237464f2f",
+    "ev/composition_top.csv": "29b1ab51302611aa0a83851744a150b981780ba28948e64167cd753b82d522cb",
+    "ev/ecdf.csv": "0e49a377cc87e580aa4ed3675a86decd475a175c5bb96cdd302699b887a4731f",
+    "ev/fig_comparison.svg": "91a7e84c343938a8d15356bb8240baac256d6e6f5fabadefef6749d38dfc65ac",
+    "ev/fig_composition.svg": "f914bcff46e30deb9d3be08c4b35ff9493cbcb3c66ed2727e072656b4945529e",
+    "ev/fig_size_aggregates.svg": "c83be3a380b5997d12f46e7a279cf3ce991579a59327ead34e17251b48d8d3bf",
+    "ev/leaderboard_ensembles.csv": "f0ac1c0567d3df8266c736d5a04e73ef38e7e48ed313af344f94aa2886653136",
+    "ev/leaderboard_individual.csv": "01fb35ca7a24c9ffb93807e134073bce062f96985ca9dc3d7eee1b2cba4a1f2e",
     "ev/manifest.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "ev/size_aggregates.csv": "f358f28f295337efe7921a21769382d78c2ea1fd53ab39c4eaf25d913aaebb92",
-    "ev0/leaderboard_individual.csv": "aafabbeb00c8dc0f83348b81fa901bbe4ee4146786c6217c942e3781507f5ccc",
+    "ev/size_aggregates.csv": "cbe22738512960fee45136078d3f6d915c1860c3bd599c4d9035be8b81fb815a",
+    "ev0/leaderboard_individual.csv": "01fb35ca7a24c9ffb93807e134073bce062f96985ca9dc3d7eee1b2cba4a1f2e",
     "ev0/manifest.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "fc/forecasts.csv": "5d6ead185b2f70e80a3c415c49217f876f1234e497b4144446fa95969399272c",
+    "fc/forecasts.csv": "0a9929e4b04829e189b3f17b7284ad1420fd1961b88da81cbb444570c47b17fe",
     "fc/manifest.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "pre/rejections.csv": "12fced24ef42040db0bcad1d41cb0deb3974379367dfbfe8a142f63f4fc91d21",
     "pre/weekly.csv": "183f8943ba56b77875852e581e074eff95ab80d6cfd2939dee3938cfd6f91845",

@@ -213,7 +213,7 @@ class TestSmoothingRecursionsReference:
         mine = _hw_run(z.tolist(), alpha, beta, gamma, level0, trend0, seasonal0.tolist())
         reference = _reference_hw_run(z, alpha, beta, gamma, level0, trend0, seasonal0)
         assert _bits(mine[:3]) == _bits(reference[:3])
-        assert mine[3].tobytes() == reference[3].tobytes()
+        assert np.array(mine[3]).tobytes() == reference[3].tobytes()
 
 
 class TestFourierTrend:

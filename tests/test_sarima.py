@@ -296,23 +296,6 @@ class TestOrderSelection:
             estimates.append(fit.params[0])
         assert abs(np.mean(estimates) - 0.8) <= 0.15
 
-    @pytest.mark.parametrize("seasonal_window, D, n_orders", [(True, 1, 9), (False, 0, 25)])
-    def test_window_fits_each_admissible_order_once(self, monkeypatch, seasonal_window, D, n_orders):
-        rng = np.random.default_rng(7)
-        t = np.arange(105)
-        y = 30 + (9 * np.sin(2 * np.pi * t / 52) if seasonal_window else 0) + rng.normal(0, 1, 105)
-        common = []
-
-        def counting(w, order, eval_from=None, **kwargs):
-            if eval_from is not None:  # the common-window race, not the winner's refit
-                common.append(order)
-            return fit_css(w, order, eval_from, **kwargs)
-
-        monkeypatch.setattr(sarima, "fit_css", counting)
-        fit = select_order(y, TrainingWindow(y).decomposition)
-        assert fit is not None and {o.D for o in common} == {D}
-        assert len(common) == len(set(common)) == n_orders
-
     @pytest.mark.parametrize("d, D", [(0, 0), (1, 0), (0, 1), (1, 1)])
     def test_dropped_seasonal_ma_orders_do_not_see_theta(self, d, D):
         """An order the seasonal-MA rule drops, and whose lag-52 tap reaches
@@ -342,6 +325,169 @@ class TestOrderSelection:
         y = np.random.default_rng(0).normal(size=105)
         monkeypatch.setattr(sarima, "MIN_LEN_AFTER_DIFF", 200)
         assert select_order(y, TrainingWindow(y).decomposition) is None
+
+
+def _search_windows() -> list[tuple[str, np.ndarray, object]]:
+    """Standardized windows as the two ARIMA models search them: SARIMA's
+    training window with its STL split, and STL-ARIMA's seasonally adjusted
+    window without one; plus a seasonal window (D = 1) and a flat noisy one
+    (D = 0) that SARIMA searches."""
+    windows = []
+    corpus, _ = generate_corpus(SyntheticSpec(n_series=10, rng_seed=2525))
+    for series in corpus:
+        window = TrainingWindow(series.values[:105])
+        windows.append((f"{series.series_id}/SARIMA", standardize(window.values)[0], window.decomposition))
+        adjusted = window.decomposition().seasonally_adjusted()
+        windows.append((f"{series.series_id}/STL-ARIMA", standardize(adjusted)[0], None))
+    rng = np.random.default_rng(7)
+    t = np.arange(105)
+    for label, y in (("seasonal", 30 + 9 * np.sin(2 * np.pi * t / 52) + rng.normal(0, 1, 105)),
+                     ("flat", 30 + rng.normal(0, 1, 105))):
+        windows.append((label, standardize(y)[0], TrainingWindow(y).decomposition))
+    return windows
+
+
+def _is_start(order: SarimaOrder, seasonal: bool) -> bool:
+    """Whether ``order`` is one of Hyndman & Khandakar's start orders,
+    (2,d,2)(1,D,1), (0,d,0)(0,D,0), (1,d,0)(1,D,0) and (0,d,1)(0,D,1), with
+    no seasonal part in a non-seasonal search."""
+    starts = {(2, 2, 1, 1), (0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1)}
+    if not seasonal:
+        starts = {(p, q, 0, 0) for p, q, _, _ in starts}
+    return (order.p, order.q, order.P, order.Q) in starts
+
+
+class TestStepwiseSearch:
+    """The stepwise search against the full grid it replaced, which stays
+    here as the oracle: every admissible order fitted cold on the common
+    window, simplest first, the first strictly lowest AICc winning."""
+
+    @pytest.fixture(scope="class")
+    def searches(self):
+        """Per window: the selected fit, every fit_css call as (order,
+        eval_from, x0, fit) in call order, the current best handed to each
+        warm start, and the common window's differenced series and start."""
+        out = []
+        with pytest.MonkeyPatch.context() as mp:
+            calls, sources = [], []
+
+            def recording_fit(w, order, eval_from=None, max_iter=400, x0=None):
+                fit = fit_css(w, order, eval_from, max_iter, x0)
+                calls.append((order, eval_from, None if x0 is None else list(x0), fit))
+                return fit
+
+            warm_start = sarima._warm_start
+
+            def recording_warm(best, order):
+                sources.append(best)
+                return warm_start(best, order)
+
+            mp.setattr(sarima, "fit_css", recording_fit)
+            mp.setattr(sarima, "_warm_start", recording_warm)
+            for label, z, decompose in _search_windows():
+                calls.clear()
+                sources.clear()
+                fit = select_order(z, decompose)
+                admissible = sarima._admissible_orders(z, decompose)
+                t0_common = max(o.natural_start for o in admissible)
+                w, _ = sarima._differenced(z, admissible[0])
+                out.append(dict(label=label, fit=fit, calls=list(calls), sources=list(sources),
+                                admissible=admissible, t0_common=t0_common, w=w,
+                                seasonal=decompose is not None))
+        return out
+
+    @staticmethod
+    def cold(search, order):
+        return fit_css(search["w"], order, eval_from=search["t0_common"] - order.diff_loss,
+                       max_iter=60 + 40 * max(order.n_params, 1))
+
+    @staticmethod
+    def common(search):
+        return [(order, x0, fit) for order, eval_from, x0, fit in search["calls"] if eval_from is not None]
+
+    def test_fits_admissible_orders_at_most_once(self, searches):
+        fitted = admissible = 0
+        for search in searches:
+            orders = [order for order, _, _ in self.common(search)]
+            assert len(orders) == len(set(orders)), search["label"]
+            assert set(orders) <= set(search["admissible"]), search["label"]
+            assert search["fit"].order in orders
+            fitted, admissible = fitted + len(orders), admissible + len(search["admissible"])
+        assert fitted < admissible
+
+    def test_start_orders_are_fitted_cold_and_first(self, searches):
+        for search in searches:
+            starts = [o for o in search["admissible"] if _is_start(o, search["seasonal"])]
+            common = self.common(search)
+            assert [order for order, _, _ in common[: len(starts)]] == starts, search["label"]
+            for order, x0, fit in common[: len(starts)]:
+                assert x0 is None
+                assert np.float64(fit.aicc).tobytes() == np.float64(self.cold(search, order).aicc).tobytes()
+            assert all(x0 is not None for _, x0, _ in common[len(starts):]), search["label"]
+        # (2,d,2)(1,D,1) has 6 > MAX_ORDER coefficients, so a seasonal search never fits it
+        assert all(order.n_coeffs <= sarima.MAX_ORDER for s in searches for order, _, _ in self.common(s))
+
+    def test_never_loses_to_a_grid_winner_among_its_starts(self, searches):
+        compared = 0
+        for search in searches:
+            grid = None
+            for order in search["admissible"]:
+                fit = self.cold(search, order)
+                if fit.aicc < np.inf and (grid is None or fit.aicc < grid.aicc):
+                    grid = fit
+            if _is_start(grid.order, search["seasonal"]):
+                chosen = {order: fit for order, _, fit in self.common(search)}[search["fit"].order]
+                assert chosen.aicc <= grid.aicc, search["label"]
+                compared += 1
+        assert compared >= 5
+
+    def test_neighbours_start_from_the_current_best(self, searches):
+        """Each warm start is the best of everything fitted before it, and a
+        neighbour that adds a coefficient without moving the conditioning
+        point, or adds one to a best without an MA part, ends at an SSE no
+        higher than the best's: the padded start gives the best's residuals
+        on the common window, and Nelder-Mead never returns a point worse
+        than its start. An AR lag added to a best with an MA part moves the
+        point where the MA recursion starts from zero, so its warm start is
+        not the best's SSE and is not checked here."""
+        checked = 0
+        for search in searches:
+            common = self.common(search)
+            warm = [i for i, (_, x0, _) in enumerate(common) if x0 is not None]
+            assert len(warm) == len(search["sources"])
+            for i, best in zip(warm, search["sources"]):
+                order, _, fit = common[i]
+                assert best.aicc == min(f.aicc for _, _, f in common[:i] if f.aicc < np.inf), search["label"]
+                adds = order.n_coeffs > best.order.n_coeffs
+                if adds and (order.conditioning == best.order.conditioning
+                             or best.order.q + best.order.Q == 0):
+                    assert fit.sse <= best.sse * (1 + 1e-12), (search["label"], order.label())
+                    checked += 1
+        assert checked >= 10
+
+    def test_winner_refit_starts_from_its_common_window_argmin(self, searches):
+        for search in searches:
+            order, eval_from, x0, fit = search["calls"][-1]
+            chosen = {o: f for o, _, f in self.common(search)}[order]
+            assert eval_from is None and order == search["fit"].order
+            assert x0 == chosen.params.tolist()
+            assert fit is search["fit"]
+
+    def test_warm_start_layout(self):
+        fit = sarima.SarimaFit(SarimaOrder(2, 0, 1, 1, 0, 0, m=52), np.array([0.5, -0.2, 0.3, 0.4, 7.0]),
+                               sse=1.0, n_obs=50, aicc=0.0)
+        assert sarima._warm_start(fit, SarimaOrder(1, 0, 2, 0, 0, 1, m=52)) == [0.5, 0.3, 0.0, 0.0, 7.0]
+        assert sarima._warm_start(fit, SarimaOrder(2, 0, 1, 1, 0, 0, m=52)) == fit.params.tolist()
+        differenced = sarima.SarimaFit(SarimaOrder(1, 1, 0), np.array([0.5]), sse=1.0, n_obs=50, aicc=0.0)
+        assert sarima._warm_start(differenced, SarimaOrder(0, 1, 1)) == [0.0]
+
+    def test_start_outside_the_invertible_region_is_cold(self):
+        y = ar1_series(0.6, 105, seed=21)
+        order = SarimaOrder(2, 0, 1, m=52)
+        cold = fit_css(y, order)
+        for x0 in ([1.5, 0.0, 0.0, 20.0], [0.1, 0.1, 1.2, 20.0]):
+            warm = fit_css(y, order, x0=x0)
+            assert warm.params.tobytes() == cold.params.tobytes() and warm.sse == cold.sse
 
 
 class TestFitCssStartPoint:
