@@ -13,17 +13,16 @@ import sys
 import time
 import traceback
 from contextlib import contextmanager
-from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Generator, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Generator, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import io as pqio
 from .ensembles import ALL_METHODS, CombinationMethod, combine, compute_weights, ensemble_producers, parse_producer
 from .errors import ConfigError, DataError
-from .evaluation import Leaderboard, compare_best, composition_analysis, evaluate_corpus
-from .models import ForecastBlock, ModelFit, ModelId, PUBLIC_MODELS, fit_predict, load_fitters, model_from_name
+from .evaluation import TOP_N, Leaderboard, compare_best, composition_analysis, evaluate_corpus
+from .models import ForecastBlock, ModelFit, PUBLIC_MODELS, fit_predict, load_fitters
 from .weekly import TEST_WEEKS, TRAIN_WEEKS, SeriesKey, WeeklySeries, aggregate_weekly, fill_gaps, normalize, split_train_test
 
 if TYPE_CHECKING:
@@ -38,19 +37,6 @@ EXIT_INTERNAL = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise ConfigError(message)
-
-
-def _selection(text: str, flag: str, noun: str, every: Sequence, parse: Callable) -> list:
-    """The names of a comma list through ``parse``, or ``every`` for 'all';
-    each at most once, and at least one."""
-    if text.strip().lower() == "all":
-        return list(every)
-    chosen = [parse(name.strip()) for name in text.split(",") if name.strip()]
-    if not chosen:
-        raise ConfigError(f"no {noun}s selected")
-    if len(set(chosen)) < len(chosen):
-        raise ConfigError(f"a {noun} is named twice in {flag} {text!r}")
-    return chosen
 
 
 def _ensure_out(args: argparse.Namespace) -> Path:
@@ -126,10 +112,10 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 # -- forecast ------------------------------------------------------------------
 
-def _fit_series(window: TrainingWindow, models: Sequence[ModelId]) -> list[tuple[ModelFit, float]]:
+def _fit_series(window: TrainingWindow) -> list[tuple[ModelFit, float]]:
     """Each model's fit on one series and its seconds (runs in worker processes)."""
     fits = []
-    for model in models:
+    for model in PUBLIC_MODELS:
         started = time.perf_counter()
         fit = fit_predict(model, window)
         fits.append((fit, time.perf_counter() - started))
@@ -143,21 +129,19 @@ def cmd_forecast(args: argparse.Namespace) -> int:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     out = _ensure_out(args)
     series = pqio.read_weekly_csv(Path(args.weekly))
-    models = _selection(args.models, "--models", "model", PUBLIC_MODELS, model_from_name)
 
     windows = [TrainingWindow(split_train_test(s)[0].values) for s in series]
-    fit_all = partial(_fit_series, models=models)
     workers = min(args.jobs, len(series))  # the pool starts every worker at once
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         load_fitters()  # the forked workers inherit them instead of each compiling them
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fit_all, windows))
+            results = list(pool.map(_fit_series, windows))
     else:
-        results = [fit_all(w) for w in windows]
+        results = [_fit_series(w) for w in windows]
 
-    producers = [m.value for m in models]
+    producers = [m.value for m in PUBLIC_MODELS]
     blocks, manifest, total_time = [], [], dict.fromkeys(producers, 0.0)
     for s, fits in zip(series, results):  # map keeps the series order
         blocks.append(ForecastBlock(s.series_id, producers, np.vstack([fit.values for fit, _ in fits])))
@@ -167,8 +151,8 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
     pqio.write_forecast_csv(out / "forecasts.csv", blocks)
     pqio.write_manifest(out / "manifest.jsonl", manifest)
-    print(f"forecast: {len(series)} series x {len(models)} models "
-          f"({len(series) * len(models) * TEST_WEEKS} rows)")
+    print(f"forecast: {len(series)} series x {len(producers)} models "
+          f"({len(series) * len(producers) * TEST_WEEKS} rows)")
     for name in total_time:
         print(f"  {name:<10} {total_time[name]:8.2f} s")
     if manifest:
@@ -178,40 +162,24 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
 # -- ensemble -----------------------------------------------------------------
 
-def _method(name: str) -> CombinationMethod:
-    name = name.lower()
-    try:
-        return CombinationMethod(name)
-    except ValueError as exc:
-        valid = ", ".join(m.value for m in ALL_METHODS)
-        raise ConfigError(f"unknown combination method {name!r}; valid: {valid}") from exc
-
-
 def cmd_ensemble(args: argparse.Namespace) -> int:
     out = _ensure_out(args)
-    methods = _selection(args.methods, "--methods", "combination method", ALL_METHODS, _method)
-
     member_names = [m.value for m in PUBLIC_MODELS]
-    phi = None
-    if any(m.needs_phi for m in methods):
-        if not args.leaderboard:
-            raise ConfigError("weighted methods need --leaderboard with individual model scores")
-        board = pqio.read_leaderboard_csv(Path(args.leaderboard))
-        try:  # every weight's metric, checked before any member row is read
-            rows = [board.row(name) for name in member_names]
-            phi = {CombinationMethod.SMAPE_WEIGHTED: [r.mean_smape for r in rows],
-                   CombinationMethod.RANK_WEIGHTED: [r.mean_rank for r in rows]}
-            for method in methods:
-                if method.needs_phi:
-                    compute_weights(phi[method])
-        except (ConfigError, DataError) as exc:
-            raise type(exc)(f"{args.leaderboard}: {exc}") from exc
+    board = pqio.read_leaderboard_csv(Path(args.leaderboard))
+    try:  # every weight's metric, checked before any member row is read
+        rows = [board.row(name) for name in member_names]
+        phi = {CombinationMethod.SMAPE_WEIGHTED: [r.mean_smape for r in rows],
+               CombinationMethod.RANK_WEIGHTED: [r.mean_rank for r in rows]}
+        for metric in phi.values():
+            compute_weights(metric)
+    except (ConfigError, DataError) as exc:
+        raise type(exc)(f"{args.leaderboard}: {exc}") from exc
 
-    producers = ensemble_producers(methods)
+    producers = ensemble_producers(ALL_METHODS)
     members = pqio.iter_forecast_csv(Path(args.forecasts))
     combined = (  # one series at a time, from reading its members to writing its ensembles
         ForecastBlock(series_id=block.series_id, producers=producers,
-                      values=combine(block.rows(member_names), methods, phi))
+                      values=combine(block.rows(member_names), ALL_METHODS, phi))
         for block in members
     )
     with _malformed_first(members):
@@ -240,8 +208,6 @@ def _malformed_first(blocks: Generator):
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    if args.top_n < 1:
-        raise ConfigError(f"--top-n must be at least 1, got {args.top_n}")
     out = _ensure_out(args)
 
     weekly = {s.series_id: s for s in pqio.read_weekly_csv(Path(args.weekly))}
@@ -278,11 +244,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         board_ensembles = Leaderboard(rows=ensemble_rows, n_series=board_union.n_series)
         pqio.write_leaderboard_csv(out / "leaderboard_ensembles.csv", board_ensembles)
 
-        composition = composition_analysis(board_union, args.top_n)
+        composition = composition_analysis(board_union, TOP_N)
         if composition.clipped:
-            print(f"  warning: top-n {args.top_n} clipped to {composition.top_n} ensembles")
+            print(f"  warning: top {TOP_N} clipped to {composition.top_n} ensembles")
             manifest.append(pqio.ManifestEntry(
-                "evaluate", "", "", f"top-n clipped to {composition.top_n}"))
+                "evaluate", "", "", f"top {TOP_N} clipped to {composition.top_n}"))
         pqio.write_composition_csv(out / "composition_top.csv", composition)
         pqio.write_size_aggregates_csv(out / "size_aggregates.csv", composition.size_aggregates)
         pqreport.render_composition_svg(out / "fig_composition.svg", composition)
@@ -331,18 +297,15 @@ def build_parser() -> _Parser:
     p = stage("forecast", "fit models and emit 52-step forecasts", cmd_forecast)
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--weekly", required=True, help="weekly series CSV")
-    p.add_argument("--models", default="all", help="comma list of models or 'all'")
 
     p = stage("ensemble", "combine model forecasts into ensembles", cmd_ensemble)
     p.add_argument("--forecasts", required=True, help="individual model forecast CSV")
-    p.add_argument("--leaderboard", default=None,
-                   help="individual leaderboard CSV supplying weights for weighted methods")
-    p.add_argument("--methods", default="all", help="comma list of methods or 'all'")
+    p.add_argument("--leaderboard", required=True,
+                   help="individual leaderboard CSV supplying the weighted methods' weights")
 
     p = stage("evaluate", "score forecasts and emit leaderboards, analyses and figures", cmd_evaluate)
     p.add_argument("--forecasts", nargs="+", required=True, help="forecast CSV file(s)")
     p.add_argument("--weekly", required=True, help="weekly series CSV with the actuals")
-    p.add_argument("--top-n", type=int, default=100)
 
     return parser
 

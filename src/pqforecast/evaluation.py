@@ -19,6 +19,7 @@ from .errors import ConfigError, DataError
 from .models import ForecastBlock, ModelId
 
 BENCHMARK_PRODUCER = ModelId.SNAIVE.value
+TOP_N = 100  # best ensembles whose composition the final evaluate reports
 
 
 def mae(actual: np.ndarray, forecast: np.ndarray):

@@ -61,6 +61,7 @@ from .ensembles import parse_producer
 from .models import ForecastBlock
 from .weekly import (
     PlanningLevel,
+    SAMPLES_PER_WEEK,
     RawWeeks,
     Rejection,
     WeekId,
@@ -221,7 +222,9 @@ def read_raw_csv(path: Path, aggregate: Callable[[RawWeeks], float] = aggregate_
     with a comma is read so only right after its own rows. Every other line
     goes through the csv module, and a row in no plain form hands the rest
     of its date to it, with the same acceptance, errors and ``file:line``
-    either way; so does a plain line that starts its series' next week."""
+    either way; so does a plain line that starts its series' next week, or
+    one that comes when its week already holds ``SAMPLES_PER_WEEK`` samples,
+    so that ``RawWeeks.add`` bounds every week."""
     series: dict[str, RawWeeks] = {}
     clock = {f"{h:02}:{m:02}": 60 * h + m for h in range(24) for m in range(60)}  # 'HH:MM' -> minute
 
@@ -242,24 +245,26 @@ def read_raw_csv(path: Path, aggregate: Callable[[RawWeeks], float] = aggregate_
         # 'YYYY-MM-DDT' of its last row in a plain form (head), where the
         # clock key starts and ends, that day's UTC minute at 00:00, the
         # row's seconds and offset with the comma, where the value starts,
-        # the appends to its week's buffers, and the clock minute at which
-        # that date reaches the series' next week.
+        # the appends to its week's buffers, the samples its week holds,
+        # and the clock minute at which that date reaches the series' next
+        # week.
         forms: dict[str, tuple] = {}
-        no_form, no_clock = (None,) * 9, math.inf  # no_clock: never before the next week
+        no_form, no_clock = (None,) * 10, math.inf  # no_clock: never before the next week
         head = None
         for line in fh:
             if head is None or not line.startswith(head):  # another series or date
-                head, start, mid, day, ending, stop, add_minute, add_value, cut = forms.get(
+                head, start, mid, day, ending, stop, add_minute, add_value, held, cut = forms.get(
                     line[:line.find(",")], no_form)
                 if head is not None and not line.startswith(head):
                     head = None
             # A line of head, a clock key before the next week, that row's
             # ending and a text float() accepts holds no other ',' or '"',
             # so the csv module would give the same three fields and take()
-            # the same minute and value: take it without them.
+            # the same minute and value: take it without them, unless its
+            # week is full.
             if head is not None and len(line) <= limit:
                 minute = clock.get(line[start:mid], no_clock)
-                if minute < cut and line.startswith(ending, mid):
+                if minute < cut and len(held) < SAMPLES_PER_WEEK and line.startswith(ending, mid):
                     try:
                         add_value(float(line[stop:]))
                     except ValueError:
@@ -276,9 +281,9 @@ def read_raw_csv(path: Path, aggregate: Callable[[RawWeeks], float] = aggregate_
             minute = clock.get(plain["clock"]) if plain else None
             if minute is not None:  # the lines that follow in its form are taken as above
                 weeks, day = series[row[0]], taken - minute
-                head, start, mid, day, ending, stop, add_minute, add_value, cut = forms[plain["id"]] = (
+                head, start, mid, day, ending, stop, add_minute, add_value, held, cut = forms[plain["id"]] = (
                     plain["head"], plain.start("clock"), plain.end("clock"), day, plain["ending"],
-                    plain.end(), weeks.minutes.append, weeks.samples.append, weeks.end - day)
+                    plain.end(), weeks.minutes.append, weeks.samples.append, weeks.samples, weeks.end - day)
                 continue
             # Lines in no plain form come in runs: the csv module alone
             # parses the rows that follow on this row's date.

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..weekly import TEST_WEEKS
-from .base import PUBLIC_MODELS, ForecastBlock, ModelFit, ModelId, model_from_name
+from .base import PUBLIC_MODELS, ForecastBlock, ModelFit, ModelId
 
 if TYPE_CHECKING:
     from .stl_models import TrainingWindow

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ConfigError, DataError
+from ..errors import DataError
 
 SEASONAL_PERIOD = 52  # weeks per yearly cycle
 
@@ -30,14 +30,6 @@ class ModelId(str, Enum):
 
 #: Canonical order of the public models; ensemble membership indices refer to it.
 PUBLIC_MODELS: tuple[ModelId, ...] = tuple(ModelId)
-
-
-def model_from_name(name: str) -> ModelId:
-    for m in PUBLIC_MODELS:
-        if m.value.lower() == name.lower():
-            return m
-    valid = ", ".join(m.value for m in PUBLIC_MODELS)
-    raise ConfigError(f"unknown model {name!r}; valid models: {valid}")
 
 
 def standardize(y: np.ndarray) -> tuple[np.ndarray, float, float]:

@@ -13,7 +13,7 @@ class TrainingWindow:
     """The training values of one series. The four STL composites and
     SARIMA's seasonal-differencing choice read one STL decomposition of
     these values, computed on first use, so a series is decomposed at most
-    once and a model selection without them decomposes nothing."""
+    once, and only when one of those models reads it."""
 
     def __init__(self, values: np.ndarray) -> None:
         self.values = np.asarray(values, dtype=float)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import pqforecast
-import pqforecast.cli
 import pqforecast.models.sarima
 import pqforecast.models.stl_models
 
@@ -34,6 +33,15 @@ def write_forecasts(path, rng, series_ids, producers=MODEL_NAMES, low=5.0, high=
     pqio.write_forecast_csv(path, [
         ForecastBlock(sid, list(producers), rng.uniform(low, high, (len(producers), 52)))
         for sid in series_ids])
+
+
+def write_leaderboard(path):
+    """An individual leaderboard of the eight models whose every metric
+    gives valid ensemble weights."""
+    from pqforecast.evaluation import Leaderboard, LeaderboardRow
+    rows = [LeaderboardRow(name, 4.0, 20.0 + i, 4.0 + i / 10, 1.0) for i, name in enumerate(MODEL_NAMES)]
+    pqio.write_leaderboard_csv(path, Leaderboard(rows=rows, n_series=2))
+    return path
 
 
 def write_weekly(path, n_series=2, length=157, seed=0):
@@ -268,7 +276,7 @@ class TestInputFiles:
         weekly = tmp_path / "weekly.csv"
         write_weekly(weekly, n_series=1)
         with_byte_ff(weekly)
-        assert run("forecast", "--weekly", weekly, "--models", "SNaive", "--out", tmp_path / "f") == 2
+        assert run("forecast", "--weekly", weekly, "--out", tmp_path / "f") == 2
         assert capsys.readouterr().err.startswith(f"data error: {weekly}: not UTF-8 text (byte 0xff")
 
     def test_forecast_table_not_utf8_exit_data(self, tmp_path, rng, capsys):
@@ -276,7 +284,8 @@ class TestInputFiles:
         write_forecasts(forecasts, rng, ("s1", "s2"))
         with_byte_ff(forecasts)
         out = tmp_path / "out"
-        assert run("ensemble", "--forecasts", forecasts, "--methods", "mean", "--out", out) == 2
+        assert run("ensemble", "--forecasts", forecasts, "--leaderboard", write_leaderboard(tmp_path / "board.csv"),
+                   "--out", out) == 2
         assert capsys.readouterr().err.startswith(f"data error: {forecasts}: not UTF-8 text (byte 0xff")
         assert not (out / "ensemble_forecasts.csv").exists()
 
@@ -291,42 +300,22 @@ class TestForecastCommand:
     def test_snaive_rows_match_last_cycle(self, tmp_path):
         corpus = write_weekly(tmp_path / "weekly.csv", n_series=1, seed=2)
         out = tmp_path / "out"
-        assert run("forecast", "--weekly", tmp_path / "weekly.csv", "--models", "SNaive",
-                   "--out", out) == 0
+        assert run("forecast", "--weekly", tmp_path / "weekly.csv", "--out", out) == 0
         blocks = pqio.read_forecast_csv(out / "forecasts.csv")
-        assert len(blocks) == 1 and blocks[0].producers == ["SNaive"]
+        assert len(blocks) == 1 and blocks[0].producers == MODEL_NAMES
         train = corpus[0].values[:105]
         assert np.array_equal(blocks[0].values[0], train[53:105])
 
-    def test_row_count_two_series_two_models(self, tmp_path):
+    def test_row_count_two_series_eight_models(self, tmp_path):
         write_weekly(tmp_path / "weekly.csv", n_series=2, seed=3)
         out = tmp_path / "out"
-        assert run("forecast", "--weekly", tmp_path / "weekly.csv",
-                   "--models", "SNaive,Prophet", "--out", out) == 0
+        assert run("forecast", "--weekly", tmp_path / "weekly.csv", "--out", out) == 0
         rows = (out / "forecasts.csv").read_text().splitlines()
-        assert len(rows) == 1 + 2 * 2 * 52
-
-    def test_unknown_model_lists_names(self, tmp_path, capsys):
-        write_weekly(tmp_path / "weekly.csv", n_series=1, seed=3)
-        code = run("forecast", "--weekly", tmp_path / "weekly.csv",
-                   "--models", "Oracle", "--out", tmp_path / "o")
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "SNaive" in err and "STL-ARIMA" in err
-
-    def test_model_named_twice_exit_usage_before_any_fit(self, tmp_path, capsys, monkeypatch):
-        write_weekly(tmp_path / "weekly.csv", n_series=1, seed=3)
-        monkeypatch.setattr(pqforecast.cli, "fit_predict", lambda *a: pytest.fail("fitted before the usage check"))
-        code = run("forecast", "--weekly", tmp_path / "weekly.csv",
-                   "--models", "SNaive,HW,snaive", "--out", tmp_path / "o")
-        assert code == 1
-        assert "a model is named twice in --models 'SNaive,HW,snaive'" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "forecasts.csv").exists()
+        assert len(rows) == 1 + 2 * 8 * 52
 
     def test_short_series_exit_data(self, tmp_path, capsys):
         corpus = write_weekly(tmp_path / "weekly.csv", n_series=1, length=100, seed=3)
-        assert run("forecast", "--weekly", tmp_path / "weekly.csv",
-                   "--models", "SNaive", "--out", tmp_path / "o") == 2
+        assert run("forecast", "--weekly", tmp_path / "weekly.csv", "--out", tmp_path / "o") == 2
         assert (f"{corpus[0].series_id}: insufficient history (100 weeks, need 157)"
                 in capsys.readouterr().err)
 
@@ -355,8 +344,7 @@ class TestForecastCommand:
         assert huge.series_id == corpus[0].series_id
         assert len(huge.producers) == 8 and np.isfinite(huge.values).all()
 
-    @pytest.mark.parametrize("models, decompositions", [("all", 3), ("SNaive,Prophet", 0)])
-    def test_one_decomposition_per_series(self, tmp_path, monkeypatch, models, decompositions):
+    def test_one_decomposition_per_series(self, tmp_path, monkeypatch):
         write_weekly(tmp_path / "weekly.csv", n_series=3, seed=4)
         calls = []
         stl_decompose = pqforecast.models.stl_models.stl_decompose
@@ -366,9 +354,8 @@ class TestForecastCommand:
             return stl_decompose(*args, **kwargs)
 
         monkeypatch.setattr(pqforecast.models.stl_models, "stl_decompose", counting)
-        assert run("forecast", "--weekly", tmp_path / "weekly.csv", "--models", models,
-                   "--out", tmp_path / "o") == 0
-        assert len(calls) == decompositions
+        assert run("forecast", "--weekly", tmp_path / "weekly.csv", "--out", tmp_path / "o") == 0
+        assert len(calls) == 3
 
     def test_fallbacks_name_every_series_in_the_manifest_at_any_jobs(self, tmp_path, monkeypatch):
         corpus = write_weekly(tmp_path / "weekly.csv", n_series=3, seed=6)
@@ -392,8 +379,7 @@ class TestForecastCommand:
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
         write_weekly(tmp_path / "weekly.csv", n_series=1, seed=3)
-        assert run("forecast", "--weekly", tmp_path / "weekly.csv", "--models", "SNaive",
-                   "--jobs", jobs, "--out", tmp_path / "o") == 1
+        assert run("forecast", "--weekly", tmp_path / "weekly.csv", "--jobs", jobs, "--out", tmp_path / "o") == 1
         assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
@@ -417,8 +403,7 @@ class TestForecastCommand:
 
         # cmd_forecast imports the pool class only when it starts one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        assert run("forecast", "--weekly", tmp_path / "weekly.csv", "--models", "SNaive",
-                   "--jobs", jobs, "--out", tmp_path / "o") == 0
+        assert run("forecast", "--weekly", tmp_path / "weekly.csv", "--jobs", jobs, "--out", tmp_path / "o") == 0
         assert started == pools
         assert len(pqio.read_forecast_csv(tmp_path / "o" / "forecasts.csv")) == 3
 
@@ -432,45 +417,27 @@ class TestEnsembleCommand:
 
     @pytest.fixture
     def leaderboard_csv(self, tmp_path):
-        from pqforecast.evaluation import Leaderboard, LeaderboardRow
-        rows = [LeaderboardRow(m.value, 4.0, 20.0 + i, 4.0 + i / 10, 1.0)
-                for i, m in enumerate(PUBLIC_MODELS)]
-        path = tmp_path / "board.csv"
-        pqio.write_leaderboard_csv(path, Leaderboard(rows=rows, n_series=2))
-        return path
-
-    def test_mean_only_gives_247_producers(self, tmp_path, forecasts_csv):
-        out = tmp_path / "out"
-        assert run("ensemble", "--forecasts", forecasts_csv, "--methods", "mean",
-                   "--out", out) == 0
-        blocks = pqio.read_forecast_csv(out / "ensemble_forecasts.csv")
-        assert [b.series_id for b in blocks] == ["s1", "s2"]
-        assert all(len(set(b.producers)) == len(b.values) == 247 for b in blocks)
+        return write_leaderboard(tmp_path / "board.csv")
 
     def test_all_methods_give_988_producers(self, tmp_path, forecasts_csv, leaderboard_csv):
         out = tmp_path / "out"
         assert run("ensemble", "--forecasts", forecasts_csv, "--leaderboard", leaderboard_csv,
-                   "--methods", "all", "--out", out) == 0
+                   "--out", out) == 0
         blocks = pqio.read_forecast_csv(out / "ensemble_forecasts.csv")
-        assert len({p for b in blocks for p in b.producers}) == 988
+        assert [b.series_id for b in blocks] == ["s1", "s2"]
+        assert all(len(set(b.producers)) == len(b.values) == 988 for b in blocks)
 
-    def test_weighted_without_leaderboard_is_usage_error(self, tmp_path, forecasts_csv):
-        assert run("ensemble", "--forecasts", forecasts_csv, "--methods", "smape",
-                   "--out", tmp_path / "o") == 1
+    def test_leaderboard_is_required(self, tmp_path, forecasts_csv, capsys):
+        assert run("ensemble", "--forecasts", forecasts_csv, "--out", tmp_path / "o") == 1
+        assert "the following arguments are required: --leaderboard" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
-    def test_missing_member_is_data_error(self, tmp_path, rng, capsys):
+    def test_missing_member_is_data_error(self, tmp_path, rng, capsys, leaderboard_csv):
         path = tmp_path / "forecasts.csv"
         write_forecasts(path, rng, ["s1"], MODEL_NAMES[:-1])
-        assert run("ensemble", "--forecasts", path, "--methods", "mean",
+        assert run("ensemble", "--forecasts", path, "--leaderboard", leaderboard_csv,
                    "--out", tmp_path / "o") == 2
         assert "s1: missing forecasts of STL-ARIMA" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("methods", ["mean,mean", "median,mean,MEDIAN"])
-    def test_repeated_method_is_usage_error(self, tmp_path, forecasts_csv, capsys, methods):
-        assert run("ensemble", "--forecasts", forecasts_csv, "--methods", methods,
-                   "--out", tmp_path / "o") == 1
-        assert f"a combination method is named twice in --methods {methods!r}" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "ensemble_forecasts.csv").exists()
 
     def test_leaderboard_without_a_model_is_usage_error(self, tmp_path, forecasts_csv, capsys):
         from pqforecast.evaluation import Leaderboard, LeaderboardRow
@@ -478,7 +445,7 @@ class TestEnsembleCommand:
         rows = [LeaderboardRow(name, 4.0, 20.0, 4.0, 1.0) for name in MODEL_NAMES[1:]]
         pqio.write_leaderboard_csv(board, Leaderboard(rows=rows, n_series=2))
         assert run("ensemble", "--forecasts", forecasts_csv, "--leaderboard", board,
-                   "--methods", "rank", "--out", tmp_path / "o") == 1
+                   "--out", tmp_path / "o") == 1
         assert "producer 'SNaive' not on the leaderboard" in capsys.readouterr().err
 
     @pytest.mark.parametrize("names, smape, code, message", [
@@ -492,7 +459,7 @@ class TestEnsembleCommand:
         pqio.write_leaderboard_csv(board, Leaderboard(rows=rows, n_series=2))
         absent = tmp_path / "forecasts.csv"  # never written, so reading members would fail first
         assert run("ensemble", "--forecasts", absent, "--leaderboard", board,
-                   "--methods", "mean,smape", "--out", tmp_path / "o") == code
+                   "--out", tmp_path / "o") == code
         assert f"{board}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o" / "ensemble_forecasts.csv").exists()
 
@@ -501,26 +468,26 @@ class TestEvaluateCommand:
     def test_snaive_br_is_one(self, tmp_path):
         write_weekly(tmp_path / "weekly.csv", n_series=2, seed=9)
         fc_out = tmp_path / "fc"
-        assert run("forecast", "--weekly", tmp_path / "weekly.csv", "--models",
-                   "SNaive,Prophet,STL-Drift", "--out", fc_out) == 0
+        assert run("forecast", "--weekly", tmp_path / "weekly.csv", "--out", fc_out) == 0
         ev_out = tmp_path / "ev"
         assert run("evaluate", "--forecasts", fc_out / "forecasts.csv",
                    "--weekly", tmp_path / "weekly.csv", "--out", ev_out) == 0
         board = pqio.read_leaderboard_csv(ev_out / "leaderboard_individual.csv")
         assert board.row("SNaive").benchmark_ratio == 1.0
 
-    @pytest.mark.parametrize("top_n", [0, -5])
-    def test_top_n_below_one_is_usage_error(self, tmp_path, rng, capsys, top_n):
+    def test_fewer_ensembles_than_the_top_are_all_reported(self, tmp_path, rng, capsys):
+        """A table of 10 ensembles, fewer than the protocol's top 100: the
+        composition covers all 10, and the run says so."""
         corpus = write_weekly(tmp_path / "weekly.csv", n_series=2, seed=9)
-        path = tmp_path / "forecasts.csv"
-        write_forecasts(path, rng, [s.series_id for s in corpus])
-        assert run("ensemble", "--forecasts", path, "--methods", "mean",
-                   "--out", tmp_path / "ens") == 0
-        assert run("evaluate", "--forecasts", path, tmp_path / "ens" / "ensemble_forecasts.csv",
-                   "--weekly", tmp_path / "weekly.csv", "--top-n", top_n,
-                   "--out", tmp_path / "ev") == 1
-        assert "--top-n" in capsys.readouterr().err
-        assert not (tmp_path / "ev").exists()
+        ids = [s.series_id for s in corpus]
+        write_forecasts(tmp_path / "members.csv", rng, ids)
+        write_forecasts(tmp_path / "ensembles.csv", rng, ids, ensemble_producers([CombinationMethod.MEAN])[:10])
+        assert run("evaluate", "--forecasts", tmp_path / "members.csv", tmp_path / "ensembles.csv",
+                   "--weekly", tmp_path / "weekly.csv", "--out", tmp_path / "ev") == 0
+        assert "warning: top 100 clipped to 10 ensembles" in capsys.readouterr().out
+        assert (tmp_path / "ev" / "composition_top.csv").read_text().splitlines()[1] == "meta,top_n,10"
+        assert [json.loads(line)["message"] for line in (tmp_path / "ev" / "manifest.jsonl").open()] == [
+            "top 100 clipped to 10"]
 
     def _weekly_with(self, path, extra):
         """A two-series 157-week corpus plus one series of ``extra`` weeks,
@@ -646,20 +613,20 @@ class TestStreamedForecastFiles:
     def test_nonfinite_last_series_leaves_no_ensemble_table(self, tmp_path, members, capsys):
         ids, path = members
         self.poison_last_value(path)
-        assert run("ensemble", "--forecasts", path, "--methods", "mean",
+        assert run("ensemble", "--forecasts", path, "--leaderboard", write_leaderboard(tmp_path / "board.csv"),
                    "--out", tmp_path / "ens") == 2
         assert f"{path}: {ids[-1]}/STL-ARIMA: non-finite forecast value" in capsys.readouterr().err
         assert list((tmp_path / "ens").iterdir()) == []
 
     def test_nonfinite_last_series_leaves_no_leaderboard(self, tmp_path, members, capsys):
         ids, path = members
-        assert run("ensemble", "--forecasts", path, "--methods", "mean",
+        assert run("ensemble", "--forecasts", path, "--leaderboard", write_leaderboard(tmp_path / "board.csv"),
                    "--out", tmp_path / "ens") == 0
         ensembles = tmp_path / "ens" / "ensemble_forecasts.csv"
         self.poison_last_value(ensembles)
         assert run("evaluate", "--forecasts", path, ensembles, "--weekly", tmp_path / "weekly.csv",
                    "--out", tmp_path / "ev") == 2
-        assert f"{ensembles}: {ids[-1]}/H01:mean: non-finite forecast value" in capsys.readouterr().err
+        assert f"{ensembles}: {ids[-1]}/H01:rank: non-finite forecast value" in capsys.readouterr().err
         assert list((tmp_path / "ev").iterdir()) == []
 
     def test_series_error_yields_to_a_malformed_line_later_in_the_file(self, tmp_path, members,
@@ -669,7 +636,7 @@ class TestStreamedForecastFiles:
         lines = path.read_text().splitlines()
         lines = [line for line in lines if not line.startswith(f"{ids[0]},HW,")] + ["x,HW,1,y"]
         path.write_text("\n".join(lines) + "\n")
-        for argv in (["ensemble", "--forecasts", path, "--methods", "mean"],
+        for argv in (["ensemble", "--forecasts", path, "--leaderboard", write_leaderboard(tmp_path / "board.csv")],
                      ["evaluate", "--forecasts", path, "--weekly", tmp_path / "weekly.csv"]):
             assert run(*argv, "--out", tmp_path / argv[0]) == 2
             assert f"{path}:{len(lines)}: could not convert" in capsys.readouterr().err
@@ -773,7 +740,7 @@ class TestFullPipeline:
         assert run("evaluate", "--forecasts", base / "fc" / "forecasts.csv",
                    base / "ens" / "ensemble_forecasts.csv",
                    "--weekly", base / "corpus" / "weekly.csv",
-                   "--out", base / "ev", "--top-n", 20) == 0
+                   "--out", base / "ev") == 0
         for name in ("leaderboard_individual.csv", "leaderboard_ensembles.csv",
                      "composition_top.csv", "size_aggregates.csv", "comparison.csv",
                      "ecdf.csv"):
@@ -795,13 +762,11 @@ class TestFullPipeline:
     def test_producers_cover_leaderboards_exactly_once(self, tmp_path):
         base = tmp_path
         run("synth", "--out", base / "corpus", "--n-series", 2, "--seed", 22)
-        run("forecast", "--weekly", base / "corpus" / "weekly.csv", "--models",
-            "all", "--out", base / "fc")
+        run("forecast", "--weekly", base / "corpus" / "weekly.csv", "--out", base / "fc")
         run("evaluate", "--forecasts", base / "fc" / "forecasts.csv",
             "--weekly", base / "corpus" / "weekly.csv", "--out", base / "ev0")
         run("ensemble", "--forecasts", base / "fc" / "forecasts.csv",
-            "--leaderboard", base / "ev0" / "leaderboard_individual.csv",
-            "--methods", "mean,median", "--out", base / "ens")
+            "--leaderboard", base / "ev0" / "leaderboard_individual.csv", "--out", base / "ens")
         run("evaluate", "--forecasts", base / "fc" / "forecasts.csv",
             base / "ens" / "ensemble_forecasts.csv",
             "--weekly", base / "corpus" / "weekly.csv", "--out", base / "ev")
@@ -827,7 +792,8 @@ class TestMalformedForecastTable:
         return corpus, path
 
     def _stages(self, tmp_path, path):
-        yield ["ensemble", "--forecasts", path, "--methods", "mean", "--out", tmp_path / "ens"]
+        yield ["ensemble", "--forecasts", path, "--leaderboard", write_leaderboard(tmp_path / "board.csv"),
+               "--out", tmp_path / "ens"]
         yield ["evaluate", "--forecasts", path, "--weekly", tmp_path / "weekly.csv",
                "--out", tmp_path / "ev"]
 
@@ -882,8 +848,8 @@ def test_report_is_no_stage(tmp_path, capsys):
 class TestStageFlags:
     @pytest.mark.parametrize("argv", [
         ["evaluate", "--forecasts", "f.csv", "--weekly", "w.csv", "--jobs", "2"],
-        ["ensemble", "--forecasts", "f.csv", "--seed", "1"],
-        ["ensemble", "--forecasts", "f.csv", "--config", "c.ini"],
+        ["ensemble", "--forecasts", "f.csv", "--leaderboard", "b.csv", "--seed", "1"],
+        ["ensemble", "--forecasts", "f.csv", "--leaderboard", "b.csv", "--config", "c.ini"],
         ["preprocess", "--raw", "r.csv", "--planning-levels", "p.ini", "--jobs", "2"],
         ["synth", "--n-series", "1", "--config", "c.ini"],
         ["forecast", "--weekly", "w.csv", "--config", "c.ini"],
@@ -894,6 +860,23 @@ class TestStageFlags:
         assert run(*argv, "--out", tmp_path / "o") == 1
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_each_stage_has_exactly_the_protocol_options(self):
+        """Every stage runs the paper's full protocol: no option selects a
+        part of it, and each stage's options are exactly these."""
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = {name: [flag for action in stage._actions if not isinstance(action, argparse._HelpAction)
+                          for flag in action.option_strings] for name, stage in subparsers.choices.items()}
+        assert options == {
+            "synth": ["--out", "--seed", "--n-series", "--length-weeks", "--mode", "--missing-rate"],
+            "preprocess": ["--out", "--raw", "--planning-levels"],
+            "forecast": ["--out", "--jobs", "--weekly"],
+            "ensemble": ["--out", "--forecasts", "--leaderboard"],
+            "evaluate": ["--out", "--forecasts", "--weekly"],
+        }
+        required = {name: [a.option_strings[0] for a in stage._actions if a.required]
+                    for name, stage in subparsers.choices.items()}
+        assert required["ensemble"] == ["--out", "--forecasts", "--leaderboard"]
 
     def test_readme_names_only_flags_of_some_stage(self):
         """Every ``--flag`` in README.md is an option of some stage, so a
@@ -932,7 +915,7 @@ def test_perfbench_tracer_wraps_every_target_of_every_stage(tmp_path):
         ("forecast", ["forecast", "--weekly", weekly, "--out", fc.parent]),
         ("evaluate", ["evaluate", "--forecasts", fc, "--weekly", weekly, "--out", ev]),
         ("ensemble", ["ensemble", "--forecasts", fc, "--leaderboard", ev / "leaderboard_individual.csv",
-                      "--methods", "all", "--out", ens.parent]),
+                      "--out", ens.parent]),
         ("evaluate_ensembles", ["evaluate", "--forecasts", fc, ens, "--weekly", weekly,
                                 "--out", tmp_path / "ev2"]),
     ]

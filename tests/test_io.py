@@ -1072,6 +1072,24 @@ def test_raw_rows_out_of_order_are_held_at_most_a_week(tmp_path):
     assert [len(minutes) for _, minutes, _ in weeks] == [1009]
 
 
+def test_raw_line_repeated_in_its_form_is_held_at_most_a_week(tmp_path):
+    """A line in the writer's plain form, repeated 50,000 times inside a
+    week, fills that week to 1,009 samples and no further, though the
+    repeats are read from their text, not by the csv module; the error is
+    the one the whole-series checks give."""
+    path = tmp_path / "raw.csv"
+    pqio.write_raw_csv(path, [(weekly([1.0, 2.0, 3.0], series_id="s"), ())])
+    header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    k = 1008 + 5  # the second week's 00:50
+    path.write_text(header + "".join(rows[:k] + [rows[k]] * 50_000 + rows[k:]), encoding="utf-8", newline="")
+    weeks: list = []
+    with pytest.raises(DataError) as got:
+        pqio.read_raw_csv(path, collecting(weeks))
+    assert raw_or_error(reference_samples, path) == ("DataError", str(got.value))
+    assert str(got.value).endswith("s: duplicate timestamp 2022-01-10T00:50:00+00:00")
+    assert [len(minutes) for _, minutes, _ in weeks] == [1008, 1009]
+
+
 class TestLeaderboardCsv:
     def test_roundtrip(self, tmp_path):
         board = Leaderboard(rows=[

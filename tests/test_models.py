@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqforecast.errors import ConfigError, DataError
+from pqforecast.errors import DataError
 from pqforecast.models import (
     ForecastBlock,
     ModelId,
     PUBLIC_MODELS,
     fit_predict,
-    model_from_name,
 )
+from pqforecast.models import stl_models
 from pqforecast.models.base import standardize
 from pqforecast.models.baselines import predict_drift, predict_naive, predict_snaive
 from pqforecast.models.fourier_trend import predict_fourier_trend
@@ -37,18 +37,6 @@ class TestModelIds:
             "SNaive", "HW", "SARIMA", "Prophet",
             "STL-Drift", "STL-ES", "STL-Holt", "STL-ARIMA",
         ]
-
-    def test_lookup_by_name(self):
-        assert model_from_name("snaive") is ModelId.SNAIVE
-        assert model_from_name("STL-ARIMA") is ModelId.STL_ARIMA
-        with pytest.raises(ConfigError, match="SNaive"):
-            model_from_name("nope")
-
-    def test_only_public_models_are_selectable(self):
-        assert list(ModelId) == list(PUBLIC_MODELS)
-        for name in ("Naive", "Drift", "ES", "Holt", "ARIMA"):
-            with pytest.raises(ConfigError, match="STL-ARIMA"):
-                model_from_name(name)
 
 
 class TestBaselines:
@@ -264,6 +252,27 @@ class TestStlComposites:
     def test_short_series_rejected(self):
         with pytest.raises(DataError):
             fit_predict(ModelId.STL_ES, TrainingWindow(np.ones(103)))
+
+    @pytest.mark.parametrize("models, decompositions", [
+        ((ModelId.SNAIVE, ModelId.HW, ModelId.PROPHET), 0),
+        (PUBLIC_MODELS, 1),
+    ], ids=["no-stl-reader", "all-eight"])
+    def test_window_decomposes_once_and_only_when_read(self, rng, monkeypatch, models, decompositions):
+        """SARIMA and the STL composites share one decomposition of the
+        window; SNaive, HW and Prophet never compute it."""
+        calls = []
+        stl_decompose = stl_models.stl_decompose
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return stl_decompose(*args, **kwargs)
+
+        monkeypatch.setattr(stl_models, "stl_decompose", counting)
+        window = TrainingWindow(periodic_train() + rng.normal(0.0, 1.0, 105))
+        for model in models:
+            assert np.isfinite(fit_predict(model, window).values).all(), model
+        assert len(calls) == decompositions
+        assert all(values is window.values for values in calls)
 
 
 class TestStandardize:
