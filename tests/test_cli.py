@@ -17,7 +17,7 @@ import pqforecast.models.stl_models
 
 from pqforecast import io as pqio
 from pqforecast.cli import build_parser, main
-from pqforecast.ensembles import CombinationMethod, ensemble_producers
+from pqforecast.ensembles import ALL_METHODS, CombinationMethod, combine, ensemble_producers
 from pqforecast.models import PUBLIC_MODELS, ForecastBlock
 from pqforecast.weekly import WeeklySeries
 
@@ -427,6 +427,23 @@ class TestEnsembleCommand:
         assert [b.series_id for b in blocks] == ["s1", "s2"]
         assert all(len(set(b.producers)) == len(b.values) == 988 for b in blocks)
 
+    def test_rows_are_the_library_combination(self, tmp_path, forecasts_csv, leaderboard_csv):
+        """Each series' 988 rows are ``combine`` of its eight members, the
+        weighted ones under the leaderboard's mean sMAPE and mean rank."""
+        out = tmp_path / "out"
+        assert run("ensemble", "--forecasts", forecasts_csv, "--leaderboard", leaderboard_csv,
+                   "--out", out) == 0
+        board = pqio.read_leaderboard_csv(leaderboard_csv)
+        rows = [board.row(name) for name in MODEL_NAMES]
+        phi = {CombinationMethod.SMAPE_WEIGHTED: [r.mean_smape for r in rows],
+               CombinationMethod.RANK_WEIGHTED: [r.mean_rank for r in rows]}
+        members = pqio.read_forecast_csv(forecasts_csv)
+        blocks = pqio.read_forecast_csv(out / "ensemble_forecasts.csv")
+        assert [b.series_id for b in blocks] == [m.series_id for m in members]
+        for block, member in zip(blocks, members):
+            assert block.producers == ensemble_producers(ALL_METHODS)
+            assert np.array_equal(block.values, combine(member.rows(MODEL_NAMES), ALL_METHODS, phi))
+
     def test_leaderboard_is_required(self, tmp_path, forecasts_csv, capsys):
         assert run("ensemble", "--forecasts", forecasts_csv, "--out", tmp_path / "o") == 1
         assert "the following arguments are required: --leaderboard" in capsys.readouterr().err
@@ -488,6 +505,19 @@ class TestEvaluateCommand:
         assert (tmp_path / "ev" / "composition_top.csv").read_text().splitlines()[1] == "meta,top_n,10"
         assert [json.loads(line)["message"] for line in (tmp_path / "ev" / "manifest.jsonl").open()] == [
             "top 100 clipped to 10"]
+
+    def test_top_100_of_more_ensembles_are_reported(self, tmp_path, rng, capsys):
+        """A table of 247 ensembles: the composition covers the best 100,
+        with no clipping warning."""
+        corpus = write_weekly(tmp_path / "weekly.csv", n_series=2, seed=9)
+        ids = [s.series_id for s in corpus]
+        write_forecasts(tmp_path / "members.csv", rng, ids)
+        write_forecasts(tmp_path / "ensembles.csv", rng, ids, ensemble_producers([CombinationMethod.MEAN]))
+        assert run("evaluate", "--forecasts", tmp_path / "members.csv", tmp_path / "ensembles.csv",
+                   "--weekly", tmp_path / "weekly.csv", "--out", tmp_path / "ev") == 0
+        assert "clipped" not in capsys.readouterr().out
+        assert (tmp_path / "ev" / "composition_top.csv").read_text().splitlines()[1] == "meta,top_n,100"
+        assert (tmp_path / "ev" / "manifest.jsonl").read_text() == ""
 
     def _weekly_with(self, path, extra):
         """A two-series 157-week corpus plus one series of ``extra`` weeks,
@@ -859,6 +889,18 @@ class TestStageFlags:
     def test_flag_of_another_stage_is_usage_error(self, tmp_path, capsys, argv):
         assert run(*argv, "--out", tmp_path / "o") == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["forecast", "--weekly", "w.csv", "--models", "SNaive"],
+        ["ensemble", "--forecasts", "f.csv", "--leaderboard", "b.csv", "--methods", "mean"],
+        ["evaluate", "--forecasts", "f.csv", "--weekly", "w.csv", "--top-n", "20"],
+    ], ids=["models", "methods", "top-n"])
+    def test_part_of_the_protocol_is_usage_error(self, tmp_path, capsys, argv):
+        """A run that selects part of the protocol stops at the usage check,
+        before it reads a file, rather than run the full protocol instead."""
+        assert run(*argv, "--out", tmp_path / "o") == 1
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_each_stage_has_exactly_the_protocol_options(self):

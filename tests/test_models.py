@@ -38,6 +38,13 @@ class TestModelIds:
             "STL-Drift", "STL-ES", "STL-Holt", "STL-ARIMA",
         ]
 
+    def test_only_public_models_are_selectable(self):
+        """The STL composites' plain components are no models of their own."""
+        assert list(ModelId) == list(PUBLIC_MODELS)
+        for name in ("Naive", "Drift", "ES", "Holt", "ARIMA"):
+            with pytest.raises(ValueError):
+                ModelId(name)
+
 
 class TestBaselines:
     def test_naive_repeats_last(self):
