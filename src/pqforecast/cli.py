@@ -19,9 +19,9 @@ from typing import TYPE_CHECKING, Generator, Iterator, Optional, Sequence
 import numpy as np
 
 from . import io as pqio
-from .ensembles import ALL_METHODS, CombinationMethod, combine, compute_weights, ensemble_producers, parse_producer
+from .ensembles import combine, ensemble_producers, ensemble_weights
 from .errors import ConfigError, DataError
-from .evaluation import TOP_N, Leaderboard, compare_best, composition_analysis, evaluate_corpus
+from .evaluation import TOP_N, compare_best, composition_analysis, evaluate_corpus
 from .models import ForecastBlock, ModelFit, PUBLIC_MODELS, fit_predict, load_fitters
 from .weekly import TEST_WEEKS, TRAIN_WEEKS, SeriesKey, WeeklySeries, aggregate_weekly, fill_gaps, normalize, split_train_test
 
@@ -166,20 +166,16 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
     out = _ensure_out(args)
     member_names = [m.value for m in PUBLIC_MODELS]
     board = pqio.read_leaderboard_csv(Path(args.leaderboard))
-    try:  # every weight's metric, checked before any member row is read
-        rows = [board.row(name) for name in member_names]
-        phi = {CombinationMethod.SMAPE_WEIGHTED: [r.mean_smape for r in rows],
-               CombinationMethod.RANK_WEIGHTED: [r.mean_rank for r in rows]}
-        for metric in phi.values():
-            compute_weights(metric)
+    try:  # every weight, computed before any member row is read
+        weights = ensemble_weights(board)
     except (ConfigError, DataError) as exc:
         raise type(exc)(f"{args.leaderboard}: {exc}") from exc
 
-    producers = ensemble_producers(ALL_METHODS)
+    producers = ensemble_producers()
     members = pqio.iter_forecast_csv(Path(args.forecasts))
     combined = (  # one series at a time, from reading its members to writing its ensembles
         ForecastBlock(series_id=block.series_id, producers=producers,
-                      values=combine(block.rows(member_names), ALL_METHODS, phi))
+                      values=combine(block.rows(member_names), weights))
         for block in members
     )
     with _malformed_first(members):
@@ -229,7 +225,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     manifest = []
     with _malformed_first(blocks):
-        smapes, board_union, board_individual = evaluate_corpus(checked(), actuals)
+        smapes, board_ensembles, board_individual = evaluate_corpus(checked(), actuals)
     pqio.write_leaderboard_csv(out / "leaderboard_individual.csv", board_individual)
     print(f"evaluate: {board_individual.n_series} series, "
           f"{len(board_individual.rows)} individual producers")
@@ -237,14 +233,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(f"  best individual: {best.producer} "
           f"(mean sMAPE {best.mean_smape:.2f} %, BR {best.benchmark_ratio:.3f})")
 
-    if len(board_union.rows) > len(board_individual.rows):
+    if board_ensembles.rows:
         from . import report as pqreport
 
-        ensemble_rows = [r for r in board_union.rows if parse_producer(r.producer) is not None]
-        board_ensembles = Leaderboard(rows=ensemble_rows, n_series=board_union.n_series)
         pqio.write_leaderboard_csv(out / "leaderboard_ensembles.csv", board_ensembles)
-
-        composition = composition_analysis(board_union, TOP_N)
+        composition = composition_analysis(board_ensembles)
         if composition.clipped:
             print(f"  warning: top {TOP_N} clipped to {composition.top_n} ensembles")
             manifest.append(pqio.ManifestEntry(
@@ -254,7 +247,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         pqreport.render_composition_svg(out / "fig_composition.svg", composition)
         pqreport.render_size_aggregates_svg(out / "fig_size_aggregates.svg", composition.size_aggregates)
 
-        best_ensemble = ensemble_rows[0]
+        best_ensemble = board_ensembles.rows[0]
         comparison = compare_best(sorted(actuals), best.producer, smapes[best.producer],
                                   best_ensemble.producer, smapes[best_ensemble.producer])
         pqio.write_comparison_csv(out / "comparison.csv", comparison)

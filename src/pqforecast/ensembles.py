@@ -1,34 +1,35 @@
-"""Ensemble enumeration and forecast combination.
+"""The ensemble catalogue and forecast combination.
 
-Every subset of two or more of the eight public models is an ensemble
-configuration: 247 in total. Names encode the size as a letter (B = 2
-members through H = all 8) and a 1-based index within the size class,
-assigned in lexicographic order of member indices. Four combination rules
-turn member forecasts into an ensemble forecast: pointwise mean, pointwise
-median, and two convex weightings where a member's weight is the
-normalized reciprocal of its corpus-level mean sMAPE or mean rank.
-``combine`` turns one series' eight member rows into every ensemble's row
-with one reduction per ensemble size and method, the same arithmetic per
-row as combining that ensemble's members alone.
+Every subset of two or more of the eight public models is an ensemble:
+247 in total, named by a size letter (B = 2 members through H = all 8) and
+a 1-based index within the size, in lexicographic order of member indices.
+Four rules combine members: pointwise mean, pointwise median, and two
+convex weightings by the normalized reciprocal of each member's corpus
+mean sMAPE or mean rank. ``catalogue()`` lists the 988 (ensemble, rule)
+producer labels, ``D28:median``, in ``combine``'s row order.
+``ensemble_weights`` derives both weightings from the individual
+leaderboard once per stage; ``combine`` turns one series' eight member rows
+into all 988 rows with one reduction per ensemble size and rule, the same
+arithmetic per row as combining that ensemble's members alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .models import ModelId, PUBLIC_MODELS
 
-SIZE_LETTERS = "BCDEFGH"  # sizes 2..8
+if TYPE_CHECKING:
+    from .evaluation import Leaderboard
 
-_NAME_RE = re.compile(r"^([B-H])(\d{2,})$")
+SIZE_LETTERS = "BCDEFGH"  # sizes 2..8
 
 
 class CombinationMethod(str, Enum):
@@ -37,72 +38,46 @@ class CombinationMethod(str, Enum):
     SMAPE_WEIGHTED = "smape"
     RANK_WEIGHTED = "rank"
 
-    @property
-    def needs_phi(self) -> bool:
-        return self in (CombinationMethod.SMAPE_WEIGHTED, CombinationMethod.RANK_WEIGHTED)
+
+#: Member indices (ensembles x k) of each ensemble size k, in canonical order.
+_MEMBER_INDICES = tuple(np.array(list(itertools.combinations(range(len(PUBLIC_MODELS)), size)))
+                        for size in range(2, len(PUBLIC_MODELS) + 1))
 
 
-ALL_METHODS: tuple[CombinationMethod, ...] = tuple(CombinationMethod)
+class Catalogue(NamedTuple):
+    """The paper's fixed ensemble table; one instance is shared, so callers must not modify it."""
+    members: dict[str, tuple[ModelId, ...]]  # the 247 ensemble names and their models, in canonical order
+    producers: dict[str, tuple[tuple[ModelId, ...], CombinationMethod]]  # the 988 labels, in combine's row order
 
 
-@dataclass(frozen=True)
-class EnsembleId:
-    """A named ensemble configuration: size letter, index, member models."""
-
-    letter: str
-    index: int
-    members: tuple[ModelId, ...]
-
-    def __post_init__(self) -> None:
-        expected = SIZE_LETTERS[len(self.members) - 2] if 2 <= len(self.members) <= 8 else None
-        if expected != self.letter:
-            raise ConfigError(f"letter {self.letter} does not match {len(self.members)} members")
-
-    @property
-    def name(self) -> str:
-        return f"{self.letter}{self.index:02d}"
-
-    def producer(self, method: CombinationMethod) -> str:
-        return f"{self.name}:{method.value}"
+@lru_cache(maxsize=1)  # built on first use: a stage that meets no ensemble never holds it
+def catalogue() -> Catalogue:
+    members = {f"{SIZE_LETTERS[index.shape[1] - 2]}{i:02d}": tuple(PUBLIC_MODELS[j] for j in row)
+               for index in _MEMBER_INDICES for i, row in enumerate(index.tolist(), start=1)}
+    producers = {f"{name}:{method.value}": (models, method)
+                 for name, models in members.items() for method in CombinationMethod}
+    return Catalogue(members, producers)
 
 
-@lru_cache(maxsize=1)
-def enumerate_ensembles() -> tuple[EnsembleId, ...]:
-    """All 247 ensemble configurations in canonical order."""
-    out = []
-    for size in range(2, len(PUBLIC_MODELS) + 1):
-        letter = SIZE_LETTERS[size - 2]
-        for index, members in enumerate(itertools.combinations(PUBLIC_MODELS, size), start=1):
-            out.append(EnsembleId(letter=letter, index=index, members=members))
-    return tuple(out)
+def ensemble_producers() -> list[str]:
+    """Producer labels of ``combine``'s rows, in the same order."""
+    return list(catalogue().producers)
 
 
-@lru_cache(maxsize=1)
-def _by_name() -> dict[str, EnsembleId]:
-    return {e.name: e for e in enumerate_ensembles()}
-
-
-def ensemble_by_name(name: str) -> EnsembleId:
-    ens = _by_name().get(name.upper())
-    if ens is None:
-        raise ConfigError(f"unknown ensemble name {name!r}")
-    return ens
-
-
-@lru_cache(maxsize=4096)  # a table names ~1k labels; a bad one raises and is not cached
-def parse_producer(producer: str) -> Optional[tuple[EnsembleId, CombinationMethod]]:
-    """Split an ensemble producer label like ``D28:median``; None for
-    individual-model producers."""
+def parse_producer(producer: str) -> Optional[tuple[tuple[ModelId, ...], CombinationMethod]]:
+    """The members and rule of an ensemble producer label like
+    ``D28:median``; None for individual-model producers."""
     if ":" not in producer:
         return None
-    name, _, method_name = producer.partition(":")
-    if not _NAME_RE.match(name):
-        return None
-    try:
-        method = CombinationMethod(method_name)
-    except ValueError as exc:
-        raise ConfigError(f"unknown combination method in {producer!r}") from exc
-    return ensemble_by_name(name), method
+    parsed = catalogue().producers.get(producer)
+    if parsed is None:
+        name, _, method = producer.partition(":")
+        if not re.match(r"^[B-H]\d{2,}$", name):  # not shaped like an ensemble name
+            return None
+        if method not in [m.value for m in CombinationMethod]:
+            raise ConfigError(f"unknown combination method in {producer!r}")
+        raise ConfigError(f"unknown ensemble name {name!r}")
+    return parsed
 
 
 def compute_weights(phi: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -117,48 +92,35 @@ def compute_weights(phi: Sequence[float] | np.ndarray) -> np.ndarray:
     return inv / inv.sum(axis=-1, keepdims=True)
 
 
-#: Member indices (ensembles x k) of each ensemble size k, in canonical order.
-_MEMBER_INDICES = tuple(np.array(list(itertools.combinations(range(len(PUBLIC_MODELS)), size)))
-                        for size in range(2, len(PUBLIC_MODELS) + 1))
+def ensemble_weights(board: Leaderboard) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The two weighted rules' member weights, (ensembles x k) for each size
+    k: from each model's mean sMAPE and mean rank on the individual
+    leaderboard ``board``, which must score all eight."""
+    rows = [board.row(model.value) for model in PUBLIC_MODELS]
+    phi = (np.array([r.mean_smape for r in rows]), np.array([r.mean_rank for r in rows]))
+    return tuple(tuple(compute_weights(metric[index]) for metric in phi) for index in _MEMBER_INDICES)
 
 
-def ensemble_producers(methods: Sequence[CombinationMethod]) -> list[str]:
-    """Producer labels of ``combine``'s rows, in the same order."""
-    return [ens.producer(method) for ens in enumerate_ensembles() for method in methods]
-
-
-def combine(
-    members: np.ndarray,
-    methods: Sequence[CombinationMethod],
-    phi: Optional[Mapping[CombinationMethod, Sequence[float]]] = None,
-) -> np.ndarray:
+def combine(members: np.ndarray, weights: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """Every ensemble forecast of one series.
 
     ``members`` holds the eight public models' forecasts as rows in canonical
-    order; ``phi`` gives each weighted method one metric value per model.
-    Returns one row per (ensemble, method), ensembles in canonical order and
-    the methods in the given order within each, as ``ensemble_producers``
-    labels them. The rows are raw: a :class:`ForecastBlock` clamps them.
+    order; ``weights`` is ``ensemble_weights``' result. Returns one row per
+    producer of ``catalogue()``, in its order: ensembles in canonical order,
+    the four rules in ``CombinationMethod`` order within each. The rows are
+    raw: a :class:`ForecastBlock` clamps them.
     """
     members = np.asarray(members, dtype=float)
-    n_models = len(PUBLIC_MODELS)
-    if members.ndim != 2 or len(members) != n_models:
-        raise DataError(f"combine: need {n_models} member rows, got shape {members.shape}")
-    for method in methods:
-        if method.needs_phi and len((phi or {}).get(method, ())) != n_models:
-            raise DataError(f"combine: method {method.value} requires {n_models} phi values")
+    if members.ndim != 2 or len(members) != len(PUBLIC_MODELS):
+        raise DataError(f"combine: need {len(PUBLIC_MODELS)} member rows, got shape {members.shape}")
 
     out = []
-    for index in _MEMBER_INDICES:
+    for index, weighted in zip(_MEMBER_INDICES, weights, strict=True):
         stacked = members[index]  # (ensembles x k x horizon)
-        rows = np.empty((len(index), len(methods), members.shape[1]))
-        for j, method in enumerate(methods):
-            if method is CombinationMethod.MEAN:
-                rows[:, j] = stacked.mean(axis=1)
-            elif method is CombinationMethod.MEDIAN:
-                rows[:, j] = np.median(stacked, axis=1)
-            else:
-                weights = compute_weights(np.asarray(phi[method], dtype=float)[index])
-                rows[:, j] = (weights[:, None, :] @ stacked)[:, 0]
+        rows = np.empty((len(index), len(CombinationMethod), members.shape[1]))  # mean, median, smape, rank
+        rows[:, 0] = stacked.mean(axis=1)
+        rows[:, 1] = np.median(stacked, axis=1)
+        for j, w in enumerate(weighted, start=2):
+            rows[:, j] = (w[:, None, :] @ stacked)[:, 0]
         out.append(rows.reshape(-1, members.shape[1]))
     return np.vstack(out)

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .ensembles import CombinationMethod, EnsembleId, parse_producer
+from .ensembles import parse_producer
 from .errors import ConfigError, DataError
 from .models import ForecastBlock, ModelId
 
@@ -89,18 +89,18 @@ class Leaderboard:
 def evaluate_corpus(blocks: Iterable[ForecastBlock],
                     actuals: Mapping[str, np.ndarray]) -> tuple[dict[str, np.ndarray], Leaderboard, Leaderboard]:
     """Per-series sMAPE of every producer (series in sorted order), the
-    corpus leaderboard for one producer cohort, and the leaderboard of the
-    individual models alone, ranked among themselves as a call on their
-    blocks alone would rank them.
+    leaderboard of the ensembles, ranked among every producer, and the
+    leaderboard of the individual models alone, ranked among themselves as
+    a call on their blocks alone would rank them. With no ensemble
+    producers, the ensemble leaderboard has no rows.
 
     ``blocks`` is consumed one block at a time. A series may come in several
     blocks (one per forecast file), in any order: its k-th block must have
     the producers of the first k-th block seen, and a series with fewer
     blocks than another lacks the others' producers. Only each block's MAE
     and sMAPE per producer are kept; they are summed in sorted-series order
-    once the blocks end. Ranks are computed within the cohort, so rank
-    scales differ between an individual-only and a combined individual +
-    ensemble evaluation.
+    once the blocks end. Ranks are computed within each board's cohort, so
+    the two boards' rank scales differ.
     """
     parts: list[tuple[str, list[str]]] = []  # the first k-th block's series and producers
     part_of: dict[str, int] = {}  # producer -> its k
@@ -150,13 +150,14 @@ def evaluate_corpus(blocks: Iterable[ForecastBlock],
         board.sort(key=lambda r: (r.mean_smape, r.producer))
         return Leaderboard(rows=board, n_series=len(series_ids))
 
-    rows = np.flatnonzero([parse_producer(p) is None for p in cohort])
-    if not len(rows):
+    ensembles = {p for p in cohort if parse_producer(p) is not None}
+    if len(ensembles) == len(cohort):
         raise DataError("evaluate_corpus: no individual model forecasts")
-    board_individual = leaderboard(rows)
-    board = leaderboard(np.arange(len(cohort)))
+    board_individual = leaderboard(np.flatnonzero([p not in ensembles for p in cohort]))
+    union = leaderboard(np.arange(len(cohort))).rows if ensembles else []
+    board_ensembles = Leaderboard([r for r in union if r.producer in ensembles], len(series_ids))
     smapes = np.column_stack([scores[series_id][1] for series_id in series_ids])
-    return dict(zip(cohort, smapes)), board, board_individual
+    return dict(zip(cohort, smapes)), board_ensembles, board_individual
 
 
 @dataclass
@@ -185,38 +186,30 @@ class CompositionReport:
     clipped: bool = False
 
 
-def _ensemble_rows(leaderboard: Leaderboard) -> list[tuple[LeaderboardRow, EnsembleId, CombinationMethod]]:
-    out = []
-    for row in leaderboard.rows:
-        parsed = parse_producer(row.producer)
-        if parsed is not None:
-            out.append((row, parsed[0], parsed[1]))
-    return out
-
-
-def composition_analysis(leaderboard: Leaderboard, top_n: int) -> CompositionReport:
-    """Model shares, size and method histograms over the ``top_n`` best
-    ensembles, plus per-size sMAPE aggregates over all ensembles."""
-    ensembles = _ensemble_rows(leaderboard)
+def composition_analysis(leaderboard: Leaderboard) -> CompositionReport:
+    """Model shares, size and method histograms over the ``TOP_N`` best
+    ensembles, plus per-size sMAPE aggregates over all ensembles; the
+    board's individual producers are skipped."""
+    ensembles = [(row, *parsed) for row in leaderboard.rows if (parsed := parse_producer(row.producer))]
     if not ensembles:
         raise DataError("composition_analysis: leaderboard contains no ensembles")
-    clipped = top_n > len(ensembles)
-    top = ensembles[: min(top_n, len(ensembles))]
+    clipped = TOP_N > len(ensembles)
+    top = ensembles[:TOP_N]
 
     slots = 0
     model_counts: dict[str, int] = {}
     size_hist: dict[int, int] = {}
     method_hist: dict[str, int] = {}
-    for _, ens, method in top:
-        size_hist[len(ens.members)] = size_hist.get(len(ens.members), 0) + 1
+    for _, members, method in top:
+        size_hist[len(members)] = size_hist.get(len(members), 0) + 1
         method_hist[method.value] = method_hist.get(method.value, 0) + 1
-        for member in ens.members:
+        for member in members:
             model_counts[member.value] = model_counts.get(member.value, 0) + 1
             slots += 1
 
     aggregates = []
-    for size in sorted({len(e.members) for _, e, _ in ensembles}):
-        values = np.array([row.mean_smape for row, e, _ in ensembles if len(e.members) == size])
+    for size in sorted({len(members) for _, members, _ in ensembles}):
+        values = np.array([row.mean_smape for row, members, _ in ensembles if len(members) == size])
         aggregates.append(SizeAggregate(
             size=size, count=len(values), mean=float(values.mean()),
             q25=float(np.percentile(values, 25)), median=float(np.percentile(values, 50)),

@@ -517,10 +517,16 @@ def write_leaderboard_csv(path: Path, leaderboard: Leaderboard) -> None:
 
 
 def read_leaderboard_csv(path: Path) -> Leaderboard:
-    rows: list[LeaderboardRow] = []
-    _read_csv(path, LEADERBOARD_HEADER,
-              lambda row: rows.append(LeaderboardRow(row[1], *map(float, row[2:]))))
-    return Leaderboard(rows=rows, n_series=0)
+    """The rows of a leaderboard table; a producer named twice is an error at its line."""
+    rows: dict[str, LeaderboardRow] = {}
+
+    def take(row: list[str]) -> None:
+        if row[1] in rows:
+            raise ValueError(f"producer {row[1]!r} named twice")
+        rows[row[1]] = LeaderboardRow(row[1], *map(float, row[2:]))
+
+    _read_csv(path, LEADERBOARD_HEADER, take)
+    return Leaderboard(rows=list(rows.values()), n_series=0)
 
 
 def write_size_aggregates_csv(path: Path, aggregates: Sequence[SizeAggregate]) -> None:

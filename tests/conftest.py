@@ -9,8 +9,9 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from pqforecast.ensembles import CombinationMethod, enumerate_ensembles, parse_producer
+from pqforecast.ensembles import CombinationMethod, catalogue, ensemble_weights, parse_producer
 from pqforecast.errors import ConfigError, DataError
+from pqforecast.evaluation import Leaderboard, LeaderboardRow
 from pqforecast.io import FORECAST_HEADER, RAW_HEADER, _read_csv
 from pqforecast.models import PUBLIC_MODELS, ForecastBlock
 from pqforecast.weekly import (
@@ -207,17 +208,28 @@ def reference_combine(member_rows, method: CombinationMethod, phi=None) -> np.nd
     return np.maximum(values, 0.0)
 
 
-def reference_ensembles(members: np.ndarray, methods, phi=None) -> np.ndarray:
-    """Every (ensemble, method) row of one series' (8 x H) member matrix, one
-    ``reference_combine`` call each, in ``combine``'s order."""
+WEIGHTED = (CombinationMethod.SMAPE_WEIGHTED, CombinationMethod.RANK_WEIGHTED)
+
+
+def reference_ensembles(members: np.ndarray, phi) -> np.ndarray:
+    """Every producer row of one series' (8 x H) member matrix, one
+    ``reference_combine`` call each, in the catalogue's order; ``phi`` gives
+    each weighted method one metric value per model."""
     position = {m: i for i, m in enumerate(PUBLIC_MODELS)}
     rows = []
-    for ens in enumerate_ensembles():
-        index = [position[m] for m in ens.members]
-        for method in methods:
-            weights = [phi[method][i] for i in index] if method.needs_phi else None
-            rows.append(reference_combine(members[index], method, weights))
+    for models, method in catalogue().producers.values():
+        index = [position[m] for m in models]
+        weights = [phi[method][i] for i in index] if method in WEIGHTED else None
+        rows.append(reference_combine(members[index], method, weights))
     return np.array(rows)
+
+
+def weights_of(phi):
+    """``ensemble_weights`` of a leaderboard on which the eight models have
+    ``phi``'s mean sMAPE and mean rank."""
+    rows = [LeaderboardRow(model.value, 1.0, float(s), float(r), 1.0) for model, s, r in
+            zip(PUBLIC_MODELS, *(phi[method] for method in WEIGHTED), strict=True)]
+    return ensemble_weights(Leaderboard(rows=rows, n_series=1))
 
 
 def reference_read_raw_csv(path) -> list[tuple[str, array, array]]:

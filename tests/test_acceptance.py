@@ -18,12 +18,12 @@ import conftest
 
 from pqforecast.cli import main as cli_main
 from pqforecast.ensembles import (
-    ALL_METHODS,
     CombinationMethod,
+    catalogue,
     combine,
     compute_weights,
     ensemble_producers,
-    enumerate_ensembles,
+    ensemble_weights,
     parse_producer,
 )
 from pqforecast.evaluation import benchmark_ratio, compare_best, evaluate_corpus, mae, smape
@@ -41,7 +41,7 @@ from pqforecast.weekly import (
     split_train_test,
 )
 
-from conftest import make_aggs, make_raw, reference_ensembles, weekly_p95
+from conftest import WEIGHTED, make_aggs, make_raw, reference_ensembles, weekly_p95, weights_of
 
 CORPUS_SEED = 20260808
 CORPUS_SIZE = 200
@@ -56,16 +56,16 @@ def report(criterion: str, detail: str) -> None:
 # -- criterion 1: enumeration fidelity ----------------------------------------
 
 def test_criterion_1_enumeration_fidelity():
-    enumerate_ensembles.cache_clear()
+    catalogue.cache_clear()
     started = time.perf_counter()
-    ensembles = enumerate_ensembles()
-    producers = {e.producer(m) for e in ensembles for m in ALL_METHODS}
+    ensembles = catalogue().members
+    producers = set(catalogue().producers)
     elapsed = time.perf_counter() - started
 
     assert len(ensembles) == 247
     sizes = {}
-    for e in ensembles:
-        sizes[e.letter] = sizes.get(e.letter, 0) + 1
+    for name in ensembles:
+        sizes[name[0]] = sizes.get(name[0], 0) + 1
     assert sizes == {"B": 28, "C": 56, "D": 70, "E": 56, "F": 28, "G": 8, "H": 1}
     assert len(producers) == 988
     assert elapsed < 1.0
@@ -111,10 +111,10 @@ def test_criterion_3_metric_and_combination_oracles():
     position = {m: i for i, m in enumerate(PUBLIC_MODELS)}
     for _ in range(20):
         members = rng.uniform(0.0, 100.0, (len(PUBLIC_MODELS), 52))
-        phi = {m: rng.uniform(0.05, 50.0, len(PUBLIC_MODELS)) for m in ALL_METHODS if m.needs_phi}
-        table = combine(members, ALL_METHODS, phi).reshape(247, len(ALL_METHODS), 52)
-        for ens, rows in zip(enumerate_ensembles(), table):
-            index = [position[m] for m in ens.members]
+        phi = {m: rng.uniform(0.05, 50.0, len(PUBLIC_MODELS)) for m in WEIGHTED}
+        table = combine(members, weights_of(phi)).reshape(247, len(CombinationMethod), 52)
+        for models, rows in zip(catalogue().members.values(), table):
+            index = [position[m] for m in models]
             weights = compute_weights(phi[CombinationMethod.SMAPE_WEIGHTED][index])
             assert abs(weights.sum() - 1.0) <= 1e-12
             stacked = members[index]
@@ -192,29 +192,28 @@ def corpus_run():
             [fit_predict(model, window).values for model in PUBLIC_MODELS])
     individual = [ForecastBlock(sid, model_names, values) for sid, values in members.items()]
 
-    _, board_ind, _ = evaluate_corpus(individual, actuals)
+    _, _, board_ind = evaluate_corpus(individual, actuals)
     phi = {
         CombinationMethod.SMAPE_WEIGHTED: [board_ind.row(name).mean_smape for name in model_names],
         CombinationMethod.RANK_WEIGHTED: [board_ind.row(name).mean_rank for name in model_names],
     }
 
     # the per-ensemble loop stays here as an oracle independent of the kernel
-    ensembles = [ForecastBlock(block.series_id, ensemble_producers(ALL_METHODS),
-                               reference_ensembles(block.values, ALL_METHODS, phi))
+    ensembles = [ForecastBlock(block.series_id, ensemble_producers(), reference_ensembles(block.values, phi))
                  for block in individual]
 
     # each series' member block and its ensemble block follow one another
     union = [block for pair in zip(individual, ensembles) for block in pair]
-    smapes, board_union, _ = evaluate_corpus(union, actuals)
+    smapes, board_ensembles, _ = evaluate_corpus(union, actuals)
     elapsed = time.perf_counter() - started
     return {
         "individual": individual,
         "ensembles": ensembles,
-        "phi": phi,
+        "weights": ensemble_weights(board_ind),
         "board_ind": board_ind,
         "smapes": smapes,
         "series_ids": sorted(actuals),
-        "board_union": board_union,
+        "board_ensembles": board_ensembles,
         "elapsed": elapsed,
     }
 
@@ -222,7 +221,7 @@ def corpus_run():
 @pytest.mark.slow
 def test_criterion_5_qualitative_reproduction(corpus_run):
     board_ind = corpus_run["board_ind"]
-    board_union = corpus_run["board_union"]
+    board_ensembles = corpus_run["board_ensembles"]
     smapes = corpus_run["smapes"]
     elapsed = corpus_run["elapsed"]
 
@@ -235,10 +234,10 @@ def test_criterion_5_qualitative_reproduction(corpus_run):
     # (b) mean sMAPE of equal-weight ensembles is non-increasing in size,
     # allowing one adjacent inversion of at most 0.1 points
     by_size: dict[int, list[float]] = {}
-    for row in board_union.rows:
-        parsed = parse_producer(row.producer)
-        if parsed and parsed[1] is CombinationMethod.MEAN:
-            by_size.setdefault(len(parsed[0].members), []).append(row.mean_smape)
+    for row in board_ensembles.rows:
+        models, method = parse_producer(row.producer)
+        if method is CombinationMethod.MEAN:
+            by_size.setdefault(len(models), []).append(row.mean_smape)
     size_means = {k: float(np.mean(v)) for k, v in sorted(by_size.items())}
     assert set(size_means) == set(range(2, 9))
     inversions = [(k, size_means[k + 1] - size_means[k])
@@ -247,9 +246,8 @@ def test_criterion_5_qualitative_reproduction(corpus_run):
     assert all(delta <= 0.1 for _, delta in inversions), inversions
 
     # (c) the best ensemble beats the best individual model on most series
-    ensemble_rows = [r for r in board_union.rows if parse_producer(r.producer) is not None]
     best_individual = board_ind.rows[0].producer
-    best_ensemble = ensemble_rows[0].producer
+    best_ensemble = board_ensembles.rows[0].producer
     comparison = compare_best(corpus_run["series_ids"], best_individual, smapes[best_individual],
                               best_ensemble, smapes[best_ensemble])
     assert comparison.win_fraction > 0.5
@@ -267,8 +265,8 @@ def test_kernel_matches_per_ensemble_loop_on_corpus(corpus_run):
     # the kernel that the ensemble stage runs reproduces criterion 5's oracle
     # ensembles byte for byte on every series of the corpus
     for block, oracle in zip(corpus_run["individual"], corpus_run["ensembles"]):
-        kernel = ForecastBlock(block.series_id, ensemble_producers(ALL_METHODS),
-                               combine(block.values, ALL_METHODS, corpus_run["phi"]))
+        kernel = ForecastBlock(block.series_id, ensemble_producers(),
+                               combine(block.values, corpus_run["weights"]))
         assert kernel.values.tobytes() == oracle.values.tobytes(), block.series_id
 
 

@@ -17,11 +17,12 @@ import pqforecast.models.stl_models
 
 from pqforecast import io as pqio
 from pqforecast.cli import build_parser, main
-from pqforecast.ensembles import ALL_METHODS, CombinationMethod, combine, ensemble_producers
+from pqforecast.ensembles import catalogue, combine, ensemble_producers, ensemble_weights
 from pqforecast.models import PUBLIC_MODELS, ForecastBlock
 from pqforecast.weekly import WeeklySeries
 
 MODEL_NAMES = [m.value for m in PUBLIC_MODELS]
+MEAN_PRODUCERS = ensemble_producers()[::4]  # each ensemble's mean rule
 
 
 def run(*argv) -> int:
@@ -433,16 +434,13 @@ class TestEnsembleCommand:
         out = tmp_path / "out"
         assert run("ensemble", "--forecasts", forecasts_csv, "--leaderboard", leaderboard_csv,
                    "--out", out) == 0
-        board = pqio.read_leaderboard_csv(leaderboard_csv)
-        rows = [board.row(name) for name in MODEL_NAMES]
-        phi = {CombinationMethod.SMAPE_WEIGHTED: [r.mean_smape for r in rows],
-               CombinationMethod.RANK_WEIGHTED: [r.mean_rank for r in rows]}
+        weights = ensemble_weights(pqio.read_leaderboard_csv(leaderboard_csv))
         members = pqio.read_forecast_csv(forecasts_csv)
         blocks = pqio.read_forecast_csv(out / "ensemble_forecasts.csv")
         assert [b.series_id for b in blocks] == [m.series_id for m in members]
         for block, member in zip(blocks, members):
-            assert block.producers == ensemble_producers(ALL_METHODS)
-            assert np.array_equal(block.values, combine(member.rows(MODEL_NAMES), ALL_METHODS, phi))
+            assert block.producers == ensemble_producers()
+            assert np.array_equal(block.values, combine(member.rows(MODEL_NAMES), weights))
 
     def test_leaderboard_is_required(self, tmp_path, forecasts_csv, capsys):
         assert run("ensemble", "--forecasts", forecasts_csv, "--out", tmp_path / "o") == 1
@@ -464,6 +462,19 @@ class TestEnsembleCommand:
         assert run("ensemble", "--forecasts", forecasts_csv, "--leaderboard", board,
                    "--out", tmp_path / "o") == 1
         assert "producer 'SNaive' not on the leaderboard" in capsys.readouterr().err
+
+    def test_producer_named_twice_is_data_error_at_its_line(self, tmp_path, forecasts_csv, capsys):
+        """An extra HW row placed first, which a first-match lookup would
+        weight HW by."""
+        from pqforecast.evaluation import Leaderboard, LeaderboardRow
+        board = tmp_path / "board.csv"
+        rows = pqio.read_leaderboard_csv(write_leaderboard(board)).rows
+        pqio.write_leaderboard_csv(board, Leaderboard([LeaderboardRow("HW", 4.0, 0.001, 1.0, 1.0), *rows], 2))
+        assert [line.split(",")[1] for line in board.read_text().splitlines()[1:4]] == ["HW", "SNaive", "HW"]
+        assert run("ensemble", "--forecasts", forecasts_csv, "--leaderboard", board,
+                   "--out", tmp_path / "o") == 2
+        assert f"data error: {board}:4: producer 'HW' named twice" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "ensemble_forecasts.csv").exists()
 
     @pytest.mark.parametrize("names, smape, code, message", [
         (MODEL_NAMES, 0.0, 2, "compute_weights: metric values must be positive and finite"),
@@ -498,7 +509,7 @@ class TestEvaluateCommand:
         corpus = write_weekly(tmp_path / "weekly.csv", n_series=2, seed=9)
         ids = [s.series_id for s in corpus]
         write_forecasts(tmp_path / "members.csv", rng, ids)
-        write_forecasts(tmp_path / "ensembles.csv", rng, ids, ensemble_producers([CombinationMethod.MEAN])[:10])
+        write_forecasts(tmp_path / "ensembles.csv", rng, ids, MEAN_PRODUCERS[:10])
         assert run("evaluate", "--forecasts", tmp_path / "members.csv", tmp_path / "ensembles.csv",
                    "--weekly", tmp_path / "weekly.csv", "--out", tmp_path / "ev") == 0
         assert "warning: top 100 clipped to 10 ensembles" in capsys.readouterr().out
@@ -512,7 +523,7 @@ class TestEvaluateCommand:
         corpus = write_weekly(tmp_path / "weekly.csv", n_series=2, seed=9)
         ids = [s.series_id for s in corpus]
         write_forecasts(tmp_path / "members.csv", rng, ids)
-        write_forecasts(tmp_path / "ensembles.csv", rng, ids, ensemble_producers([CombinationMethod.MEAN]))
+        write_forecasts(tmp_path / "ensembles.csv", rng, ids, MEAN_PRODUCERS)
         assert run("evaluate", "--forecasts", tmp_path / "members.csv", tmp_path / "ensembles.csv",
                    "--weekly", tmp_path / "weekly.csv", "--out", tmp_path / "ev") == 0
         assert "clipped" not in capsys.readouterr().out
@@ -574,7 +585,7 @@ class TestStreamedForecastFiles:
                              ids=["swapped", "missing", "ends-early"])
     def test_second_file_in_another_series_order(self, tmp_path, rng, members, capsys, order, lacking):
         ids, path = members
-        producers = ensemble_producers([CombinationMethod.MEAN])
+        producers = MEAN_PRODUCERS
         blocks = [ForecastBlock(sid, producers, rng.uniform(5.0, 50.0, (len(producers), 52))) for sid in ids]
         pqio.write_forecast_csv(tmp_path / "aligned.csv", blocks)
         other = tmp_path / "ensembles.csv"
@@ -598,7 +609,7 @@ class TestStreamedForecastFiles:
         ids, _ = members
         first, second = tmp_path / "first.csv", tmp_path / "second.csv"
         write_forecasts(first, rng, ids[:2])
-        write_forecasts(second, rng, ids, ensemble_producers([CombinationMethod.MEAN]))
+        write_forecasts(second, rng, ids, MEAN_PRODUCERS)
         assert run("evaluate", "--forecasts", first, second, "--weekly", tmp_path / "weekly.csv",
                    "--out", tmp_path / "ev") == 2
         assert f"{ids[2]}: missing forecasts of SNaive, HW, " in capsys.readouterr().err
@@ -617,7 +628,7 @@ class TestStreamedForecastFiles:
         ids, _ = members
         first, second = tmp_path / "first.csv", tmp_path / "second.csv"
         write_forecasts(first, rng, ["ghost:UNB:220", *ids])
-        write_forecasts(second, rng, ids, ensemble_producers([CombinationMethod.MEAN]))
+        write_forecasts(second, rng, ids, MEAN_PRODUCERS)
         lines = second.read_text().splitlines()
         second.write_text("\n".join(lines[:-1] + ["garbage,line"]) + "\n")
         assert run("evaluate", "--forecasts", first, second, "--weekly", tmp_path / "weekly.csv",
@@ -635,7 +646,7 @@ class TestStreamedForecastFiles:
                 for sid in ids])
 
         table(first, MODEL_NAMES, ids[-1])
-        table(second, ensemble_producers([CombinationMethod.MEAN]), ids[0])
+        table(second, MEAN_PRODUCERS, ids[0])
         assert run("evaluate", "--forecasts", first, second, "--weekly", tmp_path / "weekly.csv",
                    "--out", tmp_path / "ev") == 2
         assert f"{first}: {ids[-1]}: 53 steps, horizon is 52" in capsys.readouterr().err
@@ -938,7 +949,7 @@ def test_readme_python_api_runs(capsys):
     blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
-    assert "(494, 52)" in capsys.readouterr().out  # 247 ensembles under two rules
+    assert "(988, 52)" in capsys.readouterr().out  # 247 ensembles under four rules
 
 
 def test_perfbench_tracer_wraps_every_target_of_every_stage(tmp_path):
@@ -996,3 +1007,20 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": str(src)}).stdout
     assert out.strip() == "[]"
+
+
+def test_stages_that_meet_no_ensemble_never_build_the_catalogue(tmp_path):
+    """``preprocess``, ``forecast`` and a members-only ``evaluate``, run in
+    one process, never build the ensemble catalogue, so none of its 988
+    labels adds to their peak memory; ``ensemble`` builds it."""
+    raw, pre, fc, ev = (tmp_path / name for name in ("raw", "pre", "fc", "ev"))
+    assert run("synth", "--mode", "raw", "--n-series", 2, "--seed", 5, "--out", raw) == 0
+    catalogue.cache_clear()
+    assert run("preprocess", "--raw", raw / "raw.csv", "--planning-levels", raw / "planning_levels.ini",
+               "--out", pre) == 0
+    assert run("forecast", "--weekly", pre / "weekly.csv", "--out", fc) == 0
+    assert run("evaluate", "--forecasts", fc / "forecasts.csv", "--weekly", pre / "weekly.csv", "--out", ev) == 0
+    assert catalogue.cache_info().currsize == 0
+    assert run("ensemble", "--forecasts", fc / "forecasts.csv", "--leaderboard", ev / "leaderboard_individual.csv",
+               "--out", tmp_path / "ens") == 0
+    assert catalogue.cache_info().currsize == 1

@@ -10,29 +10,28 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pqforecast.ensembles import (
-    ALL_METHODS,
+    SIZE_LETTERS,
     CombinationMethod,
-    EnsembleId,
+    catalogue,
     combine,
     compute_weights,
-    ensemble_by_name,
     ensemble_producers,
-    enumerate_ensembles,
+    ensemble_weights,
     parse_producer,
 )
 from pqforecast.errors import ConfigError, DataError
-from pqforecast.evaluation import mae
+from pqforecast.evaluation import Leaderboard, LeaderboardRow, mae
 from pqforecast.models import ModelId, PUBLIC_MODELS
 
-from conftest import reference_ensembles
+from conftest import WEIGHTED, reference_ensembles, weights_of
 
 
-class TestEnumeration:
+class TestCatalogue:
     def test_total_count(self):
-        assert len(enumerate_ensembles()) == 247
+        assert len(catalogue().members) == 247
 
     def test_size_counts_match_binomials(self):
-        counts = Counter(e.letter for e in enumerate_ensembles())
+        counts = Counter(name[0] for name in catalogue().members)
         oracle = {letter: math.comb(8, size) for letter, size in
                   zip("BCDEFGH", range(2, 9))}
         assert counts == oracle
@@ -40,51 +39,50 @@ class TestEnumeration:
 
     def test_index_ranges(self):
         by_letter: dict[str, list[int]] = {}
-        for e in enumerate_ensembles():
-            by_letter.setdefault(e.letter, []).append(e.index)
+        for name in catalogue().members:
+            by_letter.setdefault(name[0], []).append(int(name[1:]))
         for letter, indices in by_letter.items():
             assert indices == list(range(1, len(indices) + 1)), letter
 
     def test_first_and_last(self):
-        ensembles = enumerate_ensembles()
-        assert ensembles[0].name == "B01"
-        assert ensembles[0].members == (ModelId.SNAIVE, ModelId.HW)
-        assert ensembles[-1].name == "H01"
-        assert ensembles[-1].members == PUBLIC_MODELS
+        ensembles = list(catalogue().members.items())
+        assert ensembles[0] == ("B01", (ModelId.SNAIVE, ModelId.HW))
+        assert ensembles[-1] == ("H01", PUBLIC_MODELS)
 
-    def test_lexicographic_within_size(self):
+    def test_sizes_ascend_and_each_size_is_lexicographic(self):
         order = {m: i for i, m in enumerate(PUBLIC_MODELS)}
-        ensembles = [e for e in enumerate_ensembles() if e.letter == "C"]
-        tuples = [tuple(order[m] for m in e.members) for e in ensembles]
-        assert tuples == sorted(tuples)
+        keys = [(len(models), tuple(order[m] for m in models)) for models in catalogue().members.values()]
+        assert keys == sorted(keys)
 
-    def test_name_roundtrip(self):
-        for e in enumerate_ensembles():
-            assert ensemble_by_name(e.name) is e
+    def test_letter_matches_member_count(self):
+        for name, models in catalogue().members.items():
+            assert name[0] == SIZE_LETTERS[len(models) - 2], name
 
-    def test_stable_across_calls(self):
-        assert enumerate_ensembles() is enumerate_ensembles()
+    def test_built_once(self):
+        assert catalogue() is catalogue()
 
-    def test_letter_size_consistency_enforced(self):
-        with pytest.raises(ConfigError):
-            EnsembleId(letter="C", index=1, members=(ModelId.SNAIVE, ModelId.HW))
-
-    def test_full_sweep_is_988_producers(self):
-        producers = {e.producer(m) for e in enumerate_ensembles() for m in ALL_METHODS}
-        assert len(producers) == 988
+    def test_988_unique_labels_in_combine_order(self):
+        producers = catalogue().producers
+        labels = ensemble_producers()
+        assert labels == list(producers) and len(set(labels)) == 988
+        assert labels[:5] == ["B01:mean", "B01:median", "B01:smape", "B01:rank", "B02:mean"]
+        assert labels[-1] == "H01:rank"
+        for label, (models, method) in producers.items():
+            name, _, rule = label.partition(":")
+            assert models is catalogue().members[name] and method.value == rule
 
     def test_parse_producer(self):
-        ens, method = parse_producer("D28:median")
-        assert ens.name == "D28" and method is CombinationMethod.MEDIAN
+        assert parse_producer("D28:median") == (catalogue().members["D28"], CombinationMethod.MEDIAN)
         assert parse_producer("SNaive") is None
         assert parse_producer("STL-ARIMA") is None
+        assert parse_producer("b01:mean") is None  # not shaped like an ensemble name
         with pytest.raises(ConfigError):
             parse_producer("D28:sideways")
 
-    def test_parse_producer_is_cached_but_bad_labels_raise_every_time(self):
-        assert parse_producer("D28:median") is parse_producer("D28:median")
-        for label, message in [("B01:avg", "unknown combination method"),
-                               ("B99:mean", "unknown ensemble name")]:
+    def test_parse_producer_is_a_lookup_and_bad_labels_raise_every_time(self):
+        assert parse_producer("D28:median") is catalogue().producers["D28:median"]
+        for label, message in [("B01:avg", "unknown combination method in 'B01:avg'"),
+                               ("B99:mean", "unknown ensemble name 'B99'")]:
             for _ in range(2):
                 with pytest.raises(ConfigError, match=message):
                     parse_producer(label)
@@ -125,6 +123,39 @@ class TestWeights:
             compute_weights([1.0, -2.0])
 
 
+class TestEnsembleWeights:
+    @staticmethod
+    def board(smape, rank, names=tuple(m.value for m in PUBLIC_MODELS)) -> Leaderboard:
+        return Leaderboard([LeaderboardRow(n, 1.0, s, r, 1.0) for n, s, r in zip(names, smape, rank)], 1)
+
+    def test_each_size_weights_its_members_by_both_metrics(self, rng):
+        phi = {m: rng.uniform(0.5, 20.0, 8) for m in WEIGHTED}
+        weights = ensemble_weights(self.board(*phi.values()))
+        assert len(weights) == 7
+        position = {m: i for i, m in enumerate(PUBLIC_MODELS)}
+        for size, (smape_w, rank_w) in enumerate(weights, start=2):
+            models = [ms for ms in catalogue().members.values() if len(ms) == size]
+            index = np.array([[position[m] for m in ms] for ms in models])
+            assert smape_w.tobytes() == compute_weights(phi[CombinationMethod.SMAPE_WEIGHTED][index]).tobytes()
+            assert rank_w.tobytes() == compute_weights(phi[CombinationMethod.RANK_WEIGHTED][index]).tobytes()
+
+    def test_board_order_and_other_producers_do_not_matter(self, rng):
+        smape, rank = rng.uniform(0.5, 20.0, (2, 8))
+        names = [m.value for m in PUBLIC_MODELS]
+        board = self.board(smape, rank)
+        shuffled = self.board([*smape[::-1], 1.0], [*rank[::-1], 1.0], [*names[::-1], "B01:mean"])
+        for got, want in zip(ensemble_weights(shuffled), ensemble_weights(board)):
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    def test_errors(self):
+        ones = [1.0] * 8
+        with pytest.raises(ConfigError, match="producer 'SNaive' not on the leaderboard"):
+            ensemble_weights(self.board(ones[1:], ones[1:], [m.value for m in PUBLIC_MODELS[1:]]))
+        for smape, rank in [(ones[:7] + [0.0], ones), (ones, ones[:7] + [np.inf])]:
+            with pytest.raises(DataError, match="positive and finite"):
+                ensemble_weights(self.board(smape, rank))
+
+
 def member_matrix(rng, **levels) -> np.ndarray:
     """(8 x 52) member forecasts: random rows, with constant rows for the
     models named in ``levels`` (``SNaive=10.0``)."""
@@ -136,62 +167,58 @@ def member_matrix(rng, **levels) -> np.ndarray:
     return members
 
 
-def ensemble_row(table: np.ndarray, label: str, methods) -> np.ndarray:
+def ensemble_row(table: np.ndarray, label: str) -> np.ndarray:
     """The row of ``combine``'s output labelled ``label`` (``"B01:mean"``)."""
-    return table[ensemble_producers(methods).index(label)]
+    return table[ensemble_producers().index(label)]
 
 
-def member_index(ens) -> list[int]:
-    return [PUBLIC_MODELS.index(m) for m in ens.members]
+def member_index(models) -> list[int]:
+    return [PUBLIC_MODELS.index(m) for m in models]
 
 
-WEIGHTED = [m for m in ALL_METHODS if m.needs_phi]
+EQUAL = weights_of({m: [1.0] * 8 for m in WEIGHTED})
 
 
 class TestCombine:
     def test_mean_of_two(self, rng):
-        methods = [CombinationMethod.MEAN]
-        table = combine(member_matrix(rng, SNaive=10.0, HW=20.0), methods)
-        assert ensemble_row(table, "B01:mean", methods) == pytest.approx([15.0] * 52)
+        table = combine(member_matrix(rng, SNaive=10.0, HW=20.0), EQUAL)
+        assert ensemble_row(table, "B01:mean") == pytest.approx([15.0] * 52)
 
     def test_median_resists_outlier(self, rng):
-        methods = [CombinationMethod.MEDIAN]
-        table = combine(member_matrix(rng, SNaive=1.0, HW=100.0, SARIMA=2.0), methods)
-        assert ensemble_by_name("C01").members == PUBLIC_MODELS[:3]
-        assert ensemble_row(table, "C01:median", methods) == pytest.approx([2.0] * 52)
+        table = combine(member_matrix(rng, SNaive=1.0, HW=100.0, SARIMA=2.0), EQUAL)
+        assert catalogue().members["C01"] == PUBLIC_MODELS[:3]
+        assert ensemble_row(table, "C01:median") == pytest.approx([2.0] * 52)
 
     def test_even_median_is_midpoint(self, rng):
-        methods = [CombinationMethod.MEDIAN]
         members = member_matrix(rng, SNaive=1.0, HW=2.0, SARIMA=10.0, Prophet=11.0)
-        assert ensemble_by_name("D01").members == PUBLIC_MODELS[:4]
-        assert ensemble_row(combine(members, methods), "D01:median", methods) == \
-            pytest.approx([6.0] * 52)
+        assert catalogue().members["D01"] == PUBLIC_MODELS[:4]
+        assert ensemble_row(combine(members, EQUAL), "D01:median") == pytest.approx([6.0] * 52)
 
     def test_weighted_hand_computation(self, rng):
-        methods = [CombinationMethod.SMAPE_WEIGHTED]
-        phi = {CombinationMethod.SMAPE_WEIGHTED: [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]}
-        table = combine(member_matrix(rng, SNaive=10.0, HW=20.0), methods, phi)
-        assert ensemble_row(table, "B01:smape", methods) == \
+        phi = {CombinationMethod.SMAPE_WEIGHTED: [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
+               CombinationMethod.RANK_WEIGHTED: [3.0, 1.0, 2.0, 4.0, 5.0, 6.0, 7.0, 8.0]}
+        table = combine(member_matrix(rng, SNaive=10.0, HW=20.0), weights_of(phi))
+        assert ensemble_row(table, "B01:smape") == \
             pytest.approx([10 * (2 / 3) + 20 * (1 / 3)] * 52, rel=1e-12)
+        assert ensemble_row(table, "B01:rank") == pytest.approx([10 * 0.25 + 20 * 0.75] * 52, rel=1e-12)
 
     def test_mean_equals_weighted_with_equal_phi(self, rng):
-        methods = [CombinationMethod.MEAN, CombinationMethod.SMAPE_WEIGHTED]
-        phi = {CombinationMethod.SMAPE_WEIGHTED: [7.0] * 8}
-        table = combine(member_matrix(rng), methods, phi)
-        assert table[1::2] == pytest.approx(table[0::2], rel=1e-15)
+        table = combine(member_matrix(rng), weights_of({m: [7.0] * 8 for m in WEIGHTED}))
+        assert table[2::4] == pytest.approx(table[0::4], rel=1e-15)
+        assert table[3::4] == pytest.approx(table[0::4], rel=1e-15)
 
     def test_permutation_invariance(self, rng):
         # relabelling the models permutes the ensembles, not their forecasts
         members = member_matrix(rng)
         phi = {m: rng.uniform(0.5, 5.0, 8) for m in WEIGHTED}
         perm = rng.permutation(8)  # new model i is old model perm[i]
-        base = combine(members, ALL_METHODS, phi)
-        shuffled = combine(members[perm], ALL_METHODS, {m: v[perm] for m, v in phi.items()})
-        row_of = {frozenset(member_index(e)): i for i, e in enumerate(enumerate_ensembles())}
-        n = len(ALL_METHODS)
-        for i, ens in enumerate(enumerate_ensembles()):
-            j = row_of[frozenset(int(perm[k]) for k in member_index(ens))]
-            assert shuffled[i * n:(i + 1) * n] == pytest.approx(base[j * n:(j + 1) * n], rel=1e-12)
+        base = combine(members, weights_of(phi))
+        shuffled = combine(members[perm], weights_of({m: v[perm] for m, v in phi.items()}))
+        ensembles = list(catalogue().members.values())
+        row_of = {frozenset(member_index(models)): i for i, models in enumerate(ensembles)}
+        for i, models in enumerate(ensembles):
+            j = row_of[frozenset(int(perm[k]) for k in member_index(models))]
+            assert shuffled[i * 4:(i + 1) * 4] == pytest.approx(base[j * 4:(j + 1) * 4], rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))
@@ -199,53 +226,39 @@ class TestCombine:
         rng = np.random.default_rng(seed)
         members = rng.uniform(0, 100, (8, 52))
         phi = {m: rng.uniform(0.1, 10.0, 8) for m in WEIGHTED}
-        table = combine(members, ALL_METHODS, phi).reshape(247, len(ALL_METHODS), 52)
-        for ens, rows in zip(enumerate_ensembles(), table):
-            stacked = members[member_index(ens)]
+        table = combine(members, weights_of(phi)).reshape(247, 4, 52)
+        for models, rows in zip(catalogue().members.values(), table):
+            stacked = members[member_index(models)]
             assert np.all(rows >= stacked.min(axis=0) - 1e-9)
             assert np.all(rows <= stacked.max(axis=0) + 1e-9)
 
     def test_mean_mae_dominance(self, rng):
         # MAE of the mean combination never exceeds the mean of member MAEs
-        methods = [CombinationMethod.MEAN]
         for _ in range(5):
             members = rng.uniform(0, 100, (8, 52))
             actual = rng.uniform(0, 100, 52)
             member_maes = mae(actual, members)
-            for ens, row in zip(enumerate_ensembles(), combine(members, methods)):
-                assert mae(actual, row) <= np.mean(member_maes[member_index(ens)]) + 1e-9
+            for models, row in zip(catalogue().members.values(), combine(members, EQUAL)[0::4]):
+                assert mae(actual, row) <= np.mean(member_maes[member_index(models)]) + 1e-9
 
     def test_errors(self):
         members = np.ones((8, 52))
         with pytest.raises(DataError, match="need 8 member rows"):
-            combine(members[:2], [CombinationMethod.MEAN])
+            combine(members[:2], EQUAL)
         with pytest.raises(DataError, match="need 8 member rows"):
-            combine(np.ones(52), [CombinationMethod.MEAN])
-        with pytest.raises(DataError, match="phi"):
-            combine(members, [CombinationMethod.SMAPE_WEIGHTED])
-        with pytest.raises(DataError, match="phi"):
-            combine(members, [CombinationMethod.RANK_WEIGHTED],
-                    {CombinationMethod.SMAPE_WEIGHTED: [1.0] * 8})
-        with pytest.raises(DataError, match="rank requires 8 phi values"):
-            combine(members, [CombinationMethod.RANK_WEIGHTED],
-                    {CombinationMethod.RANK_WEIGHTED: [1.0, 2.0, 3.0]})
-        with pytest.raises(DataError, match="positive"):
-            combine(members, [CombinationMethod.RANK_WEIGHTED],
-                    {CombinationMethod.RANK_WEIGHTED: [1.0] * 7 + [0.0]})
+            combine(np.ones(52), EQUAL)
+        with pytest.raises(ValueError):  # not one weight pair per ensemble size
+            combine(members, EQUAL[:-1])
 
-    def test_producer_label(self):
-        methods = [CombinationMethod.MEDIAN, CombinationMethod.MEAN]
-        labels = ensemble_producers(methods)
-        assert labels[:3] == ["B01:median", "B01:mean", "B02:median"]
-        assert labels[-1] == "H01:mean"
-        assert len(labels) == len(combine(np.ones((8, 3)), methods)) == 2 * 247
+    def test_one_row_per_label(self):
+        assert len(combine(np.ones((8, 3)), EQUAL)) == len(ensemble_producers()) == 988
 
 
-def _reference_check(members, phi, methods=ALL_METHODS) -> None:
+def _reference_check(members, phi) -> None:
     """The kernel's rows, clamped as a ForecastBlock clamps them, equal the
     per-ensemble oracle byte for byte."""
-    got = np.maximum(combine(members, methods, phi), 0.0)
-    want = reference_ensembles(members, methods, phi)
+    got = np.maximum(combine(members, weights_of(phi)), 0.0)
+    want = reference_ensembles(members, phi)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -272,14 +285,6 @@ class TestCombineReference:
         hnp.arrays(np.float64, st.tuples(st.just(8), st.integers(1, 53)),
                    elements=st.one_of(st.floats(0.0, 1e4), st.just(-0.0))),
         hnp.arrays(np.float64, (2, 8), elements=st.floats(1e-9, 1e9)),
-        st.permutations(ALL_METHODS),
     )
-    def test_hypothesis_member_matrices(self, members, phi_rows, methods):
-        phi = dict(zip(WEIGHTED, phi_rows))
-        _reference_check(members, phi, methods)
-
-    def test_single_method_orders(self, rng):
-        members = rng.uniform(0, 100, (8, 52))
-        phi = {m: rng.uniform(1.0, 8.0, 8) for m in WEIGHTED}
-        for method in ALL_METHODS:
-            _reference_check(members, phi, [method])
+    def test_hypothesis_member_matrices(self, members, phi_rows):
+        _reference_check(members, dict(zip(WEIGHTED, phi_rows)))

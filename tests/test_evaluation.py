@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
-from pqforecast.ensembles import CombinationMethod, combine, ensemble_producers, enumerate_ensembles
+from pqforecast.ensembles import CombinationMethod, catalogue, combine, ensemble_producers
 from pqforecast.errors import ConfigError, DataError
 from pqforecast.evaluation import (
+    TOP_N,
     Leaderboard,
     LeaderboardRow,
     average_ranks,
@@ -18,6 +19,8 @@ from pqforecast.evaluation import (
     smape,
 )
 from pqforecast.models import PUBLIC_MODELS, ForecastBlock
+
+from conftest import WEIGHTED, weights_of
 
 
 def fc(series_id, producer, values):
@@ -35,18 +38,20 @@ def blocks(forecasts) -> list[ForecastBlock]:
             for sid, (producers, rows) in by_series.items()]
 
 
+EQUAL = weights_of({m: [1.0] * 8 for m in WEIGHTED})
+
+
 def members_and_ensembles(rng, n_series=6):
-    """Member blocks of series s0, s1, ..., their mean and median ensemble
-    blocks, and the actuals, all random."""
+    """Member blocks of series s0, s1, ..., their ensemble blocks, and the
+    actuals, all random."""
     members = [m.value for m in PUBLIC_MODELS]
-    methods = [CombinationMethod.MEAN, CombinationMethod.MEDIAN]
     individual, ensembles, actuals = [], [], {}
     for i in range(n_series):
         sid = f"s{i}"
         actuals[sid] = rng.uniform(5, 50, 52)
         values = rng.uniform(5, 50, (8, 52))
         individual.append(ForecastBlock(sid, members, values))
-        ensembles.append(ForecastBlock(sid, ensemble_producers(methods), combine(values, methods)))
+        ensembles.append(ForecastBlock(sid, ensemble_producers(), combine(values, EQUAL)))
     return individual, ensembles, actuals
 
 
@@ -235,7 +240,7 @@ class TestEvaluateCorpus:
             fc("s1", "SNaive", np.full(52, 12.0)),
             fc("s1", "HW", np.full(52, 11.0)),
         ]
-        smapes, board, _ = evaluate_corpus(blocks(forecasts), {"s1": actual})
+        smapes, _, board = evaluate_corpus(blocks(forecasts), {"s1": actual})
         assert smapes["HW"] == pytest.approx([200.0 / 21.0], rel=1e-12)
         assert board.row("HW").mean_rank == 1.0
         assert board.row("SNaive").mean_rank == 2.0
@@ -250,7 +255,7 @@ class TestEvaluateCorpus:
             actuals[sid] = rng.uniform(10, 50, 52)
             for producer in ("SNaive", "HW", "Prophet"):
                 forecasts.append(fc(sid, producer, rng.uniform(10, 50, 52)))
-        _, board, _ = evaluate_corpus(blocks(forecasts), actuals)
+        _, _, board = evaluate_corpus(blocks(forecasts), actuals)
         assert board.row("SNaive").benchmark_ratio == 1.0
 
     def test_hand_computed_two_series_corpus(self):
@@ -274,7 +279,7 @@ class TestEvaluateCorpus:
         s2 = {p: sm(20, level[(p, "s2")]) for p in ("SNaive", "HW", "Prophet", "SARIMA")}
         expected_rank = {"Prophet": 1.5, "HW": 3.0, "SNaive": 3.0, "SARIMA": 2.5}
 
-        smapes, board, _ = evaluate_corpus(blocks(forecasts), actuals)
+        smapes, _, board = evaluate_corpus(blocks(forecasts), actuals)
         for producer in s1:
             assert smapes[producer] == pytest.approx([s1[producer], s2[producer]], rel=1e-12)
             row = board.row(producer)
@@ -305,10 +310,10 @@ class TestEvaluateCorpus:
             actuals[sid] = rng.uniform(5, 50, 52)
             for producer in ("SNaive", "HW", "Prophet"):
                 forecasts.append(fc(sid, producer, rng.uniform(5, 50, 52)))
-        _, base, _ = evaluate_corpus(blocks(forecasts), actuals)
+        _, _, base = evaluate_corpus(blocks(forecasts), actuals)
         shuffled = list(forecasts)
         rng.shuffle(shuffled)  # series and producers in another order in every block
-        _, again, _ = evaluate_corpus(blocks(shuffled), actuals)
+        _, _, again = evaluate_corpus(blocks(shuffled), actuals)
         assert [(r.producer, r.mean_smape, r.mean_rank) for r in base.rows] == \
                [(r.producer, r.mean_smape, r.mean_rank) for r in again.rows]
 
@@ -327,15 +332,13 @@ class TestEvaluateCorpus:
             actuals[sid] = rng.uniform(5, 50, 52)
             for p in producers:
                 forecasts.append(fc(sid, p, rng.uniform(5, 50, 52)))
-        _, board, _ = evaluate_corpus(blocks(forecasts), actuals)
+        _, _, board = evaluate_corpus(blocks(forecasts), actuals)
         for row in board.rows:
             assert 1.0 <= row.mean_rank <= 8.0
 
     def test_mean_combination_corpus_mae_dominance(self, rng):
         # corpus mean MAE of an equal-weight ensemble never exceeds the mean
         # of its members' corpus mean MAEs
-        from pqforecast.ensembles import CombinationMethod, combine
-
         members = [m.value for m in PUBLIC_MODELS]
         corpus = []
         actuals = {}
@@ -344,10 +347,9 @@ class TestEvaluateCorpus:
             actuals[sid] = rng.uniform(5, 50, 52)
             values = rng.uniform(5, 50, (8, 52))
             corpus.append(ForecastBlock(sid, members, values))
-            corpus.append(ForecastBlock(sid, ensemble_producers([CombinationMethod.MEAN]),
-                                        combine(values, [CombinationMethod.MEAN])))
-        _, board, _ = evaluate_corpus(corpus, actuals)
-        member_mean = np.mean([board.row(p).mean_mae for p in members])
+            corpus.append(ForecastBlock(sid, ensemble_producers(), combine(values, EQUAL)))
+        _, board, board_individual = evaluate_corpus(corpus, actuals)
+        member_mean = np.mean([board_individual.row(p).mean_mae for p in members])
         assert board.row("H01:mean").mean_mae <= member_mean + 1e-9
 
     def test_duplicate_producer_across_blocks(self):
@@ -398,18 +400,30 @@ class TestEvaluateCorpus:
                 return super().__getitem__(sid)
 
         actuals = Actuals(s1=np.ones(52), s2=np.ones(52), s3=np.ones(52))
-        smapes, board, _ = evaluate_corpus(corpus(), actuals)
+        smapes, _, board = evaluate_corpus(corpus(), actuals)
         assert board.n_series == 3 and smapes["HW"] == pytest.approx([200 / 3] * 3, rel=1e-12)
 
     def test_individual_board_equals_a_call_on_individual_blocks(self, rng):
         individual, ensembles, actuals = members_and_ensembles(rng)
         union = [block for pair in zip(individual, ensembles) for block in pair]
         smapes, board, board_individual = evaluate_corpus(union, actuals)
-        _, alone, _ = evaluate_corpus(individual, actuals)
+        _, no_ensembles, alone = evaluate_corpus(individual, actuals)
         assert board_rows(board_individual) == board_rows(alone)
-        assert len(board.rows) == 8 + 2 * 247 and len(smapes) == len(board.rows)
+        assert no_ensembles.rows == [] and no_ensembles.n_series == 6
+        assert sorted(r.producer for r in board.rows) == sorted(ensemble_producers())
+        assert len(smapes) == 8 + 988
         with pytest.raises(DataError, match="no individual model forecasts"):
             evaluate_corpus(ensembles, actuals)
+
+    def test_ensembles_are_ranked_among_every_producer(self, rng):
+        individual, ensembles, actuals = members_and_ensembles(rng, n_series=3)
+        union = [block for pair in zip(individual, ensembles) for block in pair]
+        _, board, _ = evaluate_corpus(union, actuals)
+        forecasts = [(b.series_id, p, v) for b in union for p, v in zip(b.producers, b.values)]
+        want = {row[0]: row for row in reference_leaderboard(forecasts, actuals)}
+        want = {p: row for p, row in want.items() if ":" in p}  # ranks among all 996 producers
+        assert [r.producer for r in board.rows] == sorted(want, key=lambda p: (want[p][2], p))
+        assert {r.producer: (r.producer, r.mean_mae, r.mean_smape, r.mean_rank) for r in board.rows} == want
 
     def test_matches_scalar_reference(self):
         # leaderboard means equal the per-(series, producer) scalar loop's
@@ -426,7 +440,7 @@ class TestEvaluateCorpus:
                     if p != "SNaive" and rng.random() < 0.2:
                         values = actuals[sid].copy()  # sMAPE 0, tied with others
                     forecasts.append(fc(sid, str(p), values))
-            _, board, _ = evaluate_corpus(blocks(forecasts), actuals)
+            _, _, board = evaluate_corpus(blocks(forecasts), actuals)
             got = sorted((r.producer, r.mean_mae, r.mean_smape, r.mean_rank) for r in board.rows)
             assert got == reference_leaderboard(forecasts, actuals)
 
@@ -434,54 +448,54 @@ class TestEvaluateCorpus:
 def _ensemble_leaderboard(rng, n_best_size=4):
     """Synthetic union leaderboard whose best ensembles have a known size."""
     rows = []
-    for e in enumerate_ensembles():
-        for method in CombinationMethod:
-            # best scores for ensembles of the target size using the median
-            base = 10.0 if (len(e.members) == n_best_size and
-                            method is CombinationMethod.MEDIAN) else 20.0
-            rows.append(LeaderboardRow(
-                producer=e.producer(method),
-                mean_mae=1.0, mean_smape=base + rng.uniform(0, 5),
-                mean_rank=100.0, benchmark_ratio=1.0,
-            ))
+    for producer, (models, method) in catalogue().producers.items():
+        # best scores for ensembles of the target size using the median
+        base = 10.0 if (len(models) == n_best_size and method is CombinationMethod.MEDIAN) else 20.0
+        rows.append(LeaderboardRow(
+            producer=producer,
+            mean_mae=1.0, mean_smape=base + rng.uniform(0, 5),
+            mean_rank=100.0, benchmark_ratio=1.0,
+        ))
     rows.append(LeaderboardRow("SNaive", 1.0, 30.0, 500.0, 1.0))
     rows.sort(key=lambda r: r.mean_smape)
     return Leaderboard(rows=rows, n_series=10)
 
 
 class TestCompositionAnalysis:
-    def test_top_one(self, rng):
-        board = _ensemble_leaderboard(rng)
-        report = composition_analysis(board, 1)
-        assert report.top_n == 1
-        assert sum(report.method_histogram.values()) == 1
-        top_producer = next(r.producer for r in board.rows if ":" in r.producer)
-        size = len(board.rows[0].producer)  # not meaningful; use histogram instead
-        assert sum(report.size_histogram.values()) == 1
-        assert report.model_share  # shares of exactly the winner's members
-        assert pytest.approx(sum(report.model_share.values())) == 1.0
+    def test_one_ensemble(self):
+        board = Leaderboard([LeaderboardRow("SNaive", 1.0, 30.0, 2.0, 1.0),
+                             LeaderboardRow("C05:smape", 1.0, 20.0, 1.0, 1.0)], n_series=1)
+        report = composition_analysis(board)
+        assert report.top_n == 1 and report.clipped
+        assert report.method_histogram == {"smape": 1}
+        assert report.size_histogram == {3: 1}
+        # shares of exactly the winner's members
+        assert report.model_share == pytest.approx(
+            {m.value: 1 / 3 for m in catalogue().members["C05"]}, rel=1e-12)
 
     def test_dominant_size_is_mode(self, rng):
         board = _ensemble_leaderboard(rng, n_best_size=4)
-        report = composition_analysis(board, 50)
+        report = composition_analysis(board)
         assert max(report.size_histogram, key=report.size_histogram.get) == 4
         assert max(report.method_histogram, key=report.method_histogram.get) == "median"
 
     def test_method_histogram_partitions_top_n(self, rng):
         board = _ensemble_leaderboard(rng)
-        report = composition_analysis(board, 100)
+        report = composition_analysis(board)
+        assert report.top_n == TOP_N == 100 and not report.clipped
         assert sum(report.method_histogram.values()) == 100
         assert sum(report.size_histogram.values()) == 100
 
     def test_clipping(self, rng):
         board = _ensemble_leaderboard(rng)
-        report = composition_analysis(board, 10_000)
+        board.rows = board.rows[:61]  # SNaive is last, so 61 ensembles
+        report = composition_analysis(board)
         assert report.clipped
-        assert report.top_n == 988
+        assert report.top_n == 61
 
     def test_size_aggregates_cover_all_sizes(self, rng):
         board = _ensemble_leaderboard(rng)
-        report = composition_analysis(board, 100)
+        report = composition_analysis(board)
         assert [a.size for a in report.size_aggregates] == list(range(2, 9))
         for a in report.size_aggregates:
             assert a.min <= a.q25 <= a.median <= a.q75 <= a.max

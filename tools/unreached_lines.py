@@ -7,8 +7,10 @@ seasonal, so SARIMA takes both its D = 0 and D = 1 paths), ``preprocess``,
 ``forecast``, ``evaluate``, ``ensemble`` and the final ``evaluate``, which
 draws the figures. Then it prints ``file:line: text`` for every line of a
 function body that never ran. ``raise`` statements, module-level lines and
-class bodies (dataclass fields) are skipped. The stages' own output goes
-to stderr. Takes about 15 s on a 2-core machine:
+class bodies (dataclass fields) are skipped. The last line is
+``src lines: N``, the newlines in every ``.py`` file under ``src/``, as
+``find src -name '*.py' | xargs cat | wc -l`` counts them. The stages' own
+output goes to stderr. Takes about 15 s on a 2-core machine:
 
     python tools/unreached_lines.py
 """
@@ -68,6 +70,8 @@ def main() -> int:
         for line in sorted(body_lines(compile(source, str(path), "exec")) - raised):
             if (str(path), line) not in ran:
                 print(f"{path.relative_to(SRC.parent)}:{line}: {text[line - 1].strip()}")
+    newlines = sum(path.read_bytes().count(b"\n") for path in SRC.rglob("*.py"))
+    print(f"src lines: {newlines}")
     return 0
 
 
