@@ -3,32 +3,32 @@
 Every CSV table but the raw and forecast tables is written by one writer,
 ``_write_csv``, and the two of them a stage reads back, the weekly table
 and the leaderboard, by one reader, ``_read_csv``; each table has one
-header constant. The csv module writes floats (numpy's float64 included)
-with ``repr``, the shortest round-trip form, so outputs are byte-stable
-across runs, which the determinism guarantees rely on. The raw and
-forecast writers format their lines themselves, one ``write`` per 1,008
-rows or per producer, in the same dialect: ids and labels quoted by the
-csv module, values with ``repr``, ``\r\n`` line ends. The raw and
-forecast tables, the largest, are read line by line. A forecast line in
-the plain form of the row before it that continues that row's series, and
-a raw line in its series' plain form on the date of that series' last row
-that the csv module parsed, are taken from their text directly; every
-other line goes through the csv module (``_Records``), with the same
-acceptance, errors and ``file:line`` either way. The raw table is read
-into one calendar week per series at a time (``weekly.RawWeeks``) and
-written from weekly series, a week at a time. The forecast table travels
-as one ``ForecastBlock`` per series, a (producers x horizon) matrix, in
-both directions, one series at a time:
-both ``write_forecast_csv`` and ``iter_forecast_csv`` take or give the
-blocks lazily, so a stage that streams them holds one series at a time.
-Its reader takes rows only in the writer's order, series by series and
-each producer's steps 1..H in turn, and yields each series' block as its
-rows end; ``read_forecast_csv`` is the same reader collected into a list.
-Writes are atomic: every file this module writes, and the ground truth and
-figures written through ``write_text``, goes to a temp file in the
-target's directory that replaces the target only once complete, so an
-interrupted stage, or one whose streamed input turns out bad after some
-series were written, leaves no half-written file behind.
+header constant. Every reader takes its records from ``_Records`` and its
+one ``csv.reader``, but for the raw reader's runs of rows in no plain
+form, parsed in bulk. The csv module writes floats (numpy's float64
+included) with ``repr``, the shortest round-trip form, so outputs are
+byte-stable across runs, which the determinism guarantees rely on. The raw
+and forecast writers format their lines themselves, one ``write`` per
+1,008 rows or per producer, in the same dialect: ids and labels quoted by
+the csv module, values with ``repr``, ``\r\n`` line ends. A forecast line
+in the plain form of the row before it that continues that row's series,
+and a raw line in its series' plain form on the date of that series' last
+row that the csv module parsed, are taken from their text directly; every
+other line goes through ``_Records``, with the same acceptance, errors and
+``file:line`` either way. The raw table is read into one calendar week per
+series at a time (``weekly.RawWeeks``) and written from weekly series, a
+week at a time. The forecast table travels as one ``ForecastBlock`` per
+series, a (producers x horizon) matrix: ``write_forecast_csv`` and
+``iter_forecast_csv`` take or give the blocks lazily, so a stage that
+streams them holds one series at a time. Its reader takes rows only in the
+writer's order, series by series and each producer's steps 1..H in turn,
+and yields each series' block as its rows end; ``read_forecast_csv`` is
+the same reader collected into a list. Writes are atomic: every file this
+module writes, and the ground truth and figures written through
+``write_text``, goes to a temp file in the target's directory that
+replaces the target only once complete, so an interrupted stage, or one
+whose streamed input turns out bad after some series were written, leaves
+no half-written file behind.
 """
 
 from __future__ import annotations
@@ -135,20 +135,17 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
 
 
 def _read_csv(path: Path, header: Sequence[str], take: Callable[[list[str]], None]) -> None:
-    """Check the header, then pass each non-blank row to ``take``. A row of
-    the wrong width, a ``ValueError`` from ``take`` or a ``csv.Error`` names
-    file and line."""
+    """Check the header, then pass each non-blank record of the file's
+    ``_Records`` to ``take``. A row of the wrong width, a ``ValueError``
+    from ``take`` or a ``csv.Error`` names file and line."""
+    taken = False
     with _reading(path) as fh:
-        _, start = _header(path, fh, header)
-        reader = csv.reader(fh)
-        taken = False
-        try:
-            for row in reader:
-                if row:
-                    _take_row(path, start + reader.line_num, take, row, len(header))
-                    taken = True
-        except csv.Error as exc:
-            raise DataError(f"{path}:{start + reader.line_num}: {exc}") from exc
+        records, line_num = _header(path, fh, header)
+        for line in fh:
+            row, line_num = records(line, line_num)
+            if row:
+                _take_row(path, line_num, take, row, len(header))
+                taken = True
     if not taken:
         raise DataError(f"{path}: no data")
 

@@ -239,21 +239,13 @@ def fit_css(w: np.ndarray, order: SarimaOrder, eval_from: int | None = None,
         bounds.append((center - 10.0 * spread, center + 10.0 * spread))
 
     objective = _objective(w, order, eval_from)
-    if order.n_params == 0:
-        params = np.array([])
-        sse = objective(params)
-    else:
-        f0 = _PENALTY if x0 is None else objective(np.asarray(x0, dtype=float))
-        if f0 >= _PENALTY:
-            x0 = cold
-            f0 = objective(np.asarray(x0))
-        result = nelder_mead(objective, x0, bounds, tol=1e-9 * max(f0, 1.0), max_iter=max_iter,
-                             f_start=f0)
-        params = result.argmin
-        sse = result.objective_value
-
-    ll = gaussian_loglik(sse, n_obs)
-    return SarimaFit(order=order, params=params, sse=sse, n_obs=n_obs,
+    f0 = _PENALTY if x0 is None else objective(np.asarray(x0, dtype=float))
+    if f0 >= _PENALTY:
+        x0, f0 = cold, objective(np.asarray(cold))
+    result = nelder_mead(objective, x0, bounds, tol=1e-9 * max(f0, 1.0), max_iter=max_iter,
+                         f_start=f0)
+    ll = gaussian_loglik(result.objective_value, n_obs)
+    return SarimaFit(order=order, params=result.argmin, sse=result.objective_value, n_obs=n_obs,
                      aicc=aicc(ll, order.n_params, n_obs))
 
 

@@ -9,6 +9,8 @@ deviations) so fits stay deterministic and low-dimensional.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from ..errors import DataError
@@ -70,16 +72,18 @@ def _hw_run(
     return sse, level, trend, seasonal
 
 
+def _fitted(run: Callable[..., tuple], x0: list[float]) -> tuple:
+    """``run(*params)`` at the params in [PARAM_LO, PARAM_HI] that minimize its first output, the SSE."""
+    result = nelder_mead(lambda p: run(*p)[0], x0=x0, bounds=[(PARAM_LO, PARAM_HI)] * len(x0))
+    return run(*result.argmin)
+
+
 def predict_es(y: np.ndarray, h: int) -> np.ndarray:
     """Simple exponential smoothing; flat extrapolation of the final level."""
     z, mu, sd = standardize(np.asarray(y, dtype=float))
     level0, _ = _initial_level_trend(z, "es")
     values = z.tolist()
-    result = nelder_mead(
-        lambda p: _holt_run(values, p[0], 0.0, level0, 0.0)[0],
-        x0=[0.5], bounds=[(PARAM_LO, PARAM_HI)],
-    )
-    _, level, _ = _holt_run(values, result.argmin[0], 0.0, level0, 0.0)
+    _, level, _ = _fitted(lambda *p: _holt_run(values, *p, 0.0, level0, 0.0), [0.5])
     return np.full(h, mu + sd * level)
 
 
@@ -88,12 +92,7 @@ def predict_holt(y: np.ndarray, h: int) -> np.ndarray:
     z, mu, sd = standardize(np.asarray(y, dtype=float))
     level0, trend0 = _initial_level_trend(z, "holt")
     values = z.tolist()
-    result = nelder_mead(
-        lambda p: _holt_run(values, p[0], p[1], level0, trend0)[0],
-        x0=[0.5, 0.1], bounds=[(PARAM_LO, PARAM_HI)] * 2,
-    )
-    alpha, beta = result.argmin
-    _, level, trend = _holt_run(values, alpha, beta, level0, trend0)
+    _, level, trend = _fitted(lambda *p: _holt_run(values, *p, level0, trend0), [0.5, 0.1])
     return mu + sd * (level + trend * np.arange(1, h + 1))
 
 
@@ -103,12 +102,8 @@ def predict_hw(y: np.ndarray, h: int) -> np.ndarray:
     level0, trend0 = _initial_level_trend(z, "hw")
     seasonal0 = (z[:SEASONAL_PERIOD] - np.mean(z[:SEASONAL_PERIOD])).tolist()
     values = z.tolist()
-    result = nelder_mead(
-        lambda p: _hw_run(values, p[0], p[1], p[2], level0, trend0, seasonal0)[0],
-        x0=[0.5, 0.1, 0.1], bounds=[(PARAM_LO, PARAM_HI)] * 3,
-    )
-    alpha, beta, gamma = result.argmin
-    _, level, trend, seasonal = _hw_run(values, alpha, beta, gamma, level0, trend0, seasonal0)
+    _, level, trend, seasonal = _fitted(
+        lambda *p: _hw_run(values, *p, level0, trend0, seasonal0), [0.5, 0.1, 0.1])
     steps = np.arange(1, h + 1)
     seasonal_idx = len(z) + (steps - 1) % SEASONAL_PERIOD
     return mu + sd * (level + trend * steps + np.array(seasonal)[seasonal_idx])

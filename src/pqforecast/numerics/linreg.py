@@ -8,11 +8,11 @@ from ..errors import DataError
 
 
 def least_squares(X: np.ndarray, y: np.ndarray, ridge: np.ndarray) -> np.ndarray:
-    """Solve min ||y - X b||^2 + ||sqrt(ridge) * b||^2 via QR on an augmented system.
+    """Solve min ||y - X b||^2 + ||sqrt(ridge) * b||^2 by ``lstsq`` on an augmented system.
 
     ``ridge`` is a per-column vector; zero entries leave those coefficients
-    unpenalized, and add no row to the system. A rank-deficient system is an
-    error rather than a silent minimum-norm solution.
+    unpenalized, and add no row to the system. A rank-deficient system (by
+    ``lstsq``'s rank) is an error rather than a silent minimum-norm solution.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -30,7 +30,7 @@ def least_squares(X: np.ndarray, y: np.ndarray, ridge: np.ndarray) -> np.ndarray
     extra[np.arange(len(penalized)), penalized] = np.sqrt(ridge[penalized])
     A = np.vstack([X, extra])
     b = np.concatenate([y, np.zeros(len(penalized))])
-    if np.linalg.matrix_rank(A) < k:
+    beta, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+    if rank < k:
         raise DataError("least_squares: singular system")
-    beta, *_ = np.linalg.lstsq(A, b, rcond=None)
     return beta

@@ -55,36 +55,30 @@ def render_size_aggregates_svg(path: Path, aggregates: Sequence[SizeAggregate]) 
 def render_composition_svg(path: Path, report: CompositionReport) -> None:
     """Model shares plus size and method histograms of the top ensembles."""
     parts = _svg_header(f"Composition of top {report.top_n} ensembles")
-    bar_w = (_W - 2 * _PAD) / max(len(report.model_share), 1)
-    peak = max(report.model_share.values(), default=1.0)
-    for i, (model, share) in enumerate(report.model_share.items()):
-        height = (share / peak) * (_H / 2 - _PAD - 20)
-        x0 = _PAD + i * bar_w
-        parts.append(f'<rect x="{x0 + 2:.1f}" y="{_H / 2 - height:.1f}" width="{bar_w - 4:.1f}" '
-                     f'height="{height:.1f}" fill="#48a"/>')
-        parts.append(f'<text x="{x0 + bar_w / 2:.1f}" y="{_H / 2 + 14}" text-anchor="middle" '
-                     f'font-size="9">{model}</text>')
-        parts.append(f'<text x="{x0 + bar_w / 2:.1f}" y="{_H / 2 - height - 4:.1f}" '
-                     f'text-anchor="middle" font-size="9">{share:.2f}</text>')
 
-    def histogram(items: dict, x_off: float, label: str) -> None:
-        width = (_W / 2 - _PAD - 20) / max(len(items), 1)
+    def bars(items: dict, x_off: float, span: float, base: float, tall: float, fill: str,
+             spec: str, label: str | None = None) -> None:
+        """One bar per item over ``span`` from ``x_off``, the tallest ``tall`` above ``base``."""
+        width = span / max(len(items), 1)
         top = max(items.values(), default=1)
-        base = _H - _PAD
-        for i, (key, count) in enumerate(items.items()):
-            height = (count / top) * (_H / 2 - _PAD - 40)
+        for i, (key, value) in enumerate(items.items()):
+            height = (value / top) * tall
             x0 = x_off + i * width
             parts.append(f'<rect x="{x0 + 2:.1f}" y="{base - height:.1f}" width="{width - 4:.1f}" '
-                         f'height="{height:.1f}" fill="#8a4"/>')
+                         f'height="{height:.1f}" fill="{fill}"/>')
             parts.append(f'<text x="{x0 + width / 2:.1f}" y="{base + 14}" text-anchor="middle" '
                          f'font-size="9">{key}</text>')
             parts.append(f'<text x="{x0 + width / 2:.1f}" y="{base - height - 4:.1f}" '
-                         f'text-anchor="middle" font-size="9">{count}</text>')
-        parts.append(f'<text x="{x_off + (_W / 2 - _PAD - 20) / 2:.1f}" y="{_H / 2 + 40}" '
-                     f'text-anchor="middle">{label}</text>')
+                         f'text-anchor="middle" font-size="9">{value:{spec}}</text>')
+        if label is not None:
+            parts.append(f'<text x="{x_off + span / 2:.1f}" y="{_H / 2 + 40}" '
+                         f'text-anchor="middle">{label}</text>')
 
-    histogram(report.size_histogram, _PAD, "ensemble size")
-    histogram(report.method_histogram, _W / 2 + 20, "combination method")
+    half = _W / 2 - _PAD - 20
+    bars(report.model_share, _PAD, _W - 2 * _PAD, _H / 2, _H / 2 - _PAD - 20, "#48a", ".2f")
+    bars(report.size_histogram, _PAD, half, _H - _PAD, _H / 2 - _PAD - 40, "#8a4", "", "ensemble size")
+    bars(report.method_histogram, _W / 2 + 20, half, _H - _PAD, _H / 2 - _PAD - 40, "#8a4", "",
+         "combination method")
     parts.append("</svg>")
     write_text(path, "\n".join(parts))
 

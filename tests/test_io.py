@@ -1105,6 +1105,35 @@ class TestLeaderboardCsv:
         assert first[1].startswith("1,STL-ARIMA,")
 
 
+class TestSmallTableLineNumbers:
+    """The weekly and leaderboard readers name the line a record ends on,
+    counting every line of a quoted field and every blank line."""
+
+    WEEKLY = "series_id,iso_year,iso_week,utilization_percent,filled\r\n"
+    BOARD = "rank,producer,mean_mae,mean_smape,mean_rank,benchmark_ratio\r\n"
+
+    @pytest.mark.parametrize("body, message", [
+        ('s,2022,1,1.0,0\r\n"two\r\nlines",2022,1,1.0,0\r\ns,2022,2,oops,0\r\n',
+         r"weekly\.csv:5: could not convert string to float: 'oops'"),
+        (f's,2022,1,1.0,0\r\ns,2022,2,{"1" * 131073},0\r\n',
+         r"weekly\.csv:3: field larger than field limit \(131072\)"),
+        ("s,2022,1,1.0,0\r\n\r\n\r\n\r\ns,2022,2,oops,0\r\n",
+         r"weekly\.csv:6: could not convert string to float: 'oops'"),
+    ], ids=["two-line-id", "field-limit", "blank-lines"])
+    def test_weekly_error_names_line(self, tmp_path, body, message):
+        path = tmp_path / "weekly.csv"
+        path.write_bytes((self.WEEKLY + body).encode())
+        with pytest.raises(DataError, match=message):
+            pqio.read_weekly_csv(path)
+
+    def test_leaderboard_producer_named_twice_after_two_line_label(self, tmp_path):
+        path = tmp_path / "board.csv"
+        path.write_bytes((self.BOARD + '1,SNaive,1.0,2.0,1.5,1.0\r\n2,"two\r\nline",1.0,2.0,1.5,1.0\r\n'
+                          "3,HW,1.0,2.0,1.5,1.0\r\n4,SNaive,1.0,2.0,1.5,1.0\r\n").encode())
+        with pytest.raises(DataError, match=r"board\.csv:6: producer 'SNaive' named twice"):
+            pqio.read_leaderboard_csv(path)
+
+
 class TestAnalysisCsv:
     """No stage reads the analysis tables back; each row is its values'
     ``repr``, in the header's order."""

@@ -32,6 +32,26 @@ def test_constant_objective_converges_at_start():
     assert result.objective_value == 7.0
 
 
+def test_no_coordinates_is_converged_at_the_start_value():
+    """An empty start point is the minimum after 0 iterations, the
+    objective's value there; given as ``f_start``, no call at all."""
+    calls = []
+
+    def objective(v):
+        calls.append(v)
+        return 4.0
+
+    result = nelder_mead(objective, [], [])
+    assert result.argmin.dtype == np.float64 and result.argmin.shape == (0,)
+    assert result.converged and result.iterations == 0 and result.objective_value == 4.0
+    assert len(calls) == 1
+    calls.clear()
+    result = nelder_mead(objective, [], [], f_start=2.5)
+    assert calls == []
+    assert result.argmin.dtype == np.float64 and result.argmin.shape == (0,)
+    assert result.converged and result.iterations == 0 and result.objective_value == 2.5
+
+
 def test_max_iter_returns_unconverged_result():
     rosen = lambda v: (1 - v[0]) ** 2 + 100 * (v[1] - v[0] ** 2) ** 2  # noqa: E731
     result = nelder_mead(rosen, [-1.0, 1.0], [(-5.0, 5.0)] * 2, tol=1e-14, max_iter=5)

@@ -523,6 +523,18 @@ class TestFitCssStartPoint:
         assert (fit.sse, fit.aicc) == (twice.sse, twice.aicc)
 
 
+class TestZeroCoefficientFit:
+    @pytest.mark.parametrize("x0", [None, []])
+    def test_random_walk_order_scores_the_differenced_window(self, x0):
+        """(0,1,0) has no coefficient and no constant: the optimizer returns
+        the empty start point, and the SSE is the window's own."""
+        w = np.diff(ar1_series(0.6, 105, seed=21))
+        fit = fit_css(w, SarimaOrder(0, 1, 0), x0=x0)
+        assert fit.params.dtype == np.float64 and fit.params.shape == (0,)
+        assert fit.sse == np.dot(w, w)
+        assert fit.n_obs == len(w)
+
+
 class TestPredictWrappers:
     def test_sarima_fallback_to_snaive(self, monkeypatch):
         y = np.abs(np.random.default_rng(3).normal(30, 3, 105))

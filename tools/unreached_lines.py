@@ -6,8 +6,9 @@ missing weeks; at seed 3 all five keep 157 weeks and one is weakly
 seasonal, so SARIMA takes both its D = 0 and D = 1 paths), ``preprocess``,
 ``forecast``, ``evaluate``, ``ensemble`` and the final ``evaluate``, which
 draws the figures. Then it prints ``file:line: text`` for every line of a
-function body that never ran. ``raise`` statements, module-level lines and
-class bodies (dataclass fields) are skipped. The last line is
+function body that never ran. ``raise`` statements, module-level lines,
+class bodies (dataclass fields) and the comprehensions they run at import,
+before the trace starts, are skipped. The last line is
 ``src lines: N``, the newlines in every ``.py`` file under ``src/``, as
 ``find src -name '*.py' | xargs cat | wc -l`` counts them. The stages' own
 output goes to stderr. Takes about 15 s on a 2-core machine:
@@ -41,14 +42,21 @@ def stages(d: Path) -> list[list]:
              "--weekly", d / "pre/weekly.csv", "--out", d / "ev2"]]
 
 
-def body_lines(code: types.CodeType) -> set[int]:
-    """The lines of every function body in ``code``, nested ones included."""
+COMPREHENSIONS = {"<genexpr>", "<listcomp>", "<setcomp>", "<dictcomp>"}
+
+
+def body_lines(code: types.CodeType, at_import: bool = True) -> set[int]:
+    """The lines of every function body in ``code``, nested ones included,
+    but for comprehensions that run when ``code`` does while ``at_import``:
+    a module's, a class body's at import, and theirs."""
+    function = bool(code.co_flags & inspect.CO_OPTIMIZED)  # not a module or a class body
+    at_import = at_import and (not function or code.co_name in COMPREHENSIONS)
     lines = set()
-    if code.co_flags & inspect.CO_OPTIMIZED:  # a function, not a module or a class body
+    if not at_import:
         lines.update(line for _, _, line in code.co_lines() if line and line != code.co_firstlineno)
     for const in code.co_consts:
         if isinstance(const, types.CodeType):
-            lines |= body_lines(const)
+            lines |= body_lines(const, at_import)
     return lines
 
 
