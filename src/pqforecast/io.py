@@ -10,15 +10,17 @@ included) with ``repr``, the shortest round-trip form, so outputs are
 byte-stable across runs, which the determinism guarantees rely on. The raw
 and forecast writers format their lines themselves, one ``write`` per
 1,008 rows or per producer, in the same dialect: ids and labels quoted by
-the csv module, values with ``repr``, ``\r\n`` line ends. A forecast line
-in the plain form of the row before it that continues that row's series,
-and a raw line in its series' plain form on the date of that series' last
-row that the csv module parsed, are taken from their text directly; every
-other line goes through ``_Records``, with the same acceptance, errors and
-``file:line`` either way. The raw table is read into one calendar week per
-series at a time (``weekly.RawWeeks``) and written from weekly series, a
-week at a time. The forecast table travels as one ``ForecastBlock`` per
-series, a (producers x horizon) matrix: ``write_forecast_csv`` and
+the csv module, values with ``repr``, ``\r\n`` line ends. The raw reader
+parses chunks of 64 Ki characters in one plain form with numpy and
+``float()`` alone; in any other chunk, a raw line in its series' plain
+form on the date of that series' last row that the csv module parsed is
+taken from its text, as is a forecast line in the plain form of the row
+before it that continues that row's series; every other line goes through
+``_Records``, with the same acceptance, errors and ``file:line`` either way.
+The raw table is read into one calendar week per series at a time
+(``weekly.RawWeeks``) and written from weekly series, a week at a time.
+The forecast table travels as one ``ForecastBlock`` per series, a
+(producers x horizon) matrix: ``write_forecast_csv`` and
 ``iter_forecast_csv`` take or give the blocks lazily, so a stage that
 streams them holds one series at a time. Its reader takes rows only in the
 writer's order, series by series and each producer's steps 1..H in turn,
@@ -44,6 +46,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from io import StringIO
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar
 
@@ -92,6 +95,20 @@ T = TypeVar("T")
 _PLAIN_RAW = re.compile(r'(?P<head>(?P<id>"(?:[^"\r\n]|"")*"|[^,"\r\n]*),(?P<q>"?)\d{4}-\d\d-\d\d[T ])'
                         r'(?P<clock>\d\d:\d\d)(?P<ending>(?::00(?:\.0+)?)?(?:Z|[+-]\d\d:?\d\d)?(?P=q),)(?!")',
                         re.ASCII)
+# A first line that a chunk in a plain form starts with: a chunk that
+# starts otherwise is read line by line before any other check.
+_PLAIN_START = re.compile(r'[^,"\r\n]*,\d{4}-\d\d-\d\d[T ]\d\d:\d\d[^,"\r\n]*,[^,"\r\n]*\r?\n', re.ASCII)
+# Characters of whole lines that the raw reader reads at a time. Its peak
+# grows with them: reading perfbench preprocess_raw's 20.9 MB file took
+# VmHWM 0.9 MB above reading it line by line at 64 Ki, and 3.9 MB at 256 Ki.
+_CHUNK = 1 << 16
+# A timestamp's first 16 characters, 'YYYY-MM-DDTHH:MM' ('T' or a space):
+# the least and the greatest byte each may be, and the weight of each digit
+# in the date as YYYYMMDD and in the minute of the day.
+_STAMP_LEAST = np.frombuffer(b"0000-00-00 00:00", np.uint8)
+_STAMP_GREATEST = np.frombuffer(b"9999-99-99T29:59", np.uint8)
+_STAMP_WEIGHTS = np.array([[10**7, 10**6, 10**5, 10**4, 0, 1000, 100, 0, 10, 1, 0, 0, 0, 0, 0, 0],
+                           [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 600, 60, 0, 10, 1]]).T
 
 
 @contextmanager
@@ -153,9 +170,10 @@ def _read_csv(path: Path, header: Sequence[str], take: Callable[[list[str]], Non
 class _Records:
     """The csv module's records of a file whose other lines its reader takes
     itself: ``records(line, line_num)`` gives the record that starts at
-    ``line``, read on from the file while a quoted field spans lines, and
-    ``line_num`` advanced past it as ``csv.reader.line_num`` counts. One
-    ``csv.reader`` serves every call; a ``csv.Error`` names file and line."""
+    ``line``, read on from ``fh`` (the file, or the lines a reader takes
+    from it) while a quoted field spans lines, and ``line_num`` advanced
+    past it as ``csv.reader.line_num`` counts. One ``csv.reader`` serves
+    every call; a ``csv.Error`` names file and line."""
 
     def __init__(self, path: Path, fh: TextIO) -> None:
         self.path, self.fh = path, fh
@@ -165,7 +183,7 @@ class _Records:
     def __iter__(self) -> "_Records":
         return self
 
-    def __next__(self) -> str:  # the csv.reader's lines: the one given, then the file's
+    def __next__(self) -> str:  # the csv.reader's lines: the one given, then those of fh
         line, self.line = self.line, None
         return next(self.fh) if line is None else line
 
@@ -208,20 +226,50 @@ def read_raw_csv(path: Path, aggregate: Callable[[RawWeeks], float] = aggregate_
     its next week begins. A malformed line raises at once; the first series
     with a sample off the grid, out of order or invalid raises at the end.
 
-    A line on the date of its series' last row that went through the csv
-    module, in that row's plain form (``sid,YYYY-MM-DDTHH:MM``, id and
-    timestamp bare or quoted, ``T`` or a space, then the row's own seconds
-    and offset, such as ``:00+00:00`` as ``write_raw_csv`` writes, ``:00``,
-    ``.000Z``, ``+05:30`` or none, then a bare value), is read from its
-    text, whether or not other series' rows came between: for a fixed date
-    and offset, its minute is that row's day minute plus its time of day.
-    A line's series is found by the text before its first comma, so an id
-    with a comma is read so only right after its own rows. Every other line
-    goes through the csv module, and a row in no plain form hands the rest
-    of its date to it, with the same acceptance, errors and ``file:line``
-    either way; so does a plain line that starts its series' next week, or
-    one that comes when its week already holds ``SAMPLES_PER_WEEK`` samples,
-    so that ``RawWeeks.add`` bounds every week."""
+    The file is read in chunks of whole lines of at most ``_CHUNK`` (64 Ki)
+    characters, and every line takes one of three paths, with the same
+    acceptance, errors and ``file:line`` on each:
+
+    1. A chunk with no ``"``, no character beyond ASCII, one line end
+       throughout (``\\n`` or ``\\r\\n``), two commas on every line, every
+       timestamp ``YYYY-MM-DDTHH:MM`` (``T`` or a space) and one text after
+       the minute per series (``:00+00:00`` as ``write_raw_csv`` writes,
+       ``:00`` as perfbench writes, ``.000Z``, ``+05:30``, none, ...), is
+       parsed in one pass (``_plain_rows``) and handed to each series'
+       ``RawWeeks.extend``.
+    2. In any other chunk, a line on the date of its series' last row that
+       went through the csv module, in that row's plain form
+       (``sid,YYYY-MM-DDTHH:MM``, id and timestamp bare or quoted, ``T`` or
+       a space, then ``:00``, ``:00.000``, an offset, both or neither, then
+       a bare value), is read from its text, whether or not other series'
+       rows came between: for a fixed date and offset, its minute is that
+       row's day minute plus its time of day. A line's series
+       is found by the text before its first comma; an id with a comma is
+       quoted, so it never reaches path 1, and takes this one only right
+       after its own rows. A line that starts its series' next week, or
+       that comes when its week already holds ``SAMPLES_PER_WEEK`` samples,
+       goes on to path 3, so that ``RawWeeks.add`` bounds every week.
+    3. Every other line goes through the csv module, and a row in no plain
+       form hands the rest of its date to it.
+
+    All three read from one source: the csv module reads on past a chunk
+    while a quoted record or a date runs on, and the next chunk starts
+    after it. Beyond one week per series, one chunk and its parsed rows are
+    held. Chunks decode the file further ahead than lines do, so a file
+    with a byte that is not UTF-8 is read again line by line: a malformed
+    line before the byte is still the error reported."""
+    try:
+        return _read_raw_csv(path, aggregate, _CHUNK)
+    except DataError as exc:
+        if not isinstance(exc.__cause__, UnicodeDecodeError):
+            raise
+    return _read_raw_csv(path, aggregate, 0)
+
+
+def _read_raw_csv(path: Path, aggregate: Callable[[RawWeeks], float], chunk: int
+                  ) -> list[tuple[str, Optional[WeekId], np.ndarray]]:
+    """``read_raw_csv`` in chunks of at most ``chunk`` characters, or line
+    by line throughout for 0."""
     series: dict[str, RawWeeks] = {}
     clock = {f"{h:02}:{m:02}": 60 * h + m for h in range(24) for m in range(60)}  # 'HH:MM' -> minute
 
@@ -236,7 +284,6 @@ def read_raw_csv(path: Path, aggregate: Callable[[RawWeeks], float] = aggregate_
 
     with _reading(path) as fh:
         records, line_num = _header(path, fh, RAW_HEADER)
-        bulk = csv.reader(fh)
         limit = csv.field_size_limit()  # a longer field is the csv module's error
         # Each series' plain form, by its id as written: the id and
         # 'YYYY-MM-DDT' of its last row in a plain form (head), where the
@@ -248,58 +295,173 @@ def read_raw_csv(path: Path, aggregate: Callable[[RawWeeks], float] = aggregate_
         forms: dict[str, tuple] = {}
         no_form, no_clock = (None,) * 10, math.inf  # no_clock: never before the next week
         head = None
-        for line in fh:
-            if head is None or not line.startswith(head):  # another series or date
-                head, start, mid, day, ending, stop, add_minute, add_value, held, cut = forms.get(
-                    line[:line.find(",")], no_form)
-                if head is not None and not line.startswith(head):
+        carry = ""  # the start of the line after the last chunk
+        while True:
+            if chunk:
+                block = carry + fh.read(chunk - len(carry))
+                if not block:
+                    break
+                whole = block.rfind("\n") + 1
+                block, carry = block[:whole], block[whole:]  # whole lines, the start of the next
+                rows = _plain_rows(block, limit) if block else None
+                if rows is not None:
+                    for series_id, minutes, values in rows:
+                        weeks = series.get(series_id)
+                        if weeks is None:
+                            weeks = series[series_id] = RawWeeks(series_id, int(minutes[0]), aggregate)
+                        weeks.extend(minutes, values)
+                        line_num += len(minutes)
+                    rows = minutes = values = None  # not held through the next read
+                    forms.clear()  # a week's end in them may have passed
                     head = None
-            # A line of head, a clock key before the next week, that row's
-            # ending and a text float() accepts holds no other ',' or '"',
-            # so the csv module would give the same three fields and take()
-            # the same minute and value: take it without them, unless its
-            # week is full.
-            if head is not None and len(line) <= limit:
-                minute = clock.get(line[start:mid], no_clock)
-                if minute < cut and len(held) < SAMPLES_PER_WEEK and line.startswith(ending, mid):
-                    try:
-                        add_value(float(line[stop:]))
-                    except ValueError:
-                        pass
-                    else:
-                        add_minute(day + minute)
-                        line_num += 1
-                        continue
-            row, line_num = records(line, line_num)
-            if not row:
-                continue
-            taken = _take_row(path, line_num, take, row, len(RAW_HEADER))
-            plain = _PLAIN_RAW.match(line)  # then the row's id and timestamp are its groups
-            minute = clock.get(plain["clock"]) if plain else None
-            if minute is not None:  # the lines that follow in its form are taken as above
-                weeks, day = series[row[0]], taken - minute
-                head, start, mid, day, ending, stop, add_minute, add_value, held, cut = forms[plain["id"]] = (
-                    plain["head"], plain.start("clock"), plain.end("clock"), day, plain["ending"],
-                    plain.end(), weeks.minutes.append, weeks.samples.append, weeks.samples, weeks.end - day)
-                continue
-            # Lines in no plain form come in runs: the csv module alone
-            # parses the rows that follow on this row's date.
-            date, before = row[1][:10], bulk.line_num - line_num
-            try:
-                for row in bulk:
-                    line_num = bulk.line_num - before
-                    if row:
-                        _take_row(path, line_num, take, row, len(RAW_HEADER))
-                        if not row[1].startswith(date):
-                            break
-            except csv.Error as exc:
-                raise DataError(f"{path}:{bulk.line_num - before}: {exc}") from exc
+                    continue
+                lines = _lines(block + carry + fh.readline() if carry else block)
+                carry = ""
+            else:
+                lines = fh
+            # The csv module reads on past the chunk's lines while a
+            # record or a date runs on: the lines it takes are not read again.
+            records.fh = rest = chain(lines, fh)
+            bulk = csv.reader(rest)
+            for line in lines:
+                if head is None or not line.startswith(head):  # another series or date
+                    head, start, mid, day, ending, stop, add_minute, add_value, held, cut = forms.get(
+                        line[:line.find(",")], no_form)
+                    if head is not None and not line.startswith(head):
+                        head = None
+                # A line of head, a clock key before the next week, that row's
+                # ending and a text float() accepts holds no other ',' or '"',
+                # so the csv module would give the same three fields and take()
+                # the same minute and value: take it without them, unless its
+                # week is full.
+                if head is not None and len(line) <= limit:
+                    minute = clock.get(line[start:mid], no_clock)
+                    if minute < cut and len(held) < SAMPLES_PER_WEEK and line.startswith(ending, mid):
+                        try:
+                            add_value(float(line[stop:]))
+                        except ValueError:
+                            pass
+                        else:
+                            add_minute(day + minute)
+                            line_num += 1
+                            continue
+                row, line_num = records(line, line_num)
+                if not row:
+                    continue
+                taken = _take_row(path, line_num, take, row, len(RAW_HEADER))
+                plain = _PLAIN_RAW.match(line)  # then the row's id and timestamp are its groups
+                minute = clock.get(plain["clock"]) if plain else None
+                if minute is not None:  # the lines that follow in its form are taken as above
+                    weeks, day = series[row[0]], taken - minute
+                    head, start, mid, day, ending, stop, add_minute, add_value, held, cut = forms[plain["id"]] = (
+                        plain["head"], plain.start("clock"), plain.end("clock"), day, plain["ending"],
+                        plain.end(), weeks.minutes.append, weeks.samples.append, weeks.samples, weeks.end - day)
+                    continue
+                # Lines in no plain form come in runs: the csv module alone
+                # parses the rows that follow on this row's date.
+                date, before = row[1][:10], bulk.line_num - line_num
+                try:
+                    for row in bulk:
+                        line_num = bulk.line_num - before
+                        if row:
+                            _take_row(path, line_num, take, row, len(RAW_HEADER))
+                            if not row[1].startswith(date):
+                                break
+                except csv.Error as exc:
+                    raise DataError(f"{path}:{bulk.line_num - before}: {exc}") from exc
+            if not chunk:
+                break
     if not series:
         raise DataError(f"{path}: no data")
     try:
         return [weeks.close() for weeks in series.values()]
     except DataError as exc:  # a sample off the grid, out of order or invalid
         raise DataError(f"{path}: {exc}") from exc
+
+
+def _plain_rows(text: str, limit: int) -> Optional[list[tuple[str, np.ndarray, np.ndarray]]]:
+    """The rows of ``text``, whole lines of a raw table, as one (id, int64
+    minutes, float64 values) per series in order of first appearance, if
+    the csv module and ``take`` would give each line's id, minute and value
+    the same way; None if any line might be read otherwise.
+
+    Such a chunk has no ``"``, is ASCII, has one line end throughout, is no
+    longer than ``limit``, and has two commas on every line, each line
+    counted on its own. Each timestamp starts 'YYYY-MM-DD', 'T' or a space,
+    'HH:MM' of a valid time of day, then the same text on every line of its
+    series; ``datetime.fromisoformat`` parses the first timestamp of each
+    run of a series' lines on one date, and the others' minutes differ from
+    it by their time of day alone. Each value is ``float()`` of its text."""
+    if len(text) > limit or not _PLAIN_START.match(text) or '"' in text or not text.isascii():
+        return None
+    u = np.frombuffer(text.encode("ascii"), np.uint8)
+    ends, commas = np.flatnonzero(u == 10), np.flatnonzero(u == 44)
+    n = len(ends)
+    crlf = "\r" in text
+    if crlf and (np.count_nonzero(u == 13) != n or (u[ends - 1] != 13).any()):
+        return None
+    # every line's two commas between its start and its end
+    if len(commas) != 2 * n or (commas[1::2] > ends).any() or (commas[2::2] < ends[:-1]).any():
+        return None
+    starts, stops = commas[0::2] + 1, commas[1::2]  # each timestamp's
+    if (stops - starts < 16).any():
+        return None
+    stamps = _windows(u, 16)[starts]
+    separators = stamps[:, 10]
+    if ((stamps < _STAMP_LEAST).any() or (stamps > _STAMP_GREATEST).any()
+            or ((separators != 84) & (separators != 32)).any()):  # 'T', ' '
+        return None
+    dates, clock = ((stamps - 48) @ _STAMP_WEIGHTS).T  # '0' is 48; other bytes weigh 0
+    if clock.max() >= 1440:  # an hour past 23
+        return None
+    # each line's three fields, and for '\r\n' an empty one (one-character
+    # replaces are the fast ones)
+    width = 4 if crlf else 3
+    fields = (text.replace("\r", ",") if crlf else text).replace("\n", ",").split(",")
+    try:
+        values = np.fromiter(map(float, fields[2::width]), np.float64, n)
+    except ValueError:
+        return None
+    ids = fields[0:width * n:width]
+    if ids.count(ids[0]) == n:
+        order, codes = {ids[0]: 0}, None
+    else:
+        order = {series_id: k for k, series_id in enumerate(dict.fromkeys(ids))}
+        codes = np.fromiter(map(order.__getitem__, ids), np.intp, n)
+    rows = []
+    for k, series_id in enumerate(order):
+        at = np.arange(n) if codes is None else np.flatnonzero(codes == k)
+        lengths = stops[at] - starts[at]
+        first = starts[at[0]]
+        if (lengths != lengths[0]).any() or lengths[0] > 16 and (
+                _windows(u, lengths[0] - 16)[starts[at] + 16] != u[first + 16:first + lengths[0]]).any():
+            return None  # not one ending
+        on = dates[at]
+        runs = [0, *(np.flatnonzero(on[1:] != on[:-1]) + 1).tolist()]  # each run of one date's first line
+        try:
+            days = [utc_minute(datetime.fromisoformat(fields[width * i + 1])) - int(clock[i])
+                    for i in at[runs].tolist()]
+        except (ValueError, OverflowError):
+            return None
+        lines = [hi - lo for lo, hi in zip(runs, [*runs[1:], len(at)])]
+        rows.append((series_id, np.repeat(days, lines) + clock[at], values[at]))
+    return rows
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text``, split as a file opened with ``newline=""``
+    splits them: by ``str.splitlines`` (faster to iterate than a
+    ``StringIO``) when ``text`` holds none of the other characters it
+    ends a line at."""
+    if text.isascii() and not any(c in text for c in "\v\f\x1c\x1d\x1e"):
+        return iter(text.splitlines(keepends=True))
+    return StringIO(text, newline="")
+
+
+def _windows(u: np.ndarray, width: int) -> np.ndarray:
+    """Each run of ``width`` bytes of ``u`` by where it starts, as one view
+    (numpy's ``sliding_window_view`` keeps 53 B per call)."""
+    return np.ndarray((len(u) - width + 1, width), np.uint8, u, strides=(1, 1))
 
 
 def write_raw_csv(path: Path, series: Iterable[tuple[WeeklySeries, Sequence[int]]]) -> None:

@@ -142,13 +142,14 @@ class Rejection:
 class RawWeeks:
     """One series' 10-minute samples, one calendar week (Monday 00:00 to
     Sunday 24:00 UTC) at a time: ``add`` takes them in the order they
-    arrive, and ``minutes`` (UTC minutes since the epoch) and ``samples``
-    (values) hold the current week's. A sample of a later week, or
-    ``close``, first hands the week to ``aggregate`` (``aggregate_weekly``),
-    which checks it and gives its percentile. One percentile is kept per
-    full calendar week of the span, from the first Monday 00:00 at or after
-    the first sample; a week without samples is ``NaN``. The first sample
-    that fails the check ends the series: ``close`` raises its error.
+    arrive (``extend`` a run of them), and ``minutes`` (UTC minutes since
+    the epoch) and ``samples`` (values) hold the current week's. A sample
+    of a later week, or ``close``, first hands the week to ``aggregate``
+    (``aggregate_weekly``), which checks it and gives its percentile. One
+    percentile is kept per full calendar week of the span, from the first
+    Monday 00:00 at or after the first sample; a week without samples is
+    ``NaN``. The first sample that fails the check ends the series:
+    ``close`` raises its error.
     """
 
     def __init__(self, series_id: str, first_minute: int, aggregate: Callable[["RawWeeks"], float]) -> None:
@@ -167,6 +168,27 @@ class RawWeeks:
         self.samples.append(value)
         if len(self.samples) > SAMPLES_PER_WEEK:  # more than a week holds: the check fails
             self._hand_out(last=False)
+
+    def extend(self, minutes: np.ndarray, values: np.ndarray) -> None:
+        """``add`` of each (int64 minute, float64 value) in turn, a week's
+        run of samples at a time: ``aggregate`` is handed the same weeks.
+        A sample starts a new week where the running maximum of the weeks
+        reached moves on, since a sample that goes back in time joins the
+        current week; a week is handed out early at ``SAMPLES_PER_WEEK + 1``."""
+        current = (self.end - MONDAY_MINUTE) // MINUTES_PER_WEEK - 1
+        reached = np.maximum.accumulate(np.maximum((minutes - MONDAY_MINUTE) // MINUTES_PER_WEEK, current))
+        edges = [0, *np.flatnonzero(np.diff(reached, prepend=current)).tolist(), len(minutes)]
+        for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            if k:  # minutes[lo] is at or after the current week's end
+                self._hand_out(last=False)
+                self.end = _week_end(int(minutes[lo]))
+            while lo < hi:
+                stop = min(hi, lo + SAMPLES_PER_WEEK + 1 - len(self.samples))
+                self.minutes.frombytes(minutes[lo:stop].tobytes())
+                self.samples.frombytes(values[lo:stop].tobytes())
+                lo = stop
+                if len(self.samples) > SAMPLES_PER_WEEK:
+                    self._hand_out(last=False)
 
     def close(self) -> tuple[str, Optional[WeekId], np.ndarray]:
         """The series' id, first week and weekly percentiles (none, and no

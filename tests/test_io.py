@@ -31,6 +31,7 @@ from pqforecast.models import ForecastBlock
 from pqforecast.weekly import (
     MINUTES_PER_WEEK,
     MONDAY_MINUTE,
+    SAMPLES_PER_WEEK,
     PlanningLevel,
     Rejection,
     RejectionReason,
@@ -186,16 +187,21 @@ class TestRawCsv:
             pqio.read_raw_csv(path)
 
 
-def test_raw_reader_peak_does_not_grow_with_the_weeks(tmp_path, rng):
+@pytest.mark.parametrize("form", ["writer", "perfbench"])
+def test_raw_reader_peak_does_not_grow_with_the_weeks(tmp_path, rng, form):
     """2 series of 20 and of 120 weeks, read and aggregated with the same
     traced peak, give or take 64 B per series and week (8 B per percentile
     kept); a reader that held each series' samples until its file ended
-    grew by 16 B per sample, 1,008 per week."""
+    grew by 16 B per sample, 1,008 per week. Both forms are read in chunks:
+    the writer's (``+00:00``, ``\\r\\n``) and perfbench's (naive, ``\\n``)."""
     peaks = {}
     for n_weeks in (20, 20, 120):  # the first read also pays one-time costs
         path = tmp_path / f"raw{n_weeks}.csv"
         pqio.write_raw_csv(path, [(weekly(rng.uniform(1, 50, n_weeks), series_id=f"s{i}:UNB:220"), ())
                                   for i in range(2)])
+        if form == "perfbench":
+            text = restamp(path.read_text(encoding="utf-8"), "T", ":00", "").replace("\r\n", "\n")
+            path.write_text(text, encoding="utf-8", newline="")
         tracemalloc.start()
         try:
             back = pqio.read_raw_csv(path)
@@ -1088,6 +1094,126 @@ def test_raw_line_repeated_in_its_form_is_held_at_most_a_week(tmp_path):
     assert raw_or_error(reference_samples, path) == ("DataError", str(got.value))
     assert str(got.value).endswith("s: duplicate timestamp 2022-01-10T00:50:00+00:00")
     assert [len(minutes) for _, minutes, _ in weeks] == [1008, 1009]
+
+
+# Saturday 2022-01-08 22:00 UTC: 160 samples from here cross Sunday 00:00 (a
+# date) and Monday 00:00 (a UTC week end)
+CHUNK_FIRST_MINUTE = utc_minute(datetime(2022, 1, 8, 22, tzinfo=timezone.utc))
+CHUNK_IDS = ["s0:UNB:220", "s1:UNB:220", "s2:UNB:220"]
+
+
+def chunk_table(path, rng, form: str, by_time: bool) -> list[str]:
+    """Three series of 160 samples, grouped by series or sorted by time, in
+    the writer's form (``+00:00``, ``\\r\\n``), perfbench's (naive,
+    ``\\n``) or at ``+05:30``, written to ``path``; returns its lines."""
+    series = [(sid, CHUNK_FIRST_MINUTE + 10 * np.arange(160), rng.uniform(0, 50, 160)) for sid in CHUNK_IDS]
+    if by_time:
+        series = [(sid, minutes[k:k + 1], values[k:k + 1]) for k in range(160) for sid, minutes, values in series]
+    reference_write_raw_csv(path, series)
+    text = path.read_bytes().decode("utf-8")
+    if form == "perfbench":
+        text = restamp(text, "T", ":00", "").replace("\r\n", "\n")
+    elif form == "+05:30":
+        text = restamp(text, "T", ":00", "+05:30")
+    path.write_text(text, encoding="utf-8", newline="")
+    return text.splitlines(keepends=True)
+
+
+class TestRawReaderChunks:
+    """With chunks of 64 B and of 1 KiB, chunk edges fall on series changes,
+    dates, UTC week ends and malformed lines; each table still gives what
+    ``conftest.reference_read_raw_csv`` gives: the same samples, or the
+    same error text with the same ``file:line``."""
+
+    @pytest.mark.parametrize("chunk", [64, 1024])
+    @pytest.mark.parametrize("by_time", [False, True])
+    @pytest.mark.parametrize("form", ["writer", "perfbench", "+05:30"])
+    def test_edges_on_series_dates_and_week_ends(self, tmp_path, rng, monkeypatch, chunk, by_time, form):
+        path = tmp_path / "raw.csv"
+        chunk_table(path, rng, form, by_time)
+        monkeypatch.setattr(pqio, "_CHUNK", chunk)
+        assert TestRawReaderCsvOracle.assert_same(path) == "series"
+
+    # where the change goes: the first data line, s1's first, s0's Sunday
+    # 00:00, s1's Monday 00:00 (a UTC week end), the last line
+    PLACES = [1, 161, 13, 161 + 12 + 144, 480]
+
+    @pytest.mark.parametrize("chunk", [64, 1024, 1 << 16])
+    @pytest.mark.parametrize("place", PLACES)
+    @pytest.mark.parametrize("change", ["4 and 2 fields", "long value", "NUL", "lone CR", "CR before CRLF",
+                                        "id beyond ASCII", "week over 1,008"])
+    def test_malformed_lines(self, tmp_path, rng, monkeypatch, chunk, place, change):
+        path = tmp_path / "raw.csv"
+        lines = chunk_table(path, rng, "writer" if change == "CR before CRLF" else "perfbench", False)
+        body = lines[place].rstrip("\r\n")
+        limit = csv.field_size_limit()
+        if change == "4 and 2 fields":  # their commas balance, and a chunk's count would pair them up
+            first = min(place, len(lines) - 2)
+            series_id, stamp, value = lines[first].rstrip("\n").split(",")
+            lines[first:first + 2] = [f"{series_id},{stamp},{value},{stamp[:16]}\n", f"{stamp},{value}\n"]
+        elif change == "long value":  # a text float() takes, in a field the csv module refuses
+            limit = 256  # so that the line fits in a chunk
+            lines[place] = body + " " * limit + "\n"
+        elif change == "NUL":  # the csv module takes it as any other character
+            lines[place] = body.replace(",", "\0,", 1) + "\n"
+        elif change == "lone CR":
+            lines[place] = body + "\r"
+        elif change == "CR before CRLF":  # then a blank line, which moves every later line number
+            lines[place] = body + "\r\r\n"
+            lines[-1] = lines[-1].rpartition(",")[0] + ",x\r\n"
+        elif change == "id beyond ASCII":
+            lines[place] = body.replace("s", "\u00df", 1) + "\n"
+        else:  # the line 1,010 times: its week holds more than 1,008 samples
+            lines[place:place + 1] = [lines[place]] * 1010
+        path.write_text("".join(lines), encoding="utf-8", newline="")
+        monkeypatch.setattr(pqio, "_CHUNK", chunk)
+        weeks: list = []
+        saved = csv.field_size_limit(limit)
+        try:
+            TestRawReaderCsvOracle.assert_same(path)
+            raw_or_error(lambda path: pqio.read_raw_csv(path, collecting(weeks)), path)
+        finally:
+            csv.field_size_limit(saved)
+        assert all(len(minutes) <= SAMPLES_PER_WEEK + 1 for _, minutes, _ in weeks)
+
+    @pytest.mark.parametrize("bad_byte_first", [False, True])
+    def test_byte_not_utf8_after_a_malformed_line(self, tmp_path, rng, bad_byte_first):
+        """A chunk decodes the file ahead of the line it reads: a byte that
+        is not UTF-8 some 20 KB past a malformed line is still reported
+        after it, as a reader of lines reports it, and before it when it
+        comes first."""
+        path = tmp_path / "raw.csv"
+        lines = chunk_table(path, rng, "writer", False)
+        bad, byte = (300, 3) if bad_byte_first else (3, 300)
+        lines[bad] = lines[bad].replace("+00:00,", "+00:00,x")
+        data = "".join(lines).encode("utf-8")
+        at = len("".join(lines[:byte]).encode("utf-8")) - 2  # before the line's end
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
+        kind, message = TestRawReaderCsvOracle.assert_same(path), str(raw_or_error(read_samples, path)[1])
+        assert kind == "DataError" and ("not UTF-8" in message) == bad_byte_first
+
+    @pytest.mark.parametrize("form", ["writer", "perfbench", "+05:30"])
+    @pytest.mark.parametrize("by_time", [False, True])
+    def test_plain_chunks_skip_the_csv_module(self, tmp_path, rng, monkeypatch, form, by_time):
+        """A table in one plain form, grouped by series or sorted by time,
+        is parsed in chunks: only its header goes through the csv module."""
+        path = tmp_path / "raw.csv"
+        chunk_table(path, rng, form, by_time)
+        want = reference_samples(path)
+        parsed = 0
+        reader = csv.reader
+
+        def counting_reader(lines, *args, **kwargs):
+            def counted():
+                nonlocal parsed
+                for line in lines:
+                    parsed += 1
+                    yield line
+            return reader(counted(), *args, **kwargs)
+
+        monkeypatch.setattr(pqio.csv, "reader", counting_reader)
+        assert read_samples(path) == want
+        assert parsed == 1
 
 
 class TestLeaderboardCsv:

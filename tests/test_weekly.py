@@ -16,6 +16,7 @@ from pqforecast.weekly import (
     MINUTES_PER_WEEK,
     MONDAY_MINUTE,
     PlanningLevel,
+    RawWeeks,
     Rejection,
     RejectionReason,
     SeriesKey,
@@ -134,6 +135,52 @@ def _aggregates_or_error(aggregate, *args):
         return week, p95.tobytes()
     except DataError as exc:
         return str(exc)
+
+
+def _weeks_handed_out(feed, minutes: np.ndarray, values: np.ndarray):
+    """Every week a ``RawWeeks`` hands to ``aggregate`` while ``feed`` gives
+    it ``minutes`` and ``values``, then what ``close`` gives or raises."""
+    weeks: list = []
+    raw = RawWeeks("s", int(minutes[0]), collecting(weeks))
+    feed(raw, minutes, values)
+    try:
+        sid, week, p95 = raw.close()
+        return weeks, (week, p95.tobytes())
+    except DataError as exc:
+        return weeks, str(exc)
+
+
+class TestRawWeeksExtend:
+    """``extend`` hands ``aggregate`` the same weeks, each with the same
+    samples, as ``add`` of each sample in turn, wherever the runs it is given
+    begin and end: across week ends, with samples that go back in time or
+    repeat, and with more samples in a week than it holds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(first=st.integers(-3 * 1440, 3 * 1440),
+           steps=st.lists(st.sampled_from([10, 10, 10, 10, 0, -10, 3, 1440, -3 * 1440, MINUTES_PER_WEEK, 30_000]),
+                          min_size=1, max_size=400),
+           stuck=st.integers(0, 2100), at=st.floats(0, 1), cuts=st.lists(st.floats(0, 1), max_size=4))
+    @example(first=0, steps=[10] * 400, stuck=1009, at=0.5, cuts=[])  # a week of 1,009 samples
+    @example(first=0, steps=[10] * 400, stuck=2018, at=1.0, cuts=[0.2, 0.9])
+    def test_same_weeks_as_add(self, first, steps, stuck, at, cuts):
+        minutes = utc_minute(MONDAY) + first + np.cumsum([0, *steps])
+        k = int(at * len(minutes))
+        minutes = np.insert(minutes, k, np.full(stuck, minutes[min(k, len(minutes) - 1)])).astype(np.int64)
+        values = np.arange(len(minutes), dtype=np.float64)
+        bounds = [0, *sorted(int(c * len(minutes)) for c in cuts), len(minutes)]
+
+        def add(raw, minutes, values):
+            for minute, value in zip(minutes.tolist(), values.tolist()):
+                raw.add(minute, value)
+
+        def extend(raw, minutes, values):
+            for lo, hi in zip(bounds, bounds[1:]):
+                raw.extend(minutes[lo:hi], values[lo:hi])
+
+        weeks, outcome = _weeks_handed_out(extend, minutes, values)
+        assert (weeks, outcome) == _weeks_handed_out(add, minutes, values)
+        assert max(len(m) for _, m, _ in weeks) <= 1009
 
 
 class TestRawOracle:
