@@ -3,20 +3,19 @@
 Every CSV table but the raw and forecast tables is written by one writer,
 ``_write_csv``, and the two of them a stage reads back, the weekly table
 and the leaderboard, by one reader, ``_read_csv``; each table has one
-header constant. Every reader takes its records from ``_Records`` and its
-one ``csv.reader``, but for the raw reader's runs of rows in no plain
-form, parsed in bulk. The csv module writes floats (numpy's float64
-included) with ``repr``, the shortest round-trip form, so outputs are
-byte-stable across runs, which the determinism guarantees rely on. The raw
-and forecast writers format their lines themselves, one ``write`` per
-1,008 rows or per producer, in the same dialect: ids and labels quoted by
-the csv module, values with ``repr``, ``\r\n`` line ends. The raw reader
-parses chunks of 64 Ki characters in one plain form with numpy and
-``float()`` alone; in any other chunk, a raw line in its series' plain
-form on the date of that series' last row that the csv module parsed is
-taken from its text, as is a forecast line in the plain form of the row
-before it that continues that row's series; every other line goes through
-``_Records``, with the same acceptance, errors and ``file:line`` either way.
+header constant. Every reader takes its header, and every reader but the
+raw one its records, from ``_Records`` and its one ``csv.reader``. The
+csv module writes floats (numpy's float64 included) with ``repr``, the
+shortest round-trip form, so outputs are byte-stable across runs, which
+the determinism guarantees rely on. The raw and forecast writers format
+their lines themselves, one ``write`` per 1,008 rows or per producer, in
+the same dialect: ids and labels quoted by the csv module, values with
+``repr``, ``\r\n`` line ends. The raw reader parses chunks of 64 Ki
+characters in one plain form with numpy and ``float()`` alone and hands
+any other chunk whole to one ``csv.reader``. The forecast reader takes a
+line in the plain form of the row before it that continues that row's
+series from its text and every other line from ``_Records``. Each reader
+gives the same acceptance, errors and ``file:line`` on each of its paths.
 The raw table is read into one calendar week per series at a time
 (``weekly.RawWeeks``) and written from weekly series, a week at a time.
 The forecast table travels as one ``ForecastBlock`` per series, a
@@ -38,7 +37,6 @@ from __future__ import annotations
 import configparser
 import csv
 import json
-import math
 import os
 import re
 from array import array
@@ -64,7 +62,6 @@ from .ensembles import parse_producer
 from .models import ForecastBlock
 from .weekly import (
     PlanningLevel,
-    SAMPLES_PER_WEEK,
     RawWeeks,
     Rejection,
     WeekId,
@@ -87,16 +84,8 @@ ECDF_HEADER = ["relative_improvement", "cumulative_probability"]
 
 T = TypeVar("T")
 
-# The start of a raw line in a plain form: the id (bare, or quoted on one
-# line), a comma, then the timestamp (bare or quoted) as 'YYYY-MM-DD', 'T'
-# or a space, 'HH:MM', then ':00' (or ':00.000'), an offset, both or
-# neither, its closing quote if it is quoted, and the comma before a bare
-# value.
-_PLAIN_RAW = re.compile(r'(?P<head>(?P<id>"(?:[^"\r\n]|"")*"|[^,"\r\n]*),(?P<q>"?)\d{4}-\d\d-\d\d[T ])'
-                        r'(?P<clock>\d\d:\d\d)(?P<ending>(?::00(?:\.0+)?)?(?:Z|[+-]\d\d:?\d\d)?(?P=q),)(?!")',
-                        re.ASCII)
-# A first line that a chunk in a plain form starts with: a chunk that
-# starts otherwise is read line by line before any other check.
+# A first line that a chunk in a plain form starts with, once its quotes
+# are dropped: a chunk that starts otherwise goes to the csv module.
 _PLAIN_START = re.compile(r'[^,"\r\n]*,\d{4}-\d\d-\d\d[T ]\d\d:\d\d[^,"\r\n]*,[^,"\r\n]*\r?\n', re.ASCII)
 # Characters of whole lines that the raw reader reads at a time. Its peak
 # grows with them: reading perfbench preprocess_raw's 20.9 MB file took
@@ -170,10 +159,9 @@ def _read_csv(path: Path, header: Sequence[str], take: Callable[[list[str]], Non
 class _Records:
     """The csv module's records of a file whose other lines its reader takes
     itself: ``records(line, line_num)`` gives the record that starts at
-    ``line``, read on from ``fh`` (the file, or the lines a reader takes
-    from it) while a quoted field spans lines, and ``line_num`` advanced
-    past it as ``csv.reader.line_num`` counts. One ``csv.reader`` serves
-    every call; a ``csv.Error`` names file and line."""
+    ``line``, read on from ``fh`` while a quoted field spans lines, and
+    ``line_num`` advanced past it as ``csv.reader.line_num`` counts. One
+    ``csv.reader`` serves every call; a ``csv.Error`` names file and line."""
 
     def __init__(self, path: Path, fh: TextIO) -> None:
         self.path, self.fh = path, fh
@@ -227,37 +215,28 @@ def read_raw_csv(path: Path, aggregate: Callable[[RawWeeks], float] = aggregate_
     with a sample off the grid, out of order or invalid raises at the end.
 
     The file is read in chunks of whole lines of at most ``_CHUNK`` (64 Ki)
-    characters, and every line takes one of three paths, with the same
+    characters, and every chunk takes one of two paths, with the same
     acceptance, errors and ``file:line`` on each:
 
-    1. A chunk with no ``"``, no character beyond ASCII, one line end
-       throughout (``\\n`` or ``\\r\\n``), two commas on every line, every
-       timestamp ``YYYY-MM-DDTHH:MM`` (``T`` or a space) and one text after
-       the minute per series (``:00+00:00`` as ``write_raw_csv`` writes,
-       ``:00`` as perfbench writes, ``.000Z``, ``+05:30``, none, ...), is
-       parsed in one pass (``_plain_rows``) and handed to each series'
-       ``RawWeeks.extend``.
-    2. In any other chunk, a line on the date of its series' last row that
-       went through the csv module, in that row's plain form
-       (``sid,YYYY-MM-DDTHH:MM``, id and timestamp bare or quoted, ``T`` or
-       a space, then ``:00``, ``:00.000``, an offset, both or neither, then
-       a bare value), is read from its text, whether or not other series'
-       rows came between: for a fixed date and offset, its minute is that
-       row's day minute plus its time of day. A line's series
-       is found by the text before its first comma; an id with a comma is
-       quoted, so it never reaches path 1, and takes this one only right
-       after its own rows. A line that starts its series' next week, or
-       that comes when its week already holds ``SAMPLES_PER_WEEK`` samples,
-       goes on to path 3, so that ``RawWeeks.add`` bounds every week.
-    3. Every other line goes through the csv module, and a row in no plain
-       form hands the rest of its date to it.
+    1. A chunk with one line end throughout (``\\n`` or ``\\r\\n``), two
+       commas on every line, quotes only around whole fields on one line
+       (no ``,`` or ``""`` inside them), every timestamp ``YYYY-MM-DDTHH:MM``
+       (``T`` or a space) and one text after the minute per series
+       (``:00+00:00`` as ``write_raw_csv`` writes, ``:00`` as perfbench
+       writes, ``.000Z``, ``+05:30``, none, ...), ids beyond ASCII too, is
+       parsed in one pass (``_plain_rows``) into each ``RawWeeks.extend``.
+    2. Any other chunk goes row by row through one ``csv.reader`` over its
+       lines to each series' ``RawWeeks.add``. The reader reads on past the
+       chunk while a quoted record runs on, and the next chunk starts after
+       it. A chunk holding an id that the writer quotes for its ``,`` or
+       ``"`` takes this path whole, so a table of such ids grouped by
+       series, read almost wholly by the csv module, is the slowest form.
 
-    All three read from one source: the csv module reads on past a chunk
-    while a quoted record or a date runs on, and the next chunk starts
-    after it. Beyond one week per series, one chunk and its parsed rows are
-    held. Chunks decode the file further ahead than lines do, so a file
-    with a byte that is not UTF-8 is read again line by line: a malformed
-    line before the byte is still the error reported."""
+    Beyond one week per series, one chunk and its parsed rows are held,
+    and for a chunk with quotes its text without them. Chunks decode the
+    file further ahead than lines do, so a file with a byte that is not
+    UTF-8 is read again line by line: a malformed line before the byte is
+    still the error reported."""
     try:
         return _read_raw_csv(path, aggregate, _CHUNK)
     except DataError as exc:
@@ -271,30 +250,18 @@ def _read_raw_csv(path: Path, aggregate: Callable[[RawWeeks], float], chunk: int
     """``read_raw_csv`` in chunks of at most ``chunk`` characters, or line
     by line throughout for 0."""
     series: dict[str, RawWeeks] = {}
-    clock = {f"{h:02}:{m:02}": 60 * h + m for h in range(24) for m in range(60)}  # 'HH:MM' -> minute
 
-    def take(row: list[str]) -> int:
+    def take(row: list[str]) -> None:
         series_id, ts_text, value_text = row
         minute = utc_minute(datetime.fromisoformat(ts_text))
         weeks = series.get(series_id)
         if weeks is None:
             weeks = series[series_id] = RawWeeks(series_id, minute, aggregate)
         weeks.add(minute, float(value_text))
-        return minute
 
     with _reading(path) as fh:
-        records, line_num = _header(path, fh, RAW_HEADER)
+        _, line_num = _header(path, fh, RAW_HEADER)
         limit = csv.field_size_limit()  # a longer field is the csv module's error
-        # Each series' plain form, by its id as written: the id and
-        # 'YYYY-MM-DDT' of its last row in a plain form (head), where the
-        # clock key starts and ends, that day's UTC minute at 00:00, the
-        # row's seconds and offset with the comma, where the value starts,
-        # the appends to its week's buffers, the samples its week holds,
-        # and the clock minute at which that date reaches the series' next
-        # week.
-        forms: dict[str, tuple] = {}
-        no_form, no_clock = (None,) * 10, math.inf  # no_clock: never before the next week
-        head = None
         carry = ""  # the start of the line after the last chunk
         while True:
             if chunk:
@@ -312,63 +279,23 @@ def _read_raw_csv(path: Path, aggregate: Callable[[RawWeeks], float], chunk: int
                         weeks.extend(minutes, values)
                         line_num += len(minutes)
                     rows = minutes = values = None  # not held through the next read
-                    forms.clear()  # a week's end in them may have passed
-                    head = None
                     continue
                 lines = _lines(block + carry + fh.readline() if carry else block)
                 carry = ""
             else:
-                lines = fh
-            # The csv module reads on past the chunk's lines while a
-            # record or a date runs on: the lines it takes are not read again.
-            records.fh = rest = chain(lines, fh)
-            bulk = csv.reader(rest)
-            for line in lines:
-                if head is None or not line.startswith(head):  # another series or date
-                    head, start, mid, day, ending, stop, add_minute, add_value, held, cut = forms.get(
-                        line[:line.find(",")], no_form)
-                    if head is not None and not line.startswith(head):
-                        head = None
-                # A line of head, a clock key before the next week, that row's
-                # ending and a text float() accepts holds no other ',' or '"',
-                # so the csv module would give the same three fields and take()
-                # the same minute and value: take it without them, unless its
-                # week is full.
-                if head is not None and len(line) <= limit:
-                    minute = clock.get(line[start:mid], no_clock)
-                    if minute < cut and len(held) < SAMPLES_PER_WEEK and line.startswith(ending, mid):
-                        try:
-                            add_value(float(line[stop:]))
-                        except ValueError:
-                            pass
-                        else:
-                            add_minute(day + minute)
-                            line_num += 1
-                            continue
-                row, line_num = records(line, line_num)
-                if not row:
-                    continue
-                taken = _take_row(path, line_num, take, row, len(RAW_HEADER))
-                plain = _PLAIN_RAW.match(line)  # then the row's id and timestamp are its groups
-                minute = clock.get(plain["clock"]) if plain else None
-                if minute is not None:  # the lines that follow in its form are taken as above
-                    weeks, day = series[row[0]], taken - minute
-                    head, start, mid, day, ending, stop, add_minute, add_value, held, cut = forms[plain["id"]] = (
-                        plain["head"], plain.start("clock"), plain.end("clock"), day, plain["ending"],
-                        plain.end(), weeks.minutes.append, weeks.samples.append, weeks.samples, weeks.end - day)
-                    continue
-                # Lines in no plain form come in runs: the csv module alone
-                # parses the rows that follow on this row's date.
-                date, before = row[1][:10], bulk.line_num - line_num
-                try:
-                    for row in bulk:
-                        line_num = bulk.line_num - before
-                        if row:
-                            _take_row(path, line_num, take, row, len(RAW_HEADER))
-                            if not row[1].startswith(date):
-                                break
-                except csv.Error as exc:
-                    raise DataError(f"{path}:{bulk.line_num - before}: {exc}") from exc
+                lines = []
+            # The csv module reads the chunk's lines, and on past them while
+            # a quoted record runs on: the lines it takes are not read again.
+            bulk = csv.reader(chain(lines, fh))
+            try:
+                for row in bulk:
+                    if row:
+                        _take_row(path, line_num + bulk.line_num, take, row, len(RAW_HEADER))
+                    if chunk and bulk.line_num >= len(lines):
+                        break
+            except csv.Error as exc:
+                raise DataError(f"{path}:{line_num + bulk.line_num}: {exc}") from exc
+            line_num += bulk.line_num
             if not chunk:
                 break
     if not series:
@@ -385,16 +312,30 @@ def _plain_rows(text: str, limit: int) -> Optional[list[tuple[str, np.ndarray, n
     the csv module and ``take`` would give each line's id, minute and value
     the same way; None if any line might be read otherwise.
 
-    Such a chunk has no ``"``, is ASCII, has one line end throughout, is no
-    longer than ``limit``, and has two commas on every line, each line
-    counted on its own. Each timestamp starts 'YYYY-MM-DD', 'T' or a space,
-    'HH:MM' of a valid time of day, then the same text on every line of its
-    series; ``datetime.fromisoformat`` parses the first timestamp of each
-    run of a series' lines on one date, and the others' minutes differ from
-    it by their time of day alone. Each value is ``float()`` of its text."""
-    if len(text) > limit or not _PLAIN_START.match(text) or '"' in text or not text.isascii():
+    Such a chunk has one line end throughout and two commas on every line,
+    each line counted on its own, and is no longer than ``limit`` without
+    its quotes. Its ``"`` pair up: each odd one opens a field, at a line's
+    start or after a comma, and the next one closes it with no comma,
+    ``\\n`` or ``\\r`` between (a ``\\r`` ends a line for the csv module).
+    The csv module's fields are then the text without its quotes, as it
+    keeps what follows a closing quote in the field. Each timestamp starts
+    'YYYY-MM-DD', 'T' or a space, 'HH:MM' of a valid time of day, then the
+    same text on every line of its series; ``datetime.fromisoformat``
+    parses the first timestamp of each run of a series' lines on one date,
+    and the others' minutes differ from it by their time of day alone. Each
+    value is ``float()`` of its text. The text is UTF-8: no byte of a
+    character beyond ASCII is a ``,``, ``"``, ``\\r`` or ``\\n``, so byte
+    offsets find the fields, and ``str.split`` gives their texts."""
+    u = np.frombuffer(text.encode("utf-8"), np.uint8)
+    if '"' in text:
+        quotes = np.flatnonzero(u == 34)
+        edges = (u == 44) | (u == 10)  # ',' and '\n', after which a field starts (at 0: after u[-1], a '\n')
+        before = np.searchsorted(np.flatnonzero(edges | (u == 13)), quotes)  # the ',' and line ends before each
+        if len(quotes) % 2 or not edges[quotes[0::2] - 1].all() or (before[0::2] != before[1::2]).any():
+            return None
+        text, u = text.replace('"', ""), u[u != 34]
+    if len(text) > limit or not _PLAIN_START.match(text):
         return None
-    u = np.frombuffer(text.encode("ascii"), np.uint8)
     ends, commas = np.flatnonzero(u == 10), np.flatnonzero(u == 44)
     n = len(ends)
     crlf = "\r" in text
@@ -448,14 +389,13 @@ def _plain_rows(text: str, limit: int) -> Optional[list[tuple[str, np.ndarray, n
     return rows
 
 
-def _lines(text: str) -> Iterator[str]:
+def _lines(text: str) -> list[str]:
     """The lines of ``text``, split as a file opened with ``newline=""``
-    splits them: by ``str.splitlines`` (faster to iterate than a
-    ``StringIO``) when ``text`` holds none of the other characters it
-    ends a line at."""
+    splits them: by ``str.splitlines`` (faster than a ``StringIO``) when
+    ``text`` holds none of the other characters it ends a line at."""
     if text.isascii() and not any(c in text for c in "\v\f\x1c\x1d\x1e"):
-        return iter(text.splitlines(keepends=True))
-    return StringIO(text, newline="")
+        return text.splitlines(keepends=True)
+    return StringIO(text, newline="").readlines()
 
 
 def _windows(u: np.ndarray, width: int) -> np.ndarray:

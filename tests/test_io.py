@@ -7,6 +7,7 @@ import re
 import tracemalloc
 import types
 from datetime import datetime, timezone
+from typing import Callable
 from xml.etree import ElementTree
 
 import numpy as np
@@ -187,13 +188,15 @@ class TestRawCsv:
             pqio.read_raw_csv(path)
 
 
-@pytest.mark.parametrize("form", ["writer", "perfbench"])
+@pytest.mark.parametrize("form", ["writer", "perfbench", "quoted"])
 def test_raw_reader_peak_does_not_grow_with_the_weeks(tmp_path, rng, form):
     """2 series of 20 and of 120 weeks, read and aggregated with the same
     traced peak, give or take 64 B per series and week (8 B per percentile
     kept); a reader that held each series' samples until its file ended
-    grew by 16 B per sample, 1,008 per week. Both forms are read in chunks:
-    the writer's (``+00:00``, ``\\r\\n``) and perfbench's (naive, ``\\n``)."""
+    grew by 16 B per sample, 1,008 per week. Every form is read in chunks:
+    the writer's (``+00:00``, ``\\r\\n``), perfbench's (naive, ``\\n``)
+    and the writer's with every field quoted, whose chunks are each held
+    a second time without their quotes."""
     peaks = {}
     for n_weeks in (20, 20, 120):  # the first read also pays one-time costs
         path = tmp_path / f"raw{n_weeks}.csv"
@@ -202,6 +205,8 @@ def test_raw_reader_peak_does_not_grow_with_the_weeks(tmp_path, rng, form):
         if form == "perfbench":
             text = restamp(path.read_text(encoding="utf-8"), "T", ":00", "").replace("\r\n", "\n")
             path.write_text(text, encoding="utf-8", newline="")
+        elif form == "quoted":
+            path.write_text(quote(path.read_bytes().decode("utf-8"), True, True, True), encoding="utf-8", newline="")
         tracemalloc.start()
         try:
             back = pqio.read_raw_csv(path)
@@ -777,6 +782,18 @@ def restamp(text: str, sep: str, seconds: str, offset: str) -> str:
     return RAW_STAMP.sub(local, text)
 
 
+def quote(text: str, ids: bool, stamps: bool, values: bool) -> str:
+    """A raw table with every id (the header's first field too), timestamp
+    or value quoted, as writers that quote text do."""
+    if ids:
+        text = re.sub(r'^([^,"\r\n]*),', r'"\1",', text, flags=re.M)
+    if stamps:
+        text = RAW_STAMP.sub(r'"\g<0>"', text)
+    if values:
+        text = re.sub(r',([^,"\r\n]*)(?=\r?\n)', r',"\1"', text)
+    return text
+
+
 def mutate_stamp(draw, stamp: str) -> str:
     """``stamp``, a timestamp of whole minutes, changed in one way a
     hand-edited or foreign table might."""
@@ -897,12 +914,7 @@ class TestRawReaderCsvOracle:
         offsets = st.sampled_from(["+00:00", "", "Z", "+05:30", "-03:00", "+0530"])
         text = restamp(path.read_text(encoding="utf-8"), draw(st.sampled_from("T t")),  # 't': in no plain form
                        draw(st.sampled_from([":00", "", ":00.000"])), draw(offsets))
-        if draw(st.booleans()):  # every id quoted, as some writers do
-            text = re.sub(r'^([^,"\r\n]*),', r'"\1",', text, flags=re.M)
-        if draw(st.booleans()):  # every timestamp quoted, as writers that quote text do
-            text = RAW_STAMP.sub(r'"\g<0>"', text)
-        if draw(st.booleans()):  # every value quoted too: in no plain form
-            text = re.sub(r',([^,"\r\n]*)(?=\r\n)', r',"\1"', text)
+        text = quote(text, draw(st.booleans()), draw(st.booleans()), draw(st.booleans()))
         lines = list(io.StringIO(text, newline=""))
         if draw(st.booleans()):  # one line end for the whole table
             end = draw(st.sampled_from(LINE_ENDS))
@@ -966,10 +978,9 @@ class TestRawReaderCsvOracle:
         's,"2022-01-03t00:20:00\r\n",2.5', "\r\ns,2022-01-03t00:20:00,2.5\r\n",
     ])
     def test_rows_in_no_plain_form(self, tmp_path, line, tail):
-        """Rows in no plain form (a 't' for the T) after plain ones: the
-        csv module alone parses the rest of their date, then the reader
-        goes back to reading plain lines itself, with the same samples or
-        errors, ``file:line`` included, either way."""
+        """Rows in no plain form (a 't' for the T) among plain ones: the
+        csv module parses the chunk that holds them, with the same samples
+        or errors, ``file:line`` included."""
         path = tmp_path / "raw.csv"
         path.write_text("series_id,timestamp_iso8601,value\r\ns,2022-01-03T00:00:00,1.5\r\n"
                         f"s,2022-01-03t00:10:00,2.5\r\n{line}\r\nt,2022-01-03t00:00:00,1.0\r\n"
@@ -994,23 +1005,39 @@ class TestRawReaderCsvOracle:
         assert self.assert_same(path) == kind
 
 
-@pytest.mark.parametrize("sep, seconds, offset, days", [
-    ("T", ":00", "+00:00", [1, 1, 2, 4]), ("T", ":00", "", [1, 1, 2, 4]), ("T", "", "Z", [1, 1, 2, 4]),
-    ("T", ":00", "+05:30", [1, 1, 1, 3]), ("T", "", "-03:00", [1, 1, 1, 4]), (" ", ":00", "", [1, 1, 2, 4]),
-    ("T", ":00.000", "Z", [1, 1, 2, 4]), ("T", ":00", "+0530", [1, 1, 1, 3]),
+def csv_parsed_lines(text: str, size: int, refused: Callable[[str], bool]) -> int:
+    """The lines of ``text``, a raw table, that the csv module parses when
+    it is read in chunks of ``size`` characters and ``refused`` says which
+    chunks go to the csv module: the header, and each such chunk's whole
+    lines with the line it cuts."""
+    rest = text[text.index("\n") + 1:]
+    parsed, at = 1, 0
+    while at < len(rest):
+        window = rest[at:at + size]
+        block = window[:window.rfind("\n") + 1]
+        if refused(block):
+            end = rest.index("\n", at + len(window) - 1) + 1
+            parsed += rest.count("\n", at, end)
+            at = end
+        else:  # the cut line starts the next chunk
+            at += len(block)
+    return parsed
+
+
+@pytest.mark.parametrize("sep, seconds, offset", [
+    ("T", ":00", "+00:00"), ("T", ":00", ""), ("T", "", "Z"), ("T", ":00", "+05:30"), ("T", "", "-03:00"),
+    (" ", ":00", ""), ("T", ":00.000", "Z"), ("T", ":00", "+0530"),
 ])
 @pytest.mark.parametrize("by_time", [False, True])
 @pytest.mark.parametrize("quoted_stamps", [False, True])
-def test_raw_reader_parses_one_line_per_series_day_with_the_csv_module(tmp_path, rng, monkeypatch, sep, seconds,
-                                                                       offset, days, by_time, quoted_stamps):
-    """On a table in ``write_raw_csv``'s form or restamped
-    at another offset, its timestamps bare or quoted, grouped by series or
-    sorted by time, only the header and each series' first line of each
-    local date go through the csv module; every other line is taken in its
-    plain form, ids the writer quotes included. The one exception: a line
-    whose id holds a comma can't be matched to its series by the text
-    before its first comma, so it is taken only right after a line of the
-    same series."""
+def test_raw_reader_parses_only_the_chunks_of_ids_with_a_comma_or_quote_with_the_csv_module(
+        tmp_path, rng, monkeypatch, sep, seconds, offset, by_time, quoted_stamps):
+    """On a table in ``write_raw_csv``'s form or restamped at another
+    offset, its timestamps bare or quoted, grouped by series or sorted by
+    time and read in chunks of 1 KiB, the csv module parses the header and
+    the whole of each chunk that holds a line of an id the writer quotes
+    for its ``,`` or ``"``, and no other line: a chunk of bare or plainly
+    quoted ids and timestamps is parsed in one pass."""
     first = utc_minute(datetime(2022, 1, 3, 20, tzinfo=timezone.utc))
     ids = ["s0:UNB:220", "s1,UNB:220", 's2 "x":UNB:220', "s3:UNB:220"]
     series = [(sid, first + 10 * np.arange(n), rng.uniform(0, 50, n))
@@ -1020,11 +1047,11 @@ def test_raw_reader_parses_one_line_per_series_day_with_the_csv_module(tmp_path,
         rows = sorted((minute, i, k) for i, (_, minutes, _) in enumerate(series) for k, minute in enumerate(minutes))
         reference_write_raw_csv(path, [(series[i][0], series[i][1][k:k + 1], series[i][2][k:k + 1])
                                        for _, i, k in rows])
-        days = [days[0], 24, *days[2:]]  # each of s1's lines follows another series' line
     else:
         reference_write_raw_csv(path, series)
     text = restamp(path.read_text(encoding="utf-8"), sep, seconds, offset)
-    path.write_text(RAW_STAMP.sub(r'"\g<0>"', text) if quoted_stamps else text, encoding="utf-8", newline="")
+    text = quote(text, False, quoted_stamps, False)
+    path.write_text(text, encoding="utf-8", newline="")
     parsed = 0
     reader = csv.reader
 
@@ -1036,9 +1063,11 @@ def test_raw_reader_parses_one_line_per_series_day_with_the_csv_module(tmp_path,
                 yield line
         return reader(counted(), *args, **kwargs)
 
+    monkeypatch.setattr(pqio, "_CHUNK", 1024)
     monkeypatch.setattr(pqio.csv, "reader", counting_reader)
     assert read_samples(path) == [(sid, minutes.tobytes(), values.tobytes()) for sid, minutes, values in series]
-    assert parsed == 1 + sum(days)
+    assert parsed == csv_parsed_lines(text, 1024, lambda block: '"s1,UNB:220"' in block or '"s2 ""x"":' in block)
+    assert 1 < parsed < text.count("\n") // 2  # the table spans chunks of both kinds
 
 
 @pytest.mark.parametrize("offset", ["+00:00", "", "+05:30", "-03:00", "+0530", "Z"])
@@ -1100,12 +1129,17 @@ def test_raw_line_repeated_in_its_form_is_held_at_most_a_week(tmp_path):
 # date) and Monday 00:00 (a UTC week end)
 CHUNK_FIRST_MINUTE = utc_minute(datetime(2022, 1, 8, 22, tzinfo=timezone.utc))
 CHUNK_IDS = ["s0:UNB:220", "s1:UNB:220", "s2:UNB:220"]
+CHUNK_QUOTES = {"quoted ids": (True, False, False), "quoted stamps": (False, True, False),
+                "all quoted": (True, True, True)}  # quote()'s ids, stamps and values
+CHUNK_FORMS = ["writer", "perfbench", "+05:30", *CHUNK_QUOTES, "beyond ASCII"]
 
 
 def chunk_table(path, rng, form: str, by_time: bool) -> list[str]:
     """Three series of 160 samples, grouped by series or sorted by time, in
     the writer's form (``+00:00``, ``\\r\\n``), perfbench's (naive,
-    ``\\n``) or at ``+05:30``, written to ``path``; returns its lines."""
+    ``\\n``), at ``+05:30``, with its ids, its timestamps or every field
+    quoted, or with an id beyond ASCII, written to ``path``; returns its
+    lines."""
     series = [(sid, CHUNK_FIRST_MINUTE + 10 * np.arange(160), rng.uniform(0, 50, 160)) for sid in CHUNK_IDS]
     if by_time:
         series = [(sid, minutes[k:k + 1], values[k:k + 1]) for k in range(160) for sid, minutes, values in series]
@@ -1115,6 +1149,10 @@ def chunk_table(path, rng, form: str, by_time: bool) -> list[str]:
         text = restamp(text, "T", ":00", "").replace("\r\n", "\n")
     elif form == "+05:30":
         text = restamp(text, "T", ":00", "+05:30")
+    elif form in CHUNK_QUOTES:
+        text = quote(text, *CHUNK_QUOTES[form])
+    elif form == "beyond ASCII":
+        text = text.replace("s1:", "P\u00e4rnu-s1:")
     path.write_text(text, encoding="utf-8", newline="")
     return text.splitlines(keepends=True)
 
@@ -1127,7 +1165,7 @@ class TestRawReaderChunks:
 
     @pytest.mark.parametrize("chunk", [64, 1024])
     @pytest.mark.parametrize("by_time", [False, True])
-    @pytest.mark.parametrize("form", ["writer", "perfbench", "+05:30"])
+    @pytest.mark.parametrize("form", CHUNK_FORMS)
     def test_edges_on_series_dates_and_week_ends(self, tmp_path, rng, monkeypatch, chunk, by_time, form):
         path = tmp_path / "raw.csv"
         chunk_table(path, rng, form, by_time)
@@ -1141,11 +1179,15 @@ class TestRawReaderChunks:
     @pytest.mark.parametrize("chunk", [64, 1024, 1 << 16])
     @pytest.mark.parametrize("place", PLACES)
     @pytest.mark.parametrize("change", ["4 and 2 fields", "long value", "NUL", "lone CR", "CR before CRLF",
-                                        "id beyond ASCII", "week over 1,008"])
+                                        "id beyond ASCII", "id with NEL", "id with LS", "week over 1,008",
+                                        "quote escaped", "quote mid-field", "quote after a space",
+                                        "text after a closing quote", "quoted comma", "quotes across a line end",
+                                        "quoted CR", "quoted empty value"])
     def test_malformed_lines(self, tmp_path, rng, monkeypatch, chunk, place, change):
         path = tmp_path / "raw.csv"
-        lines = chunk_table(path, rng, "writer" if change == "CR before CRLF" else "perfbench", False)
+        lines = chunk_table(path, rng, "writer" if change in ("CR before CRLF", "quoted CR") else "perfbench", False)
         body = lines[place].rstrip("\r\n")
+        series_id, stamp, value = body.split(",")
         limit = csv.field_size_limit()
         if change == "4 and 2 fields":  # their commas balance, and a chunk's count would pair them up
             first = min(place, len(lines) - 2)
@@ -1163,6 +1205,27 @@ class TestRawReaderChunks:
             lines[-1] = lines[-1].rpartition(",")[0] + ",x\r\n"
         elif change == "id beyond ASCII":
             lines[place] = body.replace("s", "\u00df", 1) + "\n"
+        elif change in ("id with NEL", "id with LS"):  # str.splitlines ends a line there, the csv module does not
+            lines[place] = body.replace(":", "\x85:" if change == "id with NEL" else "\u2028:", 1) + "\n"
+        elif change == "quote escaped":  # a '""' in a quoted id
+            lines[place] = f'"{series_id}""x",{stamp},{value}\n'
+        elif change == "quote mid-field":
+            lines[place] = f'{series_id[:2]}"{series_id[2:]}",{stamp},{value}\n'
+        elif change == "quote after a space":
+            lines[place] = f' "{series_id}",{stamp},{value}\n'
+        elif change == "text after a closing quote":  # which the csv module keeps in the field
+            lines[place] = f'"{series_id[:2]}"{series_id[2:]},{stamp},{value}\n'
+        elif change == "quoted comma":  # one field to the csv module, two without the quotes
+            lines[place] = f'"{series_id},{stamp}",{value}\n'
+        elif change == "quotes across a line end":  # two lines of two commas, one record of five fields
+            first = min(place, len(lines) - 2)
+            head, _, value = lines[first].rpartition(",")
+            lines[first:first + 2] = [f'{head},"{value}', '"' + lines[first + 1]]
+        elif change == "quoted CR":  # a '\r"\n' that is a '\r\n' without the quote ends two lines, not one
+            lines[place] = f'{series_id},{stamp},"{value}\r"\n'
+            lines[-1] = lines[-1].rpartition(",")[0] + ",x\r\n"
+        elif change == "quoted empty value":
+            lines[place] = f'{series_id},{stamp},""\n'
         else:  # the line 1,010 times: its week holds more than 1,008 samples
             lines[place:place + 1] = [lines[place]] * 1010
         path.write_text("".join(lines), encoding="utf-8", newline="")
@@ -1192,7 +1255,7 @@ class TestRawReaderChunks:
         kind, message = TestRawReaderCsvOracle.assert_same(path), str(raw_or_error(read_samples, path)[1])
         assert kind == "DataError" and ("not UTF-8" in message) == bad_byte_first
 
-    @pytest.mark.parametrize("form", ["writer", "perfbench", "+05:30"])
+    @pytest.mark.parametrize("form", CHUNK_FORMS)
     @pytest.mark.parametrize("by_time", [False, True])
     def test_plain_chunks_skip_the_csv_module(self, tmp_path, rng, monkeypatch, form, by_time):
         """A table in one plain form, grouped by series or sorted by time,
