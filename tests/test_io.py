@@ -16,6 +16,7 @@ from conftest import (collecting, reference_iter_forecast_csv, reference_read_fo
                       reference_weekly_to_raw, reference_write_forecast_csv, reference_write_raw_csv)
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from raw_text import RAW_STAMP, quote, restamp
 
 from pqforecast import io as pqio
 from pqforecast import report as pqreport
@@ -765,33 +766,7 @@ def test_forecast_reader_parses_one_line_per_producer_with_the_csv_module(tmp_pa
 RAW_IDS = ["s1", "s2", "a,b", 'q"d', "line\nbreak", " sp ", ""]
 RAW_VALUES = [" 1.5 ", "1_0", "nan", "-1", '"1.5"', "x", "", "1.5,", "1e400", "1.5" + " " * 131072]
 RAW_OFFSETS = ["", "+00:00", "Z", "+01:00", "-00:00", "+05:30", "+0530"]
-# a timestamp of whole minutes, with or without ':00' seconds and an offset, before its comma or closing quote
-RAW_STAMP = re.compile(r"\d{4}-\d\d-\d\d[Tt ]\d\d:\d\d(?::00(?:\.0+)?)?(?:Z|[+-]\d\d:?\d\d)?(?=\"?,)")
 FULL_WIDTH = str.maketrans("0123456789", "".join(chr(0xFF10 + d) for d in range(10)))
-
-
-def restamp(text: str, sep: str, seconds: str, offset: str) -> str:
-    """A table ``write_raw_csv`` wrote, each timestamp the same instant in
-    local time at ``offset`` (naive UTC for ``""``), with ``sep`` between
-    date and time and ``seconds`` (``":00"``, ``""``, ...) after its minute."""
-    zone = datetime.fromisoformat("2000-01-01T00:00" + (offset.strip("Z") or "+00:00")).tzinfo
-
-    def local(m: re.Match) -> str:
-        return datetime.fromisoformat(m.group()).astimezone(zone).isoformat(sep)[:16] + seconds + offset
-
-    return RAW_STAMP.sub(local, text)
-
-
-def quote(text: str, ids: bool, stamps: bool, values: bool) -> str:
-    """A raw table with every id (the header's first field too), timestamp
-    or value quoted, as writers that quote text do."""
-    if ids:
-        text = re.sub(r'^([^,"\r\n]*),', r'"\1",', text, flags=re.M)
-    if stamps:
-        text = RAW_STAMP.sub(r'"\g<0>"', text)
-    if values:
-        text = re.sub(r',([^,"\r\n]*)(?=\r?\n)', r',"\1"', text)
-    return text
 
 
 def mutate_stamp(draw, stamp: str) -> str:

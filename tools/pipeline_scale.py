@@ -27,35 +27,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import shutil
-import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-STAGE = "import sys; from pqforecast.cli import main; sys.exit(main(sys.argv[1:]))"
+from checkouts import header, resolved, run, turns
 
 
-def run(root: Path, argv: list, log: Path) -> dict:
-    """One stage of ``root``'s CLI as a child process: its exit code, wall
-    time and peak resident set."""
-    argv = [str(a) for a in argv]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
-    with open(log, "w") as out:
-        start = time.perf_counter()
-        child = subprocess.Popen([sys.executable, "-c", STAGE, *argv], stdout=out, stderr=subprocess.STDOUT, env=env)
-        _, status, usage = os.wait4(child.pid, 0)
-        wall = time.perf_counter() - start
-    child.returncode = os.waitstatus_to_exitcode(status)
-    record = {"root": str(root), "stage": argv[0], "argv": argv, "exit": child.returncode,
-              "wall_s": round(wall, 4), "peak_rss_mb": round(usage.ru_maxrss / 1024, 2)}
-    if child.returncode:
-        record["log"] = log.read_text(errors="replace")[-2000:]
-    return record
+def stage(root: Path, argv: list, log: Path) -> dict:
+    """One stage of ``root``'s CLI as a child process, named by its command."""
+    return {"stage": str(argv[0]), **run(root, argv, log)}
 
 
 def chains(work: Path, raw_series: int, series: int) -> list[list[tuple[str, list]]]:
@@ -86,7 +68,7 @@ def main() -> int:
     parser.add_argument("--root", type=Path, action="append", help="a checkout to run (default: this one)")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = parser.parse_args()
-    roots = [root.resolve() for root in args.root or [ROOT]]
+    roots = resolved(args.root)
     runs = []
     with tempfile.TemporaryDirectory(prefix="pipeline_scale_") as tmp:
         work = Path(tmp)
@@ -97,23 +79,20 @@ def main() -> int:
         if args.series:
             synth.append(["synth", "--n-series", args.series, "--seed", args.seed, "--out", work / "weekly"])
         for argv in synth:
-            runs.append(run(roots[0], argv, work / "synth.log"))
+            runs.append(stage(roots[0], argv, work / "synth.log"))
             if runs[-1]["exit"]:
                 break
         else:
-            for rep in range(args.repeat):
-                for k in range(len(roots)):
-                    root = roots[(rep + k) % len(roots)]  # each repetition starts with the next root
-                    for chain in chains(work, args.raw_series, args.series):
-                        stage_dir = work / f"r{rep}_{roots.index(root)}"
-                        for name, argv in chain:
-                            argv = [str(a).format(dir=stage_dir) for a in argv]
-                            runs.append({"repeat": rep, **run(root, argv, work / f"{name}.log")})
-                            if runs[-1]["exit"]:
-                                break
-                        shutil.rmtree(stage_dir, ignore_errors=True)  # ensemble tables run to GBs at scale
-    report = {"command": sys.argv, "python": platform.python_version(), "cpus": os.cpu_count(),
-              "raw_series": args.raw_series, "series": args.series, "seed": args.seed, "runs": runs}
+            for rep, root in turns(roots, args.repeat):
+                for chain in chains(work, args.raw_series, args.series):
+                    stage_dir = work / f"r{rep}_{roots.index(root)}"
+                    for name, argv in chain:
+                        argv = [str(a).format(dir=stage_dir) for a in argv]
+                        runs.append({"repeat": rep, **stage(root, argv, work / f"{name}.log")})
+                        if runs[-1]["exit"]:
+                            break
+                    shutil.rmtree(stage_dir, ignore_errors=True)  # ensemble tables run to GBs at scale
+    report = header(raw_series=args.raw_series, series=args.series, seed=args.seed, runs=runs)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for r in runs:
         print(f"{r.get('repeat', '-')}\t{r['stage']}\t{r['wall_s']:.2f} s\t{r['peak_rss_mb']:.1f} MB\t"

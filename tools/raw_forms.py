@@ -1,44 +1,43 @@
 """Time ``read_raw_csv`` on one raw table written in many forms, in each of several checkouts.
 
     python tools/raw_forms.py --out forms.json
-    python tools/raw_forms.py --series 4 --weeks 157 --repeat 3 \\
-        --root /path/to/other/checkout --root . --out forms.json
+    python tools/raw_forms.py --repeat 5 --root /path/to/other/checkout --root . --out forms.json
 
-Writes one table with ``synth --mode raw`` (the first ``--root``'s CLI),
-then rewrites it into each form of ``FORMS``, one file at a time: as
-``synth`` writes it (``+00:00``, ``\\r\\n``); naive timestamps and ``\\n``
-(perfbench's form); local time at ``+05:30``; a ``t`` for the ``T``; every
-id, every timestamp or every field quoted; the first series' id beyond
-ASCII; and that id holding a comma (so the writer quotes it), its rows
-grouped by series or sorted by time. For each form and repetition, every
-root (the roots taking turns to go first) reads the file in a child
-process of its own ``pqforecast.io`` (``src/`` on ``PYTHONPATH``), which
-reports ``read_raw_csv``'s CPU seconds (``time.process_time``) and what it
-gave: each series' id, first week and the sha256 of its percentiles'
-bytes, or its error text. The JSON written to ``--out`` has every run and,
-per form, each root's median CPU seconds, its ratio to the first root's,
-and whether every root gave the same result. Exits 1 when two roots
-differ on a form. The tool reads no program module itself and is not part
-of the test suite.
+Writes one table of 4 series of 157 weeks with ``synth --mode raw --seed 1``
+(the first ``--root``'s CLI), then rewrites it into each form of ``FORMS``,
+one file at a time: as ``synth`` writes it (``+00:00``, ``\\r\\n``); naive
+timestamps and ``\\n`` (perfbench's form); local time at ``+05:30``; a
+``t`` for the ``T``; every id, every timestamp or every field quoted; the
+first series' id beyond ASCII; and that id holding a comma (so the writer
+quotes it), its rows grouped by series or sorted by time. The timestamp and
+quoting rewrites are the tests' own (``tests/raw_text.py``). For each form
+and repetition, every root (the roots taking turns to go first) reads the
+file in a child process of its own ``pqforecast.io``, which reports
+``read_raw_csv``'s CPU seconds (``time.process_time``) and what it gave:
+each series' id, first week and the sha256 of its percentiles' bytes, or
+its error text. The JSON written to ``--out`` has every run and, per form,
+each root's median CPU seconds, its ratio to the first root's, and whether
+every root gave the same result. Exits 1 when two roots differ on a form.
+The tool reads no program module itself and is not part of the test suite.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import re
 import statistics
-import subprocess
 import sys
 import tempfile
-from datetime import datetime, timezone, timedelta
 from pathlib import Path
 from typing import Callable
 
-ROOT = Path(__file__).resolve().parent.parent
-SYNTH = "import sys; from pqforecast.cli import main; sys.exit(main(sys.argv[1:]))"
+from checkouts import ROOT, header, resolved, run, turns
+
+sys.path.insert(0, str(ROOT / "tests"))
+from raw_text import quote, restamp  # noqa: E402
+
+SERIES, WEEKS, SEED = 4, 157, 1
 READ = """
 import hashlib, json, sys, time
 from pqforecast.errors import DataError
@@ -52,21 +51,6 @@ cpu_s = time.process_time() - start
 result = error or [[sid, week and list(week), hashlib.sha256(p95.tobytes()).hexdigest()] for sid, week, p95 in series]
 print(json.dumps({"cpu_s": cpu_s, "result": result}))
 """
-# a timestamp as synth writes it: date, 'T', 'HH:MM', ':00+00:00'
-STAMP = re.compile(r"(\d{4}-\d\d-\d\d)T(\d\d:\d\d):00\+00:00")
-AT_0530 = timezone(timedelta(hours=5, minutes=30))
-
-
-def at_0530(m: re.Match) -> str:
-    return datetime.fromisoformat(m.group()).astimezone(AT_0530).isoformat()
-
-
-def quote_ids(text: str) -> str:
-    return re.sub(r'^([^,"\r\n]*),', r'"\1",', text, flags=re.M)
-
-
-def quote_stamps(text: str) -> str:
-    return STAMP.sub(r'"\g<0>"', text)
 
 
 def renamed(text: str, new_id: Callable[[str], str]) -> str:
@@ -81,58 +65,48 @@ def comma_id(text: str) -> str:
 
 def by_time(text: str) -> str:
     """The rows sorted by timestamp, each minute's rows in series order."""
-    header, *rows = text.splitlines(keepends=True)
-    return header + "".join(sorted(rows, key=lambda row: row.rsplit(",", 2)[1]))
+    header_line, *rows = text.splitlines(keepends=True)
+    return header_line + "".join(sorted(rows, key=lambda row: row.rsplit(",", 2)[1]))
 
 
 FORMS: dict[str, Callable[[str], str]] = {
     "writer": lambda text: text,
-    "naive LF": lambda text: STAMP.sub(r"\1T\2:00", text).replace("\r\n", "\n"),
-    "+05:30": lambda text: STAMP.sub(at_0530, text),
-    "t separator": lambda text: STAMP.sub(r"\1t\2:00+00:00", text),
-    "quoted ids": quote_ids,
-    "quoted stamps": quote_stamps,
-    "all quoted": lambda text: re.sub(r",([^,\"\r\n]*)(?=\r\n)", r',"\1"', quote_stamps(quote_ids(text))),
+    "naive LF": lambda text: restamp(text, "T", ":00", "").replace("\r\n", "\n"),
+    "+05:30": lambda text: restamp(text, "T", ":00", "+05:30"),
+    "t separator": lambda text: restamp(text, "t", ":00", "+00:00"),
+    "quoted ids": lambda text: quote(text, True, False, False),
+    "quoted stamps": lambda text: quote(text, False, True, False),
+    "all quoted": lambda text: quote(text, True, True, True),
     "id beyond ASCII": lambda text: renamed(text, lambda sid: "P\u00e4rnu-" + sid),
     "comma id by series": comma_id,
     "comma id by time": lambda text: by_time(comma_id(text)),
 }
 
 
-def child(root: Path, code: str, *argv) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run([sys.executable, "-c", code, *map(str, argv)], capture_output=True, text=True, env=env)
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--series", type=int, default=4, help="series of the synth table")
-    parser.add_argument("--weeks", type=int, default=157, help="weeks of each series")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeat", type=int, default=3, help="reads per form and root")
-    parser.add_argument("--form", action="append", choices=list(FORMS), help="a form to read (default: all)")
     parser.add_argument("--root", type=Path, action="append", help="a checkout to run (default: this one)")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = parser.parse_args()
-    roots = [root.resolve() for root in args.root or [ROOT]]
+    roots = resolved(args.root)
     runs, forms = [], {}
     with tempfile.TemporaryDirectory(prefix="raw_forms_") as tmp:
         work = Path(tmp)
-        made = child(roots[0], SYNTH, "synth", "--mode", "raw", "--n-series", args.series, "--length-weeks",
-                     args.weeks, "--seed", args.seed, "--out", work / "synth")
-        if made.returncode:
-            sys.exit(f"synth failed:\n{made.stdout}{made.stderr}")
+        made = run(roots[0], ["synth", "--mode", "raw", "--n-series", SERIES, "--length-weeks", WEEKS,
+                              "--seed", SEED, "--out", work / "synth"], work / "synth.log")
+        if made["exit"]:
+            sys.exit(f"synth failed:\n{made['log']}")
         base = (work / "synth" / "raw.csv").read_bytes().decode("utf-8")
-        for name in args.form or FORMS:
+        for name, rewrite in FORMS.items():
             path = work / "raw.csv"
-            path.write_bytes(FORMS[name](base).encode("utf-8"))
-            for rep in range(args.repeat):
-                for k in range(len(roots)):
-                    root = roots[(rep + k) % len(roots)]  # each repetition starts with the next root
-                    done = child(root, READ, path)
-                    if done.returncode:
-                        sys.exit(f"{root}: reading {name} failed:\n{done.stderr}")
-                    runs.append({"form": name, "repeat": rep, "root": str(root), **json.loads(done.stdout)})
+            path.write_bytes(rewrite(base).encode("utf-8"))
+            for rep, root in turns(roots, args.repeat):
+                log = work / "read.log"
+                done = run(root, [path], log, code=READ)
+                if done["exit"]:
+                    sys.exit(f"{root}: reading {name} failed:\n{done['log']}")
+                runs.append({"form": name, "repeat": rep, **done, **json.loads(log.read_text().splitlines()[-1])})
             mine = [r for r in runs if r["form"] == name]
             medians = {str(root): statistics.median(r["cpu_s"] for r in mine if r["root"] == str(root))
                        for root in roots}
@@ -141,9 +115,7 @@ def main() -> int:
                            "same_result": len({json.dumps(r["result"]) for r in mine}) == 1}
             print(f"{name:20} " + "  ".join(f"{s:.3f} s" for s in medians.values())
                   + ("" if forms[name]["same_result"] else "  RESULTS DIFFER"), flush=True)
-    report = {"command": sys.argv, "python": platform.python_version(), "cpus": os.cpu_count(),
-              "series": args.series, "weeks": args.weeks, "seed": args.seed, "roots": [str(r) for r in roots],
-              "forms": forms, "runs": runs}
+    report = header(series=SERIES, weeks=WEEKS, seed=SEED, roots=[str(r) for r in roots], forms=forms, runs=runs)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0 if all(f["same_result"] for f in forms.values()) else 1
 
