@@ -84,6 +84,8 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     rejections = []
     source: dict[str, str] = {}
     for path in args.raw:
+        # Passed although it is read_raw_csv's default, which binds at import:
+        # perfbench's tracer times the weeks by wrapping cli.aggregate_weekly.
         for series_id, start_week, p95 in pqio.read_raw_csv(Path(path), aggregate_weekly):
             if series_id in source:
                 raise DataError(f"{series_id}: in both {source[series_id]} and {path}")

@@ -16,8 +16,9 @@ any other chunk whole to one ``csv.reader``. The forecast reader takes a
 line in the plain form of the row before it that continues that row's
 series from its text and every other line from ``_Records``. Each reader
 gives the same acceptance, errors and ``file:line`` on each of its paths.
-The raw table is read into one calendar week per series at a time
-(``weekly.RawWeeks``) and written from weekly series, a week at a time.
+The raw table is read into one calendar week per series at a time, each
+sample through ``weekly.RawWeeks.extend``, and written from weekly
+series, a week at a time.
 The forecast table travels as one ``ForecastBlock`` per series, a
 (producers x horizon) matrix: ``write_forecast_csv`` and
 ``iter_forecast_csv`` take or give the blocks lazily, so a stage that
@@ -224,19 +225,22 @@ def read_raw_csv(path: Path, aggregate: Callable[[RawWeeks], float] = aggregate_
        (``T`` or a space) and one text after the minute per series
        (``:00+00:00`` as ``write_raw_csv`` writes, ``:00`` as perfbench
        writes, ``.000Z``, ``+05:30``, none, ...), ids beyond ASCII too, is
-       parsed in one pass (``_plain_rows``) into each ``RawWeeks.extend``.
+       parsed in one pass (``_plain_rows``).
     2. Any other chunk goes row by row through one ``csv.reader`` over its
-       lines to each series' ``RawWeeks.add``. The reader reads on past the
-       chunk while a quoted record runs on, and the next chunk starts after
-       it. A chunk holding an id that the writer quotes for its ``,`` or
-       ``"`` takes this path whole, so a table of such ids grouped by
-       series, read almost wholly by the csv module, is the slowest form.
+       lines (``_csv_rows``). The reader reads on past the chunk while a
+       quoted record runs on, and the next chunk starts after it. A chunk
+       holding an id that the writer quotes for its ``,`` or ``"`` takes
+       this path whole, so a table of such ids grouped by series, read
+       almost wholly by the csv module, is the slowest form.
 
-    Beyond one week per series, one chunk and its parsed rows are held,
-    and for a chunk with quotes its text without them. Chunks decode the
-    file further ahead than lines do, so a file with a byte that is not
-    UTF-8 is read again line by line: a malformed line before the byte is
-    still the error reported."""
+    Either path hands each series' rows of a chunk to its ``RawWeeks`` in
+    one ``extend``. Beyond one week per series, one chunk and its parsed
+    rows are held, and for a chunk with quotes its text without them.
+    Chunks decode the file further ahead than lines do, so a file with a
+    byte that is not UTF-8 is read again by the csv path in batches of
+    about a chunk's lines. Its text layer decodes in blocks of about
+    8 KiB: a malformed line is the error reported if it ends in an
+    earlier block than the byte, and the byte otherwise."""
     try:
         return _read_raw_csv(path, aggregate, _CHUNK)
     except DataError as exc:
@@ -250,15 +254,6 @@ def _read_raw_csv(path: Path, aggregate: Callable[[RawWeeks], float], chunk: int
     """``read_raw_csv`` in chunks of at most ``chunk`` characters, or line
     by line throughout for 0."""
     series: dict[str, RawWeeks] = {}
-
-    def take(row: list[str]) -> None:
-        series_id, ts_text, value_text = row
-        minute = utc_minute(datetime.fromisoformat(ts_text))
-        weeks = series.get(series_id)
-        if weeks is None:
-            weeks = series[series_id] = RawWeeks(series_id, minute, aggregate)
-        weeks.add(minute, float(value_text))
-
     with _reading(path) as fh:
         _, line_num = _header(path, fh, RAW_HEADER)
         limit = csv.field_size_limit()  # a longer field is the csv module's error
@@ -271,33 +266,23 @@ def _read_raw_csv(path: Path, aggregate: Callable[[RawWeeks], float], chunk: int
                 whole = block.rfind("\n") + 1
                 block, carry = block[:whole], block[whole:]  # whole lines, the start of the next
                 rows = _plain_rows(block, limit) if block else None
-                if rows is not None:
-                    for series_id, minutes, values in rows:
-                        weeks = series.get(series_id)
-                        if weeks is None:
-                            weeks = series[series_id] = RawWeeks(series_id, int(minutes[0]), aggregate)
-                        weeks.extend(minutes, values)
-                        line_num += len(minutes)
-                    rows = minutes = values = None  # not held through the next read
-                    continue
-                lines = _lines(block + carry + fh.readline() if carry else block)
-                carry = ""
-            else:
-                lines = []
-            # The csv module reads the chunk's lines, and on past them while
-            # a quoted record runs on: the lines it takes are not read again.
-            bulk = csv.reader(chain(lines, fh))
-            try:
-                for row in bulk:
-                    if row:
-                        _take_row(path, line_num + bulk.line_num, take, row, len(RAW_HEADER))
-                    if chunk and bulk.line_num >= len(lines):
-                        break
-            except csv.Error as exc:
-                raise DataError(f"{path}:{line_num + bulk.line_num}: {exc}") from exc
-            line_num += bulk.line_num
-            if not chunk:
-                break
+                if rows is None:
+                    lines = _lines(block + carry + fh.readline() if carry else block)
+                    carry = ""
+                    rows, read = _csv_rows(path, line_num, chain(lines, fh), len(lines))
+                else:
+                    read = sum(len(minutes) for _, minutes, _ in rows)
+            else:  # batches of about a chunk's lines
+                rows, read = _csv_rows(path, line_num, fh, _CHUNK // 64)
+                if not read:
+                    break
+            for series_id, minutes, values in rows:
+                weeks = series.get(series_id)
+                if weeks is None:
+                    weeks = series[series_id] = RawWeeks(series_id, int(minutes[0]), aggregate)
+                weeks.extend(minutes, values)
+            line_num += read
+            rows = minutes = values = None  # not held through the next read
     if not series:
         raise DataError(f"{path}: no data")
     try:
@@ -306,11 +291,41 @@ def _read_raw_csv(path: Path, aggregate: Callable[[RawWeeks], float], chunk: int
         raise DataError(f"{path}: {exc}") from exc
 
 
+def _csv_rows(path: Path, line_num: int, lines: Iterable[str], stop: int
+              ) -> tuple[list[tuple[str, np.ndarray, np.ndarray]], int]:
+    """One ``csv.reader``'s rows of ``lines``, the raw table's lines after
+    its ``line_num``-th, in ``_plain_rows``' form, and the lines it read:
+    up to ``stop``, and on while a quoted record runs on, so none is read
+    twice. A malformed line raises, naming file and line."""
+    gathered: dict[str, tuple[array, array]] = {}
+    bulk = csv.reader(lines)
+    try:
+        for row in bulk:
+            if row:
+                series_id, minute, value = _take_row(path, line_num + bulk.line_num, _raw_row, row, len(RAW_HEADER))
+                got = gathered.get(series_id)
+                if got is None:
+                    got = gathered[series_id] = (array("q"), array("d"))
+                got[0].append(minute)
+                got[1].append(value)
+            if bulk.line_num >= stop:
+                break
+    except csv.Error as exc:
+        raise DataError(f"{path}:{line_num + bulk.line_num}: {exc}") from exc
+    return [(series_id, np.frombuffer(minutes, np.int64), np.frombuffer(values, np.float64))
+            for series_id, (minutes, values) in gathered.items()], bulk.line_num
+
+
+def _raw_row(row: list[str]) -> tuple[str, int, float]:
+    series_id, ts_text, value_text = row
+    return series_id, utc_minute(datetime.fromisoformat(ts_text)), float(value_text)
+
+
 def _plain_rows(text: str, limit: int) -> Optional[list[tuple[str, np.ndarray, np.ndarray]]]:
     """The rows of ``text``, whole lines of a raw table, as one (id, int64
     minutes, float64 values) per series in order of first appearance, if
-    the csv module and ``take`` would give each line's id, minute and value
-    the same way; None if any line might be read otherwise.
+    the csv module and ``_raw_row`` would give each line's id, minute and
+    value the same way; None if any line might be read otherwise.
 
     Such a chunk has one line end throughout and two commas on every line,
     each line counted on its own, and is no longer than ``limit`` without

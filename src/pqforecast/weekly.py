@@ -141,8 +141,8 @@ class Rejection:
 
 class RawWeeks:
     """One series' 10-minute samples, one calendar week (Monday 00:00 to
-    Sunday 24:00 UTC) at a time: ``add`` takes them in the order they
-    arrive (``extend`` a run of them), and ``minutes`` (UTC minutes since
+    Sunday 24:00 UTC) at a time: every sample arrives through ``extend``,
+    a run at a time in arrival order, and ``minutes`` (UTC minutes since
     the epoch) and ``samples`` (values) hold the current week's. A sample
     of a later week, or ``close``, first hands the week to ``aggregate``
     (``aggregate_weekly``), which checks it and gives its percentile. One
@@ -160,21 +160,14 @@ class RawWeeks:
         self.p95 = array("d")  # the span's weeks so far
         self.error: Optional[DataError] = None
 
-    def add(self, minute: int, value: float) -> None:
-        if minute >= self.end:
-            self._hand_out(last=False)
-            self.end = _week_end(minute)
-        self.minutes.append(minute)
-        self.samples.append(value)
-        if len(self.samples) > SAMPLES_PER_WEEK:  # more than a week holds: the check fails
-            self._hand_out(last=False)
-
     def extend(self, minutes: np.ndarray, values: np.ndarray) -> None:
-        """``add`` of each (int64 minute, float64 value) in turn, a week's
-        run of samples at a time: ``aggregate`` is handed the same weeks.
-        A sample starts a new week where the running maximum of the weeks
-        reached moves on, since a sample that goes back in time joins the
-        current week; a week is handed out early at ``SAMPLES_PER_WEEK + 1``."""
+        """Take a run of samples, int64 minutes and float64 values, a week's
+        run at a time. A sample at or after the current week's end hands
+        that week out and starts its own, and a sample that goes back in
+        time joins the current week: a week starts where the running
+        maximum of the weeks reached moves on. A week of more than
+        ``SAMPLES_PER_WEEK`` samples fails the check, so it is handed out
+        early, at ``SAMPLES_PER_WEEK + 1``."""
         current = (self.end - MONDAY_MINUTE) // MINUTES_PER_WEEK - 1
         reached = np.maximum.accumulate(np.maximum((minutes - MONDAY_MINUTE) // MINUTES_PER_WEEK, current))
         edges = [0, *np.flatnonzero(np.diff(reached, prepend=current)).tolist(), len(minutes)]

@@ -19,11 +19,13 @@ from pqforecast.weekly import (
     MAX_GAP_FRACTION,
     MIN_SAMPLES_PER_WEEK,
     MINUTES_PER_WEEK,
+    SAMPLES_PER_WEEK,
     RawWeeks,
     Rejection,
     RejectionReason,
     WeeklySeries,
     WeekId,
+    _week_end,
     aggregate_weekly,
     utc_minute,
     week_start,
@@ -62,9 +64,22 @@ def weekly_p95(raw: tuple[str, list[int], list[float]], aggregate=aggregate_week
     series_id, minutes, values = raw
     weeks = RawWeeks(series_id, int(minutes[0]), aggregate)
     for minute, value in zip(minutes, values):
-        weeks.add(int(minute), float(value))
+        reference_add(weeks, int(minute), float(value))
     _, start_week, p95 = weeks.close()
     return start_week, p95
+
+
+def reference_add(weeks: RawWeeks, minute: int, value: float) -> None:
+    """One sample into ``weeks``, each week handed out as the first sample
+    at or after its end arrives, or at ``SAMPLES_PER_WEEK + 1``: the oracle
+    for the weeks ``RawWeeks.extend`` hands out."""
+    if minute >= weeks.end:
+        weeks._hand_out(last=False)
+        weeks.end = _week_end(minute)
+    weeks.minutes.append(minute)
+    weeks.samples.append(value)
+    if len(weeks.samples) > SAMPLES_PER_WEEK:  # more than a week holds: the check fails
+        weeks._hand_out(last=False)
 
 
 def collecting(weeks: list):

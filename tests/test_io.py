@@ -189,15 +189,17 @@ class TestRawCsv:
             pqio.read_raw_csv(path)
 
 
-@pytest.mark.parametrize("form", ["writer", "perfbench", "quoted"])
+@pytest.mark.parametrize("form", ["writer", "perfbench", "quoted", "not UTF-8 at end"])
 def test_raw_reader_peak_does_not_grow_with_the_weeks(tmp_path, rng, form):
     """2 series of 20 and of 120 weeks, read and aggregated with the same
     traced peak, give or take 64 B per series and week (8 B per percentile
     kept); a reader that held each series' samples until its file ended
-    grew by 16 B per sample, 1,008 per week. Every form is read in chunks:
-    the writer's (``+00:00``, ``\\r\\n``), perfbench's (naive, ``\\n``)
-    and the writer's with every field quoted, whose chunks are each held
-    a second time without their quotes."""
+    grew by 16 B per sample, 1,008 per week. The writer's form (``+00:00``,
+    ``\\r\\n``), perfbench's (naive, ``\\n``) and the writer's with every
+    field quoted, whose chunks are each held a second time without their
+    quotes, are read in chunks; the writer's with a ``0xff`` byte in its
+    last line is read in chunks up to that byte, then again line by line,
+    its rows gathered in batches, up to its ``not UTF-8`` error."""
     peaks = {}
     for n_weeks in (20, 20, 120):  # the first read also pays one-time costs
         path = tmp_path / f"raw{n_weeks}.csv"
@@ -208,13 +210,22 @@ def test_raw_reader_peak_does_not_grow_with_the_weeks(tmp_path, rng, form):
             path.write_text(text, encoding="utf-8", newline="")
         elif form == "quoted":
             path.write_text(quote(path.read_bytes().decode("utf-8"), True, True, True), encoding="utf-8", newline="")
+        elif form == "not UTF-8 at end":
+            data = path.read_bytes()
+            path.write_bytes(data[:-2] + b"\xff" + data[-2:])
         tracemalloc.start()
         try:
-            back = pqio.read_raw_csv(path)
+            try:
+                back = pqio.read_raw_csv(path)
+            except DataError as exc:
+                back = str(exc)
             peaks[n_weeks] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert [(len(p95), np.isnan(p95).any()) for _, _, p95 in back] == [(n_weeks, False)] * 2
+        if form == "not UTF-8 at end":
+            assert back == f"{path}: not UTF-8 text (byte 0xff: invalid start byte)"
+        else:
+            assert [(len(p95), np.isnan(p95).any()) for _, _, p95 in back] == [(n_weeks, False)] * 2
     growth = (peaks[120] - peaks[20]) / (2 * 100)
     assert growth < 64, f"peak {peaks[20]} -> {peaks[120]} B, {growth:.0f} B per series and week"
 

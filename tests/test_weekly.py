@@ -35,6 +35,7 @@ from conftest import (
     make_raw,
     reference_aggregate_weekly,
     collecting,
+    reference_add,
     reference_fill_gaps,
     weekly_p95,
 )
@@ -152,9 +153,9 @@ def _weeks_handed_out(feed, minutes: np.ndarray, values: np.ndarray):
 
 class TestRawWeeksExtend:
     """``extend`` hands ``aggregate`` the same weeks, each with the same
-    samples, as ``add`` of each sample in turn, wherever the runs it is given
-    begin and end: across week ends, with samples that go back in time or
-    repeat, and with more samples in a week than it holds."""
+    samples, as ``reference_add`` of each sample in turn, wherever the
+    runs it is given begin and end: across week ends, with samples that go
+    back in time or repeat, and with more samples in a week than it holds."""
 
     @settings(max_examples=300, deadline=None)
     @given(first=st.integers(-3 * 1440, 3 * 1440),
@@ -172,7 +173,7 @@ class TestRawWeeksExtend:
 
         def add(raw, minutes, values):
             for minute, value in zip(minutes.tolist(), values.tolist()):
-                raw.add(minute, value)
+                reference_add(raw, minute, value)
 
         def extend(raw, minutes, values):
             for lo, hi in zip(bounds, bounds[1:]):

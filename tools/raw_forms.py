@@ -9,7 +9,9 @@ one file at a time: as ``synth`` writes it (``+00:00``, ``\\r\\n``); naive
 timestamps and ``\\n`` (perfbench's form); local time at ``+05:30``; a
 ``t`` for the ``T``; every id, every timestamp or every field quoted; the
 first series' id beyond ASCII; and that id holding a comma (so the writer
-quotes it), its rows grouped by series or sorted by time. The timestamp and
+quotes it), its rows grouped by series or sorted by time; and the writer's
+with a ``0xff`` byte in its last line, which is read to its ``not UTF-8``
+error, in chunks and then again line by line. The timestamp and
 quoting rewrites are the tests' own (``tests/raw_text.py``). For each form
 and repetition, every root (the roots taking turns to go first) reads the
 file in a child process of its own ``pqforecast.io``, which reports
@@ -80,6 +82,7 @@ FORMS: dict[str, Callable[[str], str]] = {
     "id beyond ASCII": lambda text: renamed(text, lambda sid: "P\u00e4rnu-" + sid),
     "comma id by series": comma_id,
     "comma id by time": lambda text: by_time(comma_id(text)),
+    "not UTF-8 at end": lambda text: text[:-2] + "\udcff" + text[-2:],  # 0xff, by surrogateescape
 }
 
 
@@ -100,7 +103,7 @@ def main() -> int:
         base = (work / "synth" / "raw.csv").read_bytes().decode("utf-8")
         for name, rewrite in FORMS.items():
             path = work / "raw.csv"
-            path.write_bytes(rewrite(base).encode("utf-8"))
+            path.write_bytes(rewrite(base).encode("utf-8", "surrogateescape"))
             for rep, root in turns(roots, args.repeat):
                 log = work / "read.log"
                 done = run(root, [path], log, code=READ)
