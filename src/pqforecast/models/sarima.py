@@ -4,8 +4,14 @@ Order selection is the stepwise AICc search of Hyndman & Khandakar (2008)
 (see :func:`select_order`). Because candidates with different differencing
 or conditioning lengths are not comparable on their natural residual
 samples, every candidate is scored on a common evaluation window (starting
-at the latest conditioning point across the admissible orders) so the
-AICc race is fair; the winner is then re-fit on its full natural window.
+at the latest conditioning point across the admissible orders), with its
+residual recursion started at the window's start from zero residuals. The
+orders of the race are then nested: an order whose extra coefficients are
+0.0 scores the smaller order's SSE bit for bit. The winner is re-fit on
+its full natural window, its recursion started at its own conditioning
+point. The objective sums the squares in one scalar loop over the window
+(see :func:`_objective`).
+
 An order is admissible when at least 16 residuals follow its first
 computable one, counting, with a seasonal MA term, only those a season or
 more later: the lag-52 tap of Θ reaches no earlier residual, so with
@@ -19,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -143,44 +150,22 @@ def _ma_invert(ma_poly: Sequence[float], x: np.ndarray) -> np.ndarray:
     Each step starts from ``0.0`` and subtracts the lagged terms from the
     highest lag down, the order of a direct-form-II-transposed IIR filter,
     so the result matches ``scipy.signal.lfilter([1.0], ma_poly, x)`` bit
-    for bit. The tap at lag j joins at step j, so a tap at lag ``len(x)`` or
-    more never joins and is dropped. A warm-up runs the steps before the
-    highest lag, and after it no lag is tested. The taps at lag 1, and at
-    lags 2 and 1, have unrolled loops.
+    for bit. A pre-sample value is 0.0 and its taps come first, so their
+    zero products leave the step's 0.0 as it is, as a filter that has not
+    reached them yet does.
     """
-    taps = [(j, float(ma_poly[j])) for j in range(min(len(ma_poly), len(x)) - 1, 0, -1) if ma_poly[j] != 0.0]
+    taps = [(j, float(ma_poly[j])) for j in range(len(ma_poly) - 1, 0, -1) if ma_poly[j] != 0.0]
     if not taps:
         return 0.0 + x
-    values = x.tolist()
-    warm = taps[0][0]  # below len(x)
-    e: list[float] = []
-    for t in range(warm):
+    lead = taps[0][0]
+    e = [0.0] * lead
+    push = e.append
+    for v in x.tolist():
         a = 0.0
         for j, c in taps:
-            if j <= t:
-                a -= c * e[t - j]
-        e.append(a + values[t])
-    push = e.append
-    lags = [j for j, _ in taps]
-    if lags == [1]:
-        (_, c1), = taps
-        e1 = e[-1]
-        for v in values[warm:]:
-            e1 = (0.0 - c1 * e1) + v
-            push(e1)
-    elif lags == [2, 1]:
-        (_, c2), (_, c1) = taps
-        e2, e1 = e[-2], e[-1]
-        for v in values[warm:]:
-            e2, e1 = e1, ((0.0 - c2 * e2) - c1 * e1) + v
-            push(e1)
-    else:
-        for v in values[warm:]:
-            a = 0.0
-            for j, c in taps:
-                a -= c * e[-j]
-            push(a + v)
-    return np.array(e)
+            a -= c * e[-j]
+        push(a + v)
+    return np.array(e[lead:])
 
 
 def css_residuals(w: np.ndarray, order: SarimaOrder, params: np.ndarray) -> np.ndarray:
@@ -194,8 +179,48 @@ def css_residuals(w: np.ndarray, order: SarimaOrder, params: np.ndarray) -> np.n
     return resid
 
 
+def _arma_sse(lags: list[list[float]], f1: float, f2: float, t1: float, t2: float, c: float) -> float:
+    """Sum of the squares of e_t = x_t - f1 x_{t-1} - f2 x_{t-2} - c
+    - t1 e_{t-1} - t2 e_{t-2}, summed in order from 0.0, with zero residuals
+    before the first: ``lags`` is ``x`` 0, 1 and 2 steps earlier."""
+    x, x1, x2 = lags
+    e2 = e1 = sse = 0.0
+    for v, v1, v2 in zip(x, x1, x2):
+        e = ((((v - f1 * v1) - f2 * v2) - c) - t1 * e1) - t2 * e2
+        sse += e * e
+        e2, e1 = e1, e
+    return sse
+
+
+def _seasonal_arma_sse(lags: list[list[float]], m: int, f1: float, f2: float, t1: float, t2: float,
+                       c: float, F: float, T: float) -> float:
+    """:func:`_arma_sse` with the seasonal AR factor 1 - F B^m and MA factor
+    1 + T B^m: ``lags`` is ``x`` 0, 1, 2, m, m + 1 and m + 2 steps earlier.
+    Each seasonal tap joins the chain of :func:`_arma_sse` where its lag
+    polynomial puts it, so at F = T = 0 both give the same bits."""
+    x, x1, x2, xm, xm1, xm2 = lags
+    Ff1, Ff2, Tt1, Tt2 = F * f1, F * f2, T * t1, T * t2
+    e = [0.0] * (m + 2)  # zero residuals before x, then each e_t
+    push = e.append
+    e_lags = (e, itertools.islice(e, 1, None), itertools.islice(e, 2, None))  # m + 2, m + 1, m steps earlier
+    e2 = e1 = sse = 0.0
+    for v, v1, v2, vm, vm1, vm2, em2, em1, em in zip(x, x1, x2, xm, xm1, xm2, *e_lags):
+        et = (((((((((((v - f1 * v1) - f2 * v2) - F * vm) + Ff1 * vm1) + Ff2 * vm2) - c)
+                   - t1 * e1) - t2 * e2) - T * em) - Tt1 * em1) - Tt2 * em2)
+        sse += et * et
+        e2, e1 = e1, et
+        push(et)
+    return sse
+
+
 def _objective(w: np.ndarray, order: SarimaOrder, eval_from: int):
-    """SSE of CSS residuals at differenced-scale indices >= eval_from."""
+    """SSE of CSS residuals at differenced-scale indices >= eval_from, with
+    the recursion started there: the residuals before ``eval_from`` are
+    zero, the AR terms read the series before it. At the order's
+    conditioning point these are :func:`css_residuals`. The coefficients
+    an order lacks are 0.0, so orders scored from one ``eval_from`` are
+    nested: padding a fit's coefficients with zeros reproduces its SSE bit
+    for bit."""
     p, q, P, Q = order.p, order.q, order.P, order.Q
     # (coefficient slice, sign) per non-empty polynomial: AR ones first
     root_checks = [
@@ -204,15 +229,30 @@ def _objective(w: np.ndarray, order: SarimaOrder, eval_from: int):
                            (slice(p, p + q), +1.0), (slice(p + q + P, p + q + P + Q), +1.0))
         if part.stop > part.start
     ]
+    # where phi1, phi2, theta1, theta2, the constant, Phi and Theta sit in
+    # the coefficients; -1 picks the 0.0 appended to them
+    slots = [0 if p > 0 else -1, 1 if p > 1 else -1, p if q > 0 else -1, p + 1 if q > 1 else -1,
+             order.n_coeffs if order.with_constant else -1]
+    lag_steps = [0, 1, 2]
+    seasonal, m = P + Q > 0, order.m
+    if seasonal:
+        slots += [p + q if P else -1, p + q + P if Q else -1]
+        lag_steps += [m, m + 1, m + 2]
+    pick = itemgetter(*slots)
+    lead = lag_steps[-1]
+    values = [0.0] * lead + w.tolist()  # zeros before w meet only zero coefficients
+    lags = [values[lead + eval_from - k : len(values) - k] for k in lag_steps]
 
     def fn(params: np.ndarray) -> float:
         coeffs = params.tolist()
         for part, sign in root_checks:
             if _min_root_modulus(coeffs[part], sign) <= ROOT_MARGIN:
                 return _PENALTY
-        resid = css_residuals(w, order, params)
-        tail = resid[eval_from:]
-        sse = float(np.dot(tail, tail))
+        coeffs.append(0.0)
+        if seasonal:
+            sse = _seasonal_arma_sse(lags, m, *pick(coeffs))
+        else:
+            sse = _arma_sse(lags, *pick(coeffs))
         return sse if math.isfinite(sse) else _PENALTY
 
     return fn

@@ -213,6 +213,7 @@ def corpus_run():
         "board_ind": board_ind,
         "smapes": smapes,
         "series_ids": sorted(actuals),
+        "actuals": actuals,
         "board_ensembles": board_ensembles,
         "elapsed": elapsed,
     }
@@ -258,6 +259,39 @@ def test_criterion_5_qualitative_reproduction(corpus_run):
            f"size means {[round(size_means[k], 2) for k in range(2, 9)]}, "
            f"{best_ensemble} beats {best_individual} on "
            f"{100 * comparison.win_fraction:.0f} % of series, {elapsed:.0f}s")
+
+
+@pytest.mark.slow
+def test_criterion_5d_ensemble_win_out_of_sample(corpus_run):
+    """(d) criterion 5(c) picks the weights, the best model and the best
+    ensemble on the weeks it scores them on. Here they are picked on one
+    half of the series, even or odd positions in sorted id order, and
+    scored on the other, in both directions; no model is fitted again."""
+    members = {block.series_id: block for block in corpus_run["individual"]}
+    actuals = corpus_run["actuals"]
+    ids = corpus_run["series_ids"]
+    halves = (ids[0::2], ids[1::2])
+
+    def scores(series, weights):
+        blocks = [block for sid in series
+                  for block in (members[sid], ForecastBlock(sid, ensemble_producers(),
+                                                            combine(members[sid].values, weights)))]
+        return evaluate_corpus(blocks, actuals)
+
+    folds = []
+    for pick, scored in (halves, halves[::-1]):
+        _, _, board_ind = evaluate_corpus([members[sid] for sid in pick], actuals)
+        weights = ensemble_weights(board_ind)
+        _, board_ensembles, _ = scores(pick, weights)
+        model, ensemble = board_ind.rows[0].producer, board_ensembles.rows[0].producer
+        smapes, _, _ = scores(scored, weights)
+        comparison = compare_best(scored, model, smapes[model], ensemble, smapes[ensemble])
+        model_smape, ensemble_smape = float(np.mean(smapes[model])), float(np.mean(smapes[ensemble]))
+        assert ensemble_smape < model_smape, (ensemble, ensemble_smape, model, model_smape)
+        assert comparison.win_fraction > 0.5, (ensemble, model, comparison.win_fraction)
+        folds.append(f"{ensemble} {ensemble_smape:.3f} vs {model} {model_smape:.3f}, "
+                     f"wins {100 * comparison.win_fraction:.0f} %")
+    report("criterion 5(d) out of sample", "; ".join(folds))
 
 
 @pytest.mark.slow

@@ -22,20 +22,20 @@ from pqforecast.cli import main
 GOLDEN = {
     "corpus/truth.json": "02e2f6ff5b9878ad6347f3e5328125a6dcda99566d1413d1d4f4e03e79e1f50f",
     "corpus/weekly.csv": "3caba6997ff89b4875d71efabd7595fb3ba921bb92293836425f9de0793dc4ad",
-    "ens/ensemble_forecasts.csv": "c720450f043fdbb4ef807c47619232facfd4b79261281d2db3799ffa37dc9660",
-    "ev/comparison.csv": "09cd023a60f2852433bbaa89384411d48e1742900b75522c89b5ed2237464f2f",
-    "ev/composition_top.csv": "29b1ab51302611aa0a83851744a150b981780ba28948e64167cd753b82d522cb",
-    "ev/ecdf.csv": "0e49a377cc87e580aa4ed3675a86decd475a175c5bb96cdd302699b887a4731f",
-    "ev/fig_comparison.svg": "91a7e84c343938a8d15356bb8240baac256d6e6f5fabadefef6749d38dfc65ac",
-    "ev/fig_composition.svg": "f914bcff46e30deb9d3be08c4b35ff9493cbcb3c66ed2727e072656b4945529e",
-    "ev/fig_size_aggregates.svg": "c83be3a380b5997d12f46e7a279cf3ce991579a59327ead34e17251b48d8d3bf",
-    "ev/leaderboard_ensembles.csv": "f0ac1c0567d3df8266c736d5a04e73ef38e7e48ed313af344f94aa2886653136",
-    "ev/leaderboard_individual.csv": "01fb35ca7a24c9ffb93807e134073bce062f96985ca9dc3d7eee1b2cba4a1f2e",
+    "ens/ensemble_forecasts.csv": "4a2507d40eeddaa6b156cb9e74efbcdef93b45ad10be7ae7d830340b0aad74bb",
+    "ev/comparison.csv": "d5bd5fca948b2326d2fb3e8c51fd9ef93de65baa093a78736e8f0d45bb0b82c1",
+    "ev/composition_top.csv": "21ce1d0553609720373b48a89ec0b8c04d208dd5e839cc936605d59cbd694852",
+    "ev/ecdf.csv": "0a5be2883eedc7354f533aab43c9c9787460d6a5c17a1be629da214bf676ab70",
+    "ev/fig_comparison.svg": "881578bfccbfe7a3956c6b33d54a9b5708abc53b437ef3701e371ac3b32d6306",
+    "ev/fig_composition.svg": "33d654c7bef0b0833670c85bd7fd2f6522d2c9b57493299a04a47e37a9a29412",
+    "ev/fig_size_aggregates.svg": "852dff4f7a2a64dad2b157b484ef21b7ee9da57e5054fa1c7af9ecdbeb522100",
+    "ev/leaderboard_ensembles.csv": "213d0100cf82f57434125135af1a3253d9ed35ba1efe8824eb0b7e5598a5fe81",
+    "ev/leaderboard_individual.csv": "a8770b8a0e8117939884f1cd0a1ec403d7160716ae90409dc25b5b5960b0b43e",
     "ev/manifest.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "ev/size_aggregates.csv": "cbe22738512960fee45136078d3f6d915c1860c3bd599c4d9035be8b81fb815a",
-    "ev0/leaderboard_individual.csv": "01fb35ca7a24c9ffb93807e134073bce062f96985ca9dc3d7eee1b2cba4a1f2e",
+    "ev/size_aggregates.csv": "e1a34ba4d1c1e740c5b52fb3a3a67f8cfa0743c2966ec53d524059a7818b8174",
+    "ev0/leaderboard_individual.csv": "a8770b8a0e8117939884f1cd0a1ec403d7160716ae90409dc25b5b5960b0b43e",
     "ev0/manifest.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "fc/forecasts.csv": "0a9929e4b04829e189b3f17b7284ad1420fd1961b88da81cbb444570c47b17fe",
+    "fc/forecasts.csv": "4f8d77ec1461b04c5565072ef8beed62575a9274c0c0bba458ea70362fa3b229",
     "fc/manifest.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "pre/rejections.csv": "12fced24ef42040db0bcad1d41cb0deb3974379367dfbfe8a142f63f4fc91d21",
     "pre/weekly.csv": "183f8943ba56b77875852e581e074eff95ab80d6cfd2939dee3938cfd6f91845",

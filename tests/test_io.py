@@ -6,7 +6,7 @@ import json
 import re
 import tracemalloc
 import types
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from typing import Callable
 from xml.etree import ElementTree
 
@@ -1240,6 +1240,26 @@ class TestRawReaderChunks:
         path.write_bytes(data[:at] + b"\xff" + data[at:])
         kind, message = TestRawReaderCsvOracle.assert_same(path), str(raw_or_error(read_samples, path)[1])
         assert kind == "DataError" and ("not UTF-8" in message) == bad_byte_first
+
+    def test_malformed_line_in_a_later_batch_of_the_reread(self, tmp_path):
+        """Lines of 35 bytes, a malformed value on line 1,030 and a byte that
+        is not UTF-8 before the end of line 1,250: the first chunk holds the
+        byte, so the file is read again in batches of 1,024 lines, and the
+        text layer decodes line 1,030 in an earlier block than the byte. The
+        error names line 1,030, in the second batch."""
+        path = tmp_path / "raw.csv"
+        start = datetime(2022, 1, 3, tzinfo=timezone.utc)
+        lines = ["series_id,timestamp_iso8601,value\r\n"] + [
+            f"s,{(start + timedelta(minutes=10 * i)).isoformat()},{10 + i % 7 * 0.25:.2f}\r\n"
+            for i in range(1400)]
+        assert {len(line) for line in lines[1:]} == {35}
+        lines[1029] = lines[1029][:-7] + "xx.xx\r\n"  # line 1,030
+        data = "".join(lines).encode("utf-8")
+        at = len("".join(lines[:1250])) - 2  # before line 1,250's end
+        assert 1024 < 1029 and at < 1 << 16 and len("".join(lines[:1030])) // 8192 < at // 8192
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
+        with pytest.raises(DataError, match=r"raw\.csv:1030: could not convert string to float: 'xx\.xx'"):
+            pqio.read_raw_csv(path)
 
     @pytest.mark.parametrize("form", CHUNK_FORMS)
     @pytest.mark.parametrize("by_time", [False, True])

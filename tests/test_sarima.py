@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,6 +195,90 @@ class TestCssResidualsReference:
                 params = rng.uniform(-2.0, 2.0, size=order.n_params)
                 mine = css_residuals(w, order, params)
                 assert mine.tobytes() == _reference_css_residuals(w, order, params).tobytes(), order.label()
+
+
+def _reference_sse(w, order, params, eval_from):
+    """The objective's SSE from the lag polynomials: the AR side by
+    ``np.convolve``, the MA side inverted by ``lfilter`` from ``eval_from``
+    with zero residuals before it, and the squares summed exactly."""
+    p, q, P, Q = order.p, order.q, order.P, order.Q
+    coeffs = list(params)
+    ar_poly = _expand(coeffs[:p], coeffs[p + q : p + q + P], order.m, -1.0)
+    ma_poly = _expand(coeffs[p : p + q], coeffs[p + q + P : p + q + P + Q], order.m, +1.0)
+    const = coeffs[order.n_coeffs] if order.with_constant else 0.0
+    rhs = np.convolve(w, ar_poly)[: len(w)] - const
+    resid = lfilter([1.0], ma_poly, rhs[eval_from:])
+    return math.fsum(resid * resid)
+
+
+def _coefficient_blocks(order):
+    """(first index, length, sign) of each non-empty factor's coefficients:
+    phi, theta, Phi, Theta."""
+    p, q, P, Q = order.p, order.q, order.P, order.Q
+    blocks = ((0, p, -1.0), (p, q, +1.0), (p + q, P, -1.0), (p + q + P, Q, +1.0))
+    return [block for block in blocks if block[1]]
+
+
+def _stationary_invertible(rng, order):
+    """Random coefficients whose every factor has its roots outside the
+    circle of radius 1.05, by numpy's root finder, and a random constant."""
+    params = np.zeros(order.n_params)
+    for at, k, sign in _coefficient_blocks(order):
+        while True:
+            c = rng.uniform(-1.9, 1.9, size=k)
+            if np.min(np.abs(np.roots(np.r_[sign * c[::-1], 1.0]))) > 1.05:
+                break
+        params[at : at + k] = c
+    if order.with_constant:
+        params[-1] = rng.normal()
+    return params
+
+
+class TestObjectiveReference:
+    """The search's CSS objective against its definition: every grid order at
+    m = 52 and m = 1, with a constant (d + D = 0) and without, with and
+    without MA terms, started at the order's conditioning point and at
+    later common ones."""
+
+    @pytest.mark.parametrize("seasonal,d,D", [
+        (True, 0, 0), (True, 1, 0), (True, 0, 1), (True, 1, 1),
+        (False, 0, 0), (False, 1, 0),
+    ])
+    def test_matches_the_lag_polynomial_sse(self, seasonal, d, D):
+        orders = _candidate_orders(seasonal, d, D)
+        rng = np.random.default_rng(31 + 13 * orders[0].m + 3 * d + D)
+        latest = max(order.conditioning for order in orders)
+        assert {order.q + order.Q > 0 for order in orders} == {True, False}
+        for order in orders:
+            assert order.with_constant == (d + D == 0)
+            for n in (105 - order.diff_loss, 157):
+                for eval_from in sorted({order.conditioning, latest, latest + 7}):
+                    if eval_from >= n:
+                        continue
+                    w = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
+                    params = _stationary_invertible(rng, order)
+                    mine = sarima._objective(w, order, eval_from)(params)
+                    reference = _reference_sse(w, order, params, eval_from)
+                    assert mine == pytest.approx(reference, rel=1e-12, abs=0.0), (order.label(), n, eval_from)
+
+    def test_roots_on_or_inside_the_margin_are_penalized(self):
+        rng = np.random.default_rng(5)
+        w = rng.normal(size=105)
+        for order in _candidate_orders(True, 0, 0) + _candidate_orders(False, 1, 0):
+            for at, k, _ in _coefficient_blocks(order):
+                for modulus in (sarima.ROOT_MARGIN, 1.0005, 1.0, 0.5):
+                    params = _stationary_invertible(rng, order)
+                    params[at : at + k] = 0.0
+                    params[at] = 1.0 / modulus  # one real root of that factor at ``modulus``
+                    objective = sarima._objective(w, order, order.conditioning)
+                    assert objective(params) == sarima._PENALTY, (order.label(), modulus)
+
+    def test_window_whose_squares_overflow_is_penalized(self):
+        rng = np.random.default_rng(6)
+        for order in _candidate_orders(True, 0, 0) + _candidate_orders(False, 1, 0):
+            w = rng.normal(size=105) * 1e160
+            params = _stationary_invertible(rng, order)
+            assert sarima._objective(w, order, order.conditioning)(params) == sarima._PENALTY, order.label()
 
 
 class TestDifferencingHeuristic:
@@ -442,28 +528,29 @@ class TestStepwiseSearch:
         assert compared >= 5
 
     def test_neighbours_start_from_the_current_best(self, searches):
-        """Each warm start is the best of everything fitted before it, and a
-        neighbour that adds a coefficient without moving the conditioning
-        point, or adds one to a best without an MA part, ends at an SSE no
-        higher than the best's: the padded start gives the best's residuals
-        on the common window, and Nelder-Mead never returns a point worse
-        than its start. An AR lag added to a best with an MA part moves the
-        point where the MA recursion starts from zero, so its warm start is
-        not the best's SSE and is not checked here."""
+        """Each warm start is the best of everything fitted before it. The
+        orders of one search are nested on the common window, since every
+        residual recursion starts at its start: a neighbour that adds a
+        coefficient starts from the best's coefficients padded with 0.0,
+        which score the best's SSE bit for bit, and Nelder-Mead never
+        returns a point worse than its start."""
         checked = 0
         for search in searches:
             common = self.common(search)
             warm = [i for i, (_, x0, _) in enumerate(common) if x0 is not None]
             assert len(warm) == len(search["sources"])
+            eval_from = {order: at for order, at, _, _ in search["calls"] if at is not None}
             for i, best in zip(warm, search["sources"]):
-                order, _, fit = common[i]
+                order, x0, fit = common[i]
                 assert best.aicc == min(f.aicc for _, _, f in common[:i] if f.aicc < np.inf), search["label"]
-                adds = order.n_coeffs > best.order.n_coeffs
-                if adds and (order.conditioning == best.order.conditioning
-                             or best.order.q + best.order.Q == 0):
-                    assert fit.sse <= best.sse * (1 + 1e-12), (search["label"], order.label())
+                if order.n_coeffs > best.order.n_coeffs:
+                    assert eval_from[order] == eval_from[best.order]
+                    start = sarima._objective(search["w"], order, eval_from[order])(np.array(x0))
+                    assert np.float64(start).tobytes() == np.float64(best.sse).tobytes(), \
+                        (search["label"], best.order.label(), order.label())
+                    assert fit.sse <= best.sse, (search["label"], order.label())
                     checked += 1
-        assert checked >= 10
+        assert checked >= 40
 
     def test_winner_refit_starts_from_its_common_window_argmin(self, searches):
         for search in searches:
@@ -527,11 +614,15 @@ class TestZeroCoefficientFit:
     @pytest.mark.parametrize("x0", [None, []])
     def test_random_walk_order_scores_the_differenced_window(self, x0):
         """(0,1,0) has no coefficient and no constant: the optimizer returns
-        the empty start point, and the SSE is the window's own."""
+        the empty start point, and the SSE is the window's own, its squares
+        summed in order from 0.0 as the objective sums them."""
         w = np.diff(ar1_series(0.6, 105, seed=21))
         fit = fit_css(w, SarimaOrder(0, 1, 0), x0=x0)
         assert fit.params.dtype == np.float64 and fit.params.shape == (0,)
-        assert fit.sse == np.dot(w, w)
+        sse = 0.0
+        for value in w.tolist():
+            sse += value * value
+        assert fit.sse == sse
         assert fit.n_obs == len(w)
 
 
