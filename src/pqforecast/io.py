@@ -12,10 +12,11 @@ their lines themselves, one ``write`` per 1,008 rows or per producer, in
 the same dialect: ids and labels quoted by the csv module, values with
 ``repr``, ``\r\n`` line ends. The raw reader parses chunks of 64 Ki
 characters in one plain form with numpy and ``float()`` alone and hands
-any other chunk whole to one ``csv.reader``. The forecast reader takes a
-line in the plain form of the row before it that continues that row's
-series from its text and every other line from ``_Records``. Each reader
-gives the same acceptance, errors and ``file:line`` on each of its paths.
+any other chunk whole to one ``csv.reader``. The forecast reader takes
+each producer after a series' first as one batch of H lines, from their
+text if each is in the writer's plain form, and every other line from
+``_Records``. Each reader gives the same acceptance, errors and
+``file:line`` on each of its paths.
 The raw table is read into one calendar week per series at a time, each
 sample through ``weekly.RawWeeks.extend``, and written from weekly
 series, a week at a time.
@@ -45,7 +46,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from io import StringIO
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar
 
@@ -160,7 +161,8 @@ def _read_csv(path: Path, header: Sequence[str], take: Callable[[list[str]], Non
 class _Records:
     """The csv module's records of a file whose other lines its reader takes
     itself: ``records(line, line_num)`` gives the record that starts at
-    ``line``, read on from ``fh`` while a quoted field spans lines, and
+    ``line``, read on from ``records.fh`` (the file, or lines the caller
+    read ahead and then the file) while a quoted field spans lines, and
     ``line_num`` advanced past it as ``csv.reader.line_num`` counts. One
     ``csv.reader`` serves every call; a ``csv.Error`` names file and line."""
 
@@ -524,7 +526,20 @@ def iter_forecast_csv(path: Path) -> Generator[ForecastBlock, None, None]:
     a step out of order, is an error at its line; a label that looks like an
     ensemble's must name one. Each block is yielded as its series' rows end,
     so only one series' values are held, in a flat ``array('d')``; an error
-    in a later series surfaces after the earlier blocks were yielded."""
+    in a later series surfaces after the earlier blocks were yielded.
+
+    Lines take one of two paths, with the same acceptance, errors and
+    ``file:line`` on each. A series' first producer goes through
+    ``_Records``, as its H is unknown until it ends. Then, for an id with
+    no ``,`` or ``"``, each line of the series that names a new producer
+    without a ``"`` starts a batch of H lines, taken in one step, producer
+    checks included, if each is ``sid,producer,h,`` for h = 1..H in turn
+    and a text ``float()`` accepts, and none is longer than
+    ``csv.field_size_limit()``. Any other batch, and every other line,
+    goes line by line through ``_Records``, which reads on from the batch
+    to the file while a quoted record runs on. A byte that is not UTF-8
+    met while a batch is read is raised once its lines before it are
+    taken, as a read line by line meets it."""
     done: set[str] = set()  # the series already read
     sid: Optional[str] = None
     producers: list[str] = []  # sid's, in file order
@@ -549,6 +564,21 @@ def iter_forecast_csv(path: Path) -> Generator[ForecastBlock, None, None]:
         except DataError as exc:  # a non-finite value, found once per block
             raise DataError(f"{path}: {exc}") from exc
 
+    def new_producer(producer: str) -> None:
+        """The checks and state of ``producer``'s first row."""
+        nonlocal step
+        if producers:
+            end_producer()
+        if producer in seen:
+            raise ValueError(f"({sid}, {producer}) resumes after other producers")
+        try:
+            parse_producer(producer)
+        except ConfigError as exc:
+            raise ValueError(str(exc)) from exc
+        producers.append(producer)
+        seen.add(producer)
+        step = 0
+
     def take(row: list[str]) -> Optional[ForecastBlock]:
         nonlocal sid, producers, seen, values, step, horizon
         row_sid, producer, h, value = row
@@ -561,17 +591,7 @@ def iter_forecast_csv(path: Path) -> Generator[ForecastBlock, None, None]:
                 raise ValueError(f"series {row_sid} resumes after other series")
             sid, producers, seen, values, horizon = row_sid, [], set(), array("d"), 0
         if not producers or producer != producers[-1]:
-            if producers:
-                end_producer()
-            if producer in seen:
-                raise ValueError(f"({sid}, {producer}) resumes after other producers")
-            try:
-                parse_producer(producer)
-            except ConfigError as exc:
-                raise ValueError(str(exc)) from exc
-            producers.append(producer)
-            seen.add(producer)
-            step = 0
+            new_producer(producer)
         if row_step != step + 1:
             if 1 <= row_step <= step:
                 raise ValueError(f"duplicate row for ({sid}, {producer}, h={row_step})")
@@ -583,37 +603,71 @@ def iter_forecast_csv(path: Path) -> Generator[ForecastBlock, None, None]:
 
     with _reading(path) as fh:
         records, line_num = _header(path, fh, FORECAST_HEADER)
-        head: Optional[str] = None  # 'sid,producer,' of the last row taken, if both are plain
-        next_h = ""  # the h that row's producer takes next
+        first = ""  # 'sid,' of the series being read, if sid is plain
+        cuts: dict[tuple[int, int], tuple[list[str], list[slice]]] = {}  # by len('sid,producer,') and H
         limit = csv.field_size_limit()  # a longer field is the csv module's error
+        bad: Optional[UnicodeDecodeError] = None  # met while a batch was read
         for line in fh:
-            # A line of head, next_h, ',' and a text float() accepts holds no
-            # other ',' or '"', so the csv module would give the same four
-            # fields and take() the same value: take it without them.
-            if head and len(line) <= limit and line.startswith(head):
-                h, _, text = line[len(head):].partition(",")
-                if h == next_h:
-                    try:
-                        values.append(float(text))
-                    except ValueError:
-                        pass
-                    else:
-                        step += 1
-                        next_h = str(step + 1)
-                        line_num += 1
-                        continue
-            row, line_num = records(line, line_num)
-            if row:
-                ended = _take_row(path, line_num, take, row, len(FORECAST_HEADER))
-                if ended is not None:
-                    yield ended
-                head = f"{sid},{producers[-1]},"
-                if head.count(",") != 2 or any(c in head for c in '"\r\n'):
-                    head = None
-                next_h = str(step + 1)
+            lines: Iterable[str] = (line,)
+            if first and line.startswith(first):
+                comma = line.find(",", len(first))
+                producer = line[len(first):comma]
+                if comma > 0 and producer != producers[-1] and '"' not in producer:
+                    # A new producer's H lines. If each is 'sid,producer,h,' for
+                    # h = 1..H and a text float() accepts, none holds another
+                    # ',' or '"': the csv module would give the same fields
+                    # and take() the same values, so take them without it.
+                    size = horizon or step  # H, as end_producer() will find it
+                    key = (comma + 1, size)
+                    if key not in cuts:
+                        cuts[key] = ([f"{h}," for h in range(1, size + 1)],
+                                     [slice(comma + 2 + len(str(h)), None) for h in range(1, size + 1)])
+                    steps, rests = cuts[key]
+                    head, batch = line[:comma + 1], [line]
+                    try:  # extend keeps the lines read before the error
+                        batch.extend(islice(fh, size - 1))
+                    except UnicodeDecodeError as exc:
+                        bad = exc
+                    if (bad is None and len(batch) == size
+                            and all(map(str.startswith, batch, [head + h for h in steps]))
+                            and max(map(len, batch)) <= limit):
+                        taken = len(values)
+                        try:
+                            values.extend(map(float, map(str.__getitem__, batch, rests)))
+                        except ValueError:
+                            del values[taken:]
+                        else:
+                            try:
+                                new_producer(producer)
+                            except ValueError as exc:
+                                raise DataError(f"{path}:{line_num + 1}: {exc}") from exc
+                            step = size
+                            line_num += size
+                            continue
+                    # Otherwise each line goes to the csv module, which reads
+                    # on from the batch to the file while a quoted record runs
+                    # on; a byte that is not UTF-8 after the batch raises there.
+                    lines = iter(batch)
+                    records.fh = chain(lines, fh if bad is None else _raising(bad))
+            for line in lines:
+                row, line_num = records(line, line_num)
+                if row:
+                    ended = _take_row(path, line_num, take, row, len(FORECAST_HEADER))
+                    if ended is not None:
+                        yield ended
+                    first = "" if "," in sid or '"' in sid else f"{sid},"
+            if bad is not None:
+                raise bad
+            records.fh = fh
     if sid is None:
         raise DataError(f"{path}: no data")
     yield end_series()
+
+
+def _raising(exc: Exception) -> Iterator[str]:
+    """An iterator that raises ``exc`` when it is read."""
+    raise exc
+    yield  # a generator, so that it raises only when read
 
 
 def read_forecast_csv(path: Path) -> list[ForecastBlock]:

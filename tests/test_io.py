@@ -636,31 +636,34 @@ def test_forecast_writer_counts_the_blocks_it_consumes(tmp_path, rng):
 
 
 # the rows a mutation puts in place of, or next to, a data line
-ODD_VALUES = [" 1.5 ", "1_0", "+2", "nan", '"1.5"', "x", "", "1.5,", "1.5 " + " " * 131072]
+ODD_VALUES = [" 1.5 ", "1_0", "+2", "nan", '"1.5"', '"1.5', "x", "", "1.5,", "1.5 " + " " * 131072]
 ODD_STEPS = ["0{h}", " {h}", "+{h}", "{h}.0", "{skip}", "{prev}", "x"]
 LINE_ENDS = ["\r\n", "\n", "\r"]
 DIFF_SERIES = ["s1", "s2", "a,b", 'q"d', "line\nbreak", "cr\rlf", " sp ", ""]
 DIFF_PRODUCERS = ["SNaive", " HW", "STL-ES ", "b01:MEAN", "D28:median", "x,y", 'H01:"rank"']
+# each way change_line changes a data line, with the texts it may put in
+LINE_CHANGES = {"value": ODD_VALUES, "step": ODD_STEPS, "extra": ["", "x", "1.5"], "end": LINE_ENDS,
+                "blank": LINE_ENDS, "repeat": [None], "drop": [None]}
 
 
-def mutate_line(draw, lines: list[str], i: int) -> None:
+def change_line(lines: list[str], i: int, change: str, pick) -> None:
     """Change data line ``i`` of ``lines`` (each with its line end) in one
-    way a hand-edited or foreign table might."""
+    way a hand-edited or foreign table might: ``change`` names the way and
+    ``pick`` is one of its ``LINE_CHANGES`` texts."""
     body = lines[i].rstrip("\r\n")
     end = lines[i][len(body):]
     fields = body.split(",")
-    change = draw(st.sampled_from(["value", "step", "extra", "end", "blank", "repeat", "drop"]))
     if change == "value":
-        fields[-1] = draw(st.sampled_from(ODD_VALUES))
+        fields[-1] = pick
     elif change == "step" and len(fields) >= 4 and fields[-2].isdigit():
         h = int(fields[-2])
-        fields[-2] = draw(st.sampled_from(ODD_STEPS)).format(h=h, skip=h + 1, prev=h - 1)
+        fields[-2] = pick.format(h=h, skip=h + 1, prev=h - 1)
     elif change == "extra":
-        fields.append(draw(st.sampled_from(["", "x", "1.5"])))
+        fields.append(pick)
     elif change == "end":
-        end = draw(st.sampled_from(LINE_ENDS))
+        end = pick
     elif change == "blank":
-        lines.insert(i, draw(st.sampled_from(LINE_ENDS)))
+        lines.insert(i, pick)
         return
     elif change == "repeat":
         lines.insert(i, lines[i])
@@ -669,6 +672,12 @@ def mutate_line(draw, lines: list[str], i: int) -> None:
         del lines[i]
         return
     lines[i] = ",".join(fields) + end
+
+
+def mutate_line(draw, lines: list[str], i: int) -> None:
+    """``change_line`` of data line ``i`` in a drawn way."""
+    change = draw(st.sampled_from(list(LINE_CHANGES)))
+    change_line(lines, i, change, draw(st.sampled_from(LINE_CHANGES[change])))
 
 
 def read_or_error(read, path):
@@ -697,8 +706,10 @@ class TestForecastReaderCsvOracle:
         draw = data.draw
         blocks = []
         for sid in draw(st.lists(st.sampled_from(DIFF_SERIES), min_size=1, max_size=3, unique=True)):
-            producers = draw(st.lists(st.sampled_from(DIFF_PRODUCERS), min_size=1, max_size=3, unique=True))
-            horizon = draw(st.integers(1, 4))
+            # mostly two producers or more and H >= 3: the later producers'
+            # lines are read as batches of H, which the mutations then hit
+            producers = draw(st.lists(st.sampled_from(DIFF_PRODUCERS), min_size=1, max_size=4, unique=True))
+            horizon = draw(st.integers(1, 6))
             values = st.one_of(st.floats(0, 1e6), st.sampled_from(EDGE_VALUES))
             blocks.append(ForecastBlock(sid, producers, [[draw(values) for _ in range(horizon)]
                                                          for _ in producers]))
@@ -749,11 +760,50 @@ class TestForecastReaderCsvOracle:
                         encoding="utf-8", newline="")
         assert self.assert_same(path) == kind
 
+    @pytest.mark.parametrize("change, k", [(change, k) for change, picks in LINE_CHANGES.items()
+                                           for k in range(len(picks))])
+    @pytest.mark.parametrize("line", [17, 18, 19, 20, 33, 34, 35, 36])
+    def test_each_change_at_each_line_of_a_batch(self, tmp_path, change, k, line):
+        """3 series x 3 producers x H = 4 as the writer writes them, so the
+        second and third producer of each series are batches of 4 lines:
+        each change of ``change_line`` on each line of the middle series'
+        first batch (lines 17-20) and of the file's last (lines 33-36)."""
+        rng = np.random.default_rng(33)
+        path = tmp_path / "fc.csv"
+        producers = ["SNaive", "HW", "D28:median"]
+        pqio.write_forecast_csv(path, [ForecastBlock(sid, producers, rng.uniform(0, 50, (3, 4)))
+                                       for sid in ["s1", "s2", "s3"]])
+        lines = list(io.StringIO(path.read_text(encoding="utf-8"), newline=""))
+        assert len(lines) == 37 and lines[17].startswith("s2,HW,1,") and lines[36].startswith("s3,D28:median,4,")
+        change_line(lines, line, change, LINE_CHANGES[change][k])
+        path.write_text("".join(lines), encoding="utf-8", newline="")
+        self.assert_same(path)
+
+    @pytest.mark.parametrize("value, error", [("x", ":303: could not convert string to float: 'x'"),
+                                              ('"1.5', "not UTF-8 text (byte 0xff"),
+                                              ("1.5", "not UTF-8 text (byte 0xff")])
+    def test_a_byte_not_utf8_later_in_a_batch(self, tmp_path, value, error):
+        """A batch's lines are read before any is taken. A byte that is not
+        UTF-8 in a later decode block (about 8 KiB) of the batch than a
+        malformed line is reported after that line, as a line-by-line read
+        meets them; a quoted record that opens before the byte reads on to
+        it."""
+        lines = [b"series_id,producer,h,value", *(b"s,SNaive,%d,1.5" % h for h in range(1, 301)),
+                 *(b"s,HW,%d,12.25%s" % (h, b" " * 40) for h in range(1, 301))]  # HW: 18 KB, a batch
+        lines[302] = b"s,HW,2," + value.encode()
+        lines[590] = lines[590][:-1] + b"\xff"  # s,HW,289
+        assert len(b"\r\n".join(lines[:303])) < 6000 and len(b"\r\n".join(lines[:590])) > 2 * 8192
+        path = tmp_path / "fc.csv"
+        path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+        assert self.assert_same(path) == "DataError"
+        assert error in read_or_error(pqio.read_forecast_csv, path)[1]
+
 
 def test_forecast_reader_parses_one_line_per_producer_with_the_csv_module(tmp_path, rng, monkeypatch):
     """On a table ``write_forecast_csv`` wrote, only the header and each
-    producer's first line go through the csv module; every other line is
-    taken in its plain form."""
+    series' first producer go through the csv module, as its horizon is
+    unknown until that producer ends; every other producer's lines are
+    taken as one batch in their plain form."""
     producers = ["SNaive", "HW", "B01:mean", "D28:median"]
     path = tmp_path / "fc.csv"
     pqio.write_forecast_csv(path, [ForecastBlock(f"s{i}", producers, rng.uniform(0, 50, (4, 52)))
@@ -771,7 +821,7 @@ def test_forecast_reader_parses_one_line_per_producer_with_the_csv_module(tmp_pa
 
     monkeypatch.setattr(pqio.csv, "reader", counting_reader)
     assert len(pqio.read_forecast_csv(path)) == 3
-    assert parsed == 1 + 3 * len(producers)
+    assert parsed == 1 + 3 * 52
 
 
 RAW_IDS = ["s1", "s2", "a,b", 'q"d', "line\nbreak", " sp ", ""]
